@@ -49,6 +49,9 @@ PLAN_N = int(os.environ.get("REPRO_BENCH_PLAN_N", 512))
 PLAN_MIN_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_PLAN_MIN_SPEEDUP", "1.5"))
 REPEATS = 3
+#: Bound on fused over unfused best-of-N executed wall on dblookup
+#: when the C NTT kernel runs (measured ~0.97).
+FUSION_NEUTRAL_BOUND = 1.10
 
 
 def _best_exec_time(compiled, bindings):
@@ -160,7 +163,8 @@ def test_exec_plan_speedup():
         f"longer paying for themselves")
 
 
-def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
+def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch,
+                                                         ntt_impl):
     """MAC fusion removes instructions but not executed wall time on
     dblookup — and the per-step profile shows why.
 
@@ -174,6 +178,13 @@ def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
     rows.  The assertion pins the structural fact (NTT-family wall
     strictly dominates elementwise wall in both compiles), not the
     noisy ratio.
+
+    That explanation is a property of the numpy NTT kernels, which is
+    what the ``numpy`` run asserts.  On the native C kernel the NTT
+    family falls to ~40-46% of replay wall, so the ``native`` run
+    asserts the neutrality itself: fused best-of-N executed wall within
+    ``FUSION_NEUTRAL_BOUND`` of unfused (measured best of 5: 0.173s
+    fused vs 0.178s unfused, 2-vCPU Xeon VM).
     """
     monkeypatch.setenv(ENV_EXEC_PROFILE, "1")
     lp = LoweringParams(n=2048, levels=7, dnum=2, log_q=30)
@@ -181,11 +192,11 @@ def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
         build_dblookup_program(lp, squarings=8, name="db-neutral"))
     bindings = synthesize_bindings(packed)
 
-    results = {}
+    walls, results = {}, {}
     for fuse in (True, False):
         compiled = compile_packed(packed.copy(),
                                   CompileOptions(mac_fusion=fuse))
-        results[fuse] = execute_packed(compiled, bindings)
+        walls[fuse], results[fuse] = _best_exec_time(compiled, bindings)
     fused, plain = results[True], results[False]
 
     assert fused.instructions < plain.instructions, \
@@ -200,10 +211,19 @@ def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
         ew_wall = sum(w for lbl, (w, _) in result.profile.items()
                       if lbl.startswith("mm"))
         total = sum(w for w, _ in result.profile.values())
-        print(f"\ndblookup {label}: {result.instructions} instrs, "
-              f"ntt-family {ntt_wall / total:.0%}, "
+        print(f"\ndblookup {label} ({ntt_impl}): {result.instructions} "
+              f"instrs, ntt-family {ntt_wall / total:.0%}, "
               f"elementwise {ew_wall / total:.0%} of replay wall")
-        assert ntt_wall > ew_wall, (
-            f"{label}: NTT-family wall {ntt_wall:.4f}s no longer "
-            f"dominates elementwise {ew_wall:.4f}s; the MAC-fusion "
-            f"neutrality explanation does not hold")
+        if ntt_impl == "numpy":
+            assert ntt_wall > ew_wall, (
+                f"{label}: NTT-family wall {ntt_wall:.4f}s no longer "
+                f"dominates elementwise {ew_wall:.4f}s; the MAC-fusion "
+                f"neutrality explanation does not hold")
+    ratio = walls[True] / walls[False]
+    print(f"dblookup ({ntt_impl}): fused {walls[True]:.4f}s vs unfused "
+          f"{walls[False]:.4f}s executed wall ({ratio:.2f}x)")
+    if ntt_impl == "native":
+        assert ratio <= FUSION_NEUTRAL_BOUND, (
+            f"MAC fusion made executed wall {ratio:.2f}x of unfused on "
+            f"the C NTT kernel, over the {FUSION_NEUTRAL_BOUND:.2f}x "
+            f"bound: fusion is no longer time neutral")

@@ -6,6 +6,9 @@ functional suite under ``tests/`` and skips everything marked ``bench``
 kernels) or ``slow``.  Opt back in with ``--run-bench`` /
 ``--run-slow`` or the ``REPRO_RUN_BENCH=1`` / ``REPRO_RUN_SLOW=1``
 environment variables (handy for CI matrix entries).
+
+The ``ntt_impl`` fixture, shared by both tiers, runs a test once per
+NTT implementation.
 """
 
 from __future__ import annotations
@@ -44,3 +47,17 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_bench)
         if not run_slow and item.get_closest_marker("slow"):
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def ntt_impl(request, monkeypatch) -> str:
+    """Run a kernel test once per NTT implementation: ``native`` (the C
+    kernel, skipped when it is unavailable here) and ``numpy`` (the
+    loader forced to report "unavailable", so the numpy kernels run)."""
+    from repro.nttmath import native
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_LIB", None)
+    elif native.kernel() is None:
+        pytest.skip("native NTT kernel unavailable: no working `cc` or "
+                    "cache directory (see the loader's RuntimeWarning)")
+    return request.param

@@ -29,6 +29,14 @@ loops while leaving every canonical output bitwise identical to the
   pool instead of fresh 100KB+ allocations per vector op (single
   threaded, like the rest of this repository).
 
+Forward and inverse transforms run the same lazy butterflies in C
+(:mod:`repro.nttmath.native`) whenever that kernel library loaded and
+every modulus is within its ``q < 2^30`` bound; otherwise — no ``cc``,
+a failed build, a 31-bit modulus — the numpy kernels above run.  Both
+return canonical residues of the same transform, so the choice never
+changes an output bit, and the numpy kernels stay the C kernel's
+bitwise oracle.
+
 :class:`BatchedPlan` bundles the engine with lazily built per-limb
 scalar kernels and is cached per ``(n, primes)`` in a bounded LRU.
 RNS-CKKS level dropping walks prefixes of one prime chain, so a plan
@@ -45,8 +53,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.env import env_flag
+from ..core.env import ENV_VERIFY, env_flag
 from ..obs import TRACER
+from . import native as _native
 from .bitrev import bit_reverse_indices
 from .ntt import NegacyclicNTT, _check_modulus
 from .primes import root_of_unity
@@ -101,6 +110,29 @@ def _scratch_debug() -> bool:
         flag = env_flag(SCRATCH_DEBUG_ENV)
         _SCRATCH_DEBUG_FLAG = flag
     return flag
+
+
+#: Cached ``REPRO_VERIFY`` flag for the canonical-input check on
+#: ``assume_reduced=True`` transforms — sampled like
+#: :func:`_scratch_debug`, so with the flag off the check costs one
+#: global read per transform.
+_VERIFY_FLAG: bool | None = None
+
+
+def _verify_inputs() -> bool:
+    global _VERIFY_FLAG
+    flag = _VERIFY_FLAG
+    if flag is None:
+        flag = env_flag(ENV_VERIFY)
+        _VERIFY_FLAG = flag
+    return flag
+
+
+class NonCanonicalInputError(ValueError):
+    """A transform called with ``assume_reduced=True`` got a row that
+    is not canonical residues in ``[0, q)`` (raised under
+    ``REPRO_VERIFY=1``; unchecked, the C kernel would read a negative
+    int64 as a huge unsigned value and return garbage silently)."""
 
 
 def scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -216,8 +248,12 @@ class BatchedNTT:
         psi_inv = [pow(p, -1, q) for p, q in zip(psi, primes)]
         psi_col = np.array(psi, dtype=np.int64).reshape(-1, 1)
         psi_inv_col = np.array(psi_inv, dtype=np.int64).reshape(-1, 1)
-        self._psi_br = self._power_table(psi_col)[:, self._rev]
-        self._psi_inv_br = self._power_table(psi_inv_col)[:, self._rev]
+        # C order (the column gather alone leaves Fortran order): the
+        # native kernel walks each limb's twiddle row in place.
+        self._psi_br = np.ascontiguousarray(
+            self._power_table(psi_col)[:, self._rev])
+        self._psi_inv_br = np.ascontiguousarray(
+            self._power_table(psi_inv_col)[:, self._rev])
         self.n_inv_col = np.array([pow(n, -1, q) for q in primes],
                                   dtype=np.int64).reshape(-1, 1)
         self._q_u = self.q_col.astype(np.uint64)
@@ -375,6 +411,42 @@ class BatchedNTT:
         tile_bytes = self.limbs * self.n * 8
         return max(1, _NTT_BLOCK_BYTES // tile_bytes)
 
+    def _kernel(self):
+        """The C kernel library when it loaded and every modulus is
+        within its lazy ``q < 2^30`` bound (``_fused``), else ``None``
+        (the numpy kernels run)."""
+        return _native.kernel() if self._fused else None
+
+    def _require_canonical(self, checked: np.ndarray, op: str) -> None:
+        """Under ``REPRO_VERIFY=1``: raise :class:`NonCanonicalInputError`
+        naming the first row of an ``assume_reduced=True`` input that
+        holds a value outside ``[0, q)``."""
+        stack = checked.reshape(-1, self.limbs, self.n)
+        bad = (stack < 0) | (stack >= self.q_col)
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad.reshape(-1))), self.n)
+            raise NonCanonicalInputError(
+                f"BatchedNTT.{op}(assume_reduced=True): row {row} "
+                f"(q={self.primes[row % self.limbs]}) holds "
+                f"{checked[row, col]} at column {col}, outside the "
+                f"canonical range [0, q)")
+
+    def _prepare(self, data: np.ndarray, assume_reduced: bool,
+                 op: str) -> tuple[np.ndarray, object, int]:
+        """Shared entry of :meth:`forward`/:meth:`inverse`: the checked
+        stack, the kernel library (or ``None``) and the rows per kernel
+        call.  The C kernel keeps one row in L1 at a time, so it takes
+        the whole stack; the numpy kernels go in cache-sized tile
+        blocks."""
+        checked = self._check(data)
+        if assume_reduced and _verify_inputs():
+            self._require_canonical(checked, op)
+        lib = self._kernel()
+        step = checked.shape[0]
+        if lib is None:
+            step = self._block_tiles(step // self.limbs) * self.limbs
+        return checked, lib, step
+
     def forward(self, data: np.ndarray, *,
                 assume_reduced: bool = False) -> np.ndarray:
         """Natural-order coefficient stack -> bit-reversed NTT stack.
@@ -386,40 +458,49 @@ class BatchedNTT:
         ``assume_reduced=True`` skips the defensive input ``% q`` pass
         (an int64 division over the whole stack) — callers assert their
         rows are canonical residues, under which the pass is the
-        identity."""
-        checked = self._check(data)
-        tiles = checked.shape[0] // self.limbs
-        block = self._block_tiles(tiles)
-        if block >= tiles:
-            return self._forward_one(checked,
+        identity (checked under ``REPRO_VERIFY=1``)."""
+        checked, lib, step = self._prepare(data, assume_reduced,
+                                           "forward")
+        if step >= checked.shape[0]:
+            return self._forward_one(checked, lib,
                                      assume_reduced=assume_reduced)
         out = np.empty_like(checked)
-        step = block * self.limbs
         for lo in range(0, checked.shape[0], step):
             out[lo:lo + step] = self._forward_one(
-                checked[lo:lo + step], assume_reduced=assume_reduced)
+                checked[lo:lo + step], lib, assume_reduced=assume_reduced)
         return out
 
-    def _forward_one(self, checked: np.ndarray, *,
+    def _forward_one(self, checked: np.ndarray, lib, *,
                      assume_reduced: bool = False) -> np.ndarray:
         tr = TRACER
         t0 = perf_counter() if tr.enabled else 0.0
         rows = checked.shape[0]
         tiles = rows // self.limbs
-        a = checked.reshape(tiles, self.limbs, self.n)
-        if not assume_reduced:
-            a = a % self.q_col
-        a = a.astype(np.uint64)
-        if self._fused:
-            self._forward_fused(a)
-            self._lazy_csub(a, self._q2_u)
+        if lib is not None:
+            src = np.ascontiguousarray(checked)
+            out = np.empty_like(src)
+            # The engine's own tables, uncopied (dtype and C layout are
+            # checked by the kernel's argtypes).
+            if lib.ntt_forward(out, src, rows, self.limbs, self.n,
+                               self._q_u, self._psi_u, self._psi_sh,
+                               not assume_reduced):
+                raise MemoryError("native NTT kernel: out of memory")
         else:
-            self._forward_radix2(a)
-        self._lazy_csub(a, self._q_u)
-        out = a.astype(np.int64).reshape(rows, self.n)
+            a = checked.reshape(tiles, self.limbs, self.n)
+            if not assume_reduced:
+                a = a % self.q_col
+            a = a.astype(np.uint64)
+            if self._fused:
+                self._forward_fused(a)
+                self._lazy_csub(a, self._q2_u)
+            else:
+                self._forward_radix2(a)
+            self._lazy_csub(a, self._q_u)
+            out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
             tr.emit("ntt.forward", t0, perf_counter() - t0,
-                    {"limbs": self.limbs, "n": self.n, "tiles": tiles})
+                    {"limbs": self.limbs, "n": self.n, "tiles": tiles,
+                     "impl": "numpy" if lib is None else "c"})
             tr.count("ntt.rows", rows)
         return out
 
@@ -552,45 +633,56 @@ class BatchedNTT:
         constant (paper eq. 5).  Wide stacks are transformed in
         cache-sized tile blocks (see :meth:`_block_tiles`).
         ``assume_reduced=True`` skips the defensive input ``% q`` pass
-        for callers whose rows are already canonical residues.
+        for callers whose rows are already canonical residues (checked
+        under ``REPRO_VERIFY=1``).
         """
-        checked = self._check(data)
-        tiles = checked.shape[0] // self.limbs
-        block = self._block_tiles(tiles)
-        if block >= tiles:
-            return self._inverse_one(checked,
+        checked, lib, step = self._prepare(data, assume_reduced,
+                                           "inverse")
+        if step >= checked.shape[0]:
+            return self._inverse_one(checked, lib,
                                      scale_by_n_inv=scale_by_n_inv,
                                      assume_reduced=assume_reduced)
         out = np.empty_like(checked)
-        step = block * self.limbs
         for lo in range(0, checked.shape[0], step):
             out[lo:lo + step] = self._inverse_one(
-                checked[lo:lo + step], scale_by_n_inv=scale_by_n_inv,
+                checked[lo:lo + step], lib, scale_by_n_inv=scale_by_n_inv,
                 assume_reduced=assume_reduced)
         return out
 
-    def _inverse_one(self, checked: np.ndarray, *,
+    def _inverse_one(self, checked: np.ndarray, lib, *,
                      scale_by_n_inv: bool = True,
                      assume_reduced: bool = False) -> np.ndarray:
         tr = TRACER
         t0 = perf_counter() if tr.enabled else 0.0
         rows = checked.shape[0]
         tiles = rows // self.limbs
-        a = checked.reshape(tiles, self.limbs, self.n)
-        if not assume_reduced:
-            a = a % self.q_col
-        a = a.astype(np.uint64)
-        if self._fused:
-            self._inverse_fused(a, fold_ninv=scale_by_n_inv)
+        if lib is not None:
+            src = np.ascontiguousarray(checked)
+            out = np.empty_like(src)
+            if lib.ntt_inverse(out, src, rows, self.limbs, self.n,
+                               self._q_u, self._psi_inv_u,
+                               self._psi_inv_sh, self._n_inv_u,
+                               self._n_inv_sh, self._fold1_u,
+                               self._fold1_sh, scale_by_n_inv,
+                               not assume_reduced):
+                raise MemoryError("native NTT kernel: out of memory")
         else:
-            self._inverse_radix2(a, fold_ninv=scale_by_n_inv)
-        # values < 2q here; the 1/n scaling (when requested) was folded
-        # into the final-stage twiddles by the kernels above.
-        self._lazy_csub(a, self._q_u)
-        out = a.astype(np.int64).reshape(rows, self.n)
+            a = checked.reshape(tiles, self.limbs, self.n)
+            if not assume_reduced:
+                a = a % self.q_col
+            a = a.astype(np.uint64)
+            if self._fused:
+                self._inverse_fused(a, fold_ninv=scale_by_n_inv)
+            else:
+                self._inverse_radix2(a, fold_ninv=scale_by_n_inv)
+            # values < 2q here; the 1/n scaling (when requested) was
+            # folded into the final-stage twiddles by the kernels above.
+            self._lazy_csub(a, self._q_u)
+            out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
             tr.emit("ntt.inverse", t0, perf_counter() - t0,
-                    {"limbs": self.limbs, "n": self.n, "tiles": tiles})
+                    {"limbs": self.limbs, "n": self.n, "tiles": tiles,
+                     "impl": "numpy" if lib is None else "c"})
             tr.count("intt.rows", rows)
         return out
 
@@ -1005,13 +1097,15 @@ def register_cache_clearer(fn: Callable[[], None]) -> None:
 
 def clear_caches() -> None:
     """Drop every cached plan, scratch slab, and registered sibling
-    cache; the scratch-debug flag is re-sampled from the environment on
-    next use."""
-    global _SCRATCH_DEBUG_FLAG
+    cache; the scratch-debug and verify flags are re-sampled from the
+    environment on next use.  The native kernel library is not a cache:
+    it stays loaded for the life of the process."""
+    global _SCRATCH_DEBUG_FLAG, _VERIFY_FLAG
     _PLAN_CACHE.clear()
     _SCRATCH.clear()
     _LIVE_BORROWS.clear()
     _SCRATCH_DEBUG_FLAG = None
+    _VERIFY_FLAG = None
     for fn in _EXTRA_CLEARERS:
         fn()
 

@@ -1,0 +1,160 @@
+"""The native C NTT kernel: built at first use, loaded with ctypes.
+
+``ntt.c`` next to this file holds ``ntt_forward`` / ``ntt_inverse``,
+plain-C99 counterparts of :class:`repro.nttmath.batched.BatchedNTT`'s
+fused numpy kernels.  :func:`kernel` compiles it once with the system
+``cc`` into a per-user cache directory (``$XDG_CACHE_HOME/repro/native``,
+default ``~/.cache/repro/native``), keyed by the sha256 of the source,
+the compiler flags and the machine architecture, and loads it.  The build writes a temporary
+file and renames it into place with :func:`os.replace`, so processes
+racing to build the same hash each end with a complete library.
+
+When anything fails — no ``cc`` on ``PATH``, a compile error, a cache
+directory that is unwritable or cannot be determined, a library that
+does not load — one :class:`RuntimeWarning` names the reason and
+:func:`kernel` returns ``None``: the engine keeps its numpy kernels,
+which stay the bitwise oracle either way.  The loaded library lives for the whole process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from ...core.env import env_str
+
+__all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "build", "cache_dir",
+           "kernel", "library_path", "load"]
+
+#: The kernel source compiled by :func:`build`.
+SOURCE = Path(__file__).with_name("ntt.c")
+
+#: Portable flags only: no ``-march``, so the cached library runs on
+#: any machine of the same architecture that shares the cache.
+CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
+
+# Array arguments are checked for dtype and C layout on every call.
+_OUT = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_IN = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_TAB = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+_N = ctypes.c_size_t
+_I = ctypes.c_int
+#: ``argtypes`` of each exported function (see the comments in ntt.c).
+_SIGNATURES = {
+    "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TAB, _TAB, _I),
+    "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
+}
+
+
+class NativeBuildError(RuntimeError):
+    """The kernel library could not be built; the message says why."""
+
+
+def cache_dir() -> Path:
+    """Per-user directory holding the built libraries."""
+    base = env_str("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro" / "native"
+
+
+def library_path(source: Path, cache: Path) -> Path:
+    """Where the library built from ``source`` lives in ``cache``: the
+    name hashes the source, the flags and the machine architecture (a
+    home directory shared across machines keeps one build per arch)."""
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update(" ".join((*CFLAGS, platform.machine())).encode())
+    return cache / f"ntt-{digest.hexdigest()[:16]}.so"
+
+
+def build(source: Path | None = None, cache: Path | None = None) -> Path:
+    """Path of the library for ``source`` (default :data:`SOURCE`) in
+    ``cache`` (default :func:`cache_dir`), compiling it if not there.
+
+    Raises :class:`NativeBuildError` naming the reason on failure."""
+    source = SOURCE if source is None else source
+    try:
+        cache = cache_dir() if cache is None else cache
+    except (OSError, RuntimeError) as exc:
+        # Path.home() raises when neither $HOME nor a passwd entry
+        # names a home directory.
+        raise NativeBuildError(
+            f"cannot determine cache directory: {exc}") from exc
+    try:
+        target = library_path(source, cache)
+    except OSError as exc:
+        raise NativeBuildError(f"cannot read {source}: {exc}") from exc
+    if target.exists():
+        return target
+    cc = shutil.which("cc")
+    if cc is None:
+        raise NativeBuildError("no C compiler: `cc` is not on PATH")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=target.stem + ".",
+                                   suffix=".tmp", dir=target.parent)
+    except OSError as exc:
+        raise NativeBuildError(
+            f"cache directory {target.parent} is not writable: "
+            f"{exc}") from exc
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *CFLAGS, "-o", tmp, str(source)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise NativeBuildError(
+                f"`cc` failed to compile {source.name} (exit "
+                f"{proc.returncode}): {proc.stderr.strip()[-800:]}")
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise NativeBuildError(
+            f"building {target.name} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def load(source: Path | None = None,
+         cache: Path | None = None) -> ctypes.CDLL | None:
+    """Build (if needed) and load the library with every function's
+    ``argtypes``/``restype`` declared; ``None`` plus one
+    :class:`RuntimeWarning` naming the reason when that fails."""
+    try:
+        lib = ctypes.CDLL(str(build(source, cache)))
+        for name, argtypes in _SIGNATURES.items():
+            func = getattr(lib, name)
+            func.argtypes = argtypes
+            func.restype = ctypes.c_int
+        return lib
+    except NativeBuildError as exc:
+        reason = str(exc)
+    except (OSError, AttributeError) as exc:
+        reason = f"loading the built library failed: {exc}"
+    warnings.warn(f"native NTT kernel unavailable, using the numpy "
+                  f"kernels: {reason}", RuntimeWarning, stacklevel=2)
+    return None
+
+
+_UNSET = object()
+_LIB = _UNSET
+_LOCK = threading.Lock()
+
+
+def kernel() -> ctypes.CDLL | None:
+    """The process-wide kernel library, loaded on first call; ``None``
+    when it is unavailable (warned once, at that first call)."""
+    global _LIB
+    if _LIB is _UNSET:
+        with _LOCK:
+            if _LIB is _UNSET:
+                _LIB = load()
+    return _LIB

@@ -8,12 +8,22 @@ change a single output bit: these tests draw randomized ``(n, basis)``
 configurations (hypothesis) and assert row-by-row equality against the
 reference dataflow, plus the algebraic identities (round trip,
 automorphism consistency) the CKKS layers rely on.
+
+The tests taking the ``ntt_impl`` fixture run the forward/inverse
+entries once per implementation — the native C kernel and the numpy
+kernels — against the same per-limb reference.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.nttmath.batched import BatchedNTT, get_plan
+from repro.nttmath.batched import (
+    BatchedNTT,
+    get_plan,
+    get_stacked_plan,
+    ntt_table,
+)
 from repro.nttmath.ntt import (
     NegacyclicNTT,
     automorphism,
@@ -21,6 +31,7 @@ from repro.nttmath.ntt import (
     galois_element,
 )
 from repro.nttmath.primes import find_ntt_primes
+from repro.obs import EV_ATTRS, EV_NAME, TRACER
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import (
     RnsPolynomial,
@@ -207,3 +218,141 @@ def test_pointwise_mul_shoup_matches_reference(config):
         sub_want = sub_ct.pointwise_mul(frozen_side.drop_to(sub_basis))
         assert np.array_equal(
             pointwise_mul_shoup(sub_ct, sub_table).data, sub_want.data)
+
+
+# ----------------------------------------------------------------------
+# Both implementations (``ntt_impl``: native C kernel, numpy kernels)
+# ----------------------------------------------------------------------
+# The fixture only pins which implementation the loader reports, which
+# every hypothesis example shares.
+IMPL_SETTINGS = settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _per_row(n, primes, stack, op, **kw):
+    """Row ``r`` of ``stack`` through the per-limb reference for limb
+    ``r % len(primes)``."""
+    return np.stack([getattr(ntt_table(n, primes[r % len(primes)]), op)(
+        stack[r], **kw) for r in range(stack.shape[0])])
+
+
+def _tiled(config, k):
+    n, primes, _ = _setup(config)
+    rng = np.random.default_rng(config[3] + k)
+    stack = rng.integers(0, np.array(primes * k)[:, None],
+                         size=(k * len(primes), n), dtype=np.int64)
+    return n, primes, stack
+
+
+def _assert_transforms_match_reference(engine, n, primes, stack):
+    fwd = engine.forward(stack)
+    assert np.array_equal(fwd, _per_row(n, primes, stack, "forward"))
+    assert np.array_equal(engine.forward(stack, assume_reduced=True), fwd)
+    for scale in (True, False):
+        inv = engine.inverse(fwd, scale_by_n_inv=scale)
+        assert np.array_equal(inv, _per_row(n, primes, fwd, "inverse",
+                                            scale_by_n_inv=scale))
+        assert np.array_equal(
+            engine.inverse(fwd, scale_by_n_inv=scale, assume_reduced=True),
+            inv)
+
+
+@given(CONFIG, st.integers(min_value=1, max_value=3))
+@IMPL_SETTINGS
+def test_impl_tiled_stack_matches_per_limb(ntt_impl, config, k):
+    n, primes, stack = _tiled(config, k)
+    _assert_transforms_match_reference(BatchedNTT(n, primes), n, primes,
+                                       stack)
+
+
+@given(CONFIG, st.integers(min_value=1, max_value=3))
+@IMPL_SETTINGS
+def test_impl_reducing_entry_accepts_any_int64(ntt_impl, config, k):
+    """``assume_reduced=False`` reduces negative and >= q int64 inputs
+    exactly like an explicit ``% q`` first."""
+    n, primes, stack = _tiled(config, k)
+    q_col = np.array(primes * k, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(config[3])
+    wild = stack + q_col * rng.integers(-2**30, 2**30, size=stack.shape)
+    wild[0, 0] = np.iinfo(np.int64).min
+    wild[-1, -1] = np.iinfo(np.int64).max
+    engine = BatchedNTT(n, primes)
+    assert np.array_equal(engine.forward(wild),
+                          engine.forward(wild % q_col, assume_reduced=True))
+    for scale in (True, False):
+        assert np.array_equal(
+            engine.inverse(wild, scale_by_n_inv=scale),
+            engine.inverse(wild % q_col, scale_by_n_inv=scale,
+                           assume_reduced=True))
+
+
+@given(CONFIG, st.integers(min_value=1, max_value=3))
+@IMPL_SETTINGS
+def test_impl_derived_engines_match_per_limb(ntt_impl, config, k):
+    """Prefix-sliced plans and ``get_stacked_plan`` row-gathered
+    engines hand the kernels row-selected tables."""
+    n, primes, stack = _tiled(config, k)
+    limbs = len(primes)
+    for count in range(1, limbs + 1):
+        sub = primes[:count]
+        rows = np.concatenate([np.arange(t * limbs, t * limbs + count)
+                               for t in range(k)])
+        engine = get_plan(n, primes).prefix(count).ntt
+        _assert_transforms_match_reference(engine, n, sub, stack[rows])
+    chain = primes + primes[:1]
+    gathered = get_stacked_plan(n, [primes, primes[:1]]).ntt
+    _assert_transforms_match_reference(
+        gathered, n, chain, np.vstack([stack[:limbs], stack[:1]]))
+
+
+@pytest.mark.parametrize("log_n", range(1, 13))
+def test_impl_ring_degrees_match_per_limb(ntt_impl, log_n):
+    """n = 2 .. 4096: odd and even stage counts, every special-cased
+    small-block stage of the C kernel."""
+    n = 1 << log_n
+    primes = find_ntt_primes(30, n, 3)
+    rng = np.random.default_rng(log_n)
+    stack = rng.integers(0, np.array(primes * 2)[:, None], size=(6, n),
+                         dtype=np.int64)
+    _assert_transforms_match_reference(BatchedNTT(n, primes), n, primes,
+                                       stack)
+
+
+def _traced_impls(engine, stack):
+    """The ``impl`` attribute of every transform span ``engine`` emits
+    for one forward and one inverse of ``stack``."""
+    was = TRACER.enabled
+    TRACER.drain()
+    TRACER.enabled = True
+    try:
+        engine.inverse(engine.forward(stack))
+        events, _ = TRACER.drain()
+    finally:
+        TRACER.enabled = was
+    return [(ev[EV_NAME], ev[EV_ATTRS]["impl"]) for ev in events
+            if ev[EV_NAME] in ("ntt.forward", "ntt.inverse")]
+
+
+def test_impl_31_bit_chain_takes_numpy_radix2(ntt_impl):
+    """A 31-bit modulus breaks the C kernel's 4q < 2^32 bound: the
+    engine runs the numpy radix-2 kernels whatever loaded."""
+    n = 64
+    primes = find_ntt_primes(31, n, 2)
+    engine = BatchedNTT(n, primes)
+    assert engine._fused is False
+    stack = np.random.default_rng(7).integers(
+        0, np.array(primes)[:, None], size=(2, n), dtype=np.int64)
+    assert _traced_impls(engine, stack) == [("ntt.forward", "numpy"),
+                                            ("ntt.inverse", "numpy")]
+    _assert_transforms_match_reference(engine, n, primes, stack)
+
+
+def test_impl_span_names_the_kernel_that_ran(ntt_impl):
+    n = 64
+    primes = find_ntt_primes(30, n, 2)
+    stack = np.random.default_rng(8).integers(
+        0, np.array(primes * 8)[:, None], size=(16, n), dtype=np.int64)
+    impl = "c" if ntt_impl == "native" else "numpy"
+    spans = _traced_impls(BatchedNTT(n, primes), stack)
+    assert spans and all(got == impl for _, got in spans)

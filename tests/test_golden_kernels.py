@@ -9,7 +9,9 @@ that silently changes an output bit fails here, even if it remains
 self-consistent.
 
 Parameters are deliberately tiny and fixed: ``n = 8`` with the
-two-limb basis ``(17, 97)`` (both ``= 1 mod 16``).
+two-limb basis ``(17, 97)`` (both ``= 1 mod 16``).  The engine picks
+the native C kernel when it loaded; ``test_golden_vectors_per_impl``
+pins the same literals on each implementation explicitly.
 """
 
 import numpy as np
@@ -102,3 +104,20 @@ def test_golden_auto_routes_agree():
     eng = _engine()
     assert np.array_equal(eng.forward(GOLDEN_AUTO_COEFF_A),
                           GOLDEN_AUTO_NTT_A)
+
+
+def test_golden_vectors_per_impl(ntt_impl):
+    """Every transform literal, on the C kernel and on the numpy
+    kernels, including a 3-tile stack."""
+    eng = _engine()
+    assert np.array_equal(eng.forward(INPUT_A), GOLDEN_FORWARD_A)
+    assert np.array_equal(eng.inverse(GOLDEN_FORWARD_A), INPUT_A)
+    assert np.array_equal(eng.inverse(GOLDEN_FORWARD_A, scale_by_n_inv=False),
+                          GOLDEN_INV_NOSCALE_A)
+    assert np.array_equal(eng.polymul(INPUT_A, INPUT_B), GOLDEN_POLYMUL_AB)
+    assert np.array_equal(eng.forward(GOLDEN_AUTO_COEFF_A),
+                          GOLDEN_AUTO_NTT_A)
+    tiles = np.vstack([INPUT_A, GOLDEN_AUTO_COEFF_A, INPUT_A])
+    assert np.array_equal(
+        eng.forward(tiles, assume_reduced=True),
+        np.vstack([GOLDEN_FORWARD_A, GOLDEN_AUTO_NTT_A, GOLDEN_FORWARD_A]))

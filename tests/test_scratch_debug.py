@@ -19,12 +19,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nttmath import native
 from repro.nttmath.batched import (
+    _NTT_BLOCK_BYTES,
     SCRATCH_POISON,
     BatchedNTT,
     ScratchAliasError,
     clear_caches,
     live_scratch_borrows,
+    ntt_table,
     release_scratch,
     scratch,
 )
@@ -87,12 +90,14 @@ def test_release_is_noop_outside_debug(monkeypatch):
 # Library paths that collided before the per-iteration release fixes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bits", [30, 31])
-def test_ntt_paths_borrow_cleanly(debug_pool, bits):
-    """Forward + inverse on both kernels (fused radix-4 at <=30 bits,
-    radix-2 at 31) twice in a row.  Regression: the stage loops used to
+def test_ntt_paths_borrow_cleanly(debug_pool, monkeypatch, bits):
+    """Forward + inverse on both numpy kernels (fused radix-4 at <=30
+    bits, radix-2 at 31) twice in a row; the C kernel, which borrows no
+    scratch, is switched off.  Regression: the stage loops used to
     re-borrow their half-stack slabs every iteration while live, so the
     very first 31-bit transform raised ScratchAliasError under debug,
     and any second transform raised on the never-released slabs."""
+    monkeypatch.setattr(native, "_LIB", None)
     n = 64
     primes = find_ntt_primes(bits, n, 3)
     eng = BatchedNTT(n, primes)
@@ -104,6 +109,27 @@ def test_ntt_paths_borrow_cleanly(debug_pool, bits):
         back = eng.inverse(ntt)
         np.testing.assert_array_equal(back, data)
     assert live_scratch_borrows() == {}, "transform leaked borrows"
+
+
+def test_block_tiled_ntt_borrows_cleanly(debug_pool, monkeypatch):
+    """A stack wider than ``_NTT_BLOCK_BYTES`` on the numpy kernels:
+    the transforms run block by block, each block's borrows released
+    before the next, and every row still matches the per-limb kernel."""
+    monkeypatch.setattr(native, "_LIB", None)
+    n = 256
+    primes = find_ntt_primes(30, n, 3)
+    tiles = _NTT_BLOCK_BYTES // (len(primes) * n * 8) + 2
+    eng = BatchedNTT(n, primes)
+    assert eng._block_tiles(tiles) < tiles, "stack fits in one block"
+    rng = np.random.default_rng(4)
+    data = rng.integers(0, np.array(primes * tiles)[:, None],
+                        (tiles * len(primes), n), dtype=np.int64)
+    ntt = eng.forward(data)
+    want = np.stack([ntt_table(n, primes[r % len(primes)]).forward(row)
+                     for r, row in enumerate(data)])
+    np.testing.assert_array_equal(ntt, want)
+    np.testing.assert_array_equal(eng.inverse(ntt), data)
+    assert live_scratch_borrows() == {}, "block loop leaked borrows"
 
 
 def test_mac_path_borrows_cleanly(debug_pool):
