@@ -7,14 +7,14 @@ record), and asserts the qualitative shape the paper reports.  Set
 timing studies at reduced ring degree.
 """
 
-import os
-
 import pytest
 
+from repro.core.env import env_float, env_int
+
 #: Ring degree for simulation-heavy benchmarks (paper value: 65536).
-BENCH_N = int(os.environ.get("REPRO_BENCH_N", 2 ** 16))
+BENCH_N = env_int("REPRO_BENCH_N", 2 ** 16, minimum=1)
 #: Workload detail factor (1.0 = paper-scale structure).
-BENCH_DETAIL = float(os.environ.get("REPRO_BENCH_DETAIL", 1.0))
+BENCH_DETAIL = env_float("REPRO_BENCH_DETAIL", 1.0)
 
 
 @pytest.fixture(scope="session")

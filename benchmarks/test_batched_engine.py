@@ -19,12 +19,12 @@ transforms); the ISSUE's acceptance bar is >= 3x there.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
 from repro.analysis import format_table
+from repro.core.env import env_float, env_int
 from repro.nttmath.batched import BatchedNTT
 from repro.nttmath.ntt import NegacyclicNTT, galois_element
 from repro.nttmath.primes import find_ntt_primes
@@ -37,14 +37,14 @@ from repro.rns.poly import (
 )
 
 #: Acceptance-point parameters (ISSUE 1): n = 4096, L >= 8.
-ENGINE_N = int(os.environ.get("REPRO_BENCH_ENGINE_N", 4096))
+ENGINE_N = env_int("REPRO_BENCH_ENGINE_N", 4096, minimum=1)
 ENGINE_LIMBS = 8
 DNUM = 4
-REPEATS = int(os.environ.get("REPRO_BENCH_ENGINE_REPEATS", 9))
+REPEATS = env_int("REPRO_BENCH_ENGINE_REPEATS", 9, minimum=1)
 #: Multiplier on every asserted speedup floor.  1.0 is the acceptance
 #: bar for quiet machines; CI sets < 1 because shared runners add
 #: sustained timing noise that best-of-N repeats cannot cancel.
-SLACK = float(os.environ.get("REPRO_BENCH_SPEEDUP_SLACK", 1.0))
+SLACK = env_float("REPRO_BENCH_SPEEDUP_SLACK", 1.0)
 
 
 def _best_of(fn, repeats=REPEATS) -> float:

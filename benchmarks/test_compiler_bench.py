@@ -15,7 +15,6 @@ Environment knobs: ``REPRO_BENCH_COMPILE_N`` (ring degree, default
 ``REPRO_BENCH_SPEEDUP_SLACK`` (default 1.0).
 """
 
-import os
 import time
 
 import pytest
@@ -30,14 +29,14 @@ from repro.compiler.pipeline import (
     compile_program,
 )
 from repro.core.config import ASIC_EFFACT
+from repro.core.env import env_float, env_int
 from repro.schemes.ckks.params import PAPER_BOOT_FULL
 from repro.workloads.base import Segment, Workload, run_workload
 from repro.workloads.bootstrap_workload import build_bootstrap_program
 
-COMPILE_N = int(os.environ.get("REPRO_BENCH_COMPILE_N", 4096))
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_COMPILE_MIN_SPEEDUP",
-                                   "5.0"))
-SLACK = float(os.environ.get("REPRO_BENCH_SPEEDUP_SLACK", "1.0"))
+COMPILE_N = env_int("REPRO_BENCH_COMPILE_N", 4096, minimum=1)
+MIN_SPEEDUP = env_float("REPRO_BENCH_COMPILE_MIN_SPEEDUP", 5.0)
+SLACK = env_float("REPRO_BENCH_SPEEDUP_SLACK", 1.0)
 
 
 def _bootstrap_params():

@@ -6,17 +6,16 @@ zero compiles and zero simulations (every point served from disk) and
 be measurably faster.
 """
 
-import os
-
 from repro.analysis.dse import sram_variants
 from repro.analysis.report import format_table
 from repro.compiler.pipeline import clear_compile_cache
 from repro.core.config import ASIC_EFFACT
+from repro.core.env import env_float
 from repro.exp.store import ArtifactStore
 from repro.exp.sweep import SweepSpec, WorkloadSpec, run_sweep
 
 #: Shared-runner slack on the warm/cold speedup floor.
-SPEEDUP_SLACK = float(os.environ.get("REPRO_BENCH_SPEEDUP_SLACK", "1.0"))
+SPEEDUP_SLACK = env_float("REPRO_BENCH_SPEEDUP_SLACK", 1.0)
 
 
 def test_store_warm_sweep(tmp_path, bench_n, bench_detail):

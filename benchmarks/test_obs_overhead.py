@@ -22,7 +22,6 @@ Environment knobs: ``REPRO_BENCH_PLAN_N`` (ring degree, default 512),
 ``REPRO_BENCH_OBS_REPEATS`` (default 7).
 """
 
-import os
 from time import perf_counter
 
 import numpy as np
@@ -33,13 +32,13 @@ from repro.compiler.exec_plan import _exec_step, get_exec_plan, replay_plan
 from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_packed
+from repro.core.env import env_float, env_int
 from repro.nttmath.batched import clear_caches
 from repro.workloads.resnet import ResNetShape, build_conv_block
 
-PLAN_N = int(os.environ.get("REPRO_BENCH_PLAN_N", 512))
-MAX_OVERHEAD = float(
-    os.environ.get("REPRO_BENCH_OBS_MAX_OVERHEAD", "0.02"))
-REPEATS = int(os.environ.get("REPRO_BENCH_OBS_REPEATS", "7"))
+PLAN_N = env_int("REPRO_BENCH_PLAN_N", 512, minimum=1)
+MAX_OVERHEAD = env_float("REPRO_BENCH_OBS_MAX_OVERHEAD", 0.02)
+REPEATS = env_int("REPRO_BENCH_OBS_REPEATS", 7, minimum=1)
 #: Absolute slack floor so a 2% bound on a ~100 ms replay does not
 #: flake on a single scheduler tick.
 SLACK_S = 2e-3

@@ -11,19 +11,19 @@ are vectorized column scans, not per-instruction Python loops).
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.analysis import format_table
 from repro.compiler.pipeline import CompileOptions, compile_packed
+from repro.core.env import env_float, env_int
 from repro.workloads import bfv_dotproduct_workload
 
-VERIFY_N = int(os.environ.get("REPRO_BENCH_VERIFY_N", 4096))
-REPEATS = int(os.environ.get("REPRO_BENCH_VERIFY_REPEATS", 3))
+VERIFY_N = env_int("REPRO_BENCH_VERIFY_N", 4096, minimum=1)
+REPEATS = env_int("REPRO_BENCH_VERIFY_REPEATS", 3, minimum=1)
 #: Verify-on compile wall bound, as a multiple of verify-off.  The
 #: suites re-walk every instruction a handful of times; 10x leaves
 #: noise headroom while still catching an accidental O(n^2) check.
-MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_VERIFY_MAX", 10.0))
+MAX_OVERHEAD = env_float("REPRO_BENCH_VERIFY_MAX", 10.0)
 
 
 def _segment_template():

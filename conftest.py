@@ -8,7 +8,8 @@ kernels) or ``slow``.  Opt back in with ``--run-bench`` /
 environment variables (handy for CI matrix entries).
 
 The ``ntt_impl`` fixture, shared by both tiers, runs a test once per
-NTT implementation.
+implementation of the native kernel library (NTT and plan replay);
+``each_impl`` runs part of one test once per implementation.
 """
 
 from __future__ import annotations
@@ -51,13 +52,35 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture(params=["native", "numpy"])
 def ntt_impl(request, monkeypatch) -> str:
-    """Run a kernel test once per NTT implementation: ``native`` (the C
-    kernel, skipped when it is unavailable here) and ``numpy`` (the
-    loader forced to report "unavailable", so the numpy kernels run)."""
+    """Run a test once per implementation of the native kernel library,
+    which holds the NTT and the plan-replay kernels: ``native`` (the C
+    library, skipped when it is unavailable here) and ``numpy`` (the
+    loader forced to report "unavailable", so every numpy kernel
+    runs)."""
     from repro.nttmath import native
     if request.param == "numpy":
         monkeypatch.setattr(native, "_LIB", None)
     elif native.kernel() is None:
-        pytest.skip("native NTT kernel unavailable: no working `cc` or "
+        pytest.skip("native kernels unavailable: no working `cc` or "
                     "cache directory (see the loader's RuntimeWarning)")
     return request.param
+
+
+@pytest.fixture
+def each_impl(monkeypatch):
+    """Run part of one test once per implementation of the native
+    kernel library: ``for impl in each_impl(): ...`` runs the loop body
+    with ``"native"`` (only when the library loaded here) and then
+    ``"numpy"`` in force, selected as ``ntt_impl`` selects them, and
+    puts the library back when the loop completes."""
+    from repro.nttmath import native
+
+    def impls():
+        lib = native.kernel()
+        if lib is not None:
+            yield "native"
+        monkeypatch.setattr(native, "_LIB", None)
+        yield "numpy"
+        monkeypatch.setattr(native, "_LIB", lib)
+
+    return impls

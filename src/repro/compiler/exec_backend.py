@@ -49,12 +49,10 @@ from __future__ import annotations
 import hashlib
 import re
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.env import env_flag
 from ..core.isa import Opcode
 from ..nttmath.batched import get_stacked_plan
 from ..nttmath.ntt import conjugation_element, galois_element
@@ -70,12 +68,6 @@ __all__ = [
     "execute_reference",
     "synthesize_bindings",
 ]
-
-#: Deprecated alias for per-step wall-time profiling of the planned
-#: replay; superseded by the tracer (``REPRO_TRACE=1`` / ``--trace``),
-#: which populates ``ExecutionResult.profile`` *and* emits spans.
-#: Setting it still works but raises a :class:`DeprecationWarning`.
-ENV_EXEC_PROFILE = "REPRO_EXEC_PROFILE"
 
 _MMUL = OP_INDEX[Opcode.MMUL]
 _MMAD = OP_INDEX[Opcode.MMAD]
@@ -155,15 +147,22 @@ class ExecBindings:
         return prod
 
     # -- DRAM values ----------------------------------------------------
-    def dram_array(self, name: str, q: int) -> np.ndarray:
-        """Canonical ``(N,)`` int64 row for a named DRAM value."""
+    def dram_source(self, name: str):
+        """The bound value of a named DRAM value, as bound (any dtype
+        or layout); a missing name synthesizes (and binds) its row, or
+        raises :class:`KeyError` under ``strict``."""
         arr = self.dram.get(name)
         if arr is None:
             if self.strict:
                 raise KeyError(f"no binding for DRAM value {name!r}")
             arr = _hash_array(name if name else "<anon>", self.n)
             self.dram[name] = arr
-        return np.remainder(arr, q).astype(np.int64, copy=False)
+        return arr
+
+    def dram_array(self, name: str, q: int) -> np.ndarray:
+        """Canonical ``(N,)`` int64 row for a named DRAM value."""
+        return np.remainder(self.dram_source(name), q).astype(
+            np.int64, copy=False)
 
     # -- named constants ------------------------------------------------
     def const_value(self, name: str, q: int) -> int:
@@ -318,8 +317,7 @@ class ExecutionResult:
     #: always False on the interpreted path).
     plan_built: bool = False
     #: ``{step label: [wall_s, instructions]}`` when the tracer was
-    #: enabled (``REPRO_TRACE=1`` / ``--trace``) or the deprecated
-    #: ``REPRO_EXEC_PROFILE=1`` alias was set; ``None`` otherwise.
+    #: enabled (``REPRO_TRACE=1`` / ``--trace``); ``None`` otherwise.
     profile: dict[str, list] | None = None
 
     @property
@@ -353,13 +351,7 @@ def execute_packed(target, bindings: ExecBindings | None = None
         bindings = synthesize_bindings(packed)
     built_before = plans_built()
     plan = get_exec_plan(packed, bindings)
-    profile = env_flag(ENV_EXEC_PROFILE)
-    if profile:
-        warnings.warn(
-            f"{ENV_EXEC_PROFILE}=1 is deprecated; use REPRO_TRACE=1 "
-            "or --trace (the tracer populates ExecutionResult.profile "
-            "and emits spans)", DeprecationWarning, stacklevel=2)
-    outputs, wall, prof = replay_plan(plan, bindings, profile=profile)
+    outputs, wall, prof = replay_plan(plan, bindings)
     return ExecutionResult(
         outputs=outputs, wall_s=wall, instructions=plan.instructions,
         runs=plan.runs, peak_buffers=plan.peak_live,

@@ -23,16 +23,32 @@ so all of that per-execution analysis can be hoisted into a one-time
   true RAW chains constrain the schedule — and finally renamed onto a
   compact arena by a linear-scan pass (:func:`_compact_rows`).
 * **Plan replay** (:func:`replay_plan`) is a tight loop over those
-  steps: fancy-index gather → one vector expression or one stacked
-  engine call → fancy-index scatter.  No buffer dict, no per-row
-  ``np.empty`` + copy, no Python analysis.
+  steps: one fused native pass per elementwise step, numpy fallback.
+  With the native library loaded (:mod:`repro.nttmath.native`), an
+  elementwise step is one ``ew_step`` call that reads each lane's
+  arena rows, computes and reduces mod q, and writes the result row in
+  place, and a DRAM step is one ``dram_rows`` call that reduces each
+  bound row straight into the arena; FFT steps are one stacked engine
+  call between a fancy-index gather and scatter.  Without the library,
+  or for a step the kernels must not run (below), the numpy
+  expressions run: fancy-index gather → one vector expression →
+  fancy-index scatter.  No buffer dict, no per-row ``np.empty`` +
+  copy, no Python analysis.
 
 Exactness: every engine prime is below 2**31, so products of
 canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
 int64 — the arena therefore stays int64 end to end (mixing uint64
 indices/operands with int64 arena rows would promote to float64),
 and replay is bitwise-identical to both the interpreter and
-``execute_reference`` (pinned by the fuzzer and oracle suites).
+``execute_reference`` (pinned by the fuzzer and oracle suites).  The
+native kernels equal the numpy expressions for *every* int64 input
+(wrapping products and sums, numpy's floor modulo), so they need no
+precondition beyond the lane-table rule: a step gets a lane table
+(:func:`_ew_lanes`, :func:`_dram_lanes`, built at first replay and
+never serialized) only when all its rows lie inside the arena and
+none is both read and written by the step, which makes lane-by-lane
+in-place execution equal numpy's gather-then-scatter.  A step without
+a table, or whose kernel call reports a bad lane, runs numpy.
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
@@ -62,6 +78,7 @@ import numpy as np
 
 from ..core.env import ENV_VERIFY, env_flag
 from ..core.isa import Opcode
+from ..nttmath import native
 from ..nttmath.batched import get_stacked_plan, register_cache_clearer
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..obs import TRACER
@@ -104,13 +121,13 @@ K_FILL = 4    # scalar fills
 
 class PlanStep:
     """One vectorized replay step; which fields are live depends on
-    ``kind`` (see module docstring).  ``engine`` is resolved lazily
-    from ``primes`` on first replay and never serialized."""
+    ``kind`` (see module docstring).  ``engine`` and ``lanes`` are
+    derived lazily on first replay and never serialized."""
 
     __slots__ = ("kind", "label", "n_instrs", "out", "a", "b", "c",
                  "q_col", "imm_col", "mask", "mul", "nsrc",
                  "fft", "elt", "primes", "engine",
-                 "names", "qs", "vals")
+                 "names", "qs", "vals", "lanes")
 
     def __init__(self, kind: int, label: str, n_instrs: int = 0):
         self.kind = kind
@@ -132,6 +149,8 @@ class PlanStep:
         self.names = None     # DRAM value names (K_DRAM)
         self.qs = None        # per-entry reduction primes (K_DRAM)
         self.vals = None      # (k, 1) int64 fill values (K_FILL)
+        self.lanes = None     # native lane table (K_EW/K_DRAM); False
+        #                       when the kernels must not run the step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"PlanStep({self.label!r}, kind={self.kind}, "
@@ -761,10 +780,147 @@ def _compact_rows(plan: ExecPlan, virtual_rows: int) -> None:
 # ----------------------------------------------------------------------
 # Plan replay
 # ----------------------------------------------------------------------
+_I64 = np.dtype(np.int64)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _index_rows(arr, rows: int) -> np.ndarray | None:
+    """``arr`` as a 1-D int64 row-index array when every entry lies in
+    ``[0, rows)``, else ``None``."""
+    arr = np.asarray(arr)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        return None
+    if arr.size and (arr.min() < 0 or arr.max() >= rows):
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _ew_lanes(st: PlanStep, rows: int):
+    """The K_EW step's ``ew_step`` lane table, or ``False``.
+
+    One C-contiguous ``(k, 6)`` int64 row per lane: out, a, b, c (the
+    MAC addend row, else 1 to multiply and 0 to add), q, immediate
+    (see ``ew_step`` in ``nttmath/native/ntt.c``).  The kernel works
+    lane by lane in place, which equals numpy's gather-then-scatter
+    only when no row is both read and written by the step and no two
+    lanes write one row, so the table is built only then.  Also every
+    row must lie in ``[0, rows)``, and q, the immediates and the mask
+    must be ``(k, 1)`` columns, q and the immediates int64 (so numpy's
+    arithmetic is int64 too) with every q at least 1."""
+    nsrc = st.nsrc
+    if nsrc not in (1, 2, 3):
+        return False
+    cols = [_index_rows(st.out, rows), _index_rows(st.a, rows)]
+    if nsrc >= 2:
+        cols.append(_index_rows(st.b, rows))
+    if nsrc == 3:
+        cols.append(_index_rows(st.c, rows))
+    out = cols[0]
+    if any(c is None or c.shape != out.shape for c in cols):
+        return False
+    k = out.size
+    q = np.asarray(st.q_col)
+    if q.dtype != _I64 or q.shape != (k, 1) or (k and q.min() < 1):
+        return False
+    if (np.unique(out).size != k
+            or np.intersect1d(out, np.concatenate(cols[1:])).size):
+        return False
+    lanes = np.zeros((k, 6), dtype=np.int64)
+    for j, col in enumerate(cols):
+        lanes[:, j] = col
+    if nsrc < 3:
+        mask = np.asarray(_ew_mask(st))
+        if mask.shape != (k, 1):
+            return False
+        lanes[:, 3] = mask[:, 0] != 0
+    lanes[:, 4] = q[:, 0]
+    if nsrc == 1:
+        imm = np.asarray(st.imm_col)
+        if imm.dtype != _I64 or imm.shape != (k, 1):
+            return False
+        lanes[:, 5] = imm[:, 0]
+    return lanes
+
+
+def _dram_lanes(st: PlanStep, rows: int):
+    """The K_DRAM step's ``dram_rows`` lane table — ``(k, 2)`` int64
+    rows of (out, q) — or ``False`` unless the out rows are distinct
+    and inside ``[0, rows)`` and every q is an integer in
+    ``[1, 2^63)``."""
+    out = _index_rows(st.out, rows)
+    if (out is None or np.unique(out).size != out.size
+            or len(st.qs) != out.size or len(st.names) != out.size
+            or not all(isinstance(q, (int, np.integer))
+                       and 1 <= q <= _INT64_MAX for q in st.qs)):
+        return False
+    return np.ascontiguousarray(
+        np.stack((out, np.array(st.qs, dtype=np.int64)), axis=1))
+
+
+def _replay_dram(st: PlanStep, arena: np.ndarray, bindings,
+                 lib) -> bool:
+    """Run a K_DRAM step through ``dram_rows``; ``False`` (nothing
+    written) when the step must take the numpy loop instead.
+
+    The kernel reads bound int64 rows in place.  Bindings of another
+    dtype, shape or layout are reduced by numpy after the kernel call,
+    which is exact because the out rows are distinct and no binding
+    shares memory with the arena (a step with such a binding runs numpy
+    whole, preserving its row order)."""
+    lanes = st.lanes
+    if lanes is None:
+        lanes = st.lanes = _dram_lanes(st, arena.shape[0])
+    if lanes is False:
+        return False
+    n = arena.shape[1]
+    lo = native.address(arena)
+    hi = lo + arena.nbytes
+    names = st.names
+    ptrs = [0] * len(names)
+    rest = []                     # lanes numpy reduces
+    seen: dict[str, int] = {}
+    held = []                     # the arrays behind ptrs, kept alive
+    for i, name in enumerate(names):
+        ptr = seen.get(name)
+        if ptr is None:
+            arr = bindings.dram_source(name)
+            if (type(arr) is np.ndarray and arr.dtype == _I64
+                    and arr.shape == (n,) and arr.flags.c_contiguous
+                    and arr.flags.aligned):
+                ptr = native.address(arr)
+                if ptr < hi and ptr + arr.nbytes > lo:
+                    return False
+                held.append(arr)
+            elif np.may_share_memory(arr, arena):
+                return False
+            else:
+                ptr = 0
+            seen[name] = ptr
+        if ptr:
+            ptrs[i] = ptr
+        else:
+            rest.append(i)
+    if lib.dram_rows(arena, arena.shape[0], n, lanes,
+                     np.array(ptrs, dtype=np.uintp), len(ptrs)):
+        return False
+    for i in rest:
+        arena[st.out[i]] = bindings.dram_array(names[i], st.qs[i])
+    return True
+
+
 def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
                n: int) -> None:
     kind = st.kind
     if kind == K_EW:
+        lib = native.kernel()
+        if lib is not None:
+            lanes = st.lanes
+            if lanes is None:
+                lanes = st.lanes = _ew_lanes(st, arena.shape[0])
+            if lanes is not False and not lib.ew_step(
+                    arena, arena.shape[0], arena.shape[1], lanes,
+                    lanes.shape[0], st.nsrc):
+                return
         x = arena[st.a]
         if st.nsrc == 3:
             res = (x * arena[st.b] + arena[st.c]) % st.q_col
@@ -795,9 +951,11 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
     elif kind == K_COPY:
         arena[st.out] = arena[st.a]
     elif kind == K_DRAM:
-        out, names, qs = st.out, st.names, st.qs
-        for i in range(len(out)):
-            arena[out[i]] = bindings.dram_array(names[i], qs[i])
+        lib = native.kernel()
+        if lib is None or not _replay_dram(st, arena, bindings, lib):
+            out, names, qs = st.out, st.names, st.qs
+            for i in range(len(out)):
+                arena[out[i]] = bindings.dram_array(names[i], qs[i])
     else:                                       # K_FILL
         arena[st.out] = st.vals
 
@@ -817,24 +975,23 @@ def _step_row_traffic(st: PlanStep) -> tuple[int, int]:
     return read, written
 
 
-def replay_plan(plan: ExecPlan, bindings, *, profile: bool = False):
+def replay_plan(plan: ExecPlan, bindings):
     """Execute a plan; returns ``(outputs, wall_s, profile_dict)``.
 
-    ``profile_dict`` is ``None`` unless ``profile`` is set or the
-    global tracer is enabled, in which case it maps a step label to
-    ``[wall_s, instructions]``.  Three loops, fastest first:
+    ``profile_dict`` is ``None`` unless the global tracer is enabled,
+    in which case it maps a step label to ``[wall_s, instructions]``.
+    Two loops:
 
-    * neither: the bare step loop — no clock reads inside;
-    * ``profile`` only: one clock read around each step (the legacy
-      ``REPRO_EXEC_PROFILE`` payload);
-    * tracing: one clock read **per step boundary**, so each span's
+    * bare: the step loop with no clock reads inside;
+    * traced: one clock read **per step boundary**, so each span's
       duration runs boundary-to-boundary and the instrumentation cost
       itself is attributed into step durations rather than falling
       into inter-span gaps — the sum of ``replay.*`` spans accounts
       for the whole loop, not just the step bodies.  Per-step spans
-      land as ``replay.<label>`` under an outer ``replay`` span, and
-      arena gather/scatter traffic feeds the ``exec.bytes_*``
-      counters.
+      land as ``replay.<label>`` under an outer ``replay`` span (its
+      ``impl`` attribute says whether the native kernels were loaded,
+      ``"c"``, or every step ran numpy, ``"numpy"``), and arena
+      gather/scatter traffic feeds the ``exec.bytes_*`` counters.
     """
     from time import perf_counter
 
@@ -870,40 +1027,25 @@ def replay_plan(plan: ExecPlan, bindings, *, profile: bool = False):
         wall = perf_counter() - t0
         tr.emit("replay", t0, wall,
                 {"steps": len(plan.steps),
-                 "instrs": plan.instructions})
+                 "instrs": plan.instructions,
+                 "impl": "numpy" if native.kernel() is None else "c"})
         row_bytes = n * 8
         tr.count("exec.bytes_gathered", rows_read * row_bytes)
         tr.count("exec.bytes_scattered", rows_written * row_bytes)
         if plan.spill_reloads:
             tr.count("exec.spill_reloads", plan.spill_reloads)
-    elif profile:
-        prof = {}
-        for st in plan.steps:
-            ts = perf_counter()
-            _exec_step(st, arena, bindings, n)
-            dt = perf_counter() - ts
-            acc = prof.get(st.label)
-            if acc is None:
-                prof[st.label] = [dt, st.n_instrs]
-            else:
-                acc[0] += dt
-                acc[1] += st.n_instrs
-        outputs = {vid: arena[row].copy()
-                   for vid, row in plan.output_rows}
-        wall = perf_counter() - t0
-    else:
-        for st in plan.steps:
-            _exec_step(st, arena, bindings, n)
-        outputs = {vid: arena[row].copy()
-                   for vid, row in plan.output_rows}
-        wall = perf_counter() - t0
-    if prof is not None:
         for label, count in plan.free_instrs.items():
             acc = prof.get(label)
             if acc is None:
                 prof[label] = [0.0, count]
             else:
                 acc[1] += count
+    else:
+        for st in plan.steps:
+            _exec_step(st, arena, bindings, n)
+        outputs = {vid: arena[row].copy()
+                   for vid, row in plan.output_rows}
+        wall = perf_counter() - t0
     return outputs, wall, prof
 
 

@@ -22,22 +22,24 @@ Known variables (the canonical registry):
                            (:mod:`repro.compiler.verify`) during
                            compilation and plan build
 ``REPRO_SCRATCH_DEBUG``    poison NTT scratch buffers on acquire
-``REPRO_EXEC_PROFILE``     deprecated profiling alias (see
-                           :mod:`repro.compiler.exec_backend`)
 ``REPRO_STORE_DIR``        activate the persistent artifact store
 ``REPRO_STORE_MAX_BYTES``  artifact-store size bound (bytes)
 ``REPRO_SWEEP_START_METHOD``  multiprocessing start method
+``REPRO_BENCH_*``          benchmark-tier sizes, repeats and floors
+                           (documented in each ``benchmarks/`` module)
 =========================  ===========================================
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
 __all__ = [
     "ENV_VERIFY",
     "env_flag",
+    "env_float",
     "env_int",
     "env_str",
 ]
@@ -104,6 +106,28 @@ def env_int(name: str, default: int, *, minimum: int | None = None,
             f"{name}={raw!r} must be "
             + ("non-negative" if minimum == 0 else
                f"at least {minimum}"))
+    return value
+
+
+def env_float(name: str, default: float) -> float:
+    """A finite real-valued knob: a speedup floor, a slack factor, an
+    overhead bound.
+
+    Unset returns ``default``; an empty string, a non-number, ``nan``
+    or ``inf`` is malformed and raises with a message naming the
+    variable.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name}={raw!r} is not a valid number; expected a finite "
+            f"decimal such as 0.7")
     return value
 
 

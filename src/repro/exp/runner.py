@@ -241,8 +241,7 @@ def run_tab7(*, n: int | None = None, detail: float = 1.0,
 def _aggregate_profile(points) -> list[list[str]]:
     """Fold per-point ``executed_profile`` dicts (step label ->
     ``[wall_s, instructions]``) into table rows sorted by wall time;
-    empty when no point executed with the tracer enabled (or under
-    the deprecated ``REPRO_EXEC_PROFILE=1`` alias)."""
+    empty when no point executed with the tracer enabled."""
     agg: dict[str, list] = {}
     for p in points:
         for label, (wall, instrs) in (p.executed_profile or {}).items():

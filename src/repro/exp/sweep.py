@@ -279,8 +279,7 @@ class PointResult:
     plans_built: int = 0
     store_plan_hits: int = 0
     #: Aggregated per-step-label ``[wall_s, instructions]`` breakdown
-    #: when the point executed with the tracer enabled (or under the
-    #: deprecated ``REPRO_EXEC_PROFILE=1`` alias).
+    #: when the point executed with the tracer enabled.
     executed_profile: dict | None = None
     #: Tracer events/counters drained in a sweep worker process and
     #: shipped home with the result; the parent ingests them into its

@@ -1,8 +1,11 @@
-"""The native C NTT kernel: built at first use, loaded with ctypes.
+"""The native C kernel library: built at first use, loaded with ctypes.
 
 ``ntt.c`` next to this file holds ``ntt_forward`` / ``ntt_inverse``,
 plain-C99 counterparts of :class:`repro.nttmath.batched.BatchedNTT`'s
-fused numpy kernels.  :func:`kernel` compiles it once with the system
+fused numpy kernels, and ``ew_step`` / ``dram_rows``, the elementwise
+and DRAM-load steps of :func:`repro.compiler.exec_plan.replay_plan`
+(each equal to its numpy expression for every int64 input).
+:func:`kernel` compiles it once with the system
 ``cc`` into a per-user cache directory (``$XDG_CACHE_HOME/repro/native``,
 default ``~/.cache/repro/native``), keyed by the sha256 of the source,
 the compiler flags and the machine architecture, and loads it.  The build writes a temporary
@@ -12,8 +15,8 @@ racing to build the same hash each end with a complete library.
 When anything fails — no ``cc`` on ``PATH``, a compile error, a cache
 directory that is unwritable or cannot be determined, a library that
 does not load — one :class:`RuntimeWarning` names the reason and
-:func:`kernel` returns ``None``: the engine keeps its numpy kernels,
-which stay the bitwise oracle either way.  The loaded library lives for the whole process.
+:func:`kernel` returns ``None``: the NTT engine and plan replay keep
+their numpy kernels, which stay the bitwise oracle either way.  The loaded library lives for the whole process.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import numpy as np
 
 from ...core.env import env_str
 
-__all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "build", "cache_dir",
-           "kernel", "library_path", "load"]
+__all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "address", "build",
+           "cache_dir", "kernel", "library_path", "load"]
 
 #: The kernel source compiled by :func:`build`.
 SOURCE = Path(__file__).with_name("ntt.c")
@@ -43,16 +46,53 @@ SOURCE = Path(__file__).with_name("ntt.c")
 #: any machine of the same architecture that shares the cache.
 CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
 
-# Array arguments are checked for dtype and C layout on every call.
-_OUT = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-_IN = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_TAB = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+
+def address(arr: np.ndarray) -> int:
+    """Address of a C-contiguous array's first element.  For a
+    writeable array this goes through the buffer protocol, ~5x cheaper
+    than ``arr.ctypes.data``.  The caller keeps ``arr`` alive while the
+    address is in use."""
+    if arr.flags.writeable and arr.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+class _Array:
+    """``argtypes`` entry for an aligned C-contiguous array of one
+    dtype (and writeable, for outputs), checked on every call like a
+    :func:`numpy.ctypeslib.ndpointer`.  It passes the address the
+    cheap way (:func:`address`) instead of through ``ndarray.ctypes``,
+    which matters for plan replay's thousands of small kernel calls."""
+
+    def __init__(self, dtype, *, writeable: bool = False):
+        self.dtype = np.dtype(dtype)
+        self.writeable = writeable
+
+    def from_param(self, obj):
+        if type(obj) is not np.ndarray or obj.dtype != self.dtype:
+            raise TypeError(f"expected a {self.dtype} ndarray, got "
+                            f"{getattr(obj, 'dtype', type(obj))}")
+        flags = obj.flags
+        if not (flags.c_contiguous and flags.aligned
+                and (flags.writeable or not self.writeable)):
+            raise TypeError("expected an aligned C-contiguous"
+                            + (" writeable" if self.writeable else "")
+                            + " array")
+        return ctypes.c_void_p(address(obj))
+
+
+_OUT = _Array(np.int64, writeable=True)
+_IN = _Array(np.int64)
+_TAB = _Array(np.uint64)
+_PTR = _Array(np.uintp)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
 _SIGNATURES = {
     "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TAB, _TAB, _I),
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
+    "ew_step": (_OUT, _N, _N, _IN, _N, _I),
+    "dram_rows": (_OUT, _N, _N, _IN, _PTR, _N),
 }
 
 
@@ -139,8 +179,9 @@ def load(source: Path | None = None,
         reason = str(exc)
     except (OSError, AttributeError) as exc:
         reason = f"loading the built library failed: {exc}"
-    warnings.warn(f"native NTT kernel unavailable, using the numpy "
-                  f"kernels: {reason}", RuntimeWarning, stacklevel=2)
+    warnings.warn(f"native kernels unavailable (NTT and plan replay), "
+                  f"using the numpy kernels: {reason}", RuntimeWarning,
+                  stacklevel=2)
     return None
 
 

@@ -1,6 +1,20 @@
 /*
- * Negacyclic NTT kernels over C-contiguous (rows, n) int64 residue
- * stacks, the native counterpart of repro.nttmath.batched.BatchedNTT.
+ * The native kernels of the repro package, one library:
+ *
+ * - ntt_forward / ntt_inverse: negacyclic NTTs over C-contiguous
+ *   (rows, n) int64 residue stacks, the native counterpart of
+ *   repro.nttmath.batched.BatchedNTT;
+ * - ew_step / dram_rows: the elementwise and DRAM-load steps of
+ *   repro.compiler.exec_plan's slot-arena replay (see the second half
+ *   of this file).
+ *
+ * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
+ * 64-bit target provides (riscv64 included): no intrinsics, no
+ * target-specific flags.
+ */
+
+/*
+ * NTT kernels.
  *
  * Row r uses limb r % limbs of the per-limb tables, so a (k*L, n) stack
  * of k same-chain polynomials transforms in one call.  Rows are taken
@@ -17,8 +31,6 @@
  * then fits a uint32 and every Shoup product a uint64.  Outputs are
  * canonical residues of the same transform, hence bitwise identical
  * to the numpy kernels.
- *
- * Plain C99: no intrinsics, no target-specific flags.
  */
 
 #include <stddef.h>
@@ -249,5 +261,152 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
         }
     }
     free(a);
+    return 0;
+}
+
+
+/*
+ * Plan replay kernels: one pass per arena row over the (rows, n) int64
+ * slot arena of repro.compiler.exec_plan, in place.
+ *
+ * Each result must equal numpy's int64 expression for every input, not
+ * only for canonical residues: products and sums wrap modulo 2^64 (done
+ * in uint64 here, since signed overflow is undefined in C) and the
+ * reduction is numpy's floor modulo, whose result takes the sign of the
+ * divisor.  q is checked to lie in [1, 2^63).
+ */
+
+__extension__ typedef unsigned __int128 u128;
+
+/* v mod q in [0, q) for any int64 v.  Non-negative v takes a
+ * division-free Barrett reduction with m = floor((2^64 - 1) / q): the
+ * quotient estimate (v * m) >> 64 is exact or one short, so one
+ * conditional subtraction finishes.  Negative v takes C's truncating %
+ * plus a sign fix. */
+static inline int64_t floor_mod(int64_t v, uint64_t q, uint64_t m)
+{
+    if (v >= 0) {
+        uint64_t u = (uint64_t)v;
+        uint64_t r = u - (uint64_t)(((u128)u * m) >> 64) * q;
+        return (int64_t)(r >= q ? r - q : r);
+    } else {
+        int64_t r = v % (int64_t)q;
+        return r < 0 ? r + (int64_t)q : r;
+    }
+}
+
+/* Wrapping int64 arithmetic, as numpy computes it. */
+static inline int64_t wrap_mul(int64_t x, int64_t y)
+{
+    return (int64_t)((uint64_t)x * (uint64_t)y);
+}
+
+static inline int64_t wrap_add(int64_t x, int64_t y)
+{
+    return (int64_t)((uint64_t)x + (uint64_t)y);
+}
+
+/* Columns of one ew_step lane (one arena row of the step). */
+enum { EW_OUT, EW_A, EW_B, EW_C, EW_Q, EW_IMM, EW_WIDTH };
+
+static int row_ok(int64_t row, size_t rows)
+{
+    return row >= 0 && (uint64_t)row < rows;
+}
+
+static int q_ok(int64_t q)
+{
+    return q >= 1;
+}
+
+/*
+ * One elementwise step.  lanes is a C-contiguous (k, EW_WIDTH) table;
+ * lane i writes arena row out from rows a, b, c:
+ *   nsrc == 3: out = (a * b + c) mod q
+ *   nsrc == 2: out = (a * b) mod q if c != 0 else (a + b) mod q
+ *   nsrc == 1: out = (a * imm) mod q if c != 0 else (a + imm) mod q
+ * so column c is the addend row for nsrc 3 and the multiply flag
+ * otherwise.  Lanes run in order; the caller guarantees that no row is
+ * both read and written by the step, which makes this equal to
+ * gathering every operand first and scattering every result last.
+ * Returns 0, or 1 without writing anything if a row is outside
+ * [0, rows), a lane writes a row it reads, a q is below 1, or nsrc is
+ * not 1, 2 or 3.
+ */
+int ew_step(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
+            size_t k, int nsrc)
+{
+    size_t i, j;
+    if (nsrc < 1 || nsrc > 3)
+        return 1;
+    for (i = 0; i < k; i++) {
+        const int64_t *ln = lanes + i * EW_WIDTH;
+        if (!row_ok(ln[EW_OUT], rows) || !row_ok(ln[EW_A], rows)
+            || !q_ok(ln[EW_Q]) || ln[EW_OUT] == ln[EW_A])
+            return 1;
+        if (nsrc >= 2 && (!row_ok(ln[EW_B], rows)
+                          || ln[EW_OUT] == ln[EW_B]))
+            return 1;
+        if (nsrc == 3 && (!row_ok(ln[EW_C], rows)
+                          || ln[EW_OUT] == ln[EW_C]))
+            return 1;
+    }
+    for (i = 0; i < k; i++) {
+        const int64_t *ln = lanes + i * EW_WIDTH;
+        int64_t *restrict o = arena + (size_t)ln[EW_OUT] * n;
+        const int64_t *x = arena + (size_t)ln[EW_A] * n;
+        const int64_t *y = arena + (size_t)(nsrc >= 2 ? ln[EW_B] : 0) * n;
+        uint64_t q = (uint64_t)ln[EW_Q];
+        uint64_t m = UINT64_MAX / q;
+        if (nsrc == 3) {
+            const int64_t *z = arena + (size_t)ln[EW_C] * n;
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_add(wrap_mul(x[j], y[j]), z[j]), q,
+                                 m);
+        } else if (nsrc == 2 && ln[EW_C]) {
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_mul(x[j], y[j]), q, m);
+        } else if (nsrc == 2) {
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_add(x[j], y[j]), q, m);
+        } else if (ln[EW_C]) {
+            int64_t imm = ln[EW_IMM];
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_mul(x[j], imm), q, m);
+        } else {
+            int64_t imm = ln[EW_IMM];
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_add(x[j], imm), q, m);
+        }
+    }
+    return 0;
+}
+
+/*
+ * One DRAM-load step: arena row lanes[2i] = src[i] mod lanes[2i + 1]
+ * for each i whose src[i] is not NULL.  src[i] points at n contiguous
+ * int64 values outside the arena (the caller handles other bindings).
+ * Returns 0, or 1 without writing anything if a row is outside
+ * [0, rows) or a q is below 1.
+ */
+int dram_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
+              const uintptr_t *src, size_t k)
+{
+    size_t i, j;
+    for (i = 0; i < k; i++)
+        if (!row_ok(lanes[2 * i], rows) || !q_ok(lanes[2 * i + 1]))
+            return 1;
+    for (i = 0; i < k; i++) {
+        const int64_t *s = (const int64_t *)src[i];
+        int64_t *restrict o;
+        uint64_t q, m;
+        if (!s)
+            continue;
+        o = arena + (size_t)lanes[2 * i] * n;
+        q = (uint64_t)lanes[2 * i + 1];
+        m = UINT64_MAX / q;
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(s[j], q, m);
+    }
     return 0;
 }

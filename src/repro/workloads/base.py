@@ -136,8 +136,7 @@ class WorkloadRun:
     def executed_profile(self) -> dict[str, list] | None:
         """Aggregated per-step-label ``[wall_s, instructions]``
         breakdown (repeat-weighted) when the run was executed with the
-        tracer enabled (``REPRO_TRACE=1`` / ``--trace``, or the
-        deprecated ``REPRO_EXEC_PROFILE=1`` alias); ``None``
+        tracer enabled (``REPRO_TRACE=1`` / ``--trace``); ``None``
         otherwise."""
         prof: dict[str, list] = {}
         for e, (_, rep) in zip(self.executed, self.segment_results):

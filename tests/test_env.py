@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.env import env_flag, env_int, env_str
+from repro.core.env import env_flag, env_float, env_int, env_str
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -98,3 +98,26 @@ def test_str_choices_enforced(monkeypatch):
     monkeypatch.setenv(VAR, "thread")
     with pytest.raises(ValueError, match=VAR):
         env_str(VAR, choices=("fork", "spawn"))
+
+
+# ----------------------------------------------------------------------
+# env_float
+# ----------------------------------------------------------------------
+def test_float_unset_returns_default(monkeypatch):
+    monkeypatch.delenv(VAR, raising=False)
+    assert env_float(VAR, 0.25) == 0.25
+
+
+@pytest.mark.parametrize("raw,value", [("0.7", 0.7), (" 2 ", 2.0),
+                                       ("1e-2", 0.01), ("-3.5", -3.5)])
+def test_float_parses_value(monkeypatch, raw, value):
+    monkeypatch.setenv(VAR, raw)
+    assert env_float(VAR, 0.0) == value
+
+
+@pytest.mark.parametrize("raw", ["", "fast", "0.7x", "nan", "inf",
+                                 "-inf"])
+def test_float_malformed_or_non_finite_names_variable(monkeypatch, raw):
+    monkeypatch.setenv(VAR, raw)
+    with pytest.raises(ValueError, match=VAR):
+        env_float(VAR, 1.0)

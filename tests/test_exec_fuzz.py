@@ -2,7 +2,9 @@
 
 Random small :class:`Program`\\ s — every ISA opcode reachable — are
 compiled with each optimization pass toggled on and off, plus a
-spill-forcing SRAM squeeze, and executed on the run-vectorized backend.
+spill-forcing SRAM squeeze, and executed by planned replay and the
+run-vectorized interpreter, once on the native kernels and once on
+numpy.
 Every variant must produce outputs bitwise identical to the naive
 instruction-at-a-time reference interpreter running the *uncompiled*
 program, and therefore to each other: any pass that changes a single
@@ -147,7 +149,7 @@ def random_program(seed: int) -> Program:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_all_compile_variants_match_reference_oracle(seed):
+def test_all_compile_variants_match_reference_oracle(seed, each_impl):
     prog = random_program(seed)
     packed = PackedProgram.from_program(prog)
     bindings = synthesize_bindings(packed)
@@ -157,21 +159,22 @@ def test_all_compile_variants_match_reference_oracle(seed):
         compiled = compile_packed(packed.copy(), options)
         # Planned replay (the default engine) and the run-vectorized
         # interpreter both pin against the reference oracle, and hence
-        # against each other.
-        result = execute_packed(compiled, bindings)
-        interp = execute_interpreted(compiled, bindings)
-        assert set(result.outputs) == set(oracle), \
-            f"{label}: output set changed"
-        assert set(interp.outputs) == set(oracle), \
-            f"{label}: interpreter output set changed"
-        for vid in oracle:
-            np.testing.assert_array_equal(
-                result.outputs[vid], oracle[vid],
-                err_msg=f"seed {seed}, variant {label}, output {vid}")
-            np.testing.assert_array_equal(
-                interp.outputs[vid], oracle[vid],
-                err_msg=f"seed {seed}, variant {label} (interpreter), "
-                        f"output {vid}")
+        # against each other, on the native kernels and on numpy.
+        for impl in each_impl():
+            where = f"seed {seed}, variant {label}, {impl}"
+            result = execute_packed(compiled, bindings)
+            interp = execute_interpreted(compiled, bindings)
+            assert set(result.outputs) == set(oracle), \
+                f"{where}: output set changed"
+            assert set(interp.outputs) == set(oracle), \
+                f"{where}: interpreter output set changed"
+            for vid in oracle:
+                np.testing.assert_array_equal(
+                    result.outputs[vid], oracle[vid],
+                    err_msg=f"{where}, output {vid}")
+                np.testing.assert_array_equal(
+                    interp.outputs[vid], oracle[vid],
+                    err_msg=f"{where} (interpreter), output {vid}")
 
 
 def test_fuzz_corpus_reaches_every_opcode():

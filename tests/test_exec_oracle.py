@@ -5,7 +5,9 @@ engine; :class:`repro.schemes.rns_core.RnsEvaluatorBase` runs the same
 homomorphic circuits natively.  Both are exact modular arithmetic over
 the same prime chain, so their outputs must agree *bitwise* — any
 difference is a bug in the lowering, an optimization pass, the
-scheduler/allocator, or the interpreter itself.
+scheduler/allocator, or the interpreter itself.  Every execution runs
+once per implementation of the native kernel library (the C replay and
+NTT kernels, then numpy; :func:`execute_each`).
 
 The workload-shaped programs (bfv_dotproduct, dblookup, the ResNet
 conv block) are rebuilt inline so the test holds the ciphertext
@@ -103,12 +105,29 @@ def bind_pt(dram: dict, name: str, pt: Plaintext) -> None:
         dram[f"{name}[{j}]"] = pt.poly.data[j]
 
 
-def run_ir(ctx, program, dram, options: CompileOptions | None = None):
+def execute_each(compiled, bindings, impls):
+    """``execute_packed`` once per native-library implementation
+    (``impls`` is the ``each_impl`` fixture); every run must give the
+    same output bits, and the first run's result is returned."""
+    results = []
+    for impl in impls():
+        results.append((impl, execute_packed(compiled, bindings)))
+    (_, first), *rest = results
+    for impl, result in rest:
+        assert set(result.outputs) == set(first.outputs)
+        for vid, row in first.outputs.items():
+            np.testing.assert_array_equal(result.outputs[vid], row,
+                                          err_msg=f"{impl}: output {vid}")
+    return first
+
+
+def run_ir(ctx, program, dram, impls,
+           options: CompileOptions | None = None):
     packed = PackedProgram.from_program(program)
     compiled = compile_packed(packed, options or CompileOptions())
     bindings = ExecBindings(ctx.q_full.primes, ctx.p_basis.primes,
                             ctx.n, dram=dram, strict=True)
-    return execute_packed(compiled, bindings)
+    return execute_each(compiled, bindings, impls)
 
 
 def assert_ct_equal(result, handle: CtHandle, ct: Ciphertext) -> None:
@@ -125,7 +144,7 @@ def assert_ct_equal(result, handle: CtHandle, ct: Ciphertext) -> None:
 # CKKS primitives at two levels each
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("level,step", [(LEVELS, 3), (5, 5)])
-def test_rotate_matches_evaluator(oracle, level, step):
+def test_rotate_matches_evaluator(oracle, level, step, each_impl):
     ctx, ev, keys, rng = oracle
     low = HeLowering(LP, "rot")
     x = low.fresh_ciphertext(level, "x")
@@ -137,12 +156,12 @@ def test_rotate_matches_evaluator(oracle, level, step):
     bind_ct(dram, "x", ct)
     bind_key(dram, f"galois[{step}]", keys.galois[step])
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, ev.rotate(ct, step))
 
 
 @pytest.mark.parametrize("level", [LEVELS, 4])
-def test_multiply_rescale_matches_evaluator(oracle, level):
+def test_multiply_rescale_matches_evaluator(oracle, level, each_impl):
     ctx, ev, keys, rng = oracle
     low = HeLowering(LP, "mul")
     x = low.fresh_ciphertext(level, "x")
@@ -158,11 +177,11 @@ def test_multiply_rescale_matches_evaluator(oracle, level):
     bind_ct(dram, "y", cy)
     bind_key(dram, "relin", keys.relin)
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, ev.rescale(ev.multiply(cx, cy)))
 
 
-def test_conjugate_matches_evaluator(oracle):
+def test_conjugate_matches_evaluator(oracle, each_impl):
     ctx, ev, keys, rng = oracle
     low = HeLowering(LP, "conj")
     x = low.fresh_ciphertext(6, "x")
@@ -174,14 +193,14 @@ def test_conjugate_matches_evaluator(oracle):
     bind_ct(dram, "x", ct)
     bind_key(dram, "conjugation", keys.conjugation)
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, ev.conjugate(ct))
 
 
 # ----------------------------------------------------------------------
 # Registered workload circuits
 # ----------------------------------------------------------------------
-def test_bfv_dotproduct_matches_evaluator(oracle):
+def test_bfv_dotproduct_matches_evaluator(oracle, each_impl):
     """The registered bfv_dotproduct circuit, executed end to end.
 
     The circuit is scheme-generic residue arithmetic (one HMULT, a
@@ -218,11 +237,11 @@ def test_bfv_dotproduct_matches_evaluator(oracle):
         ct = ev.add(ct, ev.rotate(ct, 1 << k))
     expected = ev.add(ct, ev.conjugate(ct))
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, expected)
 
 
-def test_dblookup_matches_evaluator(oracle):
+def test_dblookup_matches_evaluator(oracle, each_impl):
     """The registered dblookup circuit (2 squaring rounds for speed)."""
     ctx, ev, keys, rng = oracle
     squarings = 2
@@ -256,7 +275,7 @@ def test_dblookup_matches_evaluator(oracle):
     for k in range(int(math.log2(LP.n)) - 1):
         expected = ev.add(expected, ev.rotate(expected, 1 << k))
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, expected)
 
 
@@ -284,7 +303,7 @@ def _mirror_matmul(ev, keys, ct, diag_count, pts):
     return ev.rescale(result)
 
 
-def test_resnet_conv_block_matches_evaluator(oracle):
+def test_resnet_conv_block_matches_evaluator(oracle, each_impl):
     """The registered ResNet conv block: two (matmul_bsgs -> square ->
     residual add) layers, spanning four levels of the chain."""
     ctx, ev, keys, rng = oracle
@@ -332,14 +351,14 @@ def test_resnet_conv_block_matches_evaluator(oracle):
         sq = ev.rescale(ev.multiply(expected, expected))
         expected = ev.add(sq, ev.drop_level(expected, sq.level))
 
-    result = run_ir(ctx, program, dram)
+    result = run_ir(ctx, program, dram, each_impl)
     assert_ct_equal(result, out, expected)
 
 
 # ----------------------------------------------------------------------
 # The backend under compiler stress: spills and pass toggles
 # ----------------------------------------------------------------------
-def test_exec_bitwise_under_spills_and_pass_toggles(oracle):
+def test_exec_bitwise_under_spills_and_pass_toggles(oracle, each_impl):
     """Spilling allocation and optimization toggles must not change a
     single output bit relative to the evaluator."""
     ctx, ev, keys, rng = oracle
@@ -364,16 +383,17 @@ def test_exec_bitwise_under_spills_and_pass_toggles(oracle):
         "test needs the spill path exercised; shrink sram_bytes"
     bindings = ExecBindings(ctx.q_full.primes, ctx.p_basis.primes,
                             ctx.n, dram=dram, strict=True)
-    assert_ct_equal(execute_packed(compiled, bindings), out, expected)
+    assert_ct_equal(execute_each(compiled, bindings, each_impl), out,
+                    expected)
 
     for options in (CompileOptions(code_opt=False, mac_fusion=False),
                     CompileOptions(mac_fusion=False),
                     CompileOptions(streaming=False)):
-        result = run_ir(ctx, program, dict(dram), options)
+        result = run_ir(ctx, program, dict(dram), each_impl, options)
         assert_ct_equal(result, out, expected)
 
 
-def test_reference_interpreter_agrees_with_packed(oracle):
+def test_reference_interpreter_agrees_with_packed(oracle, each_impl):
     """The naive list-IR interpreter (the fuzzer's second oracle) must
     agree with the vectorized dispatcher on an uncompiled program."""
     ctx, ev, keys, rng = oracle
@@ -390,9 +410,9 @@ def test_reference_interpreter_agrees_with_packed(oracle):
                             ctx.n, dram=dram, strict=True)
 
     ref = execute_reference(program, bindings)
-    packed = execute_packed(
+    packed = execute_each(
         compile_packed(PackedProgram.from_program(program),
-                       CompileOptions()), bindings)
+                       CompileOptions()), bindings, each_impl)
     assert set(ref) == set(packed.outputs)
     for vid in ref:
         np.testing.assert_array_equal(ref[vid], packed.outputs[vid])

@@ -7,7 +7,7 @@ reference interpreter) over the fuzz corpus — including spill-forced
 compiles — and cover the plan-specific machinery the fuzzer cannot
 see: cache identity, ``clear_caches()`` integration, bindings-shape
 keying, artifact-store persistence, the store payload round trip, and
-the opt-in per-step profile.
+the per-step profile the tracer fills.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.compiler.exec_backend import (
-    ENV_EXEC_PROFILE,
     ExecBindings,
     execute_interpreted,
     execute_packed,
@@ -217,10 +217,14 @@ def test_plan_payload_round_trip(variant):
 # ----------------------------------------------------------------------
 # Profiling
 # ----------------------------------------------------------------------
-def test_profile_env_breaks_down_every_instruction(monkeypatch,
-                                                   compiled):
-    monkeypatch.setenv(ENV_EXEC_PROFILE, "1")
-    result = execute_packed(compiled)
+def test_traced_profile_breaks_down_every_instruction(compiled):
+    was = obs.TRACER.enabled
+    obs.TRACER.enabled = True
+    try:
+        result = execute_packed(compiled)
+    finally:
+        obs.TRACER.enabled = was
+        obs.TRACER.drain()
     assert result.profile is not None
     assert all(wall >= 0.0 for wall, _ in result.profile.values())
     # Every instruction is attributed to exactly one step label

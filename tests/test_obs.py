@@ -2,9 +2,9 @@
 
 Covers the disabled-mode no-op contract, nested span paths, unbalanced
 span errors, thread-safety, the ``clear_caches()`` counter-reset hook,
-the Chrome trace-event JSON round trip, the deprecated
-``REPRO_EXEC_PROFILE`` alias, cross-process merge from a spawn-context
-sweep, and the replay-span coverage guarantee on the exec engine.
+the Chrome trace-event JSON round trip, cross-process merge from a
+spawn-context sweep, and the replay-span coverage guarantee on the exec
+engine.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.compiler.exec_backend import ENV_EXEC_PROFILE, execute_packed
+from repro.compiler.exec_backend import execute_packed
 from repro.compiler.ir import PackedProgram
 from repro.compiler.pipeline import (
     CompileOptions,
@@ -255,20 +255,6 @@ def test_text_report_indents_by_depth_and_lists_counters():
     assert not compile_line.startswith(" ")
     assert cse_line.startswith("  ")
     assert any("ntt.rows" in l and "5" in l for l in lines)
-
-
-# ----------------------------------------------------------------------
-# Deprecated env alias
-# ----------------------------------------------------------------------
-def test_exec_profile_env_warns_but_still_profiles(monkeypatch):
-    monkeypatch.setenv(ENV_EXEC_PROFILE, "1")
-    packed = PackedProgram.from_program(tiny_builder(levels=4, diag=3)())
-    cp = compile_packed(packed, CompileOptions(sram_bytes=TINY_SRAM))
-    with pytest.warns(DeprecationWarning, match=ENV_EXEC_PROFILE):
-        result = execute_packed(cp)
-    assert result.profile is not None
-    assert sum(instrs for _, instrs in result.profile.values()) \
-        == result.instructions
 
 
 # ----------------------------------------------------------------------
