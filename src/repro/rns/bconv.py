@@ -105,8 +105,8 @@ def _scaled_residues(data: np.ndarray, basis: RnsBasis) -> np.ndarray:
     bitwise identical to the per-limb reference.
 
     ``data`` is any int64 ``(L, M)`` stack over ``basis`` — the column
-    count is free, which is how the pair path runs both ciphertext
-    halves through one call.  Returns a pooled uint64 buffer; consume
+    count is free, which is how :func:`base_convert_stack` runs ``k``
+    polynomials through one call.  Returns a pooled uint64 buffer; consume
     it before the next BConv.
     """
     q_u = basis.q_col.astype(np.uint64)
@@ -162,8 +162,9 @@ def _base_convert_data(data: np.ndarray, from_basis: RnsBasis,
                        to_basis: RnsBasis) -> np.ndarray:
     """Raw-array fast BConv: ``(L_from, M) -> (L_to, M)`` int64.
 
-    Column-count agnostic — the pair path widens ``M`` to ``2N`` so
-    both ciphertext halves convert in a single BLAS accumulation."""
+    Column-count agnostic — :func:`base_convert_stack` widens ``M``
+    to ``k*N`` so ``k`` polynomials convert in a single BLAS
+    accumulation."""
     tr = TRACER
     with tr.span("bconv.fast", rows_in=data.shape[0],
                  rows_out=len(to_basis)):
@@ -350,20 +351,6 @@ def _wide_to_stack(wide: np.ndarray, k: int) -> np.ndarray:
     return wide.reshape(rows, k, m).transpose(1, 0, 2).reshape(k * rows, m)
 
 
-def _pair_to_wide(pair: np.ndarray, rows: int) -> np.ndarray:
-    """``(2R, M)`` pair stack -> ``(R, 2M)`` wide stack (both halves of
-    limb j side by side)."""
-    if pair.shape[0] != 2 * rows:
-        raise ValueError(f"expected a {2 * rows}-row pair stack, got "
-                         f"{pair.shape[0]}")
-    return _stack_to_wide(pair, rows, 2)
-
-
-def _wide_to_pair(wide: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pair_to_wide`."""
-    return _wide_to_stack(wide, 2)
-
-
 def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
                        to_basis: RnsBasis, k: int) -> np.ndarray:
     """Fast BConv of ``k`` stacked polynomials in one wide pass.
@@ -398,42 +385,6 @@ def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
         out[lo * l_to:(lo + kk) * l_to] = _wide_to_stack(
             _base_convert_data(wide, from_basis, to_basis), kk)
     return out
-
-
-def base_convert_pair(pair: np.ndarray, from_basis: RnsBasis,
-                      to_basis: RnsBasis) -> np.ndarray:
-    """Fast BConv of both halves of a stacked pair in one wide pass
-    (the ``k = 2`` case of :func:`base_convert_stack`)."""
-    if pair.shape[0] != 2 * len(from_basis):
-        raise ValueError(f"expected a {2 * len(from_basis)}-row pair "
-                         f"stack, got {pair.shape[0]}")
-    return base_convert_stack(pair, from_basis, to_basis, 2)
-
-
-def mod_down_stack(stack: np.ndarray, q_basis: RnsBasis,
-                   p_basis: RnsBasis, k: int) -> np.ndarray:
-    """ModDown ``k`` stacked polynomials over Q+P at once.
-
-    ``stack`` is a coefficient-domain ``(k*(L_q+L_p), M)`` block (P
-    limbs last within each polynomial).  Every arithmetic step and the
-    BConv BLAS accumulation run once on k-times-as-wide rows, and the
-    result rows are bitwise identical to :func:`mod_down` per
-    polynomial.
-    """
-    ext = len(q_basis) + len(p_basis)
-    wide = _stack_to_wide(stack, ext, k)
-    return _wide_to_stack(_mod_down_data(wide, q_basis, p_basis), k)
-
-
-def mod_down_pair(pair: np.ndarray, q_basis: RnsBasis,
-                  p_basis: RnsBasis) -> np.ndarray:
-    """ModDown both halves of a stacked ciphertext pair at once (the
-    ``k = 2`` case of :func:`mod_down_stack`)."""
-    ext = len(q_basis) + len(p_basis)
-    if pair.shape[0] != 2 * ext:
-        raise ValueError(f"expected a {2 * ext}-row pair stack, got "
-                         f"{pair.shape[0]}")
-    return mod_down_stack(pair, q_basis, p_basis, 2)
 
 
 def rescale_last(poly: RnsPolynomial) -> RnsPolynomial:

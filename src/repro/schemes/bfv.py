@@ -12,10 +12,10 @@ round-to-nearest — all as residue-level kernels:
   (``base_convert_centered_stack`` — one wide BLAS accumulation for
   all four operand polynomials / all three tensor components);
 * relinearization is the shared hybrid key switch of
-  :class:`repro.schemes.rns_core.RnsEvaluatorBase` (digit lift through
-  one ``(beta*E, N)`` NTT, digit-stacked Shoup key MACs, NTT-domain
-  ModDown), unchanged from CKKS — BFV tolerates the fast-BConv
-  ModDown overshoot as additive noise;
+  :class:`repro.schemes.rns_core.RnsEvaluatorBase` at ``k = 1`` (digit
+  lift through one ``(beta*E, N)`` NTT, digit-stacked Shoup key MACs,
+  NTT-domain ModDown), unchanged from CKKS — BFV tolerates the
+  fast-BConv ModDown overshoot as additive noise;
 * additions, plaintext ops and rotations come from the base class.
 
 ``BfvScheme(ctx, stacked=False)`` is the per-polynomial reference
@@ -175,23 +175,24 @@ class BfvEvaluator(RnsEvaluatorBase):
 
     context: BfvContext
 
-    def multiply(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
+    def multiply(self, x: Ciphertext, y: Ciphertext, *,
+                 key: SwitchingKey | None = None) -> Ciphertext:
         """Scale-invariant HMULT: centred lift to ``Q+R``, NTT-domain
-        tensor, ``round(t*d/Q)`` rescale, hybrid relinearization.
+        tensor, ``round(t*d/Q)`` rescale, hybrid relinearization under
+        ``key`` (default: the chain's relinearization key).
 
         The stacked path runs one ``(4L, N)`` iNTT over both operand
         pairs, one wide centred BConv lifting all four polynomials to
         ``R``, one ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over
-        the tensor triple, wide ``t/Q`` scaling, and the shared stacked
-        key switch — bitwise identical to the per-polynomial reference
-        (``stacked=False``).
+        the tensor triple, wide ``t/Q`` scaling, and the shared key
+        switch at ``k = 1`` — bitwise identical to the per-polynomial
+        reference (``stacked=False``).
         """
-        if self.keys.relin is None:
-            raise ValueError("no relinearization key in the key chain")
+        key = self._relin_key(key)
         if x.basis != y.basis:
             raise ValueError("operand bases differ")
         if not self.stacked:
-            return self._multiply_reference(x, y)
+            return self._multiply_reference(x, y, key)
         self._check_domains(x.is_ntt, True)
         self._check_domains(y.is_ntt, True)
         ctx = self.context
@@ -221,14 +222,12 @@ class BfvEvaluator(RnsEvaluatorBase):
             np.concatenate([d0, d1, d2]))
         dq = self._scale_round_stack(d_coeff, 3)
         d01 = self.kernels.engine((q, q)).forward(dq[:2 * lq])
-        d2p = RnsPolynomial(q, np.ascontiguousarray(dq[2 * lq:]),
-                            is_ntt=False)
-        ks_pair, _ = self._key_switch_pair(d2p, self.keys.relin)
-        out = (d01 + ks_pair) % _pair_col(q.q_col)
+        ks, _ = self._key_switch_batch(dq[2 * lq:], key, lq - 1, 1)
+        out = (d01 + ks) % _pair_col(q.q_col)
         return type(x).from_pair(q, out, x.scale, is_ntt=True)
 
-    def _multiply_reference(self, x: Ciphertext,
-                            y: Ciphertext) -> Ciphertext:
+    def _multiply_reference(self, x: Ciphertext, y: Ciphertext,
+                            key: SwitchingKey) -> Ciphertext:
         """Per-polynomial reference: same kernels, one call per
         polynomial / tensor component (the differential baseline)."""
         ctx = self.context
@@ -245,8 +244,8 @@ class BfvEvaluator(RnsEvaluatorBase):
         d2 = x1.pointwise_mul(y1)
         dq = [self._scale_round_stack(d.to_coeff().data, 1)
               for d in (d0, d1, d2)]
-        ks0, ks1 = self.key_switch(
-            RnsPolynomial(q, dq[2], is_ntt=False), self.keys.relin)
+        ks0, ks1 = self.key_switch(RnsPolynomial(q, dq[2], is_ntt=False),
+                                   key)
         c0 = RnsPolynomial(q, dq[0], is_ntt=False).to_ntt() + ks0
         c1 = RnsPolynomial(q, dq[1], is_ntt=False).to_ntt() + ks1
         return type(x)(c0=c0, c1=c1, scale=x.scale)
@@ -334,16 +333,9 @@ class BfvScheme:
 
     def multiply(self, x: Ciphertext, y: Ciphertext,
                  rk: SwitchingKey | None = None) -> Ciphertext:
-        """Multiply; an explicit ``rk`` applies to this call only (the
-        evaluator's installed relin key is restored afterwards)."""
-        if rk is None:
-            return self.ev.multiply(x, y)
-        prev = self.ev.keys.relin
-        self.ev.keys.relin = rk
-        try:
-            return self.ev.multiply(x, y)
-        finally:
-            self.ev.keys.relin = prev
+        """Multiply; an explicit ``rk`` relinearizes this call only
+        (the evaluator's key chain is never written)."""
+        return self.ev.multiply(x, y, key=rk)
 
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:
         return self.ev.rotate(ct, step)

@@ -3,9 +3,10 @@
 EFFACT supports BGV through the same residue-polynomial ISA (paper
 section VI-D evaluates HElib's DB-lookup on BGV).  This module builds
 BGV directly on :class:`repro.schemes.rns_core.RnsEvaluatorBase`, so
-multiplication, rotations and hoisting ride the batched ``(2L, N)``
-hot path — the same stacked digit lifts, Shoup key MACs and pair-wide
-BConv the CKKS evaluator uses — with two BGV-specific twists:
+multiplication, rotations and hoisting ride the same batch kernels the
+CKKS evaluator uses (a single ciphertext is a ``k = 1`` batch): stacked
+digit lifts, Shoup key MACs and wide BConv, with two BGV-specific
+twists:
 
 * **keys carry ``t*e`` noise** (:class:`BgvKeyGenerator`), and the
   hybrid key-switch ModDown is overridden with the *exact*
@@ -60,8 +61,8 @@ from .rns_core import (
     RnsKeyGenerator,
     SecretKey,
     SwitchingKey,
+    _as_batch,
     _batch_q_col,
-    _pair_col,
     _scale_by_inv_batch,
 )
 
@@ -255,34 +256,11 @@ class BgvEvaluator(RnsEvaluatorBase):
         p_mod_q = reduce_mod_col(ctx.p_basis.modulus, q_basis.primes)
         return (cen_q + p_mod_q * lam) % q_basis.q_col
 
-    def _mod_down_pair_stacked(self, acc_pair: np.ndarray, ext: RnsBasis,
-                               q_basis: RnsBasis) -> np.ndarray:
-        """NTT-domain ModDown of the accumulator pair with the
-        ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
-        version; same dataflow, exact arithmetic)."""
-        ctx = self.context
-        n = ctx.n
-        p_basis = ctx.p_basis
-        l1 = len(q_basis)
-        ext_limbs = len(ext)
-        acc_p = np.concatenate([acc_pair[l1:ext_limbs],
-                                acc_pair[ext_limbs + l1:]])
-        coeff_p = stacked_engine(n, (p_basis, p_basis)).inverse(acc_p)
-        wide = _stack_to_wide(coeff_p, len(p_basis), 2)
-        corr = _wide_to_stack(self._moddown_delta(wide, q_basis), 2)
-        corr_ntt = stacked_engine(n, (q_basis, q_basis)).forward(corr)
-        acc_q = np.concatenate([acc_pair[:l1],
-                                acc_pair[ext_limbs:ext_limbs + l1]])
-        p_inv_col = inverse_mod_col(p_basis.modulus, q_basis.primes)
-        q2_col = _pair_col(q_basis.q_col)
-        return (acc_q - corr_ntt) % q2_col * _pair_col(p_inv_col) % q2_col
-
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
                                 q_basis: RnsBasis, k: int) -> np.ndarray:
         """NTT-domain ModDown of ``k`` accumulator pairs with the
-        ``t``-multiple correction (the batch row of
-        :meth:`_mod_down_pair_stacked`; same dataflow, exact
-        arithmetic)."""
+        ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
+        version; same dataflow, exact arithmetic)."""
         ctx = self.context
         n = ctx.n
         p_basis = ctx.p_basis
@@ -325,17 +303,10 @@ class BgvEvaluator(RnsEvaluatorBase):
         return RnsPolynomial(q_basis, data, is_ntt=False)
 
     # -- multiplication -------------------------------------------------
-    def multiply(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        """Tensor product then relinearization; the plaintext factor
-        multiplies mod ``t`` in exact integer arithmetic (the float
-        product of two 31-bit factors would round past 2^53)."""
-        t = self.context.t
-        out = super().multiply(x, y)
-        out.scale = float(int(x.scale) * int(y.scale) % t)
-        return out
-
     def _mul_scale(self, sx: float, sy: float) -> float:
-        """Batched-product scale: the exact factor product mod ``t``."""
+        """Product scale: the plaintext factors multiply mod ``t`` in
+        exact integer arithmetic (the float product of two 31-bit
+        factors would round past 2^53)."""
         return float(int(sx) * int(sy) % self.context.t)
 
     # -- modulus switching ----------------------------------------------
@@ -357,29 +328,25 @@ class BgvEvaluator(RnsEvaluatorBase):
         while keeping the plaintext mod t intact (up to the tracked
         q^-1 factor) and shrinking the noise by ~q each time.
 
-        The stacked path is the shared NTT-domain rescale kernel with
-        the ``t``-multiple correction; the reference path round-trips
-        each polynomial through the coefficient domain.  Both are
-        bitwise identical.
+        An NTT-domain ciphertext on the stacked path is
+        :meth:`batch_mod_switch` at ``k = 1`` (the shared NTT-domain
+        last-limb kernel with the ``t``-multiple correction); the
+        reference path round-trips each polynomial through the
+        coefficient domain.  Both are bitwise identical.
         """
+        if self.stacked and ct.is_ntt:
+            return self.batch_mod_switch(_as_batch(ct),
+                                         times=times).split()[0]
         t = self.context.t
         factor = int(ct.scale)
         out = ct
         for _ in range(times):
-            basis = out.basis
-            if len(basis) < 2:
+            if len(out.basis) < 2:
                 raise ValueError("no limbs left to switch away")
-            q_last = basis.primes[-1]
-            if self.stacked and out.is_ntt:
-                pair, new_basis = self.kernels.switch_down_ntt(
-                    out.pair(), basis, 2,
-                    delta_fn=self._switch_delta(q_last))
-                out = BgvCiphertext.from_pair(new_basis, pair, 1.0,
-                                              is_ntt=True)
-            else:
-                out = BgvCiphertext(c0=self._mod_switch_poly(out.c0),
-                                    c1=self._mod_switch_poly(out.c1),
-                                    scale=1.0)
+            q_last = out.basis.primes[-1]
+            out = BgvCiphertext(c0=self._mod_switch_poly(out.c0),
+                                c1=self._mod_switch_poly(out.c1),
+                                scale=1.0)
             factor = factor * pow(q_last, -1, t) % t
         out.scale = float(factor)
         return out
@@ -402,7 +369,7 @@ class BgvEvaluator(RnsEvaluatorBase):
             q_last = basis.primes[-1]
             stack, basis = self.kernels.switch_down_ntt(
                 stack, basis, 2 * batch.k,
-                delta_fn=self._switch_delta(q_last), dedupe=True)
+                delta_fn=self._switch_delta(q_last))
             inv = pow(q_last, -1, t)
             factors = [f * inv % t for f in factors]
         return CiphertextBatch(basis=basis, stack=stack,
@@ -512,16 +479,9 @@ class BgvScheme:
 
     def multiply(self, x: BgvCiphertext, y: BgvCiphertext,
                  rk: SwitchingKey | None = None) -> BgvCiphertext:
-        """Multiply; an explicit ``rk`` applies to this call only (the
-        evaluator's installed relin key is restored afterwards)."""
-        if rk is None:
-            return self.ev.multiply(x, y)
-        prev = self.ev.keys.relin
-        self.ev.keys.relin = rk
-        try:
-            return self.ev.multiply(x, y)
-        finally:
-            self.ev.keys.relin = prev
+        """Multiply; an explicit ``rk`` relinearizes this call only
+        (the evaluator's key chain is never written)."""
+        return self.ev.multiply(x, y, key=rk)
 
     def rotate(self, ct: BgvCiphertext, step: int,
                gk: BgvGaloisKey) -> BgvCiphertext:

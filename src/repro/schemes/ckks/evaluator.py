@@ -6,26 +6,28 @@ automorphism, BConv) — the same decomposition
 :mod:`repro.compiler.lowering` performs symbolically when compiling for
 the EFFACT architecture.
 
-The scheme-independent machinery — stacked ciphertext-pair layout,
-stacked key switching (digit lift through one ``(beta*E, N)`` NTT,
-Shoup MACs against digit-stacked key tables, NTT-domain ModDown),
-pair-wide BConv, plaintext Shoup-table caching, rotation hoisting —
-lives in :class:`repro.schemes.rns_core.RnsEvaluatorBase`, which BFV
-and BGV share.  This subclass adds only what is CKKS: approximate
-scale tracking, rescaling by the last chain prime, and real/complex
-scalar encoding.
+The scheme-independent machinery — the ciphertext-batch layout, the
+one stacked key-switch pipeline (digit lift through one ``(beta*E, N)``
+NTT, Shoup MACs against digit-stacked key tables, NTT-domain ModDown),
+plaintext Shoup-table caching, rotation hoisting — lives in
+:class:`repro.schemes.rns_core.RnsEvaluatorBase`, which BFV and BGV
+share.  This subclass adds only what is CKKS: approximate scale
+tracking, rescaling by the last chain prime, and real/complex scalar
+encoding.
 
 The evaluator runs in one of two modes:
 
-* **stacked** (the default) — every ciphertext is treated as a single
-  ``(2L, N)`` residue stack (:meth:`Ciphertext.pair`): additions,
-  scalar/plaintext multiplies, rescales, automorphisms and the
-  key-switch transforms each issue one batched kernel covering both
-  polynomials (and, inside key switching, all ``beta`` lifted digits)
-  instead of one call per polynomial.  This is the paper's
+* **stacked** (the default) — a ciphertext is one ``(2L, N)`` residue
+  stack (:meth:`Ciphertext.pair`), and a single ciphertext is the
+  zero-copy ``k = 1`` case of a
+  :class:`~repro.schemes.rns_core.CiphertextBatch`.  Rotations,
+  hoisted rotations, multiply/relinearize, plaintext multiplies and
+  NTT-domain rescales run the ``batch_*`` kernels at ``k = 1``;
+  additions and scalar multiplies issue one pair-wide kernel.  Either
+  way every step covers both polynomials (and, inside key switching,
+  all ``beta`` lifted digits) in one batched kernel — the paper's
   keep-the-NTT-pipeline-saturated dataflow applied across the full
-  ciphertext, generalising what PR 3 did for the two key-switch
-  accumulators.
+  ciphertext.
 * **legacy** (``stacked=False``) — the per-polynomial reference path.
   Both modes are bitwise identical; ``tests/test_stacked_evaluator.py``
   pins every operation differentially.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...rns.bconv import rescale_last, rescale_last_pair
-from ..rns_core import CiphertextBatch, RnsEvaluatorBase
+from ..rns_core import CiphertextBatch, RnsEvaluatorBase, _as_batch
 from .ciphertext import Ciphertext
 from .keys import CkksContext, KeyChain
 
@@ -54,10 +56,9 @@ class CkksEvaluator(RnsEvaluatorBase):
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by the last chain prime and drop one level.
 
-        The stacked path keeps the pair in the NTT domain via the
-        shared :meth:`~repro.schemes.rns_core.StackedKernels.\
-switch_down_ntt` kernel (identity correction): only the dropped limb
-        of each half is iNTT'd (2 rows), its centred re-reductions are
+        An NTT-domain ciphertext on the stacked path is
+        :meth:`batch_rescale` at ``k = 1``: only the dropped limb of
+        each half is iNTT'd (2 rows), its centred re-reductions are
         NTT'd back, and the subtract + q_last^-1 scaling fold in the
         NTT domain — the modulus-switch dataflow the IR lowering emits,
         bitwise identical to the coefficient round trip.
@@ -67,25 +68,23 @@ switch_down_ntt` kernel (identity correction): only the dropped limb
             c0 = rescale_last(ct.c0.to_coeff()).to_ntt()
             c1 = rescale_last(ct.c1.to_coeff()).to_ntt()
             return Ciphertext(c0=c0, c1=c1, scale=ct.scale / q_last)
+        if ct.is_ntt:
+            return self.batch_rescale(_as_batch(ct)).split()[0]
         basis = ct.basis
-        limbs = len(basis)
-        if limbs < 2:
+        if len(basis) < 2:
             raise ValueError("cannot rescale a single-limb polynomial")
-        pair = ct.pair()
-        if not ct.is_ntt:
-            new_basis = basis.prefix(limbs - 1)
-            down = rescale_last_pair(pair, basis)
-            out = self._pair_engine(new_basis).forward(down)
-            return Ciphertext.from_pair(new_basis, out,
-                                        ct.scale / q_last, is_ntt=True)
-        out, new_basis = self.kernels.switch_down_ntt(pair, basis, 2)
+        new_basis = basis.prefix(len(basis) - 1)
+        down = rescale_last_pair(ct.pair(), basis)
+        out = self._pair_engine(new_basis).forward(down)
         return Ciphertext.from_pair(new_basis, out, ct.scale / q_last,
                                     is_ntt=True)
 
     def batch_rescale(self, batch: CiphertextBatch) -> CiphertextBatch:
         """Rescale ``k`` fused ciphertexts at once: the NTT-domain
-        last-limb kernel runs on all ``2k`` halves in one pass, bitwise
-        identical to ``k`` sequential :meth:`rescale` calls."""
+        last-limb kernel
+        (:meth:`~repro.schemes.rns_core.StackedKernels.switch_down_ntt`,
+        identity correction) runs on all ``2k`` halves in one pass,
+        bitwise identical to ``k`` reference rescales."""
         if not batch.is_ntt:
             raise ValueError("batch_rescale expects an NTT-domain batch")
         basis = batch.basis
@@ -93,7 +92,7 @@ switch_down_ntt` kernel (identity correction): only the dropped limb
             raise ValueError("cannot rescale a single-limb polynomial")
         q_last = basis.primes[-1]
         stack, new_basis = self.kernels.switch_down_ntt(
-            batch.stack, basis, 2 * batch.k, dedupe=True)
+            batch.stack, basis, 2 * batch.k)
         return CiphertextBatch(basis=new_basis, stack=stack,
                                scales=[s / q_last for s in batch.scales],
                                is_ntt=True, ct_cls=batch.ct_cls)

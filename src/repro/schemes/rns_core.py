@@ -12,40 +12,47 @@ scale-invariant multiply).
 Kernel -> evaluator-op map
 --------------------------
 
-=====================================  ================================
-kernel                                 used by
-=====================================  ================================
-``Ciphertext.pair``                    every stacked op: one ``(2L, N)``
-                                       view covering both halves
-``StackedKernels.engine``              stacked NTT/iNTT/automorphism
-                                       over mixed prime chains
-``StackedKernels.switch_down_ntt``     CKKS ``rescale`` (identity
-                                       correction) and BGV
-                                       ``mod_switch`` (``t``-multiple
-                                       correction) — the NTT-domain
-                                       last-limb modulus switch
-``RnsEvaluatorBase._lift_digits_stacked``  decompose + ModUp + one
-                                       ``(beta*E, N)`` NTT: HMULT
-                                       relinearization, rotations,
-                                       hoisted rotations (all schemes)
-``RnsEvaluatorBase._key_mac_pair``     both key MACs as one Shoup pass
-                                       each against digit-stacked key
-                                       tables (``SwitchingKey``)
-``RnsEvaluatorBase._mod_down_pair_stacked``  NTT-domain ModDown
-                                       ``(acc - NTT(BConv_P(iNTT(acc_P))))
-                                       * P^-1`` — overridden by BGV
-                                       with the exact ``t``-corrected
-                                       variant
-``Plaintext.frozen_pair_tables``       Shoup-frozen plaintext constants
-                                       for ``multiply_plain`` on the
-                                       doubled pair stack
-=====================================  ================================
+======================================  ===============================
+kernel                                  used by
+======================================  ===============================
+``CiphertextBatch``                     every stacked op: ``k``
+                                        ciphertext pairs as one
+                                        ``(2k*L, N)`` stack; a single
+                                        ciphertext is the zero-copy
+                                        ``k = 1`` view of its pair
+``StackedKernels.engine``               stacked NTT/iNTT/automorphism
+                                        over mixed prime chains
+``StackedKernels.switch_down_ntt``      CKKS ``rescale`` (identity
+                                        correction) and BGV
+                                        ``mod_switch`` (``t``-multiple
+                                        correction) — the NTT-domain
+                                        last-limb modulus switch
+``RnsEvaluatorBase._key_switch_batch``  the one key-switch pipeline:
+                                        HMULT relinearization and
+                                        rotations of all schemes
+``RnsEvaluatorBase._lift_digits_batch``  decompose + ModUp + NTT of
+                                        every digit (hoisted once per
+                                        ``rotate_hoisted`` call)
+``RnsEvaluatorBase._key_mac_batch``     both key MACs as one Shoup pass
+                                        each against digit-stacked key
+                                        tables (``SwitchingKey``)
+``RnsEvaluatorBase._mod_down_batch_stacked``  NTT-domain ModDown
+                                        ``(acc - NTT(BConv_P(iNTT(acc_P))))
+                                        * P^-1`` — overridden by BGV
+                                        with the exact ``t``-corrected
+                                        variant
+``Plaintext.frozen_batch_tables``       Shoup-frozen plaintext constants
+                                        for ``multiply_plain``, tiled
+                                        over the ``2k`` halves
+======================================  ===============================
 
-Both evaluator modes are bitwise identical: ``stacked=True`` (default)
-issues one batched kernel per ciphertext pair; ``stacked=False`` is the
-per-polynomial differential reference every scheme pins in its test
-suite (``tests/test_stacked_evaluator.py`` for CKKS,
-``tests/test_rns_core_schemes.py`` for BFV/BGV).
+Single-ciphertext ops (``rotate``, ``rotate_hoisted``, ``multiply``,
+``multiply_plain``, NTT-domain ``rescale``/``mod_switch``) run as the
+``batch_*`` op at ``k = 1``, so there is one production key-switch
+path.  ``stacked=False`` is the per-polynomial differential reference
+every scheme pins in its test suite (``tests/test_stacked_evaluator.py``
+for CKKS, ``tests/test_rns_core_schemes.py`` for BFV/BGV); both modes
+are bitwise identical.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nttmath.batched import (
-    get_plan,
     register_cache_clearer,
     release_scratch,
     scratch,
@@ -66,8 +72,6 @@ from ..nttmath.batched import (
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
-    base_convert,
-    base_convert_pair,
     base_convert_stack,
     inverse_mod_col,
     mod_down,
@@ -251,25 +255,12 @@ class Plaintext:
             self._frozen[limbs] = hit
         return hit
 
-    def frozen_pair_tables(self, limbs: int) -> tuple[np.ndarray,
-                                                      np.ndarray]:
-        """The :meth:`frozen_ntt_tables` rows doubled to ``2*limbs``
-        for one Shoup multiply against a stacked ciphertext pair —
-        built once per level and cached, like the single tables."""
-        key = ("pair", limbs)
-        hit = self._frozen.get(key)
-        if hit is None:
-            values, companions = self.frozen_ntt_tables(limbs)
-            hit = (np.concatenate([values, values]),
-                   np.concatenate([companions, companions]))
-            self._frozen[key] = hit
-        return hit
-
     def frozen_batch_tables(self, limbs: int, k: int) -> tuple[np.ndarray,
                                                                np.ndarray]:
         """The :meth:`frozen_ntt_tables` rows tiled to ``2*k*limbs``
-        for one Shoup multiply against a k-ciphertext batch stack —
-        cached per ``(limbs, k)`` like the pair tables."""
+        for one Shoup multiply against a k-ciphertext batch stack
+        (``k = 1`` for a single ciphertext) — built on first use and
+        cached per ``(limbs, k)``."""
         key = ("batch", limbs, k)
         hit = self._frozen.get(key)
         if hit is None:
@@ -391,9 +382,10 @@ class CiphertextBatch:
 
     Ciphertext ``i`` occupies rows ``[2*i*L, 2*(i+1)*L)`` — its ``c0``
     first, then its ``c1`` — so the batch is literally ``k`` ciphertext
-    pairs laid end to end, and every batch kernel is the stacked pair
-    kernel with ``k`` times as many tiles (the paper's amortization
-    axis extended across independent ciphertexts).  Scales (and the
+    pairs laid end to end, and every batch kernel covers ``k`` times
+    as many tiles as one pair (the paper's amortization axis extended
+    across independent ciphertexts; a single ciphertext is the
+    ``k = 1`` case).  Scales (and the
     concrete ciphertext class) stay per-batch metadata; levels cannot
     differ inside a batch because all members share one basis.
     """
@@ -414,7 +406,12 @@ class CiphertextBatch:
 
     @classmethod
     def from_ciphertexts(cls, cts) -> "CiphertextBatch":
-        """Fuse same-basis, same-domain ciphertexts into one stack."""
+        """Fuse same-basis, same-domain ciphertexts into one stack.
+
+        A single ciphertext is wrapped without copying: the batch stack
+        *is* its :meth:`Ciphertext.pair`, which is how every
+        single-ciphertext op runs the batch kernels at ``k = 1``.
+        Batch ops therefore never write their input stacks."""
         cts = list(cts)
         if not cts:
             raise ValueError("need at least one ciphertext")
@@ -429,7 +426,8 @@ class CiphertextBatch:
             if ct.n != first.n:
                 raise ValueError("batched ciphertexts must share a "
                                  "ring degree")
-        stack = np.concatenate([ct.pair() for ct in cts])
+        stack = first.pair() if len(cts) == 1 else np.concatenate(
+            [ct.pair() for ct in cts])
         return cls(basis=first.basis, stack=stack,
                    scales=[ct.scale for ct in cts],
                    is_ntt=first.is_ntt, ct_cls=type(first))
@@ -460,6 +458,11 @@ class CiphertextBatch:
         return CiphertextBatch(basis=self.basis, stack=self.stack.copy(),
                                scales=list(self.scales),
                                is_ntt=self.is_ntt, ct_cls=self.ct_cls)
+
+
+def _as_batch(ct: Ciphertext) -> CiphertextBatch:
+    """The zero-copy ``k = 1`` batch view of one ciphertext."""
+    return CiphertextBatch.from_ciphertexts((ct,))
 
 
 # ======================================================================
@@ -707,7 +710,7 @@ class StackedKernels:
         return stacked_engine(self.n, (basis, basis))
 
     def switch_down_ntt(self, stack: np.ndarray, basis: RnsBasis,
-                        k: int, *, delta_fn=None, dedupe: bool = False
+                        k: int, *, delta_fn=None
                         ) -> tuple[np.ndarray, RnsBasis]:
         """Drop the last limb of ``k`` stacked NTT-domain polynomials.
 
@@ -717,7 +720,7 @@ class StackedKernels:
         and the subtract + ``q_last^-1`` scaling fold in the NTT
         domain — bitwise identical to the coefficient round trip
         because the NTT is Z_q-linear and commutes with per-limb
-        constants.
+        constants.  ``stack`` rows must be canonical residues.
 
         ``delta_fn`` maps the centred dropped rows ``(k, N)`` to the
         integer correction actually subtracted: ``None`` (identity) is
@@ -735,15 +738,13 @@ class StackedKernels:
         last = np.concatenate(
             [stack[i * limbs + limbs - 1:(i + 1) * limbs]
              for i in range(k)])
-        last_coeff = self.engine(((q_last,),) * k,
-                                 dedupe=dedupe).inverse(
-            last, assume_reduced=dedupe)
+        last_coeff = self.engine(((q_last,),) * k, dedupe=True).inverse(
+            last, assume_reduced=True)
         centred = np.where(last_coeff > q_last // 2,
                            last_coeff - q_last, last_coeff)
         delta = centred if delta_fn is None else delta_fn(centred)
-        if (dedupe and delta_fn is None
-                and q_last // 2 < min(new_basis.primes)):
-            # Batch rescale: |delta| <= q_last/2 < every q_j, so
+        if delta_fn is None and q_last // 2 < min(new_basis.primes):
+            # Rescale: |delta| <= q_last/2 < every q_j, so
             # ``delta + q_j`` already sits in (0, 2q) and one
             # conditional subtract replaces the broadcast division —
             # the identical canonical residue.
@@ -756,29 +757,16 @@ class StackedKernels:
         else:
             corr = (delta[:, None, :] % new_basis.q_col).reshape(
                 k * (limbs - 1), n)
-        corr_ntt = self.engine((new_basis,) * k,
-                               dedupe=dedupe).forward(
-            corr, assume_reduced=dedupe)
+        corr_ntt = self.engine((new_basis,) * k, dedupe=True).forward(
+            corr, assume_reduced=True)
         acc = np.concatenate(
             [stack[i * limbs:(i + 1) * limbs - 1] for i in range(k)])
+        # Both operands were canonical, so the difference sits in
+        # (-q, q), the input range of the shared scaling tail.
         acc -= corr_ntt
-        if dedupe and _shoup_tail_ok(new_basis):
-            # Batch path: both operands were canonical, so the
-            # difference sits in (-q, q) and the division-free tail
-            # applies.
-            return _scale_by_inv_batch(
-                acc, q_last, new_basis, _batch_q_col(new_basis, k),
-                k), new_basis
-        inv_col = inverse_mod_col(q_last, new_basis.primes)
-        qk_col = np.concatenate([new_basis.q_col] * k)
-        invk_col = np.concatenate([inv_col] * k)
-        # The gathered stack is a fresh copy; fold the subtraction and
-        # both reductions into it rather than allocating (and
-        # streaming) three wide expression temporaries.
-        acc %= qk_col
-        acc *= invk_col
-        acc %= qk_col
-        return acc, new_basis
+        return _scale_by_inv_batch(
+            acc, q_last, new_basis, _batch_q_col(new_basis, k),
+            k), new_basis
 
 
 # ======================================================================
@@ -932,28 +920,44 @@ class RnsEvaluatorBase:
             d2=RnsPolynomial(basis, outer[limbs:], is_ntt=x.is_ntt),
             scale=x.scale * y.scale)
 
-    def relinearize(self, ct3: Ciphertext3, *,
-                    out_cls: type | None = None) -> Ciphertext:
-        if self.keys.relin is None:
-            raise ValueError("no relinearization key in the key chain")
+    def relinearize(self, ct3: Ciphertext3, *, out_cls: type | None = None,
+                    key: SwitchingKey | None = None) -> Ciphertext:
+        """Switch ``d2`` back to the secret key; ``key`` defaults to the
+        chain's relinearization key."""
+        key = self._relin_key(key)
         cls = out_cls or Ciphertext
         if not self.stacked:
-            ks0, ks1 = self.key_switch(ct3.d2.to_coeff(), self.keys.relin)
+            ks0, ks1 = self.key_switch(ct3.d2.to_coeff(), key)
             return cls(c0=ct3.d0 + ks0, c1=ct3.d1 + ks1,
                        scale=ct3.scale)
         self._check_domains(ct3.d0.is_ntt, True)
         d2 = ct3.d2
-        ks_pair, q_basis = self._key_switch_pair(
-            d2.to_coeff(), self.keys.relin,
+        ks, q_basis = self._key_switch_batch(
+            d2.to_coeff().data, key, len(d2.basis) - 1, 1,
             ntt_rows=d2.data if d2.is_ntt else None)
         d01 = np.concatenate([ct3.d0.data, ct3.d1.data])
-        out = (d01 + ks_pair) % _pair_col(q_basis.q_col)
+        out = (d01 + ks) % _pair_col(q_basis.q_col)
         return cls.from_pair(q_basis, out, ct3.scale, is_ntt=True)
 
-    def multiply(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        """HMULT with relinearization; caller rescales when ready."""
-        return self.relinearize(self.multiply_no_relin(x, y),
-                                out_cls=type(x))
+    def _relin_key(self, key: SwitchingKey | None) -> SwitchingKey:
+        key = self.keys.relin if key is None else key
+        if key is None:
+            raise ValueError("no relinearization key in the key chain")
+        return key
+
+    def multiply(self, x: Ciphertext, y: Ciphertext, *,
+                 key: SwitchingKey | None = None) -> Ciphertext:
+        """HMULT with relinearization under ``key`` (default: the
+        chain's relinearization key); caller rescales when ready.  The
+        stacked path is :meth:`batch_multiply` at ``k = 1``."""
+        x, y = self._align(x, y)
+        if self.stacked:
+            return self.batch_multiply(_as_batch(x), _as_batch(y),
+                                       key=key).split()[0]
+        out = self.relinearize(self.multiply_no_relin(x, y),
+                               out_cls=type(x), key=key)
+        out.scale = self._mul_scale(x.scale, y.scale)
+        return out
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         return self.multiply(ct, ct)
@@ -965,8 +969,8 @@ class RnsEvaluatorBase:
         once on the plaintext and sliced per level, so every repeated
         diagonal/coefficient multiply is division-free — bitwise
         identical to the plain ``pointwise_mul`` path.  The stacked
-        path multiplies both ciphertext halves against the doubled
-        frozen tables in a single Shoup pass.
+        path is :meth:`batch_multiply_plain` at ``k = 1``: both halves
+        in a single Shoup pass.
         """
         if not ct.c0.is_ntt:
             raise ValueError("multiply_plain expects an NTT-domain "
@@ -976,11 +980,7 @@ class RnsEvaluatorBase:
             return type(ct)(c0=pointwise_mul_shoup(ct.c0, tables),
                             c1=pointwise_mul_shoup(ct.c1, tables),
                             scale=ct.scale * pt.scale)
-        tables = pt.frozen_pair_tables(len(ct.basis))
-        out = pointwise_mul_shoup_stacked(ct.pair(), tables,
-                                          _pair_col(ct.basis.q_col))
-        return type(ct).from_pair(ct.basis, out, ct.scale * pt.scale,
-                                  is_ntt=True)
+        return self.batch_multiply_plain(_as_batch(ct), pt).split()[0]
 
     def _mul_int(self, ct: Ciphertext, value: int,
                  scale: float) -> Ciphertext:
@@ -1010,10 +1010,10 @@ class RnsEvaluatorBase:
         This is the paper's Figure 2 data flow: per digit, iNTT (already
         done by the caller handing coefficient data), BConv (inside
         :func:`mod_up`), NTT, then multiply-accumulate with the evk and
-        a final ModDown.  On the stacked path the digit NTTs run as one
-        ``(beta*E, N)`` pass, both key MACs as one Shoup multiply each
-        over the digit stack, and both ModDown accumulators as stacked
-        pair transforms.
+        a final ModDown.  The stacked path is :meth:`_key_switch_batch`
+        at ``k = 1``: the digit NTTs run as one ``(beta*E, N)`` pass,
+        both key MACs as one Shoup multiply each over the digit stack,
+        and both ModDown accumulators as stacked pair transforms.
         """
         if d2.is_ntt:
             raise ValueError("key_switch expects coefficient-domain input")
@@ -1028,147 +1028,15 @@ class RnsEvaluatorBase:
             acc1 = pointwise_mac_shoup(digits, a_tables, ext)
             q_basis = ctx.q_basis(level)
             return self._mod_down_pair(acc0, acc1, q_basis)
-        ks_pair, q_basis = self._key_switch_pair(d2, key)
+        ks, q_basis = self._key_switch_batch(d2.data, key,
+                                             len(d2.basis) - 1, 1)
         limbs = len(q_basis)
-        return (RnsPolynomial(q_basis, ks_pair[:limbs], is_ntt=True),
-                RnsPolynomial(q_basis, ks_pair[limbs:], is_ntt=True))
+        return (RnsPolynomial(q_basis, ks[:limbs], is_ntt=True),
+                RnsPolynomial(q_basis, ks[limbs:], is_ntt=True))
 
     # -- stacked key-switch internals ----------------------------------
-    # The pair path below is the established per-ciphertext kernel set
-    # (the bitwise oracle for the cross-ciphertext batch ops further
-    # down); the ``_*_batch`` variants generalize the same dataflow to
-    # k fused ciphertexts without touching this reference path.
-    def _key_switch_pair(self, d2: RnsPolynomial, key: SwitchingKey,
-                         ntt_rows: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, RnsBasis]:
-        """Full stacked key switch of coefficient-domain ``d2``:
-        returns the NTT-domain ``(2(l+1), N)`` ks pair and its basis.
-        ``ntt_rows`` optionally carries the NTT-domain source ``d2``
-        was derived from (``d2 = iNTT(ntt_rows)``), letting the digit
-        lift skip re-transforming the kept rows."""
-        ctx = self.context
-        level = len(d2.basis) - 1
-        ext = ctx.ext_basis(level)
-        beta = ctx.num_digits(level)
-        lifted = self._lift_digits_stacked(d2.data, level, ext, beta,
-                                           ntt_rows=ntt_rows)
-        acc_pair = self._key_mac_pair(lifted, key, level, beta, ext)
-        q_basis = ctx.q_basis(level)
-        return self._mod_down_pair_stacked(acc_pair, ext, q_basis), q_basis
-
-    def _lift_digits_stacked(self, data: np.ndarray, level: int,
-                             ext: RnsBasis, beta: int, *,
-                             ntt_rows: np.ndarray | None = None
-                             ) -> np.ndarray:
-        """Decompose + ModUp all digits, then run their forward NTTs as
-        one stacked pass; returns the NTT-domain ``(beta*E, N)`` digit
-        stack (digit ``j`` occupies rows ``j*E..(j+1)*E``).
-
-        When ``ntt_rows`` (the NTT-domain rows ``data`` was iNTT'd
-        from) is available, each digit's kept rows are taken from it
-        verbatim — ``forward(inverse(x)) == x`` bitwise — and only the
-        BConv-extended rows go through the forward NTT, as one
-        mixed-basis ``(beta*(E-alpha), N)`` stacked transform.
-        """
-        ctx = self.context
-        alpha = ctx.params.alpha
-        ext_limbs = len(ext)
-        n = data.shape[1]
-        if ntt_rows is None:
-            coeff = np.empty((beta * ext_limbs, n), dtype=np.int64)
-            for j in range(beta):
-                primes = ctx.digit_primes(j, level)
-                rows = slice(j * alpha, j * alpha + len(primes))
-                digit = RnsPolynomial(RnsBasis(primes), data[rows],
-                                      is_ntt=False)
-                coeff[j * ext_limbs:(j + 1) * ext_limbs] = \
-                    mod_up(digit, ext).data
-            engine = stacked_engine(ctx.n, (ext,) * beta)
-            return engine.forward(coeff)
-        lifted = np.empty((beta * ext_limbs, n), dtype=np.int64)
-        blocks, chains, placements = [], [], []
-        for j in range(beta):
-            primes = ctx.digit_primes(j, level)
-            lo = j * alpha
-            hi = lo + len(primes)
-            digit = RnsPolynomial(RnsBasis(primes), data[lo:hi],
-                                  is_ntt=False)
-            kept = set(primes)
-            missing = RnsBasis([p for p in ext.primes if p not in kept])
-            blocks.append(base_convert(digit, missing).data)
-            chains.append(missing.primes)
-            placements.append(np.array(
-                [i for i, p in enumerate(ext.primes) if p not in kept],
-                dtype=np.intp) + j * ext_limbs)
-            lifted[j * ext_limbs + lo:j * ext_limbs + hi] = \
-                ntt_rows[lo:hi]
-        converted = stacked_engine(ctx.n, tuple(chains)).forward(
-            np.concatenate(blocks))
-        row = 0
-        for rows in placements:
-            lifted[rows] = converted[row:row + len(rows)]
-            row += len(rows)
-        return lifted
-
-    def _key_mac_pair(self, lifted: np.ndarray, key: SwitchingKey,
-                      level: int, beta: int, ext: RnsBasis) -> np.ndarray:
-        """Both key MACs over the stacked digit block in one Shoup
-        multiply each: ``acc0 = sum_j d_j (*) b_j`` lands in rows
-        ``:E`` and ``acc1`` in rows ``E:`` — bitwise identical to
-        :func:`pointwise_mac_shoup` per accumulator (uint64 partial
-        sums are order-independent; one final reduction)."""
-        ext_limbs = len(ext)
-        n = lifted.shape[1]
-        k = len(self.context.p_basis)
-        total = self.context.max_level + 1 + k
-        rows = tuple(range(level + 1)) + tuple(range(total - k, total))
-        (b_u, b_sh), (a_u, a_sh) = key.stacked_tables(beta, rows)
-        q_u = ext.q_col.astype(np.uint64)
-        q_tiled = np.tile(q_u, (beta, 1))
-        x = scratch("kmac_x", lifted.shape)
-        hi = scratch("kmac_hi", lifted.shape)
-        terms = scratch("kmac_t", lifted.shape)
-        np.copyto(x, lifted, casting="unsafe")
-        acc = np.empty((2 * ext_limbs, n), dtype=np.uint64)
-        shoup_mul_lazy(x, b_u, b_sh, q_tiled, out=terms, hi=hi)
-        np.sum(terms.reshape(beta, ext_limbs, n), axis=0,
-               out=acc[:ext_limbs])
-        shoup_mul_lazy(x, a_u, a_sh, q_tiled, out=terms, hi=hi)
-        np.sum(terms.reshape(beta, ext_limbs, n), axis=0,
-               out=acc[ext_limbs:])
-        for tag in ("kmac_x", "kmac_hi", "kmac_t"):
-            release_scratch(tag, lifted.shape)
-        acc %= np.concatenate([q_u, q_u])
-        return acc.astype(np.int64)
-
-    def _mod_down_pair_stacked(self, acc_pair: np.ndarray, ext: RnsBasis,
-                               q_basis: RnsBasis) -> np.ndarray:
-        """ModDown the stacked accumulator pair in the NTT domain:
-        ``ks = (acc - NTT(BConv_P(iNTT(acc_P)))) * P^-1 mod Q``.
-
-        Only the ``2k`` P-limb rows round-trip through the iNTT; the
-        correction converts in one pair BConv and returns through one
-        ``(2(l+1), N)`` NTT, and the subtraction/scaling stay on the
-        NTT-domain accumulators — the exact dataflow
-        :meth:`repro.compiler.lowering.HeLowering.key_switch` emits,
-        bitwise identical to the full coefficient round trip by NTT
-        linearity.  BGV overrides this (and :meth:`_mod_down_pair`)
-        with the exact ``t``-corrected variant."""
-        n = self.context.n
-        p_basis = self.context.p_basis
-        l1 = len(q_basis)
-        ext_limbs = len(ext)
-        acc_p = np.concatenate([acc_pair[l1:ext_limbs],
-                                acc_pair[ext_limbs + l1:]])
-        coeff_p = stacked_engine(n, (p_basis, p_basis)).inverse(acc_p)
-        corr = base_convert_pair(coeff_p, p_basis, q_basis)
-        corr_ntt = stacked_engine(n, (q_basis, q_basis)).forward(corr)
-        acc_q = np.concatenate([acc_pair[:l1],
-                                acc_pair[ext_limbs:ext_limbs + l1]])
-        p_inv_col = inverse_mod_col(p_basis.modulus, q_basis.primes)
-        q2_col = _pair_col(q_basis.q_col)
-        return (acc_q - corr_ntt) % q2_col * _pair_col(p_inv_col) % q2_col
-
+    # One dataflow for every stacked key switch: single-ciphertext ops
+    # run it at k = 1, the batch ops at k fused ciphertexts.
     def _key_switch_batch(self, data: np.ndarray, key: SwitchingKey,
                           level: int, k: int, *,
                           ntt_rows: np.ndarray | None = None
@@ -1181,8 +1049,8 @@ class RnsEvaluatorBase:
         ct-major pair stack and its basis.  ``ntt_rows`` optionally
         carries the NTT-domain rows ``data`` was iNTT'd from (same
         layout), letting the lift skip re-transforming kept rows.
-        Row slices are bitwise identical to ``k`` pair key switches —
-        the ``k = 1`` case *is* the pair path."""
+        Row slices are bitwise identical to ``k`` separate ``k = 1``
+        key switches, and to the ``stacked=False`` reference."""
         ctx = self.context
         ext = ctx.ext_basis(level)
         beta = ctx.num_digits(level)
@@ -1341,8 +1209,8 @@ class RnsEvaluatorBase:
         linearity.  Input is the ct-major accumulator stack from
         :meth:`_key_mac_batch`; output is the ct-major ``(2k*(l+1),
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
-        BGV overrides this (and :meth:`_mod_down_pair`) with the exact
-        ``t``-corrected variant."""
+        BGV overrides this (and the reference :meth:`_mod_down_pair`)
+        with the exact ``t``-corrected variant."""
         n = self.context.n
         p_basis = self.context.p_basis
         l1 = len(q_basis)
@@ -1432,71 +1300,29 @@ class RnsEvaluatorBase:
 
     def _apply_galois(self, ct: Ciphertext, galois_elt: int,
                       key: SwitchingKey) -> Ciphertext:
-        if not self.stacked or not ct.is_ntt:
-            rc0 = ct.c0.apply_automorphism(galois_elt)
-            rc1 = ct.c1.apply_automorphism(galois_elt)
-            ks0, ks1 = self.key_switch(rc1.to_coeff(), key)
-            return type(ct)(c0=rc0 + ks0, c1=ks1, scale=ct.scale)
-        basis = ct.basis
-        limbs = len(basis)
-        # One gather rotates both halves of the pair at once.
-        r_pair = self._pair_engine(basis).automorphism_ntt(ct.pair(),
-                                                           galois_elt)
-        rc1 = RnsPolynomial(basis, r_pair[limbs:], is_ntt=True)
-        ks_pair, _ = self._key_switch_pair(rc1.to_coeff(), key,
-                                           ntt_rows=rc1.data)
-        out = ks_pair
-        out[:limbs] = (out[:limbs] + r_pair[:limbs]) % basis.q_col
-        return type(ct).from_pair(basis, out, ct.scale, is_ntt=True)
+        if self.stacked and ct.is_ntt:
+            return self._apply_galois_batch(_as_batch(ct), galois_elt,
+                                            key).split()[0]
+        rc0 = ct.c0.apply_automorphism(galois_elt)
+        rc1 = ct.c1.apply_automorphism(galois_elt)
+        ks0, ks1 = self.key_switch(rc1.to_coeff(), key)
+        return type(ct)(c0=rc0 + ks0, c1=ks1, scale=ct.scale)
 
     def rotate_hoisted(self, ct: Ciphertext,
                        steps) -> dict[int, Ciphertext]:
         """Rotate one ciphertext by many steps, decomposing c1 once.
 
-        The expensive decompose + ModUp + NTT runs once (as a single
-        stacked ``(beta*E, N)`` transform on the stacked path); each
-        rotation then only permutes the NTT-domain digit stack — one
-        gather for all digits (EFFACT's automorphism unit) — and
+        The expensive decompose + ModUp + NTT runs once; each rotation
+        then only permutes the NTT-domain digit stack — one gather for
+        all digits (EFFACT's automorphism unit) — and
         multiply-accumulates with its Galois key, the hoisting pattern
-        the paper's section III analysis builds on.
+        the paper's section III analysis builds on.  The stacked path
+        is :meth:`batch_rotate_hoisted` at ``k = 1``.
         """
         if not self.stacked or not ct.is_ntt:
             return self._rotate_hoisted_legacy(ct, steps)
-        ctx = self.context
-        level = ct.level
-        ext = ctx.ext_basis(level)
-        beta = ctx.num_digits(level)
-        basis = ct.basis
-        limbs = len(basis)
-        base_engine = get_plan(ctx.n, basis.primes).ntt
-        digit_engine = stacked_engine(ctx.n, (ext,) * beta)
-        # The expensive decompose+ModUp+NTT lift runs lazily on the
-        # first non-identity step, so identity-only requests pay
-        # nothing (e.g. a 1x1 convolution kernel's center tap).
-        lifted: np.ndarray | None = None
-        rotated: np.ndarray | None = None
-        out: dict[int, Ciphertext] = {}
-        for step in steps:
-            if self._identity_step(step):
-                out[step] = ct.copy()
-                continue
-            key = self.keys.galois.get(step)
-            if key is None:
-                raise ValueError(f"no Galois key for rotation step {step}")
-            if lifted is None:
-                lifted = self._lift_digits_stacked(
-                    ct.c1.to_coeff().data, level, ext, beta,
-                    ntt_rows=ct.c1.data)
-                rotated = np.empty_like(lifted)
-            g = galois_element(step, ctx.n)
-            digit_engine.automorphism_ntt(lifted, g, out=rotated)
-            acc_pair = self._key_mac_pair(rotated, key, level, beta, ext)
-            ks_pair = self._mod_down_pair_stacked(acc_pair, ext, basis)
-            rc0 = base_engine.automorphism_ntt(ct.c0.data, g)
-            ks_pair[:limbs] = (ks_pair[:limbs] + rc0) % basis.q_col
-            out[step] = type(ct).from_pair(basis, ks_pair, ct.scale,
-                                           is_ntt=True)
-        return out
+        return {step: batch.split()[0] for step, batch in
+                self.batch_rotate_hoisted(_as_batch(ct), steps).items()}
 
     def _rotate_hoisted_legacy(self, ct: Ciphertext,
                                steps) -> dict[int, Ciphertext]:
@@ -1538,16 +1364,19 @@ class RnsEvaluatorBase:
         ``mod t`` factor product."""
         return sx * sy
 
-    def _check_batch(self, x: CiphertextBatch,
-                     y: CiphertextBatch) -> None:
+    def _check_batch(self, x: CiphertextBatch, y: CiphertextBatch, *,
+                     same_scales: bool = True) -> None:
+        """Operand checks of a two-batch op; only sums need equal
+        scales (a product's scale is :meth:`_mul_scale`)."""
         if x.basis != y.basis:
             raise ValueError("batch basis mismatch; drop levels before "
                              "batching")
         if x.k != y.k:
             raise ValueError(f"batch width mismatch: {x.k} vs {y.k}")
         self._check_domains(x.is_ntt, y.is_ntt)
-        for sa, sb in zip(x.scales, y.scales):
-            self._check_scales(sa, sb)
+        if same_scales:
+            for sa, sb in zip(x.scales, y.scales):
+                self._check_scales(sa, sb)
 
     def batch_add(self, x: CiphertextBatch,
                   y: CiphertextBatch) -> CiphertextBatch:
@@ -1590,14 +1419,14 @@ class RnsEvaluatorBase:
                                        for s in batch.scales],
                                is_ntt=True, ct_cls=batch.ct_cls)
 
-    def batch_multiply(self, x: CiphertextBatch,
-                       y: CiphertextBatch) -> CiphertextBatch:
+    def batch_multiply(self, x: CiphertextBatch, y: CiphertextBatch, *,
+                       key: SwitchingKey | None = None) -> CiphertextBatch:
         """HMULT + relinearization of ``k`` independent ciphertext
         products: one ``(2k*L, N)`` tensor stack, then one fused
-        ``k``-wide key switch of all ``d2`` terms."""
-        if self.keys.relin is None:
-            raise ValueError("no relinearization key in the key chain")
-        self._check_batch(x, y)
+        ``k``-wide key switch of all ``d2`` terms under ``key``
+        (default: the chain's relinearization key)."""
+        key = self._relin_key(key)
+        self._check_batch(x, y, same_scales=False)
         self._check_domains(x.is_ntt, True)
         basis = x.basis
         q_col = basis.q_col
@@ -1632,8 +1461,8 @@ class RnsEvaluatorBase:
         d2_coeff = self.kernels.engine((basis,) * k,
                                        dedupe=True).inverse(
             d2, assume_reduced=True)
-        ks, q_basis = self._key_switch_batch(d2_coeff, self.keys.relin,
-                                             x.level, k, ntt_rows=d2)
+        ks, q_basis = self._key_switch_batch(d2_coeff, key, x.level, k,
+                                             ntt_rows=d2)
         # ks is the freshly ModDown'd stack; fold d0/d1 into it in
         # place instead of assembling a separate wide stack.
         ks4 = ks.reshape(k, 2, limbs, n)

@@ -1,15 +1,18 @@
 """Cross-ciphertext k-way batching: bitwise equality vs the
-sequential per-ciphertext loop (the existing stacked path is the
-oracle), for every batch op, k in {1, 2, 3, 8}, several levels, CKKS
-and BGV; plus golden digests and cache-bound checks."""
+sequential per-ciphertext loop (single-ciphertext calls, pinned to the
+``stacked=False`` reference by ``test_stacked_evaluator.py`` and
+``test_rns_core_schemes.py``), for every batch op, k in {1, 2, 3, 8},
+several levels, CKKS and BGV; mixed-scale products against the
+reference directly; plus golden digests and cache-bound checks."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.batch.coalesce import BatchRequest, execute_batched
 from repro.nttmath.batched import clear_caches, plan_cache_size
-from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
+from repro.schemes.bgv import BgvContext, BgvEvaluator, BgvParams, BgvScheme
 from repro.schemes.ckks import (
     CkksContext,
     CkksEvaluator,
@@ -204,6 +207,55 @@ def test_bgv_multiply_mod_switch_match_sequential(bgv, k, times):
     _assert_batch_equals(
         ev.batch_mod_switch(prod, times=times),
         [ev.mod_switch(ct, times=times) for ct in want])
+
+
+# ----------------------------------------------------------------------
+# Products take operands of different scales; only sums need equal ones
+# ----------------------------------------------------------------------
+def _assert_products_match_oracle(ev, ref, xs, ys) -> None:
+    """``batch_multiply`` and ``execute_batched`` against the
+    ``stacked=False`` per-ciphertext ``multiply``."""
+    want = [ref.multiply(x, y) for x, y in zip(xs, ys)]
+    _assert_batch_equals(
+        ev.batch_multiply(CiphertextBatch.from_ciphertexts(xs),
+                          CiphertextBatch.from_ciphertexts(ys)), want)
+    got = execute_batched(ev, [BatchRequest("multiply", x, y)
+                               for x, y in zip(xs, ys)])
+    for g, w in zip(got, want):
+        assert np.array_equal(g.pair(), w.pair())
+        assert g.scale == w.scale
+
+
+def test_ckks_batch_multiply_accepts_mixed_scales(ckks):
+    """A ciphertext at scale Delta times one at Delta*q_last (the
+    ``multiply_scalar`` default) is a valid product."""
+    ctx, ev, cts, _ = ckks
+    ref = CkksEvaluator(ctx, ev.keys, stacked=False)
+    xs = cts[:2]
+    ys = [ev.multiply_scalar(ct, 0.5) for ct in cts[2:4]]
+    assert ys[0].scale != xs[0].scale
+    _assert_products_match_oracle(ev, ref, xs, ys)
+
+
+def test_bgv_batch_multiply_accepts_mixed_factors(bgv):
+    """Same level, different plaintext factors: a switched product
+    (factor q^-1) times a product of switched operands (q^-2)."""
+    ctx, ev, cts = bgv
+    ref = BgvEvaluator(ctx, ev.keys, stacked=False)
+    xs = [ev.mod_switch(ev.multiply(ct, ct)) for ct in cts[:2]]
+    ys = [ev.multiply(ev.mod_switch(ct), ev.mod_switch(ct))
+          for ct in cts[2:4]]
+    assert xs[0].basis == ys[0].basis and xs[0].scale != ys[0].scale
+    _assert_products_match_oracle(ev, ref, xs, ys)
+
+
+def test_single_ciphertext_batch_is_a_view(ckks):
+    """``from_ciphertexts([ct])`` wraps the pair without copying: the
+    ``k = 1`` route single-ciphertext ops take."""
+    _, _, cts, _ = ckks
+    batch = CiphertextBatch.from_ciphertexts([cts[0]])
+    assert batch.stack is cts[0].pair()
+    assert batch.k == 1 and batch.scales == [cts[0].scale]
 
 
 # ----------------------------------------------------------------------

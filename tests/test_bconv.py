@@ -130,29 +130,15 @@ def test_merged_bconv_blas_wide_basis(rng):
 # ----------------------------------------------------------------------
 # Stacked ciphertext-pair BConv kernels (PR 4)
 # ----------------------------------------------------------------------
-def test_base_convert_pair_matches_per_half(rng):
-    from repro.rns.bconv import base_convert_pair
+def test_base_convert_stack_matches_per_half(rng):
+    from repro.rns.bconv import base_convert_stack
 
     a = RnsPolynomial.random_uniform(C, N, rng)
     b = RnsPolynomial.random_uniform(C, N, rng)
     pair = np.concatenate([a.data, b.data])
-    got = base_convert_pair(pair, C, B)
+    got = base_convert_stack(pair, C, B, 2)
     assert np.array_equal(got[:len(B)], base_convert(a, B).data)
     assert np.array_equal(got[len(B):], base_convert(b, B).data)
-
-
-def test_mod_down_pair_matches_per_half(rng):
-    from repro.rns.bconv import mod_down_pair
-
-    ext = C.extend(B)
-    a = RnsPolynomial.random_uniform(ext, N, rng)
-    b = RnsPolynomial.random_uniform(ext, N, rng)
-    pair = np.concatenate([a.data, b.data])
-    got = mod_down_pair(pair, C, B)
-    assert np.array_equal(got[:len(C)], mod_down(a, C, B).data)
-    assert np.array_equal(got[len(C):], mod_down(b, C, B).data)
-    with pytest.raises(ValueError, match="pair"):
-        mod_down_pair(pair[:-1], C, B)
 
 
 def test_rescale_last_pair_matches_per_half(rng):

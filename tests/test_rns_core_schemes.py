@@ -31,6 +31,7 @@ from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 from repro.schemes.ckks import CkksEvaluator
 from repro.schemes.rns_core import (
     Ciphertext,
+    KeyChain,
     RnsEvaluatorBase,
     StackedKernels,
 )
@@ -66,8 +67,8 @@ def test_ckks_is_a_thin_subclass():
     RnsEvaluatorBase and every key-switch kernel is inherited, not
     reimplemented."""
     assert issubclass(CkksEvaluator, RnsEvaluatorBase)
-    for name in ("_key_switch_pair", "_lift_digits_stacked",
-                 "_key_mac_pair", "_mod_down_pair_stacked",
+    for name in ("_key_switch_batch", "_lift_digits_batch",
+                 "_key_mac_batch", "_mod_down_batch_stacked",
                  "key_switch", "rotate_hoisted", "multiply_plain"):
         assert getattr(CkksEvaluator, name) \
             is getattr(RnsEvaluatorBase, name), name
@@ -208,6 +209,118 @@ def test_bgv_exactness_survives_the_stack(bgv_pair, rng):
             ct = scheme.mod_switch(scheme.multiply(ct, ct, rk), times=2)
             expect = expect * expect % ctx.t
         assert np.array_equal(scheme.decrypt(ct, sk), expect)
+
+
+# ----------------------------------------------------------------------
+# Single-ciphertext ops run the batch kernels on a zero-copy k=1 view
+# ----------------------------------------------------------------------
+ROUTED_OPS = {
+    "ckks": ("rotate", "conjugate", "rotate_hoisted", "multiply",
+             "square", "relinearize", "key_switch", "rescale",
+             "multiply_plain"),
+    "bgv": ("multiply", "mod_switch", "rotate", "multiply_plain"),
+    "bfv": ("multiply", "rotate", "conjugate"),
+}
+
+
+@pytest.mark.parametrize("scheme,op", [(scheme, op)
+                                       for scheme, ops in ROUTED_OPS.items()
+                                       for op in ops])
+def test_routed_ops_never_write_their_inputs(scheme, op, request, rng):
+    """A single ciphertext enters the batch kernels as a view of its own
+    pair (``CiphertextBatch.from_ciphertexts([ct])`` copies nothing), so
+    a kernel writing its input stack would corrupt the caller's
+    ciphertext.  Every routed op must leave its inputs' bytes as they
+    were."""
+    if scheme == "ckks":
+        ck = request.getfixturevalue("ckks_small")
+        ev = ck.ev
+        x, y = (ck.encrypt(ck.random_message(rng)) for _ in range(2))
+        pt = ck.ctx.encode(ck.random_message(rng))
+        ct3 = ev.multiply_no_relin(x, y)
+        d2 = x.c1.to_coeff()
+        calls = {
+            "rotate": lambda: ev.rotate(x, 1),
+            "conjugate": lambda: ev.conjugate(x),
+            "rotate_hoisted": lambda: ev.rotate_hoisted(x, [0, 1, 2]),
+            "multiply": lambda: ev.multiply(x, y),
+            "square": lambda: ev.square(x),
+            "relinearize": lambda: ev.relinearize(ct3),
+            "key_switch": lambda: ev.key_switch(d2, ev.keys.relin),
+            "rescale": lambda: ev.rescale(x),
+            "multiply_plain": lambda: ev.multiply_plain(x, pt),
+        }
+        watched = [x.pair(), y.pair(), ct3.d0.data, ct3.d1.data,
+                   ct3.d2.data, d2.data, pt.poly.data]
+    elif scheme == "bgv":
+        ctx, bgv, _, sk, _, gk = request.getfixturevalue("bgv_pair")
+        m = rng.integers(0, ctx.t, ctx.n)
+        x, y = bgv.encrypt(m, sk), bgv.encrypt(m[::-1].copy(), sk)
+        calls = {
+            "multiply": lambda: bgv.multiply(x, y),
+            "mod_switch": lambda: bgv.mod_switch(x, times=2),
+            "rotate": lambda: bgv.rotate(x, 3, gk),
+            "multiply_plain": lambda: bgv.mul_plain(x, m),
+        }
+        watched = [x.pair(), y.pair()]
+    else:
+        ctx, bfv, _, sk, _ = request.getfixturevalue("bfv_pair")
+        m = rng.integers(0, ctx.t, ctx.n)
+        x, y = bfv.encrypt(m, sk), bfv.encrypt(m[::-1].copy(), sk)
+        calls = {
+            "multiply": lambda: bfv.multiply(x, y),
+            "rotate": lambda: bfv.rotate(x, 2),
+            "conjugate": lambda: bfv.conjugate(x),
+        }
+        watched = [x.pair(), y.pair()]
+    before = [a.copy() for a in watched]
+    calls[op]()
+    for i, (now, was) in enumerate(zip(watched, before)):
+        assert np.array_equal(now, was), f"{scheme} {op} wrote input {i}"
+
+
+# ----------------------------------------------------------------------
+# An explicit relinearization key is passed down, never installed
+# ----------------------------------------------------------------------
+class _SealedKeyChain(KeyChain):
+    """A key chain that fails the test on any attribute write."""
+
+    def seal(self) -> "_SealedKeyChain":
+        object.__setattr__(self, "_sealed", True)
+        return self
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_sealed", False):
+            raise AssertionError(f"evaluator key chain written: {name}")
+        super().__setattr__(name, value)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("scheme_name", ["bgv", "bfv"])
+def test_explicit_relin_key_never_writes_the_key_chain(scheme_name,
+                                                       stacked, rng):
+    if scheme_name == "bgv":
+        ctx = BgvContext(BgvParams(n=64, q_count=5, dnum=2, seed=77))
+        make = BgvScheme
+    else:
+        ctx = BfvContext(BfvParams(n=64, q_count=5, dnum=2, seed=77))
+        make = BfvScheme
+    scheme = make(ctx, stacked=stacked)
+    sk = scheme.gen_secret()
+    installed = scheme.gen_relin(sk)
+    other = scheme.keygen.gen_relin(sk)
+    chain = _SealedKeyChain(relin=installed).seal()
+    scheme.ev.keys = chain
+    x, y = (scheme.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+            for _ in range(2))
+    got = scheme.multiply(x, y, other)
+    assert scheme.ev.keys is chain and chain.relin is installed
+    built_with_other = make(ctx, stacked=stacked)
+    built_with_other.ev.keys = KeyChain(relin=other)
+    _assert_same(got, built_with_other.ev.multiply(x, y), "multiply(rk)")
+    assert not np.array_equal(got.pair(),
+                              scheme.multiply(x, y).pair()), \
+        "the explicit key was not the one used"
 
 
 # ----------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_rotate_hoisted_identity_steps_skip_the_lift(ckks_small, rng,
     def boom(*args, **kwargs):
         raise AssertionError("digit lift ran for identity-only steps")
 
-    monkeypatch.setattr(ev, "_lift_digits_stacked", boom)
+    monkeypatch.setattr(ev, "_lift_digits_batch", boom)
     out = ev.rotate_hoisted(ct, [0])
     _assert_same(out[0], ct, "identity hoisted rotation")
 
