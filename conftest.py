@@ -8,8 +8,8 @@ kernels) or ``slow``.  Opt back in with ``--run-bench`` /
 environment variables (handy for CI matrix entries).
 
 The ``ntt_impl`` fixture, shared by both tiers, runs a test once per
-implementation of the native kernel library (NTT and plan replay);
-``each_impl`` runs part of one test once per implementation.
+implementation of the native kernel library (NTT, plan replay and key
+switch); ``each_impl`` runs part of one test once per implementation.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(params=["native", "numpy"])
 def ntt_impl(request, monkeypatch) -> str:
     """Run a test once per implementation of the native kernel library,
-    which holds the NTT and the plan-replay kernels: ``native`` (the C
-    library, skipped when it is unavailable here) and ``numpy`` (the
-    loader forced to report "unavailable", so every numpy kernel
+    which holds the NTT, plan-replay and key-switch kernels: ``native``
+    (the C library, skipped when it is unavailable here) and ``numpy``
+    (the loader forced to report "unavailable", so every numpy kernel
     runs)."""
     from repro.nttmath import native
     if request.param == "numpy":

@@ -119,7 +119,8 @@ def _scratch_debug() -> bool:
 _VERIFY_FLAG: bool | None = None
 
 
-def _verify_inputs() -> bool:
+def verify_inputs() -> bool:
+    """Whether ``REPRO_VERIFY`` is on (sampled once, see above)."""
     global _VERIFY_FLAG
     flag = _VERIFY_FLAG
     if flag is None:
@@ -129,10 +130,29 @@ def _verify_inputs() -> bool:
 
 
 class NonCanonicalInputError(ValueError):
-    """A transform called with ``assume_reduced=True`` got a row that
-    is not canonical residues in ``[0, q)`` (raised under
-    ``REPRO_VERIFY=1``; unchecked, the C kernel would read a negative
-    int64 as a huge unsigned value and return garbage silently)."""
+    """A kernel that assumes canonical residues in ``[0, q)`` — a
+    transform called with ``assume_reduced=True``, or a key-switch
+    kernel reading a stack through a ``uint64`` view — got a row that
+    is not (raised under ``REPRO_VERIFY=1``; unchecked, a negative int64
+    reads as a huge unsigned value and the result is garbage,
+    silently)."""
+
+
+def require_canonical(stack: np.ndarray, q_col: np.ndarray,
+                      where: str) -> None:
+    """Raise :class:`NonCanonicalInputError` naming the first row of a
+    ``(k*L, n)`` stack over the ``(L, 1)`` moduli ``q_col`` that holds a
+    value outside ``[0, q)``; ``where`` names the kernel entry."""
+    limbs = q_col.shape[0]
+    n = stack.shape[1]
+    tiles = stack.reshape(-1, limbs, n)
+    bad = (tiles < 0) | (tiles >= q_col)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad.reshape(-1))), n)
+        raise NonCanonicalInputError(
+            f"{where}: row {row} (q={int(q_col[row % limbs, 0])}) holds "
+            f"{stack[row, col]} at column {col}, outside the canonical "
+            f"range [0, q)")
 
 
 def scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -191,6 +211,12 @@ def shoup_companion(values_u: np.ndarray, q_col_u: np.ndarray) -> np.ndarray:
     weights.
     """
     return (values_u << _SHIFT) // q_col_u
+
+
+#: Moduli bound of the lazy Shoup product (:func:`shoup_mul_lazy` and
+#: the native key-switch kernels): a lazy result or a shifted operand
+#: below ``2q`` must fit in 32 bits.
+SHOUP_Q_BOUND = 1 << 31
 
 
 def shoup_mul_lazy(x_u: np.ndarray, s_u: np.ndarray, s_sh: np.ndarray,
@@ -285,7 +311,6 @@ class BatchedNTT:
         # Permutation caches shared with prefix-derived engines: they
         # depend only on (n, galois_elt), never on the moduli.
         self._auto_ntt_idx: dict[int, np.ndarray] = {}
-        self._auto_ntt_inv: dict[int, np.ndarray] = {}
         self._auto_coeff_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     #: Per-limb table attributes a derived engine re-slices from its
@@ -316,7 +341,6 @@ class BatchedNTT:
         # still takes the fused path (both paths are bitwise identical).
         self._fused = max(q.bit_length() for q in primes) <= 30
         self._auto_ntt_idx = parent._auto_ntt_idx
-        self._auto_ntt_inv = parent._auto_ntt_inv
         self._auto_coeff_maps = parent._auto_coeff_maps
         return self
 
@@ -417,20 +441,6 @@ class BatchedNTT:
         (the numpy kernels run)."""
         return _native.kernel() if self._fused else None
 
-    def _require_canonical(self, checked: np.ndarray, op: str) -> None:
-        """Under ``REPRO_VERIFY=1``: raise :class:`NonCanonicalInputError`
-        naming the first row of an ``assume_reduced=True`` input that
-        holds a value outside ``[0, q)``."""
-        stack = checked.reshape(-1, self.limbs, self.n)
-        bad = (stack < 0) | (stack >= self.q_col)
-        if bad.any():
-            row, col = divmod(int(np.argmax(bad.reshape(-1))), self.n)
-            raise NonCanonicalInputError(
-                f"BatchedNTT.{op}(assume_reduced=True): row {row} "
-                f"(q={self.primes[row % self.limbs]}) holds "
-                f"{checked[row, col]} at column {col}, outside the "
-                f"canonical range [0, q)")
-
     def _prepare(self, data: np.ndarray, assume_reduced: bool,
                  op: str) -> tuple[np.ndarray, object, int]:
         """Shared entry of :meth:`forward`/:meth:`inverse`: the checked
@@ -439,8 +449,9 @@ class BatchedNTT:
         the whole stack; the numpy kernels go in cache-sized tile
         blocks."""
         checked = self._check(data)
-        if assume_reduced and _verify_inputs():
-            self._require_canonical(checked, op)
+        if assume_reduced and verify_inputs():
+            require_canonical(checked, self.q_col,
+                              f"BatchedNTT.{op}(assume_reduced=True)")
         lib = self._kernel()
         step = checked.shape[0]
         if lib is None:
@@ -879,9 +890,8 @@ class BatchedNTT:
         """The cached NTT-domain column permutation of sigma'_g: the
         single index vector :meth:`automorphism_ntt` gathers with.
         Moduli-independent, so every limb (and every engine over the
-        same ring degree) shares it.  Callers that compose the
-        permutation into precomputed constants (the batch evaluator's
-        rotated key tables) read it directly."""
+        same ring degree) shares it.  The native key MAC reads hoisted
+        digits through it instead of gathering a rotated copy."""
         idx = self._auto_ntt_idx.get(galois_elt)
         if idx is None:
             rev = self._rev
@@ -891,20 +901,6 @@ class BatchedNTT:
             idx = rev[src[rev]]
             self._auto_ntt_idx[galois_elt] = idx
         return idx
-
-    def automorphism_index_inv(self, galois_elt: int) -> np.ndarray:
-        """Inverse of :meth:`automorphism_index`: gathering a constant
-        table by it, then the data by the forward index, lands every
-        column back where a plain forward gather of the product would
-        — the composition hoisted rotations use to pre-rotate key
-        tables."""
-        inv = self._auto_ntt_inv.get(galois_elt)
-        if inv is None:
-            idx = self.automorphism_index(galois_elt)
-            inv = np.empty_like(idx)
-            inv[idx] = np.arange(self.n, dtype=np.int64)
-            self._auto_ntt_inv[galois_elt] = inv
-        return inv
 
     def automorphism_ntt(self, data: np.ndarray, galois_elt: int, *,
                          out: np.ndarray | None = None) -> np.ndarray:

@@ -1,22 +1,33 @@
 """The native C kernel library: built at first use, loaded with ctypes.
 
-``ntt.c`` next to this file holds ``ntt_forward`` / ``ntt_inverse``,
-plain-C99 counterparts of :class:`repro.nttmath.batched.BatchedNTT`'s
-fused numpy kernels, and ``ew_step`` / ``dram_rows``, the elementwise
-and DRAM-load steps of :func:`repro.compiler.exec_plan.replay_plan`
-(each equal to its numpy expression for every int64 input).
-:func:`kernel` compiles it once with the system
-``cc`` into a per-user cache directory (``$XDG_CACHE_HOME/repro/native``,
-default ``~/.cache/repro/native``), keyed by the sha256 of the source,
-the compiler flags and the machine architecture, and loads it.  The build writes a temporary
-file and renames it into place with :func:`os.replace`, so processes
-racing to build the same hash each end with a complete library.
+``ntt.c`` next to this file holds
+
+- ``ntt_forward`` / ``ntt_inverse``, plain-C99 counterparts of
+  :class:`repro.nttmath.batched.BatchedNTT`'s fused numpy kernels;
+- ``ew_step`` / ``dram_rows``, the elementwise and DRAM-load steps of
+  :func:`repro.compiler.exec_plan.replay_plan` (each equal to its numpy
+  expression for every int64 input);
+- ``ks_mac`` / ``bconv`` / ``mod_down_tail``, the key MAC, fast base
+  conversion and ModDown tail of the batch key switch
+  (:func:`repro.schemes.rns_core.key_mac`,
+  :func:`repro.rns.bconv.base_convert_stack`,
+  :func:`repro.schemes.rns_core.mod_down_tail`), exact for every
+  input their numpy twins accept.
+
+:func:`kernel` compiles it once with the system ``cc`` into a per-user
+cache directory (``$XDG_CACHE_HOME/repro/native``, default
+``~/.cache/repro/native``), keyed by the sha256 of the source, the
+compiler flags and the machine architecture, and loads it.  The build
+writes a temporary file and renames it into place with
+:func:`os.replace`, so processes racing to build the same hash each end
+with a complete library.
 
 When anything fails — no ``cc`` on ``PATH``, a compile error, a cache
 directory that is unwritable or cannot be determined, a library that
 does not load — one :class:`RuntimeWarning` names the reason and
-:func:`kernel` returns ``None``: the NTT engine and plan replay keep
-their numpy kernels, which stay the bitwise oracle either way.  The loaded library lives for the whole process.
+:func:`kernel` returns ``None``: the NTT engine, plan replay and the key
+switch keep their numpy kernels, which stay the bitwise oracle either
+way.  The loaded library lives for the whole process.
 """
 
 from __future__ import annotations
@@ -64,11 +75,15 @@ class _Array:
     cheap way (:func:`address`) instead of through ``ndarray.ctypes``,
     which matters for plan replay's thousands of small kernel calls."""
 
-    def __init__(self, dtype, *, writeable: bool = False):
+    def __init__(self, dtype, *, writeable: bool = False,
+                 optional: bool = False):
         self.dtype = np.dtype(dtype)
         self.writeable = writeable
+        self.optional = optional
 
     def from_param(self, obj):
+        if obj is None and self.optional:
+            return None
         if type(obj) is not np.ndarray or obj.dtype != self.dtype:
             raise TypeError(f"expected a {self.dtype} ndarray, got "
                             f"{getattr(obj, 'dtype', type(obj))}")
@@ -85,6 +100,8 @@ _OUT = _Array(np.int64, writeable=True)
 _IN = _Array(np.int64)
 _TAB = _Array(np.uint64)
 _PTR = _Array(np.uintp)
+_ACC = _Array(np.uint64, writeable=True)
+_PERM = _Array(np.int64, optional=True)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
@@ -93,6 +110,9 @@ _SIGNATURES = {
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
     "ew_step": (_OUT, _N, _N, _IN, _N, _I),
     "dram_rows": (_OUT, _N, _N, _IN, _PTR, _N),
+    "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 5, _PERM),
+    "bconv": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 6),
+    "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),
 }
 
 
@@ -179,7 +199,8 @@ def load(source: Path | None = None,
         reason = str(exc)
     except (OSError, AttributeError) as exc:
         reason = f"loading the built library failed: {exc}"
-    warnings.warn(f"native kernels unavailable (NTT and plan replay), "
+    warnings.warn(f"native kernels unavailable (NTT, plan replay and "
+                  f"key switch), "
                   f"using the numpy kernels: {reason}", RuntimeWarning,
                   stacklevel=2)
     return None

@@ -5,8 +5,11 @@
  *   (rows, n) int64 residue stacks, the native counterpart of
  *   repro.nttmath.batched.BatchedNTT;
  * - ew_step / dram_rows: the elementwise and DRAM-load steps of
- *   repro.compiler.exec_plan's slot-arena replay (see the second half
- *   of this file).
+ *   repro.compiler.exec_plan's slot-arena replay;
+ * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
+ *   through its permutation), fast base conversion and ModDown tail of
+ *   repro.schemes.rns_core's batch key switch (the last part of this
+ *   file).
  *
  * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
  * 64-bit target provides (riscv64 included): no intrinsics, no
@@ -407,6 +410,231 @@ int dram_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
         m = UINT64_MAX / q;
         for (j = 0; j < n; j++)
             o[j] = floor_mod(s[j], q, m);
+    }
+    return 0;
+}
+
+
+/*
+ * Key-switch kernels: the key MAC, fast BConv and ModDown tail of
+ * repro.schemes.rns_core's batch key switch, each the native
+ * counterpart of a numpy expression that stays its oracle.
+ *
+ * Every modulus lies in [2, 2^31), which the caller checks
+ * (_shoup_tail_ok).  shoup_lazy then lands x * w mod q in [0, 2q)
+ * exactly for any x < 2^32, as numpy's shoup_mul_lazy does, and the
+ * outputs are the canonical residues the numpy code computes, hence
+ * bitwise identical to it.
+ */
+
+/* Columns per key-MAC block: one block's key rows (4 tables, beta
+ * digits) stay cache-resident while all k ciphertexts accumulate
+ * against them. */
+enum { KS_BLOCK = 1024 };
+
+/* shoup_lazy with 64-bit widening products: the same value in
+ * [0, 2q), which the key MAC and BConv sums accumulate in uint64. */
+static inline uint64_t shoup_lazy64(uint32_t x, uint32_t w, uint32_t w_sh,
+                                    uint32_t q)
+{
+    uint32_t hi = (uint32_t)(((uint64_t)x * w_sh) >> 32);
+    return (uint64_t)x * w - (uint64_t)hi * q;
+}
+
+/* Both key halves' lazy products of one digit block, stored
+ * (first != 0) or added into the block sums sb, sa. */
+static void mac_block(uint64_t *restrict sb, uint64_t *restrict sa,
+                      const uint32_t *restrict x,
+                      const uint64_t *restrict b,
+                      const uint64_t *restrict b_sh,
+                      const uint64_t *restrict a,
+                      const uint64_t *restrict a_sh, size_t w, uint32_t q,
+                      int first)
+{
+    size_t j;
+    if (first) {
+        for (j = 0; j < w; j++) {
+            sb[j] = shoup_lazy64(x[j], (uint32_t)b[j], (uint32_t)b_sh[j], q);
+            sa[j] = shoup_lazy64(x[j], (uint32_t)a[j], (uint32_t)a_sh[j], q);
+        }
+    } else {
+        for (j = 0; j < w; j++) {
+            sb[j] += shoup_lazy64(x[j], (uint32_t)b[j], (uint32_t)b_sh[j], q);
+            sa[j] += shoup_lazy64(x[j], (uint32_t)a[j], (uint32_t)a_sh[j], q);
+        }
+    }
+}
+
+/* Fold sums below 2 * top * q to [0, q) in place: conditional
+ * subtracts of top * q, top/2 * q, ..., q (top a power of two).  Every
+ * value stays below 2^63, so s - m wraps past 2^63 exactly when s < m
+ * and the sign bit selects the lane branch-free. */
+static void fold_sums(uint64_t *restrict s, size_t w, uint64_t q,
+                      uint64_t top)
+{
+    size_t j;
+    for (; top; top >>= 1) {
+        uint64_t m = top * q;
+        for (j = 0; j < w; j++) {
+            uint64_t d = s[j] - m;
+            s[j] = d + (m & (0 - (d >> 63)));
+        }
+    }
+}
+
+/* The smallest power of two >= count (count >= 1). */
+static uint64_t pow2_at_least(size_t count)
+{
+    uint64_t top = 1;
+    while (top < count)
+        top <<= 1;
+    return top;
+}
+
+/*
+ * Key MAC of k lifted digit stacks against one switching key.  x is
+ * the (k, beta, ext, n) digit stack (canonical residues, or any values
+ * below 2^32); b, a are the (beta, ext, n) key tables with Shoup
+ * companions b_sh, a_sh; q holds the ext moduli.  For ciphertext c and
+ * limb e,
+ *   out[c][0][e][j] = sum_d x[c][d][e][perm[j]] * b[d][e][j] mod q[e]
+ *   out[c][1][e][j] = sum_d x[c][d][e][perm[j]] * a[d][e][j] mod q[e]
+ * into the (k, 2, ext, n) out stack, with perm[j] = j when perm is
+ * NULL: a non-NULL perm is the NTT-domain automorphism, read in place
+ * of a gathered copy of x.  The digit sum of lazy products stays
+ * below 2 * beta * q, exact in uint64, and folds to [0, q) through the
+ * numpy twin's halving conditional-subtract chain.  Columns go in
+ * blocks of KS_BLOCK, each block's key rows serving all k ciphertexts.
+ * Returns 0, or 1 without writing anything if beta is 0 or a perm
+ * entry lies outside [0, n).
+ */
+int ks_mac(uint64_t *out, const int64_t *x, size_t k, size_t beta,
+           size_t ext, size_t n, const uint64_t *q, const uint64_t *b,
+           const uint64_t *b_sh, const uint64_t *a, const uint64_t *a_sh,
+           const int64_t *perm)
+{
+    uint32_t row[KS_BLOCK];
+    uint64_t top;
+    size_t c, d, e, j, j0;
+    if (!beta)
+        return 1;
+    if (perm)
+        for (j = 0; j < n; j++)
+            if (perm[j] < 0 || (uint64_t)perm[j] >= n)
+                return 1;
+    top = pow2_at_least(beta);
+    for (e = 0; e < ext; e++) {
+        uint32_t qe = (uint32_t)q[e];
+        for (j0 = 0; j0 < n; j0 += KS_BLOCK) {
+            size_t w = n - j0 < KS_BLOCK ? n - j0 : KS_BLOCK;
+            for (c = 0; c < k; c++) {
+                uint64_t *ob = out + (2 * c * ext + e) * n + j0;
+                uint64_t *oa = ob + ext * n;
+                for (d = 0; d < beta; d++) {
+                    const int64_t *xr = x + ((c * beta + d) * ext + e) * n;
+                    size_t t = (d * ext + e) * n + j0;
+                    if (perm)
+                        for (j = 0; j < w; j++)
+                            row[j] = (uint32_t)xr[perm[j0 + j]];
+                    else
+                        for (j = 0; j < w; j++)
+                            row[j] = (uint32_t)xr[j0 + j];
+                    mac_block(ob, oa, row, b + t, b_sh + t, a + t,
+                              a_sh + t, w, qe, d == 0);
+                }
+                fold_sums(ob, w, q[e], top);
+                fold_sums(oa, w, q[e], top);
+            }
+        }
+    }
+    return 0;
+}
+
+/*
+ * Fast base conversion of k polynomials: in is a ct-major
+ * (k * l_from, n) stack over the moduli q (values below 2^32), out the
+ * (k * l_to, n) stack over the moduli p:
+ *   v_j = x_j * s_j mod q_j          (s = q_hat^-1, canonical)
+ *   out_i = sum_j v_j * w[i][j] mod p_i
+ * with w the (l_to, l_from) matrix of q_hat_j mod p_i and w_sh its
+ * Shoup companions mod p_i.  Each term is a lazy Shoup product in
+ * [0, 2 p_i), so the row sum stays below 2 * l_from * p_i, exact in
+ * uint64, and folds to the canonical residue numpy's exact float64
+ * accumulation gives.  out's own rows hold the sums.
+ * Returns 0, 1 without writing anything if l_from is 0, or -1 if the
+ * work buffer could not be allocated.
+ */
+int bconv(int64_t *out, const int64_t *in, size_t k, size_t l_from,
+          size_t l_to, size_t n, const uint64_t *q, const uint64_t *s,
+          const uint64_t *s_sh, const uint64_t *p, const uint64_t *w,
+          const uint64_t *w_sh)
+{
+    uint32_t *v;
+    uint64_t top;
+    size_t c, i, j, col;
+    if (!l_from)
+        return 1;
+    v = malloc(l_from * n * sizeof *v);
+    if (!v)
+        return -1;
+    top = pow2_at_least(l_from);
+    for (c = 0; c < k; c++) {
+        for (j = 0; j < l_from; j++) {
+            const int64_t *x = in + (c * l_from + j) * n;
+            uint32_t *vj = v + j * n;
+            uint32_t qj = (uint32_t)q[j], sj = (uint32_t)s[j];
+            uint32_t sj_sh = (uint32_t)s_sh[j];
+            for (col = 0; col < n; col++)
+                vj[col] = csub(shoup_lazy((uint32_t)x[col], sj, sj_sh, qj),
+                               qj);
+        }
+        for (i = 0; i < l_to; i++) {
+            uint64_t *acc = (uint64_t *)(out + (c * l_to + i) * n);
+            uint32_t pi = (uint32_t)p[i];
+            for (j = 0; j < l_from; j++) {
+                const uint32_t *restrict vj = v + j * n;
+                uint32_t wij = (uint32_t)w[i * l_from + j];
+                uint32_t wij_sh = (uint32_t)w_sh[i * l_from + j];
+                if (j == 0)
+                    for (col = 0; col < n; col++)
+                        acc[col] = shoup_lazy64(vj[col], wij, wij_sh, pi);
+                else
+                    for (col = 0; col < n; col++)
+                        acc[col] += shoup_lazy64(vj[col], wij, wij_sh, pi);
+            }
+            fold_sums(acc, n, p[i], top);
+        }
+    }
+    free(v);
+    return 0;
+}
+
+/*
+ * ModDown tail: for pair half c < k2 and Q limb i < l1,
+ *   corr[c][i][j] = (acc[c][i][j] - corr[c][i][j]) * inv[i] mod q[i]
+ * in place, where acc is a (k2, ext, n) accumulator stack whose first
+ * l1 rows per half are the Q rows, corr the (k2, l1, n) correction
+ * stack and inv, inv_sh the Shoup pair of P^-1 mod q_i.  Canonical
+ * residues in: acc - corr + q lies in (0, 2q), one lazy Shoup product
+ * and one conditional subtract land the canonical residue (ext >= l1,
+ * which the caller checks).  Returns 0.
+ */
+int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
+                  size_t ext, size_t n, const uint64_t *q,
+                  const uint64_t *inv, const uint64_t *inv_sh)
+{
+    size_t c, i, j;
+    for (c = 0; c < k2; c++) {
+        for (i = 0; i < l1; i++) {
+            int64_t *restrict o = corr + (c * l1 + i) * n;
+            const int64_t *restrict x = acc + (c * ext + i) * n;
+            uint32_t qi = (uint32_t)q[i], f = (uint32_t)inv[i];
+            uint32_t f_sh = (uint32_t)inv_sh[i];
+            for (j = 0; j < n; j++) {
+                uint32_t d = (uint32_t)x[j] - (uint32_t)o[j] + qi;
+                o[j] = (int64_t)csub(shoup_lazy(d, f, f_sh, qi), qi);
+            }
+        }
     }
     return 0;
 }

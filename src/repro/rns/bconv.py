@@ -28,13 +28,17 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..nttmath import native
 from ..nttmath.batched import (
+    SHOUP_Q_BOUND,
     get_plan,
     register_cache_clearer,
     release_scratch,
+    require_canonical,
     scratch,
     shoup_companion,
     shoup_mul_lazy,
+    verify_inputs,
 )
 from ..nttmath.montgomery import BatchedMontgomery, MontgomeryContext
 from ..obs import TRACER
@@ -49,9 +53,10 @@ _MATMUL_CHUNK = 32
 #: chunk's output-side accumulator slabs around half of L2.
 _BCONV_BLOCK_BYTES = 1 << 19
 
-#: LRU of pre-reduced BConv weight matrices keyed by basis-pair primes.
+#: LRU of per-basis-pair BConv constants: the float64 weight matrices
+#: of the numpy path and the uint64 tables of the native kernel.
 _WEIGHT_CACHE_MAX = 64
-_WEIGHT_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_WEIGHT_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 
 register_cache_clearer(_WEIGHT_CACHE.clear)
 
@@ -62,6 +67,19 @@ _INV_COL_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 register_cache_clearer(_INV_COL_CACHE.clear)
 
 
+def _lru(cache: OrderedDict, key: tuple, build):
+    """``cache[key]``, built on a miss, evicting the least recently
+    used entry beyond :data:`_WEIGHT_CACHE_MAX`."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = build()
+        while len(cache) > _WEIGHT_CACHE_MAX:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return hit
+
+
 def inverse_mod_col(value: int, primes: tuple[int, ...]) -> np.ndarray:
     """``value^-1 mod q`` per prime as an ``(L, 1)`` int64 column.
 
@@ -69,34 +87,36 @@ def inverse_mod_col(value: int, primes: tuple[int, ...]) -> np.ndarray:
     level (``P^-1``) and every rescale at a level (``q_last^-1``), and
     hoisted rotations hit the ModDown one once per step.
     """
-    key = (value, primes)
-    col = _INV_COL_CACHE.get(key)
-    if col is None:
-        col = np.array([pow(value % q, -1, q) for q in primes],
-                       dtype=np.int64).reshape(-1, 1)
-        _INV_COL_CACHE[key] = col
-        while len(_INV_COL_CACHE) > _WEIGHT_CACHE_MAX:
-            _INV_COL_CACHE.popitem(last=False)
-    else:
-        _INV_COL_CACHE.move_to_end(key)
-    return col
+    return _lru(_INV_COL_CACHE, (value, primes), lambda: np.array(
+        [pow(value % q, -1, q) for q in primes],
+        dtype=np.int64).reshape(-1, 1))
 
 
 def _qhat_weights(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
     """``W[i, j] = q_hat[j] mod p_i`` — the BConv MMAD constants —
     held in float64 so the accumulation runs as BLAS matrix products."""
-    key = (from_basis.primes, to_basis.primes)
-    weights = _WEIGHT_CACHE.get(key)
-    if weights is None:
-        weights = np.array(
-            [[q_hat % p for q_hat in from_basis.q_hat]
-             for p in to_basis.primes], dtype=np.float64)
-        _WEIGHT_CACHE[key] = weights
-        while len(_WEIGHT_CACHE) > _WEIGHT_CACHE_MAX:
-            _WEIGHT_CACHE.popitem(last=False)
-    else:
-        _WEIGHT_CACHE.move_to_end(key)
-    return weights
+    return _lru(_WEIGHT_CACHE, (from_basis.primes, to_basis.primes),
+                lambda: np.array([[q_hat % p for q_hat in from_basis.q_hat]
+                                  for p in to_basis.primes],
+                                 dtype=np.float64))
+
+
+def _native_tables(from_basis: RnsBasis, to_basis: RnsBasis) -> tuple:
+    """The native BConv's uint64 constants for one basis pair: source
+    moduli, ``q_hat^-1`` with its Shoup companions, target moduli and
+    the ``(L_to, L_from)`` weights ``q_hat_j mod p_i`` with theirs.
+    Built on first use, never at keygen."""
+    def build():
+        q_u = from_basis.q_col.astype(np.uint64)
+        s_u = from_basis.q_hat_inv_col.astype(np.uint64)
+        p_u = to_basis.q_col.astype(np.uint64)
+        w_u = np.array([[q_hat % p for q_hat in from_basis.q_hat]
+                        for p in to_basis.primes], dtype=np.uint64)
+        return (q_u, s_u, shoup_companion(s_u, q_u), p_u, w_u,
+                shoup_companion(w_u, p_u))
+
+    return _lru(_WEIGHT_CACHE,
+                ("native", from_basis.primes, to_basis.primes), build)
 
 
 def _scaled_residues(data: np.ndarray, basis: RnsBasis) -> np.ndarray:
@@ -107,8 +127,13 @@ def _scaled_residues(data: np.ndarray, basis: RnsBasis) -> np.ndarray:
     ``data`` is any int64 ``(L, M)`` stack over ``basis`` — the column
     count is free, which is how :func:`base_convert_stack` runs ``k``
     polynomials through one call.  Returns a pooled uint64 buffer; consume
-    it before the next BConv.
+    it before the next BConv.  Under ``REPRO_VERIFY=1`` a non-canonical
+    row raises :class:`~repro.nttmath.batched.NonCanonicalInputError`
+    (the ``uint64`` copy below would turn a negative value into
+    garbage).
     """
+    if verify_inputs():
+        require_canonical(data, basis.q_col, "bconv")
     q_u = basis.q_col.astype(np.uint64)
     s_u = basis.q_hat_inv_col.astype(np.uint64)
     s_sh = shoup_companion(s_u, q_u)
@@ -167,7 +192,7 @@ def _base_convert_data(data: np.ndarray, from_basis: RnsBasis,
     accumulation."""
     tr = TRACER
     with tr.span("bconv.fast", rows_in=data.shape[0],
-                 rows_out=len(to_basis)):
+                 rows_out=len(to_basis), impl="numpy"):
         v = _scaled_residues(data, from_basis)
         acc, p_col = _weighted_sums(v, from_basis, to_basis)
         release_scratch("bcv_v", v.shape)
@@ -198,17 +223,8 @@ def reduce_mod_col(value: int, primes: tuple[int, ...]) -> np.ndarray:
     """``value mod q`` per prime as an ``(L, 1)`` int64 column, cached
     like :func:`inverse_mod_col` (the exact/centred conversions hit the
     same ``Q mod p`` and ``Q//2 mod p`` constants on every call)."""
-    key = ("mod", value, primes)
-    col = _INV_COL_CACHE.get(key)
-    if col is None:
-        col = np.array([value % q for q in primes],
-                       dtype=np.int64).reshape(-1, 1)
-        _INV_COL_CACHE[key] = col
-        while len(_INV_COL_CACHE) > _WEIGHT_CACHE_MAX:
-            _INV_COL_CACHE.popitem(last=False)
-    else:
-        _INV_COL_CACHE.move_to_end(key)
-    return col
+    return _lru(_INV_COL_CACHE, ("mod", value, primes), lambda: np.array(
+        [value % q for q in primes], dtype=np.int64).reshape(-1, 1))
 
 
 def _base_convert_centered_data(data: np.ndarray, from_basis: RnsBasis,
@@ -353,26 +369,52 @@ def _wide_to_stack(wide: np.ndarray, k: int) -> np.ndarray:
 
 def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
                        to_basis: RnsBasis, k: int) -> np.ndarray:
-    """Fast BConv of ``k`` stacked polynomials in one wide pass.
+    """Fast BConv of ``k`` stacked polynomials.
 
     ``stack`` is a coefficient-domain ``(k*L_from, M)`` block (one
-    polynomial after another); all ``k`` share the conversion
-    constants, so the scaling Shoup multiply and the BLAS accumulation
-    run once on ``(L_from, k*M)`` wide rows.  Rows are bitwise
-    identical to :func:`base_convert` per polynomial.  This is the
-    kernel under the evaluator's NTT-domain fused ModDown (the
+    polynomial after another) of canonical residues; all ``k`` share
+    the conversion constants.  Rows are bitwise identical to
+    :func:`base_convert` per polynomial.  This is the kernel under the
+    key switch's digit lift and its NTT-domain fused ModDown (the
     ``ks = (acc - NTT(BConv_P(acc))) * P^-1`` dataflow the IR lowering
     emits), widened across the cross-ciphertext batch axis.
+
+    With the native library loaded and every modulus below ``2^31``,
+    the C ``bconv`` kernel converts the stack as it lies, polynomial by
+    polynomial: a Shoup scale by ``q_hat^-1``, then per target limb a
+    sum of lazy Shoup products folded to the canonical residue.
+    Otherwise the numpy path runs the scaling Shoup multiply and the
+    float64 BLAS accumulation on ``(L_from, k*M)`` wide rows.
     """
     l_from = len(from_basis)
     l_to = len(to_basis)
     m = stack.shape[1]
+    if stack.shape[0] != k * l_from:
+        raise ValueError(f"expected a {k * l_from}-row stack, got "
+                         f"{stack.shape[0]}")
+    if verify_inputs():
+        require_canonical(stack, from_basis.q_col, "bconv")
     # Chunk the batch axis so the BLAS accumulator slabs stay
     # cache-resident: one wide pass over all k spills its output-side
     # temporaries once the stack outgrows L2, costing more than the
     # saved call overhead.  Columns never interact, so chunking is
     # bitwise neutral.
     kc = max(1, _BCONV_BLOCK_BYTES // (l_to * m * 8))
+    lib = native.kernel()
+    if lib is not None and max(from_basis.primes
+                               + to_basis.primes) < SHOUP_Q_BOUND:
+        tr = TRACER
+        with tr.span("bconv.fast", rows_in=k * l_from, rows_out=k * l_to,
+                     impl="c"):
+            out = np.empty((k * l_to, m), dtype=np.int64)
+            if lib.bconv(out, np.ascontiguousarray(stack), k, l_from,
+                         l_to, m, *_native_tables(from_basis, to_basis)):
+                raise MemoryError("native BConv kernel: out of memory")
+        if tr.enabled:
+            # The row passes the numpy path's wide chunks would count,
+            # so ``bconv.rows`` does not depend on the implementation.
+            tr.count("bconv.rows", l_from * -(-k // kc))
+        return out
     if k <= kc:
         wide = _stack_to_wide(stack, l_from, k)
         return _wide_to_stack(_base_convert_data(wide, from_basis,

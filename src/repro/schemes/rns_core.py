@@ -12,6 +12,11 @@ scale-invariant multiply).
 Kernel -> evaluator-op map
 --------------------------
 
+Rows marked "C:" have an entry in the native kernel library
+(:mod:`repro.nttmath.native`), which runs whenever the library loaded
+and the moduli are in range; the numpy twin stays the fallback and
+bitwise oracle.
+
 ======================================  ===============================
 kernel                                  used by
 ======================================  ===============================
@@ -22,6 +27,8 @@ kernel                                  used by
                                         ``k = 1`` view of its pair
 ``StackedKernels.engine``               stacked NTT/iNTT/automorphism
                                         over mixed prime chains
+                                        (C: ``ntt_forward``,
+                                        ``ntt_inverse``)
 ``StackedKernels.switch_down_ntt``      CKKS ``rescale`` (identity
                                         correction) and BGV
                                         ``mod_switch`` (``t``-multiple
@@ -32,15 +39,20 @@ kernel                                  used by
                                         rotations of all schemes
 ``RnsEvaluatorBase._lift_digits_batch``  decompose + ModUp + NTT of
                                         every digit (hoisted once per
-                                        ``rotate_hoisted`` call)
-``RnsEvaluatorBase._key_mac_batch``     both key MACs as one Shoup pass
-                                        each against digit-stacked key
-                                        tables (``SwitchingKey``)
+                                        ``rotate_hoisted`` call; C:
+                                        ``bconv``)
+``key_mac`` (``_key_mac_batch``)        both key MACs as one pass each
+                                        against digit-stacked key
+                                        tables (``SwitchingKey``),
+                                        reading a hoisted rotation
+                                        through its permutation (C:
+                                        ``ks_mac``)
 ``RnsEvaluatorBase._mod_down_batch_stacked``  NTT-domain ModDown
                                         ``(acc - NTT(BConv_P(iNTT(acc_P))))
-                                        * P^-1`` — overridden by BGV
-                                        with the exact ``t``-corrected
-                                        variant
+                                        * P^-1`` (C: ``bconv``,
+                                        ``mod_down_tail``) — overridden
+                                        by BGV with the exact
+                                        ``t``-corrected variant (numpy)
 ``Plaintext.frozen_batch_tables``       Shoup-frozen plaintext constants
                                         for ``multiply_plain``, tiled
                                         over the ``2k`` halves
@@ -62,14 +74,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..nttmath import native
 from ..nttmath.batched import (
+    SHOUP_Q_BOUND,
     register_cache_clearer,
     release_scratch,
+    require_canonical,
     scratch,
     shoup_companion,
     shoup_mul_lazy,
+    verify_inputs,
 )
 from ..nttmath.ntt import conjugation_element, galois_element
+from ..obs import TRACER
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
     base_convert_stack,
@@ -156,7 +173,13 @@ def _shoup_tail_ok(basis: RnsBasis) -> bool:
     """Whether the lazy (division-free) batch tails apply: Shoup
     multiplication needs ``q < 2^31`` so the shifted operand ``x + q <
     2q`` stays below ``2^32``."""
-    return int(basis.q_col.max()) < (1 << 31)
+    return int(basis.q_col.max()) < SHOUP_Q_BOUND
+
+
+def _ks_kernel(basis: RnsBasis):
+    """The native library for a key-switch kernel over ``basis``: loaded
+    and every modulus within :func:`_shoup_tail_ok`, else ``None``."""
+    return native.kernel() if _shoup_tail_ok(basis) else None
 
 
 def _csub_into(x_u: np.ndarray, bound_u, tmp: np.ndarray) -> None:
@@ -198,6 +221,150 @@ def _scale_by_inv_batch(diff: np.ndarray, value: int, basis: RnsBasis,
     diff *= _batch_inv_col(value, basis, copies)
     diff %= qk_col
     return diff
+
+
+def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
+            auto: tuple | None = None) -> np.ndarray:
+    """Both key MACs over ``k`` lifted digit stacks.
+
+    ``x`` is the ct-major ``(k*beta*E, N)`` NTT-domain digit stack of
+    canonical residues over ``ext`` (ciphertext ``i``'s digit ``d`` at
+    rows ``(i*beta + d)*E`` onward) and ``tables`` the digit-stacked
+    ``((b, b_sh), (a, a_sh))`` key tables of
+    :meth:`SwitchingKey.stacked_tables`.  ``auto = (engine, g)`` MACs
+    ``sigma_g(x)`` instead, the automorphism of ``engine`` (any engine
+    of the ring degree: the permutation is moduli-independent).
+    Returns the ct-major ``(2k*E, N)`` accumulator stack (ciphertext
+    ``i``: acc0 rows first, then acc1), canonical.
+
+    The native ``ks_mac`` sums each (ciphertext, limb) row's lazy Shoup
+    products over the digits in place and reads ``x`` through the
+    automorphism's permutation, so a rotation gathers no copy of the
+    digit stack.  The numpy twin gathers first (one
+    ``ntt.automorphism``), then runs one wide Shoup multiply per
+    (ciphertext, half) summed along the digit axis and folded by a
+    halving conditional-subtract chain.  Both land the canonical
+    residue of the same sum, so they agree bit for bit; an ``auto``
+    MAC counts the ``auto.rows`` of the gather either way.
+    """
+    (b_u, b_sh), (a_u, a_sh) = tables
+    ext_limbs = len(ext)
+    n = x.shape[1]
+    beta = b_u.shape[0] // ext_limbs
+    if (beta < 1 or x.shape[0] != k * beta * ext_limbs
+            or any(t.shape != (beta * ext_limbs, n)
+                   for t in (b_u, b_sh, a_u, a_sh))):
+        raise ValueError(f"digit stack {x.shape} does not match k={k} "
+                         f"and key tables {b_u.shape} over {ext_limbs} "
+                         f"limbs")
+    if verify_inputs():
+        require_canonical(x, ext.q_col, "key_mac")
+    lib = _ks_kernel(ext)
+    tr = TRACER
+    with tr.span("ks.mac", k=k, beta=beta,
+                 impl="numpy" if lib is None else "c"):
+        if lib is None:
+            if auto is not None:
+                x = auto[0].automorphism_ntt(x, auto[1])
+            return _key_mac_numpy(x, tables, ext, k)
+        perm = None
+        if auto is not None:
+            perm = auto[0].automorphism_index(auto[1])
+            if perm.shape != (n,):
+                raise ValueError(f"a ring-degree {perm.shape[0]} "
+                                 f"automorphism on {n} columns")
+            if tr.enabled:
+                tr.count("auto.rows", x.shape[0])
+        acc = np.empty((2 * k * ext_limbs, n), dtype=np.uint64)
+        if lib.ks_mac(acc, np.ascontiguousarray(x), k, beta, ext_limbs, n,
+                      ext.q_col.astype(np.uint64), b_u, b_sh, a_u, a_sh,
+                      perm):
+            raise ValueError("native key MAC: a permutation entry lies "
+                             "outside [0, n)")
+        # Reduced residues are < q < 2^63, so the signed reinterpret is
+        # bitwise exact and saves a wide-stack copy.
+        return acc.view(np.int64)
+
+
+def _key_mac_numpy(x: np.ndarray, tables: tuple, ext: RnsBasis,
+                   k: int) -> np.ndarray:
+    """The numpy twin of the native key MAC (see :func:`key_mac`):
+    ``x`` is read through a zero-copy ``uint64`` view, so canonical
+    residues only."""
+    (b_u, b_sh), (a_u, a_sh) = tables
+    ext_limbs = len(ext)
+    n = x.shape[1]
+    beta = b_u.shape[0] // ext_limbs
+    q_u = ext.q_col.astype(np.uint64)
+    q_tiled = np.tile(q_u, (beta, 1))
+    x3 = x.view(np.uint64).reshape(k, beta * ext_limbs, n)
+    shape = (beta * ext_limbs, n)
+    hi = scratch("kmac_hi", shape)
+    terms = scratch("kmac_t", shape)
+    acc = np.empty((2 * k * ext_limbs, n), dtype=np.uint64)
+    acc4 = acc.reshape(k, 2, ext_limbs, n)
+    # One wide Shoup multiply per (ciphertext, half) over the whole
+    # digit block, summed along the digit axis — uint64 wraparound
+    # sums are exact mod 2^64, so any accumulation order yields the
+    # per-ciphertext MAC's bits.
+    for i in range(k):
+        shoup_mul_lazy(x3[i], b_u, b_sh, q_tiled, out=terms, hi=hi)
+        np.sum(terms.reshape(beta, ext_limbs, n), axis=0, out=acc4[i, 0])
+        shoup_mul_lazy(x3[i], a_u, a_sh, q_tiled, out=terms, hi=hi)
+        np.sum(terms.reshape(beta, ext_limbs, n), axis=0, out=acc4[i, 1])
+    for tag in ("kmac_hi", "kmac_t"):
+        release_scratch(tag, shape)
+    # Lazy products land in [0, 2q), so the digit sums sit below
+    # 2*beta*q: a halving conditional-subtract chain folds them to the
+    # canonical residue in a few cheap vector passes instead of one
+    # uint64 division pass over the wide accumulator — the same value
+    # ``% q`` produces, bitwise.
+    tmp = scratch("kmac_c", acc.shape)
+    tmp4 = tmp.reshape(k, 2, ext_limbs, n)
+    c = 1
+    while c < beta:
+        c <<= 1
+    while c:
+        np.subtract(acc4, q_u * np.uint64(c), out=tmp4)
+        np.minimum(acc4, tmp4, out=acc4)
+        c >>= 1
+    release_scratch("kmac_c", acc.shape)
+    return acc.view(np.int64)
+
+
+def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
+                  value: int, halves: int) -> np.ndarray:
+    """The ModDown tail ``(acc_Q - corr) * value^-1 mod q``; consumes
+    ``corr`` (the native kernel writes the result into it).
+
+    ``acc`` is a ``(halves*E, N)`` accumulator stack whose first
+    ``len(q_basis)`` rows per half are the Q rows, ``corr`` the
+    ``(halves*len(q_basis), N)`` correction stack; both hold canonical
+    residues.  The native ``mod_down_tail`` reads the strided Q rows in
+    place and computes ``(acc_Q - corr + q) * value^-1`` with one lazy
+    Shoup product and one conditional subtract; the numpy twin
+    subtracts into ``corr`` and runs :func:`_scale_by_inv_batch`.
+    """
+    l1 = len(q_basis)
+    n = corr.shape[1]
+    ext_limbs = acc.shape[0] // halves
+    if (acc.shape != (halves * ext_limbs, n) or ext_limbs < l1
+            or corr.shape != (halves * l1, n)):
+        raise ValueError(f"accumulator {acc.shape} and correction "
+                         f"{corr.shape} do not hold {halves} halves of "
+                         f"{l1} Q rows")
+    lib = _ks_kernel(q_basis)
+    if lib is not None:
+        inv_u, inv_sh = _batch_inv_shoup(value, q_basis, 1)
+        lib.mod_down_tail(corr, np.ascontiguousarray(acc), halves, l1,
+                          ext_limbs, n, q_basis.q_col.astype(np.uint64),
+                          inv_u, inv_sh)
+        return corr
+    corr3 = corr.reshape(halves, l1, n)
+    np.subtract(acc.reshape(halves, ext_limbs, n)[:, :l1], corr3,
+                out=corr3)
+    return _scale_by_inv_batch(corr, value, q_basis,
+                               _batch_q_col(q_basis, halves), halves)
 
 
 def batch_col_cache_size() -> int:
@@ -1135,65 +1302,20 @@ class RnsEvaluatorBase:
         return lifted
 
     def _key_mac_batch(self, lifted: np.ndarray, key: SwitchingKey,
-                       level: int, beta: int, ext: RnsBasis,
-                       k: int) -> np.ndarray:
-        """Both key MACs over ``k`` stacked digit blocks: per
-        ciphertext, each digit's ``(E, N)`` Shoup multiplies accumulate
-        straight into the ciphertext's accumulator pair while digit
-        slab, key-table slab, and scratch all stay cache-resident —
-        bitwise identical to :func:`pointwise_mac_shoup` per
-        accumulator (uint64 partial sums are exact mod ``2^64``, so
-        blocking never changes the reduced value).  ``lifted`` is read
-        through a zero-copy ``uint64`` view (canonical residues only).
-        Returns the ct-major ``(2k*E, N)`` accumulator stack (ct
-        ``i``: acc0 rows first, then acc1)."""
-        ext_limbs = len(ext)
-        n = lifted.shape[1]
+                       level: int, beta: int, ext: RnsBasis, k: int, *,
+                       auto: tuple | None = None) -> np.ndarray:
+        """Both key MACs over ``k`` stacked digit blocks against the
+        level's digit-stacked key tables (:func:`key_mac`; ``auto`` MACs
+        the automorphism of ``lifted``) — bitwise identical to
+        :func:`pointwise_mac_shoup` per accumulator.  Returns the
+        ct-major ``(2k*E, N)`` accumulator stack (ct ``i``: acc0 rows
+        first, then acc1)."""
         p_limbs = len(self.context.p_basis)
         total = self.context.max_level + 1 + p_limbs
         rows = tuple(range(level + 1)) + tuple(range(total - p_limbs,
                                                      total))
-        (b_u, b_sh), (a_u, a_sh) = key.stacked_tables(beta, rows)
-        q_u = ext.q_col.astype(np.uint64)
-        q_tiled = np.tile(q_u, (beta, 1))
-        x3 = lifted.view(np.uint64).reshape(k, beta * ext_limbs, n)
-        shape = (beta * ext_limbs, n)
-        hi = scratch("kmac_hi", shape)
-        terms = scratch("kmac_t", shape)
-        acc = np.empty((2 * k * ext_limbs, n), dtype=np.uint64)
-        acc4 = acc.reshape(k, 2, ext_limbs, n)
-        # One wide Shoup multiply per (ciphertext, half) over the whole
-        # digit block, summed along the digit axis — uint64 wraparound
-        # sums are exact mod 2^64, so any accumulation order yields the
-        # per-ciphertext MAC's bits.
-        for i in range(k):
-            x = x3[i]
-            shoup_mul_lazy(x, b_u, b_sh, q_tiled, out=terms, hi=hi)
-            np.sum(terms.reshape(beta, ext_limbs, n), axis=0,
-                   out=acc4[i, 0])
-            shoup_mul_lazy(x, a_u, a_sh, q_tiled, out=terms, hi=hi)
-            np.sum(terms.reshape(beta, ext_limbs, n), axis=0,
-                   out=acc4[i, 1])
-        for tag in ("kmac_hi", "kmac_t"):
-            release_scratch(tag, shape)
-        # Lazy products land in [0, 2q), so the digit sums sit below
-        # 2*beta*q: a halving conditional-subtract chain folds them to
-        # the canonical residue in a few cheap vector passes instead of
-        # one uint64 division pass over the wide accumulator — the same
-        # value ``% q`` produces, bitwise.
-        tmp = scratch("kmac_c", acc.shape)
-        tmp4 = tmp.reshape(k, 2, ext_limbs, n)
-        c = 1
-        while c < beta:
-            c <<= 1
-        while c:
-            np.subtract(acc4, q_u * np.uint64(c), out=tmp4)
-            np.minimum(acc4, tmp4, out=acc4)
-            c >>= 1
-        release_scratch("kmac_c", acc.shape)
-        # Reduced residues are < q < 2^63, so the signed reinterpret is
-        # bitwise exact and saves a wide-stack copy.
-        return acc.view(np.int64)
+        return key_mac(lifted, key.stacked_tables(beta, rows), ext, k,
+                       auto=auto)
 
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
                                 q_basis: RnsBasis, k: int) -> np.ndarray:
@@ -1210,30 +1332,30 @@ class RnsEvaluatorBase:
         :meth:`_key_mac_batch`; output is the ct-major ``(2k*(l+1),
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
         BGV overrides this (and the reference :meth:`_mod_down_pair`)
-        with the exact ``t``-corrected variant."""
+        with the exact ``t``-corrected variant.  Traced as one
+        ``ks.moddown`` span whose ``impl`` names the tail's kernel."""
         n = self.context.n
         p_basis = self.context.p_basis
         l1 = len(q_basis)
         ext_limbs = len(ext)
-        a4 = acc.reshape(k, 2, ext_limbs, n)
-        acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
-            2 * k * (ext_limbs - l1), n)
-        coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
-                                 dedupe=True).inverse(
-            acc_p, assume_reduced=True)
-        corr = base_convert_stack(coeff_p, p_basis, q_basis, 2 * k)
-        corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
-                                  dedupe=True).forward(
-            corr, assume_reduced=True)
-        # Subtract the strided Q-rows straight into the correction
-        # stack and reduce in place: no contiguous copy of acc_q and no
-        # expression temporaries (the wide stacks dwarf L2, so every
-        # avoided pass is a DRAM round trip).
-        corr4 = corr_ntt.reshape(k, 2, l1, n)
-        np.subtract(a4[:, :, :l1, :], corr4, out=corr4)
-        qk_col = _batch_q_col(q_basis, 2 * k)
-        return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
-                                   qk_col, 2 * k)
+        impl = "numpy" if _ks_kernel(q_basis) is None else "c"
+        with TRACER.span("ks.moddown", k=k, impl=impl):
+            a4 = acc.reshape(k, 2, ext_limbs, n)
+            acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
+                2 * k * (ext_limbs - l1), n)
+            coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
+                                     dedupe=True).inverse(
+                acc_p, assume_reduced=True)
+            corr = base_convert_stack(coeff_p, p_basis, q_basis, 2 * k)
+            corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
+                                      dedupe=True).forward(
+                corr, assume_reduced=True)
+            # The tail reads the strided Q rows of acc in place and
+            # writes into the correction stack: no contiguous copy of
+            # acc_q and no expression temporaries (the wide stacks dwarf
+            # L2, so every avoided pass is a DRAM round trip).
+            return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
+                                 2 * k)
 
     # -- legacy key-switch internals (the differential reference) ------
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
@@ -1313,11 +1435,11 @@ class RnsEvaluatorBase:
         """Rotate one ciphertext by many steps, decomposing c1 once.
 
         The expensive decompose + ModUp + NTT runs once; each rotation
-        then only permutes the NTT-domain digit stack — one gather for
-        all digits (EFFACT's automorphism unit) — and
-        multiply-accumulates with its Galois key, the hoisting pattern
-        the paper's section III analysis builds on.  The stacked path
-        is :meth:`batch_rotate_hoisted` at ``k = 1``.
+        then only permutes the NTT-domain digit stack (EFFACT's
+        automorphism unit) and multiply-accumulates with its Galois key,
+        the hoisting pattern the paper's section III analysis builds
+        on.  The stacked path is :meth:`batch_rotate_hoisted` at
+        ``k = 1``.
         """
         if not self.stacked or not ct.is_ntt:
             return self._rotate_hoisted_legacy(ct, steps)
@@ -1544,12 +1666,14 @@ class RnsEvaluatorBase:
                              steps) -> dict[int, CiphertextBatch]:
         """Rotate ``k`` ciphertexts by many steps, decomposing every
         ``c1`` once: the ``k`` digit lifts fuse into one
-        ``(k*beta*E, N)`` transform, and each step costs one wide
-        digit-stack gather plus one ``k``-fused MAC + ModDown — the
+        ``(k*beta*E, N)`` transform, and each step costs one ``k``-fused
+        MAC of the permuted digit stack plus one ModDown — the
         sequential hoisting dataflow with the per-ciphertext loop
-        folded into each kernel.  The per-step gather and ``sigma(c0)``
-        land in buffers reused across steps, and the static key tables
-        stay cache-hot across all (step, ciphertext) MACs."""
+        folded into each kernel.  The native key MAC reads the lifted
+        digits through each step's permutation, as EFFACT streams them
+        through its automorphism unit, with no rotated copy written
+        back (the numpy twin gathers one); ``sigma(c0)`` lands in a
+        buffer reused across steps."""
         if not batch.is_ntt:
             raise ValueError("batch rotations expect NTT-domain batches")
         ctx = self.context
@@ -1578,11 +1702,10 @@ class RnsEvaluatorBase:
                 lifted = self._lift_digits_batch(
                     base_engine.inverse(c1_stack, assume_reduced=True),
                     level, ext, beta, k, ntt_rows=c1_stack)
-                rotated = np.empty_like(lifted)
                 rc0 = np.empty_like(c0_stack)
             g = galois_element(step, ctx.n)
-            ext_engine.automorphism_ntt(lifted, g, out=rotated)
-            acc = self._key_mac_batch(rotated, key, level, beta, ext, k)
+            acc = self._key_mac_batch(lifted, key, level, beta, ext, k,
+                                      auto=(ext_engine, g))
             ks = self._mod_down_batch_stacked(acc, ext, basis, k)
             base_engine.automorphism_ntt(c0_stack, g, out=rc0)
             ks4 = ks.reshape(k, 2, limbs, n)

@@ -3,7 +3,9 @@ sequential per-ciphertext loop (single-ciphertext calls, pinned to the
 ``stacked=False`` reference by ``test_stacked_evaluator.py`` and
 ``test_rns_core_schemes.py``), for every batch op, k in {1, 2, 3, 8},
 several levels, CKKS and BGV; mixed-scale products against the
-reference directly; plus golden digests and cache-bound checks."""
+reference directly; plus golden digests and cache-bound checks.  The
+key-switching cases run once per kernel implementation
+(``each_impl``)."""
 
 import hashlib
 
@@ -109,53 +111,57 @@ def test_ckks_multiply_plain_matches_sequential(ckks, k, level):
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_ckks_multiply_rescale_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
-    other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
-    prod = ev.batch_multiply(batch, other)
-    want = [ev.multiply(x, y)
-            for x, y in zip(members, reversed(members))]
-    _assert_batch_equals(prod, want)
-    _assert_batch_equals(ev.batch_rescale(prod),
-                         [ev.rescale(ct) for ct in want])
+def test_ckks_multiply_rescale_matches_sequential(ckks, k, level, each_impl):
+    for _ in each_impl():
+        ev, members, batch = _ckks_at_level(ckks, k, level)
+        other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
+        prod = ev.batch_multiply(batch, other)
+        want = [ev.multiply(x, y)
+                for x, y in zip(members, reversed(members))]
+        _assert_batch_equals(prod, want)
+        _assert_batch_equals(ev.batch_rescale(prod),
+                             [ev.rescale(ct) for ct in want])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_ckks_rotate_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
-    for step in ROTS:
-        _assert_batch_equals(ev.batch_rotate(batch, step),
-                             [ev.rotate(ct, step) for ct in members])
+def test_ckks_rotate_matches_sequential(ckks, k, level, each_impl):
+    for _ in each_impl():
+        ev, members, batch = _ckks_at_level(ckks, k, level)
+        for step in ROTS:
+            _assert_batch_equals(ev.batch_rotate(batch, step),
+                                 [ev.rotate(ct, step) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_ckks_rotate_hoisted_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
-    steps = [0] + ROTS
-    got = ev.batch_rotate_hoisted(batch, steps)
-    want = [ev.rotate_hoisted(ct, steps) for ct in members]
-    assert set(got) == set(steps)
-    for step in steps:
-        _assert_batch_equals(got[step], [w[step] for w in want])
+def test_ckks_rotate_hoisted_matches_sequential(ckks, k, level, each_impl):
+    for _ in each_impl():
+        ev, members, batch = _ckks_at_level(ckks, k, level)
+        steps = [0] + ROTS
+        got = ev.batch_rotate_hoisted(batch, steps)
+        want = [ev.rotate_hoisted(ct, steps) for ct in members]
+        assert set(got) == set(steps)
+        for step in steps:
+            _assert_batch_equals(got[step], [w[step] for w in want])
 
 
 @pytest.mark.parametrize("k", KS)
-def test_ckks_key_switch_matches_sequential(ckks, k):
-    _, ev, cts, _ = ckks
-    members = cts[:k]
-    basis = members[0].basis
-    stack = np.concatenate(
-        [ct.c1.to_coeff().data for ct in members])
-    got, q_basis = ev.batch_key_switch(stack, basis, ev.keys.relin, k)
-    assert q_basis == basis
-    limbs = len(basis)
-    for i, ct in enumerate(members):
-        ks0, ks1 = ev.key_switch(ct.c1.to_coeff(), ev.keys.relin)
-        pair = got[2 * i * limbs:2 * (i + 1) * limbs]
-        assert np.array_equal(pair[:limbs], ks0.data)
-        assert np.array_equal(pair[limbs:], ks1.data)
+def test_ckks_key_switch_matches_sequential(ckks, k, each_impl):
+    for _ in each_impl():
+        _, ev, cts, _ = ckks
+        members = cts[:k]
+        basis = members[0].basis
+        stack = np.concatenate(
+            [ct.c1.to_coeff().data for ct in members])
+        got, q_basis = ev.batch_key_switch(stack, basis, ev.keys.relin, k)
+        assert q_basis == basis
+        limbs = len(basis)
+        for i, ct in enumerate(members):
+            ks0, ks1 = ev.key_switch(ct.c1.to_coeff(), ev.keys.relin)
+            pair = got[2 * i * limbs:2 * (i + 1) * limbs]
+            assert np.array_equal(pair[:limbs], ks0.data)
+            assert np.array_equal(pair[limbs:], ks1.data)
 
 
 def test_ckks_mixed_level_batches_reject_fusion(ckks):
@@ -177,36 +183,38 @@ def test_batch_split_round_trip(ckks):
 # BGV: exact arithmetic through the same batch kernels
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("k", KS)
-def test_bgv_ops_match_sequential(bgv, k):
-    _, ev, cts = bgv
-    members = cts[:k]
-    batch = CiphertextBatch.from_ciphertexts(members)
-    other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
-    _assert_batch_equals(
-        ev.batch_add(batch, other),
-        [ev.add(x, y) for x, y in zip(members, reversed(members))])
-    _assert_batch_equals(
-        ev.batch_sub(batch, other),
-        [ev.sub(x, y) for x, y in zip(members, reversed(members))])
-    _assert_batch_equals(ev.batch_negate(batch),
-                         [ev.negate(ct) for ct in members])
-    for step in ROTS:
-        _assert_batch_equals(ev.batch_rotate(batch, step),
-                             [ev.rotate(ct, step) for ct in members])
+def test_bgv_ops_match_sequential(bgv, k, each_impl):
+    for _ in each_impl():
+        _, ev, cts = bgv
+        members = cts[:k]
+        batch = CiphertextBatch.from_ciphertexts(members)
+        other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
+        _assert_batch_equals(
+            ev.batch_add(batch, other),
+            [ev.add(x, y) for x, y in zip(members, reversed(members))])
+        _assert_batch_equals(
+            ev.batch_sub(batch, other),
+            [ev.sub(x, y) for x, y in zip(members, reversed(members))])
+        _assert_batch_equals(ev.batch_negate(batch),
+                             [ev.negate(ct) for ct in members])
+        for step in ROTS:
+            _assert_batch_equals(ev.batch_rotate(batch, step),
+                                 [ev.rotate(ct, step) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("times", [1, 2, 3])
-def test_bgv_multiply_mod_switch_match_sequential(bgv, k, times):
-    _, ev, cts = bgv
-    members = cts[:k]
-    batch = CiphertextBatch.from_ciphertexts(members)
-    prod = ev.batch_multiply(batch, batch)
-    want = [ev.multiply(ct, ct) for ct in members]
-    _assert_batch_equals(prod, want)
-    _assert_batch_equals(
-        ev.batch_mod_switch(prod, times=times),
-        [ev.mod_switch(ct, times=times) for ct in want])
+def test_bgv_multiply_mod_switch_match_sequential(bgv, k, times, each_impl):
+    for _ in each_impl():
+        _, ev, cts = bgv
+        members = cts[:k]
+        batch = CiphertextBatch.from_ciphertexts(members)
+        prod = ev.batch_multiply(batch, batch)
+        want = [ev.multiply(ct, ct) for ct in members]
+        _assert_batch_equals(prod, want)
+        _assert_batch_equals(
+            ev.batch_mod_switch(prod, times=times),
+            [ev.mod_switch(ct, times=times) for ct in want])
 
 
 # ----------------------------------------------------------------------
@@ -226,27 +234,29 @@ def _assert_products_match_oracle(ev, ref, xs, ys) -> None:
         assert g.scale == w.scale
 
 
-def test_ckks_batch_multiply_accepts_mixed_scales(ckks):
+def test_ckks_batch_multiply_accepts_mixed_scales(ckks, each_impl):
     """A ciphertext at scale Delta times one at Delta*q_last (the
     ``multiply_scalar`` default) is a valid product."""
-    ctx, ev, cts, _ = ckks
-    ref = CkksEvaluator(ctx, ev.keys, stacked=False)
-    xs = cts[:2]
-    ys = [ev.multiply_scalar(ct, 0.5) for ct in cts[2:4]]
-    assert ys[0].scale != xs[0].scale
-    _assert_products_match_oracle(ev, ref, xs, ys)
+    for _ in each_impl():
+        ctx, ev, cts, _ = ckks
+        ref = CkksEvaluator(ctx, ev.keys, stacked=False)
+        xs = cts[:2]
+        ys = [ev.multiply_scalar(ct, 0.5) for ct in cts[2:4]]
+        assert ys[0].scale != xs[0].scale
+        _assert_products_match_oracle(ev, ref, xs, ys)
 
 
-def test_bgv_batch_multiply_accepts_mixed_factors(bgv):
+def test_bgv_batch_multiply_accepts_mixed_factors(bgv, each_impl):
     """Same level, different plaintext factors: a switched product
     (factor q^-1) times a product of switched operands (q^-2)."""
-    ctx, ev, cts = bgv
-    ref = BgvEvaluator(ctx, ev.keys, stacked=False)
-    xs = [ev.mod_switch(ev.multiply(ct, ct)) for ct in cts[:2]]
-    ys = [ev.multiply(ev.mod_switch(ct), ev.mod_switch(ct))
-          for ct in cts[2:4]]
-    assert xs[0].basis == ys[0].basis and xs[0].scale != ys[0].scale
-    _assert_products_match_oracle(ev, ref, xs, ys)
+    for _ in each_impl():
+        ctx, ev, cts = bgv
+        ref = BgvEvaluator(ctx, ev.keys, stacked=False)
+        xs = [ev.mod_switch(ev.multiply(ct, ct)) for ct in cts[:2]]
+        ys = [ev.multiply(ev.mod_switch(ct), ev.mod_switch(ct))
+              for ct in cts[2:4]]
+        assert xs[0].basis == ys[0].basis and xs[0].scale != ys[0].scale
+        _assert_products_match_oracle(ev, ref, xs, ys)
 
 
 def test_single_ciphertext_batch_is_a_view(ckks):
@@ -261,13 +271,14 @@ def test_single_ciphertext_batch_is_a_view(ckks):
 # ----------------------------------------------------------------------
 # Golden digest: a k=4 batched rotate is pinned bit-for-bit
 # ----------------------------------------------------------------------
-def test_golden_batch_rotate_digest(ckks):
-    _, ev, cts, _ = ckks
-    batch = CiphertextBatch.from_ciphertexts(cts[:4])
-    rotated = ev.batch_rotate(batch, 1)
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(rotated.stack).tobytes())
-    assert h.hexdigest()[:16] == "ba2a0a17a8e98f01"
+def test_golden_batch_rotate_digest(ckks, each_impl):
+    for _ in each_impl():
+        _, ev, cts, _ = ckks
+        batch = CiphertextBatch.from_ciphertexts(cts[:4])
+        rotated = ev.batch_rotate(batch, 1)
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(rotated.stack).tobytes())
+        assert h.hexdigest()[:16] == "ba2a0a17a8e98f01"
 
 
 # ----------------------------------------------------------------------

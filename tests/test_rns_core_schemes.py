@@ -15,7 +15,9 @@ Three layers of guarantees:
 
 CKKS is covered by ``tests/test_stacked_evaluator.py`` running
 unchanged against the refactored base class; here we only pin the
-subclass relationship.
+subclass relationship.  The differential and golden cases run once per
+kernel implementation (``each_impl``): the C key-switch kernels and
+their numpy twins both stay pinned to the reference.
 """
 
 from __future__ import annotations
@@ -111,24 +113,25 @@ def bfv_pair():
     return ctx, stacked, reference, sk, rk
 
 
-def test_bfv_stacked_matches_reference(bfv_pair, rng):
-    ctx, stacked, reference, sk, rk = bfv_pair
-    x = rng.integers(0, ctx.t, ctx.n)
-    y = rng.integers(0, ctx.t, ctx.n)
-    cx, cy = stacked.encrypt(x, sk), stacked.encrypt(y, sk)
-    _assert_same(stacked.add(cx, cy), reference.add(cx, cy), "add")
-    _assert_same(stacked.sub(cx, cy), reference.sub(cx, cy), "sub")
-    _assert_same(stacked.ev.negate(cx), reference.ev.negate(cx), "neg")
-    prod_s = stacked.ev.multiply(cx, cy)
-    prod_r = reference.ev.multiply(cx, cy)
-    _assert_same(prod_s, prod_r, "multiply")
-    # depth 2 on the already-multiplied ciphertext
-    _assert_same(stacked.ev.multiply(prod_s, cx),
-                 reference.ev.multiply(prod_r, cx), "multiply-depth2")
-    _assert_same(stacked.rotate(cx, 2), reference.rotate(cx, 2),
-                 "rotate")
-    _assert_same(stacked.conjugate(cx), reference.conjugate(cx),
-                 "conjugate")
+def test_bfv_stacked_matches_reference(bfv_pair, rng, each_impl):
+    for _ in each_impl():
+        ctx, stacked, reference, sk, rk = bfv_pair
+        x = rng.integers(0, ctx.t, ctx.n)
+        y = rng.integers(0, ctx.t, ctx.n)
+        cx, cy = stacked.encrypt(x, sk), stacked.encrypt(y, sk)
+        _assert_same(stacked.add(cx, cy), reference.add(cx, cy), "add")
+        _assert_same(stacked.sub(cx, cy), reference.sub(cx, cy), "sub")
+        _assert_same(stacked.ev.negate(cx), reference.ev.negate(cx), "neg")
+        prod_s = stacked.ev.multiply(cx, cy)
+        prod_r = reference.ev.multiply(cx, cy)
+        _assert_same(prod_s, prod_r, "multiply")
+        # depth 2 on the already-multiplied ciphertext
+        _assert_same(stacked.ev.multiply(prod_s, cx),
+                     reference.ev.multiply(prod_r, cx), "multiply-depth2")
+        _assert_same(stacked.rotate(cx, 2), reference.rotate(cx, 2),
+                     "rotate")
+        _assert_same(stacked.conjugate(cx), reference.conjugate(cx),
+                     "conjugate")
 
 
 def test_bfv_matches_plain_arithmetic(bfv_pair, rng):
@@ -167,34 +170,35 @@ def bgv_pair():
     return ctx, stacked, reference, sk, rk, gk
 
 
-def test_bgv_stacked_matches_reference_across_levels(bgv_pair, rng):
-    ctx, stacked, reference, sk, rk, gk = bgv_pair
-    x = rng.integers(0, ctx.t, ctx.n)
-    y = rng.integers(0, ctx.t, ctx.n)
-    cx, cy = stacked.encrypt(x, sk), stacked.encrypt(y, sk)
-    # full level
-    _assert_same(stacked.add(cx, cy), reference.add(cx, cy), "add@L")
-    _assert_same(stacked.mul_plain(cx, y), reference.mul_plain(cx, y),
-                 "mul_plain@L")
-    _assert_same(stacked.add_plain(cx, y), reference.add_plain(cx, y),
-                 "add_plain@L")
-    _assert_same(stacked.ev.multiply(cx, cy),
-                 reference.ev.multiply(cx, cy), "multiply@L")
-    _assert_same(stacked.rotate(cx, 3, gk), reference.rotate(cx, 3, gk),
-                 "rotate@L")
-    # walk down the chain: switch, then operate at each lower level
-    cs, cr = cx, cx
-    for drop in (1, 2):
-        cs = stacked.mod_switch(cs, times=1)
-        cr = reference.mod_switch(cr, times=1)
-        _assert_same(cs, cr, f"mod_switch-{drop}")
-        _assert_same(stacked.ev.multiply(cs, cs),
-                     reference.ev.multiply(cr, cr),
-                     f"multiply@L-{drop}")
-        _assert_same(stacked.rotate(cs, 3, gk),
-                     reference.rotate(cr, 3, gk), f"rotate@L-{drop}")
-        _assert_same(stacked.add_plain(cs, y),
-                     reference.add_plain(cr, y), f"add_plain@L-{drop}")
+def test_bgv_stacked_matches_reference_across_levels(bgv_pair, rng, each_impl):
+    for _ in each_impl():
+        ctx, stacked, reference, sk, rk, gk = bgv_pair
+        x = rng.integers(0, ctx.t, ctx.n)
+        y = rng.integers(0, ctx.t, ctx.n)
+        cx, cy = stacked.encrypt(x, sk), stacked.encrypt(y, sk)
+        # full level
+        _assert_same(stacked.add(cx, cy), reference.add(cx, cy), "add@L")
+        _assert_same(stacked.mul_plain(cx, y), reference.mul_plain(cx, y),
+                     "mul_plain@L")
+        _assert_same(stacked.add_plain(cx, y), reference.add_plain(cx, y),
+                     "add_plain@L")
+        _assert_same(stacked.ev.multiply(cx, cy),
+                     reference.ev.multiply(cx, cy), "multiply@L")
+        _assert_same(stacked.rotate(cx, 3, gk), reference.rotate(cx, 3, gk),
+                     "rotate@L")
+        # walk down the chain: switch, then operate at each lower level
+        cs, cr = cx, cx
+        for drop in (1, 2):
+            cs = stacked.mod_switch(cs, times=1)
+            cr = reference.mod_switch(cr, times=1)
+            _assert_same(cs, cr, f"mod_switch-{drop}")
+            _assert_same(stacked.ev.multiply(cs, cs),
+                         reference.ev.multiply(cr, cr),
+                         f"multiply@L-{drop}")
+            _assert_same(stacked.rotate(cs, 3, gk),
+                         reference.rotate(cr, 3, gk), f"rotate@L-{drop}")
+            _assert_same(stacked.add_plain(cs, y),
+                         reference.add_plain(cr, y), f"add_plain@L-{drop}")
 
 
 def test_bgv_exactness_survives_the_stack(bgv_pair, rng):
@@ -338,11 +342,12 @@ def golden_bfv():
     return scheme, sk, scheme.encrypt(x, sk), scheme.encrypt(y, sk)
 
 
-def test_golden_bfv_vectors(golden_bfv):
-    scheme, sk, cx, cy = golden_bfv
-    assert _digest(cx) == "8ba50286c3e9b130"
-    assert _digest(scheme.ev.multiply(cx, cy)) == "99d96a293b2b7008"
-    assert _digest(scheme.rotate(cx, 1)) == "b0d3fd7454c1aee7"
+def test_golden_bfv_vectors(golden_bfv, each_impl):
+    for _ in each_impl():
+        scheme, sk, cx, cy = golden_bfv
+        assert _digest(cx) == "8ba50286c3e9b130"
+        assert _digest(scheme.ev.multiply(cx, cy)) == "99d96a293b2b7008"
+        assert _digest(scheme.rotate(cx, 1)) == "b0d3fd7454c1aee7"
 
 
 @pytest.fixture(scope="module")
@@ -356,11 +361,12 @@ def golden_bgv():
     return scheme, sk, scheme.encrypt(x, sk), scheme.encrypt(y, sk)
 
 
-def test_golden_bgv_vectors(golden_bgv):
-    scheme, sk, cx, cy = golden_bgv
-    assert _digest(cx) == "ffa8bd72cd510336"
-    assert _digest(scheme.ev.multiply(cx, cy)) == "fd3934c2cd55a4e7"
-    assert _digest(scheme.mod_switch(cx, times=2)) == "da9c77874c3058d9"
+def test_golden_bgv_vectors(golden_bgv, each_impl):
+    for _ in each_impl():
+        scheme, sk, cx, cy = golden_bgv
+        assert _digest(cx) == "ffa8bd72cd510336"
+        assert _digest(scheme.ev.multiply(cx, cy)) == "fd3934c2cd55a4e7"
+        assert _digest(scheme.mod_switch(cx, times=2)) == "da9c77874c3058d9"
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ per pair, stacked digit lifts, pair BConv) and ``stacked=False`` (the
 per-polynomial reference).  The property tests run random ciphertexts
 across several levels; golden-vector tests pin stacked rotate/rescale
 outputs on a self-contained deterministic context so a silent numeric
-change cannot hide behind a matching bug in both paths.
+change cannot hide behind a matching bug in both paths.  The
+key-switching cases run once per kernel implementation (``each_impl``),
+so the C key-switch kernels and their numpy twins are both pinned.
 """
 
 from __future__ import annotations
@@ -113,23 +115,24 @@ def test_scalar_ops_bitwise(ckks_small, legacy, rng):
                      f"multiply_scalar@{level}")
 
 
-def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng):
-    ev = ckks_small.ev
-    for level in LEVELS:
-        x = _random_ct(ckks_small, rng, level)
-        y = _random_ct(ckks_small, rng, level)
-        t3s = ev.multiply_no_relin(x, y)
-        t3l = legacy.multiply_no_relin(x, y)
-        for name in ("d0", "d1", "d2"):
-            assert np.array_equal(getattr(t3s, name).data,
-                                  getattr(t3l, name).data), \
-                f"multiply_no_relin {name}@{level}"
-        prod_s = ev.multiply(x, y)
-        prod_l = legacy.multiply(x, y)
-        _assert_same(prod_s, prod_l, f"multiply@{level}")
-        if level >= 1:
-            _assert_same(ev.rescale(prod_s), legacy.rescale(prod_l),
-                         f"rescale@{level}")
+def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng, each_impl):
+    for _ in each_impl():
+        ev = ckks_small.ev
+        for level in LEVELS:
+            x = _random_ct(ckks_small, rng, level)
+            y = _random_ct(ckks_small, rng, level)
+            t3s = ev.multiply_no_relin(x, y)
+            t3l = legacy.multiply_no_relin(x, y)
+            for name in ("d0", "d1", "d2"):
+                assert np.array_equal(getattr(t3s, name).data,
+                                      getattr(t3l, name).data), \
+                    f"multiply_no_relin {name}@{level}"
+            prod_s = ev.multiply(x, y)
+            prod_l = legacy.multiply(x, y)
+            _assert_same(prod_s, prod_l, f"multiply@{level}")
+            if level >= 1:
+                _assert_same(ev.rescale(prod_s), legacy.rescale(prod_l),
+                             f"rescale@{level}")
 
 
 def test_rescale_coeff_domain_bitwise(ckks_small, legacy, rng):
@@ -156,40 +159,43 @@ def test_rescale_to_and_drop_level_bitwise(ckks_small, legacy, rng):
                      f"rescale_to@{level}")
 
 
-def test_key_switch_bitwise(ckks_small, legacy, rng):
-    ev = ckks_small.ev
-    for level in LEVELS:
-        basis = ckks_small.ctx.q_basis(level)
-        d2 = RnsPolynomial.random_uniform(basis, ckks_small.ctx.n, rng)
-        ks_s = ev.key_switch(d2, ckks_small.keys.relin)
-        ks_l = legacy.key_switch(d2, ckks_small.keys.relin)
-        for got, want in zip(ks_s, ks_l):
-            assert np.array_equal(got.data, want.data), f"ks@{level}"
-            assert got.is_ntt and got.basis == basis
+def test_key_switch_bitwise(ckks_small, legacy, rng, each_impl):
+    for _ in each_impl():
+        ev = ckks_small.ev
+        for level in LEVELS:
+            basis = ckks_small.ctx.q_basis(level)
+            d2 = RnsPolynomial.random_uniform(basis, ckks_small.ctx.n, rng)
+            ks_s = ev.key_switch(d2, ckks_small.keys.relin)
+            ks_l = legacy.key_switch(d2, ckks_small.keys.relin)
+            for got, want in zip(ks_s, ks_l):
+                assert np.array_equal(got.data, want.data), f"ks@{level}"
+                assert got.is_ntt and got.basis == basis
 
 
-def test_rotate_conjugate_bitwise(ckks_small, legacy, rng):
-    ev = ckks_small.ev
-    for level in LEVELS:
-        ct = _random_ct(ckks_small, rng, level)
-        for step in (1, 5, -2):
-            _assert_same(ev.rotate(ct, step), legacy.rotate(ct, step),
-                         f"rotate{step}@{level}")
-        _assert_same(ev.conjugate(ct), legacy.conjugate(ct),
-                     f"conjugate@{level}")
+def test_rotate_conjugate_bitwise(ckks_small, legacy, rng, each_impl):
+    for _ in each_impl():
+        ev = ckks_small.ev
+        for level in LEVELS:
+            ct = _random_ct(ckks_small, rng, level)
+            for step in (1, 5, -2):
+                _assert_same(ev.rotate(ct, step), legacy.rotate(ct, step),
+                             f"rotate{step}@{level}")
+            _assert_same(ev.conjugate(ct), legacy.conjugate(ct),
+                         f"conjugate@{level}")
 
 
-def test_rotate_hoisted_bitwise(ckks_small, legacy, rng):
-    ev = ckks_small.ev
-    steps = [0, 1, 2, 5, -1]
-    for level in LEVELS:
-        ct = _random_ct(ckks_small, rng, level)
-        hoisted_s = ev.rotate_hoisted(ct, steps)
-        hoisted_l = legacy.rotate_hoisted(ct, steps)
-        assert hoisted_s.keys() == hoisted_l.keys()
-        for step in steps:
-            _assert_same(hoisted_s[step], hoisted_l[step],
-                         f"hoisted{step}@{level}")
+def test_rotate_hoisted_bitwise(ckks_small, legacy, rng, each_impl):
+    for _ in each_impl():
+        ev = ckks_small.ev
+        steps = [0, 1, 2, 5, -1]
+        for level in LEVELS:
+            ct = _random_ct(ckks_small, rng, level)
+            hoisted_s = ev.rotate_hoisted(ct, steps)
+            hoisted_l = legacy.rotate_hoisted(ct, steps)
+            assert hoisted_s.keys() == hoisted_l.keys()
+            for step in steps:
+                _assert_same(hoisted_s[step], hoisted_l[step],
+                             f"hoisted{step}@{level}")
 
 
 def test_rotate_hoisted_identity_steps_skip_the_lift(ckks_small, rng,
@@ -308,10 +314,11 @@ def _digest(ct: Ciphertext) -> str:
     return h.hexdigest()[:16]
 
 
-def test_golden_stacked_rotate(golden_ckks):
-    ev, ct = golden_ckks
-    assert _digest(ev.rotate(ct, 1)) == "7f797a5931d5e69b"
-    assert _digest(ev.rotate(ct, 3)) == "513609594a5edb26"
+def test_golden_stacked_rotate(golden_ckks, each_impl):
+    for _ in each_impl():
+        ev, ct = golden_ckks
+        assert _digest(ev.rotate(ct, 1)) == "7f797a5931d5e69b"
+        assert _digest(ev.rotate(ct, 3)) == "513609594a5edb26"
 
 
 def test_golden_stacked_rescale(golden_ckks):
