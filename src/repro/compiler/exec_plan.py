@@ -23,17 +23,20 @@ so all of that per-execution analysis can be hoisted into a one-time
   true RAW chains constrain the schedule — and finally renamed onto a
   compact arena by a linear-scan pass (:func:`_compact_rows`).
 * **Plan replay** (:func:`replay_plan`) is a tight loop over those
-  steps: one fused native pass per elementwise step, numpy fallback.
-  With the native library loaded (:mod:`repro.nttmath.native`), an
-  elementwise step is one ``ew_step`` call that reads each lane's
-  arena rows, computes and reduces mod q, and writes the result row in
-  place, and a DRAM step is one ``dram_rows`` call that reduces each
-  bound row straight into the arena; FFT steps are one stacked engine
-  call between a fancy-index gather and scatter.  Without the library,
-  or for a step the kernels must not run (below), the numpy
-  expressions run: fancy-index gather → one vector expression →
-  fancy-index scatter.  No buffer dict, no per-row ``np.empty`` +
-  copy, no Python analysis.
+  steps: one native call per elementwise, DRAM and FFT step, numpy
+  fallback.  With the native library loaded
+  (:mod:`repro.nttmath.native`), an elementwise step is one ``ew_step``
+  call that reads each lane's arena rows, computes and reduces mod q,
+  and writes the result row in place; a DRAM step is one ``dram_rows``
+  call that reduces each bound row straight into the arena; and an FFT
+  step whose engine is within the fused ``q < 2^30`` bound is one
+  ``fft_rows`` call that runs each lane's NTT, raw iNTT or
+  automorphism from its in row to its out row with the step engine's
+  own tables.  Without the library, or for a step the kernels must not
+  run (below), the numpy path runs: fancy-index gather → one vector
+  expression or one stacked :class:`~repro.nttmath.batched.BatchedNTT`
+  call → fancy-index scatter.  No buffer dict, no per-row ``np.empty``
+  + copy, no Python analysis.
 
 Exactness: every engine prime is below 2**31, so products of
 canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
@@ -44,11 +47,14 @@ and replay is bitwise-identical to both the interpreter and
 native kernels equal the numpy expressions for *every* int64 input
 (wrapping products and sums, numpy's floor modulo), so they need no
 precondition beyond the lane-table rule: a step gets a lane table
-(:func:`_ew_lanes`, :func:`_dram_lanes`, built at first replay and
-never serialized) only when all its rows lie inside the arena and
-none is both read and written by the step, which makes lane-by-lane
-in-place execution equal numpy's gather-then-scatter.  A step without
-a table, or whose kernel call reports a bad lane, runs numpy.
+(:func:`_ew_lanes`, :func:`_dram_lanes`, :func:`_fft_lanes`, built at
+first replay and never serialized) only when all its rows lie inside
+the arena, no two lanes write one row and no row is both read and
+written by the step, which makes lane-by-lane in-place execution equal
+numpy's gather-then-scatter.  A step without a table, or whose kernel
+call reports a bad lane, runs numpy.  ``fft_rows`` reduces its inputs
+mod q as the engine's reducing entries do (a compare on canonical
+rows), so it equals the engine on every int64 input too.
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
@@ -73,6 +79,7 @@ store-warm sweep point skips compile, simulate, *and* plan build.
 from __future__ import annotations
 
 from collections import OrderedDict
+from time import perf_counter
 
 import numpy as np
 
@@ -149,8 +156,8 @@ class PlanStep:
         self.names = None     # DRAM value names (K_DRAM)
         self.qs = None        # per-entry reduction primes (K_DRAM)
         self.vals = None      # (k, 1) int64 fill values (K_FILL)
-        self.lanes = None     # native lane table (K_EW/K_DRAM); False
-        #                       when the kernels must not run the step
+        self.lanes = None     # native lane table (K_EW/K_DRAM/K_FFT);
+        #                       False when the kernels must not run it
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"PlanStep({self.label!r}, kind={self.kind}, "
@@ -857,6 +864,68 @@ def _dram_lanes(st: PlanStep, rows: int):
         np.stack((out, np.array(st.qs, dtype=np.int64)), axis=1))
 
 
+def _fft_lanes(st: PlanStep, rows: int):
+    """The K_FFT step's ``fft_rows`` lane table — ``(k, 2)`` int64
+    rows of (in, out) — or ``False`` unless every row lies in
+    ``[0, rows)``, the out rows are distinct, none of them is also an in
+    row (so lane-by-lane in-place execution equals numpy's
+    gather-then-scatter) and there is one prime per lane."""
+    out = _index_rows(st.out, rows)
+    src = _index_rows(st.a, rows)
+    if (out is None or src is None or src.shape != out.shape
+            or len(st.primes) != out.size
+            or np.unique(out).size != out.size
+            or np.intersect1d(out, src).size):
+        return False
+    return np.ascontiguousarray(np.stack((src, out), axis=1))
+
+
+#: Span and row counter per K_FFT ``fft`` code (which is also the
+#: ``fft_rows`` op): the names the engine's own calls emit.
+_FFT_TRACE = (("ntt.forward", "ntt.rows"), ("ntt.inverse", "intt.rows"),
+              ("ntt.automorphism", "auto.rows"))
+
+
+def _replay_fft(st: PlanStep, eng, arena: np.ndarray, lib) -> bool:
+    """Run a K_FFT step through ``fft_rows`` straight over the arena
+    with the step engine's own tables; ``False`` (nothing written) when
+    the step must take the gather → engine → scatter path instead.
+    Traced like the engine's calls: one ``ntt.*`` span (``impl="c"``)
+    and its row counter, so trace totals do not depend on the path."""
+    lanes = st.lanes
+    if lanes is None:
+        lanes = st.lanes = _fft_lanes(st, arena.shape[0])
+    if lanes is False:
+        return False
+    k = lanes.shape[0]
+    # The kernel reads k rows of arena.shape[1] columns from each table.
+    if eng.limbs != k or eng.n != arena.shape[1]:
+        return False
+    tr = TRACER
+    t0 = perf_counter() if tr.enabled else 0.0
+    if st.fft == 2:
+        perm = eng.automorphism_index(st.elt)
+        q = tw = tw_sh = None
+    else:
+        perm = None
+        q = eng._q_u
+        tw, tw_sh = ((eng._psi_u, eng._psi_sh) if st.fft == 0
+                     else (eng._psi_inv_u, eng._psi_inv_sh))
+    rc = lib.fft_rows(arena, arena.shape[0], arena.shape[1], lanes, k,
+                      st.fft, q, tw, tw_sh, perm)
+    if rc < 0:
+        raise MemoryError("native FFT replay kernel: out of memory")
+    if rc:
+        return False
+    if tr.enabled:
+        span, counter = _FFT_TRACE[st.fft]
+        attrs = ({"limbs": k, "elt": st.elt, "impl": "c"} if st.fft == 2
+                 else {"limbs": k, "n": eng.n, "tiles": 1, "impl": "c"})
+        tr.emit(span, t0, perf_counter() - t0, attrs)
+        tr.count(counter, k)
+    return True
+
+
 def _replay_dram(st: PlanStep, arena: np.ndarray, bindings,
                  lib) -> bool:
     """Run a K_DRAM step through ``dram_rows``; ``False`` (nothing
@@ -939,6 +1008,9 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
             eng = get_stacked_plan(
                 n, tuple((q,) for q in st.primes)).ntt
             st.engine = eng
+        lib = eng._kernel()
+        if lib is not None and _replay_fft(st, eng, arena, lib):
+            return
         data = arena[st.a]
         if st.fft == 0:
             out = eng.forward(data)
@@ -993,8 +1065,6 @@ def replay_plan(plan: ExecPlan, bindings):
       ``"c"``, or every step ran numpy, ``"numpy"``), and arena
       gather/scatter traffic feeds the ``exec.bytes_*`` counters.
     """
-    from time import perf_counter
-
     arena = plan.arena()
     n = plan.n
     prof: dict[str, list] | None = None

@@ -918,7 +918,8 @@ class BatchedNTT:
         result = np.take(self._check(data), idx, axis=1, out=out)
         if tr.enabled:
             tr.emit("ntt.automorphism", t0, perf_counter() - t0,
-                    {"limbs": self.limbs, "elt": galois_elt})
+                    {"limbs": self.limbs, "elt": galois_elt,
+                     "impl": "numpy"})
             tr.count("auto.rows", result.shape[0])
         return result
 

@@ -4,9 +4,10 @@
 
 - ``ntt_forward`` / ``ntt_inverse``, plain-C99 counterparts of
   :class:`repro.nttmath.batched.BatchedNTT`'s fused numpy kernels;
-- ``ew_step`` / ``dram_rows``, the elementwise and DRAM-load steps of
-  :func:`repro.compiler.exec_plan.replay_plan` (each equal to its numpy
-  expression for every int64 input);
+- ``ew_step`` / ``dram_rows`` / ``fft_rows``, the elementwise,
+  DRAM-load and NTT / iNTT / automorphism steps of
+  :func:`repro.compiler.exec_plan.replay_plan`, run in place over the
+  slot arena (each equal to its numpy path for every int64 input);
 - ``ks_mac`` / ``bconv`` / ``mod_down_tail``, the key MAC, fast base
   conversion and ModDown tail of the batch key switch
   (:func:`repro.schemes.rns_core.key_mac`,
@@ -102,6 +103,7 @@ _TAB = _Array(np.uint64)
 _PTR = _Array(np.uintp)
 _ACC = _Array(np.uint64, writeable=True)
 _PERM = _Array(np.int64, optional=True)
+_TAB_OPT = _Array(np.uint64, optional=True)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
@@ -110,6 +112,7 @@ _SIGNATURES = {
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
     "ew_step": (_OUT, _N, _N, _IN, _N, _I),
     "dram_rows": (_OUT, _N, _N, _IN, _PTR, _N),
+    "fft_rows": (_OUT, _N, _N, _IN, _N, _I, *(_TAB_OPT,) * 3, _PERM),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 5, _PERM),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 6),
     "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),

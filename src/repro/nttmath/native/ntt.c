@@ -4,8 +4,9 @@
  * - ntt_forward / ntt_inverse: negacyclic NTTs over C-contiguous
  *   (rows, n) int64 residue stacks, the native counterpart of
  *   repro.nttmath.batched.BatchedNTT;
- * - ew_step / dram_rows: the elementwise and DRAM-load steps of
- *   repro.compiler.exec_plan's slot-arena replay;
+ * - ew_step / dram_rows / fft_rows: the elementwise, DRAM-load and
+ *   NTT / iNTT / automorphism steps of repro.compiler.exec_plan's
+ *   slot-arena replay, each reading and writing arena rows in place;
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
  *   through its permutation), fast base conversion and ModDown tail of
  *   repro.schemes.rns_core's batch key switch (the last part of this
@@ -53,7 +54,11 @@ static inline uint32_t csub(uint32_t x, uint32_t bound)
     return x >= bound ? x - bound : x;
 }
 
-/* Load one row into the work buffer, reducing mod q when asked. */
+/* Load one row into the work buffer, reducing mod q when asked.  The
+ * reduction keeps canonical values as they are ((uint64_t)v < q holds
+ * exactly for v in [0, q)) and takes C's truncating % plus a sign fix
+ * for every other int64, so it costs one compare on rows that are
+ * already reduced. */
 static void load_row(uint32_t *restrict a, const int64_t *restrict src,
                      size_t n, uint64_t q, int reduce)
 {
@@ -61,7 +66,12 @@ static void load_row(uint32_t *restrict a, const int64_t *restrict src,
     if (reduce) {
         int64_t qs = (int64_t)q;
         for (j = 0; j < n; j++) {
-            int64_t r = src[j] % qs;
+            int64_t v = src[j], r;
+            if ((uint64_t)v < q) {
+                a[j] = (uint32_t)v;
+                continue;
+            }
+            r = v % qs;
             a[j] = (uint32_t)(r < 0 ? r + qs : r);
         }
     } else {
@@ -270,7 +280,8 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
 
 /*
  * Plan replay kernels: one pass per arena row over the (rows, n) int64
- * slot arena of repro.compiler.exec_plan, in place.
+ * slot arena of repro.compiler.exec_plan, in place.  fft_rows, the last
+ * of them, reuses the NTT kernels above.
  *
  * Each result must equal numpy's int64 expression for every input, not
  * only for canonical residues: products and sums wrap modulo 2^64 (done
@@ -411,6 +422,108 @@ int dram_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
         for (j = 0; j < n; j++)
             o[j] = floor_mod(s[j], q, m);
     }
+    return 0;
+}
+
+/* The transforms of one fft_rows step. */
+enum { FFT_NTT, FFT_INTT, FFT_AUTO };
+
+/* 1 unless every (in, out) lane row lies in [0, rows), no out row
+ * repeats and no out row is also an in row of the step; mark is a
+ * zeroed rows-byte buffer. */
+static int fft_lanes_bad(const int64_t *lanes, size_t k, size_t rows,
+                         unsigned char *mark)
+{
+    size_t i;
+    for (i = 0; i < k; i++) {
+        if (!row_ok(lanes[2 * i], rows) || !row_ok(lanes[2 * i + 1], rows))
+            return 1;
+        mark[lanes[2 * i]] = 1;
+    }
+    for (i = 0; i < k; i++) {
+        if (mark[lanes[2 * i + 1]])
+            return 1;
+        mark[lanes[2 * i + 1]] = 2;
+    }
+    return 0;
+}
+
+/*
+ * One FFT step of plan replay, straight over the arena.  lanes is a
+ * C-contiguous (k, 2) table of (in, out) arena rows; lane i reads row
+ * in and writes row out:
+ *   op == FFT_NTT:  the forward NTT of row in mod q[i];
+ *   op == FFT_INTT: the inverse NTT without the 1/n scaling (the IR's
+ *                   iNTT is raw: its 1/n is an explicit multiply);
+ *   op == FFT_AUTO: out[j] = in[perm[j]], the NTT-domain automorphism
+ *                   (any int64 values, as numpy's take copies them).
+ * For the transforms, q holds one modulus per lane in [2, 2^30) and tw,
+ * tw_sh the (k, n) bit-reversed twiddles (inverse twiddles for
+ * FFT_INTT) with their Shoup companions, lane i using row i: the
+ * stacked engine's own tables.  Inputs may be any int64 (reduced mod q
+ * on load, see load_row) and outputs are canonical, bitwise equal to
+ * ntt_forward / ntt_inverse(scale = 0) with reduce set.  Each lane runs
+ * in the L1 work buffer from its in row to its out row; since no out
+ * row is an in row, this equals gathering every input first and
+ * scattering every result last.
+ * Returns 0; 1 without writing anything if op is unknown, a table the
+ * op needs is NULL, a lane row lies outside [0, rows), an out row
+ * repeats or is also an in row, a q lies outside [2, 2^30) or a perm
+ * entry outside [0, n); -1 if the work buffers could not be allocated.
+ */
+int fft_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
+             size_t k, int op, const uint64_t *q, const uint64_t *tw,
+             const uint64_t *tw_sh, const int64_t *perm)
+{
+    unsigned char *mark;
+    uint32_t *a = NULL;
+    size_t i, j;
+    int bad;
+    if (op == FFT_AUTO) {
+        if (!perm)
+            return 1;
+        for (j = 0; j < n; j++)
+            if (perm[j] < 0 || (uint64_t)perm[j] >= n)
+                return 1;
+    } else if (op == FFT_NTT || op == FFT_INTT) {
+        if (!q || !tw || !tw_sh)
+            return 1;
+        for (i = 0; i < k; i++)
+            if (q[i] < 2 || q[i] >= (1u << 30))
+                return 1;
+    } else {
+        return 1;
+    }
+    mark = calloc(rows ? rows : 1, 1);
+    if (!mark)
+        return -1;
+    bad = fft_lanes_bad(lanes, k, rows, mark);
+    free(mark);
+    if (bad)
+        return 1;
+    if (op == FFT_AUTO) {
+        for (i = 0; i < k; i++) {
+            const int64_t *x = arena + (size_t)lanes[2 * i] * n;
+            int64_t *restrict o = arena + (size_t)lanes[2 * i + 1] * n;
+            for (j = 0; j < n; j++)
+                o[j] = x[perm[j]];
+        }
+        return 0;
+    }
+    a = malloc(3 * n * sizeof *a);
+    if (!a)
+        return -1;
+    for (i = 0; i < k; i++) {
+        uint32_t qi = (uint32_t)q[i];
+        load_twiddles(a + n, a + 2 * n, tw + i * n, tw_sh + i * n, n);
+        load_row(a, arena + (size_t)lanes[2 * i] * n, n, q[i], 1);
+        if (op == FFT_NTT)
+            forward_row(a, n, qi, a + n, a + 2 * n);
+        else
+            inverse_row(a, n, qi, a + n, a + 2 * n, 0, 0, 0, 0, 0);
+        store_row(arena + (size_t)lanes[2 * i + 1] * n, a, n, qi);
+    }
+    free(a);
     return 0;
 }
 

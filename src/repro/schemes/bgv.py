@@ -36,6 +36,7 @@ import numpy as np
 
 from ..nttmath.ntt import galois_element
 from ..nttmath.primes import find_ntt_primes
+from ..obs import TRACER
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
     _base_convert_centered_data,
@@ -260,28 +261,32 @@ class BgvEvaluator(RnsEvaluatorBase):
                                 q_basis: RnsBasis, k: int) -> np.ndarray:
         """NTT-domain ModDown of ``k`` accumulator pairs with the
         ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
-        version; same dataflow, exact arithmetic)."""
+        version; same dataflow, exact arithmetic).  Traced as one
+        ``ks.moddown`` span, like the base class; its tail is numpy
+        (``impl="numpy"``)."""
         ctx = self.context
         n = ctx.n
         p_basis = ctx.p_basis
         l1 = len(q_basis)
         ext_limbs = len(ext)
-        a4 = acc.reshape(k, 2, ext_limbs, n)
-        acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
-            2 * k * (ext_limbs - l1), n)
-        coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
-                                 dedupe=True).inverse(
-            acc_p, assume_reduced=True)
-        wide = _stack_to_wide(coeff_p, len(p_basis), 2 * k)
-        corr = _wide_to_stack(self._moddown_delta(wide, q_basis), 2 * k)
-        corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
-                                  dedupe=True).forward(
-            corr, assume_reduced=True)
-        corr4 = corr_ntt.reshape(k, 2, l1, n)
-        np.subtract(a4[:, :, :l1, :], corr4, out=corr4)
-        qk_col = _batch_q_col(q_basis, 2 * k)
-        return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
-                                   qk_col, 2 * k)
+        with TRACER.span("ks.moddown", k=k, impl="numpy"):
+            a4 = acc.reshape(k, 2, ext_limbs, n)
+            acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
+                2 * k * (ext_limbs - l1), n)
+            coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
+                                     dedupe=True).inverse(
+                acc_p, assume_reduced=True)
+            wide = _stack_to_wide(coeff_p, len(p_basis), 2 * k)
+            corr = _wide_to_stack(self._moddown_delta(wide, q_basis),
+                                  2 * k)
+            corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
+                                      dedupe=True).forward(
+                corr, assume_reduced=True)
+            corr4 = corr_ntt.reshape(k, 2, l1, n)
+            np.subtract(a4[:, :, :l1, :], corr4, out=corr4)
+            qk_col = _batch_q_col(q_basis, 2 * k)
+            return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
+                                       qk_col, 2 * k)
 
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
                        q_basis: RnsBasis

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 
 
@@ -50,6 +51,29 @@ def test_multiply(bgv, rng):
     x, y = _vec(ctx, rng), _vec(ctx, rng)
     cm = scheme.multiply(scheme.encrypt(x, sk), scheme.encrypt(y, sk), rk)
     assert np.array_equal(scheme.decrypt(cm, sk), (x * y) % ctx.t)
+
+
+def test_traced_multiply_emits_moddown_span(bgv, rng):
+    """BGV's t-corrected ModDown runs in one ``ks.moddown`` span, as the
+    base class's does; its tail is numpy under either NTT kernel."""
+    ctx, scheme, sk, rk = bgv
+    x, y = _vec(ctx, rng), _vec(ctx, rng)
+    cx, cy = scheme.encrypt(x, sk), scheme.encrypt(y, sk)
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    obs.TRACER.enabled = True
+    try:
+        cm = scheme.multiply(cx, cy, rk)
+        events, _ = obs.TRACER.drain()
+    finally:
+        obs.TRACER.enabled = was
+    spans = [ev for ev in events if ev[obs.EV_NAME] == "ks.moddown"]
+    assert len(spans) == 1
+    assert spans[0][obs.EV_ATTRS] == {"k": 1, "impl": "numpy"}
+    inner = [ev[obs.EV_NAME] for ev in events
+             if "ks.moddown" in ev[obs.EV_PATH][:-1]]
+    assert "ntt.inverse" in inner and "ntt.forward" in inner
+    assert np.array_equal(scheme.decrypt(cm, sk), x * y % ctx.t)
 
 
 def test_multiply_depth(bgv, rng):

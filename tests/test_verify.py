@@ -497,7 +497,8 @@ def test_pipeline_runs_verify_stages_when_enabled():
     assert _verify_records(compiled.stats) == VERIFY_STAGES
 
 
-def test_pipeline_skips_verify_stages_by_default():
+def test_pipeline_skips_verify_stages_by_default(monkeypatch):
+    monkeypatch.delenv("REPRO_VERIFY", raising=False)
     compiled = compile_packed(small_packed(), CompileOptions())
     assert _verify_records(compiled.stats) == []
 
