@@ -7,9 +7,17 @@ record), and asserts the qualitative shape the paper reports.  Set
 timing studies at reduced ring degree.
 """
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.core.env import env_float, env_int
+
+# The test-only differential oracles (``tests/oracles``): the compiler
+# benchmark checks the production compile against them.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "tests"))
 
 #: Ring degree for simulation-heavy benchmarks (paper value: 65536).
 BENCH_N = env_int("REPRO_BENCH_N", 2 ** 16, minimum=1)

@@ -1,12 +1,14 @@
-"""Compile+simulate smoke benchmark: packed engine vs the seed path.
+"""Compile+simulate smoke benchmark: packed compiler vs the seed path.
 
 Times the full pipeline (all passes, scheduling, allocation) plus the
 cycle-level simulation of the fully-packed bootstrapping workload at a
-reduced ring degree, on both engines, asserting:
+reduced ring degree, on the production compiler and on the seed list
+pipeline and scoreboard kept as test-only oracles (``tests/oracles``),
+asserting:
 
 * cycle-count (and DRAM/unit accounting) equality between the packed
-  and reference paths, and
-* a >= 5x end-to-end compile+simulate speedup for the packed engine
+  and the oracle paths, and
+* a >= 5x end-to-end compile+simulate speedup for the packed compiler
   (scaled by ``REPRO_BENCH_SPEEDUP_SLACK`` on noisy shared runners),
 * compile-cache hits across a Figure 11-style repeat sweep.
 
@@ -19,14 +21,15 @@ import time
 
 import pytest
 
+import oracles
 from repro.arch.simulator import simulate
+from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import (
     CompileOptions,
     clear_compile_cache,
     compile_cache_stats,
     compile_packed,
-    compile_program,
 )
 from repro.core.config import ASIC_EFFACT
 from repro.core.env import env_float, env_int
@@ -56,9 +59,9 @@ def test_packed_compile_simulate_speedup():
     template = segment.packed_template()   # built once, like sweeps do
 
     t0 = time.perf_counter()
-    ref_cp = compile_program(build_bootstrap_program(lp, boot), options,
-                             engine="reference")
-    ref_res = simulate(ref_cp.program, ASIC_EFFACT)
+    ref_cp = oracles.compile_reference(build_bootstrap_program(lp, boot),
+                                       options)
+    ref_res = oracles.simulate_reference(ref_cp.program, ASIC_EFFACT)
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -121,14 +124,12 @@ def test_spilling_configs_match_reference():
     """Small-SRAM (spilling) compiles stay identical too, at scale."""
     lp, boot = _bootstrap_params()
     options = CompileOptions(sram_bytes=lp.limb_bytes * 40)
-    ref_cp = compile_program(
-        build_bootstrap_program(lp, boot, detail=0.25), options,
-        engine="reference")
-    new_cp = compile_program(
-        build_bootstrap_program(lp, boot, detail=0.25), options,
-        engine="packed")
+    ref_cp = oracles.compile_reference(
+        build_bootstrap_program(lp, boot, detail=0.25), options)
+    new_cp = compile_packed(PackedProgram.from_program(
+        build_bootstrap_program(lp, boot, detail=0.25)), options)
     assert new_cp.stats.alloc.spill_stores == \
         ref_cp.stats.alloc.spill_stores
     assert new_cp.stats.alloc.spill_stores > 0
     assert simulate(new_cp.packed, ASIC_EFFACT).cycles == \
-        simulate(ref_cp.program, ASIC_EFFACT).cycles
+        oracles.simulate_reference(ref_cp.program, ASIC_EFFACT).cycles

@@ -14,38 +14,27 @@ runs.  The guard floor is deliberately just above
 parity so noisy shared runners do not flake; the point it pins is the
 *direction*: turning the passes off must never be faster.
 
-Since PR 7 ``execute_packed`` replays a precompiled
-:class:`~repro.compiler.exec_plan.ExecPlan`;
-``test_exec_plan_speedup`` below guards the planned-replay speedup
-over the PR 6 run-vectorized interpreter, and the dblookup profile
+``execute_packed`` replays a precompiled
+:class:`~repro.compiler.exec_plan.ExecPlan`; the dblookup profile
 test pins *why* MAC fusion is executed-time neutral.
 
 Environment knobs: ``REPRO_BENCH_EXEC_N`` (ring degree, default 4096),
-``REPRO_BENCH_EXEC_MIN_SPEEDUP`` (default 1.0),
-``REPRO_BENCH_PLAN_N`` (default 512),
-``REPRO_BENCH_PLAN_MIN_SPEEDUP`` (default 1.5).
+``REPRO_BENCH_EXEC_MIN_SPEEDUP`` (default 1.0).
 """
 
 import numpy as np
 
 from repro import obs
-from repro.compiler.exec_backend import (
-    execute_interpreted,
-    execute_packed,
-    synthesize_bindings,
-)
+from repro.compiler.exec_backend import execute_packed, synthesize_bindings
 from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_packed
 from repro.core.env import env_float, env_int
-from repro.nttmath.batched import clear_caches
 from repro.workloads.dblookup import build_dblookup_program
 from repro.workloads.resnet import ResNetShape, build_conv_block
 
 EXEC_N = env_int("REPRO_BENCH_EXEC_N", 4096, minimum=1)
 MIN_SPEEDUP = env_float("REPRO_BENCH_EXEC_MIN_SPEEDUP", 1.0)
-PLAN_N = env_int("REPRO_BENCH_PLAN_N", 512, minimum=1)
-PLAN_MIN_SPEEDUP = env_float("REPRO_BENCH_PLAN_MIN_SPEEDUP", 1.5)
 REPEATS = 3
 #: Bound on fused over unfused best-of-N executed wall on dblookup
 #: when the C NTT kernel runs (measured ~0.97).
@@ -110,55 +99,6 @@ def test_exec_instruction_timing_breakdown_reported():
     result = execute_packed(compiled, synthesize_bindings(packed))
     assert result.instructions == compiled.packed.num_instrs
     assert result.wall_s > 0
-
-
-def test_exec_plan_speedup():
-    """Planned replay beats the PR 6 run-vectorized interpreter.
-
-    The plan's wins are one-time analysis (run discovery, prime
-    columns, gather indices all precomputed), no per-row buffer-dict
-    round trips, and dataflow wavefront scheduling that merges
-    independent same-kind steps across the whole program (the conv
-    block's 4225 instructions replay in ~900 steps vs. the
-    interpreter's ~3000 in-order runs, with every DRAM load in one
-    batched gather).  Those are per-step *dispatch* savings, so the
-    guard runs where dispatch dominates: ``n=512``.  Measured on the
-    reference runner (2026-08-07, conv block, levels=7, dnum=4, 8
-    diagonals, best-of-5): **1.9-2.1x** at n=512, 1.48x at n=2048,
-    1.40x at n=4096 — the larger rings are bound by the stacked NTT
-    transforms themselves (~60% of replay wall), which both engines
-    share bitwise.  Floor 1.5x (``REPRO_BENCH_PLAN_MIN_SPEEDUP``).
-    """
-    lp = LoweringParams(n=PLAN_N, levels=7, dnum=4, log_q=30)
-    shape = ResNetShape(conv_diagonals=8, start_level=7)
-    packed = PackedProgram.from_program(
-        build_conv_block(lp, shape, name="conv-plan-bench"))
-    compiled = compile_packed(packed.copy(), CompileOptions())
-    bindings = synthesize_bindings(packed)
-
-    clear_caches()
-    # Warm the plan and the stacked NTT engines once, then time.
-    planned = execute_packed(compiled, bindings)
-    interp = execute_interpreted(compiled, bindings)
-    for vid in interp.outputs:
-        np.testing.assert_array_equal(planned.outputs[vid],
-                                      interp.outputs[vid])
-    t_plan = min(execute_packed(compiled, bindings).wall_s
-                 for _ in range(5))
-    t_interp = min(execute_interpreted(compiled, bindings).wall_s
-                   for _ in range(5))
-
-    speedup = t_interp / t_plan
-    print(f"\nexec plan n={PLAN_N}: planned {t_plan:.4f}s/"
-          f"{planned.runs} steps, interpreter {t_interp:.4f}s/"
-          f"{interp.runs} runs -> {speedup:.2f}x")
-    assert planned.runs < interp.runs, \
-        "wavefront scheduling merged nothing; plan build is broken"
-    assert speedup > PLAN_MIN_SPEEDUP, (
-        f"planned replay speedup {speedup:.2f}x is under the "
-        f"{PLAN_MIN_SPEEDUP:.2f}x floor (planned {t_plan:.4f}s vs "
-        f"interpreter {t_interp:.4f}s): precompiled plans are no "
-        f"longer paying for themselves")
 
 
 def test_mac_fusion_is_executed_time_neutral_on_dblookup(ntt_impl):

@@ -17,8 +17,8 @@ instrumentation — is the largest relative share of the wall time):
   is the price of a full per-step timeline and deliberately not
   asserted (it scales with steps/wall, which shrinks as n grows).
 
-Environment knobs: ``REPRO_BENCH_PLAN_N`` (ring degree, default 512),
-``REPRO_BENCH_OBS_MAX_OVERHEAD`` (fractional ceiling, default 0.02),
+Environment knobs: ``REPRO_BENCH_OBS_MAX_OVERHEAD`` (fractional
+ceiling, default 0.02),
 ``REPRO_BENCH_OBS_REPEATS`` (default 7).
 """
 
@@ -36,7 +36,8 @@ from repro.core.env import env_float, env_int
 from repro.nttmath.batched import clear_caches
 from repro.workloads.resnet import ResNetShape, build_conv_block
 
-PLAN_N = env_int("REPRO_BENCH_PLAN_N", 512, minimum=1)
+#: Ring degree: small, so dispatch dominates the replay wall.
+PLAN_N = 512
 MAX_OVERHEAD = env_float("REPRO_BENCH_OBS_MAX_OVERHEAD", 0.02)
 REPEATS = env_int("REPRO_BENCH_OBS_REPEATS", 7, minimum=1)
 #: Absolute slack floor so a 2% bound on a ~100 ms replay does not

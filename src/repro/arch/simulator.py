@@ -17,7 +17,6 @@ DRAM to the slow fine-grained NTT).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,82 +84,6 @@ class EffactSimulator:
     def __init__(self, config: HardwareConfig):
         self.config = config
 
-    def run(self, program: Program) -> SimulationResult:
-        global _SIMULATIONS_EXECUTED
-        _SIMULATIONS_EXECUTED += 1
-        TRACER.count("sim.executed")
-        cfg = self.config
-        timing = TimingModel(cfg, program.n)
-        unit_free: dict[str, int] = {
-            "mmul": 0, "madd": 0, "ntt": 0, "auto": 0,
-            "hbm": 0, "sram": 0, "scalar": 0,
-        }
-        unit_busy: dict[str, int] = {k: 0 for k in unit_free}
-        ready: dict[int, int] = {}
-        window: deque[int] = deque()
-        sram_free = 0
-        dram_bytes = 0
-        stall = 0
-        finish = 0
-
-        for ins in program.instrs:
-            op = ins.op
-            unit = timing.unit_for(op)
-            dur = timing.cycles(op, streaming=ins.streaming)
-
-            operand_ready = 0
-            for s in ins.srcs:
-                t = ready.get(s)
-                if t is not None and t > operand_ready:
-                    operand_ready = t
-
-            # Reorder window: cannot issue before the oldest in-flight
-            # instruction in the window has started.
-            window_gate = window[0] if len(window) >= cfg.ooo_window else 0
-
-            start = max(operand_ready, unit_free[unit], window_gate)
-
-            # SRAM port pressure: non-streaming operand traffic shares
-            # the banked SRAM bandwidth.
-            sram_bytes = timing.sram_bytes_touched(
-                op, len(ins.srcs), streaming=ins.streaming)
-            if sram_bytes:
-                sram_dur = max(1, sram_bytes
-                               // cfg.sram_bw_bytes_per_cycle)
-                start = max(start, sram_free - dur)
-                sram_free = max(sram_free, start) + sram_dur
-                unit_busy["sram"] += sram_dur
-
-            end = start + dur
-            unit_free[unit] = end
-            unit_busy[unit] += dur
-            stall += max(0, start - operand_ready)
-
-            if op in (Opcode.LOAD, Opcode.STORE):
-                dram_bytes += program.n * 8
-
-            if ins.dest is not None:
-                ready[ins.dest] = end + self.PIPELINE_LATENCY
-            window.append(start)
-            if len(window) > cfg.ooo_window:
-                window.popleft()
-            if end > finish:
-                finish = end
-
-        return SimulationResult(
-            config_name=cfg.name,
-            program_name=program.name,
-            cycles=finish,
-            freq_ghz=cfg.freq_ghz,
-            instructions=len(program.instrs),
-            dram_bytes=dram_bytes,
-            unit_busy=unit_busy,
-            stall_cycles=stall,
-        )
-
-    # ------------------------------------------------------------------
-    # Packed path
-    # ------------------------------------------------------------------
     def run_packed(self, packed: PackedProgram) -> SimulationResult:
         """Scoreboard recurrence over packed columns.
 
@@ -169,8 +92,9 @@ class EffactSimulator:
         batched with ``bincount``/``max`` after the fact.  The only
         sequential piece left is the scoreboard recurrence itself
         (operand-ready / unit-free / reorder-window maxes), which runs
-        as a tight loop over plain int lists.  Cycle-identical to
-        :meth:`run` (pinned by the differential suite).
+        as a tight loop over plain int lists.  Cycle-identical to the
+        seed list scoreboard kept as a test-only oracle
+        (``tests/oracles``), pinned by the differential suite.
         """
         global _SIMULATIONS_EXECUTED
         _SIMULATIONS_EXECUTED += 1
@@ -267,9 +191,9 @@ class EffactSimulator:
 
 def simulate(program: Program | PackedProgram,
              config: HardwareConfig) -> SimulationResult:
-    """Convenience wrapper; dispatches on the IR representation."""
-    sim = EffactSimulator(config)
+    """Simulate a compiled program; a list :class:`Program` is packed
+    once first."""
+    if not isinstance(program, PackedProgram):
+        program = PackedProgram.from_program(program)
     with TRACER.span("sim.scoreboard", config=config.name):
-        if isinstance(program, PackedProgram):
-            return sim.run_packed(program)
-        return sim.run(program)
+        return EffactSimulator(config).run_packed(program)

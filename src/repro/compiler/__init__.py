@@ -4,7 +4,6 @@ from .codegen import generate
 from .exec_backend import (
     ExecBindings,
     ExecutionResult,
-    execute_interpreted,
     execute_packed,
     execute_reference,
     synthesize_bindings,
@@ -24,8 +23,7 @@ from .pipeline import (
     CompileStats,
     compile_program,
 )
-from .regalloc import AllocationStats, OutOfSlotsError, allocate
-from .scheduler import apply_schedule, schedule
+from .regalloc import AllocationStats, OutOfSlotsError
 
 __all__ = [
     "AllocationStats",
@@ -44,16 +42,12 @@ __all__ = [
     "Program",
     "PtHandle",
     "Value",
-    "allocate",
-    "apply_schedule",
     "build_exec_plan",
     "compile_program",
-    "execute_interpreted",
     "execute_packed",
     "execute_reference",
     "generate",
     "get_exec_plan",
     "plans_built",
-    "schedule",
     "synthesize_bindings",
 ]

@@ -17,47 +17,14 @@ from collections import defaultdict
 import numpy as np
 
 from ..core.isa import Opcode
-from .ir import OP_INDEX, PackedProgram, Program
-
-
-def memory_dependencies(program: Program) -> list[tuple[int, int]]:
-    """Extra (earlier_idx, later_idx) ordering edges for aliasing memory
-    operations: store->load, load->store and store->store on the same
-    address, in program order."""
-    last_store: dict[int, int] = {}
-    loads_since_store: dict[int, list[int]] = defaultdict(list)
-    edges: list[tuple[int, int]] = []
-    for idx, ins in enumerate(program.instrs):
-        if ins.op is Opcode.LOAD:
-            addr = _address_of(program, ins.srcs[0])
-            if addr is None:
-                continue
-            if addr in last_store:
-                edges.append((last_store[addr], idx))
-            loads_since_store[addr].append(idx)
-        elif ins.op is Opcode.STORE:
-            addr = _address_of(program, ins.srcs[0])
-            if addr is None:
-                continue
-            if addr in last_store:
-                edges.append((last_store[addr], idx))
-            for load_idx in loads_since_store[addr]:
-                edges.append((load_idx, idx))
-            loads_since_store[addr] = []
-            last_store[addr] = idx
-    return edges
-
-
-def _address_of(program: Program, vid: int) -> int | None:
-    value = program.values.get(vid)
-    if value is None:
-        return None
-    return value.address
+from .ir import OP_INDEX, PackedProgram
 
 
 def memory_dependencies_packed(
         packed: PackedProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized-filter twin of :func:`memory_dependencies`.
+    """Extra ``(earlier, later)`` ordering edges for aliasing memory
+    operations: store->load, load->store and store->store on the same
+    address, in program order, as two index arrays.
 
     The candidate set (loads/stores whose first operand carries a DRAM
     address) is found with one mask over the packed columns; the

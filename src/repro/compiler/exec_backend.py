@@ -1,6 +1,6 @@
 """Fused-kernel execution backend: run a PackedProgram for real.
 
-The cycle simulator (:mod:`repro.sim.engine`) prices a scheduled
+The cycle simulator (:mod:`repro.arch.simulator`) prices a scheduled
 :class:`~repro.compiler.ir.PackedProgram`; this module *executes* one
 against the batched NTT engine, producing actual residue polynomials.
 The two share the instruction stream, so predicted cycles and executed
@@ -9,47 +9,44 @@ cross-checked bitwise against :class:`repro.schemes.rns_core.
 RnsEvaluatorBase`, which turns the whole compiler into a testable
 artifact instead of a cost model.
 
-The default :func:`execute_packed` path is *planned*: a one-time
-:class:`~repro.compiler.exec_plan.ExecPlan` (cached in-process and in
-the ArtifactStore, keyed off the program fingerprint + bindings
-shape) precomputes every run boundary, gather/scatter index array,
-prime/immediate column, and slot-arena row assignment, so replay is a
-tight loop of fancy-indexed vector expressions and stacked engine
-calls.  See :mod:`repro.compiler.exec_plan` for the architecture.
+One production engine and one oracle:
 
-:func:`execute_interpreted` preserves the PR 6 run-vectorized
-interpreter as an oracle: consecutive instructions with the same
-shape (opcode, source arity, and for AUTO the Galois immediate) are
-gathered into one ``(k, N)`` stack and issued as a single numpy
-expression or one stacked NTT/iNTT/automorphism, with a dict-keyed
-buffer pool recycled through use counts.  It shares no dispatch
-machinery with the planned path, so agreement between the two (and
-with :func:`execute_reference`) is evidence, not tautology.
+* :func:`execute_packed` is *planned*: a one-time
+  :class:`~repro.compiler.exec_plan.ExecPlan` (cached in-process and
+  in the ArtifactStore, keyed off the program fingerprint + bindings
+  shape) precomputes every step boundary, gather/scatter index array,
+  prime/immediate column, and slot-arena row assignment, so replay is
+  a tight loop of native kernel calls or fancy-indexed vector
+  expressions and stacked engine calls.  See
+  :mod:`repro.compiler.exec_plan` for the architecture.
+* :func:`execute_reference` is the oracle: a naive
+  one-instruction-at-a-time interpreter over the list IR that shares
+  no dispatch machinery with the plan, so agreement between the two is
+  evidence, not tautology.  The fuzzer runs it on the *uncompiled*
+  program; it also runs a compiled stream, spill stores and reloads
+  included.
 
 Exactness: every engine prime is below 2**31, so ``x * y`` of two
 canonical residues fits in 62 bits and ``(x * y + z) % q`` is exact in
 uint64 — no Shoup companions needed on this path.  All values are kept
 canonical in ``[0, q)``; the NTT engine is Z_q-linear and its
 forward/inverse round trip is bitwise (pinned by the tier-1 suite), so
-every engine here reproduces the evaluator's results bit for bit.
+both engines reproduce the evaluator's results bit for bit.
 
-Buffers: the interpreter is vid-addressed, not slot-addressed — the
-register allocator's ``slot_of`` is residual (entries pop as values
-die), so it cannot serve as a vid->slot map.  Instead the buffer pool
-is preallocated to the allocation's ``peak_slots_used`` and rows are
-recycled through a free list as use counts hit zero; spill STOREs
-(dest ``-1``) copy to a spill side table, reload LOADs (no sources)
-restore from it or rematerialize DRAM/const values by name.  The
-planned path applies the same lifetime rules statically to assign
-arena rows (see ``build_exec_plan``).
+Lifetimes: the register allocator's ``slot_of`` is residual (entries
+pop as values die), so it cannot serve as a vid->row map.  Plan build
+instead derives every value's lifetime from use counts: a row is
+recycled when its value's last use retires, spill STOREs (dest ``-1``)
+copy to a dedicated spill row, and reload LOADs (no sources) restore
+from it or rematerialize DRAM/const values by name (see
+``build_exec_plan``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,29 +55,16 @@ from ..nttmath.batched import get_stacked_plan
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..nttmath.primes import find_ntt_primes
 from .exec_plan import get_exec_plan, plans_built, replay_plan
-from .ir import OP_INDEX, PackedProgram, Program
+from .ir import PackedProgram, Program
 
 __all__ = [
     "ExecBindings",
     "ExecutionResult",
-    "execute_interpreted",
     "execute_packed",
     "execute_reference",
     "synthesize_bindings",
 ]
 
-_MMUL = OP_INDEX[Opcode.MMUL]
-_MMAD = OP_INDEX[Opcode.MMAD]
-_MMAC = OP_INDEX[Opcode.MMAC]
-_NTT = OP_INDEX[Opcode.NTT]
-_INTT = OP_INDEX[Opcode.INTT]
-_AUTO = OP_INDEX[Opcode.AUTO]
-_LOAD = OP_INDEX[Opcode.LOAD]
-_STORE = OP_INDEX[Opcode.STORE]
-_VCOPY = OP_INDEX[Opcode.VCOPY]
-_SCALAR = OP_INDEX[Opcode.SCALAR]
-
-_ELEMENTWISE = (_MMUL, _MMAD, _MMAC)
 
 # ----------------------------------------------------------------------
 # Constant resolution
@@ -234,7 +218,7 @@ class ExecBindings:
                 return pinned % q
             return _hash_int(name) % q
         # Unknown name (hand-built programs): deterministic scalar so
-        # both interpreters agree without a registry entry.
+        # both engines agree without a registry entry.
         return _hash_int(name) % q
 
     def _digit_qhat(self, l1: int, jj: int) -> int:
@@ -310,11 +294,18 @@ class ExecutionResult:
     instructions: int
     runs: int
     peak_buffers: int
+    #: STORE rows executed (every STORE of a resident value: allocator
+    #: spills and program stores alike).
     spill_stores: int = 0
+    #: Source-less LOADs served from a stored copy: every reload of a
+    #: value some STORE wrote earlier.  That includes a remat reload
+    #: (the allocator reloading a clean value from its original
+    #: address) of a value a *program* STORE wrote, so this can exceed
+    #: ``AllocationStats.spill_reloads``, which counts only values the
+    #: allocator itself spilled.
     spill_reloads: int = 0
     #: Whether this execution had to *build* its plan (False when the
-    #: plan came from the in-process cache or the ArtifactStore, and
-    #: always False on the interpreted path).
+    #: plan came from the in-process cache or the ArtifactStore).
     plan_built: bool = False
     #: ``{step label: [wall_s, instructions]}`` when the tracer was
     #: enabled (``REPRO_TRACE=1`` / ``--trace``); ``None`` otherwise.
@@ -341,8 +332,7 @@ def execute_packed(target, bindings: ExecBindings | None = None
     preallocated slot arena; ``wall_s`` covers replay only, which is
     what a steady-state serving loop would pay.  Returns the output
     residue rows keyed by value id, canonical in ``[0, q)``, bitwise
-    identical to :func:`execute_interpreted` and
-    :func:`execute_reference`.
+    identical to :func:`execute_reference`.
     """
     packed = getattr(target, "packed", target)
     if not isinstance(packed, PackedProgram):
@@ -361,258 +351,7 @@ def execute_packed(target, bindings: ExecBindings | None = None
 
 
 # ----------------------------------------------------------------------
-# The run-vectorized interpreter (PR 6; kept as an oracle)
-# ----------------------------------------------------------------------
-def execute_interpreted(target, bindings: ExecBindings | None = None
-                        ) -> ExecutionResult:
-    """Execute by re-deriving runs and buffers on every call.
-
-    ``target`` is a :class:`PackedProgram` or a ``CompiledProgram``
-    (whose allocation stats size the buffer pool).  Returns the output
-    residue rows keyed by value id, canonical in ``[0, q)``.  This is
-    the PR 6 engine, retained as a differential oracle for the planned
-    path and as the baseline for the plan-speedup benchmark.
-    """
-    packed = getattr(target, "packed", target)
-    if not isinstance(packed, PackedProgram):
-        raise TypeError(f"cannot execute {type(target).__name__}")
-    if bindings is None:
-        bindings = synthesize_bindings(packed)
-
-    n = packed.n
-    stats = getattr(target, "stats", None)
-    peak = getattr(getattr(stats, "alloc", None), "peak_slots_used", 0)
-
-    op_l = packed.op.tolist()
-    dest_l = packed.dest.tolist()
-    nsrc_l = packed.n_srcs.tolist()
-    srcs_l = packed.srcs.tolist()
-    mod_l = packed.modulus.tolist()
-    imm_l = packed.imm.tolist()
-    origin_l = packed.val_origin.tolist()
-    names = packed.val_names
-    counts = packed.use_counts_array().tolist()
-    const_names = packed.const_names or {}
-    inv_merged = {mid: pair
-                  for pair, mid in (packed.merged_imms or {}).items()}
-
-    # First definition of each LOAD dest: the DRAM/const vid it reads.
-    # Remat reloads (clean evictions of load results) re-read this.
-    reload_source: dict[int, int] = {}
-    for idx, op in enumerate(op_l):
-        if op == _LOAD and nsrc_l[idx] == 1:
-            reload_source.setdefault(dest_l[idx], srcs_l[idx][0])
-
-    pool = [np.empty(n, dtype=np.int64) for _ in range(peak)]
-    buffers: dict[int, np.ndarray] = {}
-    spill: dict[int, np.ndarray] = {}
-    plans: dict[tuple[int, ...], object] = {}
-    live_peak = 0
-    spill_stores = spill_reloads = 0
-    run_count = 0
-
-    def engine_for(primes: tuple[int, ...]):
-        eng = plans.get(primes)
-        if eng is None:
-            eng = get_stacked_plan(n, tuple((q,) for q in primes)).ntt
-            plans[primes] = eng
-        return eng
-
-    def define(vid: int) -> np.ndarray:
-        buf = buffers.get(vid)
-        if buf is None:
-            buf = pool.pop() if pool else np.empty(n, dtype=np.int64)
-            buffers[vid] = buf
-        return buf
-
-    def consume(vid: int) -> None:
-        left = counts[vid] = counts[vid] - 1
-        if left == 0:
-            buf = buffers.pop(vid, None)
-            if buf is not None:
-                pool.append(buf)
-
-    def fetch(vid: int, q: int) -> np.ndarray:
-        buf = buffers.get(vid)
-        if buf is not None:
-            return buf
-        if origin_l[vid] != 0:           # dram / const read in place
-            return bindings.dram_array(names[vid], q)
-        raise KeyError(
-            f"value {vid} used before definition (op stream corrupt?)")
-
-    rows = len(op_l)
-    t0 = time.perf_counter()
-    idx = 0
-    while idx < rows:
-        op = op_l[idx]
-
-        if op in _ELEMENTWISE:
-            # Grow a maximal same-shape run with no internal RAW edge.
-            arity = nsrc_l[idx]
-            run = [idx]
-            run_dests = {dest_l[idx]}
-            j = idx + 1
-            while j < rows and op_l[j] == op and nsrc_l[j] == arity:
-                if any(s in run_dests for s in srcs_l[j][:arity]):
-                    break
-                run.append(j)
-                run_dests.add(dest_l[j])
-                j += 1
-            k = len(run)
-            primes = [bindings.prime(mod_l[r]) for r in run]
-            q_col = np.array(primes, dtype=np.uint64).reshape(k, 1)
-            gathered = []
-            for pos in range(arity):
-                x = np.empty((k, n), dtype=np.uint64)
-                for r, row in enumerate(run):
-                    x[r] = fetch(srcs_l[row][pos], primes[r])
-                gathered.append(x)
-            if op == _MMAC:
-                res = (gathered[0] * gathered[1] + gathered[2]) % q_col
-            else:
-                if arity == 2:
-                    other = gathered[1]
-                else:
-                    imm_col = np.array(
-                        [bindings.imm_value(imm_l[row], primes[r],
-                                            const_names, inv_merged)
-                         for r, row in enumerate(run)],
-                        dtype=np.uint64).reshape(k, 1)
-                    other = imm_col
-                if op == _MMUL:
-                    res = (gathered[0] * other) % q_col
-                else:
-                    res = (gathered[0] + other) % q_col
-            res = res.astype(np.int64, copy=False)
-            for r, row in enumerate(run):
-                define(dest_l[row])[:] = res[r]
-            for row in run:
-                for s in srcs_l[row][:arity]:
-                    consume(s)
-            idx = j
-
-        elif op in (_NTT, _INTT, _AUTO):
-            imm0 = imm_l[idx]
-            run = [idx]
-            run_dests = {dest_l[idx]}
-            j = idx + 1
-            while j < rows and op_l[j] == op \
-                    and (op != _AUTO or imm_l[j] == imm0):
-                if srcs_l[j][0] in run_dests:
-                    break
-                run.append(j)
-                run_dests.add(dest_l[j])
-                j += 1
-            k = len(run)
-            primes = tuple(bindings.prime(mod_l[r]) for r in run)
-            data = np.empty((k, n), dtype=np.int64)
-            for r, row in enumerate(run):
-                data[r] = fetch(srcs_l[row][0], primes[r])
-            eng = engine_for(primes)
-            if op == _NTT:
-                out = eng.forward(data)
-            elif op == _INTT:
-                # IR iNTT is raw: the 1/N fold is an explicit multiply.
-                out = eng.inverse(data, scale_by_n_inv=False)
-            else:
-                elt = (conjugation_element(n) if imm0 == -1
-                       else galois_element(imm0, n))
-                out = eng.automorphism_ntt(data, elt)
-            for r, row in enumerate(run):
-                define(dest_l[row])[:] = out[r]
-            for row in run:
-                consume(srcs_l[row][0])
-            idx = j
-
-        elif op == _LOAD:
-            q = bindings.prime(mod_l[idx])
-            vid = dest_l[idx]
-            if nsrc_l[idx] == 1:
-                # The source is either a DRAM/const value or — for a
-                # user-written LOAD whose operand the legalizer routed
-                # through a staging load — a live compute value.
-                # ``fetch`` handles both.
-                src = srcs_l[idx][0]
-                define(vid)[:] = fetch(src, q)
-                consume(src)
-            else:
-                # Reload: spilled copy, else rematerialize by name.
-                saved = spill.get(vid)
-                if saved is not None:
-                    define(vid)[:] = saved
-                    spill_reloads += 1
-                elif origin_l[vid] != 0:
-                    define(vid)[:] = bindings.dram_array(names[vid], q)
-                else:
-                    # Chase load-of-load chains (user LOAD -> staging
-                    # LOAD -> dram value) down to the external origin.
-                    src = reload_source.get(vid)
-                    while src is not None and origin_l[src] == 0:
-                        src = reload_source.get(src)
-                    if src is None:
-                        raise KeyError(
-                            f"reload of value {vid}: never spilled and "
-                            f"no DRAM origin to rematerialize")
-                    define(vid)[:] = bindings.dram_array(names[src], q)
-            run_count += 1
-            idx += 1
-            live_peak = max(live_peak, len(buffers))
-            continue
-
-        elif op == _STORE:
-            src = srcs_l[idx][0]
-            buf = buffers.get(src)
-            if buf is not None:
-                spill[src] = buf.copy()
-                spill_stores += 1
-            consume(src)
-            run_count += 1
-            idx += 1
-            continue
-
-        elif op == _VCOPY:
-            q = bindings.prime(mod_l[idx])
-            src = srcs_l[idx][0]
-            value = fetch(src, q)
-            define(dest_l[idx])[:] = value
-            consume(src)
-            run_count += 1
-            idx += 1
-            live_peak = max(live_peak, len(buffers))
-            continue
-
-        elif op == _SCALAR:
-            q = bindings.prime(mod_l[idx])
-            define(dest_l[idx]).fill(imm_l[idx] % q)
-            run_count += 1
-            idx += 1
-            live_peak = max(live_peak, len(buffers))
-            continue
-
-        else:
-            raise NotImplementedError(
-                f"opcode {packed.op[idx]} has no execution rule")
-
-        run_count += 1
-        live_peak = max(live_peak, len(buffers))
-
-    outputs: dict[int, np.ndarray] = {}
-    for vid in packed.outputs.tolist():
-        buf = buffers.get(vid)
-        if buf is None:
-            raise KeyError(f"output value {vid} was never materialized")
-        outputs[vid] = buf.copy()
-    wall = time.perf_counter() - t0
-
-    return ExecutionResult(
-        outputs=outputs, wall_s=wall, instructions=rows, runs=run_count,
-        peak_buffers=live_peak, spill_stores=spill_stores,
-        spill_reloads=spill_reloads)
-
-
-# ----------------------------------------------------------------------
-# Reference interpreter (the fuzzer's second oracle)
+# Reference interpreter (the execution oracle)
 # ----------------------------------------------------------------------
 def execute_reference(program: Program,
                       bindings: ExecBindings | None = None
@@ -620,10 +359,9 @@ def execute_reference(program: Program,
     """Naive one-instruction-at-a-time interpreter over the list IR.
 
     Deliberately shares no dispatch machinery with
-    :func:`execute_packed` or :func:`execute_interpreted` — no run
-    grouping, no buffer pool, no plan, one single-row stacked plan per
-    prime — so agreement between the engines is evidence about the
-    vectorized dispatchers, not a tautology.
+    :func:`execute_packed` — no step grouping, no arena, no plan, one
+    single-row stacked plan per prime — so agreement between the two
+    is evidence about the planned dispatcher, not a tautology.
     """
     if bindings is None:
         bindings = synthesize_bindings(program)
@@ -689,24 +427,25 @@ def execute_reference(program: Program,
             values[ins.dest] = fetch(ins.srcs[0], q).copy()
         elif op is Opcode.LOAD:
             if ins.srcs:
-                src = ins.srcs[0]
-                values[ins.dest] = bindings.dram_array(
-                    program.values[src].name, q)
+                # A DRAM/const value, or (in a compiled stream) the
+                # staging value a user-written LOAD now reads.
+                values[ins.dest] = fetch(ins.srcs[0], q).copy()
             else:
                 vid = ins.dest
                 saved = spill.get(vid)
                 if saved is not None:
                     values[vid] = saved.copy()
-                else:
-                    value = program.values.get(vid)
-                    if value is not None and value.origin != "compute":
-                        values[vid] = bindings.dram_array(value.name, q)
-                    elif vid in reload_source:
-                        src = reload_source[vid]
-                        values[vid] = bindings.dram_array(
-                            program.values[src].name, q)
-                    else:
-                        raise KeyError(f"reload of unspilled value {vid}")
+                    continue
+                # Rematerialize from the DRAM origin, chasing
+                # load-of-load chains (user LOAD -> staging LOAD).
+                src = vid
+                while src is not None \
+                        and program.values[src].origin == "compute":
+                    src = reload_source.get(src)
+                if src is None:
+                    raise KeyError(f"reload of unspilled value {vid}")
+                values[vid] = bindings.dram_array(
+                    program.values[src].name, q)
         elif op is Opcode.STORE:
             src = ins.srcs[0]
             arr = values.get(src)

@@ -1,18 +1,16 @@
 """Precompiled execution plans: build once, replay many times.
 
-The PR 6 interpreter (:mod:`repro.compiler.exec_backend`) re-derives
-run boundaries, prime columns, and gather indices in Python on every
-``execute_packed`` call, and every fetch/define round-trips each
-``(N,)`` row through a dict-keyed buffer pool with an explicit copy.
-But the instruction stream is *static* — the paper's whole premise —
-so all of that per-execution analysis can be hoisted into a one-time
+The instruction stream is *static* — the paper's whole premise — so
+every per-execution analysis (step boundaries, prime columns, gather
+indices, value lifetimes) is hoisted into a one-time
 :class:`ExecPlan`:
 
 * **Plan build** (:func:`build_exec_plan`) walks the scheduled stream
-  once, mirroring the interpreter's semantics (use counts,
-  spill/reload/remat decisions) to assign every value a row in a
-  single ``(arena_rows, N)`` int64 **slot arena**, and emits a short
-  list of vectorized steps carrying precomputed numpy index arrays:
+  once, deriving value lifetimes from use counts and following the
+  stream's spill/reload/remat decisions, to assign every value a row
+  in a single ``(arena_rows, N)`` int64 **slot arena**, and emits a
+  short list of vectorized steps carrying precomputed numpy index
+  arrays:
   elementwise steps (``(x op y) % q_col`` over gathered arena rows,
   with MUL/ADD rows of equal arity merged into one masked step and
   MAC runs fused as ``(x*y+z) % q_col``), stacked NTT/iNTT/AUTO
@@ -42,8 +40,8 @@ Exactness: every engine prime is below 2**31, so products of
 canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
 int64 — the arena therefore stays int64 end to end (mixing uint64
 indices/operands with int64 arena rows would promote to float64),
-and replay is bitwise-identical to both the interpreter and
-``execute_reference`` (pinned by the fuzzer and oracle suites).  The
+and replay is bitwise-identical to ``execute_reference`` (pinned by
+the fuzzer and oracle suites).  The
 native kernels equal the numpy expressions for *every* int64 input
 (wrapping products and sums, numpy's floor modulo), so they need no
 precondition beyond the lane-table rule: a step gets a lane table
@@ -58,8 +56,8 @@ rows), so it equals the engine on every int64 input too.
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
-cost.  This is safe because the interpreter's copy-then-free leaves
-the same bits in a buffer the dest exclusively owns.  Within a step,
+cost.  This is safe because a copy-then-free would leave the same
+bits in a row the dest exclusively owns.  Within a step,
 gathers complete before scatters (fancy indexing copies), and the
 compaction pass never hands a physical row to a new value while any
 step still reads it, so replay order plus renaming can never alias a
@@ -206,11 +204,12 @@ class ExecPlan:
 def build_exec_plan(packed: PackedProgram, bindings) -> ExecPlan:
     """Walk the scheduled stream once and emit a replayable plan.
 
-    Mirrors the interpreter's semantics exactly (same use-count driven
-    lifetimes, the same spill/reload/remat decisions, the same
-    in-place DRAM fetch re-reduced at each use-site prime) so replay
-    is bitwise-identical to :func:`~repro.compiler.exec_backend.
-    execute_interpreted`.
+    Values live until their use count reaches zero; spill STOREs copy
+    to a dedicated spill row, source-less reload LOADs restore from it
+    or rematerialize from the value's DRAM origin, and DRAM operands
+    are fetched in place and re-reduced at each use-site prime, so
+    replay is bitwise-identical to :func:`~repro.compiler.exec_backend.
+    execute_reference`.
     """
     if not isinstance(packed, PackedProgram):
         raise TypeError(f"cannot plan {type(packed).__name__}")
@@ -371,9 +370,8 @@ def build_exec_plan(packed: PackedProgram, bindings) -> ExecPlan:
 
         if op in _ELEMENTWISE:
             # Grow a maximal equal-arity run with no internal RAW edge.
-            # Unlike the interpreter's equal-opcode scan, MMUL and MMAD
-            # rows merge freely (a mask column picks the expression);
-            # MMAC rows (arity 3) merge with each other.
+            # MMUL and MMAD rows merge freely (a mask column picks the
+            # expression); MMAC rows (arity 3) merge with each other.
             arity = nsrc_l[idx]
             run = [idx]
             run_dests = {dest_l[idx]}
@@ -649,8 +647,8 @@ def _class_key(st: PlanStep):
 
 def _merge_steps(steps: list[PlanStep]) -> list[PlanStep]:
     """Reschedule the sealed stream by dataflow wavefronts and merge
-    each wavefront's compatible steps — the plan-level run growth the
-    in-order interpreter cannot do.
+    each wavefront's compatible steps — run growth that in-order
+    execution cannot do.
 
     Scheduled streams interleave, say, one NTT per conv diagonal with
     the MAC that consumes it; in program order every NTT run has length

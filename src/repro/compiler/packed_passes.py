@@ -1,10 +1,10 @@
-"""Vectorized twins of the compiler passes over ``PackedProgram``.
+"""The compiler passes over ``PackedProgram`` columns.
 
-Every function here is a drop-in replacement for its reference twin in
-:mod:`repro.compiler.passes`, operating on packed numpy columns instead
-of a list of ``Instr`` objects, and producing *bit-identical* programs,
-statistics and pass return values (the differential suite in
-``tests/test_differential_compile.py`` pins this).
+Each pass operates on packed numpy columns instead of a list of
+``Instr`` objects.  The seed list-of-``Instr`` implementations they
+were derived from live on as test-only oracles (``tests/oracles/``);
+the differential suite in ``tests/test_differential_compile.py`` pins
+bit-identical programs, statistics and pass return values.
 
 The vectorization strategy mirrors PR 1's limb batching: whatever is
 order-independent across the instruction axis (masks, use counts,
@@ -13,7 +13,7 @@ passes whose semantics are inherently sequential (value-numbering CSE,
 constant-chain merging, load placement) keep a Python loop, but only
 over the *candidate* rows — located vectorized — and only over plain
 ``int`` lists, which removes the per-instruction attribute/dataclass
-overhead that dominates the reference implementations.
+overhead of a list-of-objects walk.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ def _producer_array(packed: PackedProgram) -> np.ndarray:
 # Copy propagation
 # ----------------------------------------------------------------------
 def propagate_copies_packed(packed: PackedProgram) -> int:
-    """Vectorized VecCopy elimination: the copy map is a value-id
-    permutation resolved by pointer jumping, then applied to every
-    source column at once."""
+    """VecCopy elimination (section IV-B1: the translator emits VCOPY
+    when ModUp places a digit's own limbs into the extended basis).
+
+    The copy map is a value-id permutation resolved by pointer
+    jumping, then applied to every source column at once.  Returns
+    the number of instructions removed."""
     vc = packed.op == _VCOPY
     removed = int(np.count_nonzero(vc))
     if not removed:
@@ -74,10 +77,17 @@ def propagate_copies_packed(packed: PackedProgram) -> int:
 def merge_constant_multiplies_packed(packed: PackedProgram,
                                      const_registry: dict | None = None
                                      ) -> int:
-    """Candidate rows (single-source constant MMULs on mergeable tags)
+    """Compose chains of single-use scalar-constant MMULs into one
+    multiply by a merged constant: ``(x*c1)*c2 -> x*(c1*c2)``.  This
+    folds iNTT's 1/N into BConv's ``qhat_inv`` and the Montgomery
+    conversions into their neighbours (eq. 5, section IV-D5).
+    ``const_registry`` maps ``(c1, c2)`` pairs to merged negative ids;
+    the result is tagged ``bc_mult`` when either side was.
+
+    Candidate rows (single-source constant MMULs on mergeable tags)
     are located with one mask; the chain walk itself — whose registry
-    ids must be assigned in exactly the reference order — runs as a
-    narrow int-list loop over those rows only."""
+    ids must be assigned in stream order — runs as a narrow int-list
+    loop over those rows only."""
     if const_registry is None:
         const_registry = {}
     use_counts = packed.use_counts_array()
@@ -143,7 +153,10 @@ def merge_constant_multiplies_packed(packed: PackedProgram,
 # Common subexpression elimination
 # ----------------------------------------------------------------------
 def eliminate_common_subexpressions_packed(packed: PackedProgram) -> int:
-    """Value-numbering CSE.  Replacement cascades make the table walk
+    """Value-numbering CSE: two pure instructions with the same
+    opcode, operands (commutative for two-operand MMUL/MMAD), modulus
+    and immediate compute the same residue, so the second is dropped.
+    Replacement cascades make the table walk
     inherently sequential, so the loop stays — but only over pure rows
     and plain int lists; the final source/output rewrite is one
     vectorized map."""
@@ -199,7 +212,9 @@ def eliminate_common_subexpressions_packed(packed: PackedProgram) -> int:
 # Dead code elimination
 # ----------------------------------------------------------------------
 def eliminate_dead_code_packed(packed: PackedProgram) -> int:
-    """Backward liveness over a flat CSR source list."""
+    """Drop instructions whose results are unused (STORE and SCALAR
+    are kept as side effects): backward liveness over a flat CSR
+    source list."""
     n = packed.num_instrs
     side = ((packed.op == _STORE) | (packed.op == _SCALAR)).tolist()
     dest_l = packed.dest.tolist()
@@ -228,8 +243,10 @@ def eliminate_dead_code_packed(packed: PackedProgram) -> int:
 # MAC fusion
 # ----------------------------------------------------------------------
 def fuse_mac_packed(packed: PackedProgram) -> int:
-    """MMUL+MMAD peephole over vectorized candidate masks; the pairing
-    walk runs over MMAD rows only."""
+    """Fuse an ``MMUL`` whose single use is an ``MMAD`` into one
+    ``MMAC``, which may run on a reconfigured NTT unit (section
+    IV-D3).  Candidate masks are vectorized; the pairing walk runs
+    over MMAD rows only.  Returns pairs fused."""
     mmad_rows = np.nonzero((packed.op == _MMAD)
                            & (packed.n_srcs == 2))[0]
     if not mmad_rows.size:
@@ -279,7 +296,15 @@ def fuse_mac_packed(packed: PackedProgram) -> int:
 # ----------------------------------------------------------------------
 def insert_loads_packed(packed: PackedProgram, *, reuse_window: int = 256,
                         prefetch_distance: int = 12) -> int:
-    """Load insertion + prefetch hoisting.
+    """Insert one LOAD per DRAM/const operand use and hoist it
+    ``prefetch_distance`` slots ahead of its consumer.
+
+    A use within ``reuse_window`` instructions of the previous load of
+    the same value reuses it; a use farther away gets a fresh load, so
+    far-apart re-reads of bulk data (keys, plaintext diagonals) become
+    single-consumer loads the streaming pass turns into FIFO traffic.
+    A non-streaming load holds an SRAM slot for its whole prefetch
+    window (paper Figure 2c vs 2d).  Returns the loads inserted.
 
     DRAM/const operand slots are located with one mask over the source
     matrix; the placement walk (whose reuse window is measured in
@@ -397,7 +422,13 @@ def mark_streaming_packed(packed: PackedProgram, *,
                           streaming_loads_enabled: bool = True,
                           forwarding_enabled: bool = True
                           ) -> tuple[int, int]:
-    """Fully vectorized streaming/forwarding classification."""
+    """Mark single-consumer loads as streaming (section IV-B3: they
+    bypass SRAM through the streaming FIFO) and record single-use
+    compute results as FU-to-FU forwarded in ``packed.forwarded``.
+    The two toggle independently so the sensitivity study can model
+    MAD-enhanced (buffers only) versus EFFACT (buffers + streaming).
+    Returns ``(streaming_loads, forwarded_values)``; fully
+    vectorized."""
     use_counts = packed.use_counts_array()
     out_mask = np.zeros(packed.num_values, dtype=bool)
     if len(packed.outputs):
@@ -418,14 +449,27 @@ def mark_streaming_packed(packed: PackedProgram, *,
 
 
 # ----------------------------------------------------------------------
-# Registry wiring: the packed halves of the registered-pass table.
+# Registry wiring
 # ----------------------------------------------------------------------
 from .passes.registry import register_pass  # noqa: E402
 
-register_pass("copy-prop", packed=propagate_copies_packed)
-register_pass("const-merge", packed=merge_constant_multiplies_packed)
-register_pass("cse", packed=eliminate_common_subexpressions_packed)
-register_pass("dce", packed=eliminate_dead_code_packed)
-register_pass("mac-fuse", packed=fuse_mac_packed)
-register_pass("insert-loads", packed=insert_loads_packed)
-register_pass("mark-streaming", packed=mark_streaming_packed)
+register_pass("copy-prop", propagate_copies_packed,
+              description="eliminate VecCopy chains (section IV-B1)")
+register_pass("const-merge", merge_constant_multiplies_packed,
+              description="compose constant-multiply chains "
+                          "(eq. 5 / section IV-D5)")
+register_pass("cse", eliminate_common_subexpressions_packed,
+              description="value-numbering common-subexpression "
+                          "elimination")
+register_pass("dce", eliminate_dead_code_packed,
+              description="drop instructions whose results are unused")
+register_pass("mac-fuse", fuse_mac_packed,
+              description="fuse MMUL+MMAD into MMAC for circuit-level "
+                          "NTT reuse (section IV-D3)")
+register_pass("insert-loads", insert_loads_packed,
+              description="materialize LoadRes staging + prefetch "
+                          "hoisting")
+register_pass("mark-streaming", mark_streaming_packed,
+              description="merge single-consumer loads into streaming "
+                          "ops; record FU-to-FU forwarding "
+                          "(section IV-B3)")

@@ -5,15 +5,11 @@ constant propagation / computation merge (the peephole that reproduces
 eq. 5's merged BConv), partial redundancy elimination (value-numbering
 CSE for the straight-line programs FHE traces produce), dead code
 elimination, MAC fusion for the circuit-level NTT reuse scheme, memory
-legalization, and streaming instruction merging.
+legalization, and streaming instruction merging.  The implementations
+live in :mod:`repro.compiler.packed_passes`; this package holds the
+registered-pass table they fill and the verifier stages.
 """
 
-from .const_merge import merge_constant_multiplies
-from .copy_prop import propagate_copies
-from .cse import eliminate_common_subexpressions
-from .dce import eliminate_dead_code
-from .mac_fuse import fuse_mac
-from .memory import insert_loads, mark_streaming
 from .registry import PASS_REGISTRY, PassSpec, register_pass
 from .verify_pass import (
     verify_ir_pass,
@@ -24,13 +20,6 @@ from .verify_pass import (
 __all__ = [
     "PASS_REGISTRY",
     "PassSpec",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_code",
-    "fuse_mac",
-    "insert_loads",
-    "mark_streaming",
-    "merge_constant_multiplies",
-    "propagate_copies",
     "register_pass",
     "verify_ir_pass",
     "verify_regalloc_pass",

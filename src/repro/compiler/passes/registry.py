@@ -1,16 +1,9 @@
 """The registered-pass table and the ``PassManager`` that runs it.
 
-Every compiler pass registers here under a stable name, with up to two
-interchangeable implementations:
-
-* ``reference`` — the seed list-of-``Instr`` implementation (kept as
-  the differential-testing baseline and the spilling-allocator
-  fallback);
-* ``packed`` — the vectorized :class:`~repro.compiler.ir.PackedProgram`
-  twin.
-
-Registration is two-phase (the reference module and the packed module
-each fill in their half) so neither import direction creates a cycle.
+Every compiler pass registers here under a stable name, mapped to its
+implementation over a :class:`~repro.compiler.ir.PackedProgram`
+(:mod:`repro.compiler.packed_passes` and the verifier stages in
+:mod:`.verify_pass`) plus a one-line description.
 
 :class:`PassManager` lives here too (next to the registry it drives);
 its single timing path is the :meth:`PassManager.stage` context
@@ -32,35 +25,20 @@ from ...obs import TRACER
 
 @dataclass
 class PassSpec:
-    """One named pass and its interchangeable implementations."""
+    """One named pass and its packed implementation."""
 
     name: str
+    run: Callable
     description: str = ""
-    reference: Callable | None = None
-    packed: Callable | None = None
-
-    def implementation(self, engine: str) -> Callable:
-        fn = self.packed if engine == "packed" else self.reference
-        if fn is None:
-            raise ValueError(
-                f"pass {self.name!r} has no {engine!r} implementation")
-        return fn
 
 
 PASS_REGISTRY: dict[str, PassSpec] = {}
 
 
-def register_pass(name: str, *, reference: Callable | None = None,
-                  packed: Callable | None = None,
+def register_pass(name: str, run: Callable, *,
                   description: str = "") -> PassSpec:
-    """Create or extend the spec for ``name`` (idempotent per half)."""
-    spec = PASS_REGISTRY.setdefault(name, PassSpec(name=name))
-    if reference is not None:
-        spec.reference = reference
-    if packed is not None:
-        spec.packed = packed
-    if description:
-        spec.description = description
+    """Register (or replace) the implementation of pass ``name``."""
+    spec = PASS_REGISTRY[name] = PassSpec(name, run, description)
     return spec
 
 
@@ -80,14 +58,11 @@ class PassRecord:
 
 
 class PassManager:
-    """Runs registered passes for one engine, recording per-pass
-    instruction counts and wall time (and, when tracing is enabled,
-    a ``compile.<pass>`` span per stage)."""
+    """Runs registered passes, recording per-pass instruction counts
+    and wall time (and, when tracing is enabled, a ``compile.<pass>``
+    span per stage)."""
 
-    def __init__(self, engine: str = "packed"):
-        if engine not in ("packed", "reference"):
-            raise ValueError(f"unknown compile engine {engine!r}")
-        self.engine = engine
+    def __init__(self):
         self.records: list[PassRecord] = []
 
     @contextmanager
@@ -117,7 +92,7 @@ class PassManager:
             self.records.append(rec)
 
     def run(self, name: str, ir, *args, **kwargs):
-        fn = PASS_REGISTRY[name].implementation(self.engine)
+        fn = PASS_REGISTRY[name].run
         with self.stage(name, ir) as rec:
             rec.detail = fn(ir, *args, **kwargs)
         return rec.detail

@@ -7,9 +7,7 @@ PassManager` calling convention onto the pure suite functions in
 :class:`~repro.compiler.verify.VerifyError` on any diagnostic, so a
 corrupted compile aborts at the first stage that can see the damage
 (with the offending instruction index in the message) instead of as a
-bitwise mismatch at execute time.  Both engines share one
-implementation — the reference engine's ``Instr`` list is packed on
-the fly, which only happens when verification is enabled.
+bitwise mismatch at execute time.
 
 The stages are opt-in: the pipeline wires them in when
 ``CompileOptions(verify=True)`` or ``REPRO_VERIFY=1`` (see
@@ -32,31 +30,26 @@ from ..verify import (
 from .registry import register_pass
 
 
-def _as_packed(ir) -> PackedProgram:
-    if isinstance(ir, PackedProgram):
-        return ir
-    return PackedProgram.from_program(ir)
-
-
-def verify_ir_pass(ir, *, allow_reloads: bool = False) -> int:
+def verify_ir_pass(packed: PackedProgram, *,
+                   allow_reloads: bool = False) -> int:
     """Raise on IR corruption; returns 0 (diagnostics are fatal)."""
-    raise_on(verify_ir(_as_packed(ir), allow_reloads=allow_reloads))
+    raise_on(verify_ir(packed, allow_reloads=allow_reloads))
     return 0
 
 
-def verify_schedule_pass(ir, pre: PackedProgram, order) -> int:
-    """``ir`` is the scheduled stream, ``pre`` the pre-schedule
+def verify_schedule_pass(packed: PackedProgram, pre: PackedProgram,
+                         order) -> int:
+    """``packed`` is the scheduled stream, ``pre`` the pre-schedule
     snapshot the pipeline kept while verification is on."""
-    raise_on(verify_schedule(pre, order, _as_packed(ir)))
+    raise_on(verify_schedule(pre, order, packed))
     return 0
 
 
-def verify_regalloc_pass(ir, *, sram_bytes: int,
+def verify_regalloc_pass(packed: PackedProgram, *, sram_bytes: int,
                          forward_window: int = 64,
                          reserve_slots: int = 0) -> int:
     """Post-allocation stream checks, plus a re-run of the IR suite
     in the post-regalloc dialect (spill reloads legal)."""
-    packed = _as_packed(ir)
     diags = verify_ir(packed, allow_reloads=True)
     diags += verify_regalloc(packed, sram_bytes=sram_bytes,
                              forward_window=forward_window,
@@ -65,15 +58,12 @@ def verify_regalloc_pass(ir, *, sram_bytes: int,
     return 0
 
 
-register_pass("verify-ir", reference=verify_ir_pass,
-              packed=verify_ir_pass,
+register_pass("verify-ir", verify_ir_pass,
               description="static IR well-formedness (SSA, arity, "
                           "const/prime tables)")
-register_pass("verify-schedule", reference=verify_schedule_pass,
-              packed=verify_schedule_pass,
+register_pass("verify-schedule", verify_schedule_pass,
               description="scheduled stream preserves every "
                           "RAW/WAR/WAW hazard")
-register_pass("verify-regalloc", reference=verify_regalloc_pass,
-              packed=verify_regalloc_pass,
+register_pass("verify-regalloc", verify_regalloc_pass,
               description="slot assignment, spill/remat chains, "
                           "capacity")

@@ -13,14 +13,11 @@ The pipeline is orchestrated by an explicit
 registered-pass table (:mod:`repro.compiler.passes.registry`), with
 per-pass instrumentation (instruction counts, wall time, tracer
 spans) recorded through the manager's single ``stage()`` timing path
-onto :class:`CompileStats`.  Two engines run the same pass sequence:
-
-* ``"packed"`` (default) — vectorized passes over a
-  :class:`~repro.compiler.ir.PackedProgram`;
-* ``"reference"`` — the seed list-of-``Instr`` implementations, kept
-  as the differential-testing baseline.
-
-Both produce bit-identical programs, statistics and schedules.
+onto :class:`CompileStats`.  Every pass runs vectorized over a
+:class:`~repro.compiler.ir.PackedProgram`; the seed list-of-``Instr``
+pipeline it was derived from is a test-only oracle
+(``tests/oracles``), pinned bit-identical in programs, statistics and
+schedules by the differential suite.
 
 Sweeps (Figure 10/11, the SRAM DSE) recompile the same workload for
 every hardware point; :func:`compile_packed_cached` memoizes compiles
@@ -45,13 +42,8 @@ from .passes.registry import (  # noqa: F401  (re-exported: store.py et al.)
     PassManager,
     PassRecord,
 )
-from .regalloc import AllocationStats, allocate, allocate_packed
-from .scheduler import (
-    apply_schedule,
-    apply_schedule_packed,
-    schedule,
-    schedule_packed,
-)
+from .regalloc import AllocationStats, allocate_packed
+from .scheduler import apply_schedule_packed, schedule_packed
 
 
 @dataclass(frozen=True)
@@ -113,19 +105,16 @@ class CompileStats:
 class CompiledProgram:
     """A compiled program plus its options and statistics.
 
-    ``packed`` is the authoritative result on the packed engine; the
-    ``program`` view materializes lazily from it, so cache-served sweep
-    consumers (which simulate straight off the packed columns) never
-    pay for ``Instr`` object construction.
+    ``packed`` is the compiled stream; the ``program`` view
+    materializes lazily from it, so cache-served sweep consumers
+    (which simulate straight off the packed columns) never pay for
+    ``Instr`` object construction.
     """
 
     __slots__ = ("_program", "packed", "options", "stats")
 
-    def __init__(self, program: Program | None = None, *,
-                 options: CompileOptions, stats: CompileStats,
-                 packed: PackedProgram | None = None):
-        if program is None and packed is None:
-            raise ValueError("need a program or a packed program")
+    def __init__(self, *, packed: PackedProgram, options: CompileOptions,
+                 stats: CompileStats, program: Program | None = None):
         self._program = program
         self.packed = packed
         self.options = options
@@ -142,8 +131,7 @@ class CompiledProgram:
         return self.stats.alloc.dram_total_bytes
 
     def __repr__(self) -> str:
-        ir = self.packed if self._program is None else self._program
-        return f"CompiledProgram({ir!r})"
+        return f"CompiledProgram({self.packed!r})"
 
 
 #: Compilations actually executed in this process (cache- or
@@ -163,10 +151,10 @@ def _compile_packed_ir(packed: PackedProgram,
     global _COMPILES_EXECUTED
     _COMPILES_EXECUTED += 1
     TRACER.count("compile.executed")
-    pm = PassManager("packed")
+    pm = PassManager()
     stats = CompileStats()
     verify_on = _verify_enabled(options)
-    with TRACER.span("compile", engine="packed"):
+    with TRACER.span("compile"):
         stats.instrs_before_opt = len(packed)
         stats.mix_before = packed.instruction_mix()
         if verify_on:
@@ -221,87 +209,17 @@ def _compile_packed_ir(packed: PackedProgram,
     return stats
 
 
-def _compile_reference(program: Program,
-                       options: CompileOptions) -> CompiledProgram:
-    """The seed pipeline over ``Instr`` lists (differential baseline)."""
-    global _COMPILES_EXECUTED
-    _COMPILES_EXECUTED += 1
-    TRACER.count("compile.executed")
-    pm = PassManager("reference")
-    stats = CompileStats()
-    verify_on = _verify_enabled(options)
-    with TRACER.span("compile", engine="reference"):
-        stats.instrs_before_opt = len(program.instrs)
-        stats.mix_before = program.instruction_mix()
-        if verify_on:
-            pm.run("verify-ir", program)
-
-        if options.code_opt:
-            stats.copies_removed = pm.run("copy-prop", program)
-            if getattr(program, "merged_imms", None) is None:
-                program.merged_imms = {}
-            stats.consts_merged = pm.run("const-merge", program,
-                                         program.merged_imms)
-            stats.cse_removed = pm.run("cse", program)
-            stats.dead_removed = pm.run("dce", program)
-        stats.instrs_after_opt = len(program.instrs)
-        stats.mix_after = program.instruction_mix()
-
-        if options.mac_fusion:
-            stats.macs_fused = pm.run("mac-fuse", program)
-
-        stats.loads_inserted = pm.run(
-            "insert-loads", program, reuse_window=options.reuse_window,
-            prefetch_distance=options.prefetch_distance)
-        if options.streaming or options.forward_window > 0:
-            stats.streaming_loads, stats.forwarded_values = pm.run(
-                "mark-streaming", program,
-                streaming_loads_enabled=options.streaming,
-                forwarding_enabled=options.forward_window > 0)
-
-        pre_sched = PackedProgram.from_program(program) if verify_on \
-            else None
-        with pm.stage("schedule", program, detail=options.scheduling):
-            order = schedule(program, policy=options.scheduling,
-                             band_size=options.band_size)
-            apply_schedule(program, order)
-        if verify_on:
-            pm.run("verify-schedule", program, pre_sched, order)
-
-        with pm.stage("regalloc", program):
-            stats.alloc = allocate(
-                program, sram_bytes=options.sram_bytes,
-                forward_window=options.forward_window,
-                reserve_slots=options.reserve_slots)
-        if verify_on:
-            pm.run("verify-regalloc", program,
-                   sram_bytes=options.sram_bytes,
-                   forward_window=options.forward_window,
-                   reserve_slots=options.reserve_slots)
-
-    stats.pass_records = pm.records
-    return CompiledProgram(program=program, options=options, stats=stats)
-
-
 def compile_program(program: Program,
-                    options: CompileOptions | None = None, *,
-                    engine: str = "packed") -> CompiledProgram:
-    """Run the pipeline in place on ``program``.
-
-    ``engine="packed"`` (default) compiles on the structure-of-arrays
-    IR and writes the result back into ``program``; ``"reference"``
-    runs the seed implementations.  Both are bit-identical.
-    """
+                    options: CompileOptions | None = None
+                    ) -> CompiledProgram:
+    """Run the pipeline on ``program``: pack it, compile the columns,
+    and write the result back into ``program`` in place."""
     options = options or CompileOptions()
-    if engine == "reference":
-        return _compile_reference(program, options)
-    if engine != "packed":
-        raise ValueError(f"unknown compile engine {engine!r}")
     packed = PackedProgram.from_program(program)
     stats = _compile_packed_ir(packed, options)
     packed.write_back(program)
-    return CompiledProgram(program=program, options=options, stats=stats,
-                           packed=packed)
+    return CompiledProgram(packed=packed, options=options, stats=stats,
+                           program=program)
 
 
 def compile_packed(packed: PackedProgram,

@@ -16,12 +16,12 @@ explicit ``StoreRes`` and reloaded on demand.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.isa import Opcode
-from .ir import OP_INDEX, Instr, PackedProgram, Program
+from .ir import OP_INDEX, PackedProgram
 
 
 @dataclass
@@ -30,6 +30,12 @@ class AllocationStats:
 
     slot_count: int = 0
     spill_stores: int = 0
+    #: Reloads of values this allocator spilled (a dirty compute value
+    #: stored by an inserted STORE and read back).  A reload of a clean
+    #: value counts in ``remat_reloads``.  Replay's
+    #: ``ExecutionResult.spill_reloads`` counts something else — every
+    #: reload served from a stored copy, including a remat reload of a
+    #: value a *program* STORE wrote — so the two may differ.
     spill_reloads: int = 0
     remat_reloads: int = 0
     streaming_loads: int = 0
@@ -47,191 +53,6 @@ class OutOfSlotsError(RuntimeError):
     """SRAM too small to hold even one instruction's working set."""
 
 
-def allocate(program: Program, *, sram_bytes: int,
-             forward_window: int = 64,
-             reserve_slots: int = 0) -> AllocationStats:
-    """Linear-scan allocation over the (already scheduled) program.
-
-    Rewrites ``program.instrs`` in place, inserting spill stores and
-    reloads, and records slot assignments in ``program.slot_of``
-    (value id -> slot).  Returns traffic statistics.
-    """
-    limb_bytes = program.limb_bytes
-    slot_count = sram_bytes // limb_bytes - reserve_slots
-    if slot_count < 8:
-        raise OutOfSlotsError(
-            f"{sram_bytes} bytes of SRAM hold only {slot_count} residue "
-            f"slots; need at least 8")
-
-    instrs = program.instrs
-    forwarded: set[int] = getattr(program, "forwarded", set())
-
-    # Use positions per value in scheduled order.
-    use_positions: dict[int, list[int]] = {}
-    for idx, ins in enumerate(instrs):
-        for s in ins.srcs:
-            use_positions.setdefault(s, []).append(idx)
-    for vid in program.outputs:
-        use_positions.setdefault(vid, []).append(len(instrs))
-
-    def_position: dict[int, int] = {}
-    for idx, ins in enumerate(instrs):
-        if ins.dest is not None:
-            def_position[ins.dest] = idx
-
-    # Values that never need a slot: streaming-load destinations and
-    # forwarded single-use values whose consumer is near the producer.
-    slotless: set[int] = set()
-    for idx, ins in enumerate(instrs):
-        if ins.dest is None:
-            continue
-        uses = use_positions.get(ins.dest, [])
-        if ins.op is Opcode.LOAD and ins.streaming and len(uses) == 1:
-            slotless.add(ins.dest)
-        elif (ins.dest in forwarded and len(uses) == 1
-              and uses[0] - idx <= forward_window):
-            slotless.add(ins.dest)
-
-    stats = AllocationStats(slot_count=slot_count)
-    free_slots = list(range(slot_count - 1, -1, -1))
-    slot_of: dict[int, int] = {}
-    next_use_ptr: dict[int, int] = {}
-    spilled_dirty: set[int] = set()     # spilled compute values
-    evicted: set[int] = set()
-    victim_heap: list[tuple[int, int]] = []   # (-effective_next_use, vid)
-
-    # Evicting a value that already has a DRAM copy costs one reload
-    # (limb_bytes); evicting a dirty compute value costs a store plus a
-    # reload (2x).  Bias victim selection toward clean values by
-    # inflating their effective next-use distance.
-    clean_bonus = 1536
-
-    def _is_clean(vid: int) -> bool:
-        if program.values[vid].origin in ("dram", "const"):
-            return True
-        if vid in spilled_dirty:
-            return True
-        pos = def_position.get(vid)
-        return pos is not None and instrs[pos].op is Opcode.LOAD
-
-    out: list[Instr] = []
-    program.slot_of = slot_of  # type: ignore[attr-defined]
-
-    def next_use(vid: int, after: int) -> int:
-        uses = use_positions.get(vid, [])
-        ptr = next_use_ptr.get(vid, 0)
-        while ptr < len(uses) and uses[ptr] < after:
-            ptr += 1
-        next_use_ptr[vid] = ptr
-        return uses[ptr] if ptr < len(uses) else 1 << 60
-
-    def assign_slot(vid: int, idx: int, pinned: set[int]) -> None:
-        if free_slots:
-            slot_of[vid] = free_slots.pop()
-        else:
-            _evict(idx, pinned)
-            slot_of[vid] = free_slots.pop()
-        stats.peak_slots_used = max(stats.peak_slots_used, len(slot_of))
-        key = next_use(vid, idx) + (clean_bonus if _is_clean(vid) else 0)
-        heapq.heappush(victim_heap, (-key, vid))
-
-    def _evict(idx: int, pinned: set[int]) -> None:
-        deferred: list[tuple[int, int]] = []
-        try:
-            _evict_inner(idx, pinned, deferred)
-        finally:
-            for entry in deferred:
-                heapq.heappush(victim_heap, entry)
-
-    def _evict_inner(idx: int, pinned: set[int],
-                     deferred: list[tuple[int, int]]) -> None:
-        while victim_heap:
-            neg_nu, vid = heapq.heappop(victim_heap)
-            if vid not in slot_of:
-                continue
-            if vid in pinned:
-                # Keep the entry; this value just cannot be the victim
-                # for the current instruction.
-                deferred.append((neg_nu, vid))
-                continue
-            fresh = next_use(vid, idx) + (clean_bonus if _is_clean(vid)
-                                          else 0)
-            if -neg_nu != fresh:
-                # Stale entry; reinsert with the fresh key.
-                heapq.heappush(victim_heap, (-fresh, vid))
-                continue
-            free_slots.append(slot_of.pop(vid))
-            if next_use(vid, idx) < (1 << 60):
-                origin = program.values[vid].origin
-                producer_ins = instrs[def_position[vid]] \
-                    if vid in def_position else None
-                remat = (producer_ins is not None
-                         and producer_ins.op is Opcode.LOAD)
-                if remat or origin in ("dram", "const") \
-                        or vid in spilled_dirty:
-                    # Clean in DRAM already: reload later, no store.
-                    evicted.add(vid)
-                else:
-                    out.append(Instr(op=Opcode.STORE, dest=None,
-                                     srcs=(vid,), tag="mem"))
-                    stats.spill_stores += 1
-                    stats.dram_store_bytes += limb_bytes
-                    spilled_dirty.add(vid)
-                    evicted.add(vid)
-            return
-        raise OutOfSlotsError("all SRAM slots pinned by one instruction")
-
-    for idx, ins in enumerate(instrs):
-        pinned: set[int] = set()
-        # Ensure operands are resident (or slotless/streamed).
-        for s in ins.srcs:
-            if s in slotless or program.values[s].origin in ("dram",
-                                                             "const"):
-                continue
-            if s in slot_of:
-                pinned.add(s)
-                continue
-            if s in evicted:
-                # Reload: rematerialize or read back the spill.
-                evicted.discard(s)
-                if s in spilled_dirty:
-                    stats.spill_reloads += 1
-                else:
-                    stats.remat_reloads += 1
-                stats.dram_load_bytes += limb_bytes
-                out.append(Instr(op=Opcode.LOAD, dest=s, srcs=(),
-                                 modulus=ins.modulus, tag="mem"))
-                assign_slot(s, idx, pinned)
-                pinned.add(s)
-                continue
-            raise ValueError(f"operand {s} neither resident nor spilled")
-        # Account DRAM traffic of explicit loads and output stores.
-        if ins.op is Opcode.LOAD:
-            stats.dram_load_bytes += limb_bytes
-            if ins.streaming:
-                stats.streaming_loads += 1
-        elif ins.op is Opcode.STORE:
-            stats.dram_store_bytes += limb_bytes
-        out.append(ins)
-        # Free slots of values at their last use.
-        for s in ins.srcs:
-            if s in slot_of and next_use(s, idx + 1) >= (1 << 60):
-                free_slots.append(slot_of.pop(s))
-        # Allocate the destination.
-        if ins.dest is not None and ins.dest not in slotless:
-            uses = use_positions.get(ins.dest, [])
-            if uses:
-                assign_slot(ins.dest, idx, pinned | {ins.dest})
-    stats.forwarded_values = len(
-        [v for v in slotless
-         if v in forwarded])
-    program.instrs = out
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Packed (vectorized) implementation
-# ----------------------------------------------------------------------
 _LOAD_CODE = OP_INDEX[Opcode.LOAD]
 _STORE_CODE = OP_INDEX[Opcode.STORE]
 
@@ -311,9 +132,10 @@ def allocate_packed(packed: PackedProgram, *, sram_bytes: int,
     slot budget — every sweep at a sane SRAM size — no eviction can
     ever fire, the instruction stream is unchanged, and the only
     sequential piece left is the LIFO slot-id replay (plain int lists).
-    If the peak overflows, the allocator falls back to the reference
-    linear scan (identical eviction heuristics) and repacks its output,
-    so spilling configurations stay bit-identical to the seed.
+    If the peak overflows, the spilling linear scan
+    (:func:`_allocate_spill_packed`) rewrites the stream with spill
+    stores and reloads.  Records ``packed.slot_of`` (value id -> slot)
+    and returns traffic statistics.
     """
     limb_bytes = packed.limb_bytes
     slot_count = slot_budget(sram_bytes, limb_bytes, reserve_slots)
@@ -349,7 +171,8 @@ def allocate_packed(packed: PackedProgram, *, sram_bytes: int,
 
     if peak > slot_count:
         # Spilling run: the columnar linear scan (bit-identical to the
-        # reference `allocate`, pinned by tests/test_regalloc.py).
+        # seed list allocator in tests/oracles, pinned by
+        # tests/test_regalloc.py).
         return _allocate_spill_packed(
             packed, slot_count=slot_count, limb_bytes=limb_bytes,
             slotless=slotless, forwarded=forwarded, uses_cnt=uses_cnt,
@@ -367,9 +190,9 @@ def allocate_packed(packed: PackedProgram, *, sram_bytes: int,
                                                  & packed.streaming))
     stats.forwarded_values = int(np.count_nonzero(slotless & forwarded))
 
-    # Replay the LIFO free-list to reproduce the reference slot ids.
+    # Replay the LIFO free-list in event order to assign slot ids.
     # Free events follow source order within a row; first occurrence
-    # wins, exactly as the reference pops `slot_of` on first sight.
+    # wins, exactly as the spilling scan pops `slot_of` on first sight.
     free_candidate = allocated.copy()
     hit_mask = free_candidate[svals] & (last_use[svals] == rows)
     f_rows = rows[hit_mask].tolist()
@@ -398,26 +221,27 @@ def _allocate_spill_packed(packed: PackedProgram, *, slot_count: int,
                            limb_bytes: int, slotless: np.ndarray,
                            forwarded: np.ndarray, uses_cnt: np.ndarray,
                            def_row: np.ndarray) -> AllocationStats:
-    """The spilling linear scan on packed columns (ROADMAP open item).
+    """The spilling linear scan on packed columns.
 
-    Replaces the old fallback — materialize every ``Instr``/``Value``
-    as Python objects, run the reference :func:`allocate`, repack — with
-    the same sequential eviction decisions driven by vectorized state:
-    use positions live in one CSR-style ``(starts, rows)`` pair instead
-    of per-value Python lists, cleanliness/def lookups are column
-    reads, and the rewritten instruction stream is assembled by
+    When no slot is free, the resident value with the furthest next
+    use is evicted, with clean values (DRAM/const origin, load results,
+    already-spilled copies) biased by ``clean_bonus`` since they cost a
+    reload only.  A dirty compute victim gets an explicit ``STORE``; a
+    later use reloads it with a source-less ``LOAD`` (a spill reload,
+    or a remat reload when the value is clean).  Use positions live in
+    one CSR-style ``(starts, rows)`` pair, cleanliness/def lookups are
+    column reads, and the rewritten instruction stream is assembled by
     scattering the original columns around the (few) synthetic
     LOAD/STOREs.  Spill maps, instruction streams and every statistic
-    are bit-identical to the reference scan, pinned by the forced-spill
-    differential in ``tests/test_regalloc.py``; only the Python-object
-    round trip is gone.
+    are bit-identical to the seed list allocator (``tests/oracles``),
+    pinned by the forced-spill differential in
+    ``tests/test_regalloc.py``.
     """
     n = packed.num_instrs
     nv = packed.num_values
     INF = 1 << 60
 
-    # CSR use positions in (row, source-slot) order, exactly the order
-    # the reference builds its per-value lists in.
+    # CSR use positions per value, in (row, source-slot) order.
     valid = packed.srcs >= 0
     rows, _cols = np.nonzero(valid)
     svals = packed.srcs[valid]
@@ -466,8 +290,8 @@ def _allocate_spill_packed(packed: PackedProgram, *, slot_count: int,
         pos = def_row_l[vid]
         return pos >= 0 and is_load_l[pos]
 
-    #: Per-original-instruction synthetic ops, split by whether the
-    #: reference emitted them before (operand reloads + their
+    #: Per-original-instruction synthetic ops, split by whether they
+    #: are emitted before (operand reloads + their
     #: evictions) or after (destination-assignment evictions) the
     #: instruction.  Entries: ("L", vid, modulus) or ("S", vid).
     pre: dict[int, list] = {}

@@ -7,21 +7,23 @@ static scheduling" with MAD's hand-tuned per-primitive data paths; the
 sensitivity study (Figure 11) compares the same program under ``naive``
 (translator order) and ``list`` scheduling.
 
-Two implementations produce bit-identical orders:
+List scheduling is *banded*: ready instructions drain in coarse
+original-order bands of ``band_size``, with critical-path priority
+inside a band.  Pure global priority order would interleave unrelated
+subtrees and explode live ranges far beyond the few dozen residue-sized
+SRAM slots a 27 MB configuration has; banding is the register-pressure
+awareness of the paper's static scheduler.
 
-* :func:`schedule` — the reference heap-based list scheduler over a
-  :class:`~repro.compiler.ir.Program` (the seed implementation, kept as
-  the differential-testing baseline).
-* :func:`schedule_packed` — the vectorized scheduler over a
-  :class:`~repro.compiler.ir.PackedProgram`.  It exploits a structural
-  fact of this IR: every dependence edge points forward in program
-  order and latency weights are >= 1, so critical-path priority
-  *strictly decreases* along every edge.  The banded priority order
-  ``(band, -priority, index)`` is therefore always topologically valid,
-  which collapses the whole ready-heap simulation into one
-  ``np.lexsort`` over packed columns.  Priorities themselves come from
-  a backward Kahn sweep whose per-frontier relaxations are vectorized
-  ``bincount`` / ``reduceat`` calls over a CSR adjacency.
+:func:`schedule_packed` exploits a structural fact of this IR: every
+dependence edge points forward in program order and latency weights
+are >= 1, so critical-path priority *strictly decreases* along every
+edge.  The banded priority order ``(band, -priority, index)`` is
+therefore always topologically valid, which collapses the whole
+ready-heap simulation into one ``np.lexsort`` over packed columns.
+Priorities themselves come from a backward Kahn sweep whose
+per-frontier relaxations are vectorized ``bincount`` / ``reduceat``
+calls over a CSR adjacency.  The seed heap-based scheduler lives on as
+a test-only oracle (``tests/oracles``) that must agree index for index.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import heapq
 import numpy as np
 
 from ..core.isa import Opcode
-from .alias import memory_dependencies, memory_dependencies_packed
-from .ir import OPCODES, PackedProgram, Program
+from .alias import memory_dependencies_packed
+from .ir import OPCODES, PackedProgram
 
 #: Rough latency weights for critical-path computation (cycles are
 #: architecture-dependent; ratios are what matters for priorities).
@@ -64,79 +66,9 @@ def _weight_table() -> np.ndarray:
     return np.array([latency_weight(op) for op in OPCODES], dtype=np.int64)
 
 
-def schedule(program: Program, *, policy: str = "list",
-             band_size: int = 1024) -> list[int]:
-    """Return a topologically-valid execution order (instruction
-    indices).  ``policy`` is ``"list"`` or ``"naive"``.
-
-    List scheduling is *banded*: ready instructions are drained in
-    coarse original-order bands of ``band_size``, with critical-path
-    priority inside a band.  Pure global priority order would interleave
-    unrelated subtrees and explode live ranges far beyond the few dozen
-    residue-sized SRAM slots a 27 MB configuration has; banding is the
-    register-pressure awareness of the paper's static scheduler.
-    """
-    if policy == "naive":
-        return list(range(len(program.instrs)))
-    if policy != "list":
-        raise ValueError(f"unknown scheduling policy {policy!r}")
-
-    n = len(program.instrs)
-    producer: dict[int, int] = {}
-    for idx, ins in enumerate(program.instrs):
-        if ins.dest is not None:
-            producer[ins.dest] = idx
-
-    successors: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for idx, ins in enumerate(program.instrs):
-        for s in ins.srcs:
-            p = producer.get(s)
-            if p is not None and p != idx:
-                successors[p].append(idx)
-                indegree[idx] += 1
-    for earlier, later in memory_dependencies(program):
-        successors[earlier].append(later)
-        indegree[later] += 1
-
-    # Longest path to exit (reverse topological accumulation).
-    priority = [0] * n
-    for idx in range(n - 1, -1, -1):
-        weight = latency_weight(program.instrs[idx].op)
-        best = 0
-        for succ in successors[idx]:
-            if priority[succ] > best:
-                best = priority[succ]
-        priority[idx] = weight + best
-
-    ready = [(i // band_size, -priority[i], i)
-             for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        __, ___, idx = heapq.heappop(ready)
-        order.append(idx)
-        for succ in successors[idx]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(
-                    ready, (succ // band_size, -priority[succ], succ))
-    if len(order) != n:
-        raise ValueError("dependence cycle detected in program")
-    return order
-
-
-def apply_schedule(program: Program, order: list[int]) -> None:
-    """Reorder the program in place according to ``order``."""
-    program.instrs = [program.instrs[i] for i in order]
-
-
-# ----------------------------------------------------------------------
-# Packed (vectorized) implementation
-# ----------------------------------------------------------------------
 def _dependence_edges(packed: PackedProgram) -> tuple[np.ndarray, np.ndarray]:
     """All (earlier, later) dependence edges, duplicates preserved so
-    edge counts match the reference scheduler's indegrees exactly."""
+    edge counts are exact indegrees."""
     producer = np.full(packed.num_values, -1, dtype=np.int64)
     has_dest = packed.dest >= 0
     producer[packed.dest[has_dest]] = np.nonzero(has_dest)[0]
@@ -220,15 +152,12 @@ def critical_path_priorities(packed: PackedProgram,
 
 def schedule_packed(packed: PackedProgram, *, policy: str = "list",
                     band_size: int = 1024) -> np.ndarray:
-    """Vectorized twin of :func:`schedule` over packed columns.
+    """Return a topologically-valid execution order as an index array.
+    ``policy`` is ``"list"`` or ``"naive"``.
 
-    Returns the execution order as an index array; bit-identical to the
-    reference implementation for every policy/band size (the
-    differential suite pins this).
-
-    Priorities use *forward* edges only — exactly what the reference's
-    reverse-index sweep computes, since a backward successor's priority
-    is still zero when read.  Forward edges are also what makes the
+    Priorities use *forward* edges only — exactly what a reverse-index
+    sweep computes, since a backward successor's priority is still
+    zero when read.  Forward edges are also what makes the
     ``(band, -priority, index)`` order topologically valid, so the heap
     collapses to one lexsort.  Backward edges (a pre-existing load
     hoisted past the inserted load feeding it) are rare but legal; when
@@ -251,8 +180,8 @@ def schedule_packed(packed: PackedProgram, *, policy: str = "list",
 
 def _heap_schedule(n: int, e_from: np.ndarray, e_to: np.ndarray,
                    prio: np.ndarray, band_size: int) -> np.ndarray:
-    """Exact ready-heap list scheduling (the reference's key order)
-    over edge arrays; used only when backward edges exist."""
+    """Exact ready-heap list scheduling with the same keys over edge
+    arrays; used only when backward edges exist."""
     order_idx = np.argsort(e_from, kind="stable")
     succ_to = e_to[order_idx].tolist()
     counts = np.bincount(e_from, minlength=n)

@@ -51,7 +51,7 @@ class EffactPlatform:
         """Compile ``program`` for this configuration and simulate it."""
         compiled = compile_program(program, self.options)
         code = generate(compiled.program)
-        simulation = self.simulator.run(compiled.program)
+        simulation = self.simulator.run_packed(compiled.packed)
         return ExecutionReport(compiled=compiled, machine_code=code,
                                simulation=simulation)
 

@@ -218,8 +218,6 @@ class ArtifactStore:
 
     def put_compiled(self, fingerprint: str, options: CompileOptions,
                      compiled: CompiledProgram) -> None:
-        if compiled.packed is None:
-            raise ValueError("only packed compilations are persistable")
         path = self._compile_path(self.compile_key(fingerprint, options))
         meta, arrays = self._pack_compiled(compiled)
         self._atomic_write(path, lambda f: np.savez(

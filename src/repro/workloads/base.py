@@ -29,11 +29,15 @@ from ..compiler.pipeline import (
     CompileOptions,
     compile_packed,
     compile_packed_cached,
-    compile_program,
 )
 from ..core.config import HardwareConfig
 from ..exp.store import active_store
 from ..obs import TRACER
+
+#: The engines :func:`run_workload` (and the sweeps that call it)
+#: accept: ``"packed"`` compiles and simulates; ``"exec"`` also runs
+#: the compiled program on the batched NTT engine.
+RUN_ENGINES = ("packed", "exec")
 
 
 @dataclass
@@ -178,12 +182,13 @@ def run_workload(workload: Workload, config: HardwareConfig,
                  engine: str = "packed") -> WorkloadRun:
     """Build + compile every segment for ``config`` and simulate.
 
-    On the packed engine (default), compilation goes through the
-    content-addressed compile cache keyed by ``(segment fingerprint,
-    options)`` — sweeps over hardware points share compiled programs
-    whenever the options coincide — and simulation runs directly over
-    the packed columns.  ``use_cache=False`` forces a fresh compile;
-    ``engine="reference"`` runs the seed list-based pipeline.
+    Compilation goes through the content-addressed compile cache keyed
+    by ``(segment fingerprint, options)`` — sweeps over hardware points
+    share compiled programs whenever the options coincide — and
+    simulation runs directly over the packed columns.
+    ``use_cache=False`` forces a fresh compile.  ``engine`` is
+    ``"packed"`` (default) or ``"exec"``; anything else raises
+    :class:`ValueError` before any compile.
 
     ``engine="exec"`` compiles exactly like the packed engine (same
     compile cache) and *additionally runs the scheduled program* on
@@ -199,6 +204,9 @@ def run_workload(workload: Workload, config: HardwareConfig,
     simulate for that segment (its ``compiled`` slot is ``None``);
     fresh simulations are written back for the next process.
     """
+    if engine not in RUN_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}: run_workload "
+                         f"takes one of {RUN_ENGINES}")
     if options is None:
         options = CompileOptions(sram_bytes=config.sram_bytes)
     store = active_store() if (use_cache and engine == "packed") else None
@@ -208,36 +216,28 @@ def run_workload(workload: Workload, config: HardwareConfig,
     for index, seg in enumerate(workload.segments):
         with TRACER.span("workload.segment", workload=workload.name,
                          segment=index, repeat=seg.repeat):
-            if engine in ("packed", "exec"):
-                if store is not None:
-                    res = store.get_sim(seg.fingerprint(), options,
-                                        config)
-                    if res is not None:
-                        results.append((res, seg.repeat))
-                        compiled.append(None)
-                        continue
-                if use_cache:
-                    cp = compile_packed_cached(
-                        seg.packed_template(), options,
-                        fingerprint=seg.fingerprint())
-                else:
-                    cp = compile_packed(seg.packed_template().copy(),
-                                        options)
-                res = simulate(cp.packed, config)
-                if store is not None:
-                    store.put_sim(seg.fingerprint(), options, config,
-                                  res)
-                if engine == "exec":
-                    from ..compiler.exec_backend import (
-                        execute_packed,
-                        synthesize_bindings,
-                    )
-                    executed.append(execute_packed(
-                        cp, synthesize_bindings(cp.packed)))
+            if store is not None:
+                res = store.get_sim(seg.fingerprint(), options, config)
+                if res is not None:
+                    results.append((res, seg.repeat))
+                    compiled.append(None)
+                    continue
+            if use_cache:
+                cp = compile_packed_cached(
+                    seg.packed_template(), options,
+                    fingerprint=seg.fingerprint())
             else:
-                cp = compile_program(seg.fresh_program(), options,
-                                     engine=engine)
-                res = simulate(cp.program, config)
+                cp = compile_packed(seg.packed_template().copy(), options)
+            res = simulate(cp.packed, config)
+            if store is not None:
+                store.put_sim(seg.fingerprint(), options, config, res)
+            if engine == "exec":
+                from ..compiler.exec_backend import (
+                    execute_packed,
+                    synthesize_bindings,
+                )
+                executed.append(execute_packed(
+                    cp, synthesize_bindings(cp.packed)))
             results.append((res, seg.repeat))
             compiled.append(cp)
     return WorkloadRun(workload=workload, config=config,

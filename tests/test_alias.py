@@ -1,8 +1,19 @@
 """Alias analysis: memory ordering edges."""
 
-from repro.compiler.alias import memory_dependencies
-from repro.compiler.ir import Program
+import oracles
+from repro.compiler.alias import memory_dependencies_packed
+from repro.compiler.ir import PackedProgram, Program
 from repro.core.isa import Opcode
+
+
+def memory_dependencies(program):
+    """The production edge arrays as a list of pairs, checked against
+    the list-walk oracle."""
+    e_from, e_to = memory_dependencies_packed(
+        PackedProgram.from_program(program))
+    edges = list(zip(e_from.tolist(), e_to.tolist()))
+    assert edges == oracles.memory_dependencies(program)
+    return edges
 
 
 def _program_with_aliasing():

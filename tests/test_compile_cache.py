@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from repro.compiler.pipeline import (
     COMPILE_CACHE_MAX,
     CompileOptions,
@@ -9,6 +10,7 @@ from repro.compiler.pipeline import (
     compile_cache_size,
     compile_cache_stats,
     compile_packed_cached,
+    compiles_executed,
 )
 from repro.core.config import ASIC_EFFACT
 from repro.workloads.base import Segment, Workload, run_workload
@@ -130,9 +132,24 @@ def test_use_cache_false_bypasses():
 
 
 def test_reference_engine_matches_cached_cycles():
+    """A cache-served run matches the oracle pipeline and scoreboard
+    on every segment."""
     workload = Workload(name="w", segments=[Segment(builder=_builder())])
     packed_run = run_workload(workload, ASIC_EFFACT, OPTS)
-    ref_run = run_workload(workload, ASIC_EFFACT, OPTS,
-                           engine="reference")
-    assert packed_run.cycles == ref_run.cycles
-    assert packed_run.dram_bytes == ref_run.dram_bytes
+    refs = [(oracles.simulate_reference(
+        oracles.compile_reference(seg.fresh_program(), OPTS).program,
+        ASIC_EFFACT), seg.repeat) for seg in workload.segments]
+    assert packed_run.cycles == sum(r.cycles * k for r, k in refs)
+    assert packed_run.dram_bytes == sum(r.dram_bytes * k for r, k in refs)
+
+
+@pytest.mark.parametrize("engine", ["reference", "magic"])
+def test_run_workload_rejects_unknown_engine(engine):
+    """Only "packed" and "exec" run; anything else is a named error
+    raised before any segment compiles."""
+    workload = Workload(name="w", segments=[Segment(builder=_builder())])
+    before = compiles_executed()
+    with pytest.raises(ValueError, match="'packed', 'exec'"):
+        run_workload(workload, ASIC_EFFACT, OPTS, engine=engine)
+    assert compiles_executed() == before
+    assert compile_cache_stats().misses == 0

@@ -1,24 +1,25 @@
-"""Differential suite: the packed engine is bit-identical to the seed.
+"""Differential suite: the packed compiler is bit-identical to the seed.
 
 Every acceptance-relevant surface is compared between
-``compile_program(engine="packed")`` and ``engine="reference"`` across
-an option grid that exercises both scheduling policies, streaming
+``compile_program`` and the test-only seed pipeline
+``oracles.compile_reference`` across an option grid that exercises both scheduling policies, streaming
 on/off, MAC fusion on/off, zero reuse/forward windows, and an SRAM
 budget small enough to force the spilling allocator: instruction
 streams, value tables, outputs, per-pass statistics, slot assignments,
-forwarding sets, and cycle-level simulation results.
+forwarding sets, and cycle-level simulation results (the packed
+scoreboard against the oracle list scoreboard).
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
+import oracles
 from repro.arch.simulator import simulate
 from repro.compiler.ir import PackedProgram, Program
 from repro.compiler.lowering import HeLowering, LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_program
-from repro.compiler.scheduler import schedule, schedule_packed
+from repro.compiler.scheduler import schedule_packed
 from repro.core.config import ASIC_EFFACT
 from repro.core.isa import Opcode
 
@@ -105,7 +106,7 @@ def _assert_identical(ref, new):
     assert getattr(p, "forwarded", set()) == getattr(q, "forwarded",
                                                      set())
     assert p.slot_of == q.slot_of
-    r1 = simulate(p, ASIC_EFFACT)
+    r1 = oracles.simulate_reference(p, ASIC_EFFACT)
     r2 = simulate(new.packed, ASIC_EFFACT)
     assert (r1.cycles, r1.dram_bytes, r1.stall_cycles, r1.instructions,
             r1.unit_busy) == (r2.cycles, r2.dram_bytes, r2.stall_cycles,
@@ -116,8 +117,8 @@ def _assert_identical(ref, new):
 @pytest.mark.parametrize("idx", range(len(OPTION_GRID)))
 def test_engines_bit_identical(name, idx):
     options = OPTION_GRID[idx]
-    ref = compile_program(BUILDERS[name](), options, engine="reference")
-    new = compile_program(BUILDERS[name](), options, engine="packed")
+    ref = oracles.compile_reference(BUILDERS[name](), options)
+    new = compile_program(BUILDERS[name](), options)
     _assert_identical(ref, new)
 
 
@@ -125,16 +126,11 @@ def test_engines_bit_identical(name, idx):
 def test_schedules_bit_identical(band):
     p = _he_program()
     packed = PackedProgram.from_program(p)
-    ref = schedule(p, policy="list", band_size=band)
+    ref = oracles.schedule(p, policy="list", band_size=band)
     got = schedule_packed(packed, policy="list", band_size=band)
     assert ref == got.tolist()
     assert schedule_packed(packed, policy="naive").tolist() == \
-        schedule(p, policy="naive")
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        compile_program(_he_program(), engine="magic")
+        oracles.schedule(p, policy="naive")
 
 
 def test_pass_records_instrumented():
@@ -142,12 +138,16 @@ def test_pass_records_instrumented():
                          CompileOptions(sram_bytes=LIMB * 64))
     # The opt-in verify-* stages (REPRO_VERIFY=1 in the ambient
     # environment) are extras; the transformation pipeline itself
-    # must be exactly this sequence.
+    # must be exactly this sequence, and the oracle pipeline times
+    # the same stages.
     names = [r.name for r in cp.stats.pass_records
              if not r.name.startswith("verify")]
     assert names == ["copy-prop", "const-merge", "cse", "dce",
                      "mac-fuse", "insert-loads", "mark-streaming",
                      "schedule", "regalloc"]
+    ref = oracles.compile_reference(_he_program(),
+                                    CompileOptions(sram_bytes=LIMB * 64))
+    assert [r.name for r in ref.stats.pass_records] == names
     assert all(r.wall_s >= 0 for r in cp.stats.pass_records)
     transform = [r for r in cp.stats.pass_records
                  if not r.name.startswith("verify")]

@@ -2,14 +2,13 @@
 
 Random small :class:`Program`\\ s — every ISA opcode reachable — are
 compiled with each optimization pass toggled on and off, plus a
-spill-forcing SRAM squeeze, and executed by planned replay and the
-run-vectorized interpreter, once on the native kernels and once on
-numpy.
+spill-forcing SRAM squeeze, and executed by planned replay, once on
+the native kernels and once on numpy.
 Every variant must produce outputs bitwise identical to the naive
 instruction-at-a-time reference interpreter running the *uncompiled*
 program, and therefore to each other: any pass that changes a single
 residue of any output, any scheduling reorder that breaks a data
-dependency, and any interpreter dispatch bug shows up as a mismatch.
+dependency, and any replay dispatch bug shows up as a mismatch.
 
 All arithmetic is exact (mod-q in uint64, primes < 2^31), so equality
 is exact equality — no tolerances, no flaky thresholds.
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.compiler.exec_backend import (
-    execute_interpreted,
     execute_packed,
     execute_reference,
     synthesize_bindings,
@@ -157,24 +155,17 @@ def test_all_compile_variants_match_reference_oracle(seed, each_impl):
     assert oracle, "fuzz program produced no outputs"
     for label, options in VARIANTS.items():
         compiled = compile_packed(packed.copy(), options)
-        # Planned replay (the default engine) and the run-vectorized
-        # interpreter both pin against the reference oracle, and hence
-        # against each other, on the native kernels and on numpy.
+        # Planned replay pins against the reference oracle on the
+        # native kernels and on numpy.
         for impl in each_impl():
             where = f"seed {seed}, variant {label}, {impl}"
             result = execute_packed(compiled, bindings)
-            interp = execute_interpreted(compiled, bindings)
             assert set(result.outputs) == set(oracle), \
                 f"{where}: output set changed"
-            assert set(interp.outputs) == set(oracle), \
-                f"{where}: interpreter output set changed"
             for vid in oracle:
                 np.testing.assert_array_equal(
                     result.outputs[vid], oracle[vid],
                     err_msg=f"{where}, output {vid}")
-                np.testing.assert_array_equal(
-                    interp.outputs[vid], oracle[vid],
-                    err_msg=f"{where} (interpreter), output {vid}")
 
 
 def test_fuzz_corpus_reaches_every_opcode():

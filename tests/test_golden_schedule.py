@@ -5,22 +5,36 @@ implementations on a small fixed program, across both scheduling
 policies and a spilling SRAM budget.  They pin scheduler/simulator
 determinism for every future engine rewrite: any change to schedule
 order, spill placement, slot assignment or the scoreboard recurrence
-shows up as a golden mismatch — on *both* engines, which must also
-agree with each other (see ``test_differential_compile``).
+shows up as a golden mismatch — on *both* the production compile and
+the seed pipeline kept as ``oracles.compile_reference`` (simulated on
+the oracle list scoreboard), which must also agree with each other
+(see ``test_differential_compile``).
 """
 
 import hashlib
 
 import pytest
 
+import oracles
 from repro.arch.simulator import simulate
 from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import HeLowering, LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_program
-from repro.compiler.scheduler import schedule, schedule_packed
+from repro.compiler.scheduler import schedule_packed
 from repro.core.config import ASIC_EFFACT
 
 ENGINES = ("reference", "packed")
+
+
+def _compile(engine, program, options):
+    """``(compiled list program, stats, simulation)`` from the oracle
+    pipeline and scoreboard (``"reference"``) or production."""
+    if engine == "reference":
+        cp = oracles.compile_reference(program, options)
+        return cp.program, cp.stats, oracles.simulate_reference(
+            cp.program, ASIC_EFFACT)
+    cp = compile_program(program, options)
+    return cp.program, cp.stats, simulate(cp.packed, ASIC_EFFACT)
 
 
 def _small_program():
@@ -73,7 +87,7 @@ def test_raw_schedule_orders_pinned(policy):
     p = _small_program()
     assert len(p.instrs) == GOLDEN_RAW_INSTRS
     sha, head = GOLDEN_ORDERS[policy]
-    ref = schedule(p, policy=policy, band_size=32)
+    ref = oracles.schedule(p, policy=policy, band_size=32)
     assert _order_sha(ref) == sha
     assert ref[:12] == head
     packed = schedule_packed(PackedProgram.from_program(p),
@@ -87,16 +101,14 @@ def test_compiled_cycle_counts_pinned(engine, policy):
     p = _small_program()
     options = CompileOptions(sram_bytes=p.limb_bytes * 64,
                              scheduling=policy)
-    cp = compile_program(p, options, engine=engine)
-    res = simulate(cp.packed if engine == "packed" else cp.program,
-                   ASIC_EFFACT)
+    program, stats, res = _compile(engine, p, options)
     instrs, cycles, dram, stall, peak, sha = GOLDEN_COMPILED[policy]
-    assert len(cp.program.instrs) == instrs
+    assert len(program.instrs) == instrs
     assert res.cycles == cycles
     assert res.dram_bytes == dram
     assert res.stall_cycles == stall
-    assert cp.stats.alloc.peak_slots_used == peak
-    assert _instr_sha(cp.program) == sha
+    assert stats.alloc.peak_slots_used == peak
+    assert _instr_sha(program) == sha
     assert res.unit_busy == GOLDEN_UNIT_BUSY
 
 
@@ -104,13 +116,11 @@ def test_compiled_cycle_counts_pinned(engine, policy):
 def test_spilling_allocation_pinned(engine):
     p = _small_program()
     options = CompileOptions(sram_bytes=p.limb_bytes * 16)
-    cp = compile_program(p, options, engine=engine)
-    res = simulate(cp.packed if engine == "packed" else cp.program,
-                   ASIC_EFFACT)
+    program, stats, res = _compile(engine, p, options)
     (instrs, cycles, dram, stores, reloads, remats, peak, load_b,
      store_b, sha, slot_sha) = GOLDEN_SPILL
-    alloc = cp.stats.alloc
-    assert len(cp.program.instrs) == instrs
+    alloc = stats.alloc
+    assert len(program.instrs) == instrs
     assert res.cycles == cycles
     assert res.dram_bytes == dram
     assert (alloc.spill_stores, alloc.spill_reloads,
@@ -118,9 +128,9 @@ def test_spilling_allocation_pinned(engine):
     assert alloc.peak_slots_used == peak
     assert (alloc.dram_load_bytes, alloc.dram_store_bytes) == \
         (load_b, store_b)
-    assert _instr_sha(cp.program) == sha
+    assert _instr_sha(program) == sha
     slot_digest = hashlib.sha256(",".join(
-        f"{k}:{v}" for k, v in sorted(cp.program.slot_of.items())
+        f"{k}:{v}" for k, v in sorted(program.slot_of.items())
     ).encode()).hexdigest()[:16]
     assert slot_digest == slot_sha
 

@@ -70,13 +70,17 @@ def test_rotation_includes_automorphism():
 def test_hoisted_rotations_share_decomposition():
     """Hoisted steps emit identical decompose/BConv/NTT chains that CSE
     later collapses; verify the redundancy exists pre-CSE."""
-    from repro.compiler.passes import eliminate_common_subexpressions
+    from repro.compiler.ir import PackedProgram
+    from repro.compiler.packed_passes import (
+        eliminate_common_subexpressions_packed,
+    )
 
     low = HeLowering(LP)
     ct = low.fresh_ciphertext(6)
     low.hoisted_rotations(ct, [1, 2, 3])
     low.program.validate()
-    removed = eliminate_common_subexpressions(low.program)
+    removed = eliminate_common_subexpressions_packed(
+        PackedProgram.from_program(low.program))
     assert removed > 100
 
 

@@ -1,18 +1,38 @@
-"""Compiler optimization passes on hand-built programs."""
+"""Compiler optimization passes on hand-built programs.
 
-import pytest
+Each pass is the production packed implementation, run on a hand-built
+list program through :func:`on_program` so the assertions can read
+the ``Instr`` list.
+"""
 
-from repro.compiler.ir import Program
-from repro.compiler.passes import (
-    eliminate_common_subexpressions,
-    eliminate_dead_code,
-    fuse_mac,
-    insert_loads,
-    mark_streaming,
-    merge_constant_multiplies,
-    propagate_copies,
-)
+import functools
+
+from repro.compiler import packed_passes
+from repro.compiler.ir import PackedProgram, Program
 from repro.core.isa import Opcode
+
+
+def on_program(packed_pass):
+    """Adapt a packed pass to a list :class:`Program`: pack, run the
+    pass, and write the result back in place."""
+    @functools.wraps(packed_pass)
+    def run(program, *args, **kwargs):
+        packed = PackedProgram.from_program(program)
+        result = packed_pass(packed, *args, **kwargs)
+        packed.write_back(program)
+        return result
+    return run
+
+
+propagate_copies = on_program(packed_passes.propagate_copies_packed)
+merge_constant_multiplies = on_program(
+    packed_passes.merge_constant_multiplies_packed)
+eliminate_common_subexpressions = on_program(
+    packed_passes.eliminate_common_subexpressions_packed)
+eliminate_dead_code = on_program(packed_passes.eliminate_dead_code_packed)
+fuse_mac = on_program(packed_passes.fuse_mac_packed)
+insert_loads = on_program(packed_passes.insert_loads_packed)
+mark_streaming = on_program(packed_passes.mark_streaming_packed)
 
 
 def test_copy_propagation():

@@ -8,19 +8,18 @@ and be idempotent where expected.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.ir import Program
-from repro.compiler.passes import (
+from repro.compiler.ir import PackedProgram, Program
+from repro.compiler.pipeline import CompileOptions, compile_program
+from repro.compiler.scheduler import schedule_packed
+from repro.core.isa import Opcode
+
+from test_passes import (
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fuse_mac,
-    insert_loads,
-    mark_streaming,
     merge_constant_multiplies,
     propagate_copies,
 )
-from repro.compiler.pipeline import CompileOptions, compile_program
-from repro.compiler.scheduler import apply_schedule, schedule
-from repro.core.isa import Opcode
 
 _OPS = [Opcode.MMUL, Opcode.MMAD, Opcode.NTT, Opcode.INTT, Opcode.AUTO,
         Opcode.VCOPY]
@@ -91,8 +90,8 @@ def test_cse_idempotent(p):
 @settings(max_examples=40, deadline=None)
 def test_schedule_is_permutation(p):
     propagate_copies(p)
-    order = schedule(p, policy="list")
-    assert sorted(order) == list(range(len(p.instrs)))
+    order = schedule_packed(PackedProgram.from_program(p), policy="list")
+    assert sorted(order.tolist()) == list(range(len(p.instrs)))
 
 
 @given(random_program())

@@ -1,27 +1,56 @@
 """Linear-scan SRAM allocation with spilling."""
 
+import dataclasses
+
 import pytest
 
+import oracles
+from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import HeLowering, LoweringParams
-from repro.compiler.passes import insert_loads, mark_streaming
-from repro.compiler.regalloc import OutOfSlotsError, allocate
-from repro.compiler.scheduler import apply_schedule, schedule
+from repro.compiler.packed_passes import (
+    insert_loads_packed,
+    mark_streaming_packed,
+)
+from repro.compiler.regalloc import OutOfSlotsError, allocate_packed
+from repro.compiler.scheduler import apply_schedule_packed, schedule_packed
 from repro.core.isa import Opcode
 
 LP = LoweringParams(n=2 ** 10, levels=5, dnum=2)
 LIMB = LP.limb_bytes
 
 
-def _prepared_program(streaming=True):
+def _lowered():
     low = HeLowering(LP)
     x, y = low.fresh_ciphertext(5), low.fresh_ciphertext(5)
     out = low.rescale(low.hmult(x, y, low.switching_key("relin")))
-    p = low.finish(out)
-    insert_loads(p)
+    return low.finish(out)
+
+
+def _prepared_program(streaming=True):
+    """The list program, legalized and scheduled by the oracles."""
+    p = _lowered()
+    oracles.insert_loads(p)
     if streaming:
-        mark_streaming(p)
-    apply_schedule(p, schedule(p))
+        oracles.mark_streaming(p)
+    oracles.apply_schedule(p, oracles.schedule(p))
     return p
+
+
+def _prepared_packed(streaming=True):
+    packed = PackedProgram.from_program(_lowered())
+    insert_loads_packed(packed)
+    if streaming:
+        mark_streaming_packed(packed)
+    apply_schedule_packed(packed, schedule_packed(packed))
+    return packed
+
+
+def allocate(streaming=True, *, sram_bytes):
+    """Allocate a prepared program; returns the allocated list
+    program and the statistics."""
+    packed = _prepared_packed(streaming)
+    stats = allocate_packed(packed, sram_bytes=sram_bytes)
+    return packed.to_program(), stats
 
 
 def _check_allocation_valid(p):
@@ -44,23 +73,20 @@ def _check_allocation_valid(p):
 
 
 def test_ample_sram_no_spills():
-    p = _prepared_program()
-    stats = allocate(p, sram_bytes=LIMB * 4096)
+    _p, stats = allocate(sram_bytes=LIMB * 4096)
     assert stats.spill_stores == 0
     assert stats.spill_reloads == 0
 
 
 def test_tight_sram_spills_but_stays_correct():
-    p = _prepared_program()
-    stats = allocate(p, sram_bytes=LIMB * 16)
+    p, stats = allocate(sram_bytes=LIMB * 16)
     assert stats.spill_reloads + stats.remat_reloads > 0
     assert stats.dram_load_bytes > 0
     _check_allocation_valid(p)
 
 
 def test_dram_accounting_consistent():
-    p = _prepared_program()
-    stats = allocate(p, sram_bytes=LIMB * 24)
+    p, stats = allocate(sram_bytes=LIMB * 24)
     loads = sum(1 for i in p.instrs if i.op is Opcode.LOAD)
     stores = sum(1 for i in p.instrs if i.op is Opcode.STORE)
     assert stats.dram_load_bytes == loads * LIMB
@@ -70,34 +96,29 @@ def test_dram_accounting_consistent():
 def test_smaller_sram_more_traffic():
     traffic = []
     for slots in (16, 64, 4096):
-        p = _prepared_program()
-        stats = allocate(p, sram_bytes=LIMB * slots)
+        _p, stats = allocate(sram_bytes=LIMB * slots)
         traffic.append(stats.dram_total_bytes)
     assert traffic[0] >= traffic[1] >= traffic[2]
 
 
 def test_streaming_reduces_pressure():
-    p_stream = _prepared_program(streaming=True)
-    p_plain = _prepared_program(streaming=False)
-    s1 = allocate(p_stream, sram_bytes=LIMB * 16)
-    s2 = allocate(p_plain, sram_bytes=LIMB * 16)
+    _p, s1 = allocate(streaming=True, sram_bytes=LIMB * 16)
+    _p, s2 = allocate(streaming=False, sram_bytes=LIMB * 16)
     assert s1.dram_total_bytes <= s2.dram_total_bytes
 
 
 def test_out_of_slots_raises():
-    p = _prepared_program()
     with pytest.raises(OutOfSlotsError):
-        allocate(p, sram_bytes=LIMB * 4)
+        allocate(sram_bytes=LIMB * 4)
 
 
 def test_peak_slots_bounded():
-    p = _prepared_program()
-    stats = allocate(p, sram_bytes=LIMB * 32)
+    _p, stats = allocate(sram_bytes=LIMB * 32)
     assert stats.peak_slots_used <= stats.slot_count
 
 
 # ----------------------------------------------------------------------
-# Packed spilling path vs the reference scan (bit-identical)
+# Packed spilling path vs the oracle scan (bit-identical)
 # ----------------------------------------------------------------------
 def _tags_of(packed):
     return [packed.tags[t] for t in packed.tag_id]
@@ -107,17 +128,12 @@ def _tags_of(packed):
                                              (16, False)])
 def test_packed_spilling_matches_reference_bitwise(slots, streaming):
     """Forced-spill fixture: the columnar spilling allocator must
-    reproduce the reference linear scan exactly — instruction stream,
+    reproduce the oracle linear scan exactly — instruction stream,
     spill map, and every statistic."""
-    import dataclasses
-
-    from repro.compiler.ir import PackedProgram
-    from repro.compiler.regalloc import allocate_packed
-
     p_ref = _prepared_program(streaming=streaming)
     packed = PackedProgram.from_program(_prepared_program(
         streaming=streaming))
-    stats_ref = allocate(p_ref, sram_bytes=LIMB * slots)
+    stats_ref = oracles.allocate(p_ref, sram_bytes=LIMB * slots)
     stats_packed = allocate_packed(packed, sram_bytes=LIMB * slots)
     assert stats_ref.spill_stores > 0 or stats_ref.spill_reloads > 0 \
         or stats_ref.remat_reloads > 0, "fixture no longer spills"
@@ -138,10 +154,5 @@ def test_packed_spilling_matches_reference_bitwise(slots, streaming):
 
 def test_packed_spilling_round_trips_to_program():
     """The scattered columns must still form a valid program."""
-    from repro.compiler.ir import PackedProgram
-    from repro.compiler.regalloc import allocate_packed
-
-    packed = PackedProgram.from_program(_prepared_program())
-    allocate_packed(packed, sram_bytes=LIMB * 16)
-    program = packed.to_program()
+    program, _stats = allocate(sram_bytes=LIMB * 16)
     _check_allocation_valid(program)

@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.compiler.ir import Program
+import oracles
+from repro.compiler.ir import PackedProgram, Program
 from repro.compiler.lowering import HeLowering, LoweringParams
-from repro.compiler.scheduler import apply_schedule, schedule
+from repro.compiler.scheduler import apply_schedule_packed, schedule_packed
 from repro.core.isa import Opcode
+
+
+def schedule(program, **kwargs) -> list[int]:
+    return schedule_packed(PackedProgram.from_program(program),
+                           **kwargs).tolist()
 
 
 def _sample_program():
@@ -52,11 +58,13 @@ def test_band_sizes_stay_topological(band):
 
 def test_apply_schedule_reorders():
     p = _sample_program()
-    order = schedule(p, policy="list")
+    packed = PackedProgram.from_program(p)
+    order = schedule_packed(packed, policy="list")
     first = p.instrs[order[0]]
-    apply_schedule(p, order)
-    assert p.instrs[0] is first
-    p.validate()
+    apply_schedule_packed(packed, order)
+    scheduled = packed.to_program()
+    assert scheduled.instrs[0] == first
+    scheduled.validate()
 
 
 def test_unknown_policy_rejected():
@@ -66,7 +74,6 @@ def test_unknown_policy_rejected():
 
 
 def _every_opcode_program():
-    from repro.compiler.ir import Program
     p = Program(2 ** 10, name="all-ops")
     a, c = p.dram_value("a"), p.const_value("c")
     la, lc = p.load(a), p.load(c)
@@ -85,13 +92,12 @@ def _every_opcode_program():
 
 @pytest.mark.parametrize("policy", ["naive", "list"])
 def test_every_opcode_schedules(policy):
-    """Satellite: a program containing every Opcode schedules cleanly
-    on both implementations (no KeyError from the latency table)."""
-    from repro.compiler.ir import PackedProgram
-    from repro.compiler.scheduler import schedule_packed
+    """A program containing every Opcode schedules cleanly on the
+    production scheduler and the oracle (no KeyError from the latency
+    table)."""
     p = _every_opcode_program()
     assert {i.op for i in p.instrs} == set(Opcode)
-    ref = schedule(p, policy=policy, band_size=32)
+    ref = oracles.schedule(p, policy=policy, band_size=32)
     assert sorted(ref) == list(range(len(p.instrs)))
     assert _is_topological(p, ref)
     packed = schedule_packed(PackedProgram.from_program(p),
@@ -103,15 +109,14 @@ def test_latency_weight_lookup_is_defaulted(monkeypatch):
     """Opcodes missing from _LATENCY_WEIGHT fall back to the default
     weight instead of raising KeyError."""
     from repro.compiler import scheduler as sched_mod
-    from repro.compiler.ir import PackedProgram
-    from repro.compiler.scheduler import latency_weight, schedule_packed
+    from repro.compiler.scheduler import latency_weight
     trimmed = dict(sched_mod._LATENCY_WEIGHT)
     del trimmed[Opcode.MMAC]
     del trimmed[Opcode.SCALAR]
     monkeypatch.setattr(sched_mod, "_LATENCY_WEIGHT", trimmed)
     assert latency_weight(Opcode.MMAC) == sched_mod._DEFAULT_LATENCY_WEIGHT
     p = _every_opcode_program()
-    ref = schedule(p, policy="list", band_size=32)
+    ref = oracles.schedule(p, policy="list", band_size=32)
     assert _is_topological(p, ref)
     packed = schedule_packed(PackedProgram.from_program(p),
                              policy="list", band_size=32)
