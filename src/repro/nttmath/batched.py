@@ -155,6 +155,24 @@ def require_canonical(stack: np.ndarray, q_col: np.ndarray,
             f"range [0, q)")
 
 
+class ShoupBoundError(ValueError):
+    """A native Shoup kernel was reached with a modulus at or above
+    :data:`SHOUP_Q_BOUND` (raised under ``REPRO_VERIFY=1``; the lazy
+    products would no longer fit 32 bits, silently)."""
+
+
+def require_shoup_bound(primes, where: str) -> None:
+    """Raise :class:`ShoupBoundError` naming the first of ``primes``
+    that is not below :data:`SHOUP_Q_BOUND` -- the ``_shoup_tail_ok``
+    precondition every native key-switch and exact-conversion entry
+    relies on; ``where`` names the kernel entry."""
+    for limb, q in enumerate(primes):
+        if q >= SHOUP_Q_BOUND:
+            raise ShoupBoundError(
+                f"{where}: shoup-bound: modulus {q} (limb {limb}) is not "
+                f"below 2^31")
+
+
 def scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
     """A reusable uint64 buffer for ``tag``/``shape``.
 

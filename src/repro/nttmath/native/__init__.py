@@ -13,7 +13,20 @@
   (:func:`repro.schemes.rns_core.key_mac`,
   :func:`repro.rns.bconv.base_convert_stack`,
   :func:`repro.schemes.rns_core.mod_down_tail`), exact for every
-  input their numpy twins accept.
+  input their numpy twins accept;
+- ``bconv_exact`` / ``bfv_scale_round``, the exact (centred, HPS)
+  base conversion behind
+  :func:`repro.rns.bconv.base_convert_centered_stack` (BFV's centred
+  lift, BGV's ``t``-corrected ModDown) and BFV's fused
+  ``round(t*d/Q)`` tail behind
+  :meth:`repro.schemes.bfv.BfvEvaluator._scale_round_stack`.  Their
+  float correction ``e = rint(sum_j v_j / q_j)`` sums in row order
+  ``j = 0 .. L-1`` with one IEEE division and addition per term and
+  rounds half to even, as the numpy twin does, so ``e`` and every
+  output residue are bitwise equal to it.  The caller passes canonical
+  residues over moduli below ``2^31`` (``_shoup_tail_ok``) and sizes
+  every shape from the bases; any input value is read as its low 32
+  bits, so a bad one gives wrong residues, never an out-of-table read.
 
 :func:`kernel` compiles it once with the system ``cc`` into a per-user
 cache directory (``$XDG_CACHE_HOME/repro/native``, default
@@ -26,9 +39,10 @@ with a complete library.
 When anything fails — no ``cc`` on ``PATH``, a compile error, a cache
 directory that is unwritable or cannot be determined, a library that
 does not load — one :class:`RuntimeWarning` names the reason and
-:func:`kernel` returns ``None``: the NTT engine, plan replay and the key
-switch keep their numpy kernels, which stay the bitwise oracle either
-way.  The loaded library lives for the whole process.
+:func:`kernel` returns ``None``: the NTT engine, plan replay, the key
+switch and the exact conversions keep their numpy kernels, which stay
+the bitwise oracle either way.  The loaded library lives for the whole
+process.
 """
 
 from __future__ import annotations
@@ -116,6 +130,8 @@ _SIGNATURES = {
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 5, _PERM),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 6),
     "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),
+    "bconv_exact": (_OUT, _IN, _N, _N, _N, _N, _TAB),
+    "bfv_scale_round": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),
 }
 
 
@@ -202,8 +218,8 @@ def load(source: Path | None = None,
         reason = str(exc)
     except (OSError, AttributeError) as exc:
         reason = f"loading the built library failed: {exc}"
-    warnings.warn(f"native kernels unavailable (NTT, plan replay and "
-                  f"key switch), "
+    warnings.warn(f"native kernels unavailable (NTT, plan replay, key "
+                  f"switch and exact conversions), "
                   f"using the numpy kernels: {reason}", RuntimeWarning,
                   stacklevel=2)
     return None

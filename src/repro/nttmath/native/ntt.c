@@ -9,8 +9,11 @@
  *   slot-arena replay, each reading and writing arena rows in place;
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
  *   through its permutation), fast base conversion and ModDown tail of
- *   repro.schemes.rns_core's batch key switch (the last part of this
- *   file).
+ *   repro.schemes.rns_core's batch key switch;
+ * - bconv_exact / bfv_scale_round: the exact (centred) base conversion
+ *   under BFV's tensor lift and BGV's t-corrected ModDown, and BFV's
+ *   fused round(t * d / Q) tail (the last part of this file; see there
+ *   for the float correction's summation order and rounding).
  *
  * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
  * 64-bit target provides (riscv64 included): no intrinsics, no
@@ -749,5 +752,271 @@ int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
             }
         }
     }
+    return 0;
+}
+
+
+/*
+ * Exact (centred) base conversion, the HPS construction, and BFV's
+ * round(t * d / Q) tail built on it: the native counterparts of
+ * repro.rns.bconv.base_convert_centered_stack and
+ * repro.schemes.bfv.BfvEvaluator._scale_round_stack.
+ *
+ * An exact conversion from the l_from moduli q (product Q) to the l_to
+ * moduli p takes canonical residues x_j of a value a in [0, Q) and
+ * gives the residues of the centred representative cmod(a, Q), in
+ * (-Q/2, Q/2), reduced into each p_i (within the float sum's error of
+ * Q/2 either representative may come out; both implementations pick
+ * the same one).  Per column:
+ *   v_j   = x_j * q_hat_j^-1 mod q_j                   (canonical)
+ *   e     = rint(sum_j (double)v_j / (double)q_j)
+ *   out_i = (sum_j v_j * (q_hat_j mod p_i) - e * (Q mod p_i)) mod p_i
+ * The float sum runs in row order j = 0 .. l_from - 1, one correctly
+ * rounded division and one addition per term, which is the order the
+ * numpy twin sums in, so e is the same double rounded the same way and
+ * the result is bitwise equal to it.  rint is round-half-to-even,
+ * computed as (f + 2^52) - 2^52 (exact for 0 <= f < 2^52 in the
+ * default rounding mode; the build sets no -ffast-math, and -std=c99
+ * keeps contraction off).  Each v_j / q_j lies in [0, 1), so
+ * 0 <= e <= l_from.  The weighted sum and the e * (Q mod p_i)
+ * correction land in one exact uint64 sum per output, reduced once
+ * (see exact_block).  Every modulus lies in [2, 2^31) (the caller
+ * checks _shoup_tail_ok for both bases), and any input value is read
+ * as its low 32 bits, so every intermediate stays in range whatever
+ * the input holds: a non-canonical input gives wrong residues, never
+ * an out-of-bounds access.
+ *
+ * The constants of one conversion come packed in one uint64 table,
+ * laid out as
+ *   q[l_from] | s[l_from] | s_sh[l_from] | p[l_to]
+ *     | w[l_to * l_from] | w_sh[l_to * l_from] | qmp[l_to]
+ * with s = q_hat^-1 mod q_j, w[i][j] = q_hat_j mod p_i (row-major),
+ * their Shoup companions s_sh, w_sh, and qmp[i] = Q mod p_i.
+ * w_sh is unused here (the table shares bconv's layout).  Columns go
+ * in blocks of EX_BLOCK, so a block's scaled residues and float sums
+ * stay in L1 between the steps.
+ */
+
+/* Columns per block, and columns summed side by side in exact_block
+ * (independent multiply chains that overlap in the pipeline). */
+enum { EX_BLOCK = 256, EX_LANES = 8 };
+
+/* One exact conversion's constants, unpacked from its table. */
+struct exact_tab {
+    size_t l_from, l_to;
+    const uint64_t *q, *s, *s_sh, *p, *w, *qmp;
+    uint64_t qmax;      /* the largest source modulus */
+};
+
+static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
+                                  size_t l_to)
+{
+    struct exact_tab t;
+    size_t j;
+    t.l_from = l_from;
+    t.l_to = l_to;
+    t.q = tab;
+    t.s = tab + l_from;
+    t.s_sh = tab + 2 * l_from;
+    t.p = tab + 3 * l_from;
+    t.w = t.p + l_to;
+    t.qmp = t.w + 2 * l_to * l_from;    /* past w and the unused w_sh */
+    t.qmax = 0;
+    for (j = 0; j < l_from; j++)
+        t.qmax = t.q[j] > t.qmax ? t.q[j] : t.qmax;
+    return t;
+}
+
+/* Work buffers of one exact conversion block, one allocation. */
+struct exact_work {
+    double *frac;       /* EX_BLOCK float sums */
+    int64_t *extra;     /* the caller's extra_rows rows of EX_BLOCK */
+    uint32_t *v;        /* (l_from, EX_BLOCK) scaled residues */
+    uint32_t *e;        /* EX_BLOCK rounded corrections */
+};
+
+/* Allocate the work buffers for sources of up to l_from rows, zeroed
+ * (the last column group of a block may sum lanes past its width,
+ * which then read defined values); freed with free(wk->frac).
+ * Returns 0, or -1 on failure. */
+static int exact_work_alloc(struct exact_work *wk, size_t l_from,
+                            size_t extra_rows)
+{
+    double *buf = calloc(1, (1 + extra_rows) * EX_BLOCK * sizeof *buf
+                         + (l_from + 1) * EX_BLOCK * sizeof(uint32_t));
+    if (!buf)
+        return -1;
+    wk->frac = buf;
+    wk->extra = (int64_t *)(buf + EX_BLOCK);
+    wk->v = (uint32_t *)(buf + (1 + extra_rows) * EX_BLOCK);
+    wk->e = wk->v + l_from * EX_BLOCK;
+    return 0;
+}
+
+/*
+ * Exact conversion of one block of w <= EX_BLOCK columns: source row j
+ * at x + j * xs, target row i written at out + i * os.
+ *
+ * The weighted sum takes one multiply per term: each product
+ * v_j * w_ij < qmax * p_i < 2^62 is added whole to a uint64 sum.  The
+ * sum starts at l_from * p_i - e * qmp_i (>= 0, below 2^36), which
+ * folds the correction in, and is kept below 2^63 at every span terms,
+ * span = floor(2^62 / (qmax * p_i)) >= 1: a span adds less than 2^62,
+ * and a sum that reached 2^63 drops by g_i = floor(2^63 / p_i) * p_i
+ * (a multiple of p_i, so the residue is unchanged) to below
+ * 2^62 + p_i.  One Barrett reduction (floor_mod) then lands the
+ * canonical (sum_j v_j w_ij - e qmp_i) mod p_i.  With 28- and 29-bit
+ * moduli a span covers 32 terms, so the guard runs once per output
+ * (every 4 terms at 30 bits, every term at 31).  EX_LANES
+ * columns are summed side by side; the last group of a block may run
+ * past w, inside the zeroed EX_BLOCK-wide rows, and stores only its w
+ * columns.  On 64-bit targets this scalar form beats the
+ * three-multiply lazy Shoup sum, vectorized (SSE2) or not.
+ */
+static void exact_block(int64_t *out, size_t os, const int64_t *x,
+                        size_t xs, size_t w, const struct exact_tab *t,
+                        const struct exact_work *wk)
+{
+    const double two52 = 4503599627370496.0;
+    size_t i, j, col;
+    for (j = 0; j < t->l_from; j++) {
+        const int64_t *restrict xr = x + j * xs;
+        uint32_t *restrict vj = wk->v + j * EX_BLOCK;
+        uint32_t qj = (uint32_t)t->q[j], sj = (uint32_t)t->s[j];
+        uint32_t sj_sh = (uint32_t)t->s_sh[j];
+        double qd = (double)qj;
+        for (col = 0; col < w; col++)
+            vj[col] = csub(shoup_lazy((uint32_t)xr[col], sj, sj_sh, qj), qj);
+        /* v < q < 2^31, so the int32 conversion is exact. */
+        if (j == 0)
+            for (col = 0; col < w; col++)
+                wk->frac[col] = (double)(int32_t)vj[col] / qd;
+        else
+            for (col = 0; col < w; col++)
+                wk->frac[col] += (double)(int32_t)vj[col] / qd;
+    }
+    for (col = 0; col < w; col++)
+        wk->e[col] = (uint32_t)(int32_t)((wk->frac[col] + two52) - two52);
+    for (i = 0; i < t->l_to; i++) {
+        const uint64_t *restrict wi = t->w + i * t->l_from;
+        int64_t *restrict o = out + i * os;
+        uint64_t pi = t->p[i], m = UINT64_MAX / pi;
+        uint64_t g = ((uint64_t)1 << 63) / pi * pi;
+        uint64_t base = t->l_from * pi, c = t->qmp[i];
+        size_t span = ((uint64_t)1 << 62) / (t->qmax * pi);
+        for (col = 0; col < w; col += EX_LANES) {
+            const uint32_t *vc = wk->v + col;
+            uint64_t a[EX_LANES];
+            size_t j1, l, lanes = w - col < EX_LANES ? w - col : EX_LANES;
+            for (l = 0; l < EX_LANES; l++)
+                a[l] = base - (uint64_t)wk->e[col + (l < lanes ? l : 0)] * c;
+            for (j = 0; j < t->l_from; j = j1) {
+                j1 = t->l_from - j < span ? t->l_from : j + span;
+                for (; j < j1; j++) {
+                    uint64_t wj = wi[j];
+                    const uint32_t *vj = vc + j * EX_BLOCK;
+                    for (l = 0; l < EX_LANES; l++)
+                        a[l] += (uint64_t)vj[l] * wj;
+                }
+                for (l = 0; l < EX_LANES; l++)
+                    a[l] -= g & (0 - (a[l] >> 63));
+            }
+            for (l = 0; l < lanes; l++)
+                o[col + l] = floor_mod((int64_t)a[l], pi, m);
+        }
+    }
+}
+
+/*
+ * Exact centred conversion of k polynomials: in is a ct-major
+ * (k * l_from, n) stack, out the (k * l_to, n) stack, tab the packed
+ * table above.  Returns 0, 1 without writing anything if l_from or
+ * l_to is 0, or -1 if the work buffers could not be allocated.
+ */
+int bconv_exact(int64_t *out, const int64_t *in, size_t k, size_t l_from,
+                size_t l_to, size_t n, const uint64_t *tab)
+{
+    struct exact_tab t;
+    struct exact_work wk;
+    size_t c, j0;
+    if (!l_from || !l_to)
+        return 1;
+    if (exact_work_alloc(&wk, l_from, 0))
+        return -1;
+    t = exact_tab(tab, l_from, l_to);
+    for (c = 0; c < k; c++)
+        for (j0 = 0; j0 < n; j0 += EX_BLOCK)
+            exact_block(out + c * l_to * n + j0, n,
+                        in + c * l_from * n + j0, n,
+                        n - j0 < EX_BLOCK ? n - j0 : EX_BLOCK, &t, &wk);
+    free(wk.frac);
+    return 0;
+}
+
+/*
+ * BFV's scale-and-round of k tensor components: in is a ct-major
+ * (k * (lq + lr), n) stack of canonical residues over the extended
+ * basis Q + R (Q rows first), out the (k * lq, n) stack of
+ * round(t * d / Q) mod Q.  tab_qr and tab_rq are the packed tables of
+ * the exact conversions Q -> R and R -> Q; aux holds, for the lq + lr
+ * extended moduli, t mod e_i and its Shoup companions, then for the lr
+ * R moduli Q^-1 mod r_i and its companions.  Per column block:
+ *   u    = d * t mod e                      (every extended limb)
+ *   c    = exact Q -> R of u's Q rows       (cmod(t * d, Q) mod r)
+ *   res  = (u_R - c + r) * Q^-1 mod r       ((t*d - cmod) / Q mod r)
+ *   out  = exact R -> Q of res
+ * Each step lands canonical residues, bitwise equal to the numpy twin,
+ * and the block's (lq + lr) and lr rows of intermediates never leave
+ * the work buffer.  Returns 0, 1 without writing anything if lq or lr
+ * is 0, or -1 if the work buffers could not be allocated.
+ */
+int bfv_scale_round(int64_t *out, const int64_t *in, size_t k, size_t lq,
+                    size_t lr, size_t n, const uint64_t *tab_qr,
+                    const uint64_t *tab_rq, const uint64_t *aux)
+{
+    struct exact_tab qr, rq;
+    struct exact_work wk;
+    size_t le = lq + lr, lmax = lq > lr ? lq : lr;
+    const uint64_t *tm = aux, *tm_sh = aux + le;
+    const uint64_t *qinv = aux + 2 * le, *qinv_sh = qinv + lr;
+    int64_t *u, *cm;
+    size_t c, i, j0, col;
+    if (!lq || !lr)
+        return 1;
+    if (exact_work_alloc(&wk, lmax, le + lr))
+        return -1;
+    u = wk.extra;
+    cm = u + le * EX_BLOCK;
+    qr = exact_tab(tab_qr, lq, lr);
+    rq = exact_tab(tab_rq, lr, lq);
+    for (c = 0; c < k; c++) {
+        for (j0 = 0; j0 < n; j0 += EX_BLOCK) {
+            size_t w = n - j0 < EX_BLOCK ? n - j0 : EX_BLOCK;
+            const int64_t *d = in + c * le * n + j0;
+            for (i = 0; i < le; i++) {
+                const int64_t *restrict di = d + i * n;
+                int64_t *restrict ui = u + i * EX_BLOCK;
+                /* extended limb i: tab_qr's source, then target moduli */
+                uint32_t ei = (uint32_t)(i < lq ? qr.q[i] : qr.p[i - lq]);
+                uint32_t f = (uint32_t)tm[i], f_sh = (uint32_t)tm_sh[i];
+                for (col = 0; col < w; col++)
+                    ui[col] = (int64_t)csub(shoup_lazy((uint32_t)di[col], f,
+                                                       f_sh, ei), ei);
+            }
+            exact_block(cm, EX_BLOCK, u, EX_BLOCK, w, &qr, &wk);
+            for (i = 0; i < lr; i++) {
+                const int64_t *restrict ui = u + (lq + i) * EX_BLOCK;
+                int64_t *restrict ci = cm + i * EX_BLOCK;
+                uint32_t ri = (uint32_t)qr.p[i];
+                uint32_t f = (uint32_t)qinv[i], f_sh = (uint32_t)qinv_sh[i];
+                for (col = 0; col < w; col++) {
+                    uint32_t x = (uint32_t)ui[col] - (uint32_t)ci[col] + ri;
+                    ci[col] = (int64_t)csub(shoup_lazy(x, f, f_sh, ri), ri);
+                }
+            }
+            exact_block(out + c * lq * n + j0, n, cm, EX_BLOCK, w, &rq, &wk);
+        }
+    }
+    free(wk.frac);
     return 0;
 }

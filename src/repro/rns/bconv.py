@@ -16,6 +16,14 @@ so int64 holds hundreds of limbs).  The pre-reduced weight matrices
 ``q_hat[j] mod p_i`` are cached per basis pair in a bounded LRU wired
 into :func:`repro.nttmath.batched.clear_caches`.
 
+Two conversions run in the native library when it loaded and every
+modulus is below ``2^31``, each keeping its numpy code here as fallback
+and bitwise oracle: the fast conversion of :func:`base_convert_stack`
+(``bconv``) and the exact centred conversion of
+:func:`base_convert_centered_stack` (``bconv_exact``, also behind
+:func:`base_convert_exact`), whose float correction both sum in row
+order so they round the same double.
+
 The merged variant (paper eq. 5 / section IV-D5) folds the iNTT 1/N
 post-scaling and all Montgomery representation conversions into BConv's
 pre-computed constants, using the single-Montgomery (SM) and
@@ -35,6 +43,7 @@ from ..nttmath.batched import (
     register_cache_clearer,
     release_scratch,
     require_canonical,
+    require_shoup_bound,
     scratch,
     shoup_companion,
     shoup_mul_lazy,
@@ -117,6 +126,29 @@ def _native_tables(from_basis: RnsBasis, to_basis: RnsBasis) -> tuple:
 
     return _lru(_WEIGHT_CACHE,
                 ("native", from_basis.primes, to_basis.primes), build)
+
+
+def _exact_tables(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
+    """The native exact conversion's constants for one basis pair as
+    one packed uint64 table: :func:`_native_tables` plus the ``Q mod
+    p_i`` column, in the layout ``ntt.c`` documents.  Built on first
+    use, never at keygen."""
+    def build():
+        qmp = reduce_mod_col(from_basis.modulus, to_basis.primes)
+        return np.concatenate([a.ravel() for a in (
+            *_native_tables(from_basis, to_basis), qmp.astype(np.uint64))])
+
+    return _lru(_WEIGHT_CACHE,
+                ("exact", from_basis.primes, to_basis.primes), build)
+
+
+def _shoup_kernel(*bases: RnsBasis):
+    """The native library for a conversion over ``bases``: loaded and
+    every modulus below ``2^31`` (the ``_shoup_tail_ok`` precondition
+    of the Shoup kernels), else ``None``."""
+    if max(q for basis in bases for q in basis.primes) >= SHOUP_Q_BOUND:
+        return None
+    return native.kernel()
 
 
 def _scaled_residues(data: np.ndarray, basis: RnsBasis) -> np.ndarray:
@@ -227,9 +259,10 @@ def reduce_mod_col(value: int, primes: tuple[int, ...]) -> np.ndarray:
         [value % q for q in primes], dtype=np.int64).reshape(-1, 1))
 
 
-def _base_convert_centered_data(data: np.ndarray, from_basis: RnsBasis,
-                                to_basis: RnsBasis) -> np.ndarray:
-    """Raw-array exact centred BConv: ``(L_from, M) -> (L_to, M)``.
+def _centered_numpy(data: np.ndarray, from_basis: RnsBasis,
+                    to_basis: RnsBasis) -> np.ndarray:
+    """The numpy twin of the exact centred BConv: ``(L_from, M) ->
+    (L_to, M)``, column-count agnostic.
 
     ``data`` holds residues of a value ``a`` in ``[0, Q)``; the result
     holds the *centred* representative ``cmod(a, Q)`` (in
@@ -238,26 +271,21 @@ def _base_convert_centered_data(data: np.ndarray, from_basis: RnsBasis,
     ``e = round(sum_j v_j / q_j)`` (the HPS trick): the fractional part
     of that sum is exactly ``a/Q``, so rounding — rather than
     flooring — also subtracts the extra ``Q`` whenever ``a > Q/2``,
-    which is precisely the centring.  Column-count agnostic, so the
-    stack paths convert several polynomials in one BLAS accumulation,
-    bitwise identical per row slice.  This is the kernel under BFV's
-    scale-invariant multiply (centred tensor lift, ``round(t*d/Q)``)
-    and BGV's ``t``-corrected ModDown.
+    which is precisely the centring.  The float sum adds one row at a
+    time, ``j = 0 .. L_from-1`` — the order the native ``bconv_exact``
+    sums in, so both round the same double — and ``np.rint`` rounds
+    half to even.
     """
-    tr = TRACER
-    with tr.span("bconv.exact", rows_in=data.shape[0],
-                 rows_out=len(to_basis)):
-        v = _scaled_residues(data, from_basis)
-        frac = (v.astype(np.float64)
-                / from_basis.q_col.astype(np.float64)).sum(axis=0)
-        e = np.rint(frac).astype(np.int64)
-        acc, p_col = _weighted_sums(v, from_basis, to_basis)
-        release_scratch("bcv_v", v.shape)
-        q_mod_p = reduce_mod_col(from_basis.modulus, to_basis.primes)
-        result = (acc - e * q_mod_p) % p_col
-    if tr.enabled:
-        tr.count("bconv.rows", data.shape[0])
-    return result
+    v = _scaled_residues(data, from_basis)
+    q_f = from_basis.q_col.astype(np.float64)
+    frac = v[0].astype(np.float64) / q_f[0]
+    for j in range(1, v.shape[0]):
+        frac += v[j].astype(np.float64) / q_f[j]
+    e = np.rint(frac).astype(np.int64)
+    acc, p_col = _weighted_sums(v, from_basis, to_basis)
+    release_scratch("bcv_v", v.shape)
+    q_mod_p = reduce_mod_col(from_basis.modulus, to_basis.primes)
+    return (acc - e * q_mod_p) % p_col
 
 
 def base_convert_exact(poly: RnsPolynomial,
@@ -265,15 +293,16 @@ def base_convert_exact(poly: RnsPolynomial,
     """Base conversion with floating-point correction of the overshoot.
 
     Computes ``e = round(sum_j v_j / q_j)`` and subtracts ``e*Q``,
-    giving the exact centred representative.  Used where the fast
-    variant's ``+eQ`` error is not acceptable (BFV scaling, BGV's
-    ``t``-exact ModDown).
+    giving the exact centred representative: the ``k = 1`` case of
+    :func:`base_convert_centered_stack` (same kernels, same span).
+    Used where the fast variant's ``+eQ`` error is not acceptable
+    (BFV's per-polynomial reference lift, BGV's centred ``mod t``).
     """
     if poly.is_ntt:
         raise ValueError("BConv operates on coefficient-domain data")
     return RnsPolynomial(
-        to_basis, _base_convert_centered_data(poly.data, poly.basis,
-                                              to_basis), is_ntt=False)
+        to_basis, base_convert_centered_stack(poly.data, poly.basis,
+                                              to_basis, 1), is_ntt=False)
 
 
 #: The centred conversion *is* the exact conversion (see above); the
@@ -284,19 +313,56 @@ base_convert_centered = base_convert_exact
 
 def base_convert_centered_stack(stack: np.ndarray, from_basis: RnsBasis,
                                 to_basis: RnsBasis, k: int) -> np.ndarray:
-    """Centred-exact conversion of ``k`` stacked polynomials at once.
+    """Exact centred conversion of ``k`` stacked polynomials at once.
 
     ``stack`` is a coefficient-domain ``(k*L_from, M)`` block (one
-    polynomial after another); the per-limb constants broadcast once
-    and the BLAS accumulation runs on ``(L_from, k*M)`` wide rows.
-    Rows are bitwise identical to :func:`base_convert_centered` per
-    polynomial — the float corrections sum the same ``L_from`` rows
-    per column, and the BLAS accumulation is exact integer arithmetic
-    in float64 halves, so stacking cannot change a single residue.
+    polynomial after another) of canonical residues; the result is the
+    ``(k*L_to, M)`` block of each column's centred representative
+    ``cmod(a, Q)`` reduced into the target primes.  This is the kernel
+    under BFV's centred tensor lift and BGV's ``t``-corrected ModDown
+    (and, with ``k = 1``, under :func:`base_convert_exact`).
+
+    With the native library loaded and every modulus of both bases
+    below ``2^31``, the C ``bconv_exact`` kernel converts the stack as
+    it lies, in column blocks; otherwise the numpy twin
+    :func:`_centered_numpy` runs once on ``(L_from, k*M)`` wide rows.
+    Both sum the float correction in the same row order, so rows are
+    bitwise identical to the per-polynomial conversion either way.
+    Traced as one ``bconv.exact`` span naming the implementation; it
+    counts ``L_from`` ``bconv.rows`` under both.  Under
+    ``REPRO_VERIFY=1`` a non-canonical row raises
+    :class:`~repro.nttmath.batched.NonCanonicalInputError` naming it,
+    and the C entry checks the ``2^31`` bound
+    (:class:`~repro.nttmath.batched.ShoupBoundError`).
     """
-    wide = _stack_to_wide(stack, len(from_basis), k)
-    return _wide_to_stack(
-        _base_convert_centered_data(wide, from_basis, to_basis), k)
+    l_from = len(from_basis)
+    l_to = len(to_basis)
+    m = stack.shape[1]
+    if stack.shape[0] != k * l_from:
+        raise ValueError(f"expected a {k * l_from}-row stack, got "
+                         f"{stack.shape[0]}")
+    lib = _shoup_kernel(from_basis, to_basis)
+    if verify_inputs():
+        require_canonical(stack, from_basis.q_col, "bconv_exact")
+        if lib is not None:
+            require_shoup_bound(from_basis.primes + to_basis.primes,
+                                "bconv_exact")
+    tr = TRACER
+    with tr.span("bconv.exact", rows_in=k * l_from, rows_out=k * l_to,
+                 impl="numpy" if lib is None else "c"):
+        if lib is None:
+            out = _wide_to_stack(_centered_numpy(
+                _stack_to_wide(stack, l_from, k), from_basis, to_basis), k)
+        else:
+            out = np.empty((k * l_to, m), dtype=np.int64)
+            if lib.bconv_exact(out, np.ascontiguousarray(stack), k, l_from,
+                               l_to, m, _exact_tables(from_basis,
+                                                      to_basis)):
+                raise MemoryError("native exact BConv kernel: out of "
+                                  "memory")
+    if tr.enabled:
+        tr.count("bconv.rows", l_from)
+    return out
 
 
 def mod_up(poly: RnsPolynomial, full_basis: RnsBasis) -> RnsPolynomial:
@@ -400,9 +466,8 @@ def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
     # saved call overhead.  Columns never interact, so chunking is
     # bitwise neutral.
     kc = max(1, _BCONV_BLOCK_BYTES // (l_to * m * 8))
-    lib = native.kernel()
-    if lib is not None and max(from_basis.primes
-                               + to_basis.primes) < SHOUP_Q_BOUND:
+    lib = _shoup_kernel(from_basis, to_basis)
+    if lib is not None:
         tr = TRACER
         with tr.span("bconv.fast", rows_in=k * l_from, rows_out=k * l_to,
                      impl="c"):

@@ -7,10 +7,14 @@ its multiplication lifts both operand pairs to an extended basis
 tensors in the NTT domain, and rescales by ``t/Q`` with exact
 round-to-nearest — all as residue-level kernels:
 
-* the centred lifts and the ``round(t*d/Q)`` remainder run on the
-  exact/centred BConv kernels of :mod:`repro.rns.bconv`
-  (``base_convert_centered_stack`` — one wide BLAS accumulation for
-  all four operand polynomials / all three tensor components);
+* the centred lift runs on the exact/centred BConv of
+  :mod:`repro.rns.bconv` (``base_convert_centered_stack`` — one call
+  for all four operand polynomials, the native ``bconv_exact`` when the
+  library loaded), and the ``round(t*d/Q)`` rescale of all three tensor
+  components is one call of the fused native ``bfv_scale_round``
+  (``u = t*d``, exact ``Q -> R``, ``(u_R - cmod)*Q^-1``, exact ``R ->
+  Q`` per column block), with :func:`_scale_round_numpy` as its numpy
+  twin and fallback;
 * relinearization is the shared hybrid key switch of
   :class:`repro.schemes.rns_core.RnsEvaluatorBase` at ``k = 1`` (digit
   lift through one ``(beta*E, N)`` NTT, digit-stacked Shoup key MACs,
@@ -20,9 +24,12 @@ round-to-nearest — all as residue-level kernels:
 
 ``BfvScheme(ctx, stacked=False)`` is the per-polynomial reference
 path; both modes are bitwise identical
-(``tests/test_rns_core_schemes.py``).  The seed's big-int schoolbook
-implementation survives as :mod:`repro.schemes.toy` — the independent
-correctness oracle the port was validated against.
+(``tests/test_rns_core_schemes.py``), and both run the native exact
+kernels when they run, so ``tests/test_native_exact.py`` pins those
+against their numpy twins directly.  Multiplication takes operands on
+``ctx.q_full`` only and names that basis otherwise.  The seed's
+big-int schoolbook implementation survives as :mod:`repro.schemes.toy`
+— the independent correctness oracle the port was validated against.
 """
 
 from __future__ import annotations
@@ -32,10 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..nttmath.batched import (
+    require_canonical,
+    require_shoup_bound,
+    shoup_companion,
+    verify_inputs,
+)
 from ..nttmath.primes import find_ntt_primes
+from ..obs import TRACER
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
-    _base_convert_centered_data,
+    _WEIGHT_CACHE,
+    _exact_tables,
+    _lru,
+    _shoup_kernel,
     _stack_to_wide,
     _wide_to_stack,
     base_convert_centered,
@@ -182,15 +199,16 @@ class BfvEvaluator(RnsEvaluatorBase):
         ``key`` (default: the chain's relinearization key).
 
         The stacked path runs one ``(4L, N)`` iNTT over both operand
-        pairs, one wide centred BConv lifting all four polynomials to
-        ``R``, one ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over
-        the tensor triple, wide ``t/Q`` scaling, and the shared key
-        switch at ``k = 1`` — bitwise identical to the per-polynomial
-        reference (``stacked=False``).
+        pairs, one centred BConv lifting all four polynomials to ``R``,
+        one ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over the
+        tensor triple, one ``t/Q`` scale-round of the triple, and the
+        shared key switch at ``k = 1`` — bitwise identical to the
+        per-polynomial reference (``stacked=False``).  Both operands
+        must lie on ``ctx.q_full``; otherwise a ``ValueError`` naming
+        that basis is raised before any kernel runs.
         """
+        self._require_full_basis(x, y)
         key = self._relin_key(key)
-        if x.basis != y.basis:
-            raise ValueError("operand bases differ")
         if not self.stacked:
             return self._multiply_reference(x, y, key)
         self._check_domains(x.is_ntt, True)
@@ -226,6 +244,22 @@ class BfvEvaluator(RnsEvaluatorBase):
         out = (d01 + ks) % _pair_col(q.q_col)
         return type(x).from_pair(q, out, x.scale, is_ntt=True)
 
+    def _require_full_basis(self, x: Ciphertext, y: Ciphertext) -> None:
+        """BFV multiplies on the full ciphertext basis only: the
+        extension basis ``R`` and the scale-round constants are sized
+        for ``ctx.q_full`` (and the native kernels size their reads
+        from the context).  Raise the one ``ValueError`` naming that
+        basis, before any kernel runs, for an operand elsewhere (say,
+        after ``drop_level``)."""
+        q = self.context.q_full
+        for name, ct in (("x", x), ("y", y)):
+            if ct.basis != q:
+                raise ValueError(
+                    f"BFV multiply: operand {name} lies on "
+                    f"{len(ct.basis)} limbs {ct.basis.primes}; both "
+                    f"operands must lie on the full ciphertext basis "
+                    f"ctx.q_full ({len(q)} limbs {q.primes})")
+
     def _multiply_reference(self, x: Ciphertext, y: Ciphertext,
                             key: SwitchingKey) -> Ciphertext:
         """Per-polynomial reference: same kernels, one call per
@@ -252,20 +286,83 @@ class BfvEvaluator(RnsEvaluatorBase):
 
     def _scale_round_stack(self, stack: np.ndarray, k: int) -> np.ndarray:
         """``round(t*d/Q) mod Q`` for ``k`` stacked ``Q+R`` tensor
-        components: ``(t*d - cmod(t*d, Q)) * Q^-1`` on the R limbs,
-        then a centred exact conversion back to Q.  All arithmetic runs
-        on ``(E, k*N)`` wide rows; row slices are bitwise identical to
-        the ``k = 1`` per-component calls."""
+        components (a ct-major ``(k*E, N)`` stack of canonical
+        coefficient residues) as a ``(k*L_Q, N)`` stack.
+
+        With the native library loaded and every modulus below
+        ``2^31``, the C ``bfv_scale_round`` runs the whole tail per
+        column block (``u = d*t``, exact ``Q -> R``, ``(u_R -
+        cmod)*Q^-1``, exact ``R -> Q``), so no ``(E, k*N)``
+        intermediate is written; otherwise :func:`_scale_round_numpy`.
+        Both are bitwise identical, and row slices equal the ``k = 1``
+        per-component calls.  Traced as one ``bfv.scale_round`` span
+        naming the implementation; the fused kernel sits in one
+        ``bconv.exact`` span and counts both of its conversions'
+        ``bconv.rows``, as the numpy twin's two conversions do.  Under
+        ``REPRO_VERIFY=1`` a non-canonical row raises
+        :class:`~repro.nttmath.batched.NonCanonicalInputError` naming
+        it, and the C entry checks the ``2^31`` bound.
+        """
         ctx = self.context
         q, r, ext = ctx.q_full, ctx.r_basis, ctx.mul_basis
-        lq = len(q)
-        wide = _stack_to_wide(stack, len(ext), k)
-        u = wide * reduce_mod_col(ctx.t, ext.primes) % ext.q_col
-        cmod_r = _base_convert_centered_data(u[:lq], q, r)
-        qinv_r = inverse_mod_col(q.modulus, r.primes)
-        res_r = (u[lq:] - cmod_r) % r.q_col * qinv_r % r.q_col
-        out_q = _base_convert_centered_data(res_r, r, q)
-        return _wide_to_stack(out_q, k)
+        lq, lr = len(q), len(r)
+        n = stack.shape[1]
+        if stack.shape[0] != k * len(ext):
+            raise ValueError(f"expected a {k * len(ext)}-row tensor "
+                             f"stack, got {stack.shape[0]}")
+        lib = _shoup_kernel(q, r)
+        if verify_inputs():
+            require_canonical(stack, ext.q_col, "bfv_scale_round")
+            if lib is not None:
+                require_shoup_bound(ext.primes, "bfv_scale_round")
+        tr = TRACER
+        with tr.span("bfv.scale_round", k=k,
+                     impl="numpy" if lib is None else "c"):
+            if lib is None:
+                return _scale_round_numpy(stack, ctx, k)
+            out = np.empty((k * lq, n), dtype=np.int64)
+            with tr.span("bconv.exact", rows_in=k * (lq + lr),
+                         rows_out=k * lq, impl="c"):
+                if lib.bfv_scale_round(out, np.ascontiguousarray(stack), k,
+                                       lq, lr, n,
+                                       *_scale_round_tables(ctx.t, q, r)):
+                    raise MemoryError("native BFV scale-round kernel: out "
+                                      "of memory")
+            if tr.enabled:
+                tr.count("bconv.rows", lq + lr)
+        return out
+
+
+def _scale_round_numpy(stack: np.ndarray, ctx: BfvContext,
+                       k: int) -> np.ndarray:
+    """The numpy twin of the native scale-round: ``(t*d - cmod(t*d,
+    Q)) * Q^-1`` on the R limbs, then a centred exact conversion back
+    to Q, all on ``(E, k*N)`` wide rows."""
+    q, r, ext = ctx.q_full, ctx.r_basis, ctx.mul_basis
+    lq = len(q)
+    wide = _stack_to_wide(stack, len(ext), k)
+    u = wide * reduce_mod_col(ctx.t, ext.primes) % ext.q_col
+    cmod_r = base_convert_centered_stack(u[:lq], q, r, 1)
+    qinv_r = inverse_mod_col(q.modulus, r.primes)
+    res_r = (u[lq:] - cmod_r) % r.q_col * qinv_r % r.q_col
+    return _wide_to_stack(base_convert_centered_stack(res_r, r, q, 1), k)
+
+
+def _scale_round_tables(t: int, q: RnsBasis, r: RnsBasis) -> tuple:
+    """The native scale-round's packed constants: the exact ``Q -> R``
+    and ``R -> Q`` tables, then ``t mod e_i`` over the extended basis
+    and ``Q^-1 mod r_i``, each with its Shoup companions.  Built on
+    first use in the BConv weight LRU, never at keygen."""
+    def build():
+        ext = q.extend(r)
+        tm = reduce_mod_col(t, ext.primes).astype(np.uint64)
+        qinv = inverse_mod_col(q.modulus, r.primes).astype(np.uint64)
+        return np.concatenate([
+            tm, shoup_companion(tm, ext.q_col.astype(np.uint64)),
+            qinv, shoup_companion(qinv, r.q_col.astype(np.uint64))]).ravel()
+
+    aux = _lru(_WEIGHT_CACHE, ("bfv", t, q.primes, r.primes), build)
+    return _exact_tables(q, r), _exact_tables(r, q), aux
 
 
 class BfvScheme:

@@ -12,9 +12,11 @@ twists:
   hybrid key-switch ModDown is overridden with the *exact*
   ``t``-corrected variant: the ``[acc]_P`` remainder is lifted to a
   multiple of ``t`` (``delta = cmod([acc]_P) + P*lambda`` with
-  ``lambda = -cmod*P^-1 mod t``) using the exact centred BConv kernels
-  of :mod:`repro.rns.bconv`, so key switching never perturbs the
-  plaintext mod ``t``;
+  ``lambda = -cmod*P^-1 mod t``) using one exact centred BConv
+  ``P -> Q ∪ {t}`` of :mod:`repro.rns.bconv` (the native
+  ``bconv_exact`` when the library loaded, numpy otherwise) and the
+  shared ModDown tail, so key switching never perturbs the plaintext
+  mod ``t``;
 * **modulus switching** reuses the shared NTT-domain last-limb kernel
   (:meth:`~repro.schemes.rns_core.StackedKernels.switch_down_ntt`)
   with the same ``t``-multiple correction, tracking the accumulated
@@ -39,9 +41,9 @@ from ..nttmath.primes import find_ntt_primes
 from ..obs import TRACER
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
-    _base_convert_centered_data,
-    _stack_to_wide,
-    _wide_to_stack,
+    _shoup_kernel,
+    base_convert_centered_stack,
+    base_convert_exact,
     inverse_mod_col,
     reduce_mod_col,
 )
@@ -63,8 +65,7 @@ from .rns_core import (
     SecretKey,
     SwitchingKey,
     _as_batch,
-    _batch_q_col,
-    _scale_by_inv_batch,
+    mod_down_tail,
 )
 
 __all__ = [
@@ -201,8 +202,7 @@ def centered_mod_t(poly: RnsPolynomial, t: int) -> np.ndarray:
     """
     if poly.is_ntt:
         raise ValueError("centered_mod_t expects coefficient-domain data")
-    return _base_convert_centered_data(poly.data, poly.basis,
-                                       RnsBasis((t,)))[0]
+    return base_convert_exact(poly, RnsBasis((t,))).data[0]
 
 
 class BgvKeyGenerator(RnsKeyGenerator):
@@ -235,58 +235,65 @@ class BgvEvaluator(RnsEvaluatorBase):
                              "operands identically before adding")
 
     # -- exact t-corrected ModDown -------------------------------------
-    def _moddown_delta(self, p_rows: np.ndarray,
-                       q_basis: RnsBasis) -> np.ndarray:
+    def _moddown_delta(self, p_rows: np.ndarray, q_basis: RnsBasis,
+                       k: int) -> np.ndarray:
         """``delta`` rows mod Q for the exact BGV ModDown.
 
-        ``p_rows`` holds ``[acc]_P`` (coefficient domain, any column
-        count); ``delta = cmod([acc]_P) + P*lambda`` with
-        ``lambda = [-cmod * P^-1]_t`` centred, so ``delta ≡ acc mod P``
-        and ``delta ≡ 0 mod t`` — the division by ``P`` then leaves the
-        plaintext untouched.  Everything runs on the exact centred
-        BConv kernels; no big-int CRT, no int64 overflow
-        (``P mod q * lambda`` stays below ``2^62``).
+        ``p_rows`` holds ``[acc]_P`` of ``k`` polynomials (a ct-major
+        coefficient-domain ``(k*L_P, N)`` stack); the result is the
+        ``(k*L_Q, N)`` stack of ``delta = cmod([acc]_P) + P*lambda``
+        with ``lambda = [-cmod * P^-1]_t`` centred, so ``delta ≡ acc
+        mod P`` and ``delta ≡ 0 mod t`` — the division by ``P`` then
+        leaves the plaintext untouched.  ``cmod`` comes from one exact
+        centred conversion ``P -> Q ∪ {t}`` of all ``k`` polynomials
+        (the native ``bconv_exact`` when it runs, see
+        :func:`~repro.rns.bconv.base_convert_centered_stack`); the
+        ``lambda`` glue runs on a ``(k, L_Q + 1, N)`` view, so nothing
+        is transposed.  No big-int CRT, no int64 overflow (``P mod q *
+        lambda`` stays below ``2^62``).
         """
         ctx = self.context
         t = ctx.t
-        cen = _base_convert_centered_data(p_rows, ctx.p_basis,
-                                          ctx.qt_basis(q_basis))
-        cen_q, cen_t = cen[:-1], cen[-1]
+        lq = len(q_basis)
+        cen = base_convert_centered_stack(p_rows, ctx.p_basis,
+                                          ctx.qt_basis(q_basis), k)
+        cen3 = cen.reshape(k, lq + 1, -1)
+        cen_q, cen_t = cen3[:, :-1], cen3[:, -1:]
         lam = (t - cen_t) % t * ctx.p_inv_t % t
         lam = np.where(lam > t // 2, lam - t, lam)
         p_mod_q = reduce_mod_col(ctx.p_basis.modulus, q_basis.primes)
-        return (cen_q + p_mod_q * lam) % q_basis.q_col
+        return ((cen_q + p_mod_q * lam) % q_basis.q_col).reshape(
+            k * lq, -1)
 
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
                                 q_basis: RnsBasis, k: int) -> np.ndarray:
         """NTT-domain ModDown of ``k`` accumulator pairs with the
         ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
-        version; same dataflow, exact arithmetic).  Traced as one
-        ``ks.moddown`` span, like the base class; its tail is numpy
-        (``impl="numpy"``)."""
+        version; same dataflow, exact arithmetic, and the same
+        :func:`~repro.schemes.rns_core.mod_down_tail`).  Traced as one
+        ``ks.moddown`` span, like the base class, whose ``impl`` is
+        ``"c"`` when the delta's exact conversion (and with it the
+        tail) runs natively."""
         ctx = self.context
         n = ctx.n
         p_basis = ctx.p_basis
         l1 = len(q_basis)
         ext_limbs = len(ext)
-        with TRACER.span("ks.moddown", k=k, impl="numpy"):
+        impl = ("numpy" if _shoup_kernel(p_basis, ctx.qt_basis(q_basis))
+                is None else "c")
+        with TRACER.span("ks.moddown", k=k, impl=impl):
             a4 = acc.reshape(k, 2, ext_limbs, n)
             acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
                 2 * k * (ext_limbs - l1), n)
             coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
                                      dedupe=True).inverse(
                 acc_p, assume_reduced=True)
-            wide = _stack_to_wide(coeff_p, len(p_basis), 2 * k)
-            corr = _wide_to_stack(self._moddown_delta(wide, q_basis),
-                                  2 * k)
+            corr = self._moddown_delta(coeff_p, q_basis, 2 * k)
             corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
                                       dedupe=True).forward(
                 corr, assume_reduced=True)
-            corr4 = corr_ntt.reshape(k, 2, l1, n)
-            np.subtract(a4[:, :, :l1, :], corr4, out=corr4)
-            qk_col = _batch_q_col(q_basis, 2 * k)
-            return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
-                                       qk_col, 2 * k)
+            return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
+                                 2 * k)
 
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
                        q_basis: RnsBasis
@@ -300,7 +307,7 @@ class BgvEvaluator(RnsEvaluatorBase):
     def _mod_down_exact(self, poly: RnsPolynomial,
                         q_basis: RnsBasis) -> RnsPolynomial:
         lq = len(q_basis)
-        delta = self._moddown_delta(poly.data[lq:], q_basis)
+        delta = self._moddown_delta(poly.data[lq:], q_basis, 1)
         p_inv = inverse_mod_col(self.context.p_basis.modulus,
                                 q_basis.primes)
         q_col = q_basis.q_col

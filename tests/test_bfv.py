@@ -39,6 +39,34 @@ def test_multiply(bfv, rng):
     assert np.array_equal(got, x * y % ctx.t)
 
 
+@pytest.mark.parametrize("stacked", [True, False])
+def test_multiply_off_the_full_basis_names_it(bfv, rng, monkeypatch,
+                                              stacked):
+    """An operand off ``ctx.q_full`` (here after ``drop_level``) is
+    refused with one named error on both paths, before any kernel
+    runs."""
+    from repro.schemes import bfv as bfv_mod
+
+    ctx, scheme, sk, rk = bfv
+    path = BfvScheme(ctx, stacked=stacked)
+    path.ev.keys = scheme.ev.keys
+    x = scheme.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+    low = path.ev.drop_level(x, ctx.max_level - 1)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(bfv_mod, "base_convert_centered_stack", no_kernel)
+    monkeypatch.setattr(bfv_mod, "base_convert_centered", no_kernel)
+    for a, b, name in ((low, x, "x"), (x, low, "y"), (low, low, "x")):
+        with pytest.raises(ValueError,
+                           match=f"BFV multiply: operand {name} lies on "
+                                 f"{len(ctx.q_full) - 1} limbs .* full "
+                                 r"ciphertext basis ctx\.q_full "
+                                 f"\\({len(ctx.q_full)} limbs"):
+            path.multiply(a, b, rk)
+
+
 def test_multiply_depth2(bfv, rng):
     ctx, scheme, sk, rk = bfv
     x, y = (rng.integers(0, ctx.t, ctx.n) for _ in range(2))

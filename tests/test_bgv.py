@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.nttmath import native
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 
 
@@ -55,7 +56,9 @@ def test_multiply(bgv, rng):
 
 def test_traced_multiply_emits_moddown_span(bgv, rng):
     """BGV's t-corrected ModDown runs in one ``ks.moddown`` span, as the
-    base class's does; its tail is numpy under either NTT kernel."""
+    base class's does; its ``impl`` is ``"c"`` exactly when the native
+    library loaded (the delta's exact conversion and the tail run in
+    C), and the conversion shows as a nested ``bconv.exact`` span."""
     ctx, scheme, sk, rk = bgv
     x, y = _vec(ctx, rng), _vec(ctx, rng)
     cx, cy = scheme.encrypt(x, sk), scheme.encrypt(y, sk)
@@ -69,10 +72,13 @@ def test_traced_multiply_emits_moddown_span(bgv, rng):
         obs.TRACER.enabled = was
     spans = [ev for ev in events if ev[obs.EV_NAME] == "ks.moddown"]
     assert len(spans) == 1
-    assert spans[0][obs.EV_ATTRS] == {"k": 1, "impl": "numpy"}
-    inner = [ev[obs.EV_NAME] for ev in events
-             if "ks.moddown" in ev[obs.EV_PATH][:-1]]
-    assert "ntt.inverse" in inner and "ntt.forward" in inner
+    impl = "numpy" if native.kernel() is None else "c"
+    assert spans[0][obs.EV_ATTRS] == {"k": 1, "impl": impl}
+    inner = [ev for ev in events if "ks.moddown" in ev[obs.EV_PATH][:-1]]
+    names = [ev[obs.EV_NAME] for ev in inner]
+    assert "ntt.inverse" in names and "ntt.forward" in names
+    assert [ev[obs.EV_ATTRS]["impl"] for ev in inner
+            if ev[obs.EV_NAME] == "bconv.exact"] == [impl]
     assert np.array_equal(scheme.decrypt(cm, sk), x * y % ctx.t)
 
 
