@@ -6,16 +6,18 @@ when the tracer is off.  This benchmark pins that claim on the
 conv-block replay at ``n=512`` (where dispatch — and therefore any
 instrumentation — is the largest relative share of the wall time):
 
-* **asserted**: disabled-tracer ``replay_plan`` vs. a bare local loop
-  over the same plan's steps with no clock reads and no branches at
-  all, best-of-N, within ``REPRO_BENCH_OBS_MAX_OVERHEAD`` (default
-  2%, with floor slack for sub-millisecond noise);
+* **asserted**: disabled-tracer ``replay_plan`` vs. a bare call of the
+  same step runner (one native call over the whole plan, numpy when
+  the kernels are unavailable) with no clock reads and no tracer
+  branches, best-of-N, within ``REPRO_BENCH_OBS_MAX_OVERHEAD``
+  (default 2%, with floor slack for sub-millisecond noise);
 * **reported only**: the same replay with the tracer *enabled* — the
-  boundary-timestamp span loop costs one ``perf_counter`` read and
-  one tuple append per step; measured on the reference runner
-  (2026-08-07, n=512, ~900 steps) at roughly 5-15% over bare, which
-  is the price of a full per-step timeline and deliberately not
-  asserted (it scales with steps/wall, which shrinks as n grows).
+  boundary-timestamp span loop makes one native call, one
+  ``perf_counter`` read and one tuple append per step where the bare
+  runner makes one call per plan; measured on a shared 2-vCPU x86-64
+  host (n=512, 901 steps) at 1.3-2.6x bare over five runs, which is
+  the price of a full per-step timeline and deliberately not asserted
+  (it scales with steps/wall, which shrinks as n grows).
 
 Environment knobs: ``REPRO_BENCH_OBS_MAX_OVERHEAD`` (fractional
 ceiling, default 0.02),
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.compiler.exec_backend import synthesize_bindings
-from repro.compiler.exec_plan import _exec_step, get_exec_plan, replay_plan
+from repro.compiler.exec_plan import _replay_steps, get_exec_plan, replay_plan
 from repro.compiler.ir import PackedProgram
 from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_packed
@@ -47,12 +49,10 @@ SLACK_S = 2e-3
 
 def _bare_replay(plan, bindings):
     """The un-instrumented lower bound: same steps, same output copy,
-    zero branches and zero clock reads inside the loop."""
+    no tracer branch and no clock read around them."""
     arena = plan.arena()
-    n = plan.n
     t0 = perf_counter()
-    for st in plan.steps:
-        _exec_step(st, arena, bindings, n)
+    _replay_steps(plan, arena, bindings)
     outputs = {vid: arena[row].copy() for vid, row in plan.output_rows}
     return outputs, perf_counter() - t0
 

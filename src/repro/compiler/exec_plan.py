@@ -20,21 +20,23 @@ indices, value lifetimes) is hoisted into a one-time
   (:func:`_merge_steps`) — build uses fresh SSA-style rows so only
   true RAW chains constrain the schedule — and finally renamed onto a
   compact arena by a linear-scan pass (:func:`_compact_rows`).
-* **Plan replay** (:func:`replay_plan`) is a tight loop over those
-  steps: one native call per elementwise, DRAM and FFT step, numpy
-  fallback.  With the native library loaded
-  (:mod:`repro.nttmath.native`), an elementwise step is one ``ew_step``
-  call that reads each lane's arena rows, computes and reduces mod q,
-  and writes the result row in place; a DRAM step is one ``dram_rows``
-  call that reduces each bound row straight into the arena; and an FFT
-  step whose engine is within the fused ``q < 2^30`` bound is one
-  ``fft_rows`` call that runs each lane's NTT, raw iNTT or
-  automorphism from its in row to its out row with the step engine's
-  own tables.  Without the library, or for a step the kernels must not
-  run (below), the numpy path runs: fancy-index gather → one vector
-  expression or one stacked :class:`~repro.nttmath.batched.BatchedNTT`
-  call → fancy-index scatter.  No buffer dict, no per-row ``np.empty``
-  + copy, no Python analysis.
+* **Plan replay** (:func:`replay_plan`) runs those steps in order.
+  With the native library loaded (:mod:`repro.nttmath.native`), an
+  untraced replay is one ``replay_steps`` call for the whole plan: it
+  reads flat tables built from the plan at its first replay and never
+  serialized (:class:`_ReplayTable`: one row per step, every step's
+  lanes in one int64 array, the uint32 twiddles of the plan's distinct
+  FFT primes, its distinct automorphism permutations, and the
+  addresses of the bound DRAM rows), and runs each elementwise step,
+  NTT / raw iNTT / automorphism, row copy, DRAM load and scalar fill
+  straight over the arena.  A step the kernel must not run (below) is
+  handed back: :func:`_exec_step` runs it with numpy — fancy-index
+  gather → one vector expression or one stacked
+  :class:`~repro.nttmath.batched.BatchedNTT` call → fancy-index
+  scatter — and the kernel resumes at the next step.  Without the
+  library every step runs that numpy body, which stays the oracle.  A
+  traced replay calls the same entry one step at a time, so each step
+  keeps its span.
 
 Exactness: every engine prime is below 2**31, so products of
 canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
@@ -42,17 +44,20 @@ int64 — the arena therefore stays int64 end to end (mixing uint64
 indices/operands with int64 arena rows would promote to float64),
 and replay is bitwise-identical to ``execute_reference`` (pinned by
 the fuzzer and oracle suites).  The
-native kernels equal the numpy expressions for *every* int64 input
-(wrapping products and sums, numpy's floor modulo), so they need no
-precondition beyond the lane-table rule: a step gets a lane table
-(:func:`_ew_lanes`, :func:`_dram_lanes`, :func:`_fft_lanes`, built at
-first replay and never serialized) only when all its rows lie inside
-the arena, no two lanes write one row and no row is both read and
-written by the step, which makes lane-by-lane in-place execution equal
-numpy's gather-then-scatter.  A step without a table, or whose kernel
-call reports a bad lane, runs numpy.  ``fft_rows`` reduces its inputs
-mod q as the engine's reducing entries do (a compare on canonical
-rows), so it equals the engine on every int64 input too.
+native steps equal the numpy expressions for *every* int64 input
+(wrapping products and sums, numpy's floor modulo, FFT inputs reduced
+mod q as the engine's reducing entries do), so they need no
+precondition beyond the lane-table rule: a step gets lanes
+(:func:`_ew_lanes`, :func:`_fft_lanes`, :func:`_move_lanes`,
+:func:`_dram_lanes`, :func:`_fill_lanes`) only when all its rows lie
+inside the arena and, for steps that read arena rows, no two lanes
+write one row and no row is both read and written by the step, which
+makes lane-by-lane in-place execution equal numpy's
+gather-then-scatter.  FFT lanes also need a table for every prime
+(NTT friendly and below the fused kernels' 2^30 bound), and a DRAM
+step runs in C only when each binding is an aligned C-contiguous
+int64 row outside the arena.  The kernel re-checks every step before
+writing any of it and hands back any it refuses.
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
@@ -77,6 +82,7 @@ store-warm sweep point skips compile, simulate, *and* plan build.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
@@ -84,7 +90,12 @@ import numpy as np
 from ..core.env import ENV_VERIFY, env_flag
 from ..core.isa import Opcode
 from ..nttmath import native
-from ..nttmath.batched import get_stacked_plan, register_cache_clearer
+from ..nttmath.batched import (
+    BatchedNTT,
+    get_stacked_plan,
+    ntt_automorphism_index,
+    register_cache_clearer,
+)
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..obs import TRACER
 from .ir import OP_INDEX, PackedProgram
@@ -126,13 +137,13 @@ K_FILL = 4    # scalar fills
 
 class PlanStep:
     """One vectorized replay step; which fields are live depends on
-    ``kind`` (see module docstring).  ``engine`` and ``lanes`` are
-    derived lazily on first replay and never serialized."""
+    ``kind`` (see module docstring).  ``engine`` is derived lazily
+    when numpy replays an FFT step and never serialized."""
 
     __slots__ = ("kind", "label", "n_instrs", "out", "a", "b", "c",
                  "q_col", "imm_col", "mask", "mul", "nsrc",
                  "fft", "elt", "primes", "engine",
-                 "names", "qs", "vals", "lanes")
+                 "names", "qs", "vals")
 
     def __init__(self, kind: int, label: str, n_instrs: int = 0):
         self.kind = kind
@@ -154,8 +165,6 @@ class PlanStep:
         self.names = None     # DRAM value names (K_DRAM)
         self.qs = None        # per-entry reduction primes (K_DRAM)
         self.vals = None      # (k, 1) int64 fill values (K_FILL)
-        self.lanes = None     # native lane table (K_EW/K_DRAM/K_FFT);
-        #                       False when the kernels must not run it
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"PlanStep({self.label!r}, kind={self.kind}, "
@@ -167,7 +176,8 @@ class ExecPlan:
 
     __slots__ = ("n", "key", "steps", "arena_rows", "instructions",
                  "runs", "peak_live", "spill_stores", "spill_reloads",
-                 "output_rows", "free_instrs", "_arena")
+                 "output_rows", "free_instrs", "_arena", "_table",
+                 "_traffic")
 
     def __init__(self, n: int):
         self.n = n
@@ -185,6 +195,10 @@ class ExecPlan:
         #: stores of never-materialized values), by label.
         self.free_instrs: dict[str, int] = {}
         self._arena = None
+        #: The native replay tables, built at first native replay.
+        self._table = None
+        #: (rows read, rows written) per replay (:func:`_row_traffic`).
+        self._traffic = None
 
     def arena(self) -> np.ndarray:
         """The plan's reusable ``(arena_rows, N)`` int64 scratch."""
@@ -787,6 +801,14 @@ def _compact_rows(plan: ExecPlan, virtual_rows: int) -> None:
 # ----------------------------------------------------------------------
 _I64 = np.dtype(np.int64)
 _INT64_MAX = (1 << 63) - 1
+#: Step kind of a ``replay_steps`` table row that numpy runs.
+_K_NUMPY = -1
+#: ``replay_steps`` FFT steps run only moduli below this bound (the
+#: lazy ``[0, 4q)`` butterflies of the fused NTT kernels).
+_FFT_Q_BOUND = 1 << 30
+#: What a bound DRAM array must keep for its cached address to stay
+#: valid (see :meth:`_ReplayTable.sources`).
+_ROW_FORM = attrgetter("dtype", "shape")
 
 
 def _index_rows(arr, rows: int) -> np.ndarray | None:
@@ -800,18 +822,24 @@ def _index_rows(arr, rows: int) -> np.ndarray | None:
     return arr.astype(np.int64, copy=False)
 
 
-def _ew_lanes(st: PlanStep, rows: int):
-    """The K_EW step's ``ew_step`` lane table, or ``False``.
+def _in_place_ok(out: np.ndarray, reads: list[np.ndarray]) -> bool:
+    """Lane-by-lane in-place execution equals numpy's gather-then-
+    scatter: no two lanes write one row and no row is both read and
+    written by the step."""
+    return (np.unique(out).size == out.size
+            and not np.intersect1d(out, np.concatenate(reads)).size)
 
-    One C-contiguous ``(k, 6)`` int64 row per lane: out, a, b, c (the
-    MAC addend row, else 1 to multiply and 0 to add), q, immediate
-    (see ``ew_step`` in ``nttmath/native/ntt.c``).  The kernel works
-    lane by lane in place, which equals numpy's gather-then-scatter
-    only when no row is both read and written by the step and no two
-    lanes write one row, so the table is built only then.  Also every
-    row must lie in ``[0, rows)``, and q, the immediates and the mask
-    must be ``(k, 1)`` columns, q and the immediates int64 (so numpy's
-    arithmetic is int64 too) with every q at least 1."""
+
+def _ew_lanes(st: PlanStep, rows: int):
+    """The K_EW step's lanes, or ``False``.
+
+    One ``(k, 6)`` int64 row per lane: out, a, b, c (the MAC addend
+    row, else 1 to multiply and 0 to add), q, immediate (see
+    ``ew_step`` in ``nttmath/native/ntt.c``).  Built only when every
+    row lies in ``[0, rows)`` with :func:`_in_place_ok`, and q, the
+    immediates and the mask are ``(k, 1)`` columns, q and the
+    immediates int64 (so numpy's arithmetic is int64 too) with every q
+    at least 1."""
     nsrc = st.nsrc
     if nsrc not in (1, 2, 3):
         return False
@@ -827,8 +855,7 @@ def _ew_lanes(st: PlanStep, rows: int):
     q = np.asarray(st.q_col)
     if q.dtype != _I64 or q.shape != (k, 1) or (k and q.min() < 1):
         return False
-    if (np.unique(out).size != k
-            or np.intersect1d(out, np.concatenate(cols[1:])).size):
+    if not _in_place_ok(out, cols[1:]):
         return False
     lanes = np.zeros((k, 6), dtype=np.int64)
     for j, col in enumerate(cols):
@@ -847,147 +874,211 @@ def _ew_lanes(st: PlanStep, rows: int):
     return lanes
 
 
-def _dram_lanes(st: PlanStep, rows: int):
-    """The K_DRAM step's ``dram_rows`` lane table — ``(k, 2)`` int64
-    rows of (out, q) — or ``False`` unless the out rows are distinct
-    and inside ``[0, rows)`` and every q is an integer in
-    ``[1, 2^63)``."""
+def _move_lanes(st: PlanStep, rows: int):
+    """``(k, 2)`` int64 rows of (in, out) for a K_FFT or K_COPY step,
+    or ``False`` unless every row lies in ``[0, rows)`` with
+    :func:`_in_place_ok`."""
+    out = _index_rows(st.out, rows)
+    src = _index_rows(st.a, rows)
+    if (out is None or src is None or src.shape != out.shape
+            or not _in_place_ok(out, [src])):
+        return False
+    return np.stack((src, out), axis=1)
+
+
+def _fft_lanes(st: PlanStep, rows: int, prime_index: dict):
+    """The K_FFT step's lanes — ``(k, 3)`` int64 rows of (in, out,
+    prime), the prime an index into the plan's FFT tables — or
+    ``False`` unless :func:`_move_lanes` holds and every lane's prime
+    has a table (``prime_index``)."""
+    moves = _move_lanes(st, rows)
+    if moves is False or len(st.primes) != moves.shape[0]:
+        return False
+    try:
+        index = [prime_index[q] for q in st.primes]
+    except KeyError:
+        return False
+    return np.column_stack((moves, np.array(index, dtype=np.int64)))
+
+
+def _dram_lanes(st: PlanStep, rows: int, source_index: dict):
+    """The K_DRAM step's lanes — ``(k, 3)`` int64 rows of (out, q,
+    source), the source an index into the plan's DRAM names — or
+    ``False`` unless the out rows are distinct and inside ``[0, rows)``
+    and every q is an integer in ``[1, 2^63)``."""
     out = _index_rows(st.out, rows)
     if (out is None or np.unique(out).size != out.size
             or len(st.qs) != out.size or len(st.names) != out.size
             or not all(isinstance(q, (int, np.integer))
                        and 1 <= q <= _INT64_MAX for q in st.qs)):
         return False
-    return np.ascontiguousarray(
-        np.stack((out, np.array(st.qs, dtype=np.int64)), axis=1))
+    src = [source_index.setdefault(name, len(source_index))
+           for name in st.names]
+    return np.stack((out, np.array(st.qs, dtype=np.int64),
+                     np.array(src, dtype=np.int64)), axis=1)
 
 
-def _fft_lanes(st: PlanStep, rows: int):
-    """The K_FFT step's ``fft_rows`` lane table — ``(k, 2)`` int64
-    rows of (in, out) — or ``False`` unless every row lies in
-    ``[0, rows)``, the out rows are distinct, none of them is also an in
-    row (so lane-by-lane in-place execution equals numpy's
-    gather-then-scatter) and there is one prime per lane."""
+def _fill_lanes(st: PlanStep, rows: int):
+    """The K_FILL step's lanes — ``(k, 2)`` int64 rows of (out, value)
+    — or ``False`` unless every row lies in ``[0, rows)`` and the
+    values are a ``(k, 1)`` int64 column.  Lanes run in order, so a
+    repeated row ends with the last value, as numpy's scatter does."""
     out = _index_rows(st.out, rows)
-    src = _index_rows(st.a, rows)
-    if (out is None or src is None or src.shape != out.shape
-            or len(st.primes) != out.size
-            or np.unique(out).size != out.size
-            or np.intersect1d(out, src).size):
+    vals = np.asarray(st.vals)
+    if out is None or vals.dtype != _I64 or vals.shape != (out.size, 1):
         return False
-    return np.ascontiguousarray(np.stack((src, out), axis=1))
+    return np.stack((out, vals[:, 0]), axis=1)
 
 
-#: Span and row counter per K_FFT ``fft`` code (which is also the
-#: ``fft_rows`` op): the names the engine's own calls emit.
-_FFT_TRACE = (("ntt.forward", "ntt.rows"), ("ntt.inverse", "intt.rows"),
-              ("ntt.automorphism", "auto.rows"))
+def _fft_tables(n: int, primes) -> tuple[dict, np.ndarray, np.ndarray]:
+    """``(prime_index, q, tw)`` for ``replay_steps``: the moduli of
+    ``primes`` that the native rows can run (NTT friendly for ``n`` and
+    below 2^30), their ``(P,)`` uint64 column and ``(P, 4, n)`` uint32
+    twiddles (forward, forward Shoup, inverse, inverse Shoup), each row
+    the one the stacked engine would gather for that prime."""
+    index: dict[int, int] = {}
+    tables = []
+    for q in sorted(set(primes)):
+        if not 2 <= q < _FFT_Q_BOUND:
+            continue
+        try:
+            eng = BatchedNTT(n, (q,))
+        except (ValueError, ArithmeticError):
+            continue                 # numpy raises at the step itself
+        index[q] = len(tables)
+        tables.append(np.stack((eng._psi_u[0], eng._psi_sh[0],
+                                eng._psi_inv_u[0], eng._psi_inv_sh[0])))
+    tw = (np.stack(tables).astype(np.uint32) if tables
+          else np.zeros((0, 4, n), dtype=np.uint32))
+    return index, np.array(list(index), dtype=np.uint64), tw
 
 
-def _replay_fft(st: PlanStep, eng, arena: np.ndarray, lib) -> bool:
-    """Run a K_FFT step through ``fft_rows`` straight over the arena
-    with the step engine's own tables; ``False`` (nothing written) when
-    the step must take the gather → engine → scatter path instead.
-    Traced like the engine's calls: one ``ntt.*`` span (``impl="c"``)
-    and its row counter, so trace totals do not depend on the path."""
-    lanes = st.lanes
-    if lanes is None:
-        lanes = st.lanes = _fft_lanes(st, arena.shape[0])
-    if lanes is False:
-        return False
-    k = lanes.shape[0]
-    # The kernel reads k rows of arena.shape[1] columns from each table.
-    if eng.limbs != k or eng.n != arena.shape[1]:
-        return False
-    tr = TRACER
-    t0 = perf_counter() if tr.enabled else 0.0
-    if st.fft == 2:
-        perm = eng.automorphism_index(st.elt)
-        q = tw = tw_sh = None
-    else:
-        perm = None
-        q = eng._q_u
-        tw, tw_sh = ((eng._psi_u, eng._psi_sh) if st.fft == 0
-                     else (eng._psi_inv_u, eng._psi_inv_sh))
-    rc = lib.fft_rows(arena, arena.shape[0], arena.shape[1], lanes, k,
-                      st.fft, q, tw, tw_sh, perm)
-    if rc < 0:
-        raise MemoryError("native FFT replay kernel: out of memory")
-    if rc:
-        return False
-    if tr.enabled:
-        span, counter = _FFT_TRACE[st.fft]
-        attrs = ({"limbs": k, "elt": st.elt, "impl": "c"} if st.fft == 2
-                 else {"limbs": k, "n": eng.n, "tiles": 1, "impl": "c"})
-        tr.emit(span, t0, perf_counter() - t0, attrs)
-        tr.count(counter, k)
-    return True
+class _ReplayTable:
+    """The flat tables ``replay_steps`` reads (layout in
+    ``nttmath/native/ntt.c``), built from a plan at its first native
+    replay over an arena of ``rows`` rows and never serialized.
 
+    A step gets a lane table under the rules of :func:`_ew_lanes`,
+    :func:`_fft_lanes`, :func:`_move_lanes`, :func:`_dram_lanes` and
+    :func:`_fill_lanes`; a step without one is a ``_K_NUMPY`` row,
+    which replay runs with numpy before the kernel resumes after it."""
 
-def _replay_dram(st: PlanStep, arena: np.ndarray, bindings,
-                 lib) -> bool:
-    """Run a K_DRAM step through ``dram_rows``; ``False`` (nothing
-    written) when the step must take the numpy loop instead.
+    __slots__ = ("rows", "steps", "lanes", "q", "tw", "perms", "names",
+                 "_src_key", "_src", "_bound")
 
-    The kernel reads bound int64 rows in place.  Bindings of another
-    dtype, shape or layout are reduced by numpy after the kernel call,
-    which is exact because the out rows are distinct and no binding
-    shares memory with the arena (a step with such a binding runs numpy
-    whole, preserving its row order)."""
-    lanes = st.lanes
-    if lanes is None:
-        lanes = st.lanes = _dram_lanes(st, arena.shape[0])
-    if lanes is False:
-        return False
-    n = arena.shape[1]
-    lo = native.address(arena)
-    hi = lo + arena.nbytes
-    names = st.names
-    ptrs = [0] * len(names)
-    rest = []                     # lanes numpy reduces
-    seen: dict[str, int] = {}
-    held = []                     # the arrays behind ptrs, kept alive
-    for i, name in enumerate(names):
-        ptr = seen.get(name)
-        if ptr is None:
-            arr = bindings.dram_source(name)
+    def __init__(self, plan: "ExecPlan", rows: int):
+        n = plan.n
+        self.rows = rows
+        prime_index, self.q, self.tw = _fft_tables(
+            n, (q for st in plan.steps if st.kind == K_FFT
+                for q in st.primes))
+        elts = sorted({st.elt for st in plan.steps
+                       if st.kind == K_FFT and st.fft == 2})
+        perm_index = {elt: i for i, elt in enumerate(elts)}
+        self.perms = np.zeros((len(elts), n), dtype=np.int64)
+        for elt, i in perm_index.items():
+            self.perms[i] = ntt_automorphism_index(n, elt)
+        source_index: dict[str, int] = {}
+        table = np.zeros((len(plan.steps), 5), dtype=np.int64)
+        parts = []
+        off = 0
+        for i, st in enumerate(plan.steps):
+            kind, arg, aux = st.kind, 0, 0
+            if kind == K_EW:
+                lanes, arg = _ew_lanes(st, rows), st.nsrc
+            elif kind == K_FFT:
+                lanes, arg = _fft_lanes(st, rows, prime_index), st.fft
+                aux = perm_index.get(st.elt, 0)
+            elif kind == K_COPY:
+                lanes = _move_lanes(st, rows)
+            elif kind == K_DRAM:
+                lanes = _dram_lanes(st, rows, source_index)
+            elif kind == K_FILL:
+                lanes = _fill_lanes(st, rows)
+            else:
+                lanes = False
+            if lanes is False:
+                table[i, 0] = _K_NUMPY
+                continue
+            table[i] = (kind, arg, lanes.shape[0], off, aux)
+            parts.append(lanes.ravel())
+            off += lanes.size
+        self.steps = table
+        self.lanes = (np.concatenate(parts) if parts
+                      else np.zeros(0, dtype=np.int64))
+        self.names = list(source_index)
+        self._src_key = self._src = self._bound = None
+
+    def sources(self, bindings, arena: np.ndarray) -> np.ndarray:
+        """The ``(len(names),)`` uintp addresses of the DRAM rows bound
+        now, 0 for a name the kernel must not read: a binding that is
+        not an aligned C-contiguous int64 ``(N,)`` array, one that
+        shares memory with the arena, or a name strict bindings lack
+        (its step then runs numpy, which raises there).
+
+        The addresses are reused while the same array objects, of the
+        same dtype and shape, are bound over the same arena (the table
+        holds them, so their ids cannot be reissued)."""
+        if not self.names:
+            return np.zeros(0, dtype=np.uintp)
+        lo = native.address(arena)
+        dram = bindings.dram
+        try:
+            arrays = [dram[name] for name in self.names]
+        except KeyError:
+            pass
+        else:
+            key = self._key(lo, arena, arrays)
+            if key is not None and key == self._src_key:
+                return self._src
+        n = arena.shape[1]
+        hi = lo + arena.nbytes
+        ptrs = np.zeros(len(self.names), dtype=np.uintp)
+        arrays = []
+        for i, name in enumerate(self.names):
+            try:
+                arr = bindings.dram_source(name)
+            except KeyError:
+                continue
+            arrays.append(arr)
             if (type(arr) is np.ndarray and arr.dtype == _I64
                     and arr.shape == (n,) and arr.flags.c_contiguous
                     and arr.flags.aligned):
                 ptr = native.address(arr)
-                if ptr < hi and ptr + arr.nbytes > lo:
-                    return False
-                held.append(arr)
-            elif np.may_share_memory(arr, arena):
-                return False
-            else:
-                ptr = 0
-            seen[name] = ptr
-        if ptr:
-            ptrs[i] = ptr
-        else:
-            rest.append(i)
-    if lib.dram_rows(arena, arena.shape[0], n, lanes,
-                     np.array(ptrs, dtype=np.uintp), len(ptrs)):
-        return False
-    for i in rest:
-        arena[st.out[i]] = bindings.dram_array(names[i], st.qs[i])
-    return True
+                if not (ptr < hi and ptr + arr.nbytes > lo):
+                    ptrs[i] = ptr
+        if len(arrays) == len(self.names):
+            self._src_key = self._key(lo, arena, arrays)
+            self._src, self._bound = ptrs, arrays
+        return ptrs
+
+    @staticmethod
+    def _key(lo: int, arena: np.ndarray, arrays: list) -> tuple | None:
+        """What the cached addresses depend on; ``None`` (never cached)
+        when a binding is not array-like."""
+        try:
+            forms = list(map(_ROW_FORM, arrays))
+        except AttributeError:
+            return None
+        return lo, arena.nbytes, list(map(id, arrays)), forms
+
+
+def _replay_table(plan: "ExecPlan", rows: int) -> _ReplayTable:
+    """The plan's :class:`_ReplayTable` for an arena of ``rows`` rows,
+    built on first use."""
+    table = plan._table
+    if table is None or table.rows != rows:
+        table = plan._table = _ReplayTable(plan, rows)
+    return table
 
 
 def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
                n: int) -> None:
+    """Run one step with numpy: gather, one vector expression or one
+    stacked engine call, scatter.  The fallback for a step
+    ``replay_steps`` does not run, and its oracle."""
     kind = st.kind
     if kind == K_EW:
-        lib = native.kernel()
-        if lib is not None:
-            lanes = st.lanes
-            if lanes is None:
-                lanes = st.lanes = _ew_lanes(st, arena.shape[0])
-            if lanes is not False and not lib.ew_step(
-                    arena, arena.shape[0], arena.shape[1], lanes,
-                    lanes.shape[0], st.nsrc):
-                return
         x = arena[st.a]
         if st.nsrc == 3:
             res = (x * arena[st.b] + arena[st.c]) % st.q_col
@@ -1006,9 +1097,6 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
             eng = get_stacked_plan(
                 n, tuple((q,) for q in st.primes)).ntt
             st.engine = eng
-        lib = eng._kernel()
-        if lib is not None and _replay_fft(st, eng, arena, lib):
-            return
         data = arena[st.a]
         if st.fft == 0:
             out = eng.forward(data)
@@ -1021,13 +1109,61 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
     elif kind == K_COPY:
         arena[st.out] = arena[st.a]
     elif kind == K_DRAM:
-        lib = native.kernel()
-        if lib is None or not _replay_dram(st, arena, bindings, lib):
-            out, names, qs = st.out, st.names, st.qs
-            for i in range(len(out)):
-                arena[out[i]] = bindings.dram_array(names[i], qs[i])
+        out, names, qs = st.out, st.names, st.qs
+        for i in range(len(out)):
+            arena[out[i]] = bindings.dram_array(names[i], qs[i])
     else:                                       # K_FILL
         arena[st.out] = st.vals
+
+
+def _bind_native(lib, table: _ReplayTable, arena: np.ndarray, bindings):
+    """``replay_steps`` bound to the plan's tables, the arena and the
+    DRAM rows bound now (:func:`repro.nttmath.native.bind`): call it
+    through :func:`_native_steps`."""
+    src = table.sources(bindings, arena)
+    return native.bind(
+        lib, "replay_steps", arena, arena.shape[0], arena.shape[1],
+        table.steps, table.steps.shape[0], table.lanes, table.lanes.size,
+        table.q, table.tw, table.q.size, table.perms, table.perms.shape[0],
+        src, src.size)
+
+
+def _native_steps(call, start: int, stop: int) -> int:
+    """Run steps ``[start, stop)`` through a bound ``replay_steps``:
+    the index of the first step it did not run."""
+    done = call(start, stop)
+    if done < 0:
+        raise MemoryError("native replay kernel: out of memory")
+    return done
+
+
+def _replay_steps(plan: "ExecPlan", arena: np.ndarray, bindings,
+                  start: int = 0, stop: int | None = None) -> None:
+    """Run the plan's steps ``[start, stop)`` untraced: one
+    ``replay_steps`` call over the whole range when the kernels loaded,
+    each step it refuses run by :func:`_exec_step` before the kernel
+    resumes at the next one; every step by :func:`_exec_step` without
+    the library."""
+    steps = plan.steps
+    stop = len(steps) if stop is None else stop
+    lib = native.kernel()
+    if lib is None:
+        for st in steps[start:stop]:
+            _exec_step(st, arena, bindings, plan.n)
+        return
+    call = _bind_native(lib, _replay_table(plan, arena.shape[0]), arena,
+                        bindings)
+    while start < stop:
+        start = _native_steps(call, start, stop)
+        if start < stop:
+            _exec_step(steps[start], arena, bindings, plan.n)
+            start += 1
+
+
+#: Span and row counter per K_FFT ``fft`` code: the names the engine's
+#: own calls emit.
+_FFT_TRACE = (("ntt.forward", "ntt.rows"), ("ntt.inverse", "intt.rows"),
+              ("ntt.automorphism", "auto.rows"))
 
 
 def _step_row_traffic(st: PlanStep) -> tuple[int, int]:
@@ -1045,6 +1181,55 @@ def _step_row_traffic(st: PlanStep) -> tuple[int, int]:
     return read, written
 
 
+def _row_traffic(plan: "ExecPlan") -> tuple[int, int]:
+    """(rows read, rows written) by one replay of the plan, summed
+    over its steps once."""
+    if plan._traffic is None:
+        per_step = [_step_row_traffic(st) for st in plan.steps]
+        plan._traffic = (sum(r for r, _ in per_step),
+                         sum(w for _, w in per_step))
+    return plan._traffic
+
+
+def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
+                   prof: dict, prev: float) -> None:
+    """The traced step loop: each step through the same kernel entry
+    as untraced replay, one step per call, timed boundary to boundary
+    from ``prev`` into ``prof`` (so the first step's span also holds
+    the table lookup)."""
+    tr = TRACER
+    n = plan.n
+    lib = native.kernel()
+    if lib is not None:
+        call = _bind_native(lib, _replay_table(plan, arena.shape[0]),
+                            arena, bindings)
+    for i, st in enumerate(plan.steps):
+        t0 = perf_counter() if st.kind == K_FFT else prev
+        if lib is not None and _native_steps(call, i, i + 1) > i:
+            if st.kind == K_FFT:
+                # The engine's own spans and counters, so trace totals
+                # do not depend on which implementation ran.
+                span, counter = _FFT_TRACE[st.fft]
+                k = int(st.out.size)
+                attrs = ({"limbs": k, "elt": st.elt, "impl": "c"}
+                         if st.fft == 2 else
+                         {"limbs": k, "n": n, "tiles": 1, "impl": "c"})
+                tr.emit(span, t0, perf_counter() - t0, attrs)
+                tr.count(counter, k)
+        else:
+            _exec_step(st, arena, bindings, n)
+        now = perf_counter()
+        dt = now - prev
+        tr.emit("replay." + st.label, prev, dt, None)
+        prev = now
+        acc = prof.get(st.label)
+        if acc is None:
+            prof[st.label] = [dt, st.n_instrs]
+        else:
+            acc[0] += dt
+            acc[1] += st.n_instrs
+
+
 def replay_plan(plan: ExecPlan, bindings):
     """Execute a plan; returns ``(outputs, wall_s, profile_dict)``.
 
@@ -1052,16 +1237,19 @@ def replay_plan(plan: ExecPlan, bindings):
     in which case it maps a step label to ``[wall_s, instructions]``.
     Two loops:
 
-    * bare: the step loop with no clock reads inside;
-    * traced: one clock read **per step boundary**, so each span's
-      duration runs boundary-to-boundary and the instrumentation cost
-      itself is attributed into step durations rather than falling
-      into inter-span gaps — the sum of ``replay.*`` spans accounts
-      for the whole loop, not just the step bodies.  Per-step spans
-      land as ``replay.<label>`` under an outer ``replay`` span (its
-      ``impl`` attribute says whether the native kernels were loaded,
-      ``"c"``, or every step ran numpy, ``"numpy"``), and arena
-      gather/scatter traffic feeds the ``exec.bytes_*`` counters.
+    * bare: one ``replay_steps`` call for the whole plan (numpy for the
+      steps it leaves, see :func:`_replay_steps`), no clock reads;
+    * traced: the same kernel entry one step at a time, with one clock
+      read **per step boundary**, so each span's duration runs
+      boundary-to-boundary and the instrumentation cost itself is
+      attributed into step durations rather than falling into
+      inter-span gaps — the sum of ``replay.*`` spans accounts for the
+      whole loop, not just the step bodies.  Per-step spans land as
+      ``replay.<label>`` under an outer ``replay`` span (its ``impl``
+      attribute says whether the native kernels were loaded, ``"c"``,
+      or every step ran numpy, ``"numpy"``), and arena gather/scatter
+      traffic feeds the ``exec.bytes_*`` counters.  The ``replay``
+      scope closes even when a step raises.
     """
     arena = plan.arena()
     n = plan.n
@@ -1070,26 +1258,11 @@ def replay_plan(plan: ExecPlan, bindings):
     t0 = perf_counter()
     if tr.enabled:
         prof = {}
-        rows_read = 0
-        rows_written = 0
         tr.push("replay")
-        prev = t0
-        for st in plan.steps:
-            _exec_step(st, arena, bindings, n)
-            now = perf_counter()
-            dt = now - prev
-            tr.emit("replay." + st.label, prev, dt, None)
-            prev = now
-            acc = prof.get(st.label)
-            if acc is None:
-                prof[st.label] = [dt, st.n_instrs]
-            else:
-                acc[0] += dt
-                acc[1] += st.n_instrs
-            r, w = _step_row_traffic(st)
-            rows_read += r
-            rows_written += w
-        tr.pop()
+        try:
+            _replay_traced(plan, arena, bindings, prof, t0)
+        finally:
+            tr.pop()
         outputs = {vid: arena[row].copy()
                    for vid, row in plan.output_rows}
         wall = perf_counter() - t0
@@ -1097,6 +1270,7 @@ def replay_plan(plan: ExecPlan, bindings):
                 {"steps": len(plan.steps),
                  "instrs": plan.instructions,
                  "impl": "numpy" if native.kernel() is None else "c"})
+        rows_read, rows_written = _row_traffic(plan)
         row_bytes = n * 8
         tr.count("exec.bytes_gathered", rows_read * row_bytes)
         tr.count("exec.bytes_scattered", rows_written * row_bytes)
@@ -1109,8 +1283,7 @@ def replay_plan(plan: ExecPlan, bindings):
             else:
                 acc[1] += count
     else:
-        for st in plan.steps:
-            _exec_step(st, arena, bindings, n)
+        _replay_steps(plan, arena, bindings)
         outputs = {vid: arena[row].copy()
                    for vid, row in plan.output_rows}
         wall = perf_counter() - t0

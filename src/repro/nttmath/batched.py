@@ -261,6 +261,20 @@ def shoup_mul_lazy(x_u: np.ndarray, s_u: np.ndarray, s_sh: np.ndarray,
     return out
 
 
+def ntt_automorphism_index(n: int, galois_elt: int,
+                           rev: np.ndarray | None = None) -> np.ndarray:
+    """The int64 column permutation of sigma'_g on bit-reversed NTT rows
+    of degree ``n`` (``out[j] = in[idx[j]]``): BR -> sigma'_g -> BR
+    collapsed into one index vector, independent of the moduli.
+    ``rev`` is ``bit_reverse_indices(n)`` when the caller has it."""
+    if rev is None:
+        rev = bit_reverse_indices(n)
+    i = np.arange(n, dtype=np.int64)
+    src = (((2 * i + 1) * galois_elt) % (2 * n) - 1) // 2
+    src %= n
+    return rev[src[rev]]
+
+
 class BatchedNTT:
     """Negacyclic NTT over a stack of residue rings ``Z_q[X]/(X^n+1)``.
 
@@ -912,11 +926,7 @@ class BatchedNTT:
         digits through it instead of gathering a rotated copy."""
         idx = self._auto_ntt_idx.get(galois_elt)
         if idx is None:
-            rev = self._rev
-            i = np.arange(self.n, dtype=np.int64)
-            src = (((2 * i + 1) * galois_elt) % (2 * self.n) - 1) // 2
-            src %= self.n
-            idx = rev[src[rev]]
+            idx = ntt_automorphism_index(self.n, galois_elt, self._rev)
             self._auto_ntt_idx[galois_elt] = idx
         return idx
 

@@ -4,10 +4,18 @@
 
 - ``ntt_forward`` / ``ntt_inverse``, plain-C99 counterparts of
   :class:`repro.nttmath.batched.BatchedNTT`'s fused numpy kernels;
-- ``ew_step`` / ``dram_rows`` / ``fft_rows``, the elementwise,
-  DRAM-load and NTT / iNTT / automorphism steps of
-  :func:`repro.compiler.exec_plan.replay_plan`, run in place over the
-  slot arena (each equal to its numpy path for every int64 input);
+- ``replay_steps``, which runs the steps ``[start, stop)`` of a compiled
+  plan (:func:`repro.compiler.exec_plan.replay_plan`) in order, in
+  place over the slot arena: elementwise, NTT / iNTT / automorphism,
+  copy, DRAM-load and fill steps, each equal to its numpy expression
+  for every int64 input.  It reads flat per-plan tables: one step row
+  ``kind | arg | k | off | aux``, the steps' lanes in one int64 array,
+  the uint32 twiddles of the plan's distinct FFT primes (indexed by a
+  lane's prime column), its distinct automorphism permutations and the
+  addresses of the bound DRAM rows (layout in ``ntt.c``).  It checks
+  every step before writing any of it and returns the index of the
+  first step it did not run: ``stop``, or a step it refused, which the
+  caller runs with numpy before resuming at the next step;
 - ``ks_mac`` / ``bconv`` / ``mod_down_tail``, the key MAC, fast base
   conversion and ModDown tail of the batch key switch
   (:func:`repro.schemes.rns_core.key_mac`,
@@ -62,8 +70,8 @@ import numpy as np
 
 from ...core.env import env_str
 
-__all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "address", "build",
-           "cache_dir", "kernel", "library_path", "load"]
+__all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "address", "bind",
+           "build", "cache_dir", "kernel", "library_path", "load"]
 
 #: The kernel source compiled by :func:`build`.
 SOURCE = Path(__file__).with_name("ntt.c")
@@ -83,6 +91,11 @@ def address(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
+class _Checked(ctypes.c_void_p):
+    """The address of ``array``, checked by an :class:`_Array` entry.
+    It holds the array, so the address stays valid while it lives."""
+
+
 class _Array:
     """``argtypes`` entry for an aligned C-contiguous array of one
     dtype (and writeable, for outputs), checked on every call like a
@@ -99,6 +112,9 @@ class _Array:
     def from_param(self, obj):
         if obj is None and self.optional:
             return None
+        return self.check(obj)
+
+    def check(self, obj) -> _Checked:
         if type(obj) is not np.ndarray or obj.dtype != self.dtype:
             raise TypeError(f"expected a {self.dtype} ndarray, got "
                             f"{getattr(obj, 'dtype', type(obj))}")
@@ -108,7 +124,30 @@ class _Array:
             raise TypeError("expected an aligned C-contiguous"
                             + (" writeable" if self.writeable else "")
                             + " array")
-        return ctypes.c_void_p(address(obj))
+        checked = _Checked(address(obj))
+        checked.array = obj
+        return checked
+
+
+def bind(lib: ctypes.CDLL, name: str, *args):
+    """Kernel ``name`` of ``lib`` with its leading arguments ``args``
+    fixed, for a kernel called many times over the same arrays: call
+    the result with the remaining arguments.  Every array argument must
+    be among ``args``; each is checked once, as its ``argtypes`` entry
+    checks it on every call, and every fixed argument is converted to
+    its C type once, so a call converts only the remaining ones.  The
+    result holds the arrays."""
+    specs = getattr(lib, name).argtypes
+    tail = specs[len(args):]
+    if any(isinstance(spec, _Array) for spec in tail):
+        raise ValueError(f"bind({name}) must fix every array argument")
+    fixed = [None if arg is None else
+             spec.check(arg) if isinstance(spec, _Array) else spec(arg)
+             for spec, arg in zip(specs, args)]
+    raw = lib[name]           # no argtypes: converted arguments pass as is
+    raw.restype = ctypes.c_int
+    return lambda *rest: raw(*fixed, *[spec(arg) for spec, arg
+                                       in zip(tail, rest)])
 
 
 _OUT = _Array(np.int64, writeable=True)
@@ -117,16 +156,15 @@ _TAB = _Array(np.uint64)
 _PTR = _Array(np.uintp)
 _ACC = _Array(np.uint64, writeable=True)
 _PERM = _Array(np.int64, optional=True)
-_TAB_OPT = _Array(np.uint64, optional=True)
+_TW = _Array(np.uint32)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
 _SIGNATURES = {
     "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TAB, _TAB, _I),
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
-    "ew_step": (_OUT, _N, _N, _IN, _N, _I),
-    "dram_rows": (_OUT, _N, _N, _IN, _PTR, _N),
-    "fft_rows": (_OUT, _N, _N, _IN, _N, _I, *(_TAB_OPT,) * 3, _PERM),
+    "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
+                     _N, _PTR, _N, _N, _N),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 5, _PERM),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 6),
     "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),

@@ -4,9 +4,9 @@
  * - ntt_forward / ntt_inverse: negacyclic NTTs over C-contiguous
  *   (rows, n) int64 residue stacks, the native counterpart of
  *   repro.nttmath.batched.BatchedNTT;
- * - ew_step / dram_rows / fft_rows: the elementwise, DRAM-load and
- *   NTT / iNTT / automorphism steps of repro.compiler.exec_plan's
- *   slot-arena replay, each reading and writing arena rows in place;
+ * - replay_steps: a run of a compiled plan's steps (elementwise, NTT /
+ *   iNTT / automorphism, copy, DRAM load, fill) over the slot arena of
+ *   repro.compiler.exec_plan, in place, from per-plan flat tables;
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
  *   through its permutation), fast base conversion and ModDown tail of
  *   repro.schemes.rns_core's batch key switch;
@@ -282,15 +282,42 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
 
 
 /*
- * Plan replay kernels: one pass per arena row over the (rows, n) int64
- * slot arena of repro.compiler.exec_plan, in place.  fft_rows, the last
- * of them, reuses the NTT kernels above.
+ * Whole-plan replay: replay_steps runs a compiled plan of
+ * repro.compiler.exec_plan step by step over its (rows, n) int64 slot
+ * arena, in place, reusing the NTT row kernels above.  The caller
+ * builds the tables once per plan and arena (never serialized):
+ *
+ *   steps  (nsteps, ST_WIDTH) int64, one row per step:
+ *            kind | arg | k | off | aux
+ *          kind: ST_EW, ST_FFT, ST_COPY, ST_DRAM or ST_FILL, or any
+ *            other value for a step the caller runs itself (numpy);
+ *          arg: the EW source arity (1, 2, 3) or the FFT op;
+ *          k, off: the step's lane count and the offset of its first
+ *            lane in lanes (int64 elements);
+ *          aux: an AUTO step's index into perms.
+ *   lanes  flat int64, the k lanes of each step, one row per lane:
+ *            EW   out | a | b | c | q | imm   (see ew_step)
+ *            FFT  in | out | prime             (index into q and tw)
+ *            COPY in | out
+ *            DRAM out | q | source             (index into src)
+ *            FILL out | value
+ *   q      (nprimes,) uint64: the distinct moduli of the plan's FFT
+ *          steps, each in [2, 2^30);
+ *   tw     (nprimes, TW_ROWS, n) uint32 per modulus: the bit-reversed
+ *          forward twiddles, their Shoup companions, the inverse
+ *          twiddles and theirs (the NTT engine's tables, narrowed once
+ *          per plan rather than once per lane);
+ *   perms  (nperms, n) int64: the distinct automorphism permutations;
+ *   src    (nsrc,) addresses of bound DRAM rows (n contiguous int64
+ *          outside the arena), 0 for a binding C must not read.
  *
  * Each result must equal numpy's int64 expression for every input, not
  * only for canonical residues: products and sums wrap modulo 2^64 (done
  * in uint64 here, since signed overflow is undefined in C) and the
  * reduction is numpy's floor modulo, whose result takes the sign of the
- * divisor.  q is checked to lie in [1, 2^63).
+ * divisor.  Every step is checked before it writes anything; a step
+ * that fails its check is left to the caller (replay_steps returns its
+ * index), which keeps the numpy expression as fallback and oracle.
  */
 
 __extension__ typedef unsigned __int128 u128;
@@ -323,51 +350,86 @@ static inline int64_t wrap_add(int64_t x, int64_t y)
     return (int64_t)((uint64_t)x + (uint64_t)y);
 }
 
-/* Columns of one ew_step lane (one arena row of the step). */
+/* The kinds of replay_steps' steps: the K_* step codes of
+ * repro.compiler.exec_plan.  Any other kind marks a step the caller
+ * runs itself. */
+enum { ST_EW, ST_FFT, ST_COPY, ST_DRAM, ST_FILL };
+
+/* Columns of one step row, and of one lane of each step kind. */
+enum { ST_KIND, ST_ARG, ST_K, ST_OFF, ST_AUX, ST_WIDTH };
 enum { EW_OUT, EW_A, EW_B, EW_C, EW_Q, EW_IMM, EW_WIDTH };
+enum { FT_IN, FT_OUT, FT_PRIME, FT_WIDTH };
+enum { CP_IN, CP_OUT, CP_WIDTH };
+enum { DR_OUT, DR_Q, DR_SRC, DR_WIDTH };
+enum { FL_OUT, FL_VAL, FL_WIDTH };
+
+/* The transforms of an FFT step (its ST_ARG), and the uint32 rows of
+ * one prime's twiddle table. */
+enum { FFT_NTT, FFT_INTT, FFT_AUTO };
+enum { TW_PSI, TW_PSI_SH, TW_INV, TW_INV_SH, TW_ROWS };
 
 static int row_ok(int64_t row, size_t rows)
 {
     return row >= 0 && (uint64_t)row < rows;
 }
 
-static int q_ok(int64_t q)
+/* Lane-by-lane in-place execution equals numpy's gather-then-scatter
+ * when no out row repeats and no out row is also a row the step reads.
+ * 1 unless that holds and every row lies in [0, rows): the step's k
+ * lanes of the given width read columns in[0 .. nin) and write column
+ * out.  mark is a zeroed rows-byte buffer, left zeroed. */
+static int rows_bad(const int64_t *lanes, size_t k, size_t width,
+                    const int *in, size_t nin, int out, size_t rows,
+                    unsigned char *mark)
 {
-    return q >= 1;
+    size_t i, c;
+    int bad = 0;
+    for (i = 0; i < k && !bad; i++) {
+        const int64_t *ln = lanes + i * width;
+        for (c = 0; c < nin; c++)
+            bad |= !row_ok(ln[in[c]], rows);
+        bad |= !row_ok(ln[out], rows);
+    }
+    if (bad)
+        return 1;
+    for (i = 0; i < k; i++)
+        for (c = 0; c < nin; c++)
+            mark[lanes[i * width + in[c]]] = 1;
+    for (i = 0; i < k && !bad; i++) {
+        int64_t o = lanes[i * width + out];
+        bad = mark[o] != 0;
+        mark[o] = 2;
+    }
+    for (i = 0; i < k; i++) {
+        for (c = 0; c < nin; c++)
+            mark[lanes[i * width + in[c]]] = 0;
+        mark[lanes[i * width + out]] = 0;
+    }
+    return bad;
 }
 
 /*
- * One elementwise step.  lanes is a C-contiguous (k, EW_WIDTH) table;
- * lane i writes arena row out from rows a, b, c:
+ * One elementwise step; lane i writes arena row out from rows a, b, c:
  *   nsrc == 3: out = (a * b + c) mod q
  *   nsrc == 2: out = (a * b) mod q if c != 0 else (a + b) mod q
  *   nsrc == 1: out = (a * imm) mod q if c != 0 else (a + imm) mod q
  * so column c is the addend row for nsrc 3 and the multiply flag
- * otherwise.  Lanes run in order; the caller guarantees that no row is
- * both read and written by the step, which makes this equal to
- * gathering every operand first and scattering every result last.
- * Returns 0, or 1 without writing anything if a row is outside
- * [0, rows), a lane writes a row it reads, a q is below 1, or nsrc is
- * not 1, 2 or 3.
+ * otherwise.  1 without writing unless nsrc is 1, 2 or 3, every q is
+ * at least 1 and the rows pass rows_bad.
  */
-int ew_step(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
-            size_t k, int nsrc)
+static int ew_step(int64_t *arena, size_t rows, size_t n,
+                   const int64_t *lanes, size_t k, int64_t nsrc,
+                   unsigned char *mark)
 {
+    static const int in[3] = {EW_A, EW_B, EW_C};
     size_t i, j;
     if (nsrc < 1 || nsrc > 3)
         return 1;
-    for (i = 0; i < k; i++) {
-        const int64_t *ln = lanes + i * EW_WIDTH;
-        if (!row_ok(ln[EW_OUT], rows) || !row_ok(ln[EW_A], rows)
-            || !q_ok(ln[EW_Q]) || ln[EW_OUT] == ln[EW_A])
+    for (i = 0; i < k; i++)
+        if (lanes[i * EW_WIDTH + EW_Q] < 1)
             return 1;
-        if (nsrc >= 2 && (!row_ok(ln[EW_B], rows)
-                          || ln[EW_OUT] == ln[EW_B]))
-            return 1;
-        if (nsrc == 3 && (!row_ok(ln[EW_C], rows)
-                          || ln[EW_OUT] == ln[EW_C]))
-            return 1;
-    }
+    if (rows_bad(lanes, k, EW_WIDTH, in, (size_t)nsrc, EW_OUT, rows, mark))
+        return 1;
     for (i = 0; i < k; i++) {
         const int64_t *ln = lanes + i * EW_WIDTH;
         int64_t *restrict o = arena + (size_t)ln[EW_OUT] * n;
@@ -399,135 +461,235 @@ int ew_step(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
     return 0;
 }
 
+/* The tables of one replay_steps call the FFT steps read. */
+struct fft_tabs {
+    const uint64_t *q;          /* (nprimes,) moduli */
+    const uint32_t *tw;         /* (nprimes, TW_ROWS, n) twiddles */
+    size_t nprimes;
+    const int64_t *perms;       /* (nperms, n) permutations */
+    size_t nperms;
+    unsigned char *perm_ok;     /* nperms bytes: 1 once checked */
+    uint32_t *a;                /* n-word work row */
+};
+
 /*
- * One DRAM-load step: arena row lanes[2i] = src[i] mod lanes[2i + 1]
- * for each i whose src[i] is not NULL.  src[i] points at n contiguous
- * int64 values outside the arena (the caller handles other bindings).
- * Returns 0, or 1 without writing anything if a row is outside
- * [0, rows) or a q is below 1.
+ * One FFT step, lane i reading arena row in and writing row out:
+ *   op == FFT_NTT:  the forward NTT of row in mod q[prime];
+ *   op == FFT_INTT: the inverse NTT without the 1/n scaling (the IR's
+ *                   iNTT is raw: its 1/n is an explicit multiply);
+ *   op == FFT_AUTO: out[j] = in[perm[j]] with perm = perms[aux], the
+ *                   NTT-domain automorphism (any int64 values, as
+ *                   numpy's take copies them; the prime is unused).
+ * A transform reads prime's twiddle rows in place, loads the row
+ * reduced mod q (any int64, see load_row) and stores canonical values,
+ * bitwise equal to ntt_forward / ntt_inverse(scale = 0) with reduce
+ * set.  1 without writing unless op is known, every prime index lies
+ * in [0, nprimes) with its q in [2, 2^30) (transforms), aux lies in
+ * [0, nperms) with every entry of its perm in [0, n) (AUTO), and the
+ * rows pass rows_bad.
  */
-int dram_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
-              const uintptr_t *src, size_t k)
+static int fft_step(int64_t *arena, size_t rows, size_t n,
+                    const int64_t *lanes, size_t k, int64_t op, int64_t aux,
+                    const struct fft_tabs *t, unsigned char *mark)
+{
+    static const int in[1] = {FT_IN};
+    const int64_t *perm = NULL;
+    size_t i, j;
+    if (op == FFT_AUTO) {
+        if (aux < 0 || (uint64_t)aux >= t->nperms)
+            return 1;
+        perm = t->perms + (size_t)aux * n;
+        if (!t->perm_ok[aux]) {
+            for (j = 0; j < n; j++)
+                if (perm[j] < 0 || (uint64_t)perm[j] >= n)
+                    return 1;
+            t->perm_ok[aux] = 1;
+        }
+    } else if (op == FFT_NTT || op == FFT_INTT) {
+        for (i = 0; i < k; i++) {
+            int64_t p = lanes[i * FT_WIDTH + FT_PRIME];
+            if (p < 0 || (uint64_t)p >= t->nprimes || t->q[p] < 2
+                || t->q[p] >= (1u << 30))
+                return 1;
+        }
+    } else {
+        return 1;
+    }
+    if (rows_bad(lanes, k, FT_WIDTH, in, 1, FT_OUT, rows, mark))
+        return 1;
+    for (i = 0; i < k; i++) {
+        const int64_t *ln = lanes + i * FT_WIDTH;
+        const int64_t *x = arena + (size_t)ln[FT_IN] * n;
+        int64_t *restrict o = arena + (size_t)ln[FT_OUT] * n;
+        const uint32_t *tw;
+        uint32_t q;
+        if (perm) {
+            for (j = 0; j < n; j++)
+                o[j] = x[perm[j]];
+            continue;
+        }
+        q = (uint32_t)t->q[ln[FT_PRIME]];
+        tw = t->tw + (size_t)ln[FT_PRIME] * TW_ROWS * n;
+        load_row(t->a, x, n, q, 1);
+        if (op == FFT_NTT)
+            forward_row(t->a, n, q, tw + TW_PSI * n, tw + TW_PSI_SH * n);
+        else
+            inverse_row(t->a, n, q, tw + TW_INV * n, tw + TW_INV_SH * n, 0,
+                        0, 0, 0, 0);
+        store_row(o, t->a, n, q);
+    }
+    return 0;
+}
+
+/* One copy step: arena row out = row in per lane.  1 without writing
+ * unless the rows pass rows_bad. */
+static int copy_step(int64_t *arena, size_t rows, size_t n,
+                     const int64_t *lanes, size_t k, unsigned char *mark)
+{
+    static const int in[1] = {CP_IN};
+    size_t i, j;
+    if (rows_bad(lanes, k, CP_WIDTH, in, 1, CP_OUT, rows, mark))
+        return 1;
+    for (i = 0; i < k; i++) {
+        const int64_t *x = arena + (size_t)lanes[i * CP_WIDTH + CP_IN] * n;
+        int64_t *restrict o = arena + (size_t)lanes[i * CP_WIDTH + CP_OUT] * n;
+        for (j = 0; j < n; j++)
+            o[j] = x[j];
+    }
+    return 0;
+}
+
+/* One DRAM-load step: arena row out = src[source] mod q per lane, in
+ * lane order.  src[source] points at n contiguous int64 values outside
+ * the arena.  1 without writing unless every row lies in [0, rows),
+ * every q is at least 1 and every source index lies in [0, nsrc) with
+ * a non-zero address. */
+static int dram_step(int64_t *arena, size_t rows, size_t n,
+                     const int64_t *lanes, size_t k, const uintptr_t *src,
+                     size_t nsrc)
 {
     size_t i, j;
-    for (i = 0; i < k; i++)
-        if (!row_ok(lanes[2 * i], rows) || !q_ok(lanes[2 * i + 1]))
-            return 1;
     for (i = 0; i < k; i++) {
-        const int64_t *s = (const int64_t *)src[i];
-        int64_t *restrict o;
-        uint64_t q, m;
-        if (!s)
-            continue;
-        o = arena + (size_t)lanes[2 * i] * n;
-        q = (uint64_t)lanes[2 * i + 1];
-        m = UINT64_MAX / q;
+        const int64_t *ln = lanes + i * DR_WIDTH;
+        if (!row_ok(ln[DR_OUT], rows) || ln[DR_Q] < 1 || ln[DR_SRC] < 0
+            || (uint64_t)ln[DR_SRC] >= nsrc || !src[ln[DR_SRC]])
+            return 1;
+    }
+    for (i = 0; i < k; i++) {
+        const int64_t *ln = lanes + i * DR_WIDTH;
+        const int64_t *s = (const int64_t *)src[ln[DR_SRC]];
+        int64_t *restrict o = arena + (size_t)ln[DR_OUT] * n;
+        uint64_t q = (uint64_t)ln[DR_Q], m = UINT64_MAX / q;
         for (j = 0; j < n; j++)
             o[j] = floor_mod(s[j], q, m);
     }
     return 0;
 }
 
-/* The transforms of one fft_rows step. */
-enum { FFT_NTT, FFT_INTT, FFT_AUTO };
-
-/* 1 unless every (in, out) lane row lies in [0, rows), no out row
- * repeats and no out row is also an in row of the step; mark is a
- * zeroed rows-byte buffer. */
-static int fft_lanes_bad(const int64_t *lanes, size_t k, size_t rows,
-                         unsigned char *mark)
+/* One fill step: every column of arena row out = value, in lane order.
+ * 1 without writing unless every row lies in [0, rows). */
+static int fill_step(int64_t *arena, size_t rows, size_t n,
+                     const int64_t *lanes, size_t k)
 {
-    size_t i;
-    for (i = 0; i < k; i++) {
-        if (!row_ok(lanes[2 * i], rows) || !row_ok(lanes[2 * i + 1], rows))
+    size_t i, j;
+    for (i = 0; i < k; i++)
+        if (!row_ok(lanes[i * FL_WIDTH + FL_OUT], rows))
             return 1;
-        mark[lanes[2 * i]] = 1;
-    }
     for (i = 0; i < k; i++) {
-        if (mark[lanes[2 * i + 1]])
-            return 1;
-        mark[lanes[2 * i + 1]] = 2;
+        int64_t *o = arena + (size_t)lanes[i * FL_WIDTH + FL_OUT] * n;
+        int64_t v = lanes[i * FL_WIDTH + FL_VAL];
+        for (j = 0; j < n; j++)
+            o[j] = v;
     }
     return 0;
 }
 
-/*
- * One FFT step of plan replay, straight over the arena.  lanes is a
- * C-contiguous (k, 2) table of (in, out) arena rows; lane i reads row
- * in and writes row out:
- *   op == FFT_NTT:  the forward NTT of row in mod q[i];
- *   op == FFT_INTT: the inverse NTT without the 1/n scaling (the IR's
- *                   iNTT is raw: its 1/n is an explicit multiply);
- *   op == FFT_AUTO: out[j] = in[perm[j]], the NTT-domain automorphism
- *                   (any int64 values, as numpy's take copies them).
- * For the transforms, q holds one modulus per lane in [2, 2^30) and tw,
- * tw_sh the (k, n) bit-reversed twiddles (inverse twiddles for
- * FFT_INTT) with their Shoup companions, lane i using row i: the
- * stacked engine's own tables.  Inputs may be any int64 (reduced mod q
- * on load, see load_row) and outputs are canonical, bitwise equal to
- * ntt_forward / ntt_inverse(scale = 0) with reduce set.  Each lane runs
- * in the L1 work buffer from its in row to its out row; since no out
- * row is an in row, this equals gathering every input first and
- * scattering every result last.
- * Returns 0; 1 without writing anything if op is unknown, a table the
- * op needs is NULL, a lane row lies outside [0, rows), an out row
- * repeats or is also an in row, a q lies outside [2, 2^30) or a perm
- * entry outside [0, n); -1 if the work buffers could not be allocated.
- */
-int fft_rows(int64_t *arena, size_t rows, size_t n, const int64_t *lanes,
-             size_t k, int op, const uint64_t *q, const uint64_t *tw,
-             const uint64_t *tw_sh, const int64_t *perm)
+/* Lane width of each step kind, 0 for a kind replay_steps does not
+ * run. */
+static size_t lane_width(int64_t kind)
 {
+    switch (kind) {
+    case ST_EW: return EW_WIDTH;
+    case ST_FFT: return FT_WIDTH;
+    case ST_COPY: return CP_WIDTH;
+    case ST_DRAM: return DR_WIDTH;
+    case ST_FILL: return FL_WIDTH;
+    default: return 0;
+    }
+}
+
+/*
+ * Runs steps [start, stop) of a compiled plan in order over the
+ * (rows, n) int64 slot arena, from the flat tables the caller builds
+ * once per plan (see the section comment above for the layout).
+ * Returns the index of the first step it did not run: stop when it ran
+ * them all, else the index of a step it refused without writing any of
+ * it, every earlier step having run.  A step is refused when its kind
+ * is none of the five, its lane range lies outside lanes, or a check
+ * of its kind above fails.  stop is clamped to nsteps.  Returns -1 if
+ * the work buffers could not be allocated.
+ */
+int replay_steps(int64_t *arena, size_t rows, size_t n,
+                 const int64_t *steps, size_t nsteps, const int64_t *lanes,
+                 size_t nlanes, const uint64_t *q, const uint32_t *tw,
+                 size_t nprimes, const int64_t *perms, size_t nperms,
+                 const uintptr_t *src, size_t nsrc, size_t start,
+                 size_t stop)
+{
+    struct fft_tabs t;
     unsigned char *mark;
-    uint32_t *a = NULL;
-    size_t i, j;
-    int bad;
-    if (op == FFT_AUTO) {
-        if (!perm)
-            return 1;
-        for (j = 0; j < n; j++)
-            if (perm[j] < 0 || (uint64_t)perm[j] >= n)
-                return 1;
-    } else if (op == FFT_NTT || op == FFT_INTT) {
-        if (!q || !tw || !tw_sh)
-            return 1;
-        for (i = 0; i < k; i++)
-            if (q[i] < 2 || q[i] >= (1u << 30))
-                return 1;
-    } else {
-        return 1;
-    }
-    mark = calloc(rows ? rows : 1, 1);
-    if (!mark)
+    size_t s;
+    if (stop > nsteps)
+        stop = nsteps;
+    mark = calloc(rows + nperms + 1, 1);
+    t.a = malloc((n ? n : 1) * sizeof *t.a);
+    if (!mark || !t.a) {
+        free(mark);
+        free(t.a);
         return -1;
-    bad = fft_lanes_bad(lanes, k, rows, mark);
-    free(mark);
-    if (bad)
-        return 1;
-    if (op == FFT_AUTO) {
-        for (i = 0; i < k; i++) {
-            const int64_t *x = arena + (size_t)lanes[2 * i] * n;
-            int64_t *restrict o = arena + (size_t)lanes[2 * i + 1] * n;
-            for (j = 0; j < n; j++)
-                o[j] = x[perm[j]];
+    }
+    t.q = q;
+    t.tw = tw;
+    t.nprimes = nprimes;
+    t.perms = perms;
+    t.nperms = nperms;
+    t.perm_ok = mark + rows;
+    for (s = start; s < stop; s++) {
+        const int64_t *st = steps + s * ST_WIDTH;
+        size_t width = lane_width(st[ST_KIND]);
+        const int64_t *ln;
+        size_t k;
+        int bad;
+        if (!width || st[ST_K] < 0 || st[ST_OFF] < 0
+            || (uint64_t)st[ST_OFF] > nlanes
+            || (uint64_t)st[ST_K] > (nlanes - (size_t)st[ST_OFF]) / width)
+            break;
+        ln = lanes + st[ST_OFF];
+        k = (size_t)st[ST_K];
+        switch (st[ST_KIND]) {
+        case ST_EW:
+            bad = ew_step(arena, rows, n, ln, k, st[ST_ARG], mark);
+            break;
+        case ST_FFT:
+            bad = fft_step(arena, rows, n, ln, k, st[ST_ARG], st[ST_AUX], &t,
+                           mark);
+            break;
+        case ST_COPY:
+            bad = copy_step(arena, rows, n, ln, k, mark);
+            break;
+        case ST_DRAM:
+            bad = dram_step(arena, rows, n, ln, k, src, nsrc);
+            break;
+        default:
+            bad = fill_step(arena, rows, n, ln, k);
+            break;
         }
-        return 0;
+        if (bad)
+            break;
     }
-    a = malloc(3 * n * sizeof *a);
-    if (!a)
-        return -1;
-    for (i = 0; i < k; i++) {
-        uint32_t qi = (uint32_t)q[i];
-        load_twiddles(a + n, a + 2 * n, tw + i * n, tw_sh + i * n, n);
-        load_row(a, arena + (size_t)lanes[2 * i] * n, n, q[i], 1);
-        if (op == FFT_NTT)
-            forward_row(a, n, qi, a + n, a + 2 * n);
-        else
-            inverse_row(a, n, qi, a + n, a + 2 * n, 0, 0, 0, 0, 0);
-        store_row(arena + (size_t)lanes[2 * i + 1] * n, a, n, qi);
-    }
-    free(a);
-    return 0;
+    free(mark);
+    free(t.a);
+    return s < stop ? (int)s : (int)stop;
 }
 
 

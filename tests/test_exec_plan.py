@@ -41,6 +41,7 @@ from repro.nttmath.batched import clear_caches
 from repro.nttmath.primes import find_ntt_primes
 
 from test_exec_fuzz import N_RING, VARIANTS, random_program
+from tiny_ir import TINY_SRAM, tiny_builder
 
 
 _LOAD, _STORE = OP_INDEX[Opcode.LOAD], OP_INDEX[Opcode.STORE]
@@ -275,3 +276,27 @@ def test_traced_profile_breaks_down_every_instruction(compiled):
 
 def test_profile_off_by_default(compiled):
     assert execute_packed(compiled).profile is None
+
+
+def test_traced_replay_that_raises_closes_its_scope(ntt_impl):
+    """A step that raises mid-replay (a strict binding missing its DRAM
+    row) must not leave the ``replay`` scope open: later spans would
+    all nest under it."""
+    packed = PackedProgram.from_program(tiny_builder(levels=4, diag=3)())
+    compiled = compile_packed(packed, CompileOptions(sram_bytes=TINY_SRAM))
+    synth = synthesize_bindings(compiled.packed)
+    strict = ExecBindings(synth.q, synth.p, synth.n, strict=True)
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    obs.TRACER.enabled = True
+    try:
+        with pytest.raises(KeyError, match="no binding"):
+            execute_packed(compiled, strict)
+        assert obs.TRACER.depth() == 0
+        with obs.TRACER.span("after"):
+            pass
+        events, _ = obs.TRACER.drain()
+    finally:
+        obs.TRACER.enabled = was
+        obs.TRACER.drain()
+    assert events[-1][obs.EV_PATH] == ("after",)

@@ -1,43 +1,67 @@
-"""The native plan-replay kernels against their numpy expressions.
+"""Whole-plan native replay against its numpy steps and the oracle.
 
-``ew_step``, ``dram_rows`` and ``fft_rows`` (``nttmath/native/ntt.c``)
-must equal the numpy replay branches of
+``replay_steps`` (``nttmath/native/ntt.c``) runs a compiled plan's
+elementwise, FFT, copy, DRAM and fill steps over the slot arena from
+flat per-plan tables.  Each of its steps must equal the numpy body of
 :func:`repro.compiler.exec_plan._exec_step` bit for bit on *every*
 int64 input (wrapping products and sums, numpy's floor modulo, the
 reducing NTT entries of :class:`~repro.nttmath.batched.BatchedNTT`),
-not only on the canonical residues a plan produces.  Each test runs one
-hand-built step on two copies of one arena: once as replay runs it,
-once with the library forced unavailable, which runs the numpy oracle.
-A step that breaks the lane-table rule (a row both read and written, a
-row outside the arena) must take the numpy path and give the same
-result, or the same ``IndexError``.
+not only on the canonical residues a plan produces.  The step tests run
+one hand-built step as a one-step plan on two copies of one arena: once
+as replay runs it, once with the library forced unavailable, which runs
+the numpy oracle.  A step that breaks the lane-table rule (a row both
+read and written, a row outside the arena, a modulus past the fused
+NTT bound) must take the numpy path and give the same result, or the
+same ``IndexError``; a table the kernel is handed directly must be
+refused without a write.  The plan tests replay whole compiled
+programs: C, numpy step by step and :func:`execute_reference` agree,
+over sub-ranges too and around a step C leaves to numpy.
 """
 
 from __future__ import annotations
+
+import gc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.compiler.exec_backend import ExecBindings, execute_packed
+from repro.compiler import exec_plan
+from repro.compiler.exec_backend import (
+    ExecBindings,
+    execute_packed,
+    execute_reference,
+    synthesize_bindings,
+)
 from repro.compiler.exec_plan import (
+    K_COPY,
     K_DRAM,
     K_EW,
     K_FFT,
+    K_FILL,
+    ExecPlan,
     PlanStep,
-    _exec_step,
+    _fft_tables,
+    _replay_steps,
+    _replay_table,
     get_exec_plan,
     plan_from_payload,
     plan_to_payload,
 )
 from repro.compiler.ir import PackedProgram
+from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_packed
 from repro.nttmath import native
-from repro.nttmath.batched import get_plan, get_stacked_plan
+from repro.nttmath.batched import get_plan, ntt_automorphism_index
 from repro.nttmath.ntt import conjugation_element, galois_element
 from repro.nttmath.primes import find_ntt_primes
+from repro.workloads.bfv_dotproduct import build_bfv_dotproduct_program
+from repro.workloads.dblookup import build_dblookup_program
+from repro.workloads.resnet import ResNetShape, build_conv_block
 
+from test_exec_fuzz import SEEDS, VARIANTS, random_program
 from tiny_ir import TINY_SRAM, tiny_builder
 
 N = 32
@@ -111,21 +135,50 @@ def _ew_step(rng, nsrc: int, mode: str, k: int = 5,
     return st
 
 
-def _run_both(st: PlanStep, arena: np.ndarray, monkeypatch,
+def _plan_of(*steps: PlanStep, n: int = N) -> ExecPlan:
+    """A plan of hand-built steps over a ``ROWS``-row arena."""
+    plan = ExecPlan(n)
+    plan.steps = list(steps)
+    plan.arena_rows = ROWS
+    return plan
+
+
+def _native(plan: ExecPlan, index: int = 0) -> bool:
+    """Whether the plan's replay table gives step ``index`` to C."""
+    return bool(plan._table.steps[index, 0] != exec_plan._K_NUMPY)
+
+
+def _run_both(plan: ExecPlan, arena: np.ndarray, monkeypatch,
               bindings=None) -> tuple[np.ndarray, np.ndarray]:
-    """The arena after ``st`` as replay runs it, and after the numpy
-    oracle."""
+    """The arena after the plan's steps as replay runs them, and after
+    the numpy oracle."""
     got = arena.copy()
-    _exec_step(st, got, bindings, N)
+    _replay_steps(plan, got, bindings)
     want = arena.copy()
     with monkeypatch.context() as m:
         m.setattr(native, "_LIB", None)
-        _exec_step(st, want, bindings, N)
+        _replay_steps(plan, want, bindings)
     return got, want
 
 
+def _one_step(lib, arena, kind, arg, lanes, *, aux=0, q=None, tw=None,
+              perms=None, src=None, k=None, off=0) -> int:
+    """``replay_steps`` over a hand-built one-step table: 1 when it ran
+    the step, 0 when it refused it."""
+    flat = np.ascontiguousarray(lanes, dtype=np.int64).ravel()
+    k = len(lanes) if k is None else k
+    steps = np.array([[kind, arg, k, off, aux]], dtype=np.int64)
+    q = np.zeros(0, np.uint64) if q is None else q
+    tw = np.zeros((0, 4, N), np.uint32) if tw is None else tw
+    perms = np.zeros((0, N), np.int64) if perms is None else perms
+    src = np.zeros(0, np.uintp) if src is None else src
+    return lib.replay_steps(arena, arena.shape[0], N, steps, 1, flat,
+                            flat.size, q, tw, q.size, perms, len(perms),
+                            src, src.size, 0, 1)
+
+
 # ----------------------------------------------------------------------
-# ew_step
+# Elementwise steps
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("nsrc,mode", EW_KINDS)
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -133,9 +186,9 @@ def _run_both(st: PlanStep, arena: np.ndarray, monkeypatch,
 def test_ew_step_equals_numpy_on_any_int64(lib, monkeypatch, nsrc, mode,
                                            seed):
     rng = np.random.default_rng(seed)
-    step = _ew_step(rng, nsrc, mode)
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch)
-    assert isinstance(step.lanes, np.ndarray), "the kernel did not run"
+    plan = _plan_of(_ew_step(rng, nsrc, mode))
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert _native(plan), "the kernel did not run"
     np.testing.assert_array_equal(got, want)
 
 
@@ -147,8 +200,9 @@ def test_ew_step_equals_numpy_for_moduli_up_to_2_63(lib, monkeypatch,
     rng = np.random.default_rng(63)
     step = _ew_step(rng, nsrc, mode, k=6, high=INT64_MAX)
     step.q_col[:3, 0] = [INT64_MAX, (1 << 62) + 1, 3 << 61]
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch)
-    assert isinstance(step.lanes, np.ndarray)
+    plan = _plan_of(step)
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert _native(plan)
     np.testing.assert_array_equal(got, want)
 
 
@@ -162,9 +216,10 @@ def test_ew_step_rejects_a_bad_lane_without_writing(lib, column, value):
     before = arena.copy()
     lanes = np.array([[2, 3, 4, 0, 97, 0], [5, 1, 6, 1, 97, 0]],
                      dtype=np.int64)
+    assert _one_step(lib, arena.copy(), K_EW, 2, lanes) == 1
     lanes[1, column] = value
-    assert lib.ew_step(arena, ROWS, N, lanes, 2, 2) != 0
-    assert lib.ew_step(arena, ROWS, N, lanes[:1], 1, 4) != 0  # bad nsrc
+    assert _one_step(lib, arena, K_EW, 2, lanes) == 0
+    assert _one_step(lib, arena, K_EW, 4, lanes[:1]) == 0   # bad nsrc
     np.testing.assert_array_equal(arena, before)
 
 
@@ -175,9 +230,20 @@ def test_ew_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
     step = _ew_step(rng, 2, "mul")
     step.a = step.a.copy()
     step.a[1] = step.out[0]
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch)
-    assert step.lanes is False
+    plan = _plan_of(step)
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert not _native(plan)
     np.testing.assert_array_equal(got, want)
+    # Handed to the kernel anyway, the step is refused.
+    lanes = exec_plan._ew_lanes(step, 1 << 20)
+    assert lanes is False
+    raw = np.zeros((len(step.out), 6), dtype=np.int64)
+    raw[:, 0], raw[:, 1], raw[:, 2] = step.out, step.a, step.b
+    raw[:, 3], raw[:, 4] = 1, 97
+    arena = _values(rng, (ROWS, N))
+    before = arena.copy()
+    assert _one_step(lib, arena, K_EW, 2, raw) == 0
+    np.testing.assert_array_equal(arena, before)
 
 
 @pytest.mark.parametrize("field", ["out", "a", "b", "c"])
@@ -187,10 +253,10 @@ def test_ew_step_with_an_out_of_arena_row_raises_as_numpy(lib, field):
     rows = getattr(step, field).copy()
     rows[0] = ROWS + 3
     setattr(step, field, rows)
-    arena = _values(rng, (ROWS, N))
+    plan = _plan_of(step)
     with pytest.raises(IndexError):
-        _exec_step(step, arena, None, N)
-    assert step.lanes is False
+        _replay_steps(plan, _values(rng, (ROWS, N)), None)
+    assert not _native(plan)
 
 
 def test_ew_step_with_a_negative_row_takes_numpy(lib, monkeypatch):
@@ -199,13 +265,14 @@ def test_ew_step_with_a_negative_row_takes_numpy(lib, monkeypatch):
     step = _ew_step(rng, 1, "add", k=2)
     step.out = np.array([0, 1], dtype=np.int64)
     step.a = np.array([-1, 2], dtype=np.int64)
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch)
-    assert step.lanes is False
+    plan = _plan_of(step)
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert not _native(plan)
     np.testing.assert_array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
-# dram_rows
+# DRAM steps
 # ----------------------------------------------------------------------
 def _dram_step(names, qs, rows) -> PlanStep:
     step = PlanStep(K_DRAM, "load-dram", n_instrs=len(names))
@@ -214,9 +281,9 @@ def _dram_step(names, qs, rows) -> PlanStep:
 
 
 def test_dram_rows_equal_numpy_for_any_binding(lib, monkeypatch):
-    """int64 rows (read in place, extremes included, read-only too),
-    other dtypes, strided views and lists (reduced by numpy around the
-    kernel), and a missing name (synthesized and bound)."""
+    """int64 rows (read in place, extremes included, read-only too) and
+    a missing name (synthesized and bound) run in C; a step that also
+    binds other dtypes, strided views or lists runs numpy whole."""
     rng = np.random.default_rng(4)
     strided = _values(rng, (2 * N,))[::2]
     frozen = _values(rng, (N,))
@@ -232,13 +299,19 @@ def test_dram_rows_equal_numpy_for_any_binding(lib, monkeypatch):
     }
     assert not strided.flags.c_contiguous
     bindings = ExecBindings([97, Q_MAX], [], N, dram=dram)
-    names = ["i64", "frozen", "i32", "u64", "strided", "list",
-             "missing", "i64", "missing"]
-    qs = [97, Q_MAX, 97, Q_MAX, 97, Q_MAX, 97, 1, Q_MAX]
-    step = _dram_step(names, qs, rng.permutation(ROWS)[:len(names)])
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch,
+    rows = rng.permutation(ROWS)
+    in_place = _dram_step(["i64", "frozen", "missing", "i64"],
+                          [97, Q_MAX, 97, 1], rows[:4])
+    mixed = _dram_step(["i32", "u64", "strided", "list", "missing"],
+                       [97, Q_MAX, 97, Q_MAX, Q_MAX], rows[4:9])
+    plan = _plan_of(in_place, mixed)
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch,
                           bindings)
-    assert isinstance(step.lanes, np.ndarray), "the kernel did not run"
+    assert _native(plan, 0) and _native(plan, 1)   # both have tables
+    table = plan._table
+    src = dict(zip(table.names, table.sources(bindings, got)))
+    assert all(src[nm] for nm in ("i64", "frozen", "missing"))
+    assert not any(src[nm] for nm in ("i32", "u64", "strided", "list"))
     assert "missing" in bindings.dram
     np.testing.assert_array_equal(got, want)
 
@@ -246,14 +319,14 @@ def test_dram_rows_equal_numpy_for_any_binding(lib, monkeypatch):
 def test_dram_rows_strict_missing_name_raises(lib, monkeypatch):
     bindings = ExecBindings([97], [], N, dram={"x": np.arange(N)},
                             strict=True)
-    step = _dram_step(["x", "absent"], [97, 97], [0, 1])
+    plan = _plan_of(_dram_step(["x", "absent"], [97, 97], [0, 1]))
     for forced in (False, True):
         with monkeypatch.context() as m:
             if forced:
                 m.setattr(native, "_LIB", None)
             with pytest.raises(KeyError, match="absent"):
-                _exec_step(step, np.zeros((ROWS, N), np.int64), bindings,
-                           N)
+                _replay_steps(plan, np.zeros((ROWS, N), np.int64),
+                              bindings)
 
 
 def test_dram_binding_inside_the_arena_takes_numpy(lib, monkeypatch):
@@ -262,7 +335,7 @@ def test_dram_binding_inside_the_arena_takes_numpy(lib, monkeypatch):
     rng = np.random.default_rng(5)
     arena = _values(rng, (ROWS, N))
     ext = _values(rng, (N,))
-    step = _dram_step(["ext", "own"], [97, 97], [3, 4])
+    plan = _plan_of(_dram_step(["ext", "own"], [97, 97], [3, 4]))
     results = []
     for forced in (False, True):
         work = arena.copy()
@@ -271,57 +344,93 @@ def test_dram_binding_inside_the_arena_takes_numpy(lib, monkeypatch):
         with monkeypatch.context() as m:
             if forced:
                 m.setattr(native, "_LIB", None)
-            _exec_step(step, work, bindings, N)
+            _replay_steps(plan, work, bindings)
+            if not forced:
+                src = plan._table.sources(bindings, work)
+                assert src.tolist() == [native.address(ext), 0]
         results.append(work)
-    assert isinstance(step.lanes, np.ndarray)   # built, then not used
+    assert _native(plan)       # the table runs it; the binding does not
     np.testing.assert_array_equal(*results)
 
 
-# ----------------------------------------------------------------------
-# Replay
-# ----------------------------------------------------------------------
-def _tiny_compiled():
-    packed = PackedProgram.from_program(tiny_builder(levels=4, diag=3)())
-    return compile_packed(packed, CompileOptions(sram_bytes=TINY_SRAM))
-
-
-def test_replay_span_names_the_kernels_that_ran(ntt_impl):
-    compiled = _tiny_compiled()
-    was = obs.TRACER.enabled
-    obs.TRACER.drain()
-    obs.TRACER.enabled = True
-    try:
-        execute_packed(compiled)
-        events, _ = obs.TRACER.drain()
-    finally:
-        obs.TRACER.enabled = was
-    outer = [ev for ev in events if ev[obs.EV_NAME] == "replay"]
-    assert len(outer) == 1
-    want = "c" if ntt_impl == "native" else "numpy"
-    assert outer[0][obs.EV_ATTRS]["impl"] == want
-
-
-def test_lane_tables_are_not_serialized(lib):
-    """Tables appear at first replay and leave the store payload (and
-    so its schema) unchanged."""
-    from repro.compiler.exec_backend import synthesize_bindings
-
-    compiled = _tiny_compiled()
-    bindings = synthesize_bindings(compiled.packed)
-    plan = get_exec_plan(compiled, bindings)
-    before = plan_to_payload(plan)
-    execute_packed(compiled, bindings)
-    assert any(isinstance(s.lanes, np.ndarray) for s in plan.steps)
-    meta, arrays = plan_to_payload(plan)
-    assert meta == before[0]
-    for key, arr in arrays.items():
-        np.testing.assert_array_equal(arr, before[1][key])
-    restored = plan_from_payload(meta, arrays["idx"], arrays["col"])
-    assert all(s.lanes is None for s in restored.steps)
+def test_dram_sources_follow_rebound_arrays(lib):
+    """Cached addresses are reused only while the same arrays are
+    bound: rebinding a name, or a binding that stops being an int64
+    row, reaches the next replay."""
+    rng = np.random.default_rng(9)
+    first, second = _values(rng, (N,)), _values(rng, (N,))
+    bindings = ExecBindings([97], [], N, dram={"x": first})
+    plan = _plan_of(_dram_step(["x"], [97], [2]))
+    arena = np.zeros((ROWS, N), dtype=np.int64)
+    for bound in (first, second, second.astype(np.int32), first):
+        bindings.dram["x"] = bound
+        _replay_steps(plan, arena, bindings)
+        np.testing.assert_array_equal(arena[2], np.remainder(bound, 97))
 
 
 # ----------------------------------------------------------------------
-# fft_rows
+# Copy and fill steps
+# ----------------------------------------------------------------------
+def test_copy_and_fill_steps_equal_numpy(lib, monkeypatch):
+    """Copies of any int64 rows and fills of any int64 value (a row
+    filled twice keeps the last value, as numpy's scatter does)."""
+    rng = np.random.default_rng(10)
+    rows = rng.permutation(ROWS).astype(np.int64)
+    copy = PlanStep(K_COPY, "vcopy", n_instrs=4)
+    copy.out, copy.a = rows[:4], rows[4:8]
+    fill = PlanStep(K_FILL, "scalar", n_instrs=3)
+    fill.out = np.array([rows[8], rows[9], rows[8]], dtype=np.int64)
+    fill.vals = _values(rng, (3, 1))
+    plan = _plan_of(copy, fill)
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert _native(plan, 0) and _native(plan, 1)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [
+    "copy-in-outside", "copy-out-is-an-in", "copy-repeated-out",
+    "dram-out-outside", "dram-q-below-1", "dram-source-outside",
+    "dram-null-source", "fill-out-outside", "unknown-kind",
+    "lanes-past-the-table", "negative-offset"])
+def test_replay_steps_rejects_a_bad_step_without_writing(lib, case):
+    arena = np.arange(ROWS * N, dtype=np.int64).reshape(ROWS, N) % 97
+    before = arena.copy()
+    row = np.arange(N, dtype=np.int64)
+    src = np.array([native.address(row)], dtype=np.uintp)
+    copy = np.array([[0, 5], [1, 6]], dtype=np.int64)
+    dram = np.array([[3, 97, 0], [4, 97, 0]], dtype=np.int64)
+    fill = np.array([[7, 11], [8, 12]], dtype=np.int64)
+    kw = {}
+    if case.startswith("copy"):
+        kind, lanes = K_COPY, copy
+        lanes[1] = {"copy-in-outside": [ROWS, 6],
+                    "copy-out-is-an-in": [1, 0],
+                    "copy-repeated-out": [1, 5]}[case]
+    elif case.startswith("dram"):
+        kind, lanes, kw = K_DRAM, dram, {"src": src}
+        if case == "dram-out-outside":
+            lanes[1, 0] = ROWS
+        elif case == "dram-q-below-1":
+            lanes[1, 1] = 0
+        elif case == "dram-source-outside":
+            lanes[1, 2] = 1
+        else:
+            kw["src"] = np.zeros(1, dtype=np.uintp)
+    elif case == "fill-out-outside":
+        kind, lanes = K_FILL, fill
+        lanes[1, 0] = -1
+    elif case == "unknown-kind":
+        kind, lanes = 7, fill
+    elif case == "lanes-past-the-table":
+        kind, lanes, kw = K_FILL, fill, {"k": 3}
+    else:
+        kind, lanes, kw = K_FILL, fill, {"off": -2}
+    assert _one_step(lib, arena, kind, 0, lanes, **kw) == 0
+    np.testing.assert_array_equal(arena, before)
+
+
+# ----------------------------------------------------------------------
+# FFT steps
 # ----------------------------------------------------------------------
 #: NTT-friendly primes for N of several sizes up to the 2^30 bound of
 #: the fused kernels, and one 31-bit prime beyond it.
@@ -368,10 +477,10 @@ def _fft_step(rng, fft: int, k: int = 5, primes=FFT_PRIMES,
 def test_fft_rows_equal_batched_ntt_on_any_int64(lib, monkeypatch, fft,
                                                  label, seed):
     rng = np.random.default_rng(seed)
-    step = _fft_step(rng, fft, k=int(rng.integers(1, 7)))
-    got, want = _run_both(step, _fft_values(rng, (ROWS, N), 1 << 30),
+    plan = _plan_of(_fft_step(rng, fft, k=int(rng.integers(1, 7))))
+    got, want = _run_both(plan, _fft_values(rng, (ROWS, N), 1 << 30),
                           monkeypatch)
-    assert isinstance(step.lanes, np.ndarray), "the kernel did not run"
+    assert _native(plan), "the kernel did not run"
     np.testing.assert_array_equal(got, want)
 
 
@@ -379,23 +488,50 @@ def test_fft_rows_equal_batched_ntt_on_any_int64(lib, monkeypatch, fft,
                                  galois_element(-1, N), 1])
 def test_fft_rows_automorphism_of_every_kind(lib, monkeypatch, elt):
     rng = np.random.default_rng(elt)
-    step = _fft_step(rng, 2, k=4, elt=elt)
-    got, want = _run_both(step, _values(rng, (ROWS, N)), monkeypatch)
-    assert isinstance(step.lanes, np.ndarray)
+    plan = _plan_of(_fft_step(rng, 2, k=4, elt=elt))
+    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    assert _native(plan)
     np.testing.assert_array_equal(got, want)
+
+
+def test_fft_tables_are_the_engine_rows_by_prime(lib):
+    """One table row per distinct prime, equal to the rows a stacked
+    engine gathers for it; primes past 2^30 get no table."""
+    primes = FFT_PRIMES + [WIDE_PRIME, FFT_PRIMES[0]]
+    index, q, tw = _fft_tables(N, primes)
+    assert sorted(index) == sorted(FFT_PRIMES)
+    assert tw.shape == (len(FFT_PRIMES), 4, N) and tw.dtype == np.uint32
+    eng = get_plan(N, tuple(FFT_PRIMES)).ntt
+    for limb, prime in enumerate(FFT_PRIMES):
+        i = index[prime]
+        assert q[i] == prime
+        for row, table in enumerate((eng._psi_u, eng._psi_sh,
+                                     eng._psi_inv_u, eng._psi_inv_sh)):
+            np.testing.assert_array_equal(tw[i, row], table[limb])
 
 
 @pytest.mark.parametrize("fft,label", FFT_KINDS)
 def test_fft_step_over_a_31_bit_prime_takes_the_engine(lib, monkeypatch,
                                                        fft, label):
     """Past the fused 2^30 bound the step keeps the gather -> engine ->
-    scatter path (the engine then runs its radix-2 numpy kernel)."""
+    scatter path (the engine then runs its radix-2 numpy kernel), while
+    a step over fused primes next to it runs in C."""
     rng = np.random.default_rng(31)
-    step = _fft_step(rng, fft, primes=FFT_PRIMES + [WIDE_PRIME])
-    step.primes = (WIDE_PRIME,) + step.primes[1:]
-    got, want = _run_both(step, _fft_values(rng, (ROWS, N), WIDE_PRIME),
-                          monkeypatch)
-    assert step.lanes is None
+    wide = _fft_step(rng, fft, primes=FFT_PRIMES + [WIDE_PRIME])
+    wide.primes = (WIDE_PRIME,) + wide.primes[1:]
+    rows = rng.permutation(ROWS).astype(np.int64)
+    other = PlanStep(K_FFT, label, n_instrs=1)
+    other.fft, other.elt, other.primes = fft, wide.elt, (FFT_PRIMES[0],)
+    other.out = np.setdiff1d(rows, np.concatenate((wide.out, wide.a)))[:1]
+    other.a = wide.out[:1]
+    plan = _plan_of(wide, other)
+    arena = _fft_values(rng, (ROWS, N), WIDE_PRIME)
+    got = arena.copy()
+    _replay_steps(plan, got, None)
+    assert not _native(plan, 0) and _native(plan, 1)
+    # Only the step numpy runs builds a stacked engine.
+    assert wide.engine is not None and other.engine is None
+    got, want = _run_both(plan, arena, monkeypatch)
     np.testing.assert_array_equal(got, want)
 
 
@@ -406,9 +542,10 @@ def test_fft_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
     step = _fft_step(rng, 0)
     step.a = step.a.copy()
     step.a[1] = step.out[0]
-    got, want = _run_both(step, _fft_values(rng, (ROWS, N), 1 << 30),
+    plan = _plan_of(step)
+    got, want = _run_both(plan, _fft_values(rng, (ROWS, N), 1 << 30),
                           monkeypatch)
-    assert step.lanes is False
+    assert not _native(plan)
     np.testing.assert_array_equal(got, want)
 
 
@@ -419,16 +556,10 @@ def test_fft_step_with_an_out_of_arena_row_raises_as_numpy(lib, field):
     rows = getattr(step, field).copy()
     rows[0] = ROWS + 3
     setattr(step, field, rows)
+    plan = _plan_of(step)
     with pytest.raises(IndexError):
-        _exec_step(step, _values(rng, (ROWS, N)), None, N)
-    assert step.lanes is False
-
-
-def _fft_tables(primes, fft: int):
-    eng = get_stacked_plan(N, tuple((q,) for q in primes)).ntt
-    tw = (eng._psi_u, eng._psi_sh) if fft == 0 else (eng._psi_inv_u,
-                                                     eng._psi_inv_sh)
-    return eng, (eng._q_u, *tw)
+        _replay_steps(plan, _values(rng, (ROWS, N)), None)
+    assert not _native(plan)
 
 
 @pytest.mark.parametrize("case", [
@@ -436,13 +567,16 @@ def _fft_tables(primes, fft: int):
     "repeated-out", "q-too-wide", "q-below-2", "perm-outside",
     "no-table", "no-perm", "bad-op"])
 def test_fft_rows_rejects_a_bad_step_without_writing(lib, case):
+    """``no-table`` is a prime index past the prime tables and
+    ``no-perm`` a permutation index past the permutations."""
     arena = np.arange(ROWS * N, dtype=np.int64).reshape(ROWS, N) % 97
     before = arena.copy()
-    lanes = np.array([[0, 5], [1, 6], [2, 7]], dtype=np.int64)
-    primes = FFT_PRIMES[:3]
-    eng, tables = _fft_tables(primes, 0)
-    q, tw, tw_sh = (t.copy() for t in tables)
-    op, perm = 0, None
+    lanes = np.array([[0, 5, 0], [1, 6, 1], [2, 7, 2]], dtype=np.int64)
+    _, q, tw = _fft_tables(N, FFT_PRIMES[:3])
+    perms = ntt_automorphism_index(N, galois_element(3, N))[None, :].copy()
+    op = 2 if case in ("perm-outside", "no-perm") else 0
+    kw = {"q": q, "tw": tw, "perms": perms}
+    assert _one_step(lib, arena.copy(), K_FFT, op, lanes, **kw) == 1
     if case == "in-outside":
         lanes[2, 0] = ROWS
     elif case == "out-outside":
@@ -454,20 +588,18 @@ def test_fft_rows_rejects_a_bad_step_without_writing(lib, case):
     elif case == "repeated-out":
         lanes[2, 1] = 5
     elif case == "q-too-wide":
-        q[2, 0] = 1 << 30
+        q[2] = 1 << 30
     elif case == "q-below-2":
-        q[1, 0] = 1
+        q[1] = 1
     elif case == "perm-outside":
-        op, perm = 2, eng.automorphism_index(galois_element(3, N)).copy()
-        perm[N - 1] = N
+        perms[0, N - 1] = N
     elif case == "no-table":
-        tw = None
+        lanes[1, 2] = len(q)
     elif case == "no-perm":
-        op = 2
+        kw["aux"] = 1
     else:
         op = 3
-    assert lib.fft_rows(arena, ROWS, N, lanes, 3, op, q, tw, tw_sh,
-                        perm) == 1
+    assert _one_step(lib, arena, K_FFT, op, lanes, **kw) == 0
     np.testing.assert_array_equal(arena, before)
 
 
@@ -497,11 +629,159 @@ def test_reducing_ntt_entries_equal_numpy_mod(lib, fft):
     np.testing.assert_array_equal(got, want)
 
 
-def test_traced_replay_counts_fft_rows_under_both_impls(monkeypatch):
-    """The C FFT branch emits the engine's ``ntt.*`` spans (``impl``
-    ``"c"``) and row counters, so a traced replay reports the same
-    rows whichever kernels ran."""
+# ----------------------------------------------------------------------
+# Whole plans
+# ----------------------------------------------------------------------
+def _tiny_compiled():
+    packed = PackedProgram.from_program(tiny_builder(levels=4, diag=3)())
+    return compile_packed(packed, CompileOptions(sram_bytes=TINY_SRAM))
+
+
+def _perfbench_programs(n: int = 256):
+    """The three replayed perfbench programs (resnet conv block, DB
+    lookup, BFV dot product) at ring degree ``n``."""
+    lp = LoweringParams(n=n, levels=7, dnum=4, log_q=30)
+    shape = ResNetShape(conv_diagonals=8, start_level=7)
+    return [build_conv_block(lp, shape, name="conv-block"),
+            build_dblookup_program(lp, squarings=8),
+            build_bfv_dotproduct_program(lp)]
+
+
+def _outputs_under(impl: str, monkeypatch, compiled, bindings):
+    with monkeypatch.context() as m:
+        if impl == "numpy":
+            m.setattr(native, "_LIB", None)
+        return execute_packed(compiled, bindings).outputs
+
+
+def _assert_same(got: dict, want: dict, where: str) -> None:
+    assert got.keys() == want.keys(), where
+    for vid, arr in want.items():
+        np.testing.assert_array_equal(got[vid], arr,
+                                      err_msg=f"{where}, output {vid}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_whole_plan_replay_matches_numpy_and_reference_on_fuzz(
+        lib, monkeypatch, seed):
+    prog = random_program(seed)
+    packed = PackedProgram.from_program(prog)
+    bindings = synthesize_bindings(packed)
+    oracle = execute_reference(prog, bindings)
+    for label, options in VARIANTS.items():
+        compiled = compile_packed(packed.copy(), options)
+        plan = get_exec_plan(compiled, bindings)
+        got = _outputs_under("native", monkeypatch, compiled, bindings)
+        assert (plan._table.steps[:, 0] != exec_plan._K_NUMPY).all()
+        _assert_same(got, oracle, f"seed {seed}, {label}, C")
+        _assert_same(_outputs_under("numpy", monkeypatch, compiled,
+                                    bindings),
+                     oracle, f"seed {seed}, {label}, numpy")
+
+
+def test_whole_plan_replay_matches_numpy_and_reference_on_perfbench(
+        lib, monkeypatch):
+    for prog in _perfbench_programs():
+        packed = PackedProgram.from_program(prog)
+        bindings = synthesize_bindings(packed)
+        compiled = compile_packed(packed.copy(), CompileOptions())
+        plan = get_exec_plan(compiled, bindings)
+        got = _outputs_under("native", monkeypatch, compiled, bindings)
+        kinds = plan._table.steps[:, 0]
+        assert (kinds != exec_plan._K_NUMPY).all(), prog.name
+        assert set(kinds.tolist()) == {K_EW, K_FFT, K_DRAM}
+        _assert_same(got, _outputs_under("numpy", monkeypatch, compiled,
+                                         bindings), f"{prog.name}, numpy")
+        _assert_same(got, execute_reference(prog, bindings),
+                     f"{prog.name}, reference")
+
+
+def test_sub_ranges_compose_to_the_whole_plan(lib):
     compiled = _tiny_compiled()
+    bindings = synthesize_bindings(compiled.packed)
+    plan = get_exec_plan(compiled, bindings)
+    total = len(plan.steps)
+    whole = plan.arena().copy()
+    whole[:] = 0
+    _replay_steps(plan, whole, bindings)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        cuts = sorted(rng.integers(0, total + 1, size=3).tolist())
+        arena = np.zeros_like(whole)
+        for start, stop in zip([0] + cuts, cuts + [total]):
+            _replay_steps(plan, arena, bindings, start, stop)
+        np.testing.assert_array_equal(arena, whole)
+    call = exec_plan._bind_native(lib, _replay_table(plan, whole.shape[0]),
+                                  whole, bindings)
+    assert exec_plan._native_steps(call, 3, 3) == 3          # empty range
+    assert exec_plan._native_steps(call, total - 1, total + 9) == total
+
+
+def test_a_refused_step_mid_plan_runs_numpy_and_c_resumes(lib,
+                                                          monkeypatch):
+    """One step refused when the table was built and one the kernel
+    refuses at run time (a lane whose q the table corrupted): numpy runs
+    exactly those two, C runs the rest, and the outputs stay exact."""
+    compiled = _tiny_compiled()
+    bindings = synthesize_bindings(compiled.packed)
+    plan = get_exec_plan(compiled, bindings)
+    want = _outputs_under("numpy", monkeypatch, compiled, bindings)
+    table = _replay_table(plan, plan.arena().shape[0])
+    ew = [i for i, s in enumerate(plan.steps) if s.kind == K_EW]
+    fft = [i for i, s in enumerate(plan.steps) if s.kind == K_FFT]
+    refused, corrupt = fft[len(fft) // 2], ew[len(ew) // 2]
+    table.steps[refused, 0] = exec_plan._K_NUMPY
+    off = table.steps[corrupt, 3]
+    table.lanes[off + 4] = 0                   # the first lane's q
+    ran = []
+    real = exec_plan._exec_step
+
+    def spy(st, arena, bindings, n):
+        ran.append(plan.steps.index(st))
+        real(st, arena, bindings, n)
+
+    monkeypatch.setattr(exec_plan, "_exec_step", spy)
+    got = execute_packed(compiled, bindings).outputs
+    assert sorted(ran) == sorted([refused, corrupt])
+    _assert_same(got, want, "refused steps")
+
+
+def test_replay_span_names_the_kernels_that_ran(ntt_impl):
+    compiled = _tiny_compiled()
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    obs.TRACER.enabled = True
+    try:
+        execute_packed(compiled)
+        events, _ = obs.TRACER.drain()
+    finally:
+        obs.TRACER.enabled = was
+    outer = [ev for ev in events if ev[obs.EV_NAME] == "replay"]
+    assert len(outer) == 1
+    want = "c" if ntt_impl == "native" else "numpy"
+    assert outer[0][obs.EV_ATTRS]["impl"] == want
+
+
+def test_lane_tables_are_not_serialized(lib):
+    """The replay table appears at first replay and leaves the store
+    payload (and so its schema) unchanged."""
+    compiled = _tiny_compiled()
+    bindings = synthesize_bindings(compiled.packed)
+    plan = get_exec_plan(compiled, bindings)
+    before = plan_to_payload(plan)
+    execute_packed(compiled, bindings)
+    assert plan._table is not None
+    meta, arrays = plan_to_payload(plan)
+    assert meta == before[0]
+    for key, arr in arrays.items():
+        np.testing.assert_array_equal(arr, before[1][key])
+    restored = plan_from_payload(meta, arrays["idx"], arrays["col"])
+    assert restored._table is None
+
+
+def _traced_runs(monkeypatch, compiled):
+    """``{impl: (outputs, events, counters)}`` of one traced replay per
+    implementation (native only when the library loaded)."""
     was = obs.TRACER.enabled
     obs.TRACER.drain()
     runs = {}
@@ -518,6 +798,14 @@ def test_traced_replay_counts_fft_rows_under_both_impls(monkeypatch):
     finally:
         obs.TRACER.enabled = was
         obs.TRACER.drain()
+    return runs
+
+
+def test_traced_replay_counts_fft_rows_under_both_impls(monkeypatch):
+    """The C FFT steps emit the engine's ``ntt.*`` spans (``impl``
+    ``"c"``) and row counters, so a traced replay reports the same
+    rows whichever kernels ran."""
+    runs = _traced_runs(monkeypatch, _tiny_compiled())
     spans = ("ntt.forward", "ntt.inverse", "ntt.automorphism")
     impls = {"native": "c", "numpy": "numpy"}
     for impl, (_, events, counters) in runs.items():
@@ -529,12 +817,43 @@ def test_traced_replay_counts_fft_rows_under_both_impls(monkeypatch):
             assert counters[key] == sum(ev[obs.EV_ATTRS]["limbs"]
                                         for ev in fft
                                         if ev[obs.EV_NAME] == name)
-    if "native" in runs:
-        (got, _, c_native), (want, _, c_numpy) = (runs["native"],
-                                                  runs["numpy"])
-        for key in ("ntt.rows", "intt.rows", "auto.rows",
-                    "exec.bytes_gathered", "exec.bytes_scattered"):
-            assert c_native[key] == c_numpy[key], key
-        assert got.keys() == want.keys()
-        for vid, arr in got.items():
-            np.testing.assert_array_equal(arr, want[vid])
+
+
+def test_traced_replay_is_the_same_trace_under_both_impls(lib,
+                                                          monkeypatch):
+    """Same span names, paths and counts, the same row and byte
+    counters, and the same outputs, whichever kernels ran."""
+    runs = _traced_runs(monkeypatch, _tiny_compiled())
+    (got, ev_c, c_native), (want, ev_np, c_numpy) = (runs["native"],
+                                                     runs["numpy"])
+
+    def shape(events):
+        return Counter((ev[obs.EV_NAME], ev[obs.EV_PATH])
+                       for ev in events)
+
+    assert shape(ev_c) == shape(ev_np)
+    for key in ("ntt.rows", "intt.rows", "auto.rows",
+                "exec.bytes_gathered", "exec.bytes_scattered"):
+        assert c_native[key] == c_numpy[key], key
+    _assert_same(got, want, "traced")
+
+
+def test_bound_kernel_checks_its_arrays_once_and_holds_them(lib):
+    """``native.bind`` checks the fixed arrays as every call would,
+    refuses to leave an array argument to the call, and keeps the
+    arrays it fixed alive."""
+    arena = np.zeros((ROWS, N), dtype=np.int64)
+    empty = (np.zeros(0, np.uint64), np.zeros((0, 4, N), np.uint32), 0,
+             np.zeros((0, N), np.int64), 0, np.zeros(0, np.uintp), 0)
+    steps = np.array([[K_FILL, 0, 1, 0, 0]], dtype=np.int64)
+    for bad in (arena.astype(np.uint64), arena[:, ::2]):
+        with pytest.raises(TypeError):
+            native.bind(lib, "replay_steps", bad, ROWS, N, steps, 1,
+                        np.array([3, 7]), 2, *empty)
+    with pytest.raises(ValueError, match="every array"):
+        native.bind(lib, "replay_steps", arena, ROWS, N)
+    call = native.bind(lib, "replay_steps", arena, ROWS, N, steps, 1,
+                       np.array([3, 7], dtype=np.int64), 2, *empty)
+    gc.collect()                           # the lane array is held
+    assert call(0, 1) == 1
+    np.testing.assert_array_equal(arena[3], np.full(N, 7))
