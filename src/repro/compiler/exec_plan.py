@@ -889,15 +889,20 @@ def _move_lanes(st: PlanStep, rows: int):
 def _fft_lanes(st: PlanStep, rows: int, prime_index: dict):
     """The K_FFT step's lanes — ``(k, 3)`` int64 rows of (in, out,
     prime), the prime an index into the plan's FFT tables — or
-    ``False`` unless :func:`_move_lanes` holds and every lane's prime
-    has a table (``prime_index``)."""
+    ``False`` unless :func:`_move_lanes` holds and, for a transform,
+    every lane's prime has a table (``prime_index``).  An automorphism
+    is a permutation copy that reads no prime, so its prime column is
+    0 whatever its moduli."""
     moves = _move_lanes(st, rows)
     if moves is False or len(st.primes) != moves.shape[0]:
         return False
-    try:
-        index = [prime_index[q] for q in st.primes]
-    except KeyError:
-        return False
+    if st.fft == 2:
+        index = [0] * len(st.primes)
+    else:
+        try:
+            index = [prime_index[q] for q in st.primes]
+        except KeyError:
+            return False
     return np.column_stack((moves, np.array(index, dtype=np.int64)))
 
 
@@ -970,7 +975,7 @@ class _ReplayTable:
         n = plan.n
         self.rows = rows
         prime_index, self.q, self.tw = _fft_tables(
-            n, (q for st in plan.steps if st.kind == K_FFT
+            n, (q for st in plan.steps if st.kind == K_FFT and st.fft != 2
                 for q in st.primes))
         elts = sorted({st.elt for st in plan.steps
                        if st.kind == K_FFT and st.fft == 2})

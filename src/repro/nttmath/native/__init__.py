@@ -20,8 +20,16 @@
   conversion and ModDown tail of the batch key switch
   (:func:`repro.schemes.rns_core.key_mac`,
   :func:`repro.rns.bconv.base_convert_stack`,
-  :func:`repro.schemes.rns_core.mod_down_tail`), exact for every
-  input their numpy twins accept;
+  :func:`repro.schemes.rns_core.mod_down_tail`, which can also add a
+  hoisted rotation's permuted ``c0`` into each pair's first half).
+  They take canonical residues over moduli below ``2^31``: the key MAC
+  and both conversions sum whole 62-bit products in uint64 (one
+  multiply per term, guarded below ``2^63``, one Barrett reduction per
+  output), so a non-canonical value gives wrong residues, never an
+  out-of-table read;
+- ``batch_add_sub``, the modular add, subtract and negate of the batch
+  ops (:func:`repro.schemes.rns_core.add_sub`), numpy's exact
+  ``(x +- y) % q`` for every int64 input;
 - ``bconv_exact`` / ``bfv_scale_round``, the exact (centred, HPS)
   base conversion behind
   :func:`repro.rns.bconv.base_convert_centered_stack` (BFV's centred
@@ -155,7 +163,7 @@ _IN = _Array(np.int64)
 _TAB = _Array(np.uint64)
 _PTR = _Array(np.uintp)
 _ACC = _Array(np.uint64, writeable=True)
-_PERM = _Array(np.int64, optional=True)
+_OPT = _Array(np.int64, optional=True)
 _TW = _Array(np.uint32)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
@@ -165,9 +173,11 @@ _SIGNATURES = {
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
     "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
                      _N, _PTR, _N, _N, _N),
-    "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 5, _PERM),
-    "bconv": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 6),
-    "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),
+    "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT),
+    "bconv": (_OUT, _IN, _N, _N, _N, _N, _TAB),
+    "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT,
+                      _OPT),
+    "batch_add_sub": (_OUT, _OPT, _IN, _N, _N, _N, _TAB, _I),
     "bconv_exact": (_OUT, _IN, _N, _N, _N, _N, _TAB),
     "bfv_scale_round": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3),
 }

@@ -8,12 +8,22 @@
  *   iNTT / automorphism, copy, DRAM load, fill) over the slot arena of
  *   repro.compiler.exec_plan, in place, from per-plan flat tables;
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
- *   through its permutation), fast base conversion and ModDown tail of
- *   repro.schemes.rns_core's batch key switch;
+ *   through its permutation), fast base conversion and ModDown tail
+ *   (adding a permuted addend into half 0 of each pair, the hoisted
+ *   rotation's sigma(c0)) of repro.schemes.rns_core's batch key
+ *   switch, and batch_add_sub, the batch ops' modular add, subtract
+ *   and negate;
  * - bconv_exact / bfv_scale_round: the exact (centred) base conversion
  *   under BFV's tensor lift and BGV's t-corrected ModDown, and BFV's
  *   fused round(t * d / Q) tail (the last part of this file; see there
  *   for the float correction's summation order and rounding).
+ *
+ * The weighted sums of the key MAC and of both base conversions are
+ * one-multiply sums (see msum_of): each whole product of two canonical
+ * residues below 2^31 goes into a uint64 sum, guarded below 2^63 every
+ * floor(2^62 / (qmax * p)) terms and reduced once by Barrett.  Those
+ * kernels take canonical residues; any other value is read as its low
+ * 32 bits and gives a wrong residue, never an out-of-bounds access.
  *
  * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
  * 64-bit target provides (riscv64 included): no intrinsics, no
@@ -322,20 +332,25 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
 
 __extension__ typedef unsigned __int128 u128;
 
-/* v mod q in [0, q) for any int64 v.  Non-negative v takes a
- * division-free Barrett reduction with m = floor((2^64 - 1) / q): the
- * quotient estimate (v * m) >> 64 is exact or one short, so one
- * conditional subtraction finishes.  Negative v takes C's truncating %
- * plus a sign fix. */
+/* u mod q for u <= 2^63: a division-free Barrett reduction with
+ * m = floor((2^64 - 1) / q).  The quotient estimate (u * m) >> 64 lies
+ * within u / 2^64 <= 1/2 below u / q, so it is exact or one short and
+ * one conditional subtraction finishes. */
+static inline uint64_t barrett(uint64_t u, uint64_t q, uint64_t m)
+{
+    uint64_t r = u - (uint64_t)(((u128)u * m) >> 64) * q;
+    return r >= q ? r - q : r;
+}
+
+/* v mod q in [0, q) for any int64 v: Barrett on v, or on -v (at most
+ * 2^63) with the residue negated, numpy's floor modulo either way. */
 static inline int64_t floor_mod(int64_t v, uint64_t q, uint64_t m)
 {
     if (v >= 0) {
-        uint64_t u = (uint64_t)v;
-        uint64_t r = u - (uint64_t)(((u128)u * m) >> 64) * q;
-        return (int64_t)(r >= q ? r - q : r);
+        return (int64_t)barrett((uint64_t)v, q, m);
     } else {
-        int64_t r = v % (int64_t)q;
-        return r < 0 ? r + (int64_t)q : r;
+        uint64_t r = barrett(0 - (uint64_t)v, q, m);
+        return (int64_t)(r ? q - r : 0);
     }
 }
 
@@ -348,6 +363,11 @@ static inline int64_t wrap_mul(int64_t x, int64_t y)
 static inline int64_t wrap_add(int64_t x, int64_t y)
 {
     return (int64_t)((uint64_t)x + (uint64_t)y);
+}
+
+static inline int64_t wrap_sub(int64_t x, int64_t y)
+{
+    return (int64_t)((uint64_t)x - (uint64_t)y);
 }
 
 /* The kinds of replay_steps' steps: the K_* step codes of
@@ -694,196 +714,151 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
 
 
 /*
- * Key-switch kernels: the key MAC, fast BConv and ModDown tail of
- * repro.schemes.rns_core's batch key switch, each the native
- * counterpart of a numpy expression that stays its oracle.
+ * Key-switch kernels: the key MAC and ModDown tail of
+ * repro.schemes.rns_core's batch key switch (its fast BConv, bconv,
+ * shares the exact conversion's code below), and the batch ops'
+ * modular add / subtract, each the native counterpart of a numpy
+ * expression that stays its oracle.
  *
- * Every modulus lies in [2, 2^31), which the caller checks
- * (_shoup_tail_ok).  shoup_lazy then lands x * w mod q in [0, 2q)
- * exactly for any x < 2^32, as numpy's shoup_mul_lazy does, and the
- * outputs are the canonical residues the numpy code computes, hence
- * bitwise identical to it.
+ * Every modulus of ks_mac and mod_down_tail lies in [2, 2^31), which
+ * the caller checks (_shoup_tail_ok), and their outputs are the
+ * canonical residues the numpy code computes, hence bitwise identical
+ * to it.
  */
 
-/* Columns per key-MAC block: one block's key rows (4 tables, beta
+/* Columns per key-MAC block: one block's key rows (2 tables, beta
  * digits) stay cache-resident while all k ciphertexts accumulate
  * against them. */
 enum { KS_BLOCK = 1024 };
 
-/* shoup_lazy with 64-bit widening products: the same value in
- * [0, 2q), which the key MAC and BConv sums accumulate in uint64. */
-static inline uint64_t shoup_lazy64(uint32_t x, uint32_t w, uint32_t w_sh,
-                                    uint32_t q)
+/*
+ * The constants of a one-multiply sum into the modulus p whose terms
+ * are products x * w with x < qmax and w < p, both below 2^31.  Each
+ * product (below qmax * p < 2^62) is added whole into a uint64 sum,
+ * which the guard (msum_guard) keeps below 2^63 every span terms,
+ * span = floor(2^62 / (qmax * p)) >= 1: a span adds less than 2^62
+ * to a sum below 2^63, and a sum that reached 2^63 drops by
+ * g = floor(2^63 / p) * p (a multiple of p, so the residue is
+ * unchanged) to below 2^62 + p.  A guarded sum is a non-negative
+ * int64, which one Barrett reduction (barrett with m) lands in
+ * [0, p).  A span covers 64 terms when qmax and p are 28-bit, 16 at
+ * 29 bits, 4 at 30 and 1 at 31, so at the benchmark's moduli the guard
+ * runs once per output, folded into the reduction.  This takes one
+ * multiply per term where the lazy Shoup product takes three.
+ */
+struct msum {
+    uint64_t p, m, g;
+    size_t span;
+};
+
+static struct msum msum_of(uint64_t qmax, uint64_t p)
 {
-    uint32_t hi = (uint32_t)(((uint64_t)x * w_sh) >> 32);
-    return (uint64_t)x * w - (uint64_t)hi * q;
+    struct msum s;
+    s.p = p;
+    s.m = UINT64_MAX / p;
+    s.g = ((uint64_t)1 << 63) / p * p;
+    s.span = ((uint64_t)1 << 62) / (qmax * p);
+    return s;
 }
 
-/* Both key halves' lazy products of one digit block, stored
- * (first != 0) or added into the block sums sb, sa. */
-static void mac_block(uint64_t *restrict sb, uint64_t *restrict sa,
-                      const uint32_t *restrict x,
-                      const uint64_t *restrict b,
-                      const uint64_t *restrict b_sh,
-                      const uint64_t *restrict a,
-                      const uint64_t *restrict a_sh, size_t w, uint32_t q,
-                      int first)
+static inline uint64_t msum_guard(uint64_t a, uint64_t g)
 {
-    size_t j;
-    if (first) {
-        for (j = 0; j < w; j++) {
-            sb[j] = shoup_lazy64(x[j], (uint32_t)b[j], (uint32_t)b_sh[j], q);
-            sa[j] = shoup_lazy64(x[j], (uint32_t)a[j], (uint32_t)a_sh[j], q);
-        }
-    } else {
-        for (j = 0; j < w; j++) {
-            sb[j] += shoup_lazy64(x[j], (uint32_t)b[j], (uint32_t)b_sh[j], q);
-            sa[j] += shoup_lazy64(x[j], (uint32_t)a[j], (uint32_t)a_sh[j], q);
+    return a - (g & (0 - (a >> 63)));
+}
+
+/* The key MAC of one (ciphertext, limb) over w columns: digit d's
+ * row at x + d * xs, read through perm when set (else as it lies), its
+ * key rows at b + d * ts and a + d * ts; the one-multiply sums go into
+ * ob and oa, which end reduced.  row is a w-word work buffer. */
+static void mac_rows(uint64_t *restrict ob, uint64_t *restrict oa,
+                     const int64_t *x, size_t xs, const int64_t *perm,
+                     const uint64_t *b, const uint64_t *a, size_t ts,
+                     size_t beta, size_t w, const struct msum *ms,
+                     uint32_t *restrict row)
+{
+    size_t d, d1, j;
+    for (d = 0; d < beta; d = d1) {
+        d1 = beta - d < ms->span ? beta : d + ms->span;
+        if (d)
+            for (j = 0; j < w; j++) {
+                ob[j] = msum_guard(ob[j], ms->g);
+                oa[j] = msum_guard(oa[j], ms->g);
+            }
+        for (; d < d1; d++) {
+            const int64_t *xr = x + d * xs;
+            const uint64_t *restrict bt = b + d * ts;
+            const uint64_t *restrict at = a + d * ts;
+            if (perm)
+                for (j = 0; j < w; j++)
+                    row[j] = (uint32_t)xr[perm[j]];
+            else
+                for (j = 0; j < w; j++)
+                    row[j] = (uint32_t)xr[j];
+            if (d == 0)
+                for (j = 0; j < w; j++) {
+                    ob[j] = (uint64_t)row[j] * (uint32_t)bt[j];
+                    oa[j] = (uint64_t)row[j] * (uint32_t)at[j];
+                }
+            else
+                for (j = 0; j < w; j++) {
+                    ob[j] += (uint64_t)row[j] * (uint32_t)bt[j];
+                    oa[j] += (uint64_t)row[j] * (uint32_t)at[j];
+                }
         }
     }
-}
-
-/* Fold sums below 2 * top * q to [0, q) in place: conditional
- * subtracts of top * q, top/2 * q, ..., q (top a power of two).  Every
- * value stays below 2^63, so s - m wraps past 2^63 exactly when s < m
- * and the sign bit selects the lane branch-free. */
-static void fold_sums(uint64_t *restrict s, size_t w, uint64_t q,
-                      uint64_t top)
-{
-    size_t j;
-    for (; top; top >>= 1) {
-        uint64_t m = top * q;
-        for (j = 0; j < w; j++) {
-            uint64_t d = s[j] - m;
-            s[j] = d + (m & (0 - (d >> 63)));
-        }
+    for (j = 0; j < w; j++) {
+        ob[j] = barrett(msum_guard(ob[j], ms->g), ms->p, ms->m);
+        oa[j] = barrett(msum_guard(oa[j], ms->g), ms->p, ms->m);
     }
-}
-
-/* The smallest power of two >= count (count >= 1). */
-static uint64_t pow2_at_least(size_t count)
-{
-    uint64_t top = 1;
-    while (top < count)
-        top <<= 1;
-    return top;
 }
 
 /*
  * Key MAC of k lifted digit stacks against one switching key.  x is
- * the (k, beta, ext, n) digit stack (canonical residues, or any values
- * below 2^32); b, a are the (beta, ext, n) key tables with Shoup
- * companions b_sh, a_sh; q holds the ext moduli.  For ciphertext c and
- * limb e,
+ * the (k, beta, ext, n) digit stack and b, a the (beta, ext, n) key
+ * tables, all canonical residues over the ext moduli q.  For
+ * ciphertext c and limb e,
  *   out[c][0][e][j] = sum_d x[c][d][e][perm[j]] * b[d][e][j] mod q[e]
  *   out[c][1][e][j] = sum_d x[c][d][e][perm[j]] * a[d][e][j] mod q[e]
  * into the (k, 2, ext, n) out stack, with perm[j] = j when perm is
  * NULL: a non-NULL perm is the NTT-domain automorphism, read in place
- * of a gathered copy of x.  The digit sum of lazy products stays
- * below 2 * beta * q, exact in uint64, and folds to [0, q) through the
- * numpy twin's halving conditional-subtract chain.  Columns go in
- * blocks of KS_BLOCK, each block's key rows serving all k ciphertexts.
+ * of a gathered copy of x.  The digit sums are one-multiply sums
+ * (msum_of(q[e], q[e]): span = floor(2^62 / q[e]^2) digits per guard)
+ * held in out's own rows, one Barrett reduction per output.  Columns
+ * go in blocks of KS_BLOCK, each block's key rows serving all k
+ * ciphertexts.  Every x and table value is read as its low 32 bits.
  * Returns 0, or 1 without writing anything if beta is 0 or a perm
  * entry lies outside [0, n).
  */
 int ks_mac(uint64_t *out, const int64_t *x, size_t k, size_t beta,
            size_t ext, size_t n, const uint64_t *q, const uint64_t *b,
-           const uint64_t *b_sh, const uint64_t *a, const uint64_t *a_sh,
-           const int64_t *perm)
+           const uint64_t *a, const int64_t *perm)
 {
     uint32_t row[KS_BLOCK];
-    uint64_t top;
-    size_t c, d, e, j, j0;
+    size_t c, e, j, j0, stride = ext * n;
     if (!beta)
         return 1;
     if (perm)
         for (j = 0; j < n; j++)
             if (perm[j] < 0 || (uint64_t)perm[j] >= n)
                 return 1;
-    top = pow2_at_least(beta);
     for (e = 0; e < ext; e++) {
-        uint32_t qe = (uint32_t)q[e];
+        struct msum ms = msum_of(q[e], q[e]);
         for (j0 = 0; j0 < n; j0 += KS_BLOCK) {
             size_t w = n - j0 < KS_BLOCK ? n - j0 : KS_BLOCK;
             for (c = 0; c < k; c++) {
                 uint64_t *ob = out + (2 * c * ext + e) * n + j0;
-                uint64_t *oa = ob + ext * n;
-                for (d = 0; d < beta; d++) {
-                    const int64_t *xr = x + ((c * beta + d) * ext + e) * n;
-                    size_t t = (d * ext + e) * n + j0;
-                    if (perm)
-                        for (j = 0; j < w; j++)
-                            row[j] = (uint32_t)xr[perm[j0 + j]];
-                    else
-                        for (j = 0; j < w; j++)
-                            row[j] = (uint32_t)xr[j0 + j];
-                    mac_block(ob, oa, row, b + t, b_sh + t, a + t,
-                              a_sh + t, w, qe, d == 0);
-                }
-                fold_sums(ob, w, q[e], top);
-                fold_sums(oa, w, q[e], top);
-            }
-        }
-    }
-    return 0;
-}
-
-/*
- * Fast base conversion of k polynomials: in is a ct-major
- * (k * l_from, n) stack over the moduli q (values below 2^32), out the
- * (k * l_to, n) stack over the moduli p:
- *   v_j = x_j * s_j mod q_j          (s = q_hat^-1, canonical)
- *   out_i = sum_j v_j * w[i][j] mod p_i
- * with w the (l_to, l_from) matrix of q_hat_j mod p_i and w_sh its
- * Shoup companions mod p_i.  Each term is a lazy Shoup product in
- * [0, 2 p_i), so the row sum stays below 2 * l_from * p_i, exact in
- * uint64, and folds to the canonical residue numpy's exact float64
- * accumulation gives.  out's own rows hold the sums.
- * Returns 0, 1 without writing anything if l_from is 0, or -1 if the
- * work buffer could not be allocated.
- */
-int bconv(int64_t *out, const int64_t *in, size_t k, size_t l_from,
-          size_t l_to, size_t n, const uint64_t *q, const uint64_t *s,
-          const uint64_t *s_sh, const uint64_t *p, const uint64_t *w,
-          const uint64_t *w_sh)
-{
-    uint32_t *v;
-    uint64_t top;
-    size_t c, i, j, col;
-    if (!l_from)
-        return 1;
-    v = malloc(l_from * n * sizeof *v);
-    if (!v)
-        return -1;
-    top = pow2_at_least(l_from);
-    for (c = 0; c < k; c++) {
-        for (j = 0; j < l_from; j++) {
-            const int64_t *x = in + (c * l_from + j) * n;
-            uint32_t *vj = v + j * n;
-            uint32_t qj = (uint32_t)q[j], sj = (uint32_t)s[j];
-            uint32_t sj_sh = (uint32_t)s_sh[j];
-            for (col = 0; col < n; col++)
-                vj[col] = csub(shoup_lazy((uint32_t)x[col], sj, sj_sh, qj),
-                               qj);
-        }
-        for (i = 0; i < l_to; i++) {
-            uint64_t *acc = (uint64_t *)(out + (c * l_to + i) * n);
-            uint32_t pi = (uint32_t)p[i];
-            for (j = 0; j < l_from; j++) {
-                const uint32_t *restrict vj = v + j * n;
-                uint32_t wij = (uint32_t)w[i * l_from + j];
-                uint32_t wij_sh = (uint32_t)w_sh[i * l_from + j];
-                if (j == 0)
-                    for (col = 0; col < n; col++)
-                        acc[col] = shoup_lazy64(vj[col], wij, wij_sh, pi);
+                const int64_t *xc = x + (c * beta * ext + e) * n;
+                if (perm)
+                    mac_rows(ob, ob + stride, xc, stride, perm + j0,
+                             b + e * n + j0, a + e * n + j0, stride, beta,
+                             w, &ms, row);
                 else
-                    for (col = 0; col < n; col++)
-                        acc[col] += shoup_lazy64(vj[col], wij, wij_sh, pi);
+                    mac_rows(ob, ob + stride, xc + j0, stride, NULL,
+                             b + e * n + j0, a + e * n + j0, stride, beta,
+                             w, &ms, row);
             }
-            fold_sums(acc, n, p[i], top);
         }
     }
-    free(v);
     return 0;
 }
 
@@ -895,24 +870,86 @@ int bconv(int64_t *out, const int64_t *in, size_t k, size_t l_from,
  * stack and inv, inv_sh the Shoup pair of P^-1 mod q_i.  Canonical
  * residues in: acc - corr + q lies in (0, 2q), one lazy Shoup product
  * and one conditional subtract land the canonical residue (ext >= l1,
- * which the caller checks).  Returns 0.
+ * which the caller checks).  With add non-NULL, half 0 of each pair
+ * (every even c) also gains add's row of its pair and limb, read
+ * through perm (perm[j] = j when NULL):
+ *   corr[c][i][j] += add[c / 2][i][perm[j]] mod q[i]
+ * one more conditional subtract on the canonical sum; add is a
+ * ((k2 + 1) / 2, l1, n) stack of canonical residues.  This is the
+ * hoisted rotation's ks0 + sigma(c0), with no gathered copy of c0.
+ * Returns 0, or 1 without writing anything if a perm entry lies
+ * outside [0, n).
  */
 int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
                   size_t ext, size_t n, const uint64_t *q,
-                  const uint64_t *inv, const uint64_t *inv_sh)
+                  const uint64_t *inv, const uint64_t *inv_sh,
+                  const int64_t *add, const int64_t *perm)
 {
     size_t c, i, j;
+    if (perm)
+        for (j = 0; j < n; j++)
+            if (perm[j] < 0 || (uint64_t)perm[j] >= n)
+                return 1;
     for (c = 0; c < k2; c++) {
         for (i = 0; i < l1; i++) {
             int64_t *restrict o = corr + (c * l1 + i) * n;
             const int64_t *restrict x = acc + (c * ext + i) * n;
+            const int64_t *restrict y =
+                add && c % 2 == 0 ? add + (c / 2 * l1 + i) * n : NULL;
             uint32_t qi = (uint32_t)q[i], f = (uint32_t)inv[i];
             uint32_t f_sh = (uint32_t)inv_sh[i];
-            for (j = 0; j < n; j++) {
-                uint32_t d = (uint32_t)x[j] - (uint32_t)o[j] + qi;
-                o[j] = (int64_t)csub(shoup_lazy(d, f, f_sh, qi), qi);
-            }
+            if (!y)
+                for (j = 0; j < n; j++) {
+                    uint32_t d = (uint32_t)x[j] - (uint32_t)o[j] + qi;
+                    o[j] = (int64_t)csub(shoup_lazy(d, f, f_sh, qi), qi);
+                }
+            else
+                for (j = 0; j < n; j++) {
+                    uint32_t d = (uint32_t)x[j] - (uint32_t)o[j] + qi;
+                    uint32_t r = csub(shoup_lazy(d, f, f_sh, qi), qi);
+                    o[j] = (int64_t)csub(r + (uint32_t)y[perm ? perm[j]
+                                                               : (int64_t)j],
+                                         qi);
+                }
         }
+    }
+    return 0;
+}
+
+/*
+ * Modular add / subtract / negate of the batch ops: for row r of a
+ * (rows, n) stack whose row r lies over q[r % limbs],
+ *   out[r][j] = (x[r][j] + sign * y[r][j]) mod q[r % limbs]
+ * with x NULL read as 0 (negation, sign -1).  This is numpy's int64
+ * expression for every input, not only canonical residues: the sum
+ * wraps modulo 2^64 and floor_mod lands [0, q).  out must not overlap
+ * x or y.  Returns 0, or 1 without writing anything unless limbs >= 1,
+ * sign is 1 or -1 (-1 when x is NULL) and every q lies in [1, 2^63).
+ */
+int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
+                  size_t rows, size_t limbs, size_t n, const uint64_t *q,
+                  int sign)
+{
+    size_t r, j;
+    if (!limbs || (sign != 1 && sign != -1) || (!x && sign != -1))
+        return 1;
+    for (r = 0; r < limbs; r++)
+        if (q[r] < 1 || q[r] >> 63)
+            return 1;
+    for (r = 0; r < rows; r++) {
+        int64_t *restrict o = out + r * n;
+        const int64_t *restrict xr = x ? x + r * n : NULL;
+        const int64_t *restrict yr = y + r * n;
+        uint64_t qr = q[r % limbs], m = UINT64_MAX / qr;
+        if (!xr)
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_sub(0, yr[j]), qr, m);
+        else if (sign > 0)
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_add(xr[j], yr[j]), qr, m);
+        else
+            for (j = 0; j < n; j++)
+                o[j] = floor_mod(wrap_sub(xr[j], yr[j]), qr, m);
     }
     return 0;
 }
@@ -948,33 +985,42 @@ int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
  * the input holds: a non-canonical input gives wrong residues, never
  * an out-of-bounds access.
  *
+ * The fast conversion (bconv) is the same computation without the
+ * float correction (e = 0): out_i = sum_j v_j * (q_hat_j mod p_i)
+ * mod p_i, the canonical residue of a + e' * Q for the overshoot
+ * 0 <= e' < l_from that numpy's exact float64 accumulation gives too.
+ *
  * The constants of one conversion come packed in one uint64 table,
  * laid out as
  *   q[l_from] | s[l_from] | s_sh[l_from] | p[l_to]
- *     | w[l_to * l_from] | w_sh[l_to * l_from] | qmp[l_to]
- * with s = q_hat^-1 mod q_j, w[i][j] = q_hat_j mod p_i (row-major),
- * their Shoup companions s_sh, w_sh, and qmp[i] = Q mod p_i.
- * w_sh is unused here (the table shares bconv's layout).  Columns go
- * in blocks of EX_BLOCK, so a block's scaled residues and float sums
- * stay in L1 between the steps.
+ *     | w[l_to * l_from] | qmp[l_to]
+ * with s = q_hat^-1 mod q_j and its Shoup companions s_sh,
+ * w[i][j] = q_hat_j mod p_i (row-major) and qmp[i] = Q mod p_i (read
+ * by the exact conversion only).  Columns go in blocks of EX_BLOCK, so
+ * a block's scaled residues and float sums stay in L1 between the
+ * steps.
  */
 
 /* Columns per block, and columns summed side by side in exact_block
  * (independent multiply chains that overlap in the pipeline). */
 enum { EX_BLOCK = 256, EX_LANES = 8 };
 
-/* One exact conversion's constants, unpacked from its table. */
+/* One conversion's constants, unpacked from its table; qmp is NULL
+ * for the fast conversion.  ms holds each target modulus' one-multiply
+ * sum constants (three 64-bit divisions each, so computed once per
+ * call, not per block); exact_tab allocates it, free(t.ms) frees it. */
 struct exact_tab {
     size_t l_from, l_to;
     const uint64_t *q, *s, *s_sh, *p, *w, *qmp;
     uint64_t qmax;      /* the largest source modulus */
+    struct msum *ms;    /* l_to entries, NULL if allocation failed */
 };
 
 static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
-                                  size_t l_to)
+                                  size_t l_to, int exact)
 {
     struct exact_tab t;
-    size_t j;
+    size_t i, j;
     t.l_from = l_from;
     t.l_to = l_to;
     t.q = tab;
@@ -982,10 +1028,14 @@ static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
     t.s_sh = tab + 2 * l_from;
     t.p = tab + 3 * l_from;
     t.w = t.p + l_to;
-    t.qmp = t.w + 2 * l_to * l_from;    /* past w and the unused w_sh */
+    t.qmp = exact ? t.w + l_to * l_from : NULL;
     t.qmax = 0;
     for (j = 0; j < l_from; j++)
         t.qmax = t.q[j] > t.qmax ? t.q[j] : t.qmax;
+    t.ms = malloc(l_to * sizeof *t.ms);
+    if (t.ms)
+        for (i = 0; i < l_to; i++)
+            t.ms[i] = msum_of(t.qmax, t.p[i]);
     return t;
 }
 
@@ -1016,24 +1066,19 @@ static int exact_work_alloc(struct exact_work *wk, size_t l_from,
 }
 
 /*
- * Exact conversion of one block of w <= EX_BLOCK columns: source row j
- * at x + j * xs, target row i written at out + i * os.
+ * Conversion of one block of w <= EX_BLOCK columns: source row j at
+ * x + j * xs, target row i written at out + i * os; exact (centred)
+ * when t->qmp is set, else fast.
  *
- * The weighted sum takes one multiply per term: each product
- * v_j * w_ij < qmax * p_i < 2^62 is added whole to a uint64 sum.  The
- * sum starts at l_from * p_i - e * qmp_i (>= 0, below 2^36), which
- * folds the correction in, and is kept below 2^63 at every span terms,
- * span = floor(2^62 / (qmax * p_i)) >= 1: a span adds less than 2^62,
- * and a sum that reached 2^63 drops by g_i = floor(2^63 / p_i) * p_i
- * (a multiple of p_i, so the residue is unchanged) to below
- * 2^62 + p_i.  One Barrett reduction (floor_mod) then lands the
- * canonical (sum_j v_j w_ij - e qmp_i) mod p_i.  With 28- and 29-bit
- * moduli a span covers 32 terms, so the guard runs once per output
- * (every 4 terms at 30 bits, every term at 31).  EX_LANES
- * columns are summed side by side; the last group of a block may run
- * past w, inside the zeroed EX_BLOCK-wide rows, and stores only its w
- * columns.  On 64-bit targets this scalar form beats the
- * three-multiply lazy Shoup sum, vectorized (SSE2) or not.
+ * The weighted sum is a one-multiply sum (msum_of(qmax, p_i)).  For
+ * the exact conversion it starts at l_from * p_i - e * qmp_i (>= 0,
+ * below 2^36), which folds the correction in; for the fast one at 0.
+ * One Barrett reduction then lands the canonical
+ * (sum_j v_j w_ij - e qmp_i) mod p_i.  EX_LANES columns are summed
+ * side by side; the last group of a block may run past w, inside the
+ * zeroed EX_BLOCK-wide rows, and stores only its w columns.  On 64-bit
+ * targets this scalar form beats the three-multiply lazy Shoup sum,
+ * vectorized (SSE2) or not.
  */
 static void exact_block(int64_t *out, size_t os, const int64_t *x,
                         size_t xs, size_t w, const struct exact_tab *t,
@@ -1049,6 +1094,8 @@ static void exact_block(int64_t *out, size_t os, const int64_t *x,
         double qd = (double)qj;
         for (col = 0; col < w; col++)
             vj[col] = csub(shoup_lazy((uint32_t)xr[col], sj, sj_sh, qj), qj);
+        if (!t->qmp)
+            continue;
         /* v < q < 2^31, so the int32 conversion is exact. */
         if (j == 0)
             for (col = 0; col < w; col++)
@@ -1057,36 +1104,68 @@ static void exact_block(int64_t *out, size_t os, const int64_t *x,
             for (col = 0; col < w; col++)
                 wk->frac[col] += (double)(int32_t)vj[col] / qd;
     }
-    for (col = 0; col < w; col++)
-        wk->e[col] = (uint32_t)(int32_t)((wk->frac[col] + two52) - two52);
+    if (t->qmp)
+        for (col = 0; col < w; col++)
+            wk->e[col] = (uint32_t)(int32_t)((wk->frac[col] + two52)
+                                             - two52);
     for (i = 0; i < t->l_to; i++) {
         const uint64_t *restrict wi = t->w + i * t->l_from;
         int64_t *restrict o = out + i * os;
-        uint64_t pi = t->p[i], m = UINT64_MAX / pi;
-        uint64_t g = ((uint64_t)1 << 63) / pi * pi;
-        uint64_t base = t->l_from * pi, c = t->qmp[i];
-        size_t span = ((uint64_t)1 << 62) / (t->qmax * pi);
+        struct msum ms = t->ms[i];
+        uint64_t base = t->qmp ? t->l_from * ms.p : 0;
+        uint64_t c = t->qmp ? t->qmp[i] : 0;
         for (col = 0; col < w; col += EX_LANES) {
             const uint32_t *vc = wk->v + col;
             uint64_t a[EX_LANES];
             size_t j1, l, lanes = w - col < EX_LANES ? w - col : EX_LANES;
-            for (l = 0; l < EX_LANES; l++)
-                a[l] = base - (uint64_t)wk->e[col + (l < lanes ? l : 0)] * c;
+            if (t->qmp)
+                for (l = 0; l < EX_LANES; l++)
+                    a[l] = base - (uint64_t)wk->e[col + (l < lanes ? l : 0)]
+                                  * c;
+            else
+                for (l = 0; l < EX_LANES; l++)
+                    a[l] = 0;
             for (j = 0; j < t->l_from; j = j1) {
-                j1 = t->l_from - j < span ? t->l_from : j + span;
+                j1 = t->l_from - j < ms.span ? t->l_from : j + ms.span;
                 for (; j < j1; j++) {
-                    uint64_t wj = wi[j];
+                    uint32_t wj = (uint32_t)wi[j];
                     const uint32_t *vj = vc + j * EX_BLOCK;
                     for (l = 0; l < EX_LANES; l++)
                         a[l] += (uint64_t)vj[l] * wj;
                 }
                 for (l = 0; l < EX_LANES; l++)
-                    a[l] -= g & (0 - (a[l] >> 63));
+                    a[l] = msum_guard(a[l], ms.g);
             }
             for (l = 0; l < lanes; l++)
-                o[col + l] = floor_mod((int64_t)a[l], pi, m);
+                o[col + l] = (int64_t)barrett(a[l], ms.p, ms.m);
         }
     }
+}
+
+/* Conversion of k polynomials (exact or fast), see bconv_exact and
+ * bconv. */
+static int convert(int64_t *out, const int64_t *in, size_t k,
+                   size_t l_from, size_t l_to, size_t n,
+                   const uint64_t *tab, int exact)
+{
+    struct exact_tab t;
+    struct exact_work wk;
+    size_t c, j0;
+    if (!l_from || !l_to)
+        return 1;
+    t = exact_tab(tab, l_from, l_to, exact);
+    if (!t.ms || exact_work_alloc(&wk, l_from, 0)) {
+        free(t.ms);
+        return -1;
+    }
+    for (c = 0; c < k; c++)
+        for (j0 = 0; j0 < n; j0 += EX_BLOCK)
+            exact_block(out + c * l_to * n + j0, n,
+                        in + c * l_from * n + j0, n,
+                        n - j0 < EX_BLOCK ? n - j0 : EX_BLOCK, &t, &wk);
+    free(wk.frac);
+    free(t.ms);
+    return 0;
 }
 
 /*
@@ -1098,21 +1177,18 @@ static void exact_block(int64_t *out, size_t os, const int64_t *x,
 int bconv_exact(int64_t *out, const int64_t *in, size_t k, size_t l_from,
                 size_t l_to, size_t n, const uint64_t *tab)
 {
-    struct exact_tab t;
-    struct exact_work wk;
-    size_t c, j0;
-    if (!l_from || !l_to)
-        return 1;
-    if (exact_work_alloc(&wk, l_from, 0))
-        return -1;
-    t = exact_tab(tab, l_from, l_to);
-    for (c = 0; c < k; c++)
-        for (j0 = 0; j0 < n; j0 += EX_BLOCK)
-            exact_block(out + c * l_to * n + j0, n,
-                        in + c * l_from * n + j0, n,
-                        n - j0 < EX_BLOCK ? n - j0 : EX_BLOCK, &t, &wk);
-    free(wk.frac);
-    return 0;
+    return convert(out, in, k, l_from, l_to, n, tab, 1);
+}
+
+/*
+ * Fast base conversion of k polynomials, the key switch's ModUp and
+ * ModDown BConv: as bconv_exact, without the float correction (tab's
+ * qmp column is not read).
+ */
+int bconv(int64_t *out, const int64_t *in, size_t k, size_t l_from,
+          size_t l_to, size_t n, const uint64_t *tab)
+{
+    return convert(out, in, k, l_from, l_to, n, tab, 0);
 }
 
 /*
@@ -1145,12 +1221,15 @@ int bfv_scale_round(int64_t *out, const int64_t *in, size_t k, size_t lq,
     size_t c, i, j0, col;
     if (!lq || !lr)
         return 1;
-    if (exact_work_alloc(&wk, lmax, le + lr))
+    qr = exact_tab(tab_qr, lq, lr, 1);
+    rq = exact_tab(tab_rq, lr, lq, 1);
+    if (!qr.ms || !rq.ms || exact_work_alloc(&wk, lmax, le + lr)) {
+        free(qr.ms);
+        free(rq.ms);
         return -1;
+    }
     u = wk.extra;
     cm = u + le * EX_BLOCK;
-    qr = exact_tab(tab_qr, lq, lr);
-    rq = exact_tab(tab_rq, lr, lq);
     for (c = 0; c < k; c++) {
         for (j0 = 0; j0 < n; j0 += EX_BLOCK) {
             size_t w = n - j0 < EX_BLOCK ? n - j0 : EX_BLOCK;
@@ -1180,5 +1259,7 @@ int bfv_scale_round(int64_t *out, const int64_t *in, size_t k, size_t lq,
         }
     }
     free(wk.frac);
+    free(qr.ms);
+    free(rq.ms);
     return 0;
 }

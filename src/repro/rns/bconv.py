@@ -110,36 +110,25 @@ def _qhat_weights(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
                                  dtype=np.float64))
 
 
-def _native_tables(from_basis: RnsBasis, to_basis: RnsBasis) -> tuple:
-    """The native BConv's uint64 constants for one basis pair: source
-    moduli, ``q_hat^-1`` with its Shoup companions, target moduli and
-    the ``(L_to, L_from)`` weights ``q_hat_j mod p_i`` with theirs.
-    Built on first use, never at keygen."""
+def _conv_table(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
+    """The native conversions' constants for one basis pair as one
+    packed uint64 table, in the layout ``ntt.c`` documents: source
+    moduli, ``q_hat^-1`` with its Shoup companions, target moduli, the
+    ``(L_to, L_from)`` weights ``q_hat_j mod p_i`` and the ``Q mod p_i``
+    column (read by the exact conversion only).  Shared by ``bconv``
+    and ``bconv_exact``; built on first use, never at keygen."""
     def build():
         q_u = from_basis.q_col.astype(np.uint64)
         s_u = from_basis.q_hat_inv_col.astype(np.uint64)
-        p_u = to_basis.q_col.astype(np.uint64)
         w_u = np.array([[q_hat % p for q_hat in from_basis.q_hat]
                         for p in to_basis.primes], dtype=np.uint64)
-        return (q_u, s_u, shoup_companion(s_u, q_u), p_u, w_u,
-                shoup_companion(w_u, p_u))
-
-    return _lru(_WEIGHT_CACHE,
-                ("native", from_basis.primes, to_basis.primes), build)
-
-
-def _exact_tables(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
-    """The native exact conversion's constants for one basis pair as
-    one packed uint64 table: :func:`_native_tables` plus the ``Q mod
-    p_i`` column, in the layout ``ntt.c`` documents.  Built on first
-    use, never at keygen."""
-    def build():
         qmp = reduce_mod_col(from_basis.modulus, to_basis.primes)
         return np.concatenate([a.ravel() for a in (
-            *_native_tables(from_basis, to_basis), qmp.astype(np.uint64))])
+            q_u, s_u, shoup_companion(s_u, q_u),
+            to_basis.q_col.astype(np.uint64), w_u, qmp.astype(np.uint64))])
 
     return _lru(_WEIGHT_CACHE,
-                ("exact", from_basis.primes, to_basis.primes), build)
+                ("conv", from_basis.primes, to_basis.primes), build)
 
 
 def _shoup_kernel(*bases: RnsBasis):
@@ -356,8 +345,8 @@ def base_convert_centered_stack(stack: np.ndarray, from_basis: RnsBasis,
         else:
             out = np.empty((k * l_to, m), dtype=np.int64)
             if lib.bconv_exact(out, np.ascontiguousarray(stack), k, l_from,
-                               l_to, m, _exact_tables(from_basis,
-                                                      to_basis)):
+                               l_to, m, _conv_table(from_basis,
+                                                    to_basis)):
                 raise MemoryError("native exact BConv kernel: out of "
                                   "memory")
     if tr.enabled:
@@ -446,11 +435,16 @@ def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
     emits), widened across the cross-ciphertext batch axis.
 
     With the native library loaded and every modulus below ``2^31``,
-    the C ``bconv`` kernel converts the stack as it lies, polynomial by
-    polynomial: a Shoup scale by ``q_hat^-1``, then per target limb a
-    sum of lazy Shoup products folded to the canonical residue.
+    the C ``bconv`` kernel converts the stack as it lies, in column
+    blocks: a Shoup scale by ``q_hat^-1``, then per target limb a
+    one-multiply uint64 sum of the weighted residues, reduced once.
     Otherwise the numpy path runs the scaling Shoup multiply and the
-    float64 BLAS accumulation on ``(L_from, k*M)`` wide rows.
+    float64 BLAS accumulation on ``(L_from, k*M)`` wide rows.  Both
+    land the same canonical residues.  Under ``REPRO_VERIFY=1`` a
+    non-canonical row raises
+    :class:`~repro.nttmath.batched.NonCanonicalInputError` naming it,
+    and the C entry checks the ``2^31`` bound
+    (:class:`~repro.nttmath.batched.ShoupBoundError`).
     """
     l_from = len(from_basis)
     l_to = len(to_basis)
@@ -458,22 +452,25 @@ def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
     if stack.shape[0] != k * l_from:
         raise ValueError(f"expected a {k * l_from}-row stack, got "
                          f"{stack.shape[0]}")
+    lib = _shoup_kernel(from_basis, to_basis)
     if verify_inputs():
         require_canonical(stack, from_basis.q_col, "bconv")
+        if lib is not None:
+            require_shoup_bound(from_basis.primes + to_basis.primes,
+                                "bconv")
     # Chunk the batch axis so the BLAS accumulator slabs stay
     # cache-resident: one wide pass over all k spills its output-side
     # temporaries once the stack outgrows L2, costing more than the
     # saved call overhead.  Columns never interact, so chunking is
     # bitwise neutral.
     kc = max(1, _BCONV_BLOCK_BYTES // (l_to * m * 8))
-    lib = _shoup_kernel(from_basis, to_basis)
     if lib is not None:
         tr = TRACER
         with tr.span("bconv.fast", rows_in=k * l_from, rows_out=k * l_to,
                      impl="c"):
             out = np.empty((k * l_to, m), dtype=np.int64)
             if lib.bconv(out, np.ascontiguousarray(stack), k, l_from,
-                         l_to, m, *_native_tables(from_basis, to_basis)):
+                         l_to, m, _conv_table(from_basis, to_basis)):
                 raise MemoryError("native BConv kernel: out of memory")
         if tr.enabled:
             # The row passes the numpy path's wide chunks would count,

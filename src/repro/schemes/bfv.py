@@ -50,7 +50,7 @@ from ..obs import TRACER
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
     _WEIGHT_CACHE,
-    _exact_tables,
+    _conv_table,
     _lru,
     _shoup_kernel,
     _stack_to_wide,
@@ -362,7 +362,7 @@ def _scale_round_tables(t: int, q: RnsBasis, r: RnsBasis) -> tuple:
             qinv, shoup_companion(qinv, r.q_col.astype(np.uint64))]).ravel()
 
     aux = _lru(_WEIGHT_CACHE, ("bfv", t, q.primes, r.primes), build)
-    return _exact_tables(q, r), _exact_tables(r, q), aux
+    return _conv_table(q, r), _conv_table(r, q), aux
 
 
 class BfvScheme:

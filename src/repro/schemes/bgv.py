@@ -266,11 +266,15 @@ class BgvEvaluator(RnsEvaluatorBase):
             k * lq, -1)
 
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
-                                q_basis: RnsBasis, k: int) -> np.ndarray:
+                                q_basis: RnsBasis, k: int, *,
+                                add: np.ndarray | None = None,
+                                perm: np.ndarray | None = None
+                                ) -> np.ndarray:
         """NTT-domain ModDown of ``k`` accumulator pairs with the
         ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
         version; same dataflow, exact arithmetic, and the same
-        :func:`~repro.schemes.rns_core.mod_down_tail`).  Traced as one
+        :func:`~repro.schemes.rns_core.mod_down_tail`, which adds
+        ``add`` through ``perm`` into each ``ks0``).  Traced as one
         ``ks.moddown`` span, like the base class, whose ``impl`` is
         ``"c"`` when the delta's exact conversion (and with it the
         tail) runs natively."""
@@ -293,7 +297,7 @@ class BgvEvaluator(RnsEvaluatorBase):
                                       dedupe=True).forward(
                 corr, assume_reduced=True)
             return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
-                                 2 * k)
+                                 2 * k, add=add, perm=perm)
 
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
                        q_basis: RnsBasis

@@ -50,9 +50,15 @@ kernel                                  used by
 ``RnsEvaluatorBase._mod_down_batch_stacked``  NTT-domain ModDown
                                         ``(acc - NTT(BConv_P(iNTT(acc_P))))
                                         * P^-1`` (C: ``bconv``,
-                                        ``mod_down_tail``) — overridden
+                                        ``mod_down_tail``, which also
+                                        adds a hoisted rotation's
+                                        ``sigma(c0)``) — overridden
                                         by BGV with the exact
-                                        ``t``-corrected variant (numpy)
+                                        ``t``-corrected variant (C:
+                                        ``bconv_exact``)
+``add_sub``                             ``add``/``sub``/``negate`` and
+                                        their ``batch_*`` ops (C:
+                                        ``batch_add_sub``)
 ``Plaintext.frozen_batch_tables``       Shoup-frozen plaintext constants
                                         for ``multiply_plain``, tiled
                                         over the ``2k`` halves
@@ -80,6 +86,7 @@ from ..nttmath.batched import (
     register_cache_clearer,
     release_scratch,
     require_canonical,
+    require_shoup_bound,
     scratch,
     shoup_companion,
     shoup_mul_lazy,
@@ -230,36 +237,42 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
     ``x`` is the ct-major ``(k*beta*E, N)`` NTT-domain digit stack of
     canonical residues over ``ext`` (ciphertext ``i``'s digit ``d`` at
     rows ``(i*beta + d)*E`` onward) and ``tables`` the digit-stacked
-    ``((b, b_sh), (a, a_sh))`` key tables of
-    :meth:`SwitchingKey.stacked_tables`.  ``auto = (engine, g)`` MACs
-    ``sigma_g(x)`` instead, the automorphism of ``engine`` (any engine
-    of the ring degree: the permutation is moduli-independent).
-    Returns the ct-major ``(2k*E, N)`` accumulator stack (ciphertext
-    ``i``: acc0 rows first, then acc1), canonical.
+    ``(b, a)`` uint64 key tables of :meth:`SwitchingKey.stacked_tables`.
+    ``auto = (engine, g)`` MACs ``sigma_g(x)`` instead, the
+    automorphism of ``engine`` (any engine of the ring degree: the
+    permutation is moduli-independent).  Returns the ct-major
+    ``(2k*E, N)`` accumulator stack (ciphertext ``i``: acc0 rows first,
+    then acc1), canonical.
 
-    The native ``ks_mac`` sums each (ciphertext, limb) row's lazy Shoup
-    products over the digits in place and reads ``x`` through the
-    automorphism's permutation, so a rotation gathers no copy of the
-    digit stack.  The numpy twin gathers first (one
-    ``ntt.automorphism``), then runs one wide Shoup multiply per
-    (ciphertext, half) summed along the digit axis and folded by a
-    halving conditional-subtract chain.  Both land the canonical
-    residue of the same sum, so they agree bit for bit; an ``auto``
-    MAC counts the ``auto.rows`` of the gather either way.
+    The native ``ks_mac`` reads ``x`` through the automorphism's
+    permutation, so a rotation gathers no copy of the digit stack, and
+    sums each (ciphertext, limb) row's whole products over the digits
+    in uint64 (one multiply per term, guarded below ``2^63``), reduced
+    once by Barrett.  The numpy twin gathers first (one
+    ``ntt.automorphism``), builds the key tables' Shoup companions, then
+    runs one wide lazy Shoup multiply per (ciphertext, half) summed
+    along the digit axis and folded by a halving conditional-subtract
+    chain.  Both land the canonical residue of the same sum, so they
+    agree bit for bit; an ``auto`` MAC counts the ``auto.rows`` of the
+    gather either way.  Under ``REPRO_VERIFY=1`` a non-canonical digit
+    row raises :class:`~repro.nttmath.batched.NonCanonicalInputError`,
+    and the C entry checks the ``2^31`` bound
+    (:class:`~repro.nttmath.batched.ShoupBoundError`).
     """
-    (b_u, b_sh), (a_u, a_sh) = tables
+    b_u, a_u = tables
     ext_limbs = len(ext)
     n = x.shape[1]
     beta = b_u.shape[0] // ext_limbs
     if (beta < 1 or x.shape[0] != k * beta * ext_limbs
-            or any(t.shape != (beta * ext_limbs, n)
-                   for t in (b_u, b_sh, a_u, a_sh))):
+            or any(t.shape != (beta * ext_limbs, n) for t in tables)):
         raise ValueError(f"digit stack {x.shape} does not match k={k} "
                          f"and key tables {b_u.shape} over {ext_limbs} "
                          f"limbs")
+    lib = _ks_kernel(ext)
     if verify_inputs():
         require_canonical(x, ext.q_col, "key_mac")
-    lib = _ks_kernel(ext)
+        if lib is not None:
+            require_shoup_bound(ext.primes, "ks_mac")
     tr = TRACER
     with tr.span("ks.mac", k=k, beta=beta,
                  impl="numpy" if lib is None else "c"):
@@ -277,8 +290,7 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
                 tr.count("auto.rows", x.shape[0])
         acc = np.empty((2 * k * ext_limbs, n), dtype=np.uint64)
         if lib.ks_mac(acc, np.ascontiguousarray(x), k, beta, ext_limbs, n,
-                      ext.q_col.astype(np.uint64), b_u, b_sh, a_u, a_sh,
-                      perm):
+                      ext.q_col.astype(np.uint64), b_u, a_u, perm):
             raise ValueError("native key MAC: a permutation entry lies "
                              "outside [0, n)")
         # Reduced residues are < q < 2^63, so the signed reinterpret is
@@ -290,13 +302,17 @@ def _key_mac_numpy(x: np.ndarray, tables: tuple, ext: RnsBasis,
                    k: int) -> np.ndarray:
     """The numpy twin of the native key MAC (see :func:`key_mac`):
     ``x`` is read through a zero-copy ``uint64`` view, so canonical
-    residues only."""
-    (b_u, b_sh), (a_u, a_sh) = tables
+    residues only.  The key tables' Shoup companions are built per call
+    (one division pass each), so no cached key carries them for the C
+    MAC, which does not read them."""
+    b_u, a_u = tables
     ext_limbs = len(ext)
     n = x.shape[1]
     beta = b_u.shape[0] // ext_limbs
     q_u = ext.q_col.astype(np.uint64)
     q_tiled = np.tile(q_u, (beta, 1))
+    b_sh = shoup_companion(b_u, q_tiled)
+    a_sh = shoup_companion(a_u, q_tiled)
     x3 = x.view(np.uint64).reshape(k, beta * ext_limbs, n)
     shape = (beta * ext_limbs, n)
     hi = scratch("kmac_hi", shape)
@@ -333,17 +349,29 @@ def _key_mac_numpy(x: np.ndarray, tables: tuple, ext: RnsBasis,
 
 
 def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
-                  value: int, halves: int) -> np.ndarray:
+                  value: int, halves: int, *, add: np.ndarray | None = None,
+                  perm: np.ndarray | None = None) -> np.ndarray:
     """The ModDown tail ``(acc_Q - corr) * value^-1 mod q``; consumes
     ``corr`` (the native kernel writes the result into it).
 
     ``acc`` is a ``(halves*E, N)`` accumulator stack whose first
     ``len(q_basis)`` rows per half are the Q rows, ``corr`` the
     ``(halves*len(q_basis), N)`` correction stack; both hold canonical
-    residues.  The native ``mod_down_tail`` reads the strided Q rows in
-    place and computes ``(acc_Q - corr + q) * value^-1`` with one lazy
-    Shoup product and one conditional subtract; the numpy twin
-    subtracts into ``corr`` and runs :func:`_scale_by_inv_batch`.
+    residues.  With ``add`` (a ``(halves/2 * len(q_basis), N)`` stack of
+    canonical residues, ``halves`` even), half 0 of each pair also gains
+    ``add``'s rows of that pair read through the column permutation
+    ``perm`` (``add[..., perm]``; none: as they lie), reduced: the
+    hoisted rotation's ``ks0 + sigma(c0)`` with no gathered copy of
+    ``c0``.  A permuted ``add`` counts its rows as ``auto.rows`` under
+    both implementations.
+
+    The native ``mod_down_tail`` reads the strided Q rows and ``add``
+    in place and computes ``(acc_Q - corr + q) * value^-1`` with one
+    lazy Shoup product and one conditional subtract (one more for the
+    addend).  The numpy twin subtracts into ``corr``, runs
+    :func:`_scale_by_inv_batch`, then gathers, adds and conditionally
+    subtracts the addend.  Under ``REPRO_VERIFY=1`` the C entry checks
+    the ``2^31`` bound (:class:`~repro.nttmath.batched.ShoupBoundError`).
     """
     l1 = len(q_basis)
     n = corr.shape[1]
@@ -353,18 +381,77 @@ def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
         raise ValueError(f"accumulator {acc.shape} and correction "
                          f"{corr.shape} do not hold {halves} halves of "
                          f"{l1} Q rows")
+    if add is not None and (halves % 2
+                            or add.shape != (halves // 2 * l1, n)):
+        raise ValueError(f"addend {add.shape} does not hold the first "
+                         f"halves of {halves} halves of {l1} Q rows")
+    if perm is not None and perm.shape != (n,):
+        raise ValueError(f"a {perm.shape} permutation on {n} columns")
     lib = _ks_kernel(q_basis)
+    if verify_inputs() and lib is not None:
+        require_shoup_bound(q_basis.primes, "mod_down_tail")
+    if add is not None and perm is not None and TRACER.enabled:
+        TRACER.count("auto.rows", add.shape[0])
     if lib is not None:
         inv_u, inv_sh = _batch_inv_shoup(value, q_basis, 1)
-        lib.mod_down_tail(corr, np.ascontiguousarray(acc), halves, l1,
-                          ext_limbs, n, q_basis.q_col.astype(np.uint64),
-                          inv_u, inv_sh)
+        if lib.mod_down_tail(corr, np.ascontiguousarray(acc), halves, l1,
+                             ext_limbs, n, q_basis.q_col.astype(np.uint64),
+                             inv_u, inv_sh,
+                             None if add is None
+                             else np.ascontiguousarray(add), perm):
+            raise ValueError("native ModDown tail: a permutation entry "
+                             "lies outside [0, n)")
         return corr
     corr3 = corr.reshape(halves, l1, n)
     np.subtract(acc.reshape(halves, ext_limbs, n)[:, :l1], corr3,
                 out=corr3)
-    return _scale_by_inv_batch(corr, value, q_basis,
-                               _batch_q_col(q_basis, halves), halves)
+    out = _scale_by_inv_batch(corr, value, q_basis,
+                              _batch_q_col(q_basis, halves), halves)
+    if add is not None:
+        if perm is not None:
+            add = np.take(add, perm, axis=1)
+        half0 = out.reshape(halves // 2, 2, l1, n)[:, 0]
+        half0 += add.reshape(halves // 2, l1, n)
+        # Canonical + canonical < 2q: conditional subtract, no division.
+        tmp = scratch("mdt_c", half0.shape)
+        _csub_into(half0.view(np.uint64), q_basis.q_col.view(np.uint64),
+                   tmp)
+        release_scratch("mdt_c", half0.shape)
+    return out
+
+
+def add_sub(x: np.ndarray | None, y: np.ndarray, basis: RnsBasis,
+            sign: int = 1) -> np.ndarray:
+    """``(x + sign*y) % q`` over ct-major stacks of polynomials on
+    ``basis`` (row ``r`` on limb ``r % L``); ``x = None`` with
+    ``sign = -1`` negates ``y``.  Any int64 inputs: the result is
+    numpy's ``(x +- y) % q`` bit for bit, wraparound included.
+
+    The native ``batch_add_sub`` does it in one pass (Barrett, no
+    division); the numpy twin is the broadcast expression."""
+    if y.ndim != 2 or y.shape[0] % len(basis) or (
+            x is not None and x.shape != y.shape):
+        raise ValueError(f"stacks {None if x is None else x.shape} and "
+                         f"{y.shape} are not polynomials over "
+                         f"{len(basis)} limbs")
+    if sign not in (1, -1) or (x is None and sign != -1):
+        raise ValueError(f"sign {sign} with "
+                         f"{'no' if x is None else 'a'} first operand")
+    lib = native.kernel()
+    if lib is None:
+        q = _batch_q_col(basis, y.shape[0] // len(basis))
+        if x is None:
+            return (-y) % q
+        return (x + y if sign > 0 else x - y) % q
+    out = np.empty(y.shape, dtype=np.int64)
+    if lib.batch_add_sub(out, None if x is None
+                         else np.ascontiguousarray(x),
+                         np.ascontiguousarray(y), y.shape[0], len(basis),
+                         y.shape[1], basis.q_col.astype(np.uint64),
+                         sign):
+        raise ValueError(f"native batch add/sub refused the moduli "
+                         f"{basis.primes}")
+    return out
 
 
 def batch_col_cache_size() -> int:
@@ -676,26 +763,27 @@ class SwitchingKey:
         return self._shoup
 
     def stacked_tables(self, count: int, rows: tuple[int, ...]) -> tuple:
-        """Digit-stacked Shoup tables for the evaluator's one-pass MAC.
+        """Digit-stacked ``(b, a)`` uint64 tables for :func:`key_mac`.
 
         Restricts the first ``count`` digits of ``b`` and ``a`` to the
         key-basis ``rows`` (a level's ``q_0..q_l + P`` selection) and
         concatenates them along the limb axis, so the whole key MAC is
-        one ``(count*len(rows), N)`` Shoup multiply per accumulator.
-        Cached per ``(count, rows)`` — keys are static and the level
-        set a workload touches is small.
+        one ``(count*len(rows), N)`` pass per accumulator.  Cached per
+        ``(count, rows)`` — keys are static and the level set a workload
+        touches is small.  No Shoup companions: only the numpy twin
+        reads them, and it builds its own.
         """
         key = (count, rows)
         hit = self._stacked.get(key)
         if hit is None:
             idx = np.asarray(rows, dtype=np.intp)
-            b_tables, a_tables = self.shoup_tables()
 
-            def stack(tables):
-                return (np.concatenate([t[0][idx] for t in tables[:count]]),
-                        np.concatenate([t[1][idx] for t in tables[:count]]))
+            def stack(polys):
+                # Canonical residues: the uint64 view is their value.
+                return np.concatenate([p.data[idx] for p in polys[:count]]
+                                      ).view(np.uint64)
 
-            hit = (stack(b_tables), stack(a_tables))
+            hit = (stack(self.b), stack(self.a))
             self._stacked[key] = hit
         return hit
 
@@ -1004,7 +1092,7 @@ class RnsEvaluatorBase:
             return type(x)(c0=x.c0 + y.c0, c1=x.c1 + y.c1,
                            scale=x.scale)
         self._check_domains(x.is_ntt, y.is_ntt)
-        pair = (x.pair() + y.pair()) % _pair_col(x.basis.q_col)
+        pair = add_sub(x.pair(), y.pair(), x.basis)
         return type(x).from_pair(x.basis, pair, x.scale,
                                  is_ntt=x.is_ntt)
 
@@ -1015,14 +1103,14 @@ class RnsEvaluatorBase:
             return type(x)(c0=x.c0 - y.c0, c1=x.c1 - y.c1,
                            scale=x.scale)
         self._check_domains(x.is_ntt, y.is_ntt)
-        pair = (x.pair() - y.pair()) % _pair_col(x.basis.q_col)
+        pair = add_sub(x.pair(), y.pair(), x.basis, -1)
         return type(x).from_pair(x.basis, pair, x.scale,
                                  is_ntt=x.is_ntt)
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         if not self.stacked:
             return type(ct)(c0=-ct.c0, c1=-ct.c1, scale=ct.scale)
-        pair = (-ct.pair()) % _pair_col(ct.basis.q_col)
+        pair = add_sub(None, ct.pair(), ct.basis, -1)
         return type(ct).from_pair(ct.basis, pair, ct.scale,
                                   is_ntt=ct.is_ntt)
 
@@ -1318,7 +1406,10 @@ class RnsEvaluatorBase:
                        auto=auto)
 
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
-                                q_basis: RnsBasis, k: int) -> np.ndarray:
+                                q_basis: RnsBasis, k: int, *,
+                                add: np.ndarray | None = None,
+                                perm: np.ndarray | None = None
+                                ) -> np.ndarray:
         """ModDown ``k`` stacked accumulator pairs in the NTT domain:
         ``ks = (acc - NTT(BConv_P(iNTT(acc_P)))) * P^-1 mod Q``.
 
@@ -1332,7 +1423,9 @@ class RnsEvaluatorBase:
         :meth:`_key_mac_batch`; output is the ct-major ``(2k*(l+1),
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
         BGV overrides this (and the reference :meth:`_mod_down_pair`)
-        with the exact ``t``-corrected variant.  Traced as one
+        with the exact ``t``-corrected variant.  ``add``/``perm`` pass
+        to :func:`mod_down_tail`, which adds the ``(k*(l+1), N)`` stack
+        ``add`` (permuted) into each ``ks0``.  Traced as one
         ``ks.moddown`` span whose ``impl`` names the tail's kernel."""
         n = self.context.n
         p_basis = self.context.p_basis
@@ -1355,7 +1448,7 @@ class RnsEvaluatorBase:
             # acc_q and no expression temporaries (the wide stacks dwarf
             # L2, so every avoided pass is a DRAM round trip).
             return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
-                                 2 * k)
+                                 2 * k, add=add, perm=perm)
 
     # -- legacy key-switch internals (the differential reference) ------
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
@@ -1502,25 +1595,28 @@ class RnsEvaluatorBase:
 
     def batch_add(self, x: CiphertextBatch,
                   y: CiphertextBatch) -> CiphertextBatch:
-        """Add ``k`` ciphertext pairs in one ``(2k*L, N)`` kernel."""
+        """Add ``k`` ciphertext pairs in one ``(2k*L, N)`` pass
+        (:func:`add_sub`)."""
         self._check_batch(x, y)
-        stack = (x.stack + y.stack) % _batch_q_col(x.basis, 2 * x.k)
+        stack = add_sub(x.stack, y.stack, x.basis)
         return CiphertextBatch(basis=x.basis, stack=stack,
                                scales=list(x.scales), is_ntt=x.is_ntt,
                                ct_cls=x.ct_cls)
 
     def batch_sub(self, x: CiphertextBatch,
                   y: CiphertextBatch) -> CiphertextBatch:
-        """Subtract ``k`` ciphertext pairs in one wide kernel."""
+        """Subtract ``k`` ciphertext pairs in one wide pass
+        (:func:`add_sub`)."""
         self._check_batch(x, y)
-        stack = (x.stack - y.stack) % _batch_q_col(x.basis, 2 * x.k)
+        stack = add_sub(x.stack, y.stack, x.basis, -1)
         return CiphertextBatch(basis=x.basis, stack=stack,
                                scales=list(x.scales), is_ntt=x.is_ntt,
                                ct_cls=x.ct_cls)
 
     def batch_negate(self, batch: CiphertextBatch) -> CiphertextBatch:
-        """Negate ``k`` ciphertext pairs in one wide kernel."""
-        stack = (-batch.stack) % _batch_q_col(batch.basis, 2 * batch.k)
+        """Negate ``k`` ciphertext pairs in one wide pass
+        (:func:`add_sub`)."""
+        stack = add_sub(None, batch.stack, batch.basis, -1)
         return CiphertextBatch(basis=batch.basis, stack=stack,
                                scales=list(batch.scales),
                                is_ntt=batch.is_ntt, ct_cls=batch.ct_cls)
@@ -1672,8 +1768,10 @@ class RnsEvaluatorBase:
         folded into each kernel.  The native key MAC reads the lifted
         digits through each step's permutation, as EFFACT streams them
         through its automorphism unit, with no rotated copy written
-        back (the numpy twin gathers one); ``sigma(c0)`` lands in a
-        buffer reused across steps."""
+        back (the numpy twin gathers one), and the ModDown tail adds
+        ``sigma(c0)`` into ``ks0`` reading ``c0`` through the same
+        permutation (:func:`mod_down_tail`), so no rotated ``c0`` is
+        gathered either."""
         if not batch.is_ntt:
             raise ValueError("batch rotations expect NTT-domain batches")
         ctx = self.context
@@ -1702,18 +1800,12 @@ class RnsEvaluatorBase:
                 lifted = self._lift_digits_batch(
                     base_engine.inverse(c1_stack, assume_reduced=True),
                     level, ext, beta, k, ntt_rows=c1_stack)
-                rc0 = np.empty_like(c0_stack)
             g = galois_element(step, ctx.n)
             acc = self._key_mac_batch(lifted, key, level, beta, ext, k,
                                       auto=(ext_engine, g))
-            ks = self._mod_down_batch_stacked(acc, ext, basis, k)
-            base_engine.automorphism_ntt(c0_stack, g, out=rc0)
-            ks4 = ks.reshape(k, 2, limbs, n)
-            ks4[:, 0] += rc0.reshape(k, limbs, n)
-            tmp = scratch("bhoist_c", (k, limbs, n))
-            _csub_into(ks4[:, 0].view(np.uint64),
-                       basis.q_col.view(np.uint64), tmp)
-            release_scratch("bhoist_c", (k, limbs, n))
+            ks = self._mod_down_batch_stacked(
+                acc, ext, basis, k, add=c0_stack,
+                perm=base_engine.automorphism_index(g))
             out[step] = CiphertextBatch(basis=basis, stack=ks,
                                         scales=list(batch.scales),
                                         is_ntt=True, ct_cls=batch.ct_cls)

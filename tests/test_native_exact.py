@@ -41,7 +41,7 @@ from repro.nttmath.primes import find_ntt_primes, is_prime
 from repro.rns import bconv
 from repro.rns.basis import RnsBasis
 from repro.rns.bconv import (
-    _exact_tables,
+    _conv_table,
     base_convert_centered_stack,
     base_convert_exact,
 )
@@ -272,7 +272,7 @@ def test_argtypes_reject_wrong_dtype_and_layout_without_writing(lib,
     src, dst = RnsBasis(POOL[:3]), RnsBasis(POOL[3:5])
     n = 64
     stack = _canonical(rng, src, 1, n)
-    tab = _exact_tables(src, dst)
+    tab = _conv_table(src, dst)
     ctx = bfv_ctx
     lq, lr = len(ctx.q_full), len(ctx.r_basis)
     d = _canonical(rng, ctx.mul_basis, 1, n)

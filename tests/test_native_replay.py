@@ -50,7 +50,7 @@ from repro.compiler.exec_plan import (
     plan_from_payload,
     plan_to_payload,
 )
-from repro.compiler.ir import PackedProgram
+from repro.compiler.ir import Opcode, PackedProgram, Program
 from repro.compiler.lowering import LoweringParams
 from repro.compiler.pipeline import CompileOptions, compile_packed
 from repro.nttmath import native
@@ -513,9 +513,10 @@ def test_fft_tables_are_the_engine_rows_by_prime(lib):
 @pytest.mark.parametrize("fft,label", FFT_KINDS)
 def test_fft_step_over_a_31_bit_prime_takes_the_engine(lib, monkeypatch,
                                                        fft, label):
-    """Past the fused 2^30 bound the step keeps the gather -> engine ->
-    scatter path (the engine then runs its radix-2 numpy kernel), while
-    a step over fused primes next to it runs in C."""
+    """Past the fused 2^30 bound a transform keeps the gather -> engine
+    -> scatter path (the engine then runs its radix-2 numpy kernel),
+    while a step over fused primes next to it runs in C.  An
+    automorphism reads no prime, so C runs it over any modulus."""
     rng = np.random.default_rng(31)
     wide = _fft_step(rng, fft, primes=FFT_PRIMES + [WIDE_PRIME])
     wide.primes = (WIDE_PRIME,) + wide.primes[1:]
@@ -528,11 +529,36 @@ def test_fft_step_over_a_31_bit_prime_takes_the_engine(lib, monkeypatch,
     arena = _fft_values(rng, (ROWS, N), WIDE_PRIME)
     got = arena.copy()
     _replay_steps(plan, got, None)
-    assert not _native(plan, 0) and _native(plan, 1)
-    # Only the step numpy runs builds a stacked engine.
-    assert wide.engine is not None and other.engine is None
+    assert _native(plan, 0) == (fft == 2) and _native(plan, 1)
+    # Only a step numpy runs builds a stacked engine.
+    assert (wide.engine is None) == (fft == 2) and other.engine is None
     got, want = _run_both(plan, arena, monkeypatch)
     np.testing.assert_array_equal(got, want)
+
+
+def test_auto_over_31_bit_primes_runs_in_c_and_matches_reference(
+        lib, monkeypatch):
+    """A compiled program whose automorphisms run over 31-bit primes:
+    C runs every step of its plan, bitwise equal to numpy and to
+    :func:`execute_reference`."""
+    prog = Program(N, name="auto31")
+    for j, step in enumerate((1, -1, 5)):
+        x = prog.load(prog.dram_value(f"auto31.in[{j}]"), modulus=j)
+        prog.mark_output(prog.emit(Opcode.AUTO, (x,), modulus=j,
+                                   imm=step, tag="auto"))
+    prog.validate()
+    packed = PackedProgram.from_program(prog)
+    bindings = synthesize_bindings(packed, bits=31)
+    assert min(bindings.q) >= exec_plan._FFT_Q_BOUND
+    compiled = compile_packed(packed.copy(), CompileOptions())
+    plan = get_exec_plan(compiled, bindings)
+    got = _outputs_under("native", monkeypatch, compiled, bindings)
+    kinds = plan._table.steps[:, 0]
+    assert K_FFT in kinds.tolist()
+    assert (kinds != exec_plan._K_NUMPY).all()
+    _assert_same(got, _outputs_under("numpy", monkeypatch, compiled,
+                                     bindings), "numpy")
+    _assert_same(got, execute_reference(prog, bindings), "reference")
 
 
 def test_fft_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
