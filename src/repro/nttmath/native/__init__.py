@@ -20,8 +20,10 @@
   conversion and ModDown tail of the batch key switch
   (:func:`repro.schemes.rns_core.key_mac`,
   :func:`repro.rns.bconv.base_convert_stack`,
-  :func:`repro.schemes.rns_core.mod_down_tail`, which can also add a
-  hoisted rotation's permuted ``c0`` into each pair's first half).
+  :func:`repro.schemes.rns_core.mod_down_tail`, which can also add an
+  addend into each pair's first half, read through a permutation (a
+  hoisted rotation's ``c0``), or into both halves (a relinearization's
+  ``d0`` and ``d1``)).
   They take canonical residues over moduli below ``2^31``: the key MAC
   and both conversions sum whole 62-bit products in uint64 (one
   multiply per term, guarded below ``2^63``, one Barrett reduction per
@@ -43,6 +45,19 @@
   residues over moduli below ``2^31`` (``_shoup_tail_ok``) and sizes
   every shape from the bases; any input value is read as its low 32
   bits, so a bad one gives wrong residues, never an out-of-table read.
+
+The source is portable C99 and :data:`CFLAGS` name no target (no
+``-march``, no ``-m`` flag).  On x86-64 with glibc, ``ntt.c`` marks its
+hot integer loops -- the NTT rows and their loads and stores, the key
+MAC, the conversions' weighted sums and the ModDown tail -- with GCC /
+Clang ``target_clones``: each is compiled for baseline x86-64 and for
+AVX2 (some also for AVX-512), and the dynamic loader picks the widest
+clone the CPU runs when the library loads.  One cached library thus
+serves every x86-64 machine at its own vector width, the clones give
+bitwise-equal results, and :func:`library_path`'s hash still names one
+build per source, flag set and architecture.  Elsewhere (other
+architectures, other C libraries, compilers without the attribute) the
+same loops compile once, as written.
 
 :func:`kernel` compiles it once with the system ``cc`` into a per-user
 cache directory (``$XDG_CACHE_HOME/repro/native``, default
@@ -79,14 +94,19 @@ import numpy as np
 from ...core.env import env_str
 
 __all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "address", "bind",
-           "build", "cache_dir", "kernel", "library_path", "load"]
+           "build", "cache_dir", "declare", "kernel", "library_path",
+           "load"]
 
 #: The kernel source compiled by :func:`build`.
 SOURCE = Path(__file__).with_name("ntt.c")
 
 #: Portable flags only: no ``-march``, so the cached library runs on
-#: any machine of the same architecture that shares the cache.
-CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
+#: any machine of the same architecture that shares the cache (the x86-64
+#: vector clones are chosen at load time, see the module docstring).
+#: ``-ffp-contract=off`` keeps every clone from fusing a float multiply
+#: and add into an FMA, which the exact conversions' bitwise float
+#: contract rules out.
+CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def address(arr: np.ndarray) -> int:
@@ -175,7 +195,7 @@ _SIGNATURES = {
                      _N, _PTR, _N, _N, _N),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, _TAB),
-    "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT,
+    "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT, _N,
                       _OPT),
     "batch_add_sub": (_OUT, _OPT, _IN, _N, _N, _N, _TAB, _I),
     "bconv_exact": (_OUT, _IN, _N, _N, _N, _N, _TAB),
@@ -250,18 +270,23 @@ def build(source: Path | None = None, cache: Path | None = None) -> Path:
     return target
 
 
+def declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """``lib`` with every kernel's ``argtypes``/``restype`` declared;
+    raises :class:`AttributeError` if a kernel is missing."""
+    for name, argtypes in _SIGNATURES.items():
+        func = getattr(lib, name)
+        func.argtypes = argtypes
+        func.restype = ctypes.c_int
+    return lib
+
+
 def load(source: Path | None = None,
          cache: Path | None = None) -> ctypes.CDLL | None:
     """Build (if needed) and load the library with every function's
     ``argtypes``/``restype`` declared; ``None`` plus one
     :class:`RuntimeWarning` naming the reason when that fails."""
     try:
-        lib = ctypes.CDLL(str(build(source, cache)))
-        for name, argtypes in _SIGNATURES.items():
-            func = getattr(lib, name)
-            func.argtypes = argtypes
-            func.restype = ctypes.c_int
-        return lib
+        return declare(ctypes.CDLL(str(build(source, cache))))
     except NativeBuildError as exc:
         reason = str(exc)
     except (OSError, AttributeError) as exc:

@@ -10,7 +10,8 @@
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
  *   through its permutation), fast base conversion and ModDown tail
  *   (adding a permuted addend into half 0 of each pair, the hoisted
- *   rotation's sigma(c0)) of repro.schemes.rns_core's batch key
+ *   rotation's sigma(c0), or into both halves, a relinearization's d0
+ *   and d1) of repro.schemes.rns_core's batch key
  *   switch, and batch_add_sub, the batch ops' modular add, subtract
  *   and negate;
  * - bconv_exact / bfv_scale_round: the exact (centred) base conversion
@@ -26,8 +27,17 @@
  * 32 bits and gives a wrong residue, never an out-of-bounds access.
  *
  * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
- * 64-bit target provides (riscv64 included): no intrinsics, no
- * target-specific flags.
+ * 64-bit target provides (riscv64 included): no intrinsics and no -march
+ * or -m flag, so the built library runs on any machine of its
+ * architecture.  On x86-64 with glibc the hot integer loops are marked
+ * VECTOR_CLONES (defined below): the compiler builds each of them from
+ * the same source for baseline x86-64 (SSE2), for AVX2 and, where that
+ * measured faster still, for AVX-512, and the dynamic loader picks one
+ * clone per CPU when the library loads (an ifunc).  Every clone computes
+ * the same integer expressions, so their results are bitwise equal; the
+ * wider ones run the 32-bit Shoup products with native vector multiplies
+ * (SSE2 emulates them) and narrow int64 to uint32 in one instruction
+ * (AVX-512).
  */
 
 /*
@@ -54,6 +64,31 @@
 #include <stdint.h>
 #include <stdlib.h>
 
+/*
+ * VECTOR_CLONES("avx2") is target_clones("avx2", "default") where the
+ * toolchain can build and dispatch it (x86-64, glibc's ifunc, a compiler
+ * that knows the attribute), and nothing elsewhere.  A function lists a
+ * clone only where an interleaved C timing (n = 4096, 30-bit moduli) had
+ * it faster than the next narrower one: AVX2 for every marked loop,
+ * AVX-512 (by 1.3-2.6x) for the int64 <-> uint32 row moves, the
+ * conversions' weighted sums and the ModDown tail, but not for the
+ * butterflies or the key MAC.  A build may predefine the macro (-D) to
+ * pin one variant: empty for the plain build other architectures run, or
+ * one target attribute for every marked function; the production flags
+ * never set it.
+ */
+#ifndef VECTOR_CLONES
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VECTOR_CLONES(...) \
+    __attribute__((target_clones(__VA_ARGS__, "default")))
+#endif
+#endif
+#endif
+#ifndef VECTOR_CLONES
+#define VECTOR_CLONES(...)
+#endif
+
 /* x * w mod q, landed in [0, 2q); exact for any x < 2^32, w < q. */
 static inline uint32_t shoup_lazy(uint32_t x, uint32_t w, uint32_t w_sh,
                                   uint32_t q)
@@ -67,16 +102,24 @@ static inline uint32_t csub(uint32_t x, uint32_t bound)
     return x >= bound ? x - bound : x;
 }
 
-/* Load one row into the work buffer, reducing mod q when asked.  The
- * reduction keeps canonical values as they are ((uint64_t)v < q holds
- * exactly for v in [0, q)) and takes C's truncating % plus a sign fix
- * for every other int64, so it costs one compare on rows that are
- * already reduced. */
-static void load_row(uint32_t *restrict a, const int64_t *restrict src,
-                     size_t n, uint64_t q, int reduce)
+/* Load one row into the work buffer, reducing mod q when asked.  A
+ * branch-free scan first looks for a value outside [0, q); a row without
+ * one is narrowed as it lies.  Otherwise canonical values stay as they
+ * are ((uint64_t)v < q holds exactly for v in [0, q)) and every other
+ * int64 takes C's truncating % plus a sign fix.  The scan tests the top
+ * bit of v | ~(v - q), set exactly when v < 0 or v >= q (q < 2^63): an
+ * add, an or and a not per value, which vectorize even on SSE2, where a
+ * 64-bit compare does not. */
+static VECTOR_CLONES("avx512f", "avx2")
+void load_row(uint32_t *restrict a, const int64_t *restrict src, size_t n,
+              uint64_t q, int reduce)
 {
     size_t j;
-    if (reduce) {
+    uint64_t big = 0;
+    if (reduce)
+        for (j = 0; j < n; j++)
+            big |= (uint64_t)src[j] | ~((uint64_t)src[j] - q);
+    if (big >> 63) {
         int64_t qs = (int64_t)q;
         for (j = 0; j < n; j++) {
             int64_t v = src[j], r;
@@ -94,8 +137,9 @@ static void load_row(uint32_t *restrict a, const int64_t *restrict src,
 }
 
 /* Fold [0, 4q) to [0, q) and store the row. */
-static void store_row(int64_t *restrict dst, const uint32_t *restrict a,
-                      size_t n, uint32_t q)
+static VECTOR_CLONES("avx512f", "avx2")
+void store_row(int64_t *restrict dst, const uint32_t *restrict a, size_t n,
+               uint32_t q)
 {
     uint32_t q2 = 2 * q;
     size_t j;
@@ -146,9 +190,10 @@ static void inv_block(uint32_t *restrict x, uint32_t *restrict y, size_t t,
 
 /* The stages with blocks of t = 1 and t = 2 butterflies walk the whole
  * row in one loop (per-block calls would be all overhead there). */
-static void forward_row(uint32_t *restrict a, size_t n, uint32_t q,
-                        const uint32_t *restrict psi,
-                        const uint32_t *restrict psi_sh)
+static VECTOR_CLONES("avx2")
+void forward_row(uint32_t *restrict a, size_t n, uint32_t q,
+                 const uint32_t *restrict psi,
+                 const uint32_t *restrict psi_sh)
 {
     uint32_t q2 = 2 * q;
     size_t m, t = n, i;
@@ -185,10 +230,11 @@ static void forward_row(uint32_t *restrict a, size_t n, uint32_t q,
 /* With scale set, the last stage also applies the 1/n scaling: the sum
  * branch takes an explicit n^-1 multiply (s) and the difference branch
  * the merged twiddle psi_inv^br[1] * n^-1 (f). */
-static void inverse_row(uint32_t *restrict a, size_t n, uint32_t q,
-                        const uint32_t *restrict psi,
-                        const uint32_t *restrict psi_sh, int scale,
-                        uint32_t s, uint32_t s_sh, uint32_t f, uint32_t f_sh)
+static VECTOR_CLONES("avx2")
+void inverse_row(uint32_t *restrict a, size_t n, uint32_t q,
+                 const uint32_t *restrict psi,
+                 const uint32_t *restrict psi_sh, int scale,
+                 uint32_t s, uint32_t s_sh, uint32_t f, uint32_t f_sh)
 {
     uint32_t q2 = 2 * q;
     size_t m, h, t = 1, i;
@@ -770,11 +816,12 @@ static inline uint64_t msum_guard(uint64_t a, uint64_t g)
  * row at x + d * xs, read through perm when set (else as it lies), its
  * key rows at b + d * ts and a + d * ts; the one-multiply sums go into
  * ob and oa, which end reduced.  row is a w-word work buffer. */
-static void mac_rows(uint64_t *restrict ob, uint64_t *restrict oa,
-                     const int64_t *x, size_t xs, const int64_t *perm,
-                     const uint64_t *b, const uint64_t *a, size_t ts,
-                     size_t beta, size_t w, const struct msum *ms,
-                     uint32_t *restrict row)
+static VECTOR_CLONES("avx2")
+void mac_rows(uint64_t *restrict ob, uint64_t *restrict oa,
+              const int64_t *x, size_t xs, const int64_t *perm,
+              const uint64_t *b, const uint64_t *a, size_t ts,
+              size_t beta, size_t w, const struct msum *ms,
+              uint32_t *restrict row)
 {
     size_t d, d1, j;
     for (d = 0; d < beta; d = d1) {
@@ -870,22 +917,27 @@ int ks_mac(uint64_t *out, const int64_t *x, size_t k, size_t beta,
  * stack and inv, inv_sh the Shoup pair of P^-1 mod q_i.  Canonical
  * residues in: acc - corr + q lies in (0, 2q), one lazy Shoup product
  * and one conditional subtract land the canonical residue (ext >= l1,
- * which the caller checks).  With add non-NULL, half 0 of each pair
- * (every even c) also gains add's row of its pair and limb, read
- * through perm (perm[j] = j when NULL):
- *   corr[c][i][j] += add[c / 2][i][perm[j]] mod q[i]
+ * which the caller checks).  With add non-NULL, every every-th half
+ * (each c with c % every == 0) also gains add's row group c / every,
+ * read through perm (perm[j] = j when NULL):
+ *   corr[c][i][j] += add[c / every][i][perm[j]] mod q[i]
  * one more conditional subtract on the canonical sum; add is a
- * ((k2 + 1) / 2, l1, n) stack of canonical residues.  This is the
- * hoisted rotation's ks0 + sigma(c0), with no gathered copy of c0.
- * Returns 0, or 1 without writing anything if a perm entry lies
- * outside [0, n).
+ * ((k2 + every - 1) / every, l1, n) stack of canonical residues.  With
+ * every = 2 that is half 0 of each pair: the hoisted rotation's
+ * ks0 + sigma(c0), with no gathered copy of c0; with every = 1 both
+ * halves: a relinearization's (ks0 + d0, ks1 + d1).  Returns 0, or 1
+ * without writing anything if add is set with every = 0 or a perm entry
+ * lies outside [0, n).
  */
+VECTOR_CLONES("avx512f", "avx2")
 int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
                   size_t ext, size_t n, const uint64_t *q,
                   const uint64_t *inv, const uint64_t *inv_sh,
-                  const int64_t *add, const int64_t *perm)
+                  const int64_t *add, size_t every, const int64_t *perm)
 {
     size_t c, i, j;
+    if (add && !every)
+        return 1;
     if (perm)
         for (j = 0; j < n; j++)
             if (perm[j] < 0 || (uint64_t)perm[j] >= n)
@@ -894,8 +946,8 @@ int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
         for (i = 0; i < l1; i++) {
             int64_t *restrict o = corr + (c * l1 + i) * n;
             const int64_t *restrict x = acc + (c * ext + i) * n;
-            const int64_t *restrict y =
-                add && c % 2 == 0 ? add + (c / 2 * l1 + i) * n : NULL;
+            const int64_t *restrict y = add && c % every == 0
+                ? add + (c / every * l1 + i) * n : NULL;
             uint32_t qi = (uint32_t)q[i], f = (uint32_t)inv[i];
             uint32_t f_sh = (uint32_t)inv_sh[i];
             if (!y)
@@ -975,8 +1027,8 @@ int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
  * numpy twin sums in, so e is the same double rounded the same way and
  * the result is bitwise equal to it.  rint is round-half-to-even,
  * computed as (f + 2^52) - 2^52 (exact for 0 <= f < 2^52 in the
- * default rounding mode; the build sets no -ffast-math, and -std=c99
- * keeps contraction off).  Each v_j / q_j lies in [0, 1), so
+ * default rounding mode; the build sets no -ffast-math, and
+ * -ffp-contract=off keeps FMA contraction out of every clone).  Each v_j / q_j lies in [0, 1), so
  * 0 <= e <= l_from.  The weighted sum and the e * (Q mod p_i)
  * correction land in one exact uint64 sum per output, reduced once
  * (see exact_block).  Every modulus lies in [2, 2^31) (the caller
@@ -1080,9 +1132,10 @@ static int exact_work_alloc(struct exact_work *wk, size_t l_from,
  * targets this scalar form beats the three-multiply lazy Shoup sum,
  * vectorized (SSE2) or not.
  */
-static void exact_block(int64_t *out, size_t os, const int64_t *x,
-                        size_t xs, size_t w, const struct exact_tab *t,
-                        const struct exact_work *wk)
+static VECTOR_CLONES("avx512f", "avx2")
+void exact_block(int64_t *out, size_t os, const int64_t *x, size_t xs,
+                 size_t w, const struct exact_tab *t,
+                 const struct exact_work *wk)
 {
     const double two52 = 4503599627370496.0;
     size_t i, j, col;

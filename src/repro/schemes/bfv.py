@@ -69,7 +69,6 @@ from .rns_core import (
     RnsKeyGenerator,
     SecretKey,
     SwitchingKey,
-    _pair_col,
 )
 
 __all__ = [
@@ -240,8 +239,9 @@ class BfvEvaluator(RnsEvaluatorBase):
             np.concatenate([d0, d1, d2]))
         dq = self._scale_round_stack(d_coeff, 3)
         d01 = self.kernels.engine((q, q)).forward(dq[:2 * lq])
-        ks, _ = self._key_switch_batch(dq[2 * lq:], key, lq - 1, 1)
-        out = (d01 + ks) % _pair_col(q.q_col)
+        # The ModDown tail adds d0/d1 into the key switch's halves.
+        out, _ = self._key_switch_batch(dq[2 * lq:], key, lq - 1, 1,
+                                        add=d01)
         return type(x).from_pair(q, out, x.scale, is_ntt=True)
 
     def _require_full_basis(self, x: Ciphertext, y: Ciphertext) -> None:

@@ -357,13 +357,18 @@ def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
     ``acc`` is a ``(halves*E, N)`` accumulator stack whose first
     ``len(q_basis)`` rows per half are the Q rows, ``corr`` the
     ``(halves*len(q_basis), N)`` correction stack; both hold canonical
-    residues.  With ``add`` (a ``(halves/2 * len(q_basis), N)`` stack of
-    canonical residues, ``halves`` even), half 0 of each pair also gains
-    ``add``'s rows of that pair read through the column permutation
-    ``perm`` (``add[..., perm]``; none: as they lie), reduced: the
-    hoisted rotation's ``ks0 + sigma(c0)`` with no gathered copy of
-    ``c0``.  A permuted ``add`` counts its rows as ``auto.rows`` under
-    both implementations.
+    residues.  ``add``, a stack of canonical residues, is added in
+    reduced, read through the column permutation ``perm``
+    (``add[..., perm]``; none: as it lies):
+
+    - ``(halves * len(q_basis), N)``: into every half, a
+      relinearization's ``(ks0 + d0, ks1 + d1)``;
+    - ``(halves/2 * len(q_basis), N)``, ``halves`` even: into half 0 of
+      each pair, the hoisted rotation's ``ks0 + sigma(c0)`` with no
+      gathered copy of ``c0``.
+
+    A permuted ``add`` counts its rows as ``auto.rows`` under both
+    implementations.
 
     The native ``mod_down_tail`` reads the strided Q rows and ``add``
     in place and computes ``(acc_Q - corr + q) * value^-1`` with one
@@ -381,10 +386,18 @@ def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
         raise ValueError(f"accumulator {acc.shape} and correction "
                          f"{corr.shape} do not hold {halves} halves of "
                          f"{l1} Q rows")
-    if add is not None and (halves % 2
-                            or add.shape != (halves // 2 * l1, n)):
-        raise ValueError(f"addend {add.shape} does not hold the first "
-                         f"halves of {halves} halves of {l1} Q rows")
+    # The addend covers every every-th half: all of them, or half 0 of
+    # each pair.
+    every = 0
+    if add is not None:
+        if add.shape == (halves * l1, n):
+            every = 1
+        elif halves % 2 == 0 and add.shape == (halves // 2 * l1, n):
+            every = 2
+        else:
+            raise ValueError(f"addend {add.shape} holds neither every half "
+                             f"nor the first halves of {halves} halves of "
+                             f"{l1} Q rows")
     if perm is not None and perm.shape != (n,):
         raise ValueError(f"a {perm.shape} permutation on {n} columns")
     lib = _ks_kernel(q_basis)
@@ -398,7 +411,7 @@ def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
                              ext_limbs, n, q_basis.q_col.astype(np.uint64),
                              inv_u, inv_sh,
                              None if add is None
-                             else np.ascontiguousarray(add), perm):
+                             else np.ascontiguousarray(add), every, perm):
             raise ValueError("native ModDown tail: a permutation entry "
                              "lies outside [0, n)")
         return corr
@@ -410,13 +423,14 @@ def mod_down_tail(acc: np.ndarray, corr: np.ndarray, q_basis: RnsBasis,
     if add is not None:
         if perm is not None:
             add = np.take(add, perm, axis=1)
-        half0 = out.reshape(halves // 2, 2, l1, n)[:, 0]
-        half0 += add.reshape(halves // 2, l1, n)
+        groups = halves // every
+        target = out.reshape(groups, every, l1, n)[:, 0]
+        target += add.reshape(groups, l1, n)
         # Canonical + canonical < 2q: conditional subtract, no division.
-        tmp = scratch("mdt_c", half0.shape)
-        _csub_into(half0.view(np.uint64), q_basis.q_col.view(np.uint64),
+        tmp = scratch("mdt_c", target.shape)
+        _csub_into(target.view(np.uint64), q_basis.q_col.view(np.uint64),
                    tmp)
-        release_scratch("mdt_c", half0.shape)
+        release_scratch("mdt_c", target.shape)
     return out
 
 
@@ -1294,7 +1308,9 @@ class RnsEvaluatorBase:
     # run it at k = 1, the batch ops at k fused ciphertexts.
     def _key_switch_batch(self, data: np.ndarray, key: SwitchingKey,
                           level: int, k: int, *,
-                          ntt_rows: np.ndarray | None = None
+                          ntt_rows: np.ndarray | None = None,
+                          add: np.ndarray | None = None,
+                          perm: np.ndarray | None = None
                           ) -> tuple[np.ndarray, RnsBasis]:
         """Key-switch ``k`` independent coefficient-domain polynomials
         (a ct-major ``(k*(l+1), N)`` stack) in one fused pass: one
@@ -1304,6 +1320,8 @@ class RnsEvaluatorBase:
         ct-major pair stack and its basis.  ``ntt_rows`` optionally
         carries the NTT-domain rows ``data`` was iNTT'd from (same
         layout), letting the lift skip re-transforming kept rows.
+        ``add``/``perm`` pass to the ModDown tail
+        (:func:`mod_down_tail`), which adds ``add`` into the result.
         Row slices are bitwise identical to ``k`` separate ``k = 1``
         key switches, and to the ``stacked=False`` reference."""
         ctx = self.context
@@ -1313,7 +1331,8 @@ class RnsEvaluatorBase:
                                          ntt_rows=ntt_rows)
         acc = self._key_mac_batch(lifted, key, level, beta, ext, k)
         q_basis = ctx.q_basis(level)
-        return self._mod_down_batch_stacked(acc, ext, q_basis, k), q_basis
+        return self._mod_down_batch_stacked(acc, ext, q_basis, k, add=add,
+                                            perm=perm), q_basis
 
     def _lift_digits_batch(self, data: np.ndarray, level: int,
                            ext: RnsBasis, beta: int, k: int, *,
@@ -1424,9 +1443,10 @@ class RnsEvaluatorBase:
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
         BGV overrides this (and the reference :meth:`_mod_down_pair`)
         with the exact ``t``-corrected variant.  ``add``/``perm`` pass
-        to :func:`mod_down_tail`, which adds the ``(k*(l+1), N)`` stack
-        ``add`` (permuted) into each ``ks0``.  Traced as one
-        ``ks.moddown`` span whose ``impl`` names the tail's kernel."""
+        to :func:`mod_down_tail`, which adds ``add`` (permuted) into
+        each ``ks0`` (a ``(k*(l+1), N)`` stack) or into both halves (a
+        ``(2k*(l+1), N)`` stack).  Traced as one ``ks.moddown`` span
+        whose ``impl`` names the tail's kernel."""
         n = self.context.n
         p_basis = self.context.p_basis
         l1 = len(q_basis)
@@ -1651,47 +1671,34 @@ class RnsEvaluatorBase:
         limbs = len(basis)
         k = x.k
         n = x.n
-        q2k = _batch_q_col(basis, 2 * k)
         # Tensor terms per ciphertext: each (2L, N) slice's products
         # run while both operands sit in cache (the full 2kL stack
         # would stream every expression temporary through DRAM);
-        # elementwise, so slicing is trivially bitwise identical.
+        # elementwise, so slicing is trivially bitwise identical.  d2
+        # goes to its own stack, and (d0, d1) to the pair stack the
+        # ModDown tail adds into the key switch's result.
         x4 = x.stack.reshape(k, 2, limbs, n)
         y4 = y.stack.reshape(k, 2, limbs, n)
-        outer = np.empty_like(x.stack)
-        outer4 = outer.reshape(k, 2, limbs, n)
-        d1 = np.empty((k, limbs, n), dtype=np.int64)
-        pair_col = _pair_col(q_col)
+        d01 = np.empty_like(x.stack)
+        d01_4 = d01.reshape(k, 2, limbs, n)
+        d2 = np.empty((k * limbs, n), dtype=np.int64)
         tmp_d1 = scratch("bmul_d1", (limbs, n))
         for i in range(k):
-            lo = 2 * i * limbs
-            outer[lo:lo + 2 * limbs] = (
-                x.stack[lo:lo + 2 * limbs] * y.stack[lo:lo + 2 * limbs]
-                % pair_col)
+            np.remainder(x4[i, 0] * y4[i, 0], q_col, out=d01_4[i, 0])
+            np.remainder(x4[i, 1] * y4[i, 1], q_col,
+                         out=d2[i * limbs:(i + 1) * limbs])
             # The two cross terms are canonical, so their sum is below
             # 2q: conditional subtract, not a third division pass.
             np.add(x4[i, 0] * y4[i, 1] % q_col,
-                   x4[i, 1] * y4[i, 0] % q_col, out=d1[i])
-            _csub_into(d1[i].view(np.uint64), q_col.view(np.uint64),
+                   x4[i, 1] * y4[i, 0] % q_col, out=d01_4[i, 1])
+            _csub_into(d01_4[i, 1].view(np.uint64), q_col.view(np.uint64),
                        tmp_d1)
         release_scratch("bmul_d1", (limbs, n))
-        d2 = np.ascontiguousarray(outer4[:, 1]).reshape(k * limbs, n)
         d2_coeff = self.kernels.engine((basis,) * k,
                                        dedupe=True).inverse(
             d2, assume_reduced=True)
-        ks, q_basis = self._key_switch_batch(d2_coeff, key, x.level, k,
-                                             ntt_rows=d2)
-        # ks is the freshly ModDown'd stack; fold d0/d1 into it in
-        # place instead of assembling a separate wide stack.
-        ks4 = ks.reshape(k, 2, limbs, n)
-        ks4[:, 0] += outer4[:, 0]
-        ks4[:, 1] += d1
-        # Both addends are canonical, so the sums sit below 2q — one
-        # conditional subtract replaces the division pass.
-        tmp = scratch("bmul_c", ks.shape)
-        _csub_into(ks.view(np.uint64), q2k.view(np.uint64), tmp)
-        release_scratch("bmul_c", ks.shape)
-        out = ks
+        out, q_basis = self._key_switch_batch(d2_coeff, key, x.level, k,
+                                              ntt_rows=d2, add=d01)
         scales = [self._mul_scale(sa, sb)
                   for sa, sb in zip(x.scales, y.scales)]
         return CiphertextBatch(basis=q_basis, stack=out, scales=scales,
@@ -1736,24 +1743,18 @@ class RnsEvaluatorBase:
         limbs = len(basis)
         k = batch.k
         n = batch.n
-        # One gather rotates all 2k halves at once.
-        r_stack = self.kernels.engine(
-            (basis,) * (2 * k), dedupe=True).automorphism_ntt(
-            batch.stack, galois_elt)
-        r4 = r_stack.reshape(k, 2, limbs, n)
-        rc1 = np.ascontiguousarray(r4[:, 1]).reshape(k * limbs, n)
-        c1_coeff = self.kernels.engine((basis,) * k,
-                                       dedupe=True).inverse(
-            rc1, assume_reduced=True)
-        ks, _ = self._key_switch_batch(c1_coeff, key, batch.level, k,
-                                       ntt_rows=rc1)
-        ks4 = ks.reshape(k, 2, limbs, n)
-        ks4[:, 0] += r4[:, 0]
-        # Canonical + canonical < 2q: conditional subtract, no division.
-        tmp = scratch("bgal_c", (k, limbs, n))
-        _csub_into(ks4[:, 0].view(np.uint64),
-                   basis.q_col.view(np.uint64), tmp)
-        release_scratch("bgal_c", (k, limbs, n))
+        # Only the c1 halves are gathered; the ModDown tail adds
+        # sigma(c0) reading c0 through the permutation, as in
+        # batch_rotate_hoisted.
+        engine = self.kernels.engine((basis,) * k, dedupe=True)
+        b4 = batch.stack.reshape(k, 2, limbs, n)
+        rc1 = engine.automorphism_ntt(b4[:, 1].reshape(k * limbs, n),
+                                      galois_elt)
+        c1_coeff = engine.inverse(rc1, assume_reduced=True)
+        ks, _ = self._key_switch_batch(
+            c1_coeff, key, batch.level, k, ntt_rows=rc1,
+            add=np.ascontiguousarray(b4[:, 0]).reshape(k * limbs, n),
+            perm=engine.automorphism_index(galois_elt))
         return CiphertextBatch(basis=basis, stack=ks,
                                scales=list(batch.scales), is_ntt=True,
                                ct_cls=batch.ct_cls)

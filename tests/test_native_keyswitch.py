@@ -18,8 +18,10 @@ below ``2^63`` every ``span = floor(2^62 / (qmax * p))`` terms, so they
 also run at ``2^31 - 1`` (span 1), at ``span`` and ``span + 1`` terms,
 and with every residue at ``q - 1``.  The batch add/sub/negate must
 equal numpy's ``%`` on any int64 input, wraparound included, and the
-ModDown tail's fused ``sigma(c0)`` addend the gather + add + conditional
-subtract it replaces, under the CKKS and BGV ModDowns.
+ModDown tail's fused addends -- a hoisted rotation's ``sigma(c0)`` into
+each pair's first half, a relinearization's ``(d0, d1)`` into both
+halves -- the gather + add + conditional subtract they replace, under
+the CKKS and BGV ModDowns.
 
 Under ``REPRO_VERIFY=1`` a non-canonical row at the key MAC or BConv
 entry raises :class:`NonCanonicalInputError` naming the row, under both
@@ -357,6 +359,44 @@ def test_mod_down_tail_addend_matches_numpy_twin(engine, monkeypatch,
         np.testing.assert_array_equal(got, ref.reshape(-1, N))
 
 
+@pytest.mark.parametrize("halves", [1, 2, 16])
+def test_mod_down_tail_addend_on_every_half_matches_numpy_twin(
+        engine, monkeypatch, halves):
+    """An addend covering every half (a relinearization's d0 and d1),
+    as it lies and through a permutation, with every residue at q - 1
+    in one run, against the twin and the plain arithmetic."""
+    q_basis = RnsBasis(list(EXT.primes[:4]))
+    p_value = 2 ** 61 - 1
+    q = np.tile(q_basis.q_col, (halves, 1))
+    inv = np.tile([[pow(p_value, -1, int(p))] for p in q_basis.primes],
+                  (halves, 1))
+    for top in (False, True):
+        rng = np.random.default_rng(40 + halves)
+        acc = _canonical(rng, EXT.q_col, halves)
+        corr = _canonical(rng, q_basis.q_col, halves)
+        add = _canonical(rng, q_basis.q_col, halves, top=top)
+        acc_q = acc.reshape(halves, len(EXT), N)[:, :4].reshape(-1, N)
+        for perm in (None, engine.automorphism_index(galois_element(5, N))):
+            got, want = _both(monkeypatch, lambda: mod_down_tail(
+                acc, corr.copy(), q_basis, p_value, halves, add=add,
+                perm=perm))
+            np.testing.assert_array_equal(got, want)
+            moved = add if perm is None else add[:, perm]
+            np.testing.assert_array_equal(
+                got, ((acc_q - corr) % q * inv % q + moved) % q)
+
+
+def test_mod_down_tail_rejects_an_addend_of_another_shape():
+    rng = np.random.default_rng(4)
+    q_basis = RnsBasis(list(EXT.primes[:2]))
+    acc = _canonical(rng, EXT.q_col, 3)
+    corr = _canonical(rng, q_basis.q_col, 3)
+    for tiles in (1, 2, 4):     # 3 halves: only every half (3 tiles)
+        with pytest.raises(ValueError, match="holds neither every half"):
+            mod_down_tail(acc, corr.copy(), q_basis, 7, 3,
+                          add=_canonical(rng, q_basis.q_col, tiles))
+
+
 def _bgv_evaluator():
     return BgvScheme(BgvContext(BgvParams(n=N, q_count=5, seed=5))).ev
 
@@ -400,6 +440,40 @@ def test_fused_sigma_c0_tail_matches_gather_add_csub(ckks_small,
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("scheme", ["ckks", "bgv"])
+def test_fused_d01_tail_matches_add_csub(ckks_small, monkeypatch, scheme,
+                                         k):
+    """Each ModDown (CKKS's fast one, BGV's ``t``-corrected one) with a
+    relinearization's ``(d0, d1)`` pair stack as the addend equals the
+    unfused path it replaced: ModDown, add, conditional subtract; under
+    both implementations."""
+    ev = ckks_small.ev if scheme == "ckks" else _bgv_evaluator()
+    ctx = ev.context
+    n = ctx.n
+    level = ctx.max_level
+    ext, q_basis = ctx.ext_basis(level), ctx.q_basis(level)
+    rng = np.random.default_rng(10 + k)
+    acc = _canonical(rng, ext.q_col, 2 * k, n)
+    d01 = _canonical(rng, q_basis.q_col, 2 * k, n)
+
+    def fused():
+        return ev._mod_down_batch_stacked(acc, ext, q_basis, k, add=d01)
+
+    def unfused():
+        ks = ev._mod_down_batch_stacked(acc, ext, q_basis, k)
+        ks += d01
+        _csub_into(ks.view(np.uint64),
+                   np.tile(q_basis.q_col, (2 * k, 1)).view(np.uint64),
+                   np.empty(ks.shape, dtype=np.uint64))
+        return ks
+
+    got, want = _both(monkeypatch, fused)
+    np.testing.assert_array_equal(got, want)
+    for ref in _both(monkeypatch, unfused):
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_mod_down_tail_rejects_bad_permutation_without_writing(lib):
     rng = np.random.default_rng(8)
     q_basis = RnsBasis(list(EXT.primes[:2]))
@@ -413,8 +487,14 @@ def test_mod_down_tail_rejects_bad_permutation_without_writing(lib):
         out = corr.copy()
         assert lib.mod_down_tail(out, acc, 2, 2, len(EXT), N,
                                  q_basis.q_col.astype(np.uint64), inv, inv,
-                                 add, perm) == 1
+                                 add, 2, perm) == 1
         np.testing.assert_array_equal(out, corr)
+    # an addend must name the halves it covers
+    out = corr.copy()
+    assert lib.mod_down_tail(out, acc, 2, 2, len(EXT), N,
+                             q_basis.q_col.astype(np.uint64), inv, inv,
+                             add, 0, None) == 1
+    np.testing.assert_array_equal(out, corr)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +576,7 @@ def test_argtypes_reject_wrong_dtype_and_layout_without_writing(lib):
         (out, lambda o: lib.bconv(o, stack, 1, 2, 2, N, tab)),
         (out, lambda o: lib.mod_down_tail(o, stack, 1, 2, 2, N,
                                           q_basis.q_col.astype(np.uint64),
-                                          inv_u, inv_u, None, None)),
+                                          inv_u, inv_u, None, 0, None)),
     ]
     for target, call in calls:
         for bad in (target.astype(np.int32), target.astype(np.float64),
