@@ -513,44 +513,6 @@ def rescale_last(poly: RnsPolynomial) -> RnsPolynomial:
     return RnsPolynomial(new_basis, data, is_ntt=False)
 
 
-def rescale_last_stack(stack: np.ndarray, basis: RnsBasis,
-                       k: int) -> np.ndarray:
-    """CKKS rescale of ``k`` stacked polynomials in one pass.
-
-    ``stack`` is a coefficient-domain ``(k*L, N)`` block of ``k``
-    polynomials over ``basis``; each polynomial drops *its own* last
-    limb, so the arithmetic runs on a ``(k, L, N)`` view with the
-    per-limb constants broadcast across the stack axis.  Returns the
-    ``(k*(L-1), N)`` result, bitwise identical to :func:`rescale_last`
-    per polynomial.
-    """
-    limbs = len(basis)
-    if limbs < 2:
-        raise ValueError("cannot rescale a single-limb polynomial")
-    if stack.shape[0] != k * limbs:
-        raise ValueError(f"expected a {k * limbs}-row stack, got "
-                         f"{stack.shape[0]}")
-    n = stack.shape[1]
-    polys = stack.reshape(k, limbs, n)
-    last = polys[:, -1:, :]
-    q_last = basis.primes[-1]
-    centred = np.where(last > q_last // 2, last - q_last, last)
-    new_basis = basis.prefix(limbs - 1)
-    inv_col = inverse_mod_col(q_last, new_basis.primes)[None, :, :]
-    q_col = new_basis.q_col[None, :, :]
-    data = (polys[:, :-1, :] - centred) % q_col * inv_col % q_col
-    return data.reshape(k * (limbs - 1), n)
-
-
-def rescale_last_pair(pair: np.ndarray, basis: RnsBasis) -> np.ndarray:
-    """CKKS rescale of a stacked ciphertext pair in one pass (the
-    ``k = 2`` case of :func:`rescale_last_stack`)."""
-    if pair.shape[0] != 2 * len(basis):
-        raise ValueError(f"expected a {2 * len(basis)}-row pair stack, "
-                         f"got {pair.shape[0]}")
-    return rescale_last_stack(pair, basis, 2)
-
-
 class MergedBConv:
     """BConv with iNTT post-scale and Montgomery conversions folded in.
 

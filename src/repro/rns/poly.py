@@ -41,9 +41,6 @@ __all__ = [
     "pointwise_mul_shoup_stacked",
     "shoup_precompute",
     "stacked_engine",
-    "stacked_transform",
-    "to_coeff_stacked",
-    "to_ntt_stacked",
 ]
 
 
@@ -258,60 +255,6 @@ def stacked_engine(n: int, bases, *, dedupe: bool = False) -> BatchedNTT:
     chains = tuple(b.primes if isinstance(b, RnsBasis) else tuple(b)
                    for b in bases)
     return get_stacked_plan(n, chains, dedupe=dedupe).ntt
-
-
-def stacked_transform(polys, *, forward: bool) -> list[RnsPolynomial]:
-    """Transform k same-degree polynomials as one stacked pass.
-
-    The limb axis is just more vector lanes to :class:`BatchedNTT`, so
-    k polynomials over (possibly different, possibly repeating) bases
-    of one ring degree transform as a single ``(sum L_i, N)`` pass
-    against the concatenated prime chain.  Every butterfly row depends
-    only on that row's modulus and twiddles, so each output slice is
-    bitwise identical to transforming its polynomial alone; results
-    are zero-copy row views of the one output stack.
-    """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    n = polys[0].n
-    for p in polys[1:]:
-        if p.n != n:
-            raise ValueError("stacked transform needs one ring degree")
-        if p.is_ntt != polys[0].is_ntt:
-            raise ValueError("stacked transform needs one domain")
-    if polys[0].is_ntt != (not forward):
-        domain = "coefficient" if forward else "NTT"
-        raise ValueError(f"stacked transform expects {domain}-domain "
-                         f"inputs")
-    engine = stacked_engine(n, [p.basis for p in polys])
-    data = np.concatenate([p.data for p in polys], axis=0)
-    out = engine.forward(data) if forward else engine.inverse(data)
-    result = []
-    row = 0
-    for p in polys:
-        limbs = len(p.basis)
-        result.append(RnsPolynomial(p.basis, out[row:row + limbs],
-                                    is_ntt=forward))
-        row += limbs
-    return result
-
-
-def to_coeff_stacked(polys) -> list[RnsPolynomial]:
-    """Inverse-transform several NTT-domain polynomials in one pass.
-
-    E.g. the two key-switch accumulators over the same L-limb extended
-    basis become a single ``(2L, N)`` iNTT instead of two ``(L, N)``
-    ones.  Results are bitwise identical to calling
-    :meth:`RnsPolynomial.to_coeff` on each polynomial.
-    """
-    return stacked_transform(polys, forward=False)
-
-
-def to_ntt_stacked(polys) -> list[RnsPolynomial]:
-    """Forward-transform several coefficient-domain polynomials in one
-    stacked pass; bitwise identical to per-polynomial ``to_ntt``."""
-    return stacked_transform(polys, forward=True)
 
 
 def pointwise_mac(pairs) -> RnsPolynomial:

@@ -1,11 +1,13 @@
 """FHE schemes supported by the EFFACT platform: CKKS, BGV, BFV, TFHE.
 
 CKKS, BFV and BGV all evaluate on the shared scheme-agnostic stacked
-RNS core (:mod:`repro.schemes.rns_core`); :mod:`repro.schemes.toy`
-keeps the seed's per-coefficient BFV/BGV implementations as
-correctness oracles.
+RNS core (:mod:`repro.schemes.rns_core`); :mod:`repro.schemes.reference`
+holds their per-polynomial reference evaluators (``stacked=False``),
+the differential oracle of that core.  The seed's per-coefficient
+BFV/BGV implementations live on as test-only oracles in
+``tests/oracles/toy.py``.
 """
 
-from . import bfv, bgv, ckks, rns_core, tfhe, toy
+from . import bfv, bgv, ckks, rns_core, tfhe
 
-__all__ = ["bfv", "bgv", "ckks", "rns_core", "tfhe", "toy"]
+__all__ = ["bfv", "bgv", "ckks", "rns_core", "tfhe"]

@@ -22,13 +22,14 @@ round-to-nearest — all as residue-level kernels:
   fast-BConv ModDown overshoot as additive noise;
 * additions, plaintext ops and rotations come from the base class.
 
-``BfvScheme(ctx, stacked=False)`` is the per-polynomial reference
-path; both modes are bitwise identical
-(``tests/test_rns_core_schemes.py``), and both run the native exact
-kernels when they run, so ``tests/test_native_exact.py`` pins those
-against their numpy twins directly.  Multiplication takes operands on
-``ctx.q_full`` only and names that basis otherwise.  The seed's
-big-int schoolbook implementation survives as :mod:`repro.schemes.toy`
+``BfvScheme(ctx, stacked=False)`` evaluates with the per-polynomial
+reference (:class:`~repro.schemes.reference.ReferenceBfvEvaluator`);
+both are bitwise identical (``tests/test_rns_core_schemes.py``), and
+both run the native exact kernels when they run, so
+``tests/test_native_exact.py`` pins those against their numpy twins
+directly.  Multiplication takes operands on ``ctx.q_full`` only and
+names that basis otherwise.  The seed's big-int schoolbook
+implementation survives in the test suite as ``tests/oracles/toy.py``
 — the independent correctness oracle the port was validated against.
 """
 
@@ -55,12 +56,11 @@ from ..rns.bconv import (
     _shoup_kernel,
     _stack_to_wide,
     _wide_to_stack,
-    base_convert_centered,
     base_convert_centered_stack,
     inverse_mod_col,
     reduce_mod_col,
 )
-from ..rns.poly import RnsPolynomial, ntt_table
+from ..rns.poly import RnsPolynomial, ntt_table, stacked_engine
 from .rns_core import (
     Ciphertext,
     KeyChain,
@@ -69,6 +69,7 @@ from .rns_core import (
     RnsKeyGenerator,
     SecretKey,
     SwitchingKey,
+    _require_ntt,
 )
 
 __all__ = [
@@ -197,35 +198,34 @@ class BfvEvaluator(RnsEvaluatorBase):
         tensor, ``round(t*d/Q)`` rescale, hybrid relinearization under
         ``key`` (default: the chain's relinearization key).
 
-        The stacked path runs one ``(4L, N)`` iNTT over both operand
-        pairs, one centred BConv lifting all four polynomials to ``R``,
-        one ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over the
-        tensor triple, one ``t/Q`` scale-round of the triple, and the
-        shared key switch at ``k = 1`` — bitwise identical to the
+        It runs one ``(4L, N)`` iNTT over both operand pairs, one
+        centred BConv lifting all four polynomials to ``R``, one
+        ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over the tensor
+        triple, one ``t/Q`` scale-round of the triple, and the shared
+        key switch at ``k = 1`` — bitwise identical to the
         per-polynomial reference (``stacked=False``).  Both operands
-        must lie on ``ctx.q_full``; otherwise a ``ValueError`` naming
-        that basis is raised before any kernel runs.
+        must be NTT-domain ciphertexts on ``ctx.q_full``; otherwise a
+        ``ValueError`` naming the basis
+        (:class:`~repro.schemes.rns_core.NttDomainError` for the
+        domain) is raised before any kernel runs.
         """
         self._require_full_basis(x, y)
         key = self._relin_key(key)
-        if not self.stacked:
-            return self._multiply_reference(x, y, key)
-        self._check_domains(x.is_ntt, True)
-        self._check_domains(y.is_ntt, True)
+        _require_ntt("multiply", x.is_ntt and y.is_ntt)
         ctx = self.context
         q, r, ext = ctx.q_full, ctx.r_basis, ctx.mul_basis
         lq, lr, le = len(q), len(r), len(ext)
         n = ctx.n
         # One (4Lq, N) iNTT covers both operand pairs.
         pairs = np.concatenate([x.pair(), y.pair()])
-        coeff = self.kernels.engine((q,) * 4).inverse(pairs)
+        coeff = stacked_engine(n, (q,) * 4).inverse(pairs)
         # Centred lift to R: one wide exact BConv for all four polys.
         r_rows = base_convert_centered_stack(coeff, q, r, 4)
         # Only the R rows go through the forward NTT: the Q rows of the
         # lifted stacks are ``forward(inverse(x)) == x`` — the original
         # NTT-domain ciphertext rows, reused verbatim (the same trick
         # the key-switch digit lift plays with its kept rows).
-        r_ntt = self.kernels.engine((r,) * 4).forward(r_rows)
+        r_ntt = stacked_engine(n, (r,) * 4).forward(r_rows)
         ntt = np.empty((4 * le, n), dtype=np.int64)
         for i in range(4):
             ntt[i * le:i * le + lq] = pairs[i * lq:(i + 1) * lq]
@@ -235,10 +235,10 @@ class BfvEvaluator(RnsEvaluatorBase):
         d0 = x0 * y0 % e_col
         d2 = x1 * y1 % e_col
         d1 = (x0 * y1 % e_col + x1 * y0 % e_col) % e_col
-        d_coeff = self.kernels.engine((ext,) * 3).inverse(
+        d_coeff = stacked_engine(n, (ext,) * 3).inverse(
             np.concatenate([d0, d1, d2]))
         dq = self._scale_round_stack(d_coeff, 3)
-        d01 = self.kernels.engine((q, q)).forward(dq[:2 * lq])
+        d01 = stacked_engine(n, (q, q)).forward(dq[:2 * lq])
         # The ModDown tail adds d0/d1 into the key switch's halves.
         out, _ = self._key_switch_batch(dq[2 * lq:], key, lq - 1, 1,
                                         add=d01)
@@ -259,30 +259,6 @@ class BfvEvaluator(RnsEvaluatorBase):
                     f"{len(ct.basis)} limbs {ct.basis.primes}; both "
                     f"operands must lie on the full ciphertext basis "
                     f"ctx.q_full ({len(q)} limbs {q.primes})")
-
-    def _multiply_reference(self, x: Ciphertext, y: Ciphertext,
-                            key: SwitchingKey) -> Ciphertext:
-        """Per-polynomial reference: same kernels, one call per
-        polynomial / tensor component (the differential baseline)."""
-        ctx = self.context
-        q, r, ext = ctx.q_full, ctx.r_basis, ctx.mul_basis
-        lifted = []
-        for poly in (x.c0, x.c1, y.c0, y.c1):
-            c = poly.to_coeff()
-            rr = base_convert_centered(c, r)
-            data = np.concatenate([c.data, rr.data])
-            lifted.append(RnsPolynomial(ext, data, is_ntt=False).to_ntt())
-        x0, x1, y0, y1 = lifted
-        d0 = x0.pointwise_mul(y0)
-        d1 = x0.pointwise_mul(y1) + x1.pointwise_mul(y0)
-        d2 = x1.pointwise_mul(y1)
-        dq = [self._scale_round_stack(d.to_coeff().data, 1)
-              for d in (d0, d1, d2)]
-        ks0, ks1 = self.key_switch(RnsPolynomial(q, dq[2], is_ntt=False),
-                                   key)
-        c0 = RnsPolynomial(q, dq[0], is_ntt=False).to_ntt() + ks0
-        c1 = RnsPolynomial(q, dq[1], is_ntt=False).to_ntt() + ks1
-        return type(x)(c0=c0, c1=c1, scale=x.scale)
 
     def _scale_round_stack(self, stack: np.ndarray, k: int) -> np.ndarray:
         """``round(t*d/Q) mod Q`` for ``k`` stacked ``Q+R`` tensor

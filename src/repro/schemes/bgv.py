@@ -18,14 +18,15 @@ twists:
   shared ModDown tail, so key switching never perturbs the plaintext
   mod ``t``;
 * **modulus switching** reuses the shared NTT-domain last-limb kernel
-  (:meth:`~repro.schemes.rns_core.StackedKernels.switch_down_ntt`)
-  with the same ``t``-multiple correction, tracking the accumulated
-  plaintext factor ``q^-1 mod t`` on the ciphertext.
+  (:func:`~repro.schemes.rns_core.switch_down_ntt`) with the same
+  ``t``-multiple correction, tracking the accumulated plaintext factor
+  ``q^-1 mod t`` on the ciphertext.
 
-``BgvScheme(ctx, stacked=False)`` is the per-polynomial reference;
-both modes are bitwise identical (``tests/test_rns_core_schemes.py``).
-The seed's undecomposed big-int implementation survives as
-:mod:`repro.schemes.toy` — the independent correctness/noise oracle
+``BgvScheme(ctx, stacked=False)`` evaluates with the per-polynomial
+reference (:class:`~repro.schemes.reference.ReferenceBgvEvaluator`);
+both are bitwise identical (``tests/test_rns_core_schemes.py``).  The
+seed's undecomposed big-int implementation survives in the test suite
+as ``tests/oracles/toy.py`` — the independent correctness/noise oracle
 the port was validated against.
 """
 
@@ -44,16 +45,9 @@ from ..rns.bconv import (
     _shoup_kernel,
     base_convert_centered_stack,
     base_convert_exact,
-    inverse_mod_col,
     reduce_mod_col,
 )
-from ..rns.poly import (
-    RnsPolynomial,
-    ntt_table,
-    stacked_engine,
-    to_coeff_stacked,
-    to_ntt_stacked,
-)
+from ..rns.poly import RnsPolynomial, ntt_table, stacked_engine
 from .rns_core import (
     Ciphertext,
     CiphertextBatch,
@@ -65,7 +59,9 @@ from .rns_core import (
     SecretKey,
     SwitchingKey,
     _as_batch,
+    _require_ntt,
     mod_down_tail,
+    switch_down_ntt,
 )
 
 __all__ = [
@@ -299,25 +295,6 @@ class BgvEvaluator(RnsEvaluatorBase):
             return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
                                  2 * k, add=add, perm=perm)
 
-    def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
-                       q_basis: RnsBasis
-                       ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Per-accumulator exact ModDown (the differential reference)."""
-        c0, c1 = to_coeff_stacked((acc0, acc1))
-        ks0 = self._mod_down_exact(c0, q_basis)
-        ks1 = self._mod_down_exact(c1, q_basis)
-        return to_ntt_stacked((ks0, ks1))
-
-    def _mod_down_exact(self, poly: RnsPolynomial,
-                        q_basis: RnsBasis) -> RnsPolynomial:
-        lq = len(q_basis)
-        delta = self._moddown_delta(poly.data[lq:], q_basis, 1)
-        p_inv = inverse_mod_col(self.context.p_basis.modulus,
-                                q_basis.primes)
-        q_col = q_basis.q_col
-        data = (poly.data[:lq] - delta) % q_col * p_inv % q_col
-        return RnsPolynomial(q_basis, data, is_ntt=False)
-
     # -- multiplication -------------------------------------------------
     def _mul_scale(self, sx: float, sy: float) -> float:
         """Product scale: the plaintext factors multiply mod ``t`` in
@@ -342,39 +319,16 @@ class BgvEvaluator(RnsEvaluatorBase):
     def mod_switch(self, ct: Ciphertext, times: int = 1) -> Ciphertext:
         """BGV modulus switching: divide by the last chain prime(s)
         while keeping the plaintext mod t intact (up to the tracked
-        q^-1 factor) and shrinking the noise by ~q each time.
-
-        An NTT-domain ciphertext on the stacked path is
-        :meth:`batch_mod_switch` at ``k = 1`` (the shared NTT-domain
-        last-limb kernel with the ``t``-multiple correction); the
-        reference path round-trips each polynomial through the
-        coefficient domain.  Both are bitwise identical.
-        """
-        if self.stacked and ct.is_ntt:
-            return self.batch_mod_switch(_as_batch(ct),
-                                         times=times).split()[0]
-        t = self.context.t
-        factor = int(ct.scale)
-        out = ct
-        for _ in range(times):
-            if len(out.basis) < 2:
-                raise ValueError("no limbs left to switch away")
-            q_last = out.basis.primes[-1]
-            out = BgvCiphertext(c0=self._mod_switch_poly(out.c0),
-                                c1=self._mod_switch_poly(out.c1),
-                                scale=1.0)
-            factor = factor * pow(q_last, -1, t) % t
-        out.scale = float(factor)
-        return out
+        q^-1 factor) and shrinking the noise by ~q each time.  Runs
+        :meth:`batch_mod_switch` at ``k = 1``."""
+        return self.batch_mod_switch(_as_batch(ct), times=times).split()[0]
 
     def batch_mod_switch(self, batch: CiphertextBatch,
                          times: int = 1) -> CiphertextBatch:
         """Modulus-switch ``k`` fused ciphertexts at once: the shared
         last-limb kernel runs on all ``2k`` halves per step, with the
         per-ciphertext ``q^-1`` factors tracked exactly mod ``t``."""
-        if not batch.is_ntt:
-            raise ValueError("batch_mod_switch expects an NTT-domain "
-                             "batch")
+        _require_ntt("mod_switch", batch.is_ntt)
         t = self.context.t
         factors = [int(s) for s in batch.scales]
         stack = batch.stack
@@ -383,7 +337,7 @@ class BgvEvaluator(RnsEvaluatorBase):
             if len(basis) < 2:
                 raise ValueError("no limbs left to switch away")
             q_last = basis.primes[-1]
-            stack, basis = self.kernels.switch_down_ntt(
+            stack, basis = switch_down_ntt(
                 stack, basis, 2 * batch.k,
                 delta_fn=self._switch_delta(q_last))
             inv = pow(q_last, -1, t)
@@ -391,22 +345,6 @@ class BgvEvaluator(RnsEvaluatorBase):
         return CiphertextBatch(basis=basis, stack=stack,
                                scales=[float(f) for f in factors],
                                is_ntt=True, ct_cls=batch.ct_cls)
-
-    def _mod_switch_poly(self, poly: RnsPolynomial) -> RnsPolynomial:
-        """Coefficient-domain single-polynomial modulus switch (the
-        differential reference for :meth:`mod_switch`)."""
-        coeff = poly.to_coeff()
-        basis = coeff.basis
-        q_last = basis.primes[-1]
-        last = coeff.data[-1]
-        centred = np.where(last > q_last // 2, last - q_last, last)
-        delta = self._switch_delta(q_last)(centred)
-        new_basis = basis.prefix(len(basis) - 1)
-        inv_col = inverse_mod_col(q_last, new_basis.primes)
-        q_col = new_basis.q_col
-        data = (coeff.data[:-1] - delta[None, :] % q_col) \
-            % q_col * inv_col % q_col
-        return RnsPolynomial(new_basis, data, is_ntt=False).to_ntt()
 
 
 class BgvScheme:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...rns.poly import RnsPolynomial
 from .ciphertext import Ciphertext
 from .evaluator import CkksEvaluator
 from .keys import CkksContext
@@ -103,39 +102,9 @@ class CkksBootstrapper:
     # Phase 1: ModRaise
     # ------------------------------------------------------------------
     def mod_raise(self, ct: Ciphertext) -> Ciphertext:
-        """Reinterpret a level-0 ciphertext at the full modulus chain.
-
-        After the raise the underlying plaintext is ``m + q0 * I`` with
-        a small integer polynomial ``I`` (bounded by the secret's
-        1-norm), which EvalMod later removes.  On the stacked
-        evaluator both halves lift through one broadcast decomposition
-        and a single ``(2(L+1), N)`` forward NTT.
-        """
-        ctx = self.context
-        if ct.level != 0:
-            ct = self.ev.drop_level(ct, 0)
-        q0 = ct.basis.primes[0]
-        top = ctx.q_basis(ctx.max_level)
-
-        if self.ev.stacked:
-            pair = ct.pair()
-            if ct.is_ntt:
-                pair = self.ev._pair_engine(ct.basis).inverse(pair)
-            # Level 0 means one limb per half: rows [0] is c0, [1] c1.
-            centred = np.where(pair > q0 // 2, pair - q0, pair)
-            lifted = (centred[:, None, :] % top.q_col).reshape(
-                2 * len(top), ct.n)
-            raised = self.ev._pair_engine(top).forward(lifted)
-            return Ciphertext.from_pair(top, raised, ct.scale,
-                                        is_ntt=True)
-
-        def raise_poly(poly: RnsPolynomial) -> RnsPolynomial:
-            coeffs = np.asarray(poly.to_coeff().data[0], dtype=np.int64)
-            centred = np.where(coeffs > q0 // 2, coeffs - q0, coeffs)
-            return RnsPolynomial.from_small_coeffs(top, centred).to_ntt()
-
-        return Ciphertext(c0=raise_poly(ct.c0), c1=raise_poly(ct.c1),
-                          scale=ct.scale)
+        """Reinterpret a ciphertext, dropped to level 0, at the full
+        modulus chain (:meth:`CkksEvaluator.mod_raise`)."""
+        return self.ev.mod_raise(ct)
 
     # ------------------------------------------------------------------
     # Phase 2: CoeffToSlot

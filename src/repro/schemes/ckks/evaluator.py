@@ -15,40 +15,43 @@ share.  This subclass adds only what is CKKS: approximate scale
 tracking, rescaling by the last chain prime, and real/complex scalar
 encoding.
 
-The evaluator runs in one of two modes:
-
-* **stacked** (the default) — a ciphertext is one ``(2L, N)`` residue
-  stack (:meth:`Ciphertext.pair`), and a single ciphertext is the
-  zero-copy ``k = 1`` case of a
-  :class:`~repro.schemes.rns_core.CiphertextBatch`.  Rotations,
-  hoisted rotations, multiply/relinearize, plaintext multiplies and
-  NTT-domain rescales run the ``batch_*`` kernels at ``k = 1``;
-  additions and scalar multiplies issue one pair-wide kernel.  Either
-  way every step covers both polynomials (and, inside key switching,
-  all ``beta`` lifted digits) in one batched kernel — the paper's
-  keep-the-NTT-pipeline-saturated dataflow applied across the full
-  ciphertext.
-* **legacy** (``stacked=False``) — the per-polynomial reference path.
-  Both modes are bitwise identical; ``tests/test_stacked_evaluator.py``
-  pins every operation differentially.
+A ciphertext is one ``(2L, N)`` residue stack
+(:meth:`Ciphertext.pair`), and a single ciphertext is the zero-copy
+``k = 1`` case of a :class:`~repro.schemes.rns_core.CiphertextBatch`.
+Rotations, hoisted rotations, multiply/relinearize, plaintext
+multiplies, rescales and the bootstrap's ModRaise run the ``batch_*``
+kernels at ``k = 1`` on NTT-domain ciphertexts; additions and scalar
+multiplies issue one pair-wide kernel.  Either way every step covers
+both polynomials (and, inside key switching, all ``beta`` lifted
+digits) in one batched kernel — the paper's
+keep-the-NTT-pipeline-saturated dataflow applied across the full
+ciphertext.  ``CkksEvaluator(ctx, keys, stacked=False)`` is the
+per-polynomial reference
+(:class:`~repro.schemes.reference.ReferenceCkksEvaluator`); both are
+bitwise identical, and ``tests/test_stacked_evaluator.py`` pins every
+operation differentially.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...rns.bconv import rescale_last, rescale_last_pair
-from ..rns_core import CiphertextBatch, RnsEvaluatorBase, _as_batch
+from ...rns.poly import stacked_engine
+from ..rns_core import (
+    CiphertextBatch,
+    RnsEvaluatorBase,
+    _as_batch,
+    _require_ntt,
+    switch_down_ntt,
+)
 from .ciphertext import Ciphertext
-from .keys import CkksContext, KeyChain
+from .keys import CkksContext
 
 
 class CkksEvaluator(RnsEvaluatorBase):
     """Stateless evaluator bound to a context and a key chain."""
 
-    def __init__(self, context: CkksContext, keys: KeyChain | None = None,
-                 *, stacked: bool = True):
-        super().__init__(context, keys, stacked=stacked)
+    context: CkksContext
 
     # ------------------------------------------------------------------
     # Scale maintenance (the CKKS-specific piece)
@@ -56,46 +59,53 @@ class CkksEvaluator(RnsEvaluatorBase):
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by the last chain prime and drop one level.
 
-        An NTT-domain ciphertext on the stacked path is
-        :meth:`batch_rescale` at ``k = 1``: only the dropped limb of
-        each half is iNTT'd (2 rows), its centred re-reductions are
+        Runs :meth:`batch_rescale` at ``k = 1``: only the dropped limb
+        of each half is iNTT'd (2 rows), its centred re-reductions are
         NTT'd back, and the subtract + q_last^-1 scaling fold in the
         NTT domain — the modulus-switch dataflow the IR lowering emits,
         bitwise identical to the coefficient round trip.
         """
-        q_last = ct.basis.primes[-1]
-        if not self.stacked:
-            c0 = rescale_last(ct.c0.to_coeff()).to_ntt()
-            c1 = rescale_last(ct.c1.to_coeff()).to_ntt()
-            return Ciphertext(c0=c0, c1=c1, scale=ct.scale / q_last)
-        if ct.is_ntt:
-            return self.batch_rescale(_as_batch(ct)).split()[0]
-        basis = ct.basis
-        if len(basis) < 2:
-            raise ValueError("cannot rescale a single-limb polynomial")
-        new_basis = basis.prefix(len(basis) - 1)
-        down = rescale_last_pair(ct.pair(), basis)
-        out = self._pair_engine(new_basis).forward(down)
-        return Ciphertext.from_pair(new_basis, out, ct.scale / q_last,
-                                    is_ntt=True)
+        return self.batch_rescale(_as_batch(ct)).split()[0]
 
     def batch_rescale(self, batch: CiphertextBatch) -> CiphertextBatch:
         """Rescale ``k`` fused ciphertexts at once: the NTT-domain
         last-limb kernel
-        (:meth:`~repro.schemes.rns_core.StackedKernels.switch_down_ntt`,
-        identity correction) runs on all ``2k`` halves in one pass,
-        bitwise identical to ``k`` reference rescales."""
-        if not batch.is_ntt:
-            raise ValueError("batch_rescale expects an NTT-domain batch")
+        (:func:`~repro.schemes.rns_core.switch_down_ntt`, identity
+        correction) runs on all ``2k`` halves in one pass, bitwise
+        identical to ``k`` reference rescales."""
+        _require_ntt("rescale", batch.is_ntt)
         basis = batch.basis
         if len(basis) < 2:
             raise ValueError("cannot rescale a single-limb polynomial")
         q_last = basis.primes[-1]
-        stack, new_basis = self.kernels.switch_down_ntt(
-            batch.stack, basis, 2 * batch.k)
+        stack, new_basis = switch_down_ntt(batch.stack, basis, 2 * batch.k)
         return CiphertextBatch(basis=new_basis, stack=stack,
                                scales=[s / q_last for s in batch.scales],
                                is_ntt=True, ct_cls=batch.ct_cls)
+
+    def mod_raise(self, ct: Ciphertext) -> Ciphertext:
+        """Bootstrap ModRaise: reinterpret ``ct`` (dropped to level 0)
+        at the full modulus chain.
+
+        After the raise the underlying plaintext is ``m + q0 * I`` with
+        a small integer polynomial ``I`` (bounded by the secret's
+        1-norm), which EvalMod later removes.  Both halves lift through
+        one broadcast decomposition and a single ``(2(L+1), N)``
+        forward NTT.
+        """
+        _require_ntt("mod_raise", ct.is_ntt)
+        ctx = self.context
+        if ct.level != 0:
+            ct = self.drop_level(ct, 0)
+        q0 = ct.basis.primes[0]
+        top = ctx.q_basis(ctx.max_level)
+        pair = stacked_engine(ctx.n, (ct.basis,) * 2).inverse(ct.pair())
+        # Level 0 means one limb per half: rows [0] is c0, [1] c1.
+        centred = np.where(pair > q0 // 2, pair - q0, pair)
+        lifted = (centred[:, None, :] % top.q_col).reshape(
+            2 * len(top), ct.n)
+        raised = stacked_engine(ctx.n, (top,) * 2).forward(lifted)
+        return Ciphertext.from_pair(top, raised, ct.scale, is_ntt=True)
 
     def rescale_to(self, ct: Ciphertext, level: int,
                    target_scale: float) -> Ciphertext:

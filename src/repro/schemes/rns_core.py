@@ -25,11 +25,11 @@ kernel                                  used by
                                         ``(2k*L, N)`` stack; a single
                                         ciphertext is the zero-copy
                                         ``k = 1`` view of its pair
-``StackedKernels.engine``               stacked NTT/iNTT/automorphism
+``stacked_engine``                      stacked NTT/iNTT/automorphism
                                         over mixed prime chains
                                         (C: ``ntt_forward``,
                                         ``ntt_inverse``)
-``StackedKernels.switch_down_ntt``      CKKS ``rescale`` (identity
+``switch_down_ntt``                     CKKS ``rescale`` (identity
                                         correction) and BGV
                                         ``mod_switch`` (``t``-multiple
                                         correction) — the NTT-domain
@@ -65,12 +65,16 @@ kernel                                  used by
 ======================================  ===============================
 
 Single-ciphertext ops (``rotate``, ``rotate_hoisted``, ``multiply``,
-``multiply_plain``, NTT-domain ``rescale``/``mod_switch``) run as the
-``batch_*`` op at ``k = 1``, so there is one production key-switch
-path.  ``stacked=False`` is the per-polynomial differential reference
-every scheme pins in its test suite (``tests/test_stacked_evaluator.py``
-for CKKS, ``tests/test_rns_core_schemes.py`` for BFV/BGV); both modes
-are bitwise identical.
+``multiply_plain``, ``rescale``/``mod_switch``, and ``key_switch`` of
+a coefficient-domain polynomial) run as the ``batch_*`` op at
+``k = 1``, so there is one production path.  The ciphertext ops take
+NTT-domain ciphertexts only and raise :class:`NttDomainError`
+otherwise.  ``stacked=False`` constructs the
+scheme's per-polynomial reference evaluator instead
+(:mod:`repro.schemes.reference`), the differential oracle every scheme
+pins in its test suite (``tests/test_stacked_evaluator.py`` for CKKS,
+``tests/test_rns_core_schemes.py`` for BFV/BGV); both are bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -95,24 +99,35 @@ from ..nttmath.batched import (
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..obs import TRACER
 from ..rns.basis import RnsBasis
-from ..rns.bconv import (
-    base_convert_stack,
-    inverse_mod_col,
-    mod_down,
-    mod_up,
-)
+from ..rns.bconv import base_convert_stack, inverse_mod_col
 from ..rns.poly import (
     RnsPolynomial,
-    pointwise_mac_shoup,
-    pointwise_mul_shoup,
     pointwise_mul_shoup_stacked,
     shoup_precompute,
     stacked_engine,
-    to_coeff_stacked,
-    to_ntt_stacked,
 )
 
 _SCALE_TOLERANCE = 1e-6
+
+
+class NttDomainError(ValueError):
+    """An NTT-only op got a coefficient-domain ciphertext or batch.
+
+    Every production op that transforms, permutes or key-switches a
+    ciphertext (rotations, ``multiply``, ``multiply_plain``, CKKS
+    ``rescale``, BGV ``mod_switch`` and their ``batch_*`` forms) takes
+    NTT-domain input only, which is all the encryptors and ops
+    produce."""
+
+
+def _require_ntt(op: str, is_ntt: bool) -> None:
+    if not is_ntt:
+        raise NttDomainError(f"{op} expects NTT-domain ciphertexts")
+
+
+class PlaintextBasisError(ValueError):
+    """A plaintext does not lie over the ciphertext's primes: the
+    ciphertext basis must be a prefix of the plaintext's."""
 
 
 def _pair_col(col: np.ndarray) -> np.ndarray:
@@ -502,14 +517,25 @@ class Plaintext:
     def copy(self) -> "Plaintext":
         return Plaintext(poly=self.poly.copy(), scale=self.scale)
 
-    def frozen_ntt_tables(self, limbs: int) -> tuple[np.ndarray,
-                                                     np.ndarray]:
-        """Shoup-frozen NTT-domain residues restricted to the first
-        ``limbs`` limbs (companions are per-limb, so prefix rows of the
-        full-basis freeze stay valid)."""
+    def require_prefix(self, basis: RnsBasis) -> None:
+        """Raise :class:`PlaintextBasisError` unless ``basis`` (a
+        ciphertext's) is a prefix of the plaintext's basis: only then
+        are its first ``len(basis)`` residue rows the same message mod
+        the ciphertext's primes."""
+        primes = self.poly.basis.primes
+        if primes[:len(basis)] != basis.primes:
+            raise PlaintextBasisError(
+                f"plaintext over {primes} does not cover the "
+                f"ciphertext's primes {basis.primes} as a prefix")
+
+    def frozen_ntt_tables(self, basis: RnsBasis) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+        """Shoup-frozen NTT-domain residues over the prefix ``basis``
+        (companions are per-limb, so prefix rows of the full-basis
+        freeze stay valid)."""
+        self.require_prefix(basis)
+        limbs = len(basis)
         full_limbs = len(self.poly.basis)
-        if limbs > full_limbs:
-            raise ValueError("plaintext level below ciphertext level")
         hit = self._frozen.get(limbs)
         if hit is None:
             full = self._frozen.get(full_limbs)
@@ -523,16 +549,17 @@ class Plaintext:
             self._frozen[limbs] = hit
         return hit
 
-    def frozen_batch_tables(self, limbs: int, k: int) -> tuple[np.ndarray,
-                                                               np.ndarray]:
-        """The :meth:`frozen_ntt_tables` rows tiled to ``2*k*limbs``
+    def frozen_batch_tables(self, basis: RnsBasis,
+                            k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`frozen_ntt_tables` rows tiled to ``2*k`` halves
         for one Shoup multiply against a k-ciphertext batch stack
         (``k = 1`` for a single ciphertext) — built on first use and
         cached per ``(limbs, k)``."""
-        key = ("batch", limbs, k)
+        self.require_prefix(basis)
+        key = ("batch", len(basis), k)
         hit = self._frozen.get(key)
         if hit is None:
-            values, companions = self.frozen_ntt_tables(limbs)
+            values, companions = self.frozen_ntt_tables(basis)
             hit = (np.tile(values, (2 * k, 1)),
                    np.tile(companions, (2 * k, 1)))
             self._frozen[key] = hit
@@ -757,9 +784,6 @@ class SwitchingKey:
 
     b: list[RnsPolynomial]
     a: list[RnsPolynomial]
-    #: Lazily built Shoup companions (keys are static, so the one-off
-    #: precompute pays for itself after the first key switch).
-    _shoup: tuple | None = field(default=None, repr=False, compare=False)
     #: Level-restricted digit-stacked tables keyed by ``(count, rows)``
     #: (see :meth:`stacked_tables`); also static per key.
     _stacked: dict = field(default_factory=dict, repr=False,
@@ -768,13 +792,6 @@ class SwitchingKey:
     @property
     def dnum(self) -> int:
         return len(self.b)
-
-    def shoup_tables(self) -> tuple[list, list]:
-        """Per-digit ``shoup_precompute`` pairs for ``b`` and ``a``."""
-        if self._shoup is None:
-            self._shoup = ([shoup_precompute(p) for p in self.b],
-                           [shoup_precompute(p) for p in self.a])
-        return self._shoup
 
     def stacked_tables(self, count: int, rows: tuple[int, ...]) -> tuple:
         """Digit-stacked ``(b, a)`` uint64 tables for :func:`key_mac`.
@@ -952,90 +969,66 @@ class RnsKeyGenerator:
 
 
 # ======================================================================
-# Stacked kernels
+# The NTT-domain modulus switch
 # ======================================================================
-class StackedKernels:
-    """Scheme-independent ``(k*L, N)`` stack kernels for one ring degree.
+def switch_down_ntt(stack: np.ndarray, basis: RnsBasis, k: int, *,
+                    delta_fn=None) -> tuple[np.ndarray, RnsBasis]:
+    """Drop the last limb of ``k`` stacked NTT-domain polynomials.
 
-    Thin, stateless veneer over the plan-cached stacked engines plus
-    the generic NTT-domain modulus-switch kernel that CKKS rescale and
-    BGV modulus switching share.  Row slices of every kernel are
-    bitwise identical to running each polynomial alone, which is what
-    makes the ``stacked=False`` reference paths exact differentials.
+    The modulus-switch dataflow the IR lowering emits, shared by CKKS
+    rescale and BGV modulus switching: only the dropped limb of each
+    polynomial is iNTT'd (k rows), its (optionally corrected) centred
+    re-reductions are NTT'd back, and the subtract + ``q_last^-1``
+    scaling fold in the NTT domain — bitwise identical to the
+    coefficient round trip because the NTT is Z_q-linear and commutes
+    with per-limb constants.  ``stack`` rows must be canonical
+    residues.
+
+    ``delta_fn`` maps the centred dropped rows ``(k, N)`` to the
+    integer correction actually subtracted: ``None`` (identity) is the
+    CKKS rescale; BGV passes the lift to a multiple of ``t``.
     """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def engine(self, bases, *, dedupe: bool = False):
-        """The stacked engine over a tuple of bases/prime chains."""
-        return stacked_engine(self.n, bases, dedupe=dedupe)
-
-    def pair_engine(self, basis: RnsBasis):
-        """The ``(2L, N)`` engine transforming both ciphertext halves
-        over ``basis`` in one pass."""
-        return stacked_engine(self.n, (basis, basis))
-
-    def switch_down_ntt(self, stack: np.ndarray, basis: RnsBasis,
-                        k: int, *, delta_fn=None
-                        ) -> tuple[np.ndarray, RnsBasis]:
-        """Drop the last limb of ``k`` stacked NTT-domain polynomials.
-
-        The modulus-switch dataflow the IR lowering emits: only the
-        dropped limb of each polynomial is iNTT'd (k rows), its
-        (optionally corrected) centred re-reductions are NTT'd back,
-        and the subtract + ``q_last^-1`` scaling fold in the NTT
-        domain — bitwise identical to the coefficient round trip
-        because the NTT is Z_q-linear and commutes with per-limb
-        constants.  ``stack`` rows must be canonical residues.
-
-        ``delta_fn`` maps the centred dropped rows ``(k, N)`` to the
-        integer correction actually subtracted: ``None`` (identity) is
-        the CKKS rescale; BGV passes the lift to a multiple of ``t``.
-        """
-        limbs = len(basis)
-        if limbs < 2:
-            raise ValueError("cannot rescale a single-limb polynomial")
-        if stack.shape[0] != k * limbs:
-            raise ValueError(
-                f"expected a {k * limbs}-row stack, got {stack.shape[0]}")
-        q_last = basis.primes[-1]
-        new_basis = basis.prefix(limbs - 1)
-        n = stack.shape[1]
-        last = np.concatenate(
-            [stack[i * limbs + limbs - 1:(i + 1) * limbs]
-             for i in range(k)])
-        last_coeff = self.engine(((q_last,),) * k, dedupe=True).inverse(
-            last, assume_reduced=True)
-        centred = np.where(last_coeff > q_last // 2,
-                           last_coeff - q_last, last_coeff)
-        delta = centred if delta_fn is None else delta_fn(centred)
-        if delta_fn is None and q_last // 2 < min(new_basis.primes):
-            # Rescale: |delta| <= q_last/2 < every q_j, so
-            # ``delta + q_j`` already sits in (0, 2q) and one
-            # conditional subtract replaces the broadcast division —
-            # the identical canonical residue.
-            corr = np.add(delta[:, None, :], new_basis.q_col)
-            corr = corr.reshape(k * (limbs - 1), n)
-            tmp = scratch("sdn_c", corr.shape)
-            _csub_into(corr.view(np.uint64),
-                       _batch_q_col(new_basis, k).view(np.uint64), tmp)
-            release_scratch("sdn_c", corr.shape)
-        else:
-            corr = (delta[:, None, :] % new_basis.q_col).reshape(
-                k * (limbs - 1), n)
-        corr_ntt = self.engine((new_basis,) * k, dedupe=True).forward(
-            corr, assume_reduced=True)
-        acc = np.concatenate(
-            [stack[i * limbs:(i + 1) * limbs - 1] for i in range(k)])
-        # Both operands were canonical, so the difference sits in
-        # (-q, q), the input range of the shared scaling tail.
-        acc -= corr_ntt
-        return _scale_by_inv_batch(
-            acc, q_last, new_basis, _batch_q_col(new_basis, k),
-            k), new_basis
+    limbs = len(basis)
+    if limbs < 2:
+        raise ValueError("cannot rescale a single-limb polynomial")
+    if stack.shape[0] != k * limbs:
+        raise ValueError(
+            f"expected a {k * limbs}-row stack, got {stack.shape[0]}")
+    q_last = basis.primes[-1]
+    new_basis = basis.prefix(limbs - 1)
+    n = stack.shape[1]
+    last = np.concatenate(
+        [stack[i * limbs + limbs - 1:(i + 1) * limbs]
+         for i in range(k)])
+    last_coeff = stacked_engine(n, ((q_last,),) * k, dedupe=True).inverse(
+        last, assume_reduced=True)
+    centred = np.where(last_coeff > q_last // 2,
+                       last_coeff - q_last, last_coeff)
+    delta = centred if delta_fn is None else delta_fn(centred)
+    if delta_fn is None and q_last // 2 < min(new_basis.primes):
+        # Rescale: |delta| <= q_last/2 < every q_j, so
+        # ``delta + q_j`` already sits in (0, 2q) and one
+        # conditional subtract replaces the broadcast division —
+        # the identical canonical residue.
+        corr = np.add(delta[:, None, :], new_basis.q_col)
+        corr = corr.reshape(k * (limbs - 1), n)
+        tmp = scratch("sdn_c", corr.shape)
+        _csub_into(corr.view(np.uint64),
+                   _batch_q_col(new_basis, k).view(np.uint64), tmp)
+        release_scratch("sdn_c", corr.shape)
+    else:
+        corr = (delta[:, None, :] % new_basis.q_col).reshape(
+            k * (limbs - 1), n)
+    corr_ntt = stacked_engine(n, (new_basis,) * k, dedupe=True).forward(
+        corr, assume_reduced=True)
+    acc = np.concatenate(
+        [stack[i * limbs:(i + 1) * limbs - 1] for i in range(k)])
+    # Both operands were canonical, so the difference sits in
+    # (-q, q), the input range of the shared scaling tail.
+    acc -= corr_ntt
+    return _scale_by_inv_batch(
+        acc, q_last, new_basis, _batch_q_col(new_basis, k),
+        k), new_basis
 
 
 # ======================================================================
@@ -1048,19 +1041,24 @@ class RnsEvaluatorBase:
     scheme subclasses add their plaintext semantics (CKKS scale
     management, BGV factor tracking and ``t``-exact modulus switching,
     BFV scale-invariant multiply) and may override the ModDown hooks.
+
+    ``stacked=False`` constructs the scheme's per-polynomial reference
+    evaluator instead, a subclass of the requested class from
+    :mod:`repro.schemes.reference` (the way ``pathlib.Path`` returns a
+    ``PosixPath``); this is the one place the keyword is read.
     """
+
+    def __new__(cls, *args, stacked: bool = True, **kwargs):
+        if not stacked:
+            from .reference import reference_class
+            cls = reference_class(cls)
+        return super().__new__(cls)
 
     def __init__(self, context: RnsContext, keys: KeyChain | None = None,
                  *, stacked: bool = True):
+        # ``stacked`` picked the class in ``__new__``.
         self.context = context
         self.keys = keys or KeyChain()
-        self.stacked = stacked
-        self.kernels = StackedKernels(context.n)
-
-    def _pair_engine(self, basis: RnsBasis):
-        """The ``(2L, N)`` engine transforming both ciphertext halves
-        over ``basis`` in one pass."""
-        return self.kernels.pair_engine(basis)
 
     # ------------------------------------------------------------------
     # Level and scale maintenance
@@ -1072,9 +1070,6 @@ class RnsEvaluatorBase:
         if level == ct.level:
             return ct
         basis = self.context.q_basis(level)
-        if not self.stacked:
-            return type(ct)(c0=ct.c0.drop_to(basis),
-                            c1=ct.c1.drop_to(basis), scale=ct.scale)
         limbs = len(ct.basis)
         l1 = level + 1
         pair = ct.pair()
@@ -1100,114 +1095,57 @@ class RnsEvaluatorBase:
     # Addition family
     # ------------------------------------------------------------------
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        x, y = self._align(x, y)
-        self._check_scales(x.scale, y.scale)
-        if not self.stacked:
-            return type(x)(c0=x.c0 + y.c0, c1=x.c1 + y.c1,
-                           scale=x.scale)
-        self._check_domains(x.is_ntt, y.is_ntt)
-        pair = add_sub(x.pair(), y.pair(), x.basis)
-        return type(x).from_pair(x.basis, pair, x.scale,
-                                 is_ntt=x.is_ntt)
+        return self._add_sub(x, y, 1)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
+        return self._add_sub(x, y, -1)
+
+    def _add_sub(self, x: Ciphertext, y: Ciphertext,
+                 sign: int) -> Ciphertext:
         x, y = self._align(x, y)
         self._check_scales(x.scale, y.scale)
-        if not self.stacked:
-            return type(x)(c0=x.c0 - y.c0, c1=x.c1 - y.c1,
-                           scale=x.scale)
         self._check_domains(x.is_ntt, y.is_ntt)
-        pair = add_sub(x.pair(), y.pair(), x.basis, -1)
+        pair = add_sub(x.pair(), y.pair(), x.basis, sign)
         return type(x).from_pair(x.basis, pair, x.scale,
                                  is_ntt=x.is_ntt)
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
-        if not self.stacked:
-            return type(ct)(c0=-ct.c0, c1=-ct.c1, scale=ct.scale)
         pair = add_sub(None, ct.pair(), ct.basis, -1)
         return type(ct).from_pair(ct.basis, pair, ct.scale,
                                   is_ntt=ct.is_ntt)
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        self._check_scales(ct.scale, pt.scale)
-        poly = self._match_plain(pt, ct)
-        if not self.stacked:
-            return type(ct)(c0=ct.c0 + poly, c1=ct.c1.copy(),
-                            scale=ct.scale)
-        self._check_domains(ct.is_ntt, poly.is_ntt)
-        limbs = len(ct.basis)
-        out = ct.pair().copy()
-        out[:limbs] = (out[:limbs] + poly.data) % ct.basis.q_col
-        return type(ct).from_pair(ct.basis, out, ct.scale,
-                                  is_ntt=ct.is_ntt)
+        return self._add_sub_plain(ct, pt, 1)
 
     def sub_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
+        return self._add_sub_plain(ct, pt, -1)
+
+    def _add_sub_plain(self, ct: Ciphertext, pt: Plaintext,
+                       sign: int) -> Ciphertext:
         self._check_scales(ct.scale, pt.scale)
         poly = self._match_plain(pt, ct)
-        if not self.stacked:
-            return type(ct)(c0=ct.c0 - poly, c1=ct.c1.copy(),
-                            scale=ct.scale)
         self._check_domains(ct.is_ntt, poly.is_ntt)
         limbs = len(ct.basis)
         out = ct.pair().copy()
-        out[:limbs] = (out[:limbs] - poly.data) % ct.basis.q_col
+        c0 = out[:limbs]
+        out[:limbs] = (c0 + poly.data if sign > 0
+                       else c0 - poly.data) % ct.basis.q_col
         return type(ct).from_pair(ct.basis, out, ct.scale,
                                   is_ntt=ct.is_ntt)
 
     def _match_plain(self, pt: Plaintext, ct: Ciphertext) -> RnsPolynomial:
+        """``pt``'s NTT-domain polynomial over ``ct``'s basis, which must
+        be a prefix of the plaintext's (:meth:`Plaintext.require_prefix`)."""
+        pt.require_prefix(ct.basis)
         poly = pt.poly if pt.poly.is_ntt else pt.poly.to_ntt()
         if poly.basis == ct.basis:
             return poly
-        if len(poly.basis) < len(ct.basis):
-            raise ValueError("plaintext level below ciphertext level")
         return RnsPolynomial(ct.basis, poly.data[:len(ct.basis)].copy(),
                              is_ntt=True)
 
     # ------------------------------------------------------------------
     # Multiplication family
     # ------------------------------------------------------------------
-    def multiply_no_relin(self, x: Ciphertext,
-                          y: Ciphertext) -> Ciphertext3:
-        x, y = self._align(x, y)
-        if not self.stacked:
-            d0 = x.c0.pointwise_mul(y.c0)
-            d1 = x.c0.pointwise_mul(y.c1) + x.c1.pointwise_mul(y.c0)
-            d2 = x.c1.pointwise_mul(y.c1)
-            return Ciphertext3(d0=d0, d1=d1, d2=d2,
-                               scale=x.scale * y.scale)
-        self._check_domains(x.is_ntt, y.is_ntt)
-        basis = x.basis
-        q_col = basis.q_col
-        limbs = len(basis)
-        # One stacked product yields [d0; d2]; d1 is the cross term.
-        outer = x.pair() * y.pair() % _pair_col(q_col)
-        d1 = (x.c0.data * y.c1.data % q_col
-              + x.c1.data * y.c0.data % q_col) % q_col
-        return Ciphertext3(
-            d0=RnsPolynomial(basis, outer[:limbs], is_ntt=x.is_ntt),
-            d1=RnsPolynomial(basis, d1, is_ntt=x.is_ntt),
-            d2=RnsPolynomial(basis, outer[limbs:], is_ntt=x.is_ntt),
-            scale=x.scale * y.scale)
-
-    def relinearize(self, ct3: Ciphertext3, *, out_cls: type | None = None,
-                    key: SwitchingKey | None = None) -> Ciphertext:
-        """Switch ``d2`` back to the secret key; ``key`` defaults to the
-        chain's relinearization key."""
-        key = self._relin_key(key)
-        cls = out_cls or Ciphertext
-        if not self.stacked:
-            ks0, ks1 = self.key_switch(ct3.d2.to_coeff(), key)
-            return cls(c0=ct3.d0 + ks0, c1=ct3.d1 + ks1,
-                       scale=ct3.scale)
-        self._check_domains(ct3.d0.is_ntt, True)
-        d2 = ct3.d2
-        ks, q_basis = self._key_switch_batch(
-            d2.to_coeff().data, key, len(d2.basis) - 1, 1,
-            ntt_rows=d2.data if d2.is_ntt else None)
-        d01 = np.concatenate([ct3.d0.data, ct3.d1.data])
-        out = (d01 + ks) % _pair_col(q_basis.q_col)
-        return cls.from_pair(q_basis, out, ct3.scale, is_ntt=True)
-
     def _relin_key(self, key: SwitchingKey | None) -> SwitchingKey:
         key = self.keys.relin if key is None else key
         if key is None:
@@ -1217,16 +1155,11 @@ class RnsEvaluatorBase:
     def multiply(self, x: Ciphertext, y: Ciphertext, *,
                  key: SwitchingKey | None = None) -> Ciphertext:
         """HMULT with relinearization under ``key`` (default: the
-        chain's relinearization key); caller rescales when ready.  The
-        stacked path is :meth:`batch_multiply` at ``k = 1``."""
+        chain's relinearization key); caller rescales when ready.  Runs
+        :meth:`batch_multiply` at ``k = 1``."""
         x, y = self._align(x, y)
-        if self.stacked:
-            return self.batch_multiply(_as_batch(x), _as_batch(y),
-                                       key=key).split()[0]
-        out = self.relinearize(self.multiply_no_relin(x, y),
-                               out_cls=type(x), key=key)
-        out.scale = self._mul_scale(x.scale, y.scale)
-        return out
+        return self.batch_multiply(_as_batch(x), _as_batch(y),
+                                   key=key).split()[0]
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         return self.multiply(ct, ct)
@@ -1237,26 +1170,15 @@ class RnsEvaluatorBase:
         The plaintext's NTT residues (with Shoup companions) are frozen
         once on the plaintext and sliced per level, so every repeated
         diagonal/coefficient multiply is division-free — bitwise
-        identical to the plain ``pointwise_mul`` path.  The stacked
-        path is :meth:`batch_multiply_plain` at ``k = 1``: both halves
-        in a single Shoup pass.
+        identical to the plain ``pointwise_mul`` product.  Runs
+        :meth:`batch_multiply_plain` at ``k = 1``: both halves in a
+        single Shoup pass.
         """
-        if not ct.c0.is_ntt:
-            raise ValueError("multiply_plain expects an NTT-domain "
-                             "ciphertext")
-        if not self.stacked:
-            tables = pt.frozen_ntt_tables(len(ct.basis))
-            return type(ct)(c0=pointwise_mul_shoup(ct.c0, tables),
-                            c1=pointwise_mul_shoup(ct.c1, tables),
-                            scale=ct.scale * pt.scale)
         return self.batch_multiply_plain(_as_batch(ct), pt).split()[0]
 
     def _mul_int(self, ct: Ciphertext, value: int,
                  scale: float) -> Ciphertext:
         """Both components times an integer constant, at ``scale``."""
-        if not self.stacked:
-            return type(ct)(c0=ct.c0.mul_scalar(value),
-                            c1=ct.c1.mul_scalar(value), scale=scale)
         value = int(value)
         basis = ct.basis
         s_col = np.array([value % p for p in basis.primes],
@@ -1277,35 +1199,23 @@ class RnsEvaluatorBase:
         NTT-domain ``(ks0, ks1)`` over d2's basis.
 
         This is the paper's Figure 2 data flow: per digit, iNTT (already
-        done by the caller handing coefficient data), BConv (inside
-        :func:`mod_up`), NTT, then multiply-accumulate with the evk and
-        a final ModDown.  The stacked path is :meth:`_key_switch_batch`
-        at ``k = 1``: the digit NTTs run as one ``(beta*E, N)`` pass,
-        both key MACs as one Shoup multiply each over the digit stack,
-        and both ModDown accumulators as stacked pair transforms.
+        done by the caller handing coefficient data), BConv, NTT, then
+        multiply-accumulate with the evk and a final ModDown.  Runs
+        :meth:`batch_key_switch` at ``k = 1``: the digit NTTs as one
+        ``(beta*E, N)`` pass, both key MACs as one pass each over the
+        digit stack, and both ModDown accumulators as stacked pair
+        transforms.
         """
         if d2.is_ntt:
             raise ValueError("key_switch expects coefficient-domain input")
-        if not self.stacked:
-            ctx = self.context
-            level = len(d2.basis) - 1
-            ext = ctx.ext_basis(level)
-            digits = list(self._decompose_and_lift(d2, level, ext))
-            b_tables, a_tables = self._restricted_tables(key, level,
-                                                         len(digits))
-            acc0 = pointwise_mac_shoup(digits, b_tables, ext)
-            acc1 = pointwise_mac_shoup(digits, a_tables, ext)
-            q_basis = ctx.q_basis(level)
-            return self._mod_down_pair(acc0, acc1, q_basis)
-        ks, q_basis = self._key_switch_batch(d2.data, key,
-                                             len(d2.basis) - 1, 1)
+        ks, q_basis = self.batch_key_switch(d2.data, d2.basis, key, 1)
         limbs = len(q_basis)
         return (RnsPolynomial(q_basis, ks[:limbs], is_ntt=True),
                 RnsPolynomial(q_basis, ks[limbs:], is_ntt=True))
 
     # -- stacked key-switch internals ----------------------------------
-    # One dataflow for every stacked key switch: single-ciphertext ops
-    # run it at k = 1, the batch ops at k fused ciphertexts.
+    # One dataflow for every key switch: single-ciphertext ops run it at
+    # k = 1, the batch ops at k fused ciphertexts.
     def _key_switch_batch(self, data: np.ndarray, key: SwitchingKey,
                           level: int, k: int, *,
                           ntt_rows: np.ndarray | None = None,
@@ -1441,12 +1351,12 @@ class RnsEvaluatorBase:
         linearity.  Input is the ct-major accumulator stack from
         :meth:`_key_mac_batch`; output is the ct-major ``(2k*(l+1),
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
-        BGV overrides this (and the reference :meth:`_mod_down_pair`)
-        with the exact ``t``-corrected variant.  ``add``/``perm`` pass
-        to :func:`mod_down_tail`, which adds ``add`` (permuted) into
-        each ``ks0`` (a ``(k*(l+1), N)`` stack) or into both halves (a
-        ``(2k*(l+1), N)`` stack).  Traced as one ``ks.moddown`` span
-        whose ``impl`` names the tail's kernel."""
+        BGV overrides this with the exact ``t``-corrected variant.
+        ``add``/``perm`` pass to :func:`mod_down_tail`, which adds
+        ``add`` (permuted) into each ``ks0`` (a ``(k*(l+1), N)``
+        stack) or into both halves (a ``(2k*(l+1), N)`` stack).
+        Traced as one ``ks.moddown`` span whose ``impl`` names the
+        tail's kernel."""
         n = self.context.n
         p_basis = self.context.p_basis
         l1 = len(q_basis)
@@ -1469,47 +1379,6 @@ class RnsEvaluatorBase:
             # L2, so every avoided pass is a DRAM round trip).
             return mod_down_tail(acc, corr_ntt, q_basis, p_basis.modulus,
                                  2 * k, add=add, perm=perm)
-
-    # -- legacy key-switch internals (the differential reference) ------
-    def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
-                       q_basis: RnsBasis
-                       ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """ModDown both key-switch accumulators, running the two iNTTs
-        (and the two final NTTs) as single stacked ``(2L, N)``
-        transforms — bitwise identical to per-accumulator transforms."""
-        c0, c1 = to_coeff_stacked((acc0, acc1))
-        ks0 = mod_down(c0, q_basis, self.context.p_basis)
-        ks1 = mod_down(c1, q_basis, self.context.p_basis)
-        ks0, ks1 = to_ntt_stacked((ks0, ks1))
-        return ks0, ks1
-
-    def _decompose_and_lift(self, d2: RnsPolynomial, level: int,
-                            ext: RnsBasis):
-        """Yield each digit of ``d2`` lifted (ModUp) to the ext basis,
-        in the NTT domain."""
-        ctx = self.context
-        alpha = ctx.params.alpha
-        for j in range(ctx.num_digits(level)):
-            primes = ctx.digit_primes(j, level)
-            rows = slice(j * alpha, j * alpha + len(primes))
-            digit = RnsPolynomial(RnsBasis(primes), d2.data[rows].copy(),
-                                  is_ntt=False)
-            yield mod_up(digit, ext).to_ntt()
-
-    def _restricted_tables(self, key: SwitchingKey, level: int,
-                           count: int) -> tuple[list, list]:
-        """Shoup tables for the first ``count`` digits of ``key``,
-        restricted to the level's ext basis rows (q_0..q_level + P)."""
-        k = len(self.context.p_basis)
-
-        def restrict(table):
-            s_u, s_sh = table
-            return (np.concatenate([s_u[:level + 1], s_u[-k:]]),
-                    np.concatenate([s_sh[:level + 1], s_sh[-k:]]))
-
-        b_tables, a_tables = key.shoup_tables()
-        return ([restrict(t) for t in b_tables[:count]],
-                [restrict(t) for t in a_tables[:count]])
 
     # ------------------------------------------------------------------
     # Rotations (automorphism + key switch), plain and hoisted
@@ -1535,13 +1404,8 @@ class RnsEvaluatorBase:
 
     def _apply_galois(self, ct: Ciphertext, galois_elt: int,
                       key: SwitchingKey) -> Ciphertext:
-        if self.stacked and ct.is_ntt:
-            return self._apply_galois_batch(_as_batch(ct), galois_elt,
-                                            key).split()[0]
-        rc0 = ct.c0.apply_automorphism(galois_elt)
-        rc1 = ct.c1.apply_automorphism(galois_elt)
-        ks0, ks1 = self.key_switch(rc1.to_coeff(), key)
-        return type(ct)(c0=rc0 + ks0, c1=ks1, scale=ct.scale)
+        return self._apply_galois_batch(_as_batch(ct), galois_elt,
+                                        key).split()[0]
 
     def rotate_hoisted(self, ct: Ciphertext,
                        steps) -> dict[int, Ciphertext]:
@@ -1551,45 +1415,10 @@ class RnsEvaluatorBase:
         then only permutes the NTT-domain digit stack (EFFACT's
         automorphism unit) and multiply-accumulates with its Galois key,
         the hoisting pattern the paper's section III analysis builds
-        on.  The stacked path is :meth:`batch_rotate_hoisted` at
-        ``k = 1``.
+        on.  Runs :meth:`batch_rotate_hoisted` at ``k = 1``.
         """
-        if not self.stacked or not ct.is_ntt:
-            return self._rotate_hoisted_legacy(ct, steps)
         return {step: batch.split()[0] for step, batch in
                 self.batch_rotate_hoisted(_as_batch(ct), steps).items()}
-
-    def _rotate_hoisted_legacy(self, ct: Ciphertext,
-                               steps) -> dict[int, Ciphertext]:
-        """Per-polynomial hoisted rotations (the differential
-        reference): per-digit automorphism gathers and per-accumulator
-        key MACs."""
-        ctx = self.context
-        level = ct.level
-        ext = ctx.ext_basis(level)
-        lifted: list | None = None
-        q_basis = ctx.q_basis(level)
-        out: dict[int, Ciphertext] = {}
-        for step in steps:
-            if self._identity_step(step):
-                out[step] = ct.copy()
-                continue
-            key = self.keys.galois.get(step)
-            if key is None:
-                raise ValueError(f"no Galois key for rotation step {step}")
-            if lifted is None:
-                lifted = list(self._decompose_and_lift(
-                    ct.c1.to_coeff(), level, ext))
-            g = galois_element(step, ctx.n)
-            rotated = [digit.apply_automorphism(g) for digit in lifted]
-            b_tables, a_tables = self._restricted_tables(
-                key, level, len(rotated))
-            acc0 = pointwise_mac_shoup(rotated, b_tables, ext)
-            acc1 = pointwise_mac_shoup(rotated, a_tables, ext)
-            ks0, ks1 = self._mod_down_pair(acc0, acc1, q_basis)
-            rc0 = ct.c0.apply_automorphism(g)
-            out[step] = type(ct)(c0=rc0 + ks0, c1=ks1, scale=ct.scale)
-        return out
 
     # ------------------------------------------------------------------
     # Cross-ciphertext batch operations (k fused ciphertexts per kernel)
@@ -1646,10 +1475,8 @@ class RnsEvaluatorBase:
         """One plaintext times ``k`` ciphertexts in a single Shoup pass
         against ``2k``-tiled frozen tables (the rotation-free half of a
         batched matrix-vector product)."""
-        if not batch.is_ntt:
-            raise ValueError("batch_multiply_plain expects an "
-                             "NTT-domain batch")
-        tables = pt.frozen_batch_tables(len(batch.basis), batch.k)
+        _require_ntt("multiply_plain", batch.is_ntt)
+        tables = pt.frozen_batch_tables(batch.basis, batch.k)
         out = pointwise_mul_shoup_stacked(
             batch.stack, tables, _batch_q_col(batch.basis, 2 * batch.k))
         return CiphertextBatch(basis=batch.basis, stack=out,
@@ -1664,8 +1491,8 @@ class RnsEvaluatorBase:
         ``k``-wide key switch of all ``d2`` terms under ``key``
         (default: the chain's relinearization key)."""
         key = self._relin_key(key)
+        _require_ntt("multiply", x.is_ntt)
         self._check_batch(x, y, same_scales=False)
-        self._check_domains(x.is_ntt, True)
         basis = x.basis
         q_col = basis.q_col
         limbs = len(basis)
@@ -1694,8 +1521,7 @@ class RnsEvaluatorBase:
             _csub_into(d01_4[i, 1].view(np.uint64), q_col.view(np.uint64),
                        tmp_d1)
         release_scratch("bmul_d1", (limbs, n))
-        d2_coeff = self.kernels.engine((basis,) * k,
-                                       dedupe=True).inverse(
+        d2_coeff = stacked_engine(n, (basis,) * k, dedupe=True).inverse(
             d2, assume_reduced=True)
         out, q_basis = self._key_switch_batch(d2_coeff, key, x.level, k,
                                               ntt_rows=d2, add=d01)
@@ -1737,8 +1563,7 @@ class RnsEvaluatorBase:
 
     def _apply_galois_batch(self, batch: CiphertextBatch, galois_elt: int,
                             key: SwitchingKey) -> CiphertextBatch:
-        if not batch.is_ntt:
-            raise ValueError("batch rotations expect NTT-domain batches")
+        _require_ntt("rotate/conjugate", batch.is_ntt)
         basis = batch.basis
         limbs = len(basis)
         k = batch.k
@@ -1746,7 +1571,7 @@ class RnsEvaluatorBase:
         # Only the c1 halves are gathered; the ModDown tail adds
         # sigma(c0) reading c0 through the permutation, as in
         # batch_rotate_hoisted.
-        engine = self.kernels.engine((basis,) * k, dedupe=True)
+        engine = stacked_engine(n, (basis,) * k, dedupe=True)
         b4 = batch.stack.reshape(k, 2, limbs, n)
         rc1 = engine.automorphism_ntt(b4[:, 1].reshape(k * limbs, n),
                                       galois_elt)
@@ -1773,8 +1598,7 @@ class RnsEvaluatorBase:
         ``sigma(c0)`` into ``ks0`` reading ``c0`` through the same
         permutation (:func:`mod_down_tail`), so no rotated ``c0`` is
         gathered either."""
-        if not batch.is_ntt:
-            raise ValueError("batch rotations expect NTT-domain batches")
+        _require_ntt("rotate_hoisted", batch.is_ntt)
         ctx = self.context
         level = batch.level
         ext = ctx.ext_basis(level)
@@ -1786,8 +1610,8 @@ class RnsEvaluatorBase:
         b4 = batch.stack.reshape(k, 2, limbs, n)
         c0_stack = np.ascontiguousarray(b4[:, 0]).reshape(k * limbs, n)
         c1_stack = np.ascontiguousarray(b4[:, 1]).reshape(k * limbs, n)
-        base_engine = self.kernels.engine((basis,) * k, dedupe=True)
-        ext_engine = self.kernels.engine((ext,) * (2 * k), dedupe=True)
+        base_engine = stacked_engine(n, (basis,) * k, dedupe=True)
+        ext_engine = stacked_engine(n, (ext,) * (2 * k), dedupe=True)
         lifted: np.ndarray | None = None
         out: dict[int, CiphertextBatch] = {}
         for step in steps:

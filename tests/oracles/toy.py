@@ -9,8 +9,9 @@ which is exactly why they stay: :mod:`repro.schemes.bfv` and
 :mod:`repro.schemes.rns_core` hot path, and the differential suite
 (``tests/test_rns_core_schemes.py``) uses these independent
 implementations as plaintext-semantics and noise-behaviour oracles for
-the port.  Do not optimize this module — its value is that it shares
-no kernels with the code it checks.
+the port.  Test-only, like the rest of :mod:`oracles` (import it as
+``oracles.toy``).  Do not optimize this module — its value is that it
+shares no kernels with the code it checks.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nttmath.ntt import galois_element
-from ..nttmath.primes import find_ntt_primes
-from ..rns.basis import RnsBasis
-from ..rns.poly import RnsPolynomial, ntt_table
+from repro.nttmath.ntt import galois_element
+from repro.nttmath.primes import find_ntt_primes
+from repro.rns.basis import RnsBasis
+from repro.rns.poly import RnsPolynomial, ntt_table
 
 
 # ======================================================================
@@ -476,7 +477,7 @@ class ToyBgvScheme:
                     ka: RnsPolynomial):
         """Undecomposed key switch with t-divisible rounding."""
         ctx = self.ctx
-        from ..rns.bconv import mod_up
+        from repro.rns.bconv import mod_up
 
         basis = d2.basis
         ext = basis.extend(ctx.p_basis)

@@ -139,16 +139,3 @@ def test_base_convert_stack_matches_per_half(rng):
     got = base_convert_stack(pair, C, B, 2)
     assert np.array_equal(got[:len(B)], base_convert(a, B).data)
     assert np.array_equal(got[len(B):], base_convert(b, B).data)
-
-
-def test_rescale_last_pair_matches_per_half(rng):
-    from repro.rns.bconv import rescale_last_pair
-
-    a = RnsPolynomial.random_uniform(C, N, rng)
-    b = RnsPolynomial.random_uniform(C, N, rng)
-    pair = np.concatenate([a.data, b.data])
-    got = rescale_last_pair(pair, C)
-    assert np.array_equal(got[:len(C) - 1], rescale_last(a).data)
-    assert np.array_equal(got[len(C) - 1:], rescale_last(b).data)
-    with pytest.raises(ValueError, match="pair"):
-        rescale_last_pair(pair[:-1], C)

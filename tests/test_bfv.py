@@ -46,6 +46,7 @@ def test_multiply_off_the_full_basis_names_it(bfv, rng, monkeypatch,
     refused with one named error on both paths, before any kernel
     runs."""
     from repro.schemes import bfv as bfv_mod
+    from repro.schemes import reference
 
     ctx, scheme, sk, rk = bfv
     path = BfvScheme(ctx, stacked=stacked)
@@ -57,7 +58,7 @@ def test_multiply_off_the_full_basis_names_it(bfv, rng, monkeypatch,
         raise AssertionError("a kernel ran")
 
     monkeypatch.setattr(bfv_mod, "base_convert_centered_stack", no_kernel)
-    monkeypatch.setattr(bfv_mod, "base_convert_centered", no_kernel)
+    monkeypatch.setattr(reference, "base_convert_centered", no_kernel)
     for a, b, name in ((low, x, "x"), (x, low, "y"), (low, low, "x")):
         with pytest.raises(ValueError,
                            match=f"BFV multiply: operand {name} lies on "

@@ -99,6 +99,23 @@ def test_e003_datetime_from_import(tmp_path):
     assert codes(lint_repro.lint_paths([str(path)])) == {"E003"}
 
 
+def test_e004_src_imports_no_test_only_package(tmp_path):
+    srcdir = tmp_path / "src" / "pkg"
+    srcdir.mkdir(parents=True)
+    for i, line in enumerate(("import oracles\n",
+                              "from oracles.toy import ToyBfvScheme\n",
+                              "import tests.oracles as o\n",
+                              "from tests import conftest\n")):
+        path = srcdir / f"mod{i}.py"
+        path.write_text(line)
+        assert codes(lint_repro.lint_paths([str(path)])) == {"E004"}
+    # Relative imports, look-alike names and modules outside src/ pass.
+    ok = srcdir / "ok.py"
+    ok.write_text("from . import oracles\nimport oracles_extra\n")
+    assert lint_repro.lint_paths([str(ok)]) == []
+    assert _lint_source(tmp_path, "import oracles\n", name="bench.py") == []
+
+
 def test_syntax_error_reported_not_crashed(tmp_path):
     findings = _lint_source(tmp_path, "def broken(:\n")
     assert codes(findings) == {"E000"}

@@ -51,7 +51,7 @@ from repro.nttmath.primes import find_ntt_primes, is_prime
 from repro.rns.basis import RnsBasis
 from repro.rns import bconv as bconv_mod
 from repro.rns.bconv import _conv_table, base_convert, base_convert_stack
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import RnsPolynomial, stacked_engine
 from repro.schemes import rns_core
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 from repro.schemes.rns_core import (
@@ -418,7 +418,7 @@ def test_fused_sigma_c0_tail_matches_gather_add_csub(ckks_small,
     rng = np.random.default_rng(k)
     acc = _canonical(rng, ext.q_col, 2 * k, n)
     c0 = _canonical(rng, q_basis.q_col, k, n)
-    engine = ev.kernels.engine((q_basis,) * k, dedupe=True)
+    engine = stacked_engine(n, (q_basis,) * k, dedupe=True)
     g = galois_element(3, n)
 
     def fused():

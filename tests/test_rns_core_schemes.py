@@ -5,12 +5,13 @@ Three layers of guarantees:
 * **differential** — every BFV/BGV operation is *bitwise* identical
   between the stacked evaluator (one ``(2L, N)`` kernel per pair,
   stacked digit lifts, wide exact BConv) and the per-polynomial
-  reference (``stacked=False``), across levels for BGV;
+  reference (``stacked=False``, :mod:`repro.schemes.reference`), across
+  levels for BGV;
 * **golden** — encrypt/multiply/switch digests pinned on deterministic
   contexts, so a numeric change cannot hide behind a matching bug in
   both paths;
 * **oracle** — the seed's per-coefficient implementations
-  (:mod:`repro.schemes.toy`) agree with the new schemes at the
+  (``oracles.toy``, test-only) agree with the new schemes at the
   plaintext level on identical inputs.
 
 CKKS is covered by ``tests/test_stacked_evaluator.py`` running
@@ -28,16 +29,20 @@ import math
 import numpy as np
 import pytest
 
+from repro.rns.poly import RnsPolynomial
 from repro.schemes.bfv import BfvContext, BfvParams, BfvScheme
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 from repro.schemes.ckks import CkksEvaluator
 from repro.schemes.rns_core import (
     Ciphertext,
     KeyChain,
+    NttDomainError,
+    Plaintext,
     RnsEvaluatorBase,
-    StackedKernels,
+    switch_down_ntt,
 )
-from repro.schemes.toy import (
+
+from oracles.toy import (
     ToyBfvContext,
     ToyBfvParams,
     ToyBfvScheme,
@@ -87,13 +92,12 @@ def test_switch_down_ntt_rejects_bad_stack():
     from repro.nttmath.primes import find_ntt_primes
     from repro.rns.basis import RnsBasis
 
-    kern = StackedKernels(8)
     basis = RnsBasis(find_ntt_primes(20, 8, 2))
     with pytest.raises(ValueError, match="row"):
-        kern.switch_down_ntt(np.zeros((3, 8), dtype=np.int64), basis, 2)
+        switch_down_ntt(np.zeros((3, 8), dtype=np.int64), basis, 2)
     single = RnsBasis(basis.primes[:1])
     with pytest.raises(ValueError, match="single-limb"):
-        kern.switch_down_ntt(np.zeros((2, 8), dtype=np.int64), single, 2)
+        switch_down_ntt(np.zeros((2, 8), dtype=np.int64), single, 2)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +224,7 @@ def test_bgv_exactness_survives_the_stack(bgv_pair, rng):
 # ----------------------------------------------------------------------
 ROUTED_OPS = {
     "ckks": ("rotate", "conjugate", "rotate_hoisted", "multiply",
-             "square", "relinearize", "key_switch", "rescale",
+             "square", "key_switch", "rescale",
              "multiply_plain"),
     "bgv": ("multiply", "mod_switch", "rotate", "multiply_plain"),
     "bfv": ("multiply", "rotate", "conjugate"),
@@ -241,7 +245,6 @@ def test_routed_ops_never_write_their_inputs(scheme, op, request, rng):
         ev = ck.ev
         x, y = (ck.encrypt(ck.random_message(rng)) for _ in range(2))
         pt = ck.ctx.encode(ck.random_message(rng))
-        ct3 = ev.multiply_no_relin(x, y)
         d2 = x.c1.to_coeff()
         calls = {
             "rotate": lambda: ev.rotate(x, 1),
@@ -249,13 +252,11 @@ def test_routed_ops_never_write_their_inputs(scheme, op, request, rng):
             "rotate_hoisted": lambda: ev.rotate_hoisted(x, [0, 1, 2]),
             "multiply": lambda: ev.multiply(x, y),
             "square": lambda: ev.square(x),
-            "relinearize": lambda: ev.relinearize(ct3),
             "key_switch": lambda: ev.key_switch(d2, ev.keys.relin),
             "rescale": lambda: ev.rescale(x),
             "multiply_plain": lambda: ev.multiply_plain(x, pt),
         }
-        watched = [x.pair(), y.pair(), ct3.d0.data, ct3.d1.data,
-                   ct3.d2.data, d2.data, pt.poly.data]
+        watched = [x.pair(), y.pair(), d2.data, pt.poly.data]
     elif scheme == "bgv":
         ctx, bgv, _, sk, _, gk = request.getfixturevalue("bgv_pair")
         m = rng.integers(0, ctx.t, ctx.n)
@@ -281,6 +282,66 @@ def test_routed_ops_never_write_their_inputs(scheme, op, request, rng):
     calls[op]()
     for i, (now, was) in enumerate(zip(watched, before)):
         assert np.array_equal(now, was), f"{scheme} {op} wrote input {i}"
+
+
+# ----------------------------------------------------------------------
+# Production ops take NTT-domain ciphertexts only
+# ----------------------------------------------------------------------
+NTT_ONLY_OPS = {
+    "ckks": ("rotate", "conjugate", "rotate_hoisted", "rescale",
+             "multiply", "multiply_plain"),
+    "bgv": ("mod_switch", "multiply", "multiply_plain", "rotate"),
+    "bfv": ("multiply", "rotate"),
+}
+
+
+def _coeff_domain(ct: Ciphertext) -> Ciphertext:
+    return type(ct)(c0=ct.c0.to_coeff(), c1=ct.c1.to_coeff(),
+                    scale=ct.scale)
+
+
+@pytest.mark.parametrize("scheme,op", [(scheme, op)
+                                       for scheme, ops in NTT_ONLY_OPS.items()
+                                       for op in ops])
+def test_ntt_only_ops_reject_coefficient_domain(scheme, op, request, rng):
+    """Every NTT-only production op raises the one named
+    :class:`NttDomainError` for a coefficient-domain ciphertext (the
+    reference evaluator still takes one where the arithmetic allows)."""
+    if scheme == "ckks":
+        ck = request.getfixturevalue("ckks_small")
+        ev = ck.ev
+        x = ck.encrypt(ck.random_message(rng))
+        pt = ck.ctx.encode(ck.random_message(rng))
+        calls = {
+            "rotate": lambda c: ev.rotate(c, 1),
+            "conjugate": lambda c: ev.conjugate(c),
+            "rotate_hoisted": lambda c: ev.rotate_hoisted(c, [0, 1]),
+            "rescale": lambda c: ev.rescale(c),
+            "multiply": lambda c: ev.multiply(c, c),
+            "multiply_plain": lambda c: ev.multiply_plain(c, pt),
+        }
+    elif scheme == "bgv":
+        ctx, bgv, _, sk, _, gk = request.getfixturevalue("bgv_pair")
+        m = rng.integers(0, ctx.t, ctx.n)
+        x = bgv.encrypt(m, sk)
+        pt = RnsPolynomial.from_small_coeffs(x.basis, m).to_ntt()
+        calls = {
+            "mod_switch": lambda c: bgv.mod_switch(c),
+            "multiply": lambda c: bgv.ev.multiply(c, c),
+            "multiply_plain": lambda c: bgv.ev.multiply_plain(
+                c, Plaintext(poly=pt, scale=1.0)),
+            "rotate": lambda c: bgv.rotate(c, 3, gk),
+        }
+    else:
+        ctx, bfv, _, sk, _ = request.getfixturevalue("bfv_pair")
+        x = bfv.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+        calls = {
+            "multiply": lambda c: bfv.ev.multiply(c, c),
+            "rotate": lambda c: bfv.rotate(c, 2),
+        }
+    calls[op](x)                      # the NTT-domain input is accepted
+    with pytest.raises(NttDomainError, match="NTT-domain"):
+        calls[op](_coeff_domain(x))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Stacked ciphertext-pair evaluator vs the legacy per-polynomial path.
+"""Stacked ciphertext-pair evaluator vs the per-polynomial reference.
 
 Every CKKS operation must be *bitwise* identical between
-``CkksEvaluator(stacked=True)`` (the default: one ``(2L, N)`` kernel
-per pair, stacked digit lifts, pair BConv) and ``stacked=False`` (the
-per-polynomial reference).  The property tests run random ciphertexts
-across several levels; golden-vector tests pin stacked rotate/rescale
-outputs on a self-contained deterministic context so a silent numeric
-change cannot hide behind a matching bug in both paths.  The
+``CkksEvaluator(...)`` (the default: one ``(2L, N)`` kernel per pair,
+stacked digit lifts, pair BConv) and ``CkksEvaluator(...,
+stacked=False)``, which constructs the per-polynomial reference
+(:class:`repro.schemes.reference.ReferenceCkksEvaluator`).  The
+property tests run random ciphertexts across several levels;
+golden-vector tests pin stacked rotate/rescale outputs on a
+self-contained deterministic context so a silent numeric change cannot
+hide behind a matching bug in both paths.  The
 key-switching cases run once per kernel implementation (``each_impl``),
 so the C key-switch kernels and their numpy twins are both pinned.
 """
@@ -19,7 +21,10 @@ import numpy as np
 import pytest
 
 from repro.nttmath.batched import get_plan, get_stacked_plan
-from repro.rns.poly import RnsPolynomial, stacked_engine, stacked_transform
+from repro.rns.poly import RnsPolynomial, stacked_engine
+from repro.schemes import reference
+from repro.schemes.bfv import BfvContext, BfvEvaluator, BfvParams, BfvScheme
+from repro.schemes.bgv import BgvContext, BgvEvaluator, BgvParams, BgvScheme
 from repro.schemes.ckks import (
     Ciphertext,
     CkksBootstrapper,
@@ -28,7 +33,9 @@ from repro.schemes.ckks import (
     CkksParams,
     Encryptor,
     KeyGenerator,
+    Plaintext,
 )
+from repro.schemes.rns_core import CiphertextBatch, PlaintextBasisError
 
 SCALE = float(2 ** 25)
 LEVELS = (1, 2, 3)
@@ -58,7 +65,28 @@ def _assert_same(a: Ciphertext, b: Ciphertext, what: str) -> None:
 
 
 def test_stacked_is_the_default(ckks_small):
-    assert ckks_small.ev.stacked
+    """``stacked=False`` constructs the scheme's reference evaluator, an
+    instance of both the production class and a
+    :mod:`repro.schemes.reference` class; the default is production."""
+    bgv_ctx = BgvContext(BgvParams(n=16, q_count=3, dnum=2, seed=5))
+    bfv_ctx = BfvContext(BfvParams(n=16, q_count=3, dnum=2, seed=5))
+    refs = [
+        (CkksEvaluator(ckks_small.ctx, ckks_small.keys, stacked=False),
+         CkksEvaluator, reference.ReferenceCkksEvaluator),
+        (BgvScheme(bgv_ctx, stacked=False).ev, BgvEvaluator,
+         reference.ReferenceBgvEvaluator),
+        (BfvScheme(bfv_ctx, stacked=False).ev, BfvEvaluator,
+         reference.ReferenceBfvEvaluator),
+    ]
+    for ev, production, ref in refs:
+        assert isinstance(ev, production) and isinstance(ev, ref)
+        assert isinstance(ev, reference.ReferenceEvaluator)
+    defaults = [ckks_small.ev,
+                CkksEvaluator(ckks_small.ctx, ckks_small.keys, stacked=True),
+                BgvScheme(bgv_ctx).ev, BfvScheme(bfv_ctx).ev]
+    for ev in defaults:
+        assert not isinstance(ev, reference.ReferenceEvaluator)
+    assert type(ckks_small.ev) is CkksEvaluator
 
 
 def test_pair_view_round_trip(ckks_small, rng):
@@ -115,18 +143,37 @@ def test_scalar_ops_bitwise(ckks_small, legacy, rng):
                      f"multiply_scalar@{level}")
 
 
+@pytest.mark.parametrize("path,op", [
+    (path, op) for path in ("production", "reference")
+    for op in ("add_plain", "sub_plain", "multiply_plain")
+] + [("production", "batch_multiply_plain")])
+def test_plaintext_over_other_primes_is_rejected(ckks_small, legacy, rng,
+                                                 op, path):
+    """A plaintext whose basis does not start with the ciphertext's
+    primes (here: one over the special primes P, with the ciphertext's
+    limb count) would be reinterpreted mod the wrong primes."""
+    ctx = ckks_small.ctx
+    limbs = len(ctx.p_basis)
+    ct = _random_ct(ckks_small, rng, limbs - 1)
+    pt = Plaintext(poly=RnsPolynomial.random_uniform(
+        ctx.p_basis, ctx.n, rng).to_ntt(), scale=SCALE)
+    assert len(pt.poly.basis) == len(ct.basis)
+    ev = ckks_small.ev if path == "production" else legacy
+    if op == "batch_multiply_plain":
+        call = lambda: ev.batch_multiply_plain(  # noqa: E731
+            CiphertextBatch.from_ciphertexts([ct, ct.copy()]), pt)
+    else:
+        call = lambda: getattr(ev, op)(ct, pt)  # noqa: E731
+    with pytest.raises(PlaintextBasisError, match="prefix"):
+        call()
+
+
 def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng, each_impl):
     for _ in each_impl():
         ev = ckks_small.ev
         for level in LEVELS:
             x = _random_ct(ckks_small, rng, level)
             y = _random_ct(ckks_small, rng, level)
-            t3s = ev.multiply_no_relin(x, y)
-            t3l = legacy.multiply_no_relin(x, y)
-            for name in ("d0", "d1", "d2"):
-                assert np.array_equal(getattr(t3s, name).data,
-                                      getattr(t3l, name).data), \
-                    f"multiply_no_relin {name}@{level}"
             prod_s = ev.multiply(x, y)
             prod_l = legacy.multiply(x, y)
             _assert_same(prod_s, prod_l, f"multiply@{level}")
@@ -136,16 +183,17 @@ def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng, each_impl):
 
 
 def test_rescale_coeff_domain_bitwise(ckks_small, legacy, rng):
-    """Rescaling a coefficient-domain ciphertext takes the stacked
-    pair's full iNTT-free path (``rescale_last_pair``) and must match
-    the legacy round trip (which also lands in the NTT domain)."""
+    """The reference still rescales a coefficient-domain ciphertext
+    (landing in the NTT domain); its result equals the production
+    rescale of the same ciphertext in the NTT domain."""
     ev = ckks_small.ev
     basis = ckks_small.ctx.q_basis(3)
     n = ckks_small.ctx.n
     ct = Ciphertext(c0=RnsPolynomial.random_uniform(basis, n, rng),
                     c1=RnsPolynomial.random_uniform(basis, n, rng),
                     scale=SCALE)
-    _assert_same(ev.rescale(ct), legacy.rescale(ct), "rescale-coeff")
+    ntt = Ciphertext(c0=ct.c0.to_ntt(), c1=ct.c1.to_ntt(), scale=SCALE)
+    _assert_same(legacy.rescale(ct), ev.rescale(ntt), "rescale-coeff")
 
 
 def test_rescale_to_and_drop_level_bitwise(ckks_small, legacy, rng):
@@ -228,19 +276,21 @@ def test_mod_raise_bitwise(ckks_deep, rng):
 # ----------------------------------------------------------------------
 def test_stacked_transform_mixed_bases(ckks_small, rng):
     """k polynomials over different prefix/ext bases transform in one
-    pass, bitwise identical to per-polynomial transforms, and the
-    outputs are views of one stack."""
+    stacked-engine pass, bitwise identical to per-polynomial
+    transforms."""
     ctx = ckks_small.ctx
     bases = [ctx.q_basis(1), ctx.q_basis(3), ctx.ext_basis(2),
              ctx.q_basis(3)]
     polys = [RnsPolynomial.random_uniform(b, ctx.n, rng) for b in bases]
-    stacked = stacked_transform(polys, forward=True)
-    for got, poly in zip(stacked, polys):
-        assert np.array_equal(got.data, poly.to_ntt().data)
-        assert got.is_ntt
-    back = stacked_transform(stacked, forward=False)
-    for got, poly in zip(back, polys):
-        assert np.array_equal(got.data, poly.data)
+    engine = stacked_engine(ctx.n, bases)
+    fwd = engine.forward(np.concatenate([p.data for p in polys]))
+    row = 0
+    for poly in polys:
+        limbs = len(poly.basis)
+        assert np.array_equal(fwd[row:row + limbs], poly.to_ntt().data)
+        row += limbs
+    back = engine.inverse(fwd)
+    assert np.array_equal(back, np.concatenate([p.data for p in polys]))
 
 
 def test_stacked_plan_reuses_donor_tables(ckks_small):

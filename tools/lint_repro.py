@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific invariant lint (AST-based, stdlib-only).
 
-Three rules, each encoding a determinism/hygiene invariant the test
+Four rules, each encoding a determinism/hygiene invariant the test
 suite cannot express locally because the failure shows up far from the
 cause:
 
@@ -23,6 +23,12 @@ cause:
     and artifact keys must be pure functions of their inputs or the
     content-addressed store silently stops deduplicating.
 
+``E004`` — no module under ``src/`` imports ``tests`` or ``oracles``.
+    The test-only oracles (``tests/oracles/``) are importable only
+    with ``tests/`` on ``sys.path``, so an installed package that
+    imported them would fail at import time, and an oracle the shipped
+    code leans on stops being independent of it.
+
 Usage::
 
     python tools/lint_repro.py src
@@ -40,6 +46,8 @@ from pathlib import Path
 E002_EXEMPT = ("core/env.py",)
 #: Modules rule E003 is scoped *to* (determinism-critical paths).
 E003_SCOPE = ("compiler/exec_plan.py", "exp/store.py")
+#: Top-level packages that only the test suite may import (rule E004).
+E004_TEST_ONLY = ("tests", "oracles")
 
 
 def _is_cache_binding(node: ast.AST) -> str | None:
@@ -131,7 +139,24 @@ def _check_e003(path: Path, tree: ast.Module, findings: list) -> None:
                  "time.time() call in a determinism-critical module"))
 
 
-CHECKS = (_check_e001, _check_e002, _check_e003)
+def _check_e004(path: Path, tree: ast.Module, findings: list) -> None:
+    if "src" not in path.parts:
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in E004_TEST_ONLY:
+                findings.append(
+                    (path, node.lineno, "E004",
+                     f"import of test-only {name} under src/"))
+
+
+CHECKS = (_check_e001, _check_e002, _check_e003, _check_e004)
 
 
 def lint_paths(roots: list[str]) -> list[tuple[Path, int, str, str]]:
