@@ -35,8 +35,9 @@ indices, value lifetimes) is hoisted into a one-time
   :class:`~repro.nttmath.batched.BatchedNTT` call → fancy-index
   scatter — and the kernel resumes at the next step.  Without the
   library every step runs that numpy body, which stays the oracle.  A
-  traced replay calls the same entry one step at a time, so each step
-  keeps its span.
+  traced replay makes the same calls and hands the kernel a buffer
+  that receives each step's end time (``CLOCK_MONOTONIC``, the clock
+  ``perf_counter`` reads), from which every step keeps its span.
 
 Exactness: every engine prime is below 2**31, so products of
 canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
@@ -58,6 +59,23 @@ gather-then-scatter.  FFT lanes also need a table for every prime
 step runs in C only when each binding is an aligned C-contiguous
 int64 row outside the arena.  The kernel re-checks every step before
 writing any of it and hands back any it refuses.
+
+Canonical-range fast path: plan steps only ever read residues below
+2^31 over moduli below 2^31, so the kernel runs an elementwise or DRAM
+lane over q in [2, 2^31) through a vectorized loop whenever every
+value the lane reads (its rows and its immediate) lies in [0, 2^k),
+k = q.bit_length(): products and MACs (below 2^(2k)) reduce by a
+Barrett step with mu = floor(2^(2k) / q) and two conditional
+subtractions, sums by two conditional subtractions, DRAM rows by one.
+The check rides in the same pass (the OR of every value read, shifted
+right by k, is 0; a negative value sets bit 63).  A lane that fails it
+is rerun by the exact any-int64 loop (wrapping arithmetic and floor
+modulo), which overwrites its out row: safe because the lane-table
+rule already keeps a step from reading a row it writes.  So no plan
+has to prove its inputs canonical, and no table carries a flag for
+it.  The multiplying lanes take the fast loop only where the kernel's
+AVX-512 clone runs (``CANON_MUL()`` in ``ntt.c``), the only build in
+which it measured faster than the exact loop.
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
@@ -1121,16 +1139,18 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
         arena[st.out] = st.vals
 
 
-def _bind_native(lib, table: _ReplayTable, arena: np.ndarray, bindings):
-    """``replay_steps`` bound to the plan's tables, the arena and the
-    DRAM rows bound now (:func:`repro.nttmath.native.bind`): call it
-    through :func:`_native_steps`."""
+def _bind_native(lib, table: _ReplayTable, arena: np.ndarray, bindings,
+                 ends: np.ndarray | None = None):
+    """``replay_steps`` bound to the plan's tables, the arena, the DRAM
+    rows bound now (:func:`repro.nttmath.native.bind`) and, for a
+    traced replay, the int64 buffer ``ends`` that receives each step's
+    end time: call it through :func:`_native_steps`."""
     src = table.sources(bindings, arena)
     return native.bind(
         lib, "replay_steps", arena, arena.shape[0], arena.shape[1],
         table.steps, table.steps.shape[0], table.lanes, table.lanes.size,
         table.q, table.tw, table.q.size, table.perms, table.perms.shape[0],
-        src, src.size)
+        src, src.size, ends)
 
 
 def _native_steps(call, start: int, stop: int) -> int:
@@ -1198,32 +1218,27 @@ def _row_traffic(plan: "ExecPlan") -> tuple[int, int]:
 
 def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
                    prof: dict, prev: float) -> None:
-    """The traced step loop: each step through the same kernel entry
-    as untraced replay, one step per call, timed boundary to boundary
-    from ``prev`` into ``prof`` (so the first step's span also holds
-    the table lookup)."""
+    """The traced step loop: the same kernel entry as untraced replay,
+    one call per run of steps it takes, each step timed boundary to
+    boundary from ``prev`` into ``prof`` (so the first step's span also
+    holds the table lookup).  The kernel writes the end time of every
+    step it runs into ``ends`` (``CLOCK_MONOTONIC`` nanoseconds, the
+    clock ``perf_counter`` reads), from which the spans are emitted
+    after the call; a step it hands back runs numpy between two
+    ``perf_counter`` reads."""
     tr = TRACER
     n = plan.n
+    steps = plan.steps
+    stop = len(steps)
     lib = native.kernel()
     if lib is not None:
+        ends = np.empty(stop, dtype=np.int64)
         call = _bind_native(lib, _replay_table(plan, arena.shape[0]),
-                            arena, bindings)
-    for i, st in enumerate(plan.steps):
-        t0 = perf_counter() if st.kind == K_FFT else prev
-        if lib is not None and _native_steps(call, i, i + 1) > i:
-            if st.kind == K_FFT:
-                # The engine's own spans and counters, so trace totals
-                # do not depend on which implementation ran.
-                span, counter = _FFT_TRACE[st.fft]
-                k = int(st.out.size)
-                attrs = ({"limbs": k, "elt": st.elt, "impl": "c"}
-                         if st.fft == 2 else
-                         {"limbs": k, "n": n, "tiles": 1, "impl": "c"})
-                tr.emit(span, t0, perf_counter() - t0, attrs)
-                tr.count(counter, k)
-        else:
-            _exec_step(st, arena, bindings, n)
-        now = perf_counter()
+                            arena, bindings, ends)
+    start = 0
+
+    def close(st: PlanStep, now: float) -> None:
+        nonlocal prev
         dt = now - prev
         tr.emit("replay." + st.label, prev, dt, None)
         prev = now
@@ -1233,6 +1248,28 @@ def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
         else:
             acc[0] += dt
             acc[1] += st.n_instrs
+
+    while start < stop:
+        done = start
+        if lib is not None:
+            done = _native_steps(call, start, stop)
+            for st, end in zip(steps[start:done],
+                               (ends[:done - start] / 1e9).tolist()):
+                if st.kind == K_FFT:
+                    # The engine's own spans and counters, so trace
+                    # totals do not depend on which implementation ran.
+                    span, counter = _FFT_TRACE[st.fft]
+                    k = int(st.out.size)
+                    attrs = ({"limbs": k, "elt": st.elt, "impl": "c"}
+                             if st.fft == 2 else
+                             {"limbs": k, "n": n, "tiles": 1, "impl": "c"})
+                    tr.emit(span, prev, end - prev, attrs)
+                    tr.count(counter, k)
+                close(st, end)
+        if done < stop:
+            _exec_step(steps[done], arena, bindings, n)
+            close(steps[done], perf_counter())
+        start = done + 1
 
 
 def replay_plan(plan: ExecPlan, bindings):
@@ -1244,12 +1281,13 @@ def replay_plan(plan: ExecPlan, bindings):
 
     * bare: one ``replay_steps`` call for the whole plan (numpy for the
       steps it leaves, see :func:`_replay_steps`), no clock reads;
-    * traced: the same kernel entry one step at a time, with one clock
-      read **per step boundary**, so each span's duration runs
-      boundary-to-boundary and the instrumentation cost itself is
-      attributed into step durations rather than falling into
-      inter-span gaps — the sum of ``replay.*`` spans accounts for the
-      whole loop, not just the step bodies.  Per-step spans land as
+    * traced: the same kernel calls, with one clock read **per step
+      boundary** (the kernel's own, into a buffer, for the steps it
+      runs), so each span's duration runs boundary-to-boundary and
+      the ``replay.*`` spans tile the loop with no gaps between steps;
+      the spans of a native run are emitted after its call returns, so
+      that bookkeeping lands in the next numpy step's span or, after
+      the last step, only in the outer span.  Per-step spans land as
       ``replay.<label>`` under an outer ``replay`` span (its ``impl``
       attribute says whether the native kernels were loaded, ``"c"``,
       or every step ran numpy, ``"numpy"``), and arena gather/scatter

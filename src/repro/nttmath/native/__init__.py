@@ -15,7 +15,13 @@
   addresses of the bound DRAM rows (layout in ``ntt.c``).  It checks
   every step before writing any of it and returns the index of the
   first step it did not run: ``stop``, or a step it refused, which the
-  caller runs with numpy before resuming at the next step;
+  caller runs with numpy before resuming at the next step.  An
+  elementwise or DRAM lane whose modulus lies below ``2^31`` and whose
+  inputs all lie in ``[0, 2^k)`` (``k`` the modulus' bit length) runs a
+  vectorized Barrett loop; a range check in the same pass sends any
+  other lane to the exact any-int64 reduction.  An optional int64
+  buffer receives each step's ``CLOCK_MONOTONIC`` end time in
+  nanoseconds, which a traced replay turns into its per-step spans;
 - ``ks_mac`` / ``bconv`` / ``mod_down_tail``, the key MAC, fast base
   conversion and ModDown tail of the batch key switch
   (:func:`repro.schemes.rns_core.key_mac`,
@@ -31,7 +37,9 @@
   out-of-table read;
 - ``batch_add_sub``, the modular add, subtract and negate of the batch
   ops (:func:`repro.schemes.rns_core.add_sub`), numpy's exact
-  ``(x +- y) % q`` for every int64 input;
+  ``(x +- y) % q`` for every int64 input: a row of canonical residues
+  takes one conditional subtraction or addition per value, any other
+  row the exact reduction;
 - ``bconv_exact`` / ``bfv_scale_round``, the exact (centred, HPS)
   base conversion behind
   :func:`repro.rns.bconv.base_convert_centered_stack` (BFV's centred
@@ -49,9 +57,10 @@
 The source is portable C99 and :data:`CFLAGS` name no target (no
 ``-march``, no ``-m`` flag).  On x86-64 with glibc, ``ntt.c`` marks its
 hot integer loops -- the NTT rows and their loads and stores, the key
-MAC, the conversions' weighted sums and the ModDown tail -- with GCC /
+MAC, the conversions' weighted sums, the ModDown tail and the
+canonical-range replay and add / subtract loops -- with GCC /
 Clang ``target_clones``: each is compiled for baseline x86-64 and for
-AVX2 (some also for AVX-512), and the dynamic loader picks the widest
+AVX2, AVX-512 or both, and the dynamic loader picks the widest
 clone the CPU runs when the library loads.  One cached library thus
 serves every x86-64 machine at its own vector width, the clones give
 bitwise-equal results, and :func:`library_path`'s hash still names one
@@ -185,6 +194,7 @@ _PTR = _Array(np.uintp)
 _ACC = _Array(np.uint64, writeable=True)
 _OPT = _Array(np.int64, optional=True)
 _TW = _Array(np.uint32)
+_ENDS = _Array(np.int64, writeable=True, optional=True)
 _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
@@ -192,7 +202,7 @@ _SIGNATURES = {
     "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TAB, _TAB, _I),
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
     "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
-                     _N, _PTR, _N, _N, _N),
+                     _N, _PTR, _N, _ENDS, _N, _N),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, _TAB),
     "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT, _N,

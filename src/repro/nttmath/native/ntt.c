@@ -37,7 +37,8 @@
  * the same integer expressions, so their results are bitwise equal; the
  * wider ones run the 32-bit Shoup products with native vector multiplies
  * (SSE2 emulates them) and narrow int64 to uint32 in one instruction
- * (AVX-512).
+ * (AVX-512).  The one clone-dependent choice, CANON_MUL(), picks between
+ * two loops with the same results.
  */
 
 /*
@@ -60,19 +61,25 @@
  * to the numpy kernels.
  */
 
+/* clock_gettime, for replay_steps' step end times, under -std=c99. */
+#define _POSIX_C_SOURCE 199309L
+
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
 
 /*
  * VECTOR_CLONES("avx2") is target_clones("avx2", "default") where the
  * toolchain can build and dispatch it (x86-64, glibc's ifunc, a compiler
  * that knows the attribute), and nothing elsewhere.  A function lists a
  * clone only where an interleaved C timing (n = 4096, 30-bit moduli) had
- * it faster than the next narrower one: AVX2 for every marked loop,
- * AVX-512 (by 1.3-2.6x) for the int64 <-> uint32 row moves, the
- * conversions' weighted sums and the ModDown tail, but not for the
- * butterflies or the key MAC.  A build may predefine the macro (-D) to
+ * it faster than the next narrower one: AVX2 for every marked loop but
+ * the canonical-range DRAM load, AVX-512 (by 1.3-2.6x) for the int64 <->
+ * uint32 row moves, the conversions' weighted sums and the ModDown
+ * tail, and (by 1.1-1.4x) for the canonical-range elementwise and DRAM
+ * loops, but not for the butterflies, the key MAC or the batch add /
+ * subtract.  A build may predefine the macro (-D) to
  * pin one variant: empty for the plain build other architectures run, or
  * one target attribute for every marked function; the production flags
  * never set it.
@@ -82,11 +89,28 @@
 #if __has_attribute(target_clones)
 #define VECTOR_CLONES(...) \
     __attribute__((target_clones(__VA_ARGS__, "default")))
+#ifndef CANON_MUL
+#define CANON_MUL() \
+    (__builtin_cpu_init(), __builtin_cpu_supports("avx512f"))
+#endif
 #endif
 #endif
 #endif
 #ifndef VECTOR_CLONES
 #define VECTOR_CLONES(...)
+#endif
+
+/*
+ * CANON_MUL() is non-zero where the multiplying canonical-range loops
+ * (see the replay section) run: with the vector clones, exactly when
+ * the loader picks their AVX-512 clone.  Their AVX2 clone measured no
+ * faster than the exact scalar loop and their baseline x86-64 build
+ * slower (64-bit vector multiplies are emulated with three 32-bit ones),
+ * so every other build keeps the exact loop for them.  A build that
+ * pins VECTOR_CLONES (-D) gets 0 unless it predefines CANON_MUL() too.
+ */
+#ifndef CANON_MUL
+#define CANON_MUL() 0
 #endif
 
 /* x * w mod q, landed in [0, 2q); exact for any x < 2^32, w < q. */
@@ -371,9 +395,14 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
  * only for canonical residues: products and sums wrap modulo 2^64 (done
  * in uint64 here, since signed overflow is undefined in C) and the
  * reduction is numpy's floor modulo, whose result takes the sign of the
- * divisor.  Every step is checked before it writes anything; a step
- * that fails its check is left to the caller (replay_steps returns its
- * index), which keeps the numpy expression as fallback and oracle.
+ * divisor.  Elementwise and DRAM lanes whose inputs lie in a canonical
+ * range take vectorized Barrett loops instead and fall back to that
+ * exact reduction when a range check in the same pass fails (see
+ * "Canonical-range lanes" below).  Every step is checked before it
+ * writes anything; a step that fails its check is left to the caller
+ * (replay_steps returns its index), which keeps the numpy expression as
+ * fallback and oracle.  A traced caller passes a buffer that receives
+ * each step's end time, so one call still runs the whole plan.
  */
 
 __extension__ typedef unsigned __int128 u128;
@@ -475,20 +504,182 @@ static int rows_bad(const int64_t *lanes, size_t k, size_t width,
 }
 
 /*
+ * Canonical-range lanes.  The elementwise and DRAM lanes of a compiled
+ * plan read residues below 2^31 over moduli below 2^31, for which
+ * floor_mod's 128-bit multiply and sign branch do more than is needed
+ * and keep the loop scalar.  A lane over q in [2, 2^31), with k the bit
+ * length of q (so 2^(k-1) <= q < 2^k), whose every input lies in
+ * [0, 2^k) takes a fast loop instead:
+ *   - x * y + z, x * y and x * imm are below 2^(2k) and reduce by
+ *     Barrett with mu = floor(2^(2k) / q): the quotient estimate
+ *     q3 = ((u >> (k - 1)) * mu) >> (k + 1) lies at most 2 below
+ *     floor(u / q) (Menezes et al., Handbook of Applied Cryptography,
+ *     14.42), so u - q3 * q lies in [0, 3q) and two conditional
+ *     subtractions of q land [0, q).  mu <= 2^(k+1), so every factor
+ *     stays below 2^32 and every product fits 64 bits; the one
+ *     exception, q = 2^30 (k = 31, mu = 2^32), takes the exact loop;
+ *   - x + y and x + imm are below 2^(k+1) <= 4q: a conditional
+ *     subtraction of 2q, then one of q;
+ *   - a DRAM value below 2^k <= 2q: one conditional subtraction of q.
+ * Each conditional subtraction tests the top bit of r - q, set exactly
+ * when r < q since every r here is below 2^34 (csub_top): a subtract,
+ * a shift, a negate, an and and an add, which vectorize even on SSE2,
+ * where a 64-bit compare does not.
+ *
+ * The range check rides in the same pass: the loop ORs every value it
+ * reads into one word, and the lane's inputs all lie in [0, 2^k)
+ * exactly when that word shifted right by k is 0 (a negative value sets
+ * bit 63).  A lane that fails is rerun by the exact loop, which
+ * overwrites every value of its out row; that is safe because rows_bad
+ * has already ruled out a step that reads a row one of its lanes
+ * writes.  An immediate outside [0, 2^k) sends its lane straight to
+ * the exact loop.  So each step still equals numpy's expression for
+ * every int64 input, with no precondition on the plan.
+ *
+ * The multiplying lanes take the fast loop only where CANON_MUL() (at
+ * the top of this file) says so: GCC 12 emulates each of their 64-bit
+ * vector multiplies with three 32-bit ones, which only the AVX-512
+ * clone outruns the scalar floor_mod loop with.
+ */
+
+/* The Barrett constants of a canonical-range lane. */
+struct canon {
+    uint64_t q, mu;
+    unsigned k;
+};
+
+/* 1 and c filled in when a lane over q may take the fast loops: q in
+ * [2, 2^31) with mu below 2^32. */
+static int canon_of(struct canon *c, int64_t q)
+{
+    unsigned k = 0;
+    if (q < 2 || q >> 31)
+        return 0;
+    while ((uint64_t)q >> k)
+        k++;
+    c->q = (uint64_t)q;
+    c->k = k;
+    c->mu = ((uint64_t)1 << 2 * k) / (uint64_t)q;
+    return c->mu >> 32 == 0;
+}
+
+/* r - q where r >= q, else r: r < q + 2^63, q < 2^63. */
+static inline uint64_t csub_top(uint64_t r, uint64_t q)
+{
+    uint64_t t = r - q;
+    return t + (q & (0 - (t >> 63)));
+}
+
+/* u mod q for u < 2^(2k), Barrett as above. */
+static inline uint64_t canon_reduce(uint64_t u, const struct canon *c)
+{
+    uint64_t q3 = ((u >> (c->k - 1)) * c->mu) >> (c->k + 1);
+    return csub_top(csub_top(u - q3 * c->q, c->q), c->q);
+}
+
+/* The arithmetic of an elementwise lane: the lane's out row from its
+ * rows x, y, z and immediate imm (see ew_step). */
+enum { EW_MAC, EW_MUL, EW_ADD, EW_MULI, EW_ADDI };
+
+/* One lane over canonical-range inputs, reduced as above; returns the
+ * OR of every value it read (its range check). */
+static VECTOR_CLONES("avx512f", "avx2")
+uint64_t ew_canon(int64_t *restrict o, const int64_t *x, const int64_t *y,
+                  const int64_t *z, uint64_t imm, size_t n, int mode,
+                  const struct canon *cn)
+{
+    struct canon c = *cn;
+    uint64_t acc = 0, q2 = 2 * c.q;
+    size_t j;
+    switch (mode) {
+    case EW_MAC:
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            uint64_t d = (uint64_t)z[j];
+            acc |= a | b | d;
+            o[j] = (int64_t)canon_reduce(a * b + d, &c);
+        }
+        break;
+    case EW_MUL:
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            acc |= a | b;
+            o[j] = (int64_t)canon_reduce(a * b, &c);
+        }
+        break;
+    case EW_ADD:
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            acc |= a | b;
+            o[j] = (int64_t)csub_top(csub_top(a + b, q2), c.q);
+        }
+        break;
+    case EW_MULI:
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j];
+            acc |= a;
+            o[j] = (int64_t)canon_reduce(a * imm, &c);
+        }
+        break;
+    default:
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j];
+            acc |= a;
+            o[j] = (int64_t)csub_top(csub_top(a + imm, q2), c.q);
+        }
+        break;
+    }
+    return acc;
+}
+
+/* One lane exactly: numpy's int64 expression for any input. */
+static void ew_exact(int64_t *restrict o, const int64_t *x,
+                     const int64_t *y, const int64_t *z, int64_t imm,
+                     size_t n, int mode, uint64_t q)
+{
+    uint64_t m = UINT64_MAX / q;
+    size_t j;
+    switch (mode) {
+    case EW_MAC:
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(wrap_add(wrap_mul(x[j], y[j]), z[j]), q, m);
+        break;
+    case EW_MUL:
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(wrap_mul(x[j], y[j]), q, m);
+        break;
+    case EW_ADD:
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(wrap_add(x[j], y[j]), q, m);
+        break;
+    case EW_MULI:
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(wrap_mul(x[j], imm), q, m);
+        break;
+    default:
+        for (j = 0; j < n; j++)
+            o[j] = floor_mod(wrap_add(x[j], imm), q, m);
+        break;
+    }
+}
+
+/*
  * One elementwise step; lane i writes arena row out from rows a, b, c:
  *   nsrc == 3: out = (a * b + c) mod q
  *   nsrc == 2: out = (a * b) mod q if c != 0 else (a + b) mod q
  *   nsrc == 1: out = (a * imm) mod q if c != 0 else (a + imm) mod q
  * so column c is the addend row for nsrc 3 and the multiply flag
- * otherwise.  1 without writing unless nsrc is 1, 2 or 3, every q is
- * at least 1 and the rows pass rows_bad.
+ * otherwise.  A lane takes the canonical-range loop where it may (the
+ * multiplying ones only when mul_fast is set) and the exact loop
+ * otherwise or when its range check fails.  1 without writing unless
+ * nsrc is 1, 2 or 3, every q is at least 1 and the rows pass rows_bad.
  */
 static int ew_step(int64_t *arena, size_t rows, size_t n,
                    const int64_t *lanes, size_t k, int64_t nsrc,
-                   unsigned char *mark)
+                   int mul_fast, unsigned char *mark)
 {
     static const int in[3] = {EW_A, EW_B, EW_C};
-    size_t i, j;
+    size_t i;
     if (nsrc < 1 || nsrc > 3)
         return 1;
     for (i = 0; i < k; i++)
@@ -501,28 +692,17 @@ static int ew_step(int64_t *arena, size_t rows, size_t n,
         int64_t *restrict o = arena + (size_t)ln[EW_OUT] * n;
         const int64_t *x = arena + (size_t)ln[EW_A] * n;
         const int64_t *y = arena + (size_t)(nsrc >= 2 ? ln[EW_B] : 0) * n;
-        uint64_t q = (uint64_t)ln[EW_Q];
-        uint64_t m = UINT64_MAX / q;
-        if (nsrc == 3) {
-            const int64_t *z = arena + (size_t)ln[EW_C] * n;
-            for (j = 0; j < n; j++)
-                o[j] = floor_mod(wrap_add(wrap_mul(x[j], y[j]), z[j]), q,
-                                 m);
-        } else if (nsrc == 2 && ln[EW_C]) {
-            for (j = 0; j < n; j++)
-                o[j] = floor_mod(wrap_mul(x[j], y[j]), q, m);
-        } else if (nsrc == 2) {
-            for (j = 0; j < n; j++)
-                o[j] = floor_mod(wrap_add(x[j], y[j]), q, m);
-        } else if (ln[EW_C]) {
-            int64_t imm = ln[EW_IMM];
-            for (j = 0; j < n; j++)
-                o[j] = floor_mod(wrap_mul(x[j], imm), q, m);
-        } else {
-            int64_t imm = ln[EW_IMM];
-            for (j = 0; j < n; j++)
-                o[j] = floor_mod(wrap_add(x[j], imm), q, m);
-        }
+        const int64_t *z = arena + (size_t)(nsrc == 3 ? ln[EW_C] : 0) * n;
+        int64_t imm = nsrc == 1 ? ln[EW_IMM] : 0;
+        int mode = nsrc == 3 ? EW_MAC
+                   : nsrc == 2 ? (ln[EW_C] ? EW_MUL : EW_ADD)
+                   : (ln[EW_C] ? EW_MULI : EW_ADDI);
+        struct canon c;
+        if (canon_of(&c, ln[EW_Q]) && (uint64_t)imm >> c.k == 0
+            && (mul_fast || mode == EW_ADD || mode == EW_ADDI)
+            && ew_canon(o, x, y, z, (uint64_t)imm, n, mode, &c) >> c.k == 0)
+            continue;
+        ew_exact(o, x, y, z, imm, n, mode, (uint64_t)ln[EW_Q]);
     }
     return 0;
 }
@@ -625,11 +805,27 @@ static int copy_step(int64_t *arena, size_t rows, size_t n,
     return 0;
 }
 
+/* One DRAM row below 2^k, reduced by one conditional subtraction;
+ * returns the OR of the values read (see the canonical-range lanes). */
+static VECTOR_CLONES("avx512f")
+uint64_t dram_canon(int64_t *restrict o, const int64_t *restrict s, size_t n,
+                    uint64_t q)
+{
+    uint64_t acc = 0;
+    size_t j;
+    for (j = 0; j < n; j++) {
+        acc |= (uint64_t)s[j];
+        o[j] = (int64_t)csub_top((uint64_t)s[j], q);
+    }
+    return acc;
+}
+
 /* One DRAM-load step: arena row out = src[source] mod q per lane, in
  * lane order.  src[source] points at n contiguous int64 values outside
- * the arena.  1 without writing unless every row lies in [0, rows),
- * every q is at least 1 and every source index lies in [0, nsrc) with
- * a non-zero address. */
+ * the arena.  A lane takes dram_canon and, when its range check fails,
+ * reruns with floor_mod.  1 without writing unless every row lies in
+ * [0, rows), every q is at least 1 and every source index lies in
+ * [0, nsrc) with a non-zero address. */
 static int dram_step(int64_t *arena, size_t rows, size_t n,
                      const int64_t *lanes, size_t k, const uintptr_t *src,
                      size_t nsrc)
@@ -646,6 +842,9 @@ static int dram_step(int64_t *arena, size_t rows, size_t n,
         const int64_t *s = (const int64_t *)src[ln[DR_SRC]];
         int64_t *restrict o = arena + (size_t)ln[DR_OUT] * n;
         uint64_t q = (uint64_t)ln[DR_Q], m = UINT64_MAX / q;
+        struct canon c;
+        if (canon_of(&c, ln[DR_Q]) && dram_canon(o, s, n, q) >> c.k == 0)
+            continue;
         for (j = 0; j < n; j++)
             o[j] = floor_mod(s[j], q, m);
     }
@@ -692,18 +891,23 @@ static size_t lane_width(int64_t kind)
  * them all, else the index of a step it refused without writing any of
  * it, every earlier step having run.  A step is refused when its kind
  * is none of the five, its lane range lies outside lanes, or a check
- * of its kind above fails.  stop is clamped to nsteps.  Returns -1 if
- * the work buffers could not be allocated.
+ * of its kind above fails.  stop is clamped to nsteps.  With ends
+ * non-NULL (at least stop - start entries), ends[s - start] receives
+ * the CLOCK_MONOTONIC time in nanoseconds at which step s finished, for
+ * every step run: the clock and unit of Python's perf_counter_ns on
+ * Linux, so a traced caller times every step of one call.  Returns -1
+ * if the work buffers could not be allocated.
  */
 int replay_steps(int64_t *arena, size_t rows, size_t n,
                  const int64_t *steps, size_t nsteps, const int64_t *lanes,
                  size_t nlanes, const uint64_t *q, const uint32_t *tw,
                  size_t nprimes, const int64_t *perms, size_t nperms,
-                 const uintptr_t *src, size_t nsrc, size_t start,
-                 size_t stop)
+                 const uintptr_t *src, size_t nsrc, int64_t *ends,
+                 size_t start, size_t stop)
 {
     struct fft_tabs t;
     unsigned char *mark;
+    int mul_fast = CANON_MUL();
     size_t s;
     if (stop > nsteps)
         stop = nsteps;
@@ -734,7 +938,8 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
         k = (size_t)st[ST_K];
         switch (st[ST_KIND]) {
         case ST_EW:
-            bad = ew_step(arena, rows, n, ln, k, st[ST_ARG], mark);
+            bad = ew_step(arena, rows, n, ln, k, st[ST_ARG], mul_fast,
+                          mark);
             break;
         case ST_FFT:
             bad = fft_step(arena, rows, n, ln, k, st[ST_ARG], st[ST_AUX], &t,
@@ -752,6 +957,11 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
         }
         if (bad)
             break;
+        if (ends) {
+            struct timespec ts;
+            clock_gettime(CLOCK_MONOTONIC, &ts);
+            ends[s - start] = (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+        }
     }
     free(mark);
     free(t.a);
@@ -968,15 +1178,51 @@ int mod_down_tail(int64_t *corr, const int64_t *acc, size_t k2, size_t l1,
     return 0;
 }
 
+/* One row of canonical x +- y, or -y with x NULL: an add lands below
+ * 2q and takes one conditional subtraction of q, a difference lies in
+ * (-q, q) and takes one conditional addition of q, each by the top-bit
+ * test of csub_top (any q < 2^63).  Returns the OR over the row of
+ * v | ~(v - q) for every value v read, whose top bit is set exactly
+ * when some v lies outside [0, q) (load_row's scan). */
+static VECTOR_CLONES("avx2")
+uint64_t add_sub_canon(int64_t *restrict o, const int64_t *restrict x,
+                       const int64_t *restrict y, size_t n, uint64_t q,
+                       int sign)
+{
+    uint64_t bad = 0;
+    size_t j;
+    if (!x)
+        for (j = 0; j < n; j++) {
+            uint64_t b = (uint64_t)y[j], d = 0 - b;
+            bad |= b | ~(b - q);
+            o[j] = (int64_t)(d + (q & (0 - (d >> 63))));
+        }
+    else if (sign > 0)
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            bad |= a | ~(a - q) | b | ~(b - q);
+            o[j] = (int64_t)csub_top(a + b, q);
+        }
+    else
+        for (j = 0; j < n; j++) {
+            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j], d = a - b;
+            bad |= a | ~(a - q) | b | ~(b - q);
+            o[j] = (int64_t)(d + (q & (0 - (d >> 63))));
+        }
+    return bad;
+}
+
 /*
  * Modular add / subtract / negate of the batch ops: for row r of a
  * (rows, n) stack whose row r lies over q[r % limbs],
  *   out[r][j] = (x[r][j] + sign * y[r][j]) mod q[r % limbs]
  * with x NULL read as 0 (negation, sign -1).  This is numpy's int64
- * expression for every input, not only canonical residues: the sum
- * wraps modulo 2^64 and floor_mod lands [0, q).  out must not overlap
- * x or y.  Returns 0, or 1 without writing anything unless limbs >= 1,
- * sign is 1 or -1 (-1 when x is NULL) and every q lies in [1, 2^63).
+ * expression for every input, not only canonical residues: a row runs
+ * add_sub_canon and, when its scan finds a value outside [0, q), again
+ * with the sum wrapping modulo 2^64 and floor_mod landing [0, q).  out
+ * must not overlap x or y.  Returns 0, or 1 without writing anything
+ * unless limbs >= 1, sign is 1 or -1 (-1 when x is NULL) and every q
+ * lies in [1, 2^63).
  */
 int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
                   size_t rows, size_t limbs, size_t n, const uint64_t *q,
@@ -993,6 +1239,8 @@ int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
         const int64_t *restrict xr = x ? x + r * n : NULL;
         const int64_t *restrict yr = y + r * n;
         uint64_t qr = q[r % limbs], m = UINT64_MAX / qr;
+        if (!(add_sub_canon(o, xr, yr, n, qr, sign) >> 63))
+            continue;
         if (!xr)
             for (j = 0; j < n; j++)
                 o[j] = floor_mod(wrap_sub(0, yr[j]), qr, m);
@@ -1005,7 +1253,6 @@ int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
     }
     return 0;
 }
-
 
 /*
  * Exact (centred) base conversion, the HPS construction, and BFV's

@@ -456,8 +456,11 @@ def add_sub(x: np.ndarray | None, y: np.ndarray, basis: RnsBasis,
     ``sign = -1`` negates ``y``.  Any int64 inputs: the result is
     numpy's ``(x +- y) % q`` bit for bit, wraparound included.
 
-    The native ``batch_add_sub`` does it in one pass (Barrett, no
-    division); the numpy twin is the broadcast expression."""
+    The native ``batch_add_sub`` does it in one pass over a row of
+    canonical residues (one conditional subtract or add per value,
+    with a range scan in the same pass) and reruns any other row with
+    a division-free Barrett reduction; the numpy twin is the broadcast
+    expression."""
     if y.ndim != 2 or y.shape[0] % len(basis) or (
             x is not None and x.shape != y.shape):
         raise ValueError(f"stacks {None if x is None else x.shape} and "

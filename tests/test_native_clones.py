@@ -17,7 +17,10 @@ of every kernel the clones touch, reusing the twin suites' inputs
 their boundaries, int64 extremes on the reducing loads): the NTT entries
 ``ntt_forward`` / ``ntt_inverse``, ``ks_mac`` with and without a
 permutation, ``bconv``, ``bconv_exact``, ``bfv_scale_round``,
-``mod_down_tail`` and ``replay_steps``.  Skipped without ``cc``.
+``mod_down_tail``, ``batch_add_sub`` (canonical rows next to rows the
+scan sends to the exact loop) and ``replay_steps`` (its elementwise and
+DRAM twins over lanes mixing the canonical-range loops with their
+fallback among them).  Skipped without ``cc``.
 """
 
 from __future__ import annotations
@@ -47,18 +50,20 @@ def _cpu_has(feature: str) -> bool:
     return bool(__cpu_features__.get(feature))
 
 
-#: name -> (the macro's definition, the CPU feature it needs).
+#: name -> (the macro's definition, the CPU feature it needs, whether
+#: the multiplying canonical-range loops run, as CANON_MUL() has it in
+#: the production build on a CPU that picks this clone).
 VARIANTS = {
-    "plain": ("", None),
-    "avx2": ('__attribute__((target("avx2")))', "AVX2"),
-    "avx512f": ('__attribute__((target("avx512f")))', "AVX512F"),
+    "plain": ("", None, False),
+    "avx2": ('__attribute__((target("avx2")))', "AVX2", False),
+    "avx512f": ('__attribute__((target("avx512f")))', "AVX512F", True),
 }
 
 
 @pytest.fixture(scope="module", params=list(VARIANTS))
 def variant_lib(request, tmp_path_factory):
     """The kernel library built with every marked loop as one clone."""
-    definition, feature = VARIANTS[request.param]
+    definition, feature, canon_mul = VARIANTS[request.param]
     if feature is not None and not _cpu_has(feature):
         pytest.skip(f"this CPU has no {feature}")
     cc = shutil.which("cc")
@@ -67,6 +72,7 @@ def variant_lib(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("clones") / f"ntt-{request.param}.so"
     proc = subprocess.run(
         [cc, *native.CFLAGS, f"-DVECTOR_CLONES(...)={definition}",
+         f"-DCANON_MUL()={int(canon_mul)}",
          "-o", str(path), str(native.SOURCE)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -166,14 +172,33 @@ def test_mod_down_tail(variant, monkeypatch):
         engine, monkeypatch, 16)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "negate"])
+def test_batch_add_sub(variant, monkeypatch, op):
+    ks_twins.test_batch_add_sub_mixes_canonical_and_fallback_rows(
+        monkeypatch, op)
+    ks_twins.test_batch_add_sub_matches_numpy_on_any_int64(monkeypatch,
+                                                           op, 2)
+
+
 def test_replay_steps(variant, monkeypatch):
-    """FFT steps over any int64 row, elementwise steps, and the three
-    perfbench programs' whole plans against numpy and the reference."""
+    """FFT steps over any int64 row, elementwise steps (any int64, and
+    lanes mixing the canonical-range loops with their fallback), DRAM
+    rows mixing both, and the three perfbench programs' whole plans
+    against numpy and the reference."""
     for fft, label in replay_twins.FFT_KINDS:
         replay_twins.test_fft_rows_equal_batched_ntt_on_any_int64(
             variant, monkeypatch, fft, label)
     replay_twins.test_ew_step_equals_numpy_on_any_int64(
         variant, monkeypatch, 3, "mac")
+    for nsrc, mode in replay_twins.EW_KINDS:
+        for plant in replay_twins.PLANTS:
+            replay_twins.test_ew_lanes_mixing_fast_and_fallback_equal_numpy(
+                variant, monkeypatch, nsrc, mode, plant)
+    for imm in ("in-range", "negative", "past-2^k"):
+        replay_twins.test_ew_immediates_past_the_range_equal_numpy(
+            variant, monkeypatch, "masked", imm)
+    replay_twins.test_dram_rows_mixing_fast_and_fallback_equal_numpy(
+        variant, monkeypatch)
     whole_plans = getattr(replay_twins, "test_whole_plan_replay_matches_"
                           "numpy_and_reference_on_perfbench")
     whole_plans(variant, monkeypatch)

@@ -534,6 +534,34 @@ def test_batch_add_sub_matches_numpy_on_any_int64(monkeypatch, op, copies):
     np.testing.assert_array_equal(twin, want)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "negate"])
+def test_batch_add_sub_mixes_canonical_and_fallback_rows(monkeypatch, op):
+    """Rows of canonical residues (0 and q - 1 planted), which take the
+    one-conditional-step loop, next to rows holding one value just past
+    [0, q) (q, -1, int64 extremes), which the scan sends to floor_mod."""
+    rng = np.random.default_rng(len(op))
+    copies = 6
+    q = np.tile(WIDE.q_col, (copies, 1))
+    rows = copies * len(WIDE)
+    x = rng.integers(0, q, size=(rows, N), dtype=np.int64)
+    y = rng.integers(0, q, size=(rows, N), dtype=np.int64)
+    x[:, :2], y[:, :2] = [0, 0], [0, 0]
+    x[:, 2], y[:, 3] = q[:, 0] - 1, q[:, 0] - 1
+    x[:, 4] = y[:, 4] = q[:, 0] - 1
+    bad = [q[:, 0], -1, _I64.min, _I64.max]
+    for r in range(len(WIDE), rows):      # the first copy stays canonical
+        operand = y if r % 2 or op == "negate" else x
+        operand[r, 9] = np.broadcast_to(bad[r % len(bad)], rows)[r]
+    call, want = {
+        "add": (lambda: add_sub(x, y, WIDE), (x + y) % q),
+        "sub": (lambda: add_sub(x, y, WIDE, -1), (x - y) % q),
+        "negate": (lambda: add_sub(None, y, WIDE, -1), (-y) % q),
+    }[op]
+    got, twin = _both(monkeypatch, call)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(twin, want)
+
+
 def test_batch_add_sub_rejects_bad_arguments_without_writing(lib):
     rng = np.random.default_rng(2)
     x, y = _any_int64(rng, 4), _any_int64(rng, 4)

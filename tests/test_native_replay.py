@@ -13,7 +13,10 @@ the numpy oracle.  A step that breaks the lane-table rule (a row both
 read and written, a row outside the arena, a modulus past the fused
 NTT bound) must take the numpy path and give the same result, or the
 same ``IndexError``; a table the kernel is handed directly must be
-refused without a write.  The plan tests replay whole compiled
+refused without a write.  Elementwise and DRAM steps whose lanes mix
+the kernel's canonical-range loops with lanes that must fall back to
+the exact reduction (moduli and values at the range's edges) must
+equal numpy lane by lane.  The plan tests replay whole compiled
 programs: C, numpy step by step and :func:`execute_reference` agree,
 over sub-ranges too and around a step C leaves to numpy.
 """
@@ -174,7 +177,7 @@ def _one_step(lib, arena, kind, arg, lanes, *, aux=0, q=None, tw=None,
     src = np.zeros(0, np.uintp) if src is None else src
     return lib.replay_steps(arena, arena.shape[0], N, steps, 1, flat,
                             flat.size, q, tw, q.size, perms, len(perms),
-                            src, src.size, 0, 1)
+                            src, src.size, None, 0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +271,157 @@ def test_ew_step_with_a_negative_row_takes_numpy(lib, monkeypatch):
     plan = _plan_of(step)
     got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
     assert not _native(plan)
+    np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Canonical-range lanes: the fast loops and their fallback
+# ----------------------------------------------------------------------
+#: A 30-bit modulus at 5/8 of 2^30, for which the Barrett estimate of
+#: some products falls 2 short (near 2^k it falls at most 1 short).
+TWO_SHORT = (1 << 29) + (1 << 27) + 3
+#: Moduli at the fast path's edges: the smallest, the largest below
+#: 2^31, 2^30 (whose Barrett constant needs 33 bits, so its lanes take
+#: the exact loop), a 17-bit one (fed 30-bit inputs below, all past its
+#: range), TWO_SHORT and a 30-bit prime like the benchmark plans'.
+CANON_MODULI = (2, Q_MAX, 1 << 30, 65537, TWO_SHORT,
+                find_ntt_primes(30, N, 1)[0])
+#: One value planted per case into one lane's source rows: inside the
+#: range (q - 1, 2^k - 1) or past it (2^k, 2^(k+1) - 1, negative).
+PLANTS = ("none", "q-1", "2^k-1", "2^k", "2^(k+1)-1", "-1", "int64-min")
+
+
+def _bits(q: int) -> int:
+    return int(q).bit_length()
+
+
+def _plant(q: int, plant: str) -> int:
+    top = 1 << _bits(q)
+    return {"q-1": q - 1, "2^k-1": top - 1, "2^k": top,
+            "2^(k+1)-1": 2 * top - 1, "-1": -1,
+            "int64-min": INT64_MIN}[plant]
+
+
+def _barrett_rest(u: int, q: int) -> int:
+    """u minus the fast loops' Barrett quotient estimate times q."""
+    k = _bits(q)
+    mu = (1 << 2 * k) // q
+    return u - (((u >> (k - 1)) * mu) >> (k + 1)) * q
+
+
+def _canon_rows(rng, q: int, count: int, imm: int = 0) -> np.ndarray:
+    """``count`` rows in ``[0, 2^k)`` for modulus q (30-bit values for
+    65537), with 0, q - 1 and 2^k - 1 at fixed columns and, for a q the
+    fast loops take, columns 10-13 holding products (of the first two
+    rows, or of the first row and imm when there is one row) whose
+    Barrett estimate leaves at least 2q where random draws find them
+    (TWO_SHORT), so both conditional subtractions run."""
+    top = 1 << (30 if q == 65537 else _bits(q))
+    rows = rng.integers(0, top, size=(count, N), dtype=np.int64)
+    rows[:, :3] = [0, q - 1, top - 1]
+    if (q == 65537 or q < 8 or (1 << 2 * _bits(q)) // q >> 32
+            or (count == 1 and not 0 < imm < top)):
+        return rows
+    if count >= 3:
+        rows[2, 10:14] = 0
+    x, y = rng.integers(0, top, size=(2, 1 << 12), dtype=np.int64)
+    if count == 1:
+        y[:] = imm
+    hits = [i for i in range(x.size)
+            if _barrett_rest(int(x[i]) * int(y[i]), q) >= 2 * q][:4]
+    assert q != TWO_SHORT or len(hits) == 4
+    rows[0, 10:10 + len(hits)] = x[hits]
+    if count >= 2:
+        rows[1, 10:10 + len(hits)] = y[hits]
+    return rows
+
+
+def _canon_step(rng, nsrc: int, mode: str, plant: str,
+                imm: str = "in-range") -> tuple[PlanStep, np.ndarray]:
+    """A K_EW step with one lane per CANON_MODULI modulus, every lane
+    reading rows of its own, and the arena it runs on."""
+    k = len(CANON_MODULI)
+    rows = np.arange(k * (nsrc + 1), dtype=np.int64).reshape(nsrc + 1, k)
+    arena = np.zeros((rows.size, N), dtype=np.int64)
+    tops = np.array([1 << _bits(q) for q in CANON_MODULI])
+    imms = {"in-range": tops - 1, "negative": -tops // 3,
+            "past-2^k": tops}[imm]
+    for lane, q in enumerate(CANON_MODULI):
+        arena[rows[1:, lane]] = _canon_rows(rng, q, nsrc, int(imms[lane]))
+    st = PlanStep(K_EW, mode, n_instrs=k)
+    st.nsrc = nsrc
+    st.out, st.a = rows[0], rows[1]
+    if nsrc >= 2:
+        st.b = rows[2]
+    if nsrc == 3:
+        st.c = rows[3]
+    st.q_col = np.array(CANON_MODULI, dtype=np.int64).reshape(k, 1)
+    if nsrc == 1:
+        st.imm_col = imms.astype(np.int64).reshape(k, 1)
+    if mode == "masked":
+        st.mask = (np.arange(k) % 2 == 0).reshape(k, 1)
+    elif nsrc < 3:
+        st.mul = mode == "mul"
+    if plant != "none":                    # into the 30-bit prime's lane
+        arena[rows[1:, -1], 5] = _plant(CANON_MODULI[-1], plant)
+    return st, arena
+
+
+def _canon_plan(st: PlanStep, arena: np.ndarray) -> ExecPlan:
+    plan = _plan_of(st)
+    plan.arena_rows = arena.shape[0]
+    return plan
+
+
+@pytest.mark.parametrize("nsrc,mode", EW_KINDS)
+@pytest.mark.parametrize("plant", PLANTS)
+def test_ew_lanes_mixing_fast_and_fallback_equal_numpy(lib, monkeypatch,
+                                                       nsrc, mode, plant):
+    """Lanes whose inputs lie in [0, 2^k) next to lanes that must fall
+    back (q = 2^30, 30-bit inputs over q = 65537, a planted value past
+    the range) in one step: every lane equals numpy."""
+    rng = np.random.default_rng(PLANTS.index(plant))
+    st, arena = _canon_step(rng, nsrc, mode, plant)
+    plan = _canon_plan(st, arena)
+    got, want = _run_both(plan, arena, monkeypatch)
+    assert _native(plan)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["mul", "add", "masked"])
+@pytest.mark.parametrize("imm", ["in-range", "negative", "past-2^k"])
+def test_ew_immediates_past_the_range_equal_numpy(lib, monkeypatch, mode,
+                                                  imm):
+    """An immediate outside [0, 2^k) sends its lane to the exact loop."""
+    rng = np.random.default_rng(len(imm))
+    st, arena = _canon_step(rng, 1, mode, "none", imm)
+    plan = _canon_plan(st, arena)
+    got, want = _run_both(plan, arena, monkeypatch)
+    assert _native(plan)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_dram_rows_mixing_fast_and_fallback_equal_numpy(lib, monkeypatch):
+    """DRAM rows in [0, 2^k) over every CANON_MODULI modulus, and the
+    same rows with one bad value each, in one step."""
+    rng = np.random.default_rng(12)
+    dram, names, qs = {}, [], []
+    for q in CANON_MODULI:
+        for plant in PLANTS:
+            row = _canon_rows(rng, q, 1)[0]
+            if plant != "none":
+                row[7] = _plant(q, plant)
+            name = f"{q}-{plant}"
+            dram[name] = row
+            names.append(name)
+            qs.append(q)
+    bindings = ExecBindings(list(CANON_MODULI), [], N, dram=dram)
+    plan = _plan_of(_dram_step(names, qs, range(len(names))))
+    plan.arena_rows = len(names)
+    got, want = _run_both(plan, _values(rng, (len(names), N)), monkeypatch,
+                          bindings)
+    assert _native(plan)
+    assert all(plan._table.sources(bindings, got))
     np.testing.assert_array_equal(got, want)
 
 
@@ -743,11 +897,11 @@ def test_sub_ranges_compose_to_the_whole_plan(lib):
     assert exec_plan._native_steps(call, total - 1, total + 9) == total
 
 
-def test_a_refused_step_mid_plan_runs_numpy_and_c_resumes(lib,
-                                                          monkeypatch):
-    """One step refused when the table was built and one the kernel
-    refuses at run time (a lane whose q the table corrupted): numpy runs
-    exactly those two, C runs the rest, and the outputs stay exact."""
+def _refusing_plan(monkeypatch):
+    """The tiny program's plan with one step refused when the table was
+    built and one the kernel refuses at run time (a lane whose q the
+    table corrupted), plus the numpy outputs, those two step indices and
+    the list of steps ``_exec_step`` runs from then on."""
     compiled = _tiny_compiled()
     bindings = synthesize_bindings(compiled.packed)
     plan = get_exec_plan(compiled, bindings)
@@ -767,9 +921,50 @@ def test_a_refused_step_mid_plan_runs_numpy_and_c_resumes(lib,
         real(st, arena, bindings, n)
 
     monkeypatch.setattr(exec_plan, "_exec_step", spy)
+    return compiled, bindings, plan, want, (refused, corrupt), ran
+
+
+def test_a_refused_step_mid_plan_runs_numpy_and_c_resumes(lib,
+                                                          monkeypatch):
+    """One step refused when the table was built and one the kernel
+    refuses at run time (a lane whose q the table corrupted): numpy runs
+    exactly those two, C runs the rest, and the outputs stay exact."""
+    compiled, bindings, _, want, numpy_steps, ran = _refusing_plan(
+        monkeypatch)
     got = execute_packed(compiled, bindings).outputs
-    assert sorted(ran) == sorted([refused, corrupt])
+    assert sorted(ran) == sorted(numpy_steps)
     _assert_same(got, want, "refused steps")
+
+
+def test_traced_replay_around_refused_steps_tiles_its_spans(lib,
+                                                            monkeypatch):
+    """Traced, the kernel runs the steps between the refused ones in one
+    call each and reports their end times: one ``replay.<label>`` span
+    per step, in step order, each starting where the last ended, all
+    inside the outer ``replay`` span, and the same outputs."""
+    compiled, bindings, plan, want, numpy_steps, ran = _refusing_plan(
+        monkeypatch)
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    try:
+        obs.TRACER.enabled = True
+        got = execute_packed(compiled, bindings).outputs
+    finally:
+        obs.TRACER.enabled = was
+        events, _ = obs.TRACER.drain()
+    assert sorted(ran) == sorted(numpy_steps)
+    _assert_same(got, want, "traced refused steps")
+    outer = [ev for ev in events if ev[obs.EV_NAME] == "replay"]
+    steps = [ev for ev in events if ev[obs.EV_NAME].startswith("replay.")]
+    assert len(outer) == 1
+    assert [ev[obs.EV_NAME] for ev in steps] == [
+        "replay." + st.label for st in plan.steps]
+    t0, t1 = outer[0][obs.EV_TS], outer[0][obs.EV_TS] + outer[0][obs.EV_DUR]
+    ends = [ev[obs.EV_TS] + ev[obs.EV_DUR] for ev in steps]
+    assert steps[0][obs.EV_TS] == t0 and ends[-1] <= t1 + 1e-9
+    for ev, prev_end in zip(steps[1:], ends):
+        assert ev[obs.EV_TS] == pytest.approx(prev_end, rel=0, abs=1e-9)
+        assert ev[obs.EV_DUR] >= 0
 
 
 def test_replay_span_names_the_kernels_that_ran(ntt_impl):
@@ -870,7 +1065,7 @@ def test_bound_kernel_checks_its_arrays_once_and_holds_them(lib):
     arrays it fixed alive."""
     arena = np.zeros((ROWS, N), dtype=np.int64)
     empty = (np.zeros(0, np.uint64), np.zeros((0, 4, N), np.uint32), 0,
-             np.zeros((0, N), np.int64), 0, np.zeros(0, np.uintp), 0)
+             np.zeros((0, N), np.int64), 0, np.zeros(0, np.uintp), 0, None)
     steps = np.array([[K_FILL, 0, 1, 0, 0]], dtype=np.int64)
     for bad in (arena.astype(np.uint64), arena[:, ::2]):
         with pytest.raises(TypeError):
