@@ -971,7 +971,7 @@ def _fft_tables(n: int, primes) -> tuple[dict, np.ndarray, np.ndarray]:
         index[q] = len(tables)
         tables.append(np.stack((eng._psi_u[0], eng._psi_sh[0],
                                 eng._psi_inv_u[0], eng._psi_inv_sh[0])))
-    tw = (np.stack(tables).astype(np.uint32) if tables
+    tw = (np.stack(tables) if tables
           else np.zeros((0, 4, n), dtype=np.uint32))
     return index, np.array(list(index), dtype=np.uint64), tw
 

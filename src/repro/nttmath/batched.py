@@ -316,10 +316,17 @@ class BatchedNTT:
                                   dtype=np.int64).reshape(-1, 1)
         self._q_u = self.q_col.astype(np.uint64)
         self._q2_u = self._q_u * np.uint64(2)
-        self._psi_u = self._psi_br.astype(np.uint64)
-        self._psi_inv_u = self._psi_inv_br.astype(np.uint64)
-        self._psi_sh = shoup_companion(self._psi_u, self._q_u)
-        self._psi_inv_sh = shoup_companion(self._psi_inv_u, self._q_u)
+        # Twiddles and Shoup companions as uint32 (each lies below 2^32
+        # for q < 2^31), narrowed once per engine: the native rows read
+        # them as they lie; the numpy kernels widen them once, on first
+        # use (_wide_twiddles).
+        psi_u = self._psi_br.astype(np.uint64)
+        psi_inv_u = self._psi_inv_br.astype(np.uint64)
+        self._psi_u = psi_u.astype(np.uint32)
+        self._psi_inv_u = psi_inv_u.astype(np.uint32)
+        self._psi_sh = shoup_companion(psi_u, self._q_u).astype(np.uint32)
+        self._psi_inv_sh = shoup_companion(psi_inv_u,
+                                           self._q_u).astype(np.uint32)
         self._n_inv_u = self.n_inv_col.astype(np.uint64)
         self._n_inv_sh = shoup_companion(self._n_inv_u, self._q_u)
         # Merged final-stage inverse twiddles: the trailing 1/n scaling
@@ -344,6 +351,7 @@ class BatchedNTT:
         # depend only on (n, galois_elt), never on the moduli.
         self._auto_ntt_idx: dict[int, np.ndarray] = {}
         self._auto_coeff_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._wide: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     #: Per-limb table attributes a derived engine re-slices from its
     #: parent (uint companions included; fold tables may be None).
@@ -374,6 +382,7 @@ class BatchedNTT:
         self._fused = max(q.bit_length() for q in primes) <= 30
         self._auto_ntt_idx = parent._auto_ntt_idx
         self._auto_coeff_maps = parent._auto_coeff_maps
+        self._wide = {}
         return self
 
     @classmethod
@@ -391,6 +400,19 @@ class BatchedNTT:
         rows = np.asarray(rows, dtype=np.intp)
         primes = tuple(parent.primes[r] for r in rows)
         return cls._derived(parent, primes, rows)
+
+    def _wide_twiddles(self, inverse: bool
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The (inverse) twiddles and their Shoup companions as uint64
+        for the numpy kernels, widened on first use and kept: an engine
+        whose transforms all run in C never builds them."""
+        wide = self._wide.get(inverse)
+        if wide is None:
+            tw, sh = ((self._psi_inv_u, self._psi_inv_sh) if inverse
+                      else (self._psi_u, self._psi_sh))
+            wide = self._wide[inverse] = (tw.astype(np.uint64),
+                                          sh.astype(np.uint64))
+        return wide
 
     def _merged_ninv_twiddle(self, index: int
                              ) -> tuple[np.ndarray, np.ndarray]:
@@ -556,7 +578,7 @@ class BatchedNTT:
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
-        psi, psi_sh = self._psi_u, self._psi_sh
+        psi, psi_sh = self._wide_twiddles(False)
         if n >= 4:
             bufs = [self._ws(f"f4_{i}", 4, tiles) for i in range(6)]
         m, t = 1, n
@@ -634,6 +656,7 @@ class BatchedNTT:
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
+        psi, psi_sh = self._wide_twiddles(False)
         # The half-stack slabs are borrowed once for the whole stage
         # loop (m*t is invariant at n/2); a per-iteration scratch()
         # call would be an overlapping live borrow.
@@ -648,8 +671,8 @@ class BatchedNTT:
             h0 = w0.reshape(shape)
             h1 = w1.reshape(shape)
             h2 = w2.reshape(shape)
-            s = self._psi_u[:, m:2 * m, None]
-            s_sh = self._psi_sh[:, m:2 * m, None]
+            s = psi[:, m:2 * m, None]
+            s_sh = psi_sh[:, m:2 * m, None]
             xl = blocks[:, :, :, :t]
             xr = blocks[:, :, :, t:]
             np.subtract(xr, q2_b, out=h0)
@@ -742,7 +765,7 @@ class BatchedNTT:
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
-        psi, psi_sh = self._psi_inv_u, self._psi_inv_sh
+        psi, psi_sh = self._wide_twiddles(True)
         ninv = self._n_inv_u[:, :, None]
         ninv_sh = self._n_inv_sh[:, :, None]
         if n >= 4:
@@ -851,6 +874,7 @@ class BatchedNTT:
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
+        psi, psi_sh = self._wide_twiddles(True)
         # Borrowed once across the stage loop (h*t invariant at n/2);
         # re-borrowing per iteration would overlap the live borrow.
         w0 = self._ws("ir_0", 2, tiles)
@@ -870,8 +894,8 @@ class BatchedNTT:
                 s = self._fold1_u[:, :, None]
                 s_sh = self._fold1_sh[:, :, None]
             else:
-                s = self._psi_inv_u[:, h:2 * h, None]
-                s_sh = self._psi_inv_sh[:, h:2 * h, None]
+                s = psi[:, h:2 * h, None]
+                s_sh = psi_sh[:, h:2 * h, None]
             zl = blocks[:, :, :, :t]
             zr = blocks[:, :, :, t:]
             d = np.add(zl, q2_b, out=h0)

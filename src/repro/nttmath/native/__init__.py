@@ -60,8 +60,10 @@ hot integer loops -- the NTT rows and their loads and stores, the key
 MAC, the conversions' weighted sums, the ModDown tail and the
 canonical-range replay and add / subtract loops -- with GCC /
 Clang ``target_clones``: each is compiled for baseline x86-64 and for
-AVX2, AVX-512 or both, and the dynamic loader picks the widest
-clone the CPU runs when the library loads.  One cached library thus
+AVX2, AVX-512 or both (the NTT rows and the conversions' sums for the
+x86-64-v4 level, AVX-512 with DQ, when GCC 12 or later builds them, for
+AVX-512F otherwise), and the dynamic loader picks the widest clone the
+CPU runs when the library loads.  One cached library thus
 serves every x86-64 machine at its own vector width, the clones give
 bitwise-equal results, and :func:`library_path`'s hash still names one
 build per source, flag set and architecture.  Elsewhere (other
@@ -199,8 +201,9 @@ _N = ctypes.c_size_t
 _I = ctypes.c_int
 #: ``argtypes`` of each exported function (see the comments in ntt.c).
 _SIGNATURES = {
-    "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TAB, _TAB, _I),
-    "ntt_inverse": (_OUT, _IN, _N, _N, _N, *(_TAB,) * 7, _I, _I),
+    "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TW, _TW, _I),
+    "ntt_inverse": (_OUT, _IN, _N, _N, _N, _TAB, _TW, _TW, *(_TAB,) * 4,
+                    _I, _I),
     "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
                      _N, _PTR, _N, _ENDS, _N, _N),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT),

@@ -32,24 +32,26 @@
  * architecture.  On x86-64 with glibc the hot integer loops are marked
  * VECTOR_CLONES (defined below): the compiler builds each of them from
  * the same source for baseline x86-64 (SSE2), for AVX2 and, where that
- * measured faster still, for AVX-512, and the dynamic loader picks one
- * clone per CPU when the library loads (an ifunc).  Every clone computes
- * the same integer expressions, so their results are bitwise equal; the
- * wider ones run the 32-bit Shoup products with native vector multiplies
- * (SSE2 emulates them) and narrow int64 to uint32 in one instruction
- * (AVX-512).  The one clone-dependent choice, CANON_MUL(), picks between
- * two loops with the same results.
+ * measured faster still, for AVX-512 (F, or the x86-64-v4 level), and
+ * the dynamic loader picks one clone per CPU when the library loads (an
+ * ifunc).  Every clone computes the same integer expressions, so their
+ * results are bitwise equal; the wider ones run the 32-bit Shoup
+ * products with native vector multiplies (SSE2 emulates them) and
+ * narrow int64 to uint32 in one instruction (AVX-512).  The one
+ * clone-dependent choice, CANON_MUL(), picks between two loops with the
+ * same results.
  */
 
 /*
  * NTT kernels.
  *
  * Row r uses limb r % limbs of the per-limb tables, so a (k*L, n) stack
- * of k same-chain polynomials transforms in one call.  Rows are taken
- * limb by limb: the limb's twiddles are narrowed to uint32 once, then
- * each of its rows is copied into a uint32 work buffer (16 KB at
- * n = 4096) and runs every butterfly stage there before the next row
- * starts, so the whole transform of a row stays in L1.
+ * of k same-chain polynomials transforms in one call.  The twiddle
+ * tables arrive as uint32, narrowed once per engine (BatchedNTT builds
+ * them with its tables; plan replay narrows its primes' once per plan).
+ * Each row is copied into a uint32 work buffer (16 KB at n = 4096) and
+ * runs every butterfly stage there before the next row starts, so the
+ * whole transform of a row stays in L1.
  *
  * The arithmetic is the numpy kernels' Harvey lazy butterfly: Shoup
  * multiplication by bit-reversed twiddles w with companions
@@ -73,17 +75,34 @@
  * VECTOR_CLONES("avx2") is target_clones("avx2", "default") where the
  * toolchain can build and dispatch it (x86-64, glibc's ifunc, a compiler
  * that knows the attribute), and nothing elsewhere.  A function lists a
- * clone only where an interleaved C timing (n = 4096, 30-bit moduli) had
- * it faster than the next narrower one: AVX2 for every marked loop but
- * the canonical-range DRAM load, AVX-512 (by 1.3-2.6x) for the int64 <->
- * uint32 row moves, the conversions' weighted sums and the ModDown
- * tail, and (by 1.1-1.4x) for the canonical-range elementwise and DRAM
- * loops, but not for the butterflies, the key MAC or the batch add /
- * subtract.  A build may predefine the macro (-D) to
- * pin one variant: empty for the plain build other architectures run, or
- * one target attribute for every marked function; the production flags
- * never set it.
+ * clone only where an interleaved C timing (n = 4096, 30-bit moduli;
+ * tools/ntt_timing.py) had it faster than the next narrower one: AVX2
+ * for every marked loop but the canonical-range DRAM load; AVX-512 (by
+ * 1.3-2.6x) for the int64 <-> uint32 row moves, the conversions'
+ * weighted sums and the ModDown tail, (by 1.1-1.4x) for the
+ * canonical-range elementwise and DRAM loops and (by 1.2x) for the NTT
+ * rows once their small stages got fixed trip counts, but not for the
+ * key MAC or the batch add / subtract.  The NTT rows and the
+ * conversions' weighted sums list WIDE_CLONE instead: arch=x86-64-v4
+ * (AVX-512 with DQ, whose vpmullq replaces the three-vpmuludq emulation
+ * of each 64-bit product GCC 12 emits for AVX-512F; rows 1.15-1.28x,
+ * sums 1.10-1.14x over AVX-512F) where the compiler is known to build
+ * and dispatch that level as a clone (GCC 12 on), avx512f elsewhere
+ * (GCC 10 has no such level, GCC 11 had known problems with it as a
+ * clone, Clang was not checked).  Every AVX-512F CPU but Xeon Phi has the
+ * whole x86-64-v4 set, so no avx512f clone sits beside it.  The key MAC
+ * gained 1.07-1.08x over AVX2 from x86-64-v4 and keeps AVX2 only.  The
+ * canonical-range elementwise loop must not get it: built for AVX-512F
+ * + DQ it ran plan replay at 0.75x.  A build may predefine the macro
+ * (-D) to pin one variant: empty for the plain build other
+ * architectures run, or one target attribute for every marked
+ * function; the production flags never set it.
  */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#define WIDE_CLONE "arch=x86-64-v4"
+#else
+#define WIDE_CLONE "avx512f"
+#endif
 #ifndef VECTOR_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -171,126 +190,139 @@ void store_row(int64_t *restrict dst, const uint32_t *restrict a, size_t n,
         dst[j] = (int64_t)csub(csub(a[j], q2), q);
 }
 
-/* Narrow one limb's twiddle row and its companions to uint32. */
-static void load_twiddles(uint32_t *restrict w, uint32_t *restrict w_sh,
-                          const uint64_t *restrict src,
-                          const uint64_t *restrict src_sh, size_t n)
-{
-    size_t j;
-    for (j = 0; j < n; j++) {
-        w[j] = (uint32_t)src[j];
-        w_sh[j] = (uint32_t)src_sh[j];
-    }
-}
-
-/* Cooley-Tukey butterflies x, y -> x + w*y, x - w*y over one block;
- * inputs and outputs in [0, 4q). */
-static void fwd_block(uint32_t *restrict x, uint32_t *restrict y, size_t t,
-                      uint32_t w, uint32_t w_sh, uint32_t q)
+/* Cooley-Tukey butterflies x, y -> x + w*y, x - w*y over one whole stage:
+ * n / (2t) blocks of t, block i with twiddle w[i]; inputs and outputs in
+ * [0, 4q).  The small stages call it with a constant t (8, 4), so the
+ * inner loop has a fixed trip count, and the pragma keeps it a loop:
+ * GCC then vectorizes it at that width in every clone.  Fully unrolled,
+ * the outer loop is vectorized through permutes instead, which made the
+ * baseline and AVX2 clones slower than the runtime-t loop. */
+static inline void fwd_stage(uint32_t *restrict a, size_t n, size_t t,
+                             const uint32_t *restrict w,
+                             const uint32_t *restrict w_sh, uint32_t q)
 {
     uint32_t q2 = 2 * q;
-    size_t j;
-    for (j = 0; j < t; j++) {
-        uint32_t u = csub(x[j], q2);
-        uint32_t v = shoup_lazy(y[j], w, w_sh, q);
-        x[j] = u + v;
-        y[j] = u - v + q2;
+    size_t i, j;
+    for (i = 0; i < n / (2 * t); i++) {
+        uint32_t *restrict x = a + 2 * i * t;
+#pragma GCC unroll 1
+        for (j = 0; j < t; j++) {
+            uint32_t u = csub(x[j], q2);
+            uint32_t v = shoup_lazy(x[j + t], w[i], w_sh[i], q);
+            x[j] = u + v;
+            x[j + t] = u - v + q2;
+        }
     }
 }
 
-/* Gentleman-Sande butterflies x, y -> x + y, (x - y)*w over one block;
- * inputs and outputs in [0, 2q). */
-static void inv_block(uint32_t *restrict x, uint32_t *restrict y, size_t t,
-                      uint32_t w, uint32_t w_sh, uint32_t q)
+/* Gentleman-Sande butterflies x, y -> x + y, (x - y)*w over one whole
+ * stage, laid out as in fwd_stage; inputs and outputs in [0, 2q). */
+static inline void inv_stage(uint32_t *restrict a, size_t n, size_t t,
+                             const uint32_t *restrict w,
+                             const uint32_t *restrict w_sh, uint32_t q)
 {
     uint32_t q2 = 2 * q;
-    size_t j;
-    for (j = 0; j < t; j++) {
-        uint32_t u = x[j], v = y[j];
-        x[j] = csub(u + v, q2);
-        y[j] = shoup_lazy(u - v + q2, w, w_sh, q);
+    size_t i, j;
+    for (i = 0; i < n / (2 * t); i++) {
+        uint32_t *restrict x = a + 2 * i * t;
+#pragma GCC unroll 1
+        for (j = 0; j < t; j++) {
+            uint32_t u = x[j], v = x[j + t];
+            x[j] = csub(u + v, q2);
+            x[j + t] = shoup_lazy(u - v + q2, w[i], w_sh[i], q);
+        }
     }
 }
 
-/* The stages with blocks of t = 1 and t = 2 butterflies walk the whole
- * row in one loop (per-block calls would be all overhead there). */
-static VECTOR_CLONES("avx2")
+/*
+ * The rows.  Stage t (blocks of t butterflies) reads the n / (2t)
+ * twiddles from index n / (2t) on.  Stages with t >= 16 run fwd_stage /
+ * inv_stage at runtime t, t = 8 and 4 at a constant t, and t = 2 and
+ * t = 1 as the whole-row loops below, unrolled by hand (two butterflies
+ * per twiddle, or one).  Rows with n < 16 start at a small stage.
+ */
+static VECTOR_CLONES(WIDE_CLONE, "avx2")
 void forward_row(uint32_t *restrict a, size_t n, uint32_t q,
                  const uint32_t *restrict psi,
                  const uint32_t *restrict psi_sh)
 {
     uint32_t q2 = 2 * q;
-    size_t m, t = n, i;
-    for (m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        if (t >= 4) {
-            for (i = 0; i < m; i++)
-                fwd_block(a + 2 * i * t, a + 2 * i * t + t, t, psi[m + i],
-                          psi_sh[m + i], q);
-        } else if (t == 2) {
-            for (i = 0; i < m; i++) {
-                uint32_t w = psi[m + i], w_sh = psi_sh[m + i];
-                uint32_t *x = a + 4 * i;
-                uint32_t u0 = csub(x[0], q2), u1 = csub(x[1], q2);
-                uint32_t v0 = shoup_lazy(x[2], w, w_sh, q);
-                uint32_t v1 = shoup_lazy(x[3], w, w_sh, q);
-                x[0] = u0 + v0;
-                x[1] = u1 + v1;
-                x[2] = u0 - v0 + q2;
-                x[3] = u1 - v1 + q2;
-            }
-        } else {
-            for (i = 0; i < m; i++) {
-                uint32_t u = csub(a[2 * i], q2);
-                uint32_t v = shoup_lazy(a[2 * i + 1], psi[m + i],
-                                        psi_sh[m + i], q);
-                a[2 * i] = u + v;
-                a[2 * i + 1] = u - v + q2;
-            }
+    const uint32_t *w, *w_sh;
+    size_t t, i;
+    for (t = n / 2; t >= 16; t >>= 1)
+        fwd_stage(a, n, t, psi + n / (2 * t), psi_sh + n / (2 * t), q);
+    if (n >= 16)
+        fwd_stage(a, n, 8, psi + n / 16, psi_sh + n / 16, q);
+    if (n >= 8)
+        fwd_stage(a, n, 4, psi + n / 8, psi_sh + n / 8, q);
+    if (n >= 4) {
+        w = psi + n / 4;
+        w_sh = psi_sh + n / 4;
+        for (i = 0; i < n / 4; i++) {
+            uint32_t *x = a + 4 * i;
+            uint32_t u0 = csub(x[0], q2), u1 = csub(x[1], q2);
+            uint32_t v0 = shoup_lazy(x[2], w[i], w_sh[i], q);
+            uint32_t v1 = shoup_lazy(x[3], w[i], w_sh[i], q);
+            x[0] = u0 + v0;
+            x[1] = u1 + v1;
+            x[2] = u0 - v0 + q2;
+            x[3] = u1 - v1 + q2;
         }
+    }
+    w = psi + n / 2;
+    w_sh = psi_sh + n / 2;
+    for (i = 0; i < n / 2; i++) {
+        uint32_t u = csub(a[2 * i], q2);
+        uint32_t v = shoup_lazy(a[2 * i + 1], w[i], w_sh[i], q);
+        a[2 * i] = u + v;
+        a[2 * i + 1] = u - v + q2;
     }
 }
 
-/* With scale set, the last stage also applies the 1/n scaling: the sum
- * branch takes an explicit n^-1 multiply (s) and the difference branch
- * the merged twiddle psi_inv^br[1] * n^-1 (f). */
-static VECTOR_CLONES("avx2")
+/* Stages run for t = 1, 2, 4, ... below n / 2 (scale set) or n.  With
+ * scale set, the last stage (t = n / 2) also applies the 1/n scaling:
+ * the sum branch takes an explicit n^-1 multiply (s) and the difference
+ * branch the merged twiddle psi_inv^br[1] * n^-1 (f). */
+static VECTOR_CLONES(WIDE_CLONE, "avx2")
 void inverse_row(uint32_t *restrict a, size_t n, uint32_t q,
                  const uint32_t *restrict psi,
                  const uint32_t *restrict psi_sh, int scale,
                  uint32_t s, uint32_t s_sh, uint32_t f, uint32_t f_sh)
 {
     uint32_t q2 = 2 * q;
-    size_t m, h, t = 1, i;
-    for (m = n; m > (scale ? 2u : 1u); m >>= 1, t <<= 1) {
-        h = m >> 1;
-        if (t >= 4) {
-            for (i = 0; i < h; i++)
-                inv_block(a + 2 * i * t, a + 2 * i * t + t, t, psi[h + i],
-                          psi_sh[h + i], q);
-        } else if (t == 2) {
-            for (i = 0; i < h; i++) {
-                uint32_t w = psi[h + i], w_sh = psi_sh[h + i];
-                uint32_t *x = a + 4 * i;
-                uint32_t u0 = x[0], u1 = x[1], v0 = x[2], v1 = x[3];
-                x[0] = csub(u0 + v0, q2);
-                x[1] = csub(u1 + v1, q2);
-                x[2] = shoup_lazy(u0 - v0 + q2, w, w_sh, q);
-                x[3] = shoup_lazy(u1 - v1 + q2, w, w_sh, q);
-            }
-        } else {
-            for (i = 0; i < h; i++) {
-                uint32_t u = a[2 * i], v = a[2 * i + 1];
-                a[2 * i] = csub(u + v, q2);
-                a[2 * i + 1] = shoup_lazy(u - v + q2, psi[h + i],
-                                          psi_sh[h + i], q);
-            }
+    const uint32_t *w, *w_sh;
+    size_t top = scale ? n / 2 : n, t, i;
+    if (top > 1) {
+        w = psi + n / 2;
+        w_sh = psi_sh + n / 2;
+        for (i = 0; i < n / 2; i++) {
+            uint32_t u = a[2 * i], v = a[2 * i + 1];
+            a[2 * i] = csub(u + v, q2);
+            a[2 * i + 1] = shoup_lazy(u - v + q2, w[i], w_sh[i], q);
         }
     }
+    if (top > 2) {
+        w = psi + n / 4;
+        w_sh = psi_sh + n / 4;
+        for (i = 0; i < n / 4; i++) {
+            uint32_t *x = a + 4 * i;
+            uint32_t u0 = x[0], u1 = x[1], v0 = x[2], v1 = x[3];
+            x[0] = csub(u0 + v0, q2);
+            x[1] = csub(u1 + v1, q2);
+            x[2] = shoup_lazy(u0 - v0 + q2, w[i], w_sh[i], q);
+            x[3] = shoup_lazy(u1 - v1 + q2, w[i], w_sh[i], q);
+        }
+    }
+    if (top > 4)
+        inv_stage(a, n, 4, psi + n / 8, psi_sh + n / 8, q);
+    if (top > 8)
+        inv_stage(a, n, 8, psi + n / 16, psi_sh + n / 16, q);
+    for (t = 16; t < top; t <<= 1)
+        inv_stage(a, n, t, psi + n / (2 * t), psi_sh + n / (2 * t), q);
     if (scale) {
         uint32_t *restrict x = a;
-        uint32_t *restrict y = a + t;
-        for (i = 0; i < t; i++) {
+        uint32_t *restrict y = a + n / 2;
+        for (i = 0; i < n / 2; i++) {
             uint32_t u = x[i], v = y[i];
             x[i] = shoup_lazy(csub(u + v, q2), s, s_sh, q);
             y[i] = shoup_lazy(u - v + q2, f, f_sh, q);
@@ -298,65 +330,75 @@ void inverse_row(uint32_t *restrict a, size_t n, uint32_t q,
     }
 }
 
+/* A work row of n uint32 on a 64-byte boundary, so the rows' vector
+ * loads and stores cover whole cache lines (a row ran ~4% faster under
+ * AVX-512 than on a 16-byte boundary); free *block, not the row. */
+static uint32_t *work_row(size_t n, void **block)
+{
+    unsigned char *p = malloc(n * sizeof(uint32_t) + 63);
+    *block = p;
+    return p ? (uint32_t *)(p + (-(uintptr_t)p & 63)) : NULL;
+}
+
 /*
  * Forward transform: natural-order rows in, bit-reversed NTT rows out.
  * q: (limbs,) moduli; psi, psi_sh: (limbs, n) bit-reversed twiddles and
- * their Shoup companions.  reduce != 0 first reduces every input mod q
- * (any int64); otherwise inputs must already lie in [0, q).
- * Returns 0, or -1 if the work buffers could not be allocated.
+ * their Shoup companions, narrowed to uint32 (the engine's copies).
+ * reduce != 0 first reduces every input mod q (any int64); otherwise
+ * inputs must already lie in [0, q).
+ * Returns 0, or -1 if the work row could not be allocated.
  */
 int ntt_forward(int64_t *out, const int64_t *in, size_t rows,
                 size_t limbs, size_t n, const uint64_t *q,
-                const uint64_t *psi, const uint64_t *psi_sh, int reduce)
+                const uint32_t *psi, const uint32_t *psi_sh, int reduce)
 {
-    uint32_t *a = malloc(3 * n * sizeof *a);
+    void *block;
+    uint32_t *a = work_row(n, &block);
     size_t l, r;
     if (!a)
         return -1;
     for (l = 0; l < limbs; l++) {
         uint32_t ql = (uint32_t)q[l];
-        load_twiddles(a + n, a + 2 * n, psi + l * n, psi_sh + l * n, n);
         for (r = l; r < rows; r += limbs) {
             load_row(a, in + r * n, n, q[l], reduce);
-            forward_row(a, n, ql, a + n, a + 2 * n);
+            forward_row(a, n, ql, psi + l * n, psi_sh + l * n);
             store_row(out + r * n, a, n, ql);
         }
     }
-    free(a);
+    free(block);
     return 0;
 }
 
 /*
  * Inverse transform: bit-reversed NTT rows in, natural-order rows out.
- * psi_inv, psi_inv_sh: (limbs, n) inverse twiddles and companions.
- * n_inv, fold1 and their companions are (limbs,) columns of n^-1 and
- * psi_inv^br[1] * n^-1, used when scale != 0 to apply the 1/n scaling.
- * reduce and the return value as for ntt_forward.
+ * psi_inv, psi_inv_sh: (limbs, n) uint32 inverse twiddles and
+ * companions.  n_inv, fold1 and their companions are (limbs,) columns of
+ * n^-1 and psi_inv^br[1] * n^-1, used when scale != 0 to apply the 1/n
+ * scaling.  reduce and the return value as for ntt_forward.
  */
 int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
                 size_t limbs, size_t n, const uint64_t *q,
-                const uint64_t *psi_inv, const uint64_t *psi_inv_sh,
+                const uint32_t *psi_inv, const uint32_t *psi_inv_sh,
                 const uint64_t *n_inv, const uint64_t *n_inv_sh,
                 const uint64_t *fold1, const uint64_t *fold1_sh, int scale,
                 int reduce)
 {
-    uint32_t *a = malloc(3 * n * sizeof *a);
+    void *block;
+    uint32_t *a = work_row(n, &block);
     size_t l, r;
     if (!a)
         return -1;
     for (l = 0; l < limbs; l++) {
         uint32_t ql = (uint32_t)q[l];
-        load_twiddles(a + n, a + 2 * n, psi_inv + l * n,
-                      psi_inv_sh + l * n, n);
         for (r = l; r < rows; r += limbs) {
             load_row(a, in + r * n, n, q[l], reduce);
-            inverse_row(a, n, ql, a + n, a + 2 * n, scale,
-                        (uint32_t)n_inv[l], (uint32_t)n_inv_sh[l],
+            inverse_row(a, n, ql, psi_inv + l * n, psi_inv_sh + l * n,
+                        scale, (uint32_t)n_inv[l], (uint32_t)n_inv_sh[l],
                         (uint32_t)fold1[l], (uint32_t)fold1_sh[l]);
             store_row(out + r * n, a, n, ql);
         }
     }
-    free(a);
+    free(block);
     return 0;
 }
 
@@ -907,15 +949,16 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
 {
     struct fft_tabs t;
     unsigned char *mark;
+    void *block;
     int mul_fast = CANON_MUL();
     size_t s;
     if (stop > nsteps)
         stop = nsteps;
     mark = calloc(rows + nperms + 1, 1);
-    t.a = malloc((n ? n : 1) * sizeof *t.a);
+    t.a = work_row(n ? n : 1, &block);
     if (!mark || !t.a) {
         free(mark);
-        free(t.a);
+        free(block);
         return -1;
     }
     t.q = q;
@@ -964,7 +1007,7 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
         }
     }
     free(mark);
-    free(t.a);
+    free(block);
     return s < stop ? (int)s : (int)stop;
 }
 
@@ -1379,7 +1422,7 @@ static int exact_work_alloc(struct exact_work *wk, size_t l_from,
  * targets this scalar form beats the three-multiply lazy Shoup sum,
  * vectorized (SSE2) or not.
  */
-static VECTOR_CLONES("avx512f", "avx2")
+static VECTOR_CLONES(WIDE_CLONE, "avx2")
 void exact_block(int64_t *out, size_t os, const int64_t *x, size_t xs,
                  size_t w, const struct exact_tab *t,
                  const struct exact_work *wk)

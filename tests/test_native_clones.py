@@ -8,8 +8,12 @@ own, by predefining the macro, into a private library:
 
 * ``plain``: the macro empty -- the code every other architecture runs
   and the x86-64 ``default`` clone;
-* ``avx2`` / ``avx512f``: every marked loop pinned to that target, when
-  numpy reports the CPU feature.
+* ``avx2`` / ``avx512f`` / ``x86-64-v4``: every marked loop pinned to
+  that target, when numpy reports the CPU features (``arch=x86-64-v4``,
+  the AVX-512 F/BW/CD/DQ/VL level, is the NTT rows' and the exact
+  conversion's widest clone under GCC 12 or later, ``WIDE_CLONE`` in
+  ``ntt.c``; under other compilers it is ``avx512f`` and this variant
+  skips).
 
 Each variant, loaded in place of the production library, runs spot twins
 of every kernel the clones touch, reusing the twin suites' inputs
@@ -42,6 +46,17 @@ import test_native_keyswitch as ks_twins
 import test_native_replay as replay_twins
 
 
+def _wide_clone_is_v4(cc: str) -> bool:
+    """Whether ``cc`` builds ntt.c's WIDE_CLONE as arch=x86-64-v4: the
+    same GCC >= 12, not Clang, test as the source's."""
+    proc = subprocess.run([cc, "-dM", "-E", "-x", "c", "-"], input="",
+                          capture_output=True, text=True)
+    macros = dict(line.split(" ", 2)[1:] for line in proc.stdout.splitlines()
+                  if line.count(" ") >= 2)
+    return ("__clang__" not in macros
+            and int(macros.get("__GNUC__", "0")) >= 12)
+
+
 def _cpu_has(feature: str) -> bool:
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -57,6 +72,8 @@ VARIANTS = {
     "plain": ("", None, False),
     "avx2": ('__attribute__((target("avx2")))', "AVX2", False),
     "avx512f": ('__attribute__((target("avx512f")))', "AVX512F", True),
+    "x86-64-v4": ('__attribute__((target("arch=x86-64-v4")))',
+                  "AVX512_SKX", True),
 }
 
 
@@ -69,6 +86,8 @@ def variant_lib(request, tmp_path_factory):
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler: `cc` is not on PATH")
+    if request.param == "x86-64-v4" and not _wide_clone_is_v4(cc):
+        pytest.skip("this compiler builds no x86-64-v4 clone (GCC < 12)")
     path = tmp_path_factory.mktemp("clones") / f"ntt-{request.param}.so"
     proc = subprocess.run(
         [cc, *native.CFLAGS, f"-DVECTOR_CLONES(...)={definition}",
@@ -88,21 +107,26 @@ def variant(variant_lib, monkeypatch):
 
 
 def _any_int64(rng, q_col: np.ndarray, tiles: int, n: int) -> np.ndarray:
-    """Residues, values at and past q, negatives and int64 extremes."""
+    """Residues, values at and past q, negatives and int64 extremes:
+    each of the seven in every row where n >= 7, else in some row."""
     q = np.tile(q_col, (tiles, 1))
     out = rng.integers(0, q, size=(q.shape[0], n), dtype=np.int64)
-    out[:, :4] = [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
-    out[:, 4] = q[:, 0]
-    out[:, 5] = q[:, 0] - 1
-    out[:, 6] = -q[:, 0]
+    for k in range(7):
+        rows = slice(None) if n >= 7 else slice(k // n, k // n + 1)
+        qr = q[rows, 0]
+        out[rows, k % n] = (0, -1, np.iinfo(np.int64).min,
+                            np.iinfo(np.int64).max, qr, qr - 1, -qr)[k]
     return out
 
 
-@pytest.mark.parametrize("n", [128, 1024])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 128, 1024, 4096])
 def test_ntt_rows(variant, monkeypatch, n):
-    """Forward and inverse over canonical rows (0 and q - 1 planted) and,
-    with the input reduction, over any int64 row and rows that are all
-    canonical but one value (past q, or negative)."""
+    """Forward and inverse (scaled, and unscaled) over canonical rows (0
+    and q - 1 planted) and, with the input reduction, over any int64 row
+    and rows that are all canonical but one value (past q, or negative).
+    n = 2 .. 32 start or end a row at each small-stage loop (t = 8, 4,
+    2, 1) in both directions (the unscaled inverse ends at its t = n / 2
+    stage); 128, 1024 and 4096 run them mid-row, as production does."""
     primes = find_ntt_primes(30, n, 3)
     engine = BatchedNTT(n, primes)
     assert engine._fused
@@ -116,9 +140,11 @@ def test_ntt_rows(variant, monkeypatch, n):
     past_q, negative = canon.copy(), canon.copy()
     past_q[3, n // 2] += np.tile(q_col, (2, 1))[3, 0]
     negative[1, n // 3] = -1
-    negative[4, 7] = -(1 << 40)
+    negative[4, 7 % n] = -(1 << 40)
     calls = [lambda: engine.forward(canon, assume_reduced=True),
-             lambda: engine.inverse(canon, assume_reduced=True)]
+             lambda: engine.inverse(canon, assume_reduced=True),
+             lambda: engine.inverse(canon, scale_by_n_inv=False,
+                                    assume_reduced=True)]
     for stack in (canon, wild, past_q, negative):
         calls += [lambda s=stack: engine.forward(s),
                   lambda s=stack: engine.inverse(s)]
