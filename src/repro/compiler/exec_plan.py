@@ -1217,17 +1217,15 @@ def _row_traffic(plan: "ExecPlan") -> tuple[int, int]:
 
 
 def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
-                   prof: dict, prev: float) -> None:
+                   bounds: list) -> None:
     """The traced step loop: the same kernel entry as untraced replay,
-    one call per run of steps it takes, each step timed boundary to
-    boundary from ``prev`` into ``prof`` (so the first step's span also
-    holds the table lookup).  The kernel writes the end time of every
-    step it runs into ``ends`` (``CLOCK_MONOTONIC`` nanoseconds, the
-    clock ``perf_counter`` reads), from which the spans are emitted
-    after the call; a step it hands back runs numpy between two
-    ``perf_counter`` reads."""
-    tr = TRACER
-    n = plan.n
+    one call per run of steps it takes, recording when each step ended
+    in ``bounds``: ``(start, ends)`` for a native run from step
+    ``start``, whose int64 ``ends`` the kernel wrote (each step's
+    ``CLOCK_MONOTONIC`` end in nanoseconds, the clock ``perf_counter``
+    reads), and ``(index, end)`` for a step it handed back, run numpy
+    before one ``perf_counter`` read.  :func:`_emit_steps` turns
+    ``bounds`` into spans afterwards, outside the timed window."""
     steps = plan.steps
     stop = len(steps)
     lib = native.kernel()
@@ -1236,40 +1234,53 @@ def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
         call = _bind_native(lib, _replay_table(plan, arena.shape[0]),
                             arena, bindings, ends)
     start = 0
+    while start < stop:
+        done = start
+        if lib is not None:
+            done = _native_steps(call, start, stop)
+            bounds.append((start, ends[:done - start].copy()))
+        if done < stop:
+            _exec_step(steps[done], arena, bindings, plan.n)
+            bounds.append((done, perf_counter()))
+        start = done + 1
 
-    def close(st: PlanStep, now: float) -> None:
-        nonlocal prev
-        dt = now - prev
+
+def _emit_steps(plan: "ExecPlan", bounds: list, prof: dict,
+                prev: float) -> None:
+    """The ``replay.<label>`` spans of the steps ``bounds`` times (see
+    :func:`_replay_traced`), each timed boundary to boundary from
+    ``prev`` into ``prof`` (so the first step's span also holds the
+    table lookup), plus, for a native FFT step, the engine's own span
+    and row counter, so trace totals do not depend on which
+    implementation ran (a numpy step's engine call emitted its own)."""
+    tr = TRACER
+    n = plan.n
+    steps = plan.steps
+    timed = []
+    for start, ends in bounds:
+        if isinstance(ends, float):
+            timed.append((steps[start], ends, False))
+        else:
+            timed.extend((steps[start + i], end, True) for i, end
+                         in enumerate((ends / 1e9).tolist()))
+    for st, end, ran_native in timed:
+        dt = end - prev
+        if ran_native and st.kind == K_FFT:
+            span, counter = _FFT_TRACE[st.fft]
+            k = int(st.out.size)
+            attrs = ({"limbs": k, "elt": st.elt, "impl": "c"}
+                     if st.fft == 2 else
+                     {"limbs": k, "n": n, "tiles": 1, "impl": "c"})
+            tr.emit(span, prev, dt, attrs)
+            tr.count(counter, k)
         tr.emit("replay." + st.label, prev, dt, None)
-        prev = now
+        prev = end
         acc = prof.get(st.label)
         if acc is None:
             prof[st.label] = [dt, st.n_instrs]
         else:
             acc[0] += dt
             acc[1] += st.n_instrs
-
-    while start < stop:
-        done = start
-        if lib is not None:
-            done = _native_steps(call, start, stop)
-            for st, end in zip(steps[start:done],
-                               (ends[:done - start] / 1e9).tolist()):
-                if st.kind == K_FFT:
-                    # The engine's own spans and counters, so trace
-                    # totals do not depend on which implementation ran.
-                    span, counter = _FFT_TRACE[st.fft]
-                    k = int(st.out.size)
-                    attrs = ({"limbs": k, "elt": st.elt, "impl": "c"}
-                             if st.fft == 2 else
-                             {"limbs": k, "n": n, "tiles": 1, "impl": "c"})
-                    tr.emit(span, prev, end - prev, attrs)
-                    tr.count(counter, k)
-                close(st, end)
-        if done < stop:
-            _exec_step(steps[done], arena, bindings, n)
-            close(steps[done], perf_counter())
-        start = done + 1
 
 
 def replay_plan(plan: ExecPlan, bindings):
@@ -1285,9 +1296,10 @@ def replay_plan(plan: ExecPlan, bindings):
       boundary** (the kernel's own, into a buffer, for the steps it
       runs), so each span's duration runs boundary-to-boundary and
       the ``replay.*`` spans tile the loop with no gaps between steps;
-      the spans of a native run are emitted after its call returns, so
-      that bookkeeping lands in the next numpy step's span or, after
-      the last step, only in the outer span.  Per-step spans land as
+      the spans are emitted once the outputs are copied and ``wall_s``
+      read, so that bookkeeping (a few microseconds per step) lies
+      outside the timed window and the outer span, which the step
+      spans then cover up to the output copies.  Per-step spans land as
       ``replay.<label>`` under an outer ``replay`` span (its ``impl``
       attribute says whether the native kernels were loaded, ``"c"``,
       or every step ran numpy, ``"numpy"``), and arena gather/scatter
@@ -1301,14 +1313,16 @@ def replay_plan(plan: ExecPlan, bindings):
     t0 = perf_counter()
     if tr.enabled:
         prof = {}
+        bounds: list = []
         tr.push("replay")
         try:
-            _replay_traced(plan, arena, bindings, prof, t0)
+            _replay_traced(plan, arena, bindings, bounds)
+            outputs = {vid: arena[row].copy()
+                       for vid, row in plan.output_rows}
+            wall = perf_counter() - t0
         finally:
+            _emit_steps(plan, bounds, prof, t0)
             tr.pop()
-        outputs = {vid: arena[row].copy()
-                   for vid, row in plan.output_rows}
-        wall = perf_counter() - t0
         tr.emit("replay", t0, wall,
                 {"steps": len(plan.steps),
                  "instrs": plan.instructions,

@@ -306,22 +306,21 @@ class BatchedNTT:
         psi_inv = [pow(p, -1, q) for p, q in zip(psi, primes)]
         psi_col = np.array(psi, dtype=np.int64).reshape(-1, 1)
         psi_inv_col = np.array(psi_inv, dtype=np.int64).reshape(-1, 1)
-        # C order (the column gather alone leaves Fortran order): the
-        # native kernel walks each limb's twiddle row in place.
-        self._psi_br = np.ascontiguousarray(
-            self._power_table(psi_col)[:, self._rev])
-        self._psi_inv_br = np.ascontiguousarray(
-            self._power_table(psi_inv_col)[:, self._rev])
         self.n_inv_col = np.array([pow(n, -1, q) for q in primes],
                                   dtype=np.int64).reshape(-1, 1)
         self._q_u = self.q_col.astype(np.uint64)
         self._q2_u = self._q_u * np.uint64(2)
-        # Twiddles and Shoup companions as uint32 (each lies below 2^32
-        # for q < 2^31), narrowed once per engine: the native rows read
-        # them as they lie; the numpy kernels widen them once, on first
-        # use (_wide_twiddles).
-        psi_u = self._psi_br.astype(np.uint64)
-        psi_inv_u = self._psi_inv_br.astype(np.uint64)
+        # Bit-reversed twiddles and Shoup companions as uint32 (each
+        # lies below 2^32 for q < 2^31), narrowed once per engine from
+        # tables built here and dropped: the native rows read them as
+        # they lie; the numpy kernels widen them once, on first use
+        # (_wide_twiddles).  C order (the column gather alone leaves
+        # Fortran order): the native kernel walks each limb's twiddle
+        # row in place.
+        psi_u = self._power_table(psi_col)[:, self._rev].astype(
+            np.uint64, order="C")
+        psi_inv_u = self._power_table(psi_inv_col)[:, self._rev].astype(
+            np.uint64, order="C")
         self._psi_u = psi_u.astype(np.uint32)
         self._psi_inv_u = psi_inv_u.astype(np.uint32)
         self._psi_sh = shoup_companion(psi_u, self._q_u).astype(np.uint32)
@@ -336,10 +335,13 @@ class BatchedNTT:
         # The radix-2 final stage (and the radix-4 stage's w-branch)
         # uses psi_inv^br[1]; the radix-4 final stage's difference
         # branches use psi_inv^br[2] and psi_inv^br[3].
-        self._fold1_u, self._fold1_sh = self._merged_ninv_twiddle(1)
+        self._fold1_u, self._fold1_sh = self._merged_ninv_twiddle(
+            psi_inv_u, 1)
         if n >= 4:
-            self._fold2_u, self._fold2_sh = self._merged_ninv_twiddle(2)
-            self._fold3_u, self._fold3_sh = self._merged_ninv_twiddle(3)
+            self._fold2_u, self._fold2_sh = self._merged_ninv_twiddle(
+                psi_inv_u, 2)
+            self._fold3_u, self._fold3_sh = self._merged_ninv_twiddle(
+                psi_inv_u, 3)
         else:
             self._fold2_u = self._fold2_sh = None
             self._fold3_u = self._fold3_sh = None
@@ -355,7 +357,7 @@ class BatchedNTT:
 
     #: Per-limb table attributes a derived engine re-slices from its
     #: parent (uint companions included; fold tables may be None).
-    _ROW_TABLES = ("q_col", "_psi_br", "_psi_inv_br", "n_inv_col",
+    _ROW_TABLES = ("q_col", "n_inv_col",
                    "_q_u", "_q2_u", "_psi_u", "_psi_inv_u", "_psi_sh",
                    "_psi_inv_sh", "_n_inv_u", "_n_inv_sh",
                    "_fold1_u", "_fold1_sh", "_fold2_u", "_fold2_sh",
@@ -414,14 +416,14 @@ class BatchedNTT:
                                           sh.astype(np.uint64))
         return wide
 
-    def _merged_ninv_twiddle(self, index: int
+    def _merged_ninv_twiddle(self, psi_inv_u: np.ndarray, index: int
                              ) -> tuple[np.ndarray, np.ndarray]:
-        """``psi_inv^br[index] * n^-1 mod q`` per limb, with its Shoup
+        """``psi_inv^br[index] * n^-1 mod q`` per limb from the uint64
+        bit-reversed inverse twiddles ``psi_inv_u``, with its Shoup
         companion — a final-stage twiddle that also applies the iNTT
         1/n scaling."""
-        merged = (self._psi_inv_br[:, index:index + 1]
-                  * self.n_inv_col % self.q_col)
-        merged_u = merged.astype(np.uint64)
+        merged_u = (psi_inv_u[:, index:index + 1] * self._n_inv_u
+                    % self._q_u)
         return merged_u, shoup_companion(merged_u, self._q_u)
 
     def _power_table(self, base_col: np.ndarray) -> np.ndarray:

@@ -30,11 +30,16 @@
   addend into each pair's first half, read through a permutation (a
   hoisted rotation's ``c0``), or into both halves (a relinearization's
   ``d0`` and ``d1``)).
-  They take canonical residues over moduli below ``2^31``: the key MAC
-  and both conversions sum whole 62-bit products in uint64 (one
-  multiply per term, guarded below ``2^63``, one Barrett reduction per
-  output), so a non-canonical value gives wrong residues, never an
-  out-of-table read;
+  They take canonical residues over moduli below ``2^31``.  The key MAC
+  reads its key tables as uint32 (narrowed and checked once per table
+  by :meth:`repro.schemes.rns_core.SwitchingKey.stacked_tables`) and
+  keeps each column's digit sums of whole 62-bit products in uint64
+  registers (one multiply per term, guarded below ``2^63``), reduced
+  once per output in vector lanes; the fast conversion sums lazy Shoup
+  products in uint32 lanes (each sum kept below ``4p``) when every
+  target modulus lies below ``2^30``, and one-multiply sums otherwise.
+  A non-canonical value gives wrong residues, never an out-of-table
+  read;
 - ``batch_add_sub``, the modular add, subtract and negate of the batch
   ops (:func:`repro.schemes.rns_core.add_sub`), numpy's exact
   ``(x +- y) % q`` for every int64 input: a row of canonical residues
@@ -84,7 +89,8 @@ does not load — one :class:`RuntimeWarning` names the reason and
 :func:`kernel` returns ``None``: the NTT engine, plan replay, the key
 switch and the exact conversions keep their numpy kernels, which stay
 the bitwise oracle either way.  The loaded library lives for the whole
-process.
+process; :func:`numpy_kernels` hides it for the duration of a block
+(the per-polynomial reference evaluators run under it).
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +113,7 @@ from ...core.env import env_str
 
 __all__ = ["CFLAGS", "SOURCE", "NativeBuildError", "address", "bind",
            "build", "cache_dir", "declare", "kernel", "library_path",
-           "load"]
+           "load", "numpy_kernels"]
 
 #: The kernel source compiled by :func:`build`.
 SOURCE = Path(__file__).with_name("ntt.c")
@@ -206,7 +213,7 @@ _SIGNATURES = {
                     _I, _I),
     "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
                      _N, _PTR, _N, _ENDS, _N, _N),
-    "ks_mac": (_ACC, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT),
+    "ks_mac": (_ACC, _IN, _N, _N, _N, _N, _TAB, _TW, _TW, _OPT),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, _TAB),
     "mod_down_tail": (_OUT, _IN, _N, _N, _N, _N, *(_TAB,) * 3, _OPT, _N,
                       _OPT),
@@ -325,3 +332,20 @@ def kernel() -> ctypes.CDLL | None:
             if _LIB is _UNSET:
                 _LIB = load()
     return _LIB
+
+
+@contextmanager
+def numpy_kernels():
+    """Run the body with the library reported unavailable (:func:`kernel`
+    returns ``None``), so every kernel in it runs its numpy twin, as the
+    ``ntt_impl`` test fixture selects them; the library comes back on
+    exit, also on an exception.  Nested scopes are fine.  The switch is
+    process-wide: kernels another thread runs meanwhile run numpy too.
+    :mod:`repro.schemes.reference` runs every oracle op under it."""
+    global _LIB
+    saved = _LIB
+    _LIB = None
+    try:
+        yield
+    finally:
+        _LIB = saved

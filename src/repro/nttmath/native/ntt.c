@@ -19,12 +19,15 @@
  *   fused round(t * d / Q) tail (the last part of this file; see there
  *   for the float correction's summation order and rounding).
  *
- * The weighted sums of the key MAC and of both base conversions are
+ * The weighted sums of the key MAC and of the exact conversion are
  * one-multiply sums (see msum_of): each whole product of two canonical
  * residues below 2^31 goes into a uint64 sum, guarded below 2^63 every
- * floor(2^62 / (qmax * p)) terms and reduced once by Barrett.  Those
- * kernels take canonical residues; any other value is read as its low
- * 32 bits and gives a wrong residue, never an out-of-bounds access.
+ * floor(2^62 / (qmax * p)) terms and reduced once per output.  The fast
+ * conversion sums lazy Shoup products in 32-bit lanes when every target
+ * modulus lies below 2^30 and the CPU has AVX2 (see exact_block), and
+ * one-multiply sums otherwise.  Those kernels take canonical residues;
+ * any other value is read as its low 32 bits and gives a wrong
+ * residue, never an out-of-bounds access.
  *
  * Plain C99 plus the GCC/Clang unsigned __int128 extension, which every
  * 64-bit target provides (riscv64 included): no intrinsics and no -march
@@ -38,8 +41,8 @@
  * results are bitwise equal; the wider ones run the 32-bit Shoup
  * products with native vector multiplies (SSE2 emulates them) and
  * narrow int64 to uint32 in one instruction (AVX-512).  The one
- * clone-dependent choice, CANON_MUL(), picks between two loops with the
- * same results.
+ * clone-dependent choices, CANON_MUL() and SHOUP_LANES(), pick between
+ * two loops with the same results.
  */
 
 /*
@@ -82,16 +85,18 @@
  * weighted sums and the ModDown tail, (by 1.1-1.4x) for the
  * canonical-range elementwise and DRAM loops and (by 1.2x) for the NTT
  * rows once their small stages got fixed trip counts, but not for the
- * key MAC or the batch add / subtract.  The NTT rows and the
- * conversions' weighted sums list WIDE_CLONE instead: arch=x86-64-v4
+ * batch add / subtract.  The NTT rows, the conversions' weighted sums
+ * and the key MAC list WIDE_CLONE instead: arch=x86-64-v4
  * (AVX-512 with DQ, whose vpmullq replaces the three-vpmuludq emulation
  * of each 64-bit product GCC 12 emits for AVX-512F; rows 1.15-1.28x,
  * sums 1.10-1.14x over AVX-512F) where the compiler is known to build
  * and dispatch that level as a clone (GCC 12 on), avx512f elsewhere
  * (GCC 10 has no such level, GCC 11 had known problems with it as a
  * clone, Clang was not checked).  Every AVX-512F CPU but Xeon Phi has the
- * whole x86-64-v4 set, so no avx512f clone sits beside it.  The key MAC
- * gained 1.07-1.08x over AVX2 from x86-64-v4 and keeps AVX2 only.  The
+ * whole x86-64-v4 set, so no avx512f clone sits beside it.  The key
+ * MAC's register-group loop with its vector reduction runs 1.4x faster
+ * in the x86-64-v4 clone than in AVX2 (its earlier per-digit block loop
+ * gained only 1.07-1.08x and kept AVX2 alone).  The
  * canonical-range elementwise loop must not get it: built for AVX-512F
  * + DQ it ran plan replay at 0.75x.  A build may predefine the macro
  * (-D) to pin one variant: empty for the plain build other
@@ -112,6 +117,10 @@
 #define CANON_MUL() \
     (__builtin_cpu_init(), __builtin_cpu_supports("avx512f"))
 #endif
+#ifndef SHOUP_LANES
+#define SHOUP_LANES() \
+    (__builtin_cpu_init(), __builtin_cpu_supports("avx2"))
+#endif
 #endif
 #endif
 #endif
@@ -121,15 +130,24 @@
 
 /*
  * CANON_MUL() is non-zero where the multiplying canonical-range loops
- * (see the replay section) run: with the vector clones, exactly when
- * the loader picks their AVX-512 clone.  Their AVX2 clone measured no
- * faster than the exact scalar loop and their baseline x86-64 build
- * slower (64-bit vector multiplies are emulated with three 32-bit ones),
- * so every other build keeps the exact loop for them.  A build that
- * pins VECTOR_CLONES (-D) gets 0 unless it predefines CANON_MUL() too.
+ * (see the replay section) and the key MAC's vector reduction
+ * (msum_reduce) run: with the vector clones, exactly when the loader
+ * picks their AVX-512 clone.  Their AVX2 clone measured no faster than
+ * the scalar loop (the key MAC's: slower than its scalar Barrett
+ * reduction) and their baseline x86-64 build slower (64-bit vector
+ * multiplies are emulated with three 32-bit ones), so every other
+ * build keeps the scalar loop for them.  SHOUP_LANES() is non-zero
+ * where the fast conversion sums in 32-bit Shoup lanes: when the
+ * loader picks an AVX2 or wider clone of exact_block; the baseline
+ * x86-64 (SSE2) build, which has no packed 32-bit low multiply,
+ * measured slower so.  A build that pins VECTOR_CLONES (-D) gets 0
+ * for each unless it predefines it too.
  */
 #ifndef CANON_MUL
 #define CANON_MUL() 0
+#endif
+#ifndef SHOUP_LANES
+#define SHOUP_LANES() 0
 #endif
 
 /* x * w mod q, landed in [0, 2q); exact for any x < 2^32, w < q. */
@@ -1025,11 +1043,6 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
  * to it.
  */
 
-/* Columns per key-MAC block: one block's key rows (2 tables, beta
- * digits) stay cache-resident while all k ciphertexts accumulate
- * against them. */
-enum { KS_BLOCK = 1024 };
-
 /*
  * The constants of a one-multiply sum into the modulus p whose terms
  * are products x * w with x < qmax and w < p, both below 2^31.  Each
@@ -1038,16 +1051,21 @@ enum { KS_BLOCK = 1024 };
  * span = floor(2^62 / (qmax * p)) >= 1: a span adds less than 2^62
  * to a sum below 2^63, and a sum that reached 2^63 drops by
  * g = floor(2^63 / p) * p (a multiple of p, so the residue is
- * unchanged) to below 2^62 + p.  A guarded sum is a non-negative
- * int64, which one Barrett reduction (barrett with m) lands in
- * [0, p).  A span covers 64 terms when qmax and p are 28-bit, 16 at
- * 29 bits, 4 at 30 and 1 at 31, so at the benchmark's moduli the guard
- * runs once per output, folded into the reduction.  This takes one
- * multiply per term where the lazy Shoup product takes three.
+ * unchanged) to below 2^62 + p.  One reduction per output lands the
+ * sum in [0, p): Barrett (barrett with m) on a guarded sum, a
+ * non-negative int64, or msum_reduce, which takes any uint64 and runs
+ * in vector lanes (the key MAC's, where CANON_MUL() holds).  A span
+ * covers 64 terms when qmax and p are 28-bit, 16 at 29 bits, 4 at 30
+ * and 1 at 31, so at the benchmark's moduli the guard runs once per
+ * output, folded into the reduction.  This takes one multiply per term where
+ * the lazy Shoup product takes three; the key MAC and the exact
+ * conversion sum this way (the fast conversion too when a target
+ * modulus reaches 2^30, see exact_block).
  */
 struct msum {
     uint64_t p, m, g;
     size_t span;
+    uint32_t r, r_sh, one_sh;   /* msum_reduce's constants */
 };
 
 static struct msum msum_of(uint64_t qmax, uint64_t p)
@@ -1057,7 +1075,28 @@ static struct msum msum_of(uint64_t qmax, uint64_t p)
     s.m = UINT64_MAX / p;
     s.g = ((uint64_t)1 << 63) / p * p;
     s.span = ((uint64_t)1 << 62) / (qmax * p);
+    s.r = (uint32_t)(((uint64_t)1 << 32) % p);
+    s.r_sh = (uint32_t)(((uint64_t)s.r << 32) / p);
+    s.one_sh = (uint32_t)(((uint64_t)1 << 32) / p);
     return s;
+}
+
+/* a mod p for any uint64 a, in vector lanes: a = hi * 2^32 + lo is
+ * congruent to hi * r + lo with r = 2^32 mod p, and hi * r and lo (both
+ * factors below 2^32) each take a lazy Shoup product into [0, 2p), by
+ * r with companion r_sh and by 1 with companion one_sh; the sum, below
+ * 4p, takes two conditional subtractions.  Every multiply is
+ * 32 x 32 -> 64 bits, one vpmuludq lane, where barrett's 64 x 64 -> 128
+ * multiply stays scalar.  The key MAC reduces its sums so where
+ * CANON_MUL() holds (AVX-512: 1.2x faster than Barrett there, 0.9x
+ * under AVX2). */
+static inline uint64_t msum_reduce(uint64_t a, const struct msum *ms)
+{
+    uint32_t hi = (uint32_t)(a >> 32), lo = (uint32_t)a, p = (uint32_t)ms->p;
+    uint64_t t = (uint64_t)hi * ms->r - ((uint64_t)hi * ms->r_sh >> 32) * p
+                 + (uint64_t)lo - ((uint64_t)lo * ms->one_sh >> 32) * p;
+    t = t >= 2 * (uint64_t)p ? t - 2 * (uint64_t)p : t;
+    return t >= p ? t - p : t;
 }
 
 static inline uint64_t msum_guard(uint64_t a, uint64_t g)
@@ -1065,57 +1104,87 @@ static inline uint64_t msum_guard(uint64_t a, uint64_t g)
     return a - (g & (0 - (a >> 63)));
 }
 
-/* The key MAC of one (ciphertext, limb) over w columns: digit d's
+/* Columns whose key-MAC digit sums are held side by side, in
+ * registers where the target has enough of them. */
+enum { MAC_LANES = 16 };
+
+/* The key MAC of one (ciphertext, limb) row of n columns: digit d's
  * row at x + d * xs, read through perm when set (else as it lies), its
- * key rows at b + d * ts and a + d * ts; the one-multiply sums go into
- * ob and oa, which end reduced.  row is a w-word work buffer. */
-static VECTOR_CLONES("avx2")
-void mac_rows(uint64_t *restrict ob, uint64_t *restrict oa,
-              const int64_t *x, size_t xs, const int64_t *perm,
-              const uint64_t *b, const uint64_t *a, size_t ts,
-              size_t beta, size_t w, const struct msum *ms,
-              uint32_t *restrict row)
+ * key rows at b + d * ts and a + d * ts; each column's two one-multiply
+ * sums run over all beta digits in registers, guarded every span
+ * digits, and land in ob and oa by one reduction each: msum_reduce
+ * when lanes is set (CANON_MUL), else Barrett.  A last group narrower
+ * than MAC_LANES (n < MAC_LANES, or not a multiple) runs the same sums
+ * one column at a time. */
+static VECTOR_CLONES(WIDE_CLONE, "avx2")
+void mac_row(uint64_t *restrict ob, uint64_t *restrict oa,
+             const int64_t *x, size_t xs, const int64_t *perm,
+             const uint32_t *b, const uint32_t *a, size_t ts,
+             size_t beta, size_t n, const struct msum *ms, int lanes)
 {
-    size_t d, d1, j;
-    for (d = 0; d < beta; d = d1) {
-        d1 = beta - d < ms->span ? beta : d + ms->span;
-        if (d)
-            for (j = 0; j < w; j++) {
-                ob[j] = msum_guard(ob[j], ms->g);
-                oa[j] = msum_guard(oa[j], ms->g);
+    size_t d, d1, l, j0 = 0;
+    for (; j0 + MAC_LANES <= n; j0 += MAC_LANES) {
+        uint64_t sb[MAC_LANES], sa[MAC_LANES];
+        for (l = 0; l < MAC_LANES; l++)
+            sb[l] = sa[l] = 0;
+        for (d = 0; d < beta; d = d1) {
+            d1 = beta - d < ms->span ? beta : d + ms->span;
+            if (d)
+                for (l = 0; l < MAC_LANES; l++) {
+                    sb[l] = msum_guard(sb[l], ms->g);
+                    sa[l] = msum_guard(sa[l], ms->g);
+                }
+            for (; d < d1; d++) {
+                const int64_t *xr = x + d * xs;
+                const uint32_t *bt = b + d * ts + j0;
+                const uint32_t *at = a + d * ts + j0;
+                if (perm)
+                    for (l = 0; l < MAC_LANES; l++) {
+                        uint64_t v = (uint32_t)xr[perm[j0 + l]];
+                        sb[l] += v * bt[l];
+                        sa[l] += v * at[l];
+                    }
+                else
+                    for (l = 0; l < MAC_LANES; l++) {
+                        uint64_t v = (uint32_t)xr[j0 + l];
+                        sb[l] += v * bt[l];
+                        sa[l] += v * at[l];
+                    }
             }
-        for (; d < d1; d++) {
-            const int64_t *xr = x + d * xs;
-            const uint64_t *restrict bt = b + d * ts;
-            const uint64_t *restrict at = a + d * ts;
-            if (perm)
-                for (j = 0; j < w; j++)
-                    row[j] = (uint32_t)xr[perm[j]];
-            else
-                for (j = 0; j < w; j++)
-                    row[j] = (uint32_t)xr[j];
-            if (d == 0)
-                for (j = 0; j < w; j++) {
-                    ob[j] = (uint64_t)row[j] * (uint32_t)bt[j];
-                    oa[j] = (uint64_t)row[j] * (uint32_t)at[j];
-                }
-            else
-                for (j = 0; j < w; j++) {
-                    ob[j] += (uint64_t)row[j] * (uint32_t)bt[j];
-                    oa[j] += (uint64_t)row[j] * (uint32_t)at[j];
-                }
         }
+        if (lanes)
+            for (l = 0; l < MAC_LANES; l++) {
+                ob[j0 + l] = msum_reduce(sb[l], ms);
+                oa[j0 + l] = msum_reduce(sa[l], ms);
+            }
+        else
+            for (l = 0; l < MAC_LANES; l++) {
+                ob[j0 + l] = barrett(msum_guard(sb[l], ms->g), ms->p, ms->m);
+                oa[j0 + l] = barrett(msum_guard(sa[l], ms->g), ms->p, ms->m);
+            }
     }
-    for (j = 0; j < w; j++) {
-        ob[j] = barrett(msum_guard(ob[j], ms->g), ms->p, ms->m);
-        oa[j] = barrett(msum_guard(oa[j], ms->g), ms->p, ms->m);
+    for (; j0 < n; j0++) {
+        uint64_t sb = 0, sa = 0;
+        for (d = 0; d < beta; d++) {
+            uint64_t v = (uint32_t)x[d * xs + (perm ? (size_t)perm[j0]
+                                                    : j0)];
+            if (d && d % ms->span == 0) {
+                sb = msum_guard(sb, ms->g);
+                sa = msum_guard(sa, ms->g);
+            }
+            sb += v * b[d * ts + j0];
+            sa += v * a[d * ts + j0];
+        }
+        ob[j0] = barrett(msum_guard(sb, ms->g), ms->p, ms->m);
+        oa[j0] = barrett(msum_guard(sa, ms->g), ms->p, ms->m);
     }
 }
 
 /*
  * Key MAC of k lifted digit stacks against one switching key.  x is
- * the (k, beta, ext, n) digit stack and b, a the (beta, ext, n) key
- * tables, all canonical residues over the ext moduli q.  For
+ * the (k, beta, ext, n) digit stack of canonical residues over the ext
+ * moduli q, and b, a the (beta, ext, n) key tables as uint32 (their
+ * canonical residues, narrowed once per table by the caller).  For
  * ciphertext c and limb e,
  *   out[c][0][e][j] = sum_d x[c][d][e][perm[j]] * b[d][e][j] mod q[e]
  *   out[c][1][e][j] = sum_d x[c][d][e][perm[j]] * a[d][e][j] mod q[e]
@@ -1123,18 +1192,17 @@ void mac_rows(uint64_t *restrict ob, uint64_t *restrict oa,
  * NULL: a non-NULL perm is the NTT-domain automorphism, read in place
  * of a gathered copy of x.  The digit sums are one-multiply sums
  * (msum_of(q[e], q[e]): span = floor(2^62 / q[e]^2) digits per guard)
- * held in out's own rows, one Barrett reduction per output.  Columns
- * go in blocks of KS_BLOCK, each block's key rows serving all k
- * ciphertexts.  Every x and table value is read as its low 32 bits.
- * Returns 0, or 1 without writing anything if beta is 0 or a perm
- * entry lies outside [0, n).
+ * kept per column in registers over whole rows (mac_row), so out is
+ * written once, one reduction per output.  Every x value is
+ * read as its low 32 bits.  Returns 0, or 1 without writing anything
+ * if beta is 0 or a perm entry lies outside [0, n).
  */
 int ks_mac(uint64_t *out, const int64_t *x, size_t k, size_t beta,
-           size_t ext, size_t n, const uint64_t *q, const uint64_t *b,
-           const uint64_t *a, const int64_t *perm)
+           size_t ext, size_t n, const uint64_t *q, const uint32_t *b,
+           const uint32_t *a, const int64_t *perm)
 {
-    uint32_t row[KS_BLOCK];
-    size_t c, e, j, j0, stride = ext * n;
+    size_t c, e, j, stride = ext * n;
+    int lanes = CANON_MUL();
     if (!beta)
         return 1;
     if (perm)
@@ -1143,20 +1211,11 @@ int ks_mac(uint64_t *out, const int64_t *x, size_t k, size_t beta,
                 return 1;
     for (e = 0; e < ext; e++) {
         struct msum ms = msum_of(q[e], q[e]);
-        for (j0 = 0; j0 < n; j0 += KS_BLOCK) {
-            size_t w = n - j0 < KS_BLOCK ? n - j0 : KS_BLOCK;
-            for (c = 0; c < k; c++) {
-                uint64_t *ob = out + (2 * c * ext + e) * n + j0;
-                const int64_t *xc = x + (c * beta * ext + e) * n;
-                if (perm)
-                    mac_rows(ob, ob + stride, xc, stride, perm + j0,
-                             b + e * n + j0, a + e * n + j0, stride, beta,
-                             w, &ms, row);
-                else
-                    mac_rows(ob, ob + stride, xc + j0, stride, NULL,
-                             b + e * n + j0, a + e * n + j0, stride, beta,
-                             w, &ms, row);
-            }
+        for (c = 0; c < k; c++) {
+            uint64_t *ob = out + (2 * c * ext + e) * n;
+            mac_row(ob, ob + stride, x + (c * beta * ext + e) * n, stride,
+                    perm, b + e * n, a + e * n, stride, beta, n, &ms,
+                    lanes);
         }
     }
     return 0;
@@ -1343,19 +1402,25 @@ int batch_add_sub(int64_t *out, const int64_t *x, const int64_t *y,
  * steps.
  */
 
-/* Columns per block, and columns summed side by side in exact_block
- * (independent multiply chains that overlap in the pipeline). */
-enum { EX_BLOCK = 256, EX_LANES = 8 };
+/* Columns per block, and columns summed side by side in exact_block's
+ * one-multiply and Shoup-lane sums (independent multiply chains that
+ * overlap in the pipeline). */
+enum { EX_BLOCK = 256, EX_LANES = 8, SH_LANES = 32 };
 
 /* One conversion's constants, unpacked from its table; qmp is NULL
  * for the fast conversion.  ms holds each target modulus' one-multiply
  * sum constants (three 64-bit divisions each, so computed once per
- * call, not per block); exact_tab allocates it, free(t.ms) frees it. */
+ * call, not per block).  w_sh holds the Shoup companions
+ * floor(w[i][j] * 2^32 / p_i) of the weights when the fast conversion
+ * sums in 32-bit Shoup lanes (SHOUP_LANES() and every target modulus
+ * below 2^30), else NULL.  exact_tab allocates both in one block,
+ * free(t.ms) frees it. */
 struct exact_tab {
     size_t l_from, l_to;
     const uint64_t *q, *s, *s_sh, *p, *w, *qmp;
     uint64_t qmax;      /* the largest source modulus */
     struct msum *ms;    /* l_to entries, NULL if allocation failed */
+    uint32_t *w_sh;     /* l_to * l_from companions, or NULL */
 };
 
 static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
@@ -1363,6 +1428,7 @@ static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
 {
     struct exact_tab t;
     size_t i, j;
+    int shoup = !exact && SHOUP_LANES();
     t.l_from = l_from;
     t.l_to = l_to;
     t.q = tab;
@@ -1374,10 +1440,21 @@ static struct exact_tab exact_tab(const uint64_t *tab, size_t l_from,
     t.qmax = 0;
     for (j = 0; j < l_from; j++)
         t.qmax = t.q[j] > t.qmax ? t.q[j] : t.qmax;
-    t.ms = malloc(l_to * sizeof *t.ms);
-    if (t.ms)
-        for (i = 0; i < l_to; i++)
-            t.ms[i] = msum_of(t.qmax, t.p[i]);
+    for (i = 0; i < l_to; i++)
+        shoup &= t.p[i] < ((uint64_t)1 << 30);
+    t.ms = malloc(l_to * sizeof *t.ms
+                  + (shoup ? l_to * l_from * sizeof *t.w_sh : 0));
+    t.w_sh = NULL;
+    if (!t.ms)
+        return t;
+    for (i = 0; i < l_to; i++)
+        t.ms[i] = msum_of(t.qmax, t.p[i]);
+    if (shoup) {
+        t.w_sh = (uint32_t *)(t.ms + l_to);
+        for (i = 0; i < l_to * l_from; i++)
+            t.w_sh[i] = (uint32_t)(((uint64_t)(uint32_t)t.w[i] << 32)
+                                   / t.p[i / l_from]);
+    }
     return t;
 }
 
@@ -1412,15 +1489,24 @@ static int exact_work_alloc(struct exact_work *wk, size_t l_from,
  * x + j * xs, target row i written at out + i * os; exact (centred)
  * when t->qmp is set, else fast.
  *
- * The weighted sum is a one-multiply sum (msum_of(qmax, p_i)).  For
- * the exact conversion it starts at l_from * p_i - e * qmp_i (>= 0,
- * below 2^36), which folds the correction in; for the fast one at 0.
- * One Barrett reduction then lands the canonical
+ * The fast conversion over target moduli below 2^30 (t->w_sh set,
+ * where SHOUP_LANES() holds) sums in uint32 lanes: each term
+ * v_j * w_ij is a lazy Shoup product in [0, 2p_i) (shoup_lazy with
+ * w_ij's companion), added to a sum kept in [0, 2p_i) by one
+ * conditional subtraction of 2p_i (the sum before it stays below
+ * 4p_i < 2^32), and one last conditional subtraction of p_i lands the
+ * canonical residue.  SH_LANES columns are summed side by side, all of
+ * them vector lanes with no 64-bit multiply or reduction left, which
+ * the scalar 128-bit Barrett of the other path is.
+ *
+ * Otherwise the weighted sum is a one-multiply sum (msum_of(qmax,
+ * p_i)).  For the exact conversion it starts at l_from * p_i -
+ * e * qmp_i (>= 0, below 2^36), which folds the correction in; for the
+ * fast one at 0.  One Barrett reduction then lands the canonical
  * (sum_j v_j w_ij - e qmp_i) mod p_i.  EX_LANES columns are summed
- * side by side; the last group of a block may run past w, inside the
- * zeroed EX_BLOCK-wide rows, and stores only its w columns.  On 64-bit
- * targets this scalar form beats the three-multiply lazy Shoup sum,
- * vectorized (SSE2) or not.
+ * side by side.  In both forms the last group of a block may run past
+ * w, inside the zeroed EX_BLOCK-wide rows, and stores only its w
+ * columns.
  */
 static VECTOR_CLONES(WIDE_CLONE, "avx2")
 void exact_block(int64_t *out, size_t os, const int64_t *x, size_t xs,
@@ -1451,6 +1537,30 @@ void exact_block(int64_t *out, size_t os, const int64_t *x, size_t xs,
         for (col = 0; col < w; col++)
             wk->e[col] = (uint32_t)(int32_t)((wk->frac[col] + two52)
                                              - two52);
+    if (t->w_sh) {
+        for (i = 0; i < t->l_to; i++) {
+            const uint64_t *restrict wi = t->w + i * t->l_from;
+            const uint32_t *restrict wi_sh = t->w_sh + i * t->l_from;
+            int64_t *restrict o = out + i * os;
+            uint32_t p = (uint32_t)t->p[i], p2 = 2 * p;
+            for (col = 0; col < w; col += SH_LANES) {
+                uint32_t a[SH_LANES];
+                size_t l, lanes = w - col < SH_LANES ? w - col : SH_LANES;
+                for (l = 0; l < SH_LANES; l++)
+                    a[l] = 0;
+                for (j = 0; j < t->l_from; j++) {
+                    uint32_t wj = (uint32_t)wi[j], wj_sh = wi_sh[j];
+                    const uint32_t *vj = wk->v + j * EX_BLOCK + col;
+                    for (l = 0; l < SH_LANES; l++)
+                        a[l] = csub(a[l] + shoup_lazy(vj[l], wj, wj_sh, p),
+                                    p2);
+                }
+                for (l = 0; l < lanes; l++)
+                    o[col + l] = (int64_t)csub(a[l], p);
+            }
+        }
+        return;
+    }
     for (i = 0; i < t->l_to; i++) {
         const uint64_t *restrict wi = t->w + i * t->l_from;
         int64_t *restrict o = out + i * os;

@@ -436,8 +436,11 @@ def base_convert_stack(stack: np.ndarray, from_basis: RnsBasis,
 
     With the native library loaded and every modulus below ``2^31``,
     the C ``bconv`` kernel converts the stack as it lies, in column
-    blocks: a Shoup scale by ``q_hat^-1``, then per target limb a
-    one-multiply uint64 sum of the weighted residues, reduced once.
+    blocks: a Shoup scale by ``q_hat^-1``, then per target limb the sum
+    of the weighted residues, in uint32 lanes of lazy Shoup products by
+    ``q_hat_j mod p_i`` (companions built per call) when every target
+    modulus lies below ``2^30``, else as a one-multiply uint64 sum
+    reduced once.
     Otherwise the numpy path runs the scaling Shoup multiply and the
     float64 BLAS accumulation on ``(L_from, k*M)`` wide rows.  Both
     land the same canonical residues.  Under ``REPRO_VERIFY=1`` a

@@ -15,12 +15,23 @@ accepted, which production rejects with
 ``src/`` because the benchmark harness checks every request against
 it, as :func:`repro.compiler.exec_backend.execute_reference` ships for
 plan replay.
+
+The oracle is also independent of the native kernel library: every
+public method of these classes, their own and the ones they inherit,
+runs under :func:`repro.nttmath.native.numpy_kernels`, so the NTTs,
+conversions and key-switch tails inside it are the numpy twins even
+when the C library loaded, and a check of production against this
+oracle compares C with numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+
 import numpy as np
 
+from ..nttmath.native import numpy_kernels
 from ..nttmath.ntt import galois_element
 from ..rns.basis import RnsBasis
 from ..rns.bconv import (
@@ -57,6 +68,41 @@ __all__ = [
 ]
 
 
+def _numpy_only(method, origin: str):
+    """``method`` run under :func:`numpy_kernels`; ``origin`` is
+    ``"own"`` for a method of the wrapping class, ``"inherited"`` for a
+    copy of a base class' method placed on it."""
+    @functools.wraps(method)
+    def run(*args, **kwargs):
+        with numpy_kernels():
+            return method(*args, **kwargs)
+
+    run.numpy_only = origin
+    return run
+
+
+def _numpy_entry_points(cls: type) -> type:
+    """``cls`` with every public method, inherited ones included, run
+    under :func:`numpy_kernels`.  Each name resolves along the MRO as it
+    would without the wrappers (skipping the ``"inherited"`` copies a
+    reference base class holds, so a production override further along,
+    such as CKKS's, is not shadowed by the copy ``ReferenceEvaluator``
+    took of the generic method) and is wrapped once."""
+    for name in dir(cls):
+        if name.startswith("_"):
+            continue
+        for owner in cls.__mro__:
+            attr = vars(owner).get(name)
+            if (attr is not None
+                    and getattr(attr, "numpy_only", None) != "inherited"):
+                break
+        if inspect.isfunction(attr) and not hasattr(attr, "numpy_only"):
+            setattr(cls, name, _numpy_only(
+                attr, "own" if owner is cls else "inherited"))
+    return cls
+
+
+@_numpy_entry_points
 class ReferenceEvaluator(RnsEvaluatorBase):
     """The scheme-independent per-polynomial ops; the scheme subclasses
     below add CKKS rescale and ModRaise, BGV's exact ModDown and
@@ -242,6 +288,7 @@ class ReferenceEvaluator(RnsEvaluatorBase):
         return out
 
 
+@_numpy_entry_points
 class ReferenceCkksEvaluator(ReferenceEvaluator, CkksEvaluator):
     """CKKS: rescale and ModRaise through the coefficient domain."""
 
@@ -267,6 +314,7 @@ class ReferenceCkksEvaluator(ReferenceEvaluator, CkksEvaluator):
                           scale=ct.scale)
 
 
+@_numpy_entry_points
 class ReferenceBgvEvaluator(ReferenceEvaluator, BgvEvaluator):
     """BGV: the exact ``t``-corrected ModDown per accumulator and the
     modulus switch per polynomial, both in the coefficient domain."""
@@ -317,6 +365,7 @@ class ReferenceBgvEvaluator(ReferenceEvaluator, BgvEvaluator):
         return RnsPolynomial(new_basis, data, is_ntt=False).to_ntt()
 
 
+@_numpy_entry_points
 class ReferenceBfvEvaluator(ReferenceEvaluator, BfvEvaluator):
     """BFV: the scale-invariant multiply one polynomial and one tensor
     component at a time."""

@@ -252,7 +252,7 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
     ``x`` is the ct-major ``(k*beta*E, N)`` NTT-domain digit stack of
     canonical residues over ``ext`` (ciphertext ``i``'s digit ``d`` at
     rows ``(i*beta + d)*E`` onward) and ``tables`` the digit-stacked
-    ``(b, a)`` uint64 key tables of :meth:`SwitchingKey.stacked_tables`.
+    ``(b, a)`` uint32 key tables of :meth:`SwitchingKey.stacked_tables`.
     ``auto = (engine, g)`` MACs ``sigma_g(x)`` instead, the
     automorphism of ``engine`` (any engine of the ring degree: the
     permutation is moduli-independent).  Returns the ct-major
@@ -261,10 +261,11 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
 
     The native ``ks_mac`` reads ``x`` through the automorphism's
     permutation, so a rotation gathers no copy of the digit stack, and
-    sums each (ciphertext, limb) row's whole products over the digits
-    in uint64 (one multiply per term, guarded below ``2^63``), reduced
-    once by Barrett.  The numpy twin gathers first (one
-    ``ntt.automorphism``), builds the key tables' Shoup companions, then
+    sums each column's whole products over the digits in uint64
+    registers (one multiply per term, guarded below ``2^63``), reduced
+    once per output in vector lanes.  The numpy twin gathers first (one
+    ``ntt.automorphism``), widens the key tables to uint64 and builds
+    their Shoup companions, then
     runs one wide lazy Shoup multiply per (ciphertext, half) summed
     along the digit axis and folded by a halving conditional-subtract
     chain.  Both land the canonical residue of the same sum, so they
@@ -274,14 +275,14 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
     and the C entry checks the ``2^31`` bound
     (:class:`~repro.nttmath.batched.ShoupBoundError`).
     """
-    b_u, a_u = tables
+    b, a = tables
     ext_limbs = len(ext)
     n = x.shape[1]
-    beta = b_u.shape[0] // ext_limbs
+    beta = b.shape[0] // ext_limbs
     if (beta < 1 or x.shape[0] != k * beta * ext_limbs
             or any(t.shape != (beta * ext_limbs, n) for t in tables)):
         raise ValueError(f"digit stack {x.shape} does not match k={k} "
-                         f"and key tables {b_u.shape} over {ext_limbs} "
+                         f"and key tables {b.shape} over {ext_limbs} "
                          f"limbs")
     lib = _ks_kernel(ext)
     if verify_inputs():
@@ -305,7 +306,7 @@ def key_mac(x: np.ndarray, tables: tuple, ext: RnsBasis, k: int, *,
                 tr.count("auto.rows", x.shape[0])
         acc = np.empty((2 * k * ext_limbs, n), dtype=np.uint64)
         if lib.ks_mac(acc, np.ascontiguousarray(x), k, beta, ext_limbs, n,
-                      ext.q_col.astype(np.uint64), b_u, a_u, perm):
+                      ext.q_col.astype(np.uint64), b, a, perm):
             raise ValueError("native key MAC: a permutation entry lies "
                              "outside [0, n)")
         # Reduced residues are < q < 2^63, so the signed reinterpret is
@@ -317,10 +318,10 @@ def _key_mac_numpy(x: np.ndarray, tables: tuple, ext: RnsBasis,
                    k: int) -> np.ndarray:
     """The numpy twin of the native key MAC (see :func:`key_mac`):
     ``x`` is read through a zero-copy ``uint64`` view, so canonical
-    residues only.  The key tables' Shoup companions are built per call
-    (one division pass each), so no cached key carries them for the C
-    MAC, which does not read them."""
-    b_u, a_u = tables
+    residues only.  The uint32 key tables are widened and their Shoup
+    companions built per call (one division pass each), so no cached
+    key carries them for the C MAC, which reads neither."""
+    b_u, a_u = (t.astype(np.uint64) for t in tables)
     ext_limbs = len(ext)
     n = x.shape[1]
     beta = b_u.shape[0] // ext_limbs
@@ -594,6 +595,11 @@ class Ciphertext:
     scale: float
     _pair: np.ndarray | None = field(default=None, repr=False,
                                      compare=False)
+    #: ``(stack, i)`` when the pair is member ``i`` of a batch stack
+    #: (set by :meth:`CiphertextBatch.split`), so a batch of exactly
+    #: those members reuses the stack
+    #: (:meth:`CiphertextBatch.from_ciphertexts`).
+    _origin: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c0.basis != self.c1.basis:
@@ -708,8 +714,12 @@ class CiphertextBatch:
 
         A single ciphertext is wrapped without copying: the batch stack
         *is* its :meth:`Ciphertext.pair`, which is how every
-        single-ciphertext op runs the batch kernels at ``k = 1``.
-        Batch ops therefore never write their input stacks."""
+        single-ciphertext op runs the batch kernels at ``k = 1``.  So
+        are the members of one batch's :meth:`split`, all of them in
+        order: the batch stack *is* that batch's stack, so a chain of
+        batched ops copies no stack between ops.  Any other list is
+        copied into a fresh stack.  Batch ops therefore never write
+        their input stacks."""
         cts = list(cts)
         if not cts:
             raise ValueError("need at least one ciphertext")
@@ -724,8 +734,12 @@ class CiphertextBatch:
             if ct.n != first.n:
                 raise ValueError("batched ciphertexts must share a "
                                  "ring degree")
-        stack = first.pair() if len(cts) == 1 else np.concatenate(
-            [ct.pair() for ct in cts])
+        if len(cts) == 1:
+            stack = first.pair()
+        else:
+            stack = _split_stack(cts)
+            if stack is None:
+                stack = np.concatenate([ct.pair() for ct in cts])
         return cls(basis=first.basis, stack=stack,
                    scales=[ct.scale for ct in cts],
                    is_ntt=first.is_ntt, ct_cls=type(first))
@@ -743,19 +757,45 @@ class CiphertextBatch:
         return self.stack.shape[1]
 
     def split(self) -> list:
-        """The member ciphertexts as zero-copy row views of the stack."""
+        """The member ciphertexts as zero-copy row views of the stack,
+        each remembering its place in it (see :meth:`from_ciphertexts`)."""
         limbs = len(self.basis)
-        return [
-            self.ct_cls.from_pair(
-                self.basis,
-                self.stack[2 * i * limbs:2 * (i + 1) * limbs],
+        cts = []
+        for i, scale in enumerate(self.scales):
+            ct = self.ct_cls.from_pair(
+                self.basis, self.stack[2 * i * limbs:2 * (i + 1) * limbs],
                 scale, is_ntt=self.is_ntt)
-            for i, scale in enumerate(self.scales)]
+            ct._origin = (self.stack, i)
+            cts.append(ct)
+        return cts
 
     def copy(self) -> "CiphertextBatch":
         return CiphertextBatch(basis=self.basis, stack=self.stack.copy(),
                                scales=list(self.scales),
                                is_ntt=self.is_ntt, ct_cls=self.ct_cls)
+
+
+def _split_stack(cts: list) -> np.ndarray | None:
+    """The stack whose :meth:`CiphertextBatch.split` gave exactly
+    ``cts``, in order, with each member's pair still the view of its
+    rows; ``None`` for any other list."""
+    origin = cts[0]._origin
+    if origin is None:
+        return None
+    stack = origin[0]
+    rows = stack.shape[0] // len(cts)
+    if rows * len(cts) != stack.shape[0]:
+        return None
+    base = stack.ctypes.data
+    step = rows * stack.strides[0]
+    for i, ct in enumerate(cts):
+        pair = ct._pair
+        if (ct._origin is None or ct._origin[0] is not stack
+                or ct._origin[1] != i or pair is None
+                or pair.shape[0] != rows
+                or pair.ctypes.data != base + i * step):
+            return None
+    return stack
 
 
 def _as_batch(ct: Ciphertext) -> CiphertextBatch:
@@ -797,12 +837,17 @@ class SwitchingKey:
         return len(self.b)
 
     def stacked_tables(self, count: int, rows: tuple[int, ...]) -> tuple:
-        """Digit-stacked ``(b, a)`` uint64 tables for :func:`key_mac`.
+        """Digit-stacked ``(b, a)`` uint32 tables for :func:`key_mac`.
 
         Restricts the first ``count`` digits of ``b`` and ``a`` to the
         key-basis ``rows`` (a level's ``q_0..q_l + P`` selection) and
         concatenates them along the limb axis, so the whole key MAC is
-        one ``(count*len(rows), N)`` pass per accumulator.  Cached per
+        one ``(count*len(rows), N)`` pass per accumulator.  The residues
+        are narrowed to uint32 (every key modulus lies below ``2^31``),
+        half the bytes of the key polynomials, after a check that each
+        row is canonical: a value outside ``[0, q)`` raises
+        :class:`~repro.nttmath.batched.NonCanonicalInputError` naming
+        the row, once per table rather than per MAC.  Cached per
         ``(count, rows)`` — keys are static and the level set a workload
         touches is small.  No Shoup companions: only the numpy twin
         reads them, and it builds its own.
@@ -811,11 +856,12 @@ class SwitchingKey:
         hit = self._stacked.get(key)
         if hit is None:
             idx = np.asarray(rows, dtype=np.intp)
+            q_col = self.b[0].basis.q_col[idx]
 
             def stack(polys):
-                # Canonical residues: the uint64 view is their value.
-                return np.concatenate([p.data[idx] for p in polys[:count]]
-                                      ).view(np.uint64)
+                table = np.concatenate([p.data[idx] for p in polys[:count]])
+                require_canonical(table, q_col, "stacked_tables")
+                return table.astype(np.uint32)
 
             hit = (stack(self.b), stack(self.a))
             self._stacked[key] = hit

@@ -268,6 +268,51 @@ def test_single_ciphertext_batch_is_a_view(ckks):
     assert batch.k == 1 and batch.scales == [cts[0].scale]
 
 
+def test_split_members_reuse_the_batch_stack(ckks, each_impl):
+    """A batch of exactly one batch's ``split()``, in order, *is* that
+    batch's stack: a chain of batched ops (rotate, add, multiply,
+    rescale, as ``execute_batched`` runs them) copies no stack between
+    ops and gives the bits the copying path gives."""
+    _, ev, cts, _ = ckks
+    for _ in each_impl():
+        rotated = ev.batch_rotate(CiphertextBatch.from_ciphertexts(cts[:3]),
+                                  1)
+        members = rotated.split()
+        again = CiphertextBatch.from_ciphertexts(members)
+        assert again.stack is rotated.stack
+        assert again.scales == rotated.scales
+        summed = ev.batch_add(again, CiphertextBatch.from_ciphertexts(
+            members))
+        chained = ev.batch_rescale(ev.batch_multiply(
+            CiphertextBatch.from_ciphertexts(summed.split()), summed))
+        out = chained.split()
+        assert np.shares_memory(
+            CiphertextBatch.from_ciphertexts(out).stack, chained.stack)
+        # the same chain with every member list copied into a fresh stack
+        copied = CiphertextBatch.from_ciphertexts(
+            [ct.copy() for ct in members])
+        assert not np.shares_memory(copied.stack, rotated.stack)
+        s2 = ev.batch_add(copied, copied)
+        want = ev.batch_rescale(ev.batch_multiply(s2, s2.copy()))
+        _assert_batch_equals(chained, want.split())
+
+
+def test_reordered_or_partial_split_members_copy(ckks):
+    """Only all of one batch's members, in order, share its stack: a
+    reordered, partial or mixed list is copied into a fresh one."""
+    _, ev, cts, _ = ckks
+    batch = ev.batch_rotate(CiphertextBatch.from_ciphertexts(cts[:3]), 1)
+    members = batch.split()
+    other = CiphertextBatch.from_ciphertexts(cts[3:6]).split()
+    for pick in ([members[1], members[0], members[2]], members[:2],
+                 members[1:], [members[0], other[1], members[2]],
+                 members + members[:1]):
+        fused = CiphertextBatch.from_ciphertexts(pick)
+        assert not np.shares_memory(fused.stack, batch.stack)
+        assert fused.k == len(pick)
+        _assert_batch_equals(fused, pick)
+
+
 # ----------------------------------------------------------------------
 # Golden digest: a k=4 batched rotate is pinned bit-for-bit
 # ----------------------------------------------------------------------

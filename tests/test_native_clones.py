@@ -20,7 +20,9 @@ of every kernel the clones touch, reusing the twin suites' inputs
 (moduli up to ``2^31 - 1``, every residue at ``q - 1``, guard spans and
 their boundaries, int64 extremes on the reducing loads): the NTT entries
 ``ntt_forward`` / ``ntt_inverse``, ``ks_mac`` with and without a
-permutation, ``bconv``, ``bconv_exact``, ``bfv_scale_round``,
+permutation (whole register groups and the one-column tail), ``bconv``
+(its 32-bit Shoup lanes and the one-multiply fallback), ``bconv_exact``,
+``bfv_scale_round``,
 ``mod_down_tail``, ``batch_add_sub`` (canonical rows next to rows the
 scan sends to the exact loop) and ``replay_steps`` (its elementwise and
 DRAM twins over lanes mixing the canonical-range loops with their
@@ -66,21 +68,24 @@ def _cpu_has(feature: str) -> bool:
 
 
 #: name -> (the macro's definition, the CPU feature it needs, whether
-#: the multiplying canonical-range loops run, as CANON_MUL() has it in
-#: the production build on a CPU that picks this clone).
+#: the multiplying canonical-range loops and the key MAC's vector
+#: reduction run, as CANON_MUL() has it in the production build on a CPU
+#: that picks this clone, and whether the fast conversion sums in
+#: 32-bit Shoup lanes, as SHOUP_LANES() has it).
 VARIANTS = {
-    "plain": ("", None, False),
-    "avx2": ('__attribute__((target("avx2")))', "AVX2", False),
-    "avx512f": ('__attribute__((target("avx512f")))', "AVX512F", True),
+    "plain": ("", None, False, False),
+    "avx2": ('__attribute__((target("avx2")))', "AVX2", False, True),
+    "avx512f": ('__attribute__((target("avx512f")))', "AVX512F", True,
+                True),
     "x86-64-v4": ('__attribute__((target("arch=x86-64-v4")))',
-                  "AVX512_SKX", True),
+                  "AVX512_SKX", True, True),
 }
 
 
 @pytest.fixture(scope="module", params=list(VARIANTS))
 def variant_lib(request, tmp_path_factory):
     """The kernel library built with every marked loop as one clone."""
-    definition, feature, canon_mul = VARIANTS[request.param]
+    definition, feature, canon_mul, shoup_lanes = VARIANTS[request.param]
     if feature is not None and not _cpu_has(feature):
         pytest.skip(f"this CPU has no {feature}")
     cc = shutil.which("cc")
@@ -92,6 +97,7 @@ def variant_lib(request, tmp_path_factory):
     proc = subprocess.run(
         [cc, *native.CFLAGS, f"-DVECTOR_CLONES(...)={definition}",
          f"-DCANON_MUL()={int(canon_mul)}",
+         f"-DSHOUP_LANES()={int(shoup_lanes)}",
          "-o", str(path), str(native.SOURCE)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -154,23 +160,36 @@ def test_ntt_rows(variant, monkeypatch, n):
 
 
 def test_key_mac(variant, monkeypatch):
-    """With and without a permutation, at spans 1, 2 and 4 and across
-    them, on random residues and every residue at q - 1."""
+    """With and without a permutation, for k = 1, 3 and 8, at spans 1, 2
+    and 4 and across them, on random residues and every residue at
+    q - 1, and on rows the register groups do not tile."""
     engine = BatchedNTT(ks_twins.N, find_ntt_primes(30, ks_twins.N, 1))
-    ks_twins.test_ks_mac_matches_numpy_twin(engine, monkeypatch, 3, 4)
+    for k in (1, 3, 8):
+        ks_twins.test_ks_mac_matches_numpy_twin(engine, monkeypatch, k, 4)
     for beta in (2, 5):
         for top in (False, True):
             ks_twins.test_ks_mac_guard_boundaries_match_numpy_twin(
                 engine, monkeypatch, 8, beta, top)
+    for n in (8, 40):
+        ks_twins.test_ks_mac_partial_register_groups_match_numpy_twin(
+            monkeypatch, n)
 
 
 @pytest.mark.parametrize("case", ks_twins._GUARD_CASES)
 def test_fast_bconv(variant, monkeypatch, case):
+    """The one-multiply sums at their guard spans (targets at or above
+    2^30, or 31-bit), and the 32-bit Shoup lanes (targets below 2^30)
+    next to the fallback one target at 2^30 sends a conversion to."""
     below, span, l_froms = case
     for l_from in l_froms:
         for top in (False, True):
             ks_twins.test_bconv_guard_boundaries_match_numpy_twin(
                 monkeypatch, 8, below, span, l_from, top)
+    for l_from in (2, 9):
+        for inputs in ("q-1", "lazy-max"):
+            for targets in ("below-2^30", "at-2^30"):
+                ks_twins.test_bconv_shoup_lane_bound_matches_numpy_twin(
+                    monkeypatch, 8, targets, l_from, inputs)
 
 
 def test_exact_bconv(variant, monkeypatch):

@@ -16,7 +16,13 @@ step and the conjugation.
 The key MAC and BConv sum whole products in uint64 and guard the sum
 below ``2^63`` every ``span = floor(2^62 / (qmax * p))`` terms, so they
 also run at ``2^31 - 1`` (span 1), at ``span`` and ``span + 1`` terms,
-and with every residue at ``q - 1``.  The batch add/sub/negate must
+and with every residue at ``q - 1``; the key MAC also on rows its
+16-column register groups do not tile.  The fast BConv sums lazy Shoup
+products in 32-bit lanes into targets below ``2^30``, so it runs into
+targets just below ``2^30`` and with one at ``2^30`` (the fallback), on
+inputs whose every lazy product sits near ``2p``.  The key MAC's uint32
+key tables come from ``SwitchingKey.stacked_tables``, which checks
+each table once.  The batch add/sub/negate must
 equal numpy's ``%`` on any int64 input, wraparound included, and the
 ModDown tail's fused addends -- a hoisted rotation's ``sigma(c0)`` into
 each pair's first half, a relinearization's ``(d0, d1)`` into both
@@ -105,9 +111,10 @@ def _canonical(rng, q_col: np.ndarray, tiles: int, n: int = N, *,
 
 def _key_tables(rng, beta: int, n: int = N, ext: RnsBasis = EXT, *,
                 top: bool = False) -> tuple:
-    """Digit-stacked ``(b, a)`` uint64 key tables over ``ext``."""
+    """Digit-stacked ``(b, a)`` uint32 key tables over ``ext``, as
+    :meth:`SwitchingKey.stacked_tables` narrows them."""
     return tuple(_canonical(rng, ext.q_col, beta, n, top=top)
-                 .astype(np.uint64) for _ in range(2))
+                 .astype(np.uint32) for _ in range(2))
 
 
 def _both(monkeypatch, fn):
@@ -140,12 +147,13 @@ def _mac_reference(x, tables, k, perm, ext: RnsBasis = EXT) -> np.ndarray:
     """The key MAC in plain ``%`` arithmetic."""
     q = ext.q_col
     limbs = len(ext)
+    n = x.shape[1]
     out = []
-    x4 = x.reshape(k, -1, limbs, N)[..., perm]
+    x4 = x.reshape(k, -1, limbs, n)[..., perm]
     for t in tables:
-        key = t.astype(np.int64).reshape(-1, limbs, N)
+        key = t.astype(np.int64).reshape(-1, limbs, n)
         out.append((x4 * key % q).sum(axis=1) % q)
-    return np.stack(out, axis=1).reshape(-1, N)
+    return np.stack(out, axis=1).reshape(-1, n)
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +212,13 @@ def test_ks_mac_guard_boundaries_match_numpy_twin(engine, monkeypatch, k,
 
 
 def test_ks_mac_spans_several_column_blocks(lib, monkeypatch):
-    """n = 4096 runs the kernel's column blocks back to back."""
+    """n = 4096: whole rows of the kernel's register groups."""
     n = 4096
     rng = np.random.default_rng(4)
     k, beta = 2, 3
     ext = RnsBasis(find_ntt_primes(30, n, 2))
-    q_u = np.tile(ext.q_col, (beta, 1)).astype(np.uint64)
-    tables = [rng.integers(0, q_u, size=(beta * 2, n), dtype=np.uint64)
+    q_u = np.tile(ext.q_col, (beta, 1)).astype(np.uint32)
+    tables = [rng.integers(0, q_u, size=(beta * 2, n), dtype=np.uint32)
               for _ in range(2)]
     x = rng.integers(0, np.tile(ext.q_col, (k * beta, 1)),
                      size=(k * beta * 2, n), dtype=np.int64)
@@ -218,6 +226,30 @@ def test_ks_mac_spans_several_column_blocks(lib, monkeypatch):
     got, want = _both(monkeypatch, lambda: key_mac(x, tuple(tables), ext,
                                                    k, auto=auto))
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 8, 40, 72])
+def test_ks_mac_partial_register_groups_match_numpy_twin(monkeypatch, n):
+    """Rows narrower than the kernel's register group (16 columns) or
+    not a multiple of it run its one-column tail: under the identity
+    against the numpy twin, and through a permutation against plain
+    ``%`` arithmetic, at spans 4, 2 and 1 with beta up to 5."""
+    rng = np.random.default_rng(n)
+    k, beta = 3, 5
+    x = _canonical(rng, GUARD_EXT.q_col, k * beta, n)
+    tables = _key_tables(rng, beta, n, GUARD_EXT)
+    got, want = _both(monkeypatch, lambda: key_mac(x, tables, GUARD_EXT,
+                                                   k))
+    np.testing.assert_array_equal(got, want)
+    lib = native.kernel()
+    if lib is None:
+        return
+    perm = rng.permutation(n).astype(np.int64)
+    out = np.empty((2 * k * len(GUARD_EXT), n), dtype=np.uint64)
+    assert lib.ks_mac(out, x, k, beta, len(GUARD_EXT), n,
+                      GUARD_EXT.q_col.astype(np.uint64), *tables, perm) == 0
+    np.testing.assert_array_equal(
+        out.view(np.int64), _mac_reference(x, tables, k, perm, GUARD_EXT))
 
 
 def test_ks_mac_rejects_bad_permutation_without_writing(lib):
@@ -293,6 +325,65 @@ def test_bconv_guard_boundaries_match_numpy_twin(monkeypatch, k, below,
         col = [[-q_hat % q] for q_hat, q in zip(src.q_hat, src.primes)]
         stack = np.repeat(np.tile(np.array(col, dtype=np.int64), (k, 1)),
                           N, axis=1)
+    else:
+        stack = _canonical(np.random.default_rng(l_from), src.q_col, k)
+    got, want = _both(monkeypatch, lambda: base_convert_stack(
+        stack, src, dst, k))
+    np.testing.assert_array_equal(got, want)
+    ref = np.concatenate([base_convert(RnsPolynomial(
+        src, stack[i * l_from:(i + 1) * l_from], is_ntt=False), dst).data
+        for i in range(k)])
+    np.testing.assert_array_equal(got, ref)
+
+
+#: Fast-BConv targets at the Shoup-lane bound: the largest primes below
+#: 2^30 (each sum stays below 4p < 2^32), and the same with the
+#: smallest prime above 2^30 among them, which sends the whole
+#: conversion to the one-multiply sum.
+_BELOW_2_30 = _top_primes(3, 1 << 30)
+
+
+def _lazy_max_stack(src: RnsBasis, dst: RnsBasis, k: int) -> np.ndarray:
+    """A ``(k*L_from, N)`` stack whose column ``c`` makes every term of
+    target ``c % L_to`` a lazy Shoup product near its top, ``2p - 1``:
+    per source row, the scaled residue ``v`` (among 2^16 candidates)
+    with the largest ``v*w - floor(v*w'/2^32)*p``, sent back through
+    ``x = v * q_hat mod q``."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for q_hat, q in zip(src.q_hat, src.primes):
+        v = rng.integers(0, q, size=1 << 16, dtype=np.uint64)
+        best = []
+        for p in dst.primes:
+            w = np.uint64(q_hat % p)
+            w_sh = np.uint64((int(w) << 32) // p)
+            t = v * w - ((v * w_sh) >> np.uint64(32)) * np.uint64(p)
+            best.append(int(v[np.argmax(t)]) * q_hat % q)
+        rows.append([best[c % len(best)] for c in range(N)])
+    return np.tile(np.array(rows, dtype=np.int64), (k, 1))
+
+
+@pytest.mark.parametrize("inputs", ["random", "q-1", "lazy-max"])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("targets", ["below-2^30", "at-2^30"])
+@pytest.mark.parametrize("l_from", [1, 2, 9])
+def test_bconv_shoup_lane_bound_matches_numpy_twin(monkeypatch, k, targets,
+                                                   l_from, inputs):
+    """31-bit sources (scaled residues up to 2^31 - 2) into targets just
+    below 2^30 (Shoup lanes) or with one at or above it (the fallback);
+    ``q-1`` makes every scaled residue ``q - 1``, ``lazy-max`` every
+    lazy product of a column's target near ``2p``, the largest terms the
+    Shoup lanes' ``[0, 2p)`` sums see."""
+    dst = RnsBasis(_BELOW_2_30 if targets == "below-2^30"
+                   else _BELOW_2_30[:2] + [_first_prime_above(1 << 30)])
+    assert (max(dst.primes) < 1 << 30) == (targets == "below-2^30")
+    src = RnsBasis(_top_primes(l_from))
+    if inputs == "q-1":
+        col = [[-q_hat % q] for q_hat, q in zip(src.q_hat, src.primes)]
+        stack = np.repeat(np.tile(np.array(col, dtype=np.int64), (k, 1)),
+                          N, axis=1)
+    elif inputs == "lazy-max":
+        stack = _lazy_max_stack(src, dst, k)
     else:
         stack = _canonical(np.random.default_rng(l_from), src.q_col, k)
     got, want = _both(monkeypatch, lambda: base_convert_stack(
@@ -619,7 +710,64 @@ def test_argtypes_reject_wrong_dtype_and_layout_without_writing(lib):
     with pytest.raises(ctypes.ArgumentError):
         lib.ks_mac(acc_out, x, 1, 1, len(EXT), N, q_u, b, a,
                    np.arange(2 * N)[::2])
+    # the key tables are uint32: a uint64 table is refused
+    with pytest.raises(ctypes.ArgumentError):
+        lib.ks_mac(acc_out, x, 1, 1, len(EXT), N, q_u,
+                   b.astype(np.uint64), a, None)
     assert not out.any() and not acc_out.any()
+
+
+# ----------------------------------------------------------------------
+# SwitchingKey.stacked_tables: uint32 key tables, checked once
+# ----------------------------------------------------------------------
+def _switching_key(rng, dnum: int = 3) -> rns_core.SwitchingKey:
+    """A key of canonical random residues over ``EXT``."""
+    def poly():
+        return RnsPolynomial(EXT, _canonical(rng, EXT.q_col, 1))
+    return rns_core.SwitchingKey(b=[poly() for _ in range(dnum)],
+                                 a=[poly() for _ in range(dnum)])
+
+
+def test_stacked_tables_are_uint32_and_checked_once(monkeypatch):
+    """The digit-stacked tables hold the key residues as uint32 (half
+    the key polynomials' bytes), restricted to the rows asked for, and
+    the canonical check runs when a table is built, not per MAC."""
+    rng = np.random.default_rng(21)
+    key = _switching_key(rng)
+    checks = []
+    real = rns_core.require_canonical
+    monkeypatch.setattr(rns_core, "require_canonical",
+                        lambda *a: checks.append(a[2]) or real(*a))
+    rows = (0, 2, 5)
+    b, a = key.stacked_tables(2, rows)
+    assert b.dtype == a.dtype == np.uint32
+    assert b.shape == a.shape == (2 * len(rows), N)
+    for t, polys in ((b, key.b), (a, key.a)):
+        want = np.concatenate([p.data[list(rows)] for p in polys[:2]])
+        np.testing.assert_array_equal(t, want)
+    assert checks == ["stacked_tables"] * 2
+    assert key.stacked_tables(2, rows)[0] is b
+    ext = RnsBasis([EXT.primes[r] for r in rows])
+    x = _canonical(rng, ext.q_col, 2)
+    key_mac(x, (b, a), ext, 1)
+    # (under REPRO_VERIFY=1 the MAC checks its digit rows, "key_mac")
+    assert checks.count("stacked_tables") == 2
+
+
+@pytest.mark.parametrize("bad", [-1, "q"])
+@pytest.mark.parametrize("half", ["b", "a"])
+def test_stacked_tables_reject_a_noncanonical_row(bad, half):
+    """Mutation: one key residue pushed out of range, which a uint32
+    table would silently wrap or truncate."""
+    rng = np.random.default_rng(22)
+    key = _switching_key(rng)
+    poly = getattr(key, half)[1]
+    poly.data[4, 11] = EXT.primes[4] if bad == "q" else bad
+    # digit 1's rows come after digit 0's: its row 4 is table row 6 + 4
+    with pytest.raises(NonCanonicalInputError,
+                       match=r"stacked_tables: row 10 "):
+        key.stacked_tables(2, tuple(range(len(EXT))))
+    key.stacked_tables(1, tuple(range(len(EXT))))     # digit 0 is fine
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A smoke run at n = 64: the plain build and the production (dispatched)
 build of the kernel source, one round each, and a table with the row,
-``ks_mac`` and ``bconv_exact`` measurements.  Skipped without ``cc``."""
+``ks_mac`` (k = 1 and 8), fast ``bconv`` and ``bconv_exact``
+measurements.  Skipped without ``cc``."""
 
 from __future__ import annotations
 
@@ -28,6 +29,6 @@ def test_harness_builds_and_prints_the_table(capsys):
     rows = {line.split(" | ")[0].lstrip("| "): line
             for line in out.splitlines() if line.startswith("| ")}
     assert rows["µs"] == "| µs | plain | dispatched |"
-    for name in ("load", "store", "forward", "inverse", "ks_mac",
-                 "bconv_exact"):
+    for name in ("load", "store", "forward", "inverse", "ks_mac k=1",
+                 "ks_mac k=8", "bconv 2->8 k=16", "bconv_exact"):
         assert len(rows[name].split(" | ")) == 3

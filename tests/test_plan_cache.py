@@ -91,7 +91,7 @@ def test_prefix_plan_shares_twiddle_memory():
     full.ntt  # build the superset engine, as real ciphertext ops would
     pre = get_plan(N, PRIMES[:2])
     assert pre.primes == PRIMES[:2]
-    assert np.shares_memory(pre.ntt._psi_br, full.ntt._psi_br)
+    assert np.shares_memory(pre.ntt._psi_u, full.ntt._psi_u)
     assert np.shares_memory(pre.ntt._psi_sh, full.ntt._psi_sh)
     # and it still transforms correctly (covered bitwise elsewhere)
     rng = np.random.default_rng(3)

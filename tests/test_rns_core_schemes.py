@@ -138,6 +138,71 @@ def test_bfv_stacked_matches_reference(bfv_pair, rng, each_impl):
                      "conjugate")
 
 
+def test_reference_oracle_runs_numpy_kernels(bfv_pair, rng):
+    """The oracle does not share the C kernels with production: a traced
+    reference BFV multiply and rotation run only numpy kernels while the
+    library is loaded (production's run C), and the library is back
+    after each call, also after one that raised."""
+    from repro import obs
+    from repro.nttmath import native
+
+    ctx, stacked, reference, sk, _ = bfv_pair
+    lib = native.kernel()
+    cx = stacked.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    impls = {}
+    try:
+        for name, scheme in (("reference", reference),
+                             ("production", stacked)):
+            obs.TRACER.enabled = True
+            scheme.ev.multiply(cx, cx)
+            scheme.rotate(cx, 2)
+            obs.TRACER.enabled = False
+            events, _ = obs.TRACER.drain()
+            impls[name] = {(ev[obs.EV_ATTRS] or {}).get("impl")
+                           for ev in events} - {None}
+            assert native._LIB is lib
+    finally:
+        obs.TRACER.enabled = was
+    assert impls["reference"] == {"numpy"}
+    assert ("c" in impls["production"]) == (lib is not None)
+    with pytest.raises(ValueError):
+        reference.ev.rotate(cx, 3)          # no Galois key for step 3
+    assert native._LIB is lib
+
+
+def test_reference_entry_points_resolve_as_unwrapped():
+    """Every public method of every reference class runs under the
+    numpy scope and is the method the class would have without the
+    wrappers: the generic copy ``ReferenceEvaluator`` holds never
+    shadows a scheme's production override."""
+    import inspect
+
+    from repro.schemes import reference as ref
+
+    def unwrapped(cls, name):
+        for owner in cls.__mro__:
+            attr = vars(owner).get(name)
+            if attr is None:
+                continue
+            origin = getattr(attr, "numpy_only", None)
+            if origin == "inherited":
+                continue
+            return inspect.unwrap(attr) if origin else attr
+
+    for cls in (ref.ReferenceEvaluator, ref.ReferenceCkksEvaluator,
+                ref.ReferenceBgvEvaluator, ref.ReferenceBfvEvaluator):
+        for name in dir(cls):
+            attr = inspect.getattr_static(cls, name)
+            if name.startswith("_") or not inspect.isfunction(attr):
+                continue
+            assert getattr(attr, "numpy_only", None), (cls, name)
+            assert inspect.unwrap(attr) is unwrapped(cls, name), (cls, name)
+    assert (inspect.unwrap(ref.ReferenceCkksEvaluator.rescale_to)
+            is CkksEvaluator.rescale_to)
+
+
 def test_bfv_matches_plain_arithmetic(bfv_pair, rng):
     ctx, stacked, reference, sk, rk = bfv_pair
     x = rng.integers(0, ctx.t, ctx.n)

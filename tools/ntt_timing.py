@@ -1,5 +1,12 @@
 #!/usr/bin/env python
-"""Interleaved C timings of the native NTT rows, per vector-clone variant.
+"""Interleaved C timings of the native NTT rows and key-switch kernels,
+per vector-clone variant.
+
+The harness times the NTT rows with their loads and stores, the key MAC
+``ks_mac`` at the benchmark's key-switch shape (k = 1 and 8 ciphertexts,
+beta = 4 digits over 10 ext limbs, through an automorphism
+permutation), the fast ``bconv`` 2 -> 8 limbs of a k = 16 stack and
+``bconv_exact`` 8 -> 9 limbs.
 
 Builds ``tools/ntt_timing.c``, which includes the kernel source
 ``src/repro/nttmath/native/ntt.c``, once per variant:
@@ -36,11 +43,17 @@ HARNESS = REPO / "tools" / "ntt_timing.c"
 KERNEL = "src/repro/nttmath/native/ntt.c"
 
 #: name -> (extra compiler flags, CPU flags the variant needs, pinned).
+#: A pinned build also sets the kernel source's clone-dependent choices
+#: (CANON_MUL(), SHOUP_LANES()) as the production build does on a CPU
+#: whose loader picks that clone.
 VARIANTS = {
-    "plain": ((), (), True),
-    "avx2": (("-mavx2",), ("avx2",), True),
-    "avx512f": (("-mavx512f",), ("avx512f",), True),
-    "x86-64-v4": (("-march=x86-64-v4",),
+    "plain": (("-DCANON_MUL()=0", "-DSHOUP_LANES()=0"), (), True),
+    "avx2": (("-mavx2", "-DCANON_MUL()=0", "-DSHOUP_LANES()=1"),
+             ("avx2",), True),
+    "avx512f": (("-mavx512f", "-DCANON_MUL()=1", "-DSHOUP_LANES()=1"),
+                ("avx512f",), True),
+    "x86-64-v4": (("-march=x86-64-v4", "-DCANON_MUL()=1",
+                   "-DSHOUP_LANES()=1"),
                   ("avx512f", "avx512bw", "avx512cd", "avx512dq",
                    "avx512vl"), True),
     "dispatched": ((), (), False),
