@@ -55,7 +55,7 @@ inside the arena and, for steps that read arena rows, no two lanes
 write one row and no row is both read and written by the step, which
 makes lane-by-lane in-place execution equal numpy's
 gather-then-scatter.  FFT lanes also need a table for every prime
-(NTT friendly and below the fused kernels' 2^30 bound), and a DRAM
+(NTT friendly and below the native NTT rows' 2^30 bound), and a DRAM
 step runs in C only when each binding is an aligned C-contiguous
 int64 row outside the arena.  The kernel re-checks every step before
 writing any of it and hands back any it refuses.
@@ -822,7 +822,7 @@ _INT64_MAX = (1 << 63) - 1
 #: Step kind of a ``replay_steps`` table row that numpy runs.
 _K_NUMPY = -1
 #: ``replay_steps`` FFT steps run only moduli below this bound (the
-#: lazy ``[0, 4q)`` butterflies of the fused NTT kernels).
+#: lazy ``[0, 4q)`` butterflies of the native NTT rows).
 _FFT_Q_BOUND = 1 << 30
 #: What a bound DRAM array must keep for its cached address to stay
 #: valid (see :meth:`_ReplayTable.sources`).
@@ -1163,26 +1163,40 @@ def _native_steps(call, start: int, stop: int) -> int:
 
 
 def _replay_steps(plan: "ExecPlan", arena: np.ndarray, bindings,
-                  start: int = 0, stop: int | None = None) -> None:
-    """Run the plan's steps ``[start, stop)`` untraced: one
-    ``replay_steps`` call over the whole range when the kernels loaded,
-    each step it refuses run by :func:`_exec_step` before the kernel
-    resumes at the next one; every step by :func:`_exec_step` without
-    the library."""
+                  start: int = 0, stop: int | None = None,
+                  bounds: list | None = None) -> None:
+    """Run the plan's steps ``[start, stop)``: one ``replay_steps``
+    call over the whole range when the kernels loaded, each step it
+    refuses run by :func:`_exec_step` before the kernel resumes at the
+    next one; every step by :func:`_exec_step` without the library.
+
+    Untraced (``bounds`` is ``None``) it reads no clock.  A traced
+    replay passes a list that receives when each step ended:
+    ``(start, ends)`` for a native run from step ``start``, whose int64
+    ``ends`` the kernel wrote (each step's ``CLOCK_MONOTONIC`` end in
+    nanoseconds, the clock ``perf_counter`` reads), and ``(index,
+    end)`` for a step it handed back, run numpy before one
+    ``perf_counter`` read.  :func:`_emit_steps` turns ``bounds`` into
+    spans afterwards, outside the timed window."""
     steps = plan.steps
     stop = len(steps) if stop is None else stop
     lib = native.kernel()
-    if lib is None:
-        for st in steps[start:stop]:
-            _exec_step(st, arena, bindings, plan.n)
-        return
-    call = _bind_native(lib, _replay_table(plan, arena.shape[0]), arena,
-                        bindings)
+    if lib is not None:
+        ends = None if bounds is None else np.empty(stop - start,
+                                                    dtype=np.int64)
+        call = _bind_native(lib, _replay_table(plan, arena.shape[0]),
+                            arena, bindings, ends)
     while start < stop:
-        start = _native_steps(call, start, stop)
-        if start < stop:
-            _exec_step(steps[start], arena, bindings, plan.n)
-            start += 1
+        done = start
+        if lib is not None:
+            done = _native_steps(call, start, stop)
+            if bounds is not None:
+                bounds.append((start, ends[:done - start].copy()))
+        if done < stop:
+            _exec_step(steps[done], arena, bindings, plan.n)
+            if bounds is not None:
+                bounds.append((done, perf_counter()))
+        start = done + 1
 
 
 #: Span and row counter per K_FFT ``fft`` code: the names the engine's
@@ -1216,39 +1230,10 @@ def _row_traffic(plan: "ExecPlan") -> tuple[int, int]:
     return plan._traffic
 
 
-def _replay_traced(plan: "ExecPlan", arena: np.ndarray, bindings,
-                   bounds: list) -> None:
-    """The traced step loop: the same kernel entry as untraced replay,
-    one call per run of steps it takes, recording when each step ended
-    in ``bounds``: ``(start, ends)`` for a native run from step
-    ``start``, whose int64 ``ends`` the kernel wrote (each step's
-    ``CLOCK_MONOTONIC`` end in nanoseconds, the clock ``perf_counter``
-    reads), and ``(index, end)`` for a step it handed back, run numpy
-    before one ``perf_counter`` read.  :func:`_emit_steps` turns
-    ``bounds`` into spans afterwards, outside the timed window."""
-    steps = plan.steps
-    stop = len(steps)
-    lib = native.kernel()
-    if lib is not None:
-        ends = np.empty(stop, dtype=np.int64)
-        call = _bind_native(lib, _replay_table(plan, arena.shape[0]),
-                            arena, bindings, ends)
-    start = 0
-    while start < stop:
-        done = start
-        if lib is not None:
-            done = _native_steps(call, start, stop)
-            bounds.append((start, ends[:done - start].copy()))
-        if done < stop:
-            _exec_step(steps[done], arena, bindings, plan.n)
-            bounds.append((done, perf_counter()))
-        start = done + 1
-
-
 def _emit_steps(plan: "ExecPlan", bounds: list, prof: dict,
                 prev: float) -> None:
     """The ``replay.<label>`` spans of the steps ``bounds`` times (see
-    :func:`_replay_traced`), each timed boundary to boundary from
+    :func:`_replay_steps`), each timed boundary to boundary from
     ``prev`` into ``prof`` (so the first step's span also holds the
     table lookup), plus, for a native FFT step, the engine's own span
     and row counter, so trace totals do not depend on which
@@ -1288,10 +1273,10 @@ def replay_plan(plan: ExecPlan, bindings):
 
     ``profile_dict`` is ``None`` unless the global tracer is enabled,
     in which case it maps a step label to ``[wall_s, instructions]``.
-    Two loops:
+    One step loop, :func:`_replay_steps`, in two modes:
 
     * bare: one ``replay_steps`` call for the whole plan (numpy for the
-      steps it leaves, see :func:`_replay_steps`), no clock reads;
+      steps it leaves), no clock reads;
     * traced: the same kernel calls, with one clock read **per step
       boundary** (the kernel's own, into a buffer, for the steps it
       runs), so each span's duration runs boundary-to-boundary and
@@ -1316,7 +1301,7 @@ def replay_plan(plan: ExecPlan, bindings):
         bounds: list = []
         tr.push("replay")
         try:
-            _replay_traced(plan, arena, bindings, bounds)
+            _replay_steps(plan, arena, bindings, bounds=bounds)
             outputs = {vid: arena[row].copy()
                        for vid, row in plan.output_rows}
             wall = perf_counter() - t0

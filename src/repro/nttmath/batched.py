@@ -22,20 +22,19 @@ loops while leaving every canonical output bitwise identical to the
 * **Lazy (Harvey-style) reduction** — intermediate values ride in
   ``[0, 2q)`` / ``[0, 4q)`` and are folded down with a wraparound
   ``minimum`` trick; only the final canonicalisation lands in
-  ``[0, q)``.  Fused radix-4 stages use the relaxed Shoup bound
-  (inputs up to ``4q``), which requires ``q < 2^30``; wider moduli
-  fall back to per-stage-reduced radix-2.
+  ``[0, q)``.  The radix-2 stages fold each multiplier input below
+  ``2q`` before its Shoup product, so they hold for every ``q < 2^31``.
 * **Workspace pooling** — stage temporaries come from a tagged scratch
   pool instead of fresh 100KB+ allocations per vector op (single
   threaded, like the rest of this repository).
 
-Forward and inverse transforms run the same lazy butterflies in C
+Forward and inverse transforms run the same radix-2 stages in C
 (:mod:`repro.nttmath.native`) whenever that kernel library loaded and
 every modulus is within its ``q < 2^30`` bound; otherwise — no ``cc``,
-a failed build, a 31-bit modulus — the numpy kernels above run.  Both
+a failed build, a 31-bit modulus — the numpy stages above run.  Both
 return canonical residues of the same transform, so the choice never
-changes an output bit, and the numpy kernels stay the C kernel's
-bitwise oracle.
+changes an output bit, and the numpy stages stay the C rows' bitwise
+oracle.
 
 :class:`BatchedPlan` bundles the engine with lazily built per-limb
 scalar kernels and is cached per ``(n, primes)`` in a bounded LRU.
@@ -63,7 +62,7 @@ from .primes import root_of_unity
 _SHIFT = np.uint64(32)
 
 #: Cache-block budget (bytes of stack data per block) for the wide
-#: transforms: one block plus its quarter-stack stage scratch should
+#: transforms: one block plus its half-stack stage scratch should
 #: fit comfortably in a per-core L2.  The stage loops stream the whole
 #: stack once per butterfly stage, so blocks that outgrow L2 pay
 #: log2(n) memory round trips instead of one.
@@ -328,27 +327,16 @@ class BatchedNTT:
                                            self._q_u).astype(np.uint32)
         self._n_inv_u = self.n_inv_col.astype(np.uint64)
         self._n_inv_sh = shoup_companion(self._n_inv_u, self._q_u)
-        # Merged final-stage inverse twiddles: the trailing 1/n scaling
-        # folds into the last butterfly stage's multiplies (ROADMAP
-        # open item), leaving an explicit 1/n only on the sum-side
-        # outputs that the final stage does not multiply at all.
-        # The radix-2 final stage (and the radix-4 stage's w-branch)
-        # uses psi_inv^br[1]; the radix-4 final stage's difference
-        # branches use psi_inv^br[2] and psi_inv^br[3].
+        # Merged final-stage inverse twiddle: the trailing 1/n scaling
+        # folds into the last butterfly stage, whose difference branch
+        # multiplies by psi_inv^br[1] * n^-1 (one multiply, not two);
+        # only its sum branch takes an explicit 1/n multiply.
         self._fold1_u, self._fold1_sh = self._merged_ninv_twiddle(
             psi_inv_u, 1)
-        if n >= 4:
-            self._fold2_u, self._fold2_sh = self._merged_ninv_twiddle(
-                psi_inv_u, 2)
-            self._fold3_u, self._fold3_sh = self._merged_ninv_twiddle(
-                psi_inv_u, 3)
-        else:
-            self._fold2_u = self._fold2_sh = None
-            self._fold3_u = self._fold3_sh = None
-        # Fused radix-4 stages rely on the relaxed Shoup bound (inputs
-        # up to 4q still land in [0, 2q)), which needs q < 2^30.  Wider
-        # moduli take the plain radix-2 path with per-stage reduction.
-        self._fused = max(q.bit_length() for q in primes) <= 30
+        # The C rows take Shoup products of lazy inputs up to 4q, exact
+        # only while 4q < 2^32: they run when q < 2^30, and wider
+        # moduli take the numpy stages.
+        self._native_ok = max(q.bit_length() for q in primes) <= 30
         # Permutation caches shared with prefix-derived engines: they
         # depend only on (n, galois_elt), never on the moduli.
         self._auto_ntt_idx: dict[int, np.ndarray] = {}
@@ -356,12 +344,11 @@ class BatchedNTT:
         self._wide: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     #: Per-limb table attributes a derived engine re-slices from its
-    #: parent (uint companions included; fold tables may be None).
+    #: parent (uint companions included).
     _ROW_TABLES = ("q_col", "n_inv_col",
                    "_q_u", "_q2_u", "_psi_u", "_psi_inv_u", "_psi_sh",
                    "_psi_inv_sh", "_n_inv_u", "_n_inv_sh",
-                   "_fold1_u", "_fold1_sh", "_fold2_u", "_fold2_sh",
-                   "_fold3_u", "_fold3_sh")
+                   "_fold1_u", "_fold1_sh")
 
     @classmethod
     def _derived(cls, parent: "BatchedNTT", primes: tuple[int, ...],
@@ -376,12 +363,11 @@ class BatchedNTT:
         self.limbs = len(primes)
         self._rev = parent._rev
         for name in cls._ROW_TABLES:
-            table = getattr(parent, name)
-            setattr(self, name, None if table is None else table[select])
-        # The relaxed fused-radix-4 bound depends only on the selected
-        # moduli, so a small-prime subset of a 31-bit-tainted chain
-        # still takes the fused path (both paths are bitwise identical).
-        self._fused = max(q.bit_length() for q in primes) <= 30
+            setattr(self, name, getattr(parent, name)[select])
+        # The C rows' bound depends only on the selected moduli, so a
+        # small-prime subset of a 31-bit-tainted chain still runs in C
+        # (both implementations are bitwise identical).
+        self._native_ok = max(q.bit_length() for q in primes) <= 30
         self._auto_ntt_idx = parent._auto_ntt_idx
         self._auto_coeff_maps = parent._auto_coeff_maps
         self._wide = {}
@@ -467,23 +453,22 @@ class BatchedNTT:
             np.subtract(x, bound, out=tmp)
             np.minimum(x, tmp, out=x)
 
-    def _ws(self, tag: str, parts: int, tiles: int = 1) -> np.ndarray:
-        """Quarter-/half-stack scratch slab for the stage loops."""
-        return scratch(tag, (tiles, self.limbs, self.n // parts))
+    def _ws(self, tag: str, tiles: int) -> np.ndarray:
+        """Half-stack scratch slab for the stage loops."""
+        return scratch(tag, (tiles, self.limbs, self.n // 2))
 
-    def _ws_release(self, *tags_parts: tuple[str, int],
-                    tiles: int = 1) -> None:
+    def _ws_release(self, *tags: str, tiles: int) -> None:
         """Release stage slabs borrowed via :meth:`_ws` (debug mode)."""
-        for tag, parts in tags_parts:
-            release_scratch(tag, (tiles, self.limbs, self.n // parts))
+        for tag in tags:
+            release_scratch(tag, (tiles, self.limbs, self.n // 2))
 
     def _block_tiles(self, tiles: int) -> int:
         """Tiles per cache block for the stage loops.
 
-        The fused kernels stream the whole stack once per stage, so a
+        The numpy stages stream the whole stack once per stage, so a
         stack wider than L2 pays a full memory round trip *per stage*.
         Chunking the independent tile axis so one block (data plus the
-        quarter-stack scratch slabs) stays cache-resident keeps every
+        half-stack scratch slabs) stays cache-resident keeps every
         stage after the first out of DRAM — bitwise identical because
         tiles never interact."""
         if tiles <= 1:
@@ -493,9 +478,9 @@ class BatchedNTT:
 
     def _kernel(self):
         """The C kernel library when it loaded and every modulus is
-        within its lazy ``q < 2^30`` bound (``_fused``), else ``None``
-        (the numpy kernels run)."""
-        return _native.kernel() if self._fused else None
+        within its lazy ``q < 2^30`` bound (``_native_ok``), else
+        ``None`` (the numpy stages run)."""
+        return _native.kernel() if self._native_ok else None
 
     def _prepare(self, data: np.ndarray, assume_reduced: bool,
                  op: str) -> tuple[np.ndarray, object, int]:
@@ -557,11 +542,8 @@ class BatchedNTT:
             if not assume_reduced:
                 a = a % self.q_col
             a = a.astype(np.uint64)
-            if self._fused:
-                self._forward_fused(a)
-                self._lazy_csub(a, self._q2_u)
-            else:
-                self._forward_radix2(a)
+            self._forward_radix2(a)
+            self._lazy_csub(a, self._q2_u)
             self._lazy_csub(a, self._q_u)
             out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
@@ -571,90 +553,18 @@ class BatchedNTT:
             tr.count("ntt.rows", rows)
         return out
 
-    def _forward_fused(self, a: np.ndarray) -> None:
-        """Radix-4 fused DIT stages; values ride lazily in [0, 4q).
+    def _forward_radix2(self, a: np.ndarray) -> None:
+        """Cooley-Tukey radix-2 stages in place, values in [0, 4q).
 
         ``a`` is ``(tiles, limbs, n)``; the ``(L, 1, 1)`` twiddle
-        columns broadcast over the leading tile axis untouched."""
-        n = self.n
-        tiles = a.shape[0]
-        q_b = self._q_u[:, :, None]
-        q2_b = self._q2_u[:, :, None]
-        psi, psi_sh = self._wide_twiddles(False)
-        if n >= 4:
-            bufs = [self._ws(f"f4_{i}", 4, tiles) for i in range(6)]
-        m, t = 1, n
-        while m * 2 < n:
-            t4 = t // 4
-            blocks = a.reshape(tiles, self.limbs, m, 4, t4)
-            x0 = blocks[:, :, :, 0, :]
-            x1 = blocks[:, :, :, 1, :]
-            x2 = blocks[:, :, :, 2, :]
-            x3 = blocks[:, :, :, 3, :]
-            shape = (tiles, self.limbs, m, t4)
-            b0, b1, b2, b3, b4, b5 = (b.reshape(shape) for b in bufs)
-            s_m = psi[:, m:2 * m, None]
-            s_m_sh = psi_sh[:, m:2 * m, None]
-            s_a = psi[:, 2 * m:4 * m:2, None]
-            s_a_sh = psi_sh[:, 2 * m:4 * m:2, None]
-            s_b = psi[:, 2 * m + 1:4 * m:2, None]
-            s_b_sh = psi_sh[:, 2 * m + 1:4 * m:2, None]
-            v2 = shoup_mul_lazy(x2, s_m, s_m_sh, q_b, out=b1, hi=b0)
-            v3 = shoup_mul_lazy(x3, s_m, s_m_sh, q_b, out=b2, hi=b0)
-            np.subtract(x0, q2_b, out=b0)
-            u0 = np.minimum(x0, b0, out=b3)            # < 2q
-            np.subtract(x1, q2_b, out=b0)
-            u1 = np.minimum(x1, b0, out=b4)
-            mid1 = np.add(u1, v3, out=b5)              # < 4q
-            u1 += q2_b
-            mid3 = np.subtract(u1, v3, out=b4)         # < 4q
-            w1 = shoup_mul_lazy(mid1, s_a, s_a_sh, q_b, out=b2, hi=b0)
-            w3 = shoup_mul_lazy(mid3, s_b, s_b_sh, q_b, out=b5, hi=b0)
-            mid0 = np.add(u0, v2, out=b4)
-            u0 += q2_b
-            mid2 = np.subtract(u0, v2, out=b3)
-            self._lazy_csub(mid0, q2_b, b0)            # < 2q
-            self._lazy_csub(mid2, q2_b, b0)
-            np.add(mid0, w1, out=x0)                   # outputs < 4q
-            mid0 += q2_b
-            mid0 -= w1
-            blocks[:, :, :, 1, :] = mid0
-            np.add(mid2, w3, out=x2)
-            mid2 += q2_b
-            mid2 -= w3
-            blocks[:, :, :, 3, :] = mid2
-            m *= 4
-            t = t4
-        if n >= 4:
-            self._ws_release(*((f"f4_{i}", 4) for i in range(6)),
-                             tiles=tiles)
-        if m < n:                                      # odd stage count
-            t //= 2
-            blocks = a.reshape(tiles, self.limbs, m, 2 * t)
-            shape = (tiles, self.limbs, m, t)
-            h0 = self._ws("f2_0", 2, tiles).reshape(shape)
-            h1 = self._ws("f2_1", 2, tiles).reshape(shape)
-            h2 = self._ws("f2_2", 2, tiles).reshape(shape)
-            xl = blocks[:, :, :, :t]
-            xr = blocks[:, :, :, t:]
-            s = psi[:, m:2 * m, None]
-            s_sh = psi_sh[:, m:2 * m, None]
-            np.subtract(xr, q2_b, out=h0)
-            x_red = np.minimum(xr, h0, out=h1)
-            v = shoup_mul_lazy(x_red, s, s_sh, q_b, out=h2, hi=h0)
-            np.subtract(xl, q2_b, out=h0)
-            u = np.minimum(xl, h0, out=h1)
-            np.add(u, v, out=xl)
-            u += q2_b
-            u -= v
-            blocks[:, :, :, t:] = u
-            self._ws_release(("f2_0", 2), ("f2_1", 2), ("f2_2", 2),
-                             tiles=tiles)
-        # values are < 4q here; forward() folds them down to [0, q)
-
-    def _forward_radix2(self, a: np.ndarray) -> None:
-        """Reference-dataflow radix-2 stages, values in [0, 4q) (used
-        for 31-bit moduli where the relaxed fused bound fails)."""
+        columns broadcast over the leading tile axis.  The stages are
+        the C ``forward_row``'s, in its order and with its twiddles,
+        except that each multiplier input is first folded below
+        ``2q``, so the Shoup product is exact for every ``q < 2^31``
+        (the C rows skip that fold and need ``q < 2^30``).  The one
+        numpy forward kernel: the fallback without the C library, the
+        path for wider moduli, and the oracle under
+        :func:`repro.nttmath.native.numpy_kernels`."""
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
@@ -662,9 +572,9 @@ class BatchedNTT:
         # The half-stack slabs are borrowed once for the whole stage
         # loop (m*t is invariant at n/2); a per-iteration scratch()
         # call would be an overlapping live borrow.
-        w0 = self._ws("r2_0", 2, tiles)
-        w1 = self._ws("r2_1", 2, tiles)
-        w2 = self._ws("r2_2", 2, tiles)
+        w0 = self._ws("r2_0", tiles)
+        w1 = self._ws("r2_1", tiles)
+        w2 = self._ws("r2_2", tiles)
         t, m = self.n, 1
         while m < self.n:
             t //= 2
@@ -687,9 +597,7 @@ class BatchedNTT:
             u -= v
             blocks[:, :, :, t:] = u
             m *= 2
-        self._ws_release(("r2_0", 2), ("r2_1", 2), ("r2_2", 2),
-                         tiles=tiles)
-        self._lazy_csub(a, self._q2_u)
+        self._ws_release("r2_0", "r2_1", "r2_2", tiles=tiles)
 
     def inverse(self, data: np.ndarray, *,
                 scale_by_n_inv: bool = True,
@@ -739,12 +647,9 @@ class BatchedNTT:
             if not assume_reduced:
                 a = a % self.q_col
             a = a.astype(np.uint64)
-            if self._fused:
-                self._inverse_fused(a, fold_ninv=scale_by_n_inv)
-            else:
-                self._inverse_radix2(a, fold_ninv=scale_by_n_inv)
+            self._inverse_radix2(a, fold_ninv=scale_by_n_inv)
             # values < 2q here; the 1/n scaling (when requested) was
-            # folded into the final-stage twiddles by the kernels above.
+            # folded into the final stage.
             self._lazy_csub(a, self._q_u)
             out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
@@ -754,135 +659,27 @@ class BatchedNTT:
             tr.count("intt.rows", rows)
         return out
 
-    def _inverse_fused(self, a: np.ndarray, *,
-                       fold_ninv: bool = False) -> None:
-        """Radix-4 fused GS stages; values ride lazily in [0, 2q).
-
-        With ``fold_ninv`` the final stage's twiddle multiplies use the
-        pre-merged ``psi_inv * n^-1`` tables and the remaining sum-side
-        outputs take one explicit Shoup multiply by ``n^-1`` — exactly
-        the trailing 1/n scaling, one stage cheaper.
-        """
-        n = self.n
-        tiles = a.shape[0]
-        q_b = self._q_u[:, :, None]
-        q2_b = self._q2_u[:, :, None]
-        psi, psi_sh = self._wide_twiddles(True)
-        ninv = self._n_inv_u[:, :, None]
-        ninv_sh = self._n_inv_sh[:, :, None]
-        if n >= 4:
-            bufs = [self._ws(f"i4_{i}", 4, tiles) for i in range(6)]
-        m, t = n, 1
-        while m > 2:
-            h1 = m // 2
-            h2 = m // 4
-            final = fold_ninv and m == 4
-            blocks = a.reshape(tiles, self.limbs, h2, 4, t)
-            z0 = blocks[:, :, :, 0, :]
-            z1 = blocks[:, :, :, 1, :]
-            z2 = blocks[:, :, :, 2, :]
-            z3 = blocks[:, :, :, 3, :]
-            shape = (tiles, self.limbs, h2, t)
-            b0, b1, b2, b3, b4, b5 = (b.reshape(shape) for b in bufs)
-            if final:
-                # Last stage: psi_inv^br[2]/[3] carry the folded 1/n.
-                s_a, s_a_sh = (self._fold2_u[:, :, None],
-                               self._fold2_sh[:, :, None])
-                s_b, s_b_sh = (self._fold3_u[:, :, None],
-                               self._fold3_sh[:, :, None])
-            else:
-                s_a = psi[:, h1:2 * h1:2, None]
-                s_a_sh = psi_sh[:, h1:2 * h1:2, None]
-                s_b = psi[:, h1 + 1:2 * h1:2, None]
-                s_b_sh = psi_sh[:, h1 + 1:2 * h1:2, None]
-            s_c = psi[:, h2:2 * h2, None]
-            s_c_sh = psi_sh[:, h2:2 * h2, None]
-            w0 = np.add(z0, z1, out=b0)                # < 4q
-            p0 = np.add(z0, q2_b, out=b1)
-            p0 -= z1
-            d0 = shoup_mul_lazy(p0, s_a, s_a_sh, q_b, out=b3, hi=b2)
-            w1 = np.add(z2, z3, out=b1)
-            p1 = np.add(z2, q2_b, out=b2)
-            p1 -= z3
-            d1 = shoup_mul_lazy(p1, s_b, s_b_sh, q_b, out=b5, hi=b4)
-            self._lazy_csub(w0, q2_b, b2)              # < 2q
-            self._lazy_csub(w1, q2_b, b2)
-            out0 = np.add(w0, w1, out=b2)              # < 4q
-            if final:
-                # w-branch twiddle psi_inv^br[1] also carries 1/n; the
-                # plain sum output takes the explicit 1/n multiply.
-                w0 += q2_b
-                w0 -= w1                               # < 4q
-                blocks[:, :, :, 2, :] = shoup_mul_lazy(
-                    w0, self._fold1_u[:, :, None],
-                    self._fold1_sh[:, :, None], q_b, out=b1, hi=b4)
-                self._lazy_csub(out0, q2_b, b4)
-                blocks[:, :, :, 0, :] = shoup_mul_lazy(
-                    out0, ninv, ninv_sh, q_b, out=b4, hi=b1)
-            else:
-                self._lazy_csub(out0, q2_b, b4)
-                blocks[:, :, :, 0, :] = out0
-                w0 += q2_b
-                w0 -= w1                               # < 4q
-                blocks[:, :, :, 2, :] = shoup_mul_lazy(w0, s_c, s_c_sh,
-                                                       q_b, out=b1,
-                                                       hi=b4)
-            out1 = np.add(d0, d1, out=b2)
-            self._lazy_csub(out1, q2_b, b4)
-            blocks[:, :, :, 1, :] = out1
-            d0 += q2_b
-            d0 -= d1
-            blocks[:, :, :, 3, :] = shoup_mul_lazy(d0, s_c, s_c_sh, q_b,
-                                                   out=b1, hi=b4)
-            t *= 4
-            m //= 4
-        if n >= 4:
-            self._ws_release(*((f"i4_{i}", 4) for i in range(6)),
-                             tiles=tiles)
-        if m == 2:                                     # odd stage count
-            blocks = a.reshape(tiles, self.limbs, 1, 2 * t)
-            shape = (tiles, self.limbs, 1, t)
-            h0 = self._ws("i2_0", 2, tiles).reshape(shape)
-            h1 = self._ws("i2_1", 2, tiles).reshape(shape)
-            zl = blocks[:, :, :, :t]
-            zr = blocks[:, :, :, t:]
-            if fold_ninv:
-                s = self._fold1_u[:, :, None]
-                s_sh = self._fold1_sh[:, :, None]
-            else:
-                s = psi[:, 1:2, None]
-                s_sh = psi_sh[:, 1:2, None]
-            d = np.add(zl, q2_b, out=h0)
-            d -= zr                                    # < 4q
-            w = np.add(zl, zr, out=h1)
-            self._lazy_csub(w, q2_b)
-            if fold_ninv:
-                blocks[:, :, :, :t] = shoup_mul_lazy(w, ninv, ninv_sh,
-                                                     q_b)
-            else:
-                blocks[:, :, :, :t] = w
-            blocks[:, :, :, t:] = shoup_mul_lazy(d, s, s_sh, q_b)
-            self._ws_release(("i2_0", 2), ("i2_1", 2), tiles=tiles)
-        # values are < 2q here
-
     def _inverse_radix2(self, a: np.ndarray, *,
                         fold_ninv: bool = False) -> None:
-        """Radix-2 GS stages reduced each stage (31-bit moduli).
+        """Gentleman-Sande radix-2 stages in place, values in [0, 2q).
 
-        ``fold_ninv`` merges the 1/n scaling into the final stage: the
-        difference branch uses the pre-merged ``psi_inv * n^-1``
-        twiddle and the sum branch takes one explicit ``n^-1``
-        multiply."""
+        The C ``inverse_row``'s stages, in its order, with each
+        multiplier input folded below ``2q`` first, as in
+        :meth:`_forward_radix2` (the one numpy inverse kernel, in the
+        same three roles).  ``fold_ninv`` merges the 1/n scaling into
+        the final stage: the difference branch uses the pre-merged
+        ``psi_inv * n^-1`` twiddle and the sum branch takes one
+        explicit ``n^-1`` multiply."""
         tiles = a.shape[0]
         q_b = self._q_u[:, :, None]
         q2_b = self._q2_u[:, :, None]
         psi, psi_sh = self._wide_twiddles(True)
         # Borrowed once across the stage loop (h*t invariant at n/2);
         # re-borrowing per iteration would overlap the live borrow.
-        w0 = self._ws("ir_0", 2, tiles)
-        w1 = self._ws("ir_1", 2, tiles)
-        w2 = self._ws("ir_2", 2, tiles)
-        w3 = self._ws("ir_3", 2, tiles) if fold_ninv else None
+        w0 = self._ws("ir_0", tiles)
+        w1 = self._ws("ir_1", tiles)
+        w2 = self._ws("ir_2", tiles)
+        w3 = self._ws("ir_3", tiles) if fold_ninv else None
         t, m = 1, self.n
         while m > 1:
             h = m // 2
@@ -916,10 +713,9 @@ class BatchedNTT:
                                                  out=h2, hi=h1)
             t *= 2
             m = h
-        self._ws_release(("ir_0", 2), ("ir_1", 2), ("ir_2", 2),
-                         tiles=tiles)
+        self._ws_release("ir_0", "ir_1", "ir_2", tiles=tiles)
         if fold_ninv:
-            self._ws_release(("ir_3", 2), tiles=tiles)
+            self._ws_release("ir_3", tiles=tiles)
         # values are < 2q here
 
     def pointwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

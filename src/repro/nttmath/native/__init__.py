@@ -3,7 +3,7 @@
 ``ntt.c`` next to this file holds
 
 - ``ntt_forward`` / ``ntt_inverse``, plain-C99 counterparts of
-  :class:`repro.nttmath.batched.BatchedNTT`'s fused numpy kernels;
+  :class:`repro.nttmath.batched.BatchedNTT`'s radix-2 numpy stages;
 - ``replay_steps``, which runs the steps ``[start, stop)`` of a compiled
   plan (:func:`repro.compiler.exec_plan.replay_plan`) in order, in
   place over the slot arena: elementwise, NTT / iNTT / automorphism,

@@ -41,8 +41,8 @@ from repro.rns.poly import (
     shoup_precompute,
 )
 
-# Drawing (log2 n, prime bits, limb count, data seed) covers both the
-# fused radix-4 path (bits <= 30) and the radix-2 fallback (bits == 31),
+# Drawing (log2 n, prime bits, limb count, data seed) covers moduli the
+# C rows run (bits <= 30) and the 31-bit ones only the numpy stages run,
 # odd and even stage counts, and single-limb stacks.
 CONFIG = st.tuples(
     st.integers(min_value=1, max_value=6),     # log2 n -> n in 2..64
@@ -340,7 +340,7 @@ def test_impl_31_bit_chain_takes_numpy_radix2(ntt_impl):
     n = 64
     primes = find_ntt_primes(31, n, 2)
     engine = BatchedNTT(n, primes)
-    assert engine._fused is False
+    assert engine._native_ok is False
     stack = np.random.default_rng(7).integers(
         0, np.array(primes)[:, None], size=(2, n), dtype=np.int64)
     assert _traced_impls(engine, stack) == [("ntt.forward", "numpy"),

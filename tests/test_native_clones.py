@@ -135,7 +135,7 @@ def test_ntt_rows(variant, monkeypatch, n):
     stage); 128, 1024 and 4096 run them mid-row, as production does."""
     primes = find_ntt_primes(30, n, 3)
     engine = BatchedNTT(n, primes)
-    assert engine._fused
+    assert engine._native_ok
     q_col = np.array(primes, dtype=np.int64).reshape(-1, 1)
     rng = np.random.default_rng(n)
     canon = rng.integers(0, np.tile(q_col, (2, 1)), size=(6, n))

@@ -91,9 +91,9 @@ def test_release_is_noop_outside_debug(monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bits", [30, 31])
 def test_ntt_paths_borrow_cleanly(debug_pool, monkeypatch, bits):
-    """Forward + inverse on both numpy kernels (fused radix-4 at <=30
-    bits, radix-2 at 31) twice in a row; the C kernel, which borrows no
-    scratch, is switched off.  Regression: the stage loops used to
+    """Forward + inverse on the numpy stages (at 30 bits, which the C
+    rows could run, and at 31) twice in a row; the C kernel, which
+    borrows no scratch, is switched off.  Regression: the stage loops used to
     re-borrow their half-stack slabs every iteration while live, so the
     very first 31-bit transform raised ScratchAliasError under debug,
     and any second transform raised on the never-released slabs."""
