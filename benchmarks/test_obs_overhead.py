@@ -53,7 +53,8 @@ def _bare_replay(plan, bindings):
     arena = plan.arena()
     t0 = perf_counter()
     _replay_steps(plan, arena, bindings)
-    outputs = {vid: arena[row].copy() for vid, row in plan.output_rows}
+    outputs = {vid: arena[row].astype(np.int64)
+               for vid, row in plan.output_rows}
     return outputs, perf_counter() - t0
 
 

@@ -24,14 +24,22 @@ One production engine and one oracle:
   no dispatch machinery with the plan, so agreement between the two is
   evidence, not tautology.  The fuzzer runs it on the *uncompiled*
   program; it also runs a compiled stream, spill stores and reloads
-  included.
+  included.  It runs the numpy kernels whatever is loaded
+  (:func:`repro.nttmath.native.numpy_kernels`), so it shares no kernel
+  code with a native replay either.
 
-Exactness: every engine prime is below 2**31, so ``x * y`` of two
-canonical residues fits in 62 bits and ``(x * y + z) % q`` is exact in
-uint64 — no Shoup companions needed on this path.  All values are kept
-canonical in ``[0, q)``; the NTT engine is Z_q-linear and its
-forward/inverse round trip is bitwise (pinned by the tier-1 suite), so
-both engines reproduce the evaluator's results bit for bit.
+Exactness: the two engines keep their values differently and agree
+bit for bit.  The reference holds each value as an int64 row and
+computes ``(x * y + z) % q`` in uint64, exact for canonical residues
+of any prime below 2**32 (no Shoup companions needed on this path);
+it takes any modulus.  The plan holds every value in a uint32 slot
+arena, which fits residues of primes below 2**31 only: plan build
+refuses any other prime (:class:`~repro.compiler.exec_plan.
+ArenaModulusError`), and :func:`execute_packed` returns the outputs as
+int64 rows.  All values are canonical in ``[0, q)``; the NTT engine is
+Z_q-linear and its forward/inverse round trip is bitwise (pinned by
+the tier-1 suite), so both engines reproduce the evaluator's results
+bit for bit.
 
 Lifetimes: the register allocator's ``slot_of`` is residual (entries
 pop as values die), so it cannot serve as a vid->row map.  Plan build
@@ -51,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.isa import Opcode
+from ..nttmath import native
 from ..nttmath.batched import get_stacked_plan
 from ..nttmath.ntt import conjugation_element, galois_element
 from ..nttmath.primes import find_ntt_primes
@@ -360,11 +369,20 @@ def execute_reference(program: Program,
 
     Deliberately shares no dispatch machinery with
     :func:`execute_packed` — no step grouping, no arena, no plan, one
-    single-row stacked plan per prime — so agreement between the two
-    is evidence about the planned dispatcher, not a tautology.
+    single-row stacked plan per prime — and no kernel code: it runs
+    under :func:`~repro.nttmath.native.numpy_kernels`, so agreement
+    between the two is evidence about the planned dispatcher and the C
+    replay, not a tautology.
     """
     if bindings is None:
         bindings = synthesize_bindings(program)
+    with native.numpy_kernels():
+        return _interpret(program, bindings)
+
+
+def _interpret(program: Program,
+               bindings: ExecBindings) -> dict[int, np.ndarray]:
+    """The body of :func:`execute_reference`."""
     n = program.n
     const_names = getattr(program, "const_names", None) or {}
     inv_merged = {mid: pair for pair, mid

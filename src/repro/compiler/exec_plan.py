@@ -8,7 +8,7 @@ indices, value lifetimes) is hoisted into a one-time
 * **Plan build** (:func:`build_exec_plan`) walks the scheduled stream
   once, deriving value lifetimes from use counts and following the
   stream's spill/reload/remat decisions, to assign every value a row
-  in a single ``(arena_rows, N)`` int64 **slot arena**, and emits a
+  in a single ``(arena_rows, N)`` uint32 **slot arena**, and emits a
   short list of vectorized steps carrying precomputed numpy index
   arrays:
   elementwise steps (``(x op y) % q_col`` over gathered arena rows,
@@ -39,26 +39,40 @@ indices, value lifetimes) is hoisted into a one-time
   that receives each step's end time (``CLOCK_MONOTONIC``, the clock
   ``perf_counter`` reads), from which every step keeps its span.
 
-Exactness: every engine prime is below 2**31, so products of
-canonical residues fit in 62 bits and ``(x * y + z) % q`` is exact in
-int64 — the arena therefore stays int64 end to end (mixing uint64
-indices/operands with int64 arena rows would promote to float64),
-and replay is bitwise-identical to ``execute_reference`` (pinned by
-the fuzzer and oracle suites).  The
-native steps equal the numpy expressions for *every* int64 input
-(wrapping products and sums, numpy's floor modulo, FFT inputs reduced
-mod q as the engine's reducing entries do), so they need no
-precondition beyond the lane-table rule: a step gets lanes
-(:func:`_ew_lanes`, :func:`_fft_lanes`, :func:`_move_lanes`,
-:func:`_dram_lanes`, :func:`_fill_lanes`) only when all its rows lie
-inside the arena and, for steps that read arena rows, no two lanes
-write one row and no row is both read and written by the step, which
-makes lane-by-lane in-place execution equal numpy's
-gather-then-scatter.  FFT lanes also need a table for every prime
-(NTT friendly and below the native NTT rows' 2^30 bound), and a DRAM
-step runs in C only when each binding is an aligned C-contiguous
-int64 row outside the arena.  The kernel re-checks every step before
-writing any of it and hands back any it refuses.
+The arena: every value a plan writes is a residue mod a chain prime
+(elementwise results ``% q``, fills ``imm % q``, DRAM loads reduced
+mod q, canonical NTT outputs), so with every prime below 2**31 each
+fits a uint32, and the arena holds half the bytes an int64 one would:
+replay is bound by the bytes it moves.  :func:`build_exec_plan` and
+:func:`get_exec_plan` refuse a program over a prime outside
+``[1, 2**31)`` with :class:`ArenaModulusError` before any step runs;
+:func:`~repro.compiler.exec_backend.execute_reference` keeps its own
+int64 values and takes any modulus.  :meth:`ExecPlan.arena` is
+64-byte aligned, so each row of a ring degree of 16 or more starts on
+a cache line; :func:`replay_plan` returns the outputs as int64 rows.
+
+Exactness: the numpy body computes in uint64 over the gathered uint32
+rows (``x * y + z < 2**64`` for any three uint32 values; mixing
+int64 with uint64 would promote to float64), so it is exact for
+*every* arena value, and replay is bitwise-identical to
+``execute_reference`` (pinned by the fuzzer and oracle suites).  The
+native steps equal the numpy expressions for every arena value and
+every int64 DRAM value (exact uint64 products and sums, numpy's floor
+modulo for DRAM rows, FFT inputs reduced mod q as the engine's
+reducing entries do), so they need no precondition beyond the
+lane-table rule: a step gets lanes (:func:`_ew_lanes`,
+:func:`_fft_lanes`, :func:`_move_lanes`, :func:`_dram_lanes`,
+:func:`_fill_lanes`) only when all its rows lie inside the arena and,
+for steps that read arena rows, no two lanes write one row and no row
+is both read and written by the step, which makes lane-by-lane
+in-place execution equal numpy's gather-then-scatter.  Elementwise
+and DRAM moduli must lie in ``[1, 2**32)`` and immediates in
+``[0, 2**32)``, so every result the kernel writes fits the arena.
+FFT lanes also need a table for every prime (NTT friendly and below
+the native NTT rows' 2^30 bound), and a DRAM step runs in C only when
+each binding is an aligned C-contiguous int64 row outside the arena.
+The kernel re-checks every step before writing any of it and hands
+back any it refuses.
 
 Canonical-range fast path: plan steps only ever read residues below
 2^31 over moduli below 2^31, so the kernel runs an elementwise or DRAM
@@ -66,16 +80,19 @@ lane over q in [2, 2^31) through a vectorized loop whenever every
 value the lane reads (its rows and its immediate) lies in [0, 2^k),
 k = q.bit_length(): products and MACs (below 2^(2k)) reduce by a
 Barrett step with mu = floor(2^(2k) / q) and two conditional
-subtractions, sums by two conditional subtractions, DRAM rows by one.
+subtractions, every factor of its three products below 2**32;
+sums by two 32-bit conditional subtractions, DRAM rows by one.
 The check rides in the same pass (the OR of every value read, shifted
-right by k, is 0; a negative value sets bit 63).  A lane that fails it
-is rerun by the exact any-int64 loop (wrapping arithmetic and floor
-modulo), which overwrites its out row: safe because the lane-table
-rule already keeps a step from reading a row it writes.  So no plan
-has to prove its inputs canonical, and no table carries a flag for
-it.  The multiplying lanes take the fast loop only where the kernel's
-AVX-512 clone runs (``CANON_MUL()`` in ``ntt.c``), the only build in
-which it measured faster than the exact loop.
+right by k, is 0; a negative DRAM value sets bit 63).  A lane that
+fails it is rerun by the exact loop (a uint64 reduction of the exact
+value; floor modulo for DRAM rows), which overwrites its out row: safe
+because the lane-table rule already keeps a step from reading a row it
+writes.  So no plan has to prove its inputs canonical, and no table
+carries a flag for it.  The multiplying lanes take the fast loop only
+where the kernel's AVX-512 clone runs (``CANON_MUL()`` in ``ntt.c``):
+GCC vectorizes each product as a full 64-bit multiply, which only
+AVX-512 runs faster than the scalar exact loop (re-timed over the
+uint32 arena: AVX2 0.8x, SSE2 0.45-0.55x of it).
 
 Aliasing: a staging LOAD or VCOPY whose live source dies at that use
 and whose dest is fresh just *transfers* the arena row — zero replay
@@ -120,6 +137,7 @@ from .ir import OP_INDEX, PackedProgram
 from .verify import hazard_edges, raise_on, verify_plan
 
 __all__ = [
+    "ArenaModulusError",
     "ExecPlan",
     "PlanStep",
     "build_exec_plan",
@@ -144,6 +162,29 @@ _SCALAR = OP_INDEX[Opcode.SCALAR]
 
 _ELEMENTWISE = (_MMUL, _MMAD, _MMAC)
 _FFT = (_NTT, _INTT, _AUTO)
+
+#: Every prime a plan runs over lies below this bound, so each residue
+#: fits the uint32 slot arena (:class:`ArenaModulusError`).
+_ARENA_Q_BOUND = 1 << 31
+#: Bytes the arena rows start on (a cache line).
+_ARENA_ALIGN = 64
+
+
+class ArenaModulusError(ValueError):
+    """A program runs over a prime whose residues the uint32 slot arena
+    cannot hold (outside ``[1, 2**31)``); raised at plan build, before
+    any step runs.  ``prime`` is the modulus and ``index`` its index in
+    the bindings' ``q + p`` chain."""
+
+    def __init__(self, prime: int, index: int):
+        super().__init__(
+            f"prime {prime} (chain index {index}) lies outside "
+            f"[1, 2**31): the uint32 slot arena of a planned replay "
+            f"holds residues of moduli below 2**31 only "
+            f"(execute_reference takes any modulus)")
+        self.prime = prime
+        self.index = index
+
 
 #: Step kinds (stable small ints; persisted in store payloads).
 K_EW = 0      # masked elementwise: (x*y | x+y | x*y+z) % q_col
@@ -219,10 +260,14 @@ class ExecPlan:
         self._traffic = None
 
     def arena(self) -> np.ndarray:
-        """The plan's reusable ``(arena_rows, N)`` int64 scratch."""
+        """The plan's reusable ``(arena_rows, N)`` uint32 scratch, its
+        first row on a 64-byte boundary."""
         if self._arena is None or self._arena.shape[0] < self.arena_rows:
-            self._arena = np.empty((self.arena_rows, self.n),
-                                   dtype=np.int64)
+            size = self.arena_rows * self.n * 4
+            block = np.empty(size + _ARENA_ALIGN, dtype=np.uint8)
+            off = -native.address(block) % _ARENA_ALIGN
+            self._arena = block[off:off + size].view(np.uint32).reshape(
+                self.arena_rows, self.n)
         return self._arena
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -233,6 +278,15 @@ class ExecPlan:
 # ----------------------------------------------------------------------
 # Plan build
 # ----------------------------------------------------------------------
+def _check_arena_moduli(packed: PackedProgram, bindings) -> None:
+    """Raise :class:`ArenaModulusError` for the first chain prime the
+    program runs over that lies outside ``[1, 2**31)``."""
+    for index in np.unique(packed.modulus).tolist():
+        q = bindings.prime(index)
+        if not 1 <= q < _ARENA_Q_BOUND:
+            raise ArenaModulusError(q, index)
+
+
 def build_exec_plan(packed: PackedProgram, bindings) -> ExecPlan:
     """Walk the scheduled stream once and emit a replayable plan.
 
@@ -241,10 +295,12 @@ def build_exec_plan(packed: PackedProgram, bindings) -> ExecPlan:
     or rematerialize from the value's DRAM origin, and DRAM operands
     are fetched in place and re-reduced at each use-site prime, so
     replay is bitwise-identical to :func:`~repro.compiler.exec_backend.
-    execute_reference`.
+    execute_reference`.  Raises :class:`ArenaModulusError` when a prime
+    the program runs over lies outside ``[1, 2**31)``.
     """
     if not isinstance(packed, PackedProgram):
         raise TypeError(f"cannot plan {type(packed).__name__}")
+    _check_arena_moduli(packed, bindings)
     n = packed.n
     op_l = packed.op.tolist()
     dest_l = packed.dest.tolist()
@@ -818,7 +874,10 @@ def _compact_rows(plan: ExecPlan, virtual_rows: int) -> None:
 # Plan replay
 # ----------------------------------------------------------------------
 _I64 = np.dtype(np.int64)
-_INT64_MAX = (1 << 63) - 1
+#: Elementwise and DRAM lanes run in C only over moduli below this
+#: bound, and elementwise immediates only below it: every result the
+#: kernel writes then fits the uint32 arena.
+_LANE_BOUND = 1 << 32
 #: Step kind of a ``replay_steps`` table row that numpy runs.
 _K_NUMPY = -1
 #: ``replay_steps`` FFT steps run only moduli below this bound (the
@@ -856,8 +915,8 @@ def _ew_lanes(st: PlanStep, rows: int):
     ``ew_step`` in ``nttmath/native/ntt.c``).  Built only when every
     row lies in ``[0, rows)`` with :func:`_in_place_ok`, and q, the
     immediates and the mask are ``(k, 1)`` columns, q and the
-    immediates int64 (so numpy's arithmetic is int64 too) with every q
-    at least 1."""
+    immediates int64 with every q in ``[1, 2**32)`` and every
+    immediate in ``[0, 2**32)``."""
     nsrc = st.nsrc
     if nsrc not in (1, 2, 3):
         return False
@@ -871,7 +930,8 @@ def _ew_lanes(st: PlanStep, rows: int):
         return False
     k = out.size
     q = np.asarray(st.q_col)
-    if q.dtype != _I64 or q.shape != (k, 1) or (k and q.min() < 1):
+    if (q.dtype != _I64 or q.shape != (k, 1)
+            or (k and (q.min() < 1 or q.max() >= _LANE_BOUND))):
         return False
     if not _in_place_ok(out, cols[1:]):
         return False
@@ -886,7 +946,8 @@ def _ew_lanes(st: PlanStep, rows: int):
     lanes[:, 4] = q[:, 0]
     if nsrc == 1:
         imm = np.asarray(st.imm_col)
-        if imm.dtype != _I64 or imm.shape != (k, 1):
+        if (imm.dtype != _I64 or imm.shape != (k, 1)
+                or (k and (imm.min() < 0 or imm.max() >= _LANE_BOUND))):
             return False
         lanes[:, 5] = imm[:, 0]
     return lanes
@@ -928,12 +989,12 @@ def _dram_lanes(st: PlanStep, rows: int, source_index: dict):
     """The K_DRAM step's lanes — ``(k, 3)`` int64 rows of (out, q,
     source), the source an index into the plan's DRAM names — or
     ``False`` unless the out rows are distinct and inside ``[0, rows)``
-    and every q is an integer in ``[1, 2^63)``."""
+    and every q is an integer in ``[1, 2**32)``."""
     out = _index_rows(st.out, rows)
     if (out is None or np.unique(out).size != out.size
             or len(st.qs) != out.size or len(st.names) != out.size
             or not all(isinstance(q, (int, np.integer))
-                       and 1 <= q <= _INT64_MAX for q in st.qs)):
+                       and 1 <= q < _LANE_BOUND for q in st.qs)):
         return False
     src = [source_index.setdefault(name, len(source_index))
            for name in st.names]
@@ -945,7 +1006,9 @@ def _fill_lanes(st: PlanStep, rows: int):
     """The K_FILL step's lanes — ``(k, 2)`` int64 rows of (out, value)
     — or ``False`` unless every row lies in ``[0, rows)`` and the
     values are a ``(k, 1)`` int64 column.  Lanes run in order, so a
-    repeated row ends with the last value, as numpy's scatter does."""
+    repeated row ends with the last value, as numpy's scatter does,
+    and each value lands as its low 32 bits, as numpy's cast to the
+    uint32 arena does."""
     out = _index_rows(st.out, rows)
     vals = np.asarray(st.vals)
     if out is None or vals.dtype != _I64 or vals.shape != (out.size, 1):
@@ -1099,20 +1162,27 @@ def _exec_step(st: PlanStep, arena: np.ndarray, bindings,
                n: int) -> None:
     """Run one step with numpy: gather, one vector expression or one
     stacked engine call, scatter.  The fallback for a step
-    ``replay_steps`` does not run, and its oracle."""
+    ``replay_steps`` does not run, and its oracle.
+
+    Elementwise steps gather uint32 rows and compute in uint64, exact
+    for every uint32 value (an int64 operand would promote the
+    expression to float64); the uint32 arena takes each result as its
+    low 32 bits, the result itself for any q up to 2**32."""
     kind = st.kind
     if kind == K_EW:
-        x = arena[st.a]
+        x = arena[st.a].astype(np.uint64)
+        q = st.q_col.astype(np.uint64)
         if st.nsrc == 3:
-            res = (x * arena[st.b] + arena[st.c]) % st.q_col
+            res = (x * arena[st.b] + arena[st.c]) % q
         else:
-            y = arena[st.b] if st.nsrc == 2 else st.imm_col
+            y = (arena[st.b] if st.nsrc == 2
+                 else st.imm_col.astype(np.uint64))
             if st.mask is not None:
-                res = np.where(st.mask, x * y, x + y) % st.q_col
+                res = np.where(st.mask, x * y, x + y) % q
             elif st.mul:
-                res = (x * y) % st.q_col
+                res = (x * y) % q
             else:
-                res = (x + y) % st.q_col
+                res = (x + y) % q
         arena[st.out] = res
     elif kind == K_FFT:
         eng = st.engine
@@ -1288,8 +1358,11 @@ def replay_plan(plan: ExecPlan, bindings):
       ``replay.<label>`` under an outer ``replay`` span (its ``impl``
       attribute says whether the native kernels were loaded, ``"c"``,
       or every step ran numpy, ``"numpy"``), and arena gather/scatter
-      traffic feeds the ``exec.bytes_*`` counters.  The ``replay``
-      scope closes even when a step raises.
+      traffic feeds the ``exec.bytes_*`` counters: rows read and
+      written times the bytes of an arena row.  The ``replay`` scope
+      closes even when a step raises.
+
+    The outputs are int64 ``(N,)`` copies of their arena rows.
     """
     arena = plan.arena()
     n = plan.n
@@ -1302,7 +1375,7 @@ def replay_plan(plan: ExecPlan, bindings):
         tr.push("replay")
         try:
             _replay_steps(plan, arena, bindings, bounds=bounds)
-            outputs = {vid: arena[row].copy()
+            outputs = {vid: arena[row].astype(np.int64)
                        for vid, row in plan.output_rows}
             wall = perf_counter() - t0
         finally:
@@ -1313,7 +1386,7 @@ def replay_plan(plan: ExecPlan, bindings):
                  "instrs": plan.instructions,
                  "impl": "numpy" if native.kernel() is None else "c"})
         rows_read, rows_written = _row_traffic(plan)
-        row_bytes = n * 8
+        row_bytes = n * arena.itemsize
         tr.count("exec.bytes_gathered", rows_read * row_bytes)
         tr.count("exec.bytes_scattered", rows_written * row_bytes)
         if plan.spill_reloads:
@@ -1326,7 +1399,7 @@ def replay_plan(plan: ExecPlan, bindings):
                 acc[1] += count
     else:
         _replay_steps(plan, arena, bindings)
-        outputs = {vid: arena[row].copy()
+        outputs = {vid: arena[row].astype(np.int64)
                    for vid, row in plan.output_rows}
         wall = perf_counter() - t0
     return outputs, wall, prof
@@ -1383,7 +1456,9 @@ def bindings_token(bindings) -> str:
 def get_exec_plan(target, bindings) -> ExecPlan:
     """The cached plan for ``(target, bindings)``; builds (and
     persists) on miss.  ``target`` is a PackedProgram or a
-    CompiledProgram."""
+    CompiledProgram.  A miss first raises :class:`ArenaModulusError`
+    for a prime outside ``[1, 2**31)`` (a hit's key names the same
+    primes as the checked build)."""
     global _PLANS_BUILT
     packed = getattr(target, "packed", target)
     if not isinstance(packed, PackedProgram):
@@ -1394,6 +1469,7 @@ def get_exec_plan(target, bindings) -> ExecPlan:
     if plan is not None:
         _PLAN_CACHE.move_to_end(key)
         return plan
+    _check_arena_moduli(packed, bindings)
     store = _persistent_store()
     if store is not None:
         plan = store.get_plan(*key)

@@ -6,9 +6,10 @@
   :class:`repro.nttmath.batched.BatchedNTT`'s radix-2 numpy stages;
 - ``replay_steps``, which runs the steps ``[start, stop)`` of a compiled
   plan (:func:`repro.compiler.exec_plan.replay_plan`) in order, in
-  place over the slot arena: elementwise, NTT / iNTT / automorphism,
-  copy, DRAM-load and fill steps, each equal to its numpy expression
-  for every int64 input.  It reads flat per-plan tables: one step row
+  place over the uint32 slot arena: elementwise, NTT / iNTT /
+  automorphism, copy, DRAM-load and fill steps, each equal to its numpy
+  expression for every uint32 arena value and every int64 DRAM value.
+  It reads flat per-plan tables: one step row
   ``kind | arg | k | off | aux``, the steps' lanes in one int64 array,
   the uint32 twiddles of the plan's distinct FFT primes (indexed by a
   lane's prime column), its distinct automorphism permutations and the
@@ -18,8 +19,9 @@
   caller runs with numpy before resuming at the next step.  An
   elementwise or DRAM lane whose modulus lies below ``2^31`` and whose
   inputs all lie in ``[0, 2^k)`` (``k`` the modulus' bit length) runs a
-  vectorized Barrett loop; a range check in the same pass sends any
-  other lane to the exact any-int64 reduction.  An optional int64
+  vectorized Barrett loop of 32x32-bit products; a range check in the
+  same pass sends any other lane to the exact uint64 reduction (floor
+  modulo of each int64 value for a DRAM row).  An optional int64
   buffer receives each step's ``CLOCK_MONOTONIC`` end time in
   nanoseconds, which a traced replay turns into its per-step spans;
 - ``ks_mac`` / ``bconv`` / ``mod_down_tail``, the key MAC, fast base
@@ -197,6 +199,7 @@ def bind(lib: ctypes.CDLL, name: str, *args):
 
 
 _OUT = _Array(np.int64, writeable=True)
+_ARENA = _Array(np.uint32, writeable=True)
 _IN = _Array(np.int64)
 _TAB = _Array(np.uint64)
 _PTR = _Array(np.uintp)
@@ -211,7 +214,7 @@ _SIGNATURES = {
     "ntt_forward": (_OUT, _IN, _N, _N, _N, _TAB, _TW, _TW, _I),
     "ntt_inverse": (_OUT, _IN, _N, _N, _N, _TAB, _TW, _TW, *(_TAB,) * 4,
                     _I, _I),
-    "replay_steps": (_OUT, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
+    "replay_steps": (_ARENA, _N, _N, _IN, _N, _IN, _N, _TAB, _TW, _N, _IN,
                      _N, _PTR, _N, _ENDS, _N, _N),
     "ks_mac": (_ACC, _IN, _N, _N, _N, _N, _TAB, _TW, _TW, _OPT),
     "bconv": (_OUT, _IN, _N, _N, _N, _N, _TAB),

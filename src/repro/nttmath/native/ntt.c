@@ -5,8 +5,9 @@
  *   (rows, n) int64 residue stacks, the native counterpart of
  *   repro.nttmath.batched.BatchedNTT;
  * - replay_steps: a run of a compiled plan's steps (elementwise, NTT /
- *   iNTT / automorphism, copy, DRAM load, fill) over the slot arena of
- *   repro.compiler.exec_plan, in place, from per-plan flat tables;
+ *   iNTT / automorphism, copy, DRAM load, fill) over the uint32 slot
+ *   arena of repro.compiler.exec_plan, in place, from per-plan flat
+ *   tables;
  * - ks_mac / bconv / mod_down_tail: the key MAC (reading a rotation
  *   through its permutation), fast base conversion and ModDown tail
  *   (adding a permuted addend into half 0 of each pair, the hoisted
@@ -83,10 +84,12 @@
  * for every marked loop but the canonical-range DRAM load; AVX-512 (by
  * 1.3-2.6x) for the int64 <-> uint32 row moves, the conversions'
  * weighted sums and the ModDown tail, (by 1.1-1.4x) for the
- * canonical-range elementwise and DRAM loops and (by 1.2x) for the NTT
- * rows once their small stages got fixed trip counts, but not for the
- * batch add / subtract.  The NTT rows, the conversions' weighted sums
- * and the key MAC list WIDE_CLONE instead: arch=x86-64-v4
+ * canonical-range elementwise and DRAM loops, (by 1.05x, in a whole
+ * FFT step) for the replay's uint32 row reduce and fold and (by 1.2x)
+ * for the NTT rows once their small stages got fixed trip counts, but
+ * not for the batch add / subtract.  The NTT rows, the conversions' weighted sums,
+ * the key MAC and the canonical-range elementwise loop list WIDE_CLONE
+ * instead: arch=x86-64-v4
  * (AVX-512 with DQ, whose vpmullq replaces the three-vpmuludq emulation
  * of each 64-bit product GCC 12 emits for AVX-512F; rows 1.15-1.28x,
  * sums 1.10-1.14x over AVX-512F) where the compiler is known to build
@@ -96,9 +99,10 @@
  * whole x86-64-v4 set, so no avx512f clone sits beside it.  The key
  * MAC's register-group loop with its vector reduction runs 1.4x faster
  * in the x86-64-v4 clone than in AVX2 (its earlier per-digit block loop
- * gained only 1.07-1.08x and kept AVX2 alone).  The
- * canonical-range elementwise loop must not get it: built for AVX-512F
- * + DQ it ran plan replay at 0.75x.  A build may predefine the macro
+ * gained only 1.07-1.08x and kept AVX2 alone).  The canonical-range
+ * elementwise loop over the uint32 arena ran its multiplying lanes
+ * 1.2-1.3x faster as x86-64-v4 than as AVX-512F (over the int64 arena
+ * it had run plan replay at 0.75x so).  A build may predefine the macro
  * (-D) to pin one variant: empty for the plain build other
  * architectures run, or one target attribute for every marked
  * function; the production flags never set it.
@@ -134,9 +138,11 @@
  * (msum_reduce) run: with the vector clones, exactly when the loader
  * picks their AVX-512 clone.  Their AVX2 clone measured no faster than
  * the scalar loop (the key MAC's: slower than its scalar Barrett
- * reduction) and their baseline x86-64 build slower (64-bit vector
- * multiplies are emulated with three 32-bit ones), so every other
- * build keeps the scalar loop for them.  SHOUP_LANES() is non-zero
+ * reduction; the replay's, over the uint32 arena, 0.8x the scalar exact
+ * loop) and their baseline x86-64 build slower (0.45-0.55x): GCC 12
+ * vectorizes each 64-bit product, even one of two zero-extended 32-bit
+ * values, as three 32-bit multiplies, so every other build keeps the
+ * scalar loop for them.  SHOUP_LANES() is non-zero
  * where the fast conversion sums in 32-bit Shoup lanes: when the
  * loader picks an AVX2 or wider clone of exact_block; the baseline
  * x86-64 (SSE2) build, which has no packed 32-bit low multiply,
@@ -423,7 +429,7 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
 
 /*
  * Whole-plan replay: replay_steps runs a compiled plan of
- * repro.compiler.exec_plan step by step over its (rows, n) int64 slot
+ * repro.compiler.exec_plan step by step over its (rows, n) uint32 slot
  * arena, in place, reusing the NTT row kernels above.  The caller
  * builds the tables once per plan and arena (never serialized):
  *
@@ -451,26 +457,33 @@ int ntt_inverse(int64_t *out, const int64_t *in, size_t rows,
  *   src    (nsrc,) addresses of bound DRAM rows (n contiguous int64
  *          outside the arena), 0 for a binding C must not read.
  *
- * Each result must equal numpy's int64 expression for every input, not
- * only for canonical residues: products and sums wrap modulo 2^64 (done
- * in uint64 here, since signed overflow is undefined in C) and the
- * reduction is numpy's floor modulo, whose result takes the sign of the
- * divisor.  Elementwise and DRAM lanes whose inputs lie in a canonical
- * range take vectorized Barrett loops instead and fall back to that
- * exact reduction when a range check in the same pass fails (see
- * "Canonical-range lanes" below).  Every step is checked before it
- * writes anything; a step that fails its check is left to the caller
- * (replay_steps returns its index), which keeps the numpy expression as
- * fallback and oracle.  A traced caller passes a buffer that receives
- * each step's end time, so one call still runs the whole plan.
+ * Every arena value is a uint32, and each step must equal numpy's
+ * expression over the arena (exec_plan._exec_step) for every one of
+ * them, not only for the canonical residues a plan produces: an
+ * elementwise lane computes x * y + z, x * y, x + y, x * imm or
+ * x + imm exactly in uint64 (x * y + z < 2^64 for any three uint32
+ * values) and reduces it mod q; a DRAM lane reduces each int64 source
+ * value by numpy's floor modulo, whose result takes the sign of the
+ * divisor; a transform reduces its input row mod q, as the engine's
+ * reducing entries do.  Every elementwise and DRAM q lies in [1, 2^32),
+ * so every result fits a uint32.  Elementwise and DRAM lanes whose
+ * inputs lie in a canonical range take vectorized Barrett loops and
+ * fall back to the exact reduction when a range check in the same pass
+ * fails (see "Canonical-range lanes" below).  Every step is checked
+ * before it writes anything; a step that fails its check is left to
+ * the caller (replay_steps returns its index), which keeps the numpy
+ * expression as fallback and oracle.  A traced caller passes a buffer
+ * that receives each step's end time, so one call still runs the whole
+ * plan.
  */
 
 __extension__ typedef unsigned __int128 u128;
 
-/* u mod q for u <= 2^63: a division-free Barrett reduction with
+/* u mod q for any uint64 u: a division-free Barrett reduction with
  * m = floor((2^64 - 1) / q).  The quotient estimate (u * m) >> 64 lies
- * within u / 2^64 <= 1/2 below u / q, so it is exact or one short and
- * one conditional subtraction finishes. */
+ * above u / q - 2 (as m > (2^64 - q) / q and u < 2^64) and not above
+ * u / q, so it is exact or one short and one conditional subtraction
+ * finishes. */
 static inline uint64_t barrett(uint64_t u, uint64_t q, uint64_t m)
 {
     uint64_t r = u - (uint64_t)(((u128)u * m) >> 64) * q;
@@ -490,11 +503,6 @@ static inline int64_t floor_mod(int64_t v, uint64_t q, uint64_t m)
 }
 
 /* Wrapping int64 arithmetic, as numpy computes it. */
-static inline int64_t wrap_mul(int64_t x, int64_t y)
-{
-    return (int64_t)((uint64_t)x * (uint64_t)y);
-}
-
 static inline int64_t wrap_add(int64_t x, int64_t y)
 {
     return (int64_t)((uint64_t)x + (uint64_t)y);
@@ -526,6 +534,12 @@ enum { TW_PSI, TW_PSI_SH, TW_INV, TW_INV_SH, TW_ROWS };
 static int row_ok(int64_t row, size_t rows)
 {
     return row >= 0 && (uint64_t)row < rows;
+}
+
+/* A modulus of an elementwise or DRAM lane: its results fit a uint32. */
+static int lane_q_ok(int64_t q)
+{
+    return q >= 1 && q >> 32 == 0;
 }
 
 /* Lane-by-lane in-place execution equals numpy's gather-then-scatter
@@ -565,46 +579,45 @@ static int rows_bad(const int64_t *lanes, size_t k, size_t width,
 
 /*
  * Canonical-range lanes.  The elementwise and DRAM lanes of a compiled
- * plan read residues below 2^31 over moduli below 2^31, for which
- * floor_mod's 128-bit multiply and sign branch do more than is needed
- * and keep the loop scalar.  A lane over q in [2, 2^31), with k the bit
- * length of q (so 2^(k-1) <= q < 2^k), whose every input lies in
- * [0, 2^k) takes a fast loop instead:
+ * plan read residues below 2^31 over moduli below 2^31, for which a
+ * scalar reduction of each exact value does more than is needed.  A
+ * lane over q in [2, 2^31), with k the bit length of q (so
+ * 2^(k-1) <= q < 2^k), whose every input lies in [0, 2^k) takes a
+ * vectorized loop instead:
  *   - x * y + z, x * y and x * imm are below 2^(2k) and reduce by
  *     Barrett with mu = floor(2^(2k) / q): the quotient estimate
  *     q3 = ((u >> (k - 1)) * mu) >> (k + 1) lies at most 2 below
  *     floor(u / q) (Menezes et al., Handbook of Applied Cryptography,
  *     14.42), so u - q3 * q lies in [0, 3q) and two conditional
- *     subtractions of q land [0, q).  mu <= 2^(k+1), so every factor
- *     stays below 2^32 and every product fits 64 bits; the one
- *     exception, q = 2^30 (k = 31, mu = 2^32), takes the exact loop;
- *   - x + y and x + imm are below 2^(k+1) <= 4q: a conditional
- *     subtraction of 2q, then one of q;
+ *     subtractions of q land [0, q).  Every factor is below 2^32:
+ *     u >> (k - 1) < 2^(k+1) <= 2^32, mu <= 2^(k+1) and
+ *     q3 <= u / q < 2^(k+1), so each of the lane's three products
+ *     (x * y, the estimate and q3 * q) is a 32 x 32 -> 64-bit multiply,
+ *     one vpmuludq per vector of them from SSE2 on; the one exception,
+ *     q = 2^30 (k = 31, mu = 2^32), takes the exact loop;
+ *   - x + y and x + imm are below 2^(k+1) <= 4q, which a uint32 holds:
+ *     a conditional subtraction of 2q, then one of q;
  *   - a DRAM value below 2^k <= 2q: one conditional subtraction of q.
- * Each conditional subtraction tests the top bit of r - q, set exactly
- * when r < q since every r here is below 2^34 (csub_top): a subtract,
- * a shift, a negate, an and and an add, which vectorize even on SSE2,
- * where a 64-bit compare does not.
+ * Each 64-bit conditional subtraction tests the top bit of r - q, set
+ * exactly when r < q since every such r is below 2^34 (csub_top): a
+ * subtract, a shift, a negate, an and and an add, which vectorize even
+ * on SSE2, where a 64-bit compare does not.
  *
  * The range check rides in the same pass: the loop ORs every value it
  * reads into one word, and the lane's inputs all lie in [0, 2^k)
- * exactly when that word shifted right by k is 0 (a negative value sets
- * bit 63).  A lane that fails is rerun by the exact loop, which
- * overwrites every value of its out row; that is safe because rows_bad
- * has already ruled out a step that reads a row one of its lanes
- * writes.  An immediate outside [0, 2^k) sends its lane straight to
- * the exact loop.  So each step still equals numpy's expression for
- * every int64 input, with no precondition on the plan.
- *
- * The multiplying lanes take the fast loop only where CANON_MUL() (at
- * the top of this file) says so: GCC 12 emulates each of their 64-bit
- * vector multiplies with three 32-bit ones, which only the AVX-512
- * clone outruns the scalar floor_mod loop with.
+ * exactly when that word shifted right by k is 0 (a negative DRAM value
+ * sets bit 63).  A lane that fails is rerun by the exact loop, a plain
+ * uint64 reduction of the exact value (floor_mod of each DRAM value),
+ * which overwrites every value of its out row; that is safe because
+ * rows_bad has already ruled out a step that reads a row one of its
+ * lanes writes.  An immediate outside [0, 2^k) sends its lane straight
+ * to the exact loop.  So each step still equals numpy's expression for
+ * every arena value, with no precondition on the plan.
  */
 
 /* The Barrett constants of a canonical-range lane. */
 struct canon {
-    uint64_t q, mu;
+    uint32_t q, mu;
     unsigned k;
 };
 
@@ -613,14 +626,16 @@ struct canon {
 static int canon_of(struct canon *c, int64_t q)
 {
     unsigned k = 0;
+    uint64_t mu;
     if (q < 2 || q >> 31)
         return 0;
     while ((uint64_t)q >> k)
         k++;
-    c->q = (uint64_t)q;
+    mu = ((uint64_t)1 << 2 * k) / (uint64_t)q;
+    c->q = (uint32_t)q;
+    c->mu = (uint32_t)mu;
     c->k = k;
-    c->mu = ((uint64_t)1 << 2 * k) / (uint64_t)q;
-    return c->mu >> 32 == 0;
+    return mu >> 32 == 0;
 }
 
 /* r - q where r >= q, else r: r < q + 2^63, q < 2^63. */
@@ -631,10 +646,12 @@ static inline uint64_t csub_top(uint64_t r, uint64_t q)
 }
 
 /* u mod q for u < 2^(2k), Barrett as above. */
-static inline uint64_t canon_reduce(uint64_t u, const struct canon *c)
+static inline uint32_t canon_reduce(uint64_t u, const struct canon *c)
 {
-    uint64_t q3 = ((u >> (c->k - 1)) * c->mu) >> (c->k + 1);
-    return csub_top(csub_top(u - q3 * c->q, c->q), c->q);
+    uint32_t hi = (uint32_t)(u >> (c->k - 1));
+    uint32_t q3 = (uint32_t)(((uint64_t)hi * c->mu) >> (c->k + 1));
+    return (uint32_t)csub_top(csub_top(u - (uint64_t)q3 * c->q, c->q),
+                              c->q);
 }
 
 /* The arithmetic of an elementwise lane: the lane's out row from its
@@ -643,58 +660,58 @@ enum { EW_MAC, EW_MUL, EW_ADD, EW_MULI, EW_ADDI };
 
 /* One lane over canonical-range inputs, reduced as above; returns the
  * OR of every value it read (its range check). */
-static VECTOR_CLONES("avx512f", "avx2")
-uint64_t ew_canon(int64_t *restrict o, const int64_t *x, const int64_t *y,
-                  const int64_t *z, uint64_t imm, size_t n, int mode,
-                  const struct canon *cn)
+static VECTOR_CLONES(WIDE_CLONE, "avx2")
+uint32_t ew_canon(uint32_t *restrict o, const uint32_t *x,
+                  const uint32_t *y, const uint32_t *z, uint32_t imm,
+                  size_t n, int mode, const struct canon *cn)
 {
     struct canon c = *cn;
-    uint64_t acc = 0, q2 = 2 * c.q;
+    uint32_t acc = 0, q2 = 2 * c.q;
     size_t j;
     switch (mode) {
     case EW_MAC:
         for (j = 0; j < n; j++) {
-            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
-            uint64_t d = (uint64_t)z[j];
+            uint32_t a = x[j], b = y[j], d = z[j];
             acc |= a | b | d;
-            o[j] = (int64_t)canon_reduce(a * b + d, &c);
+            o[j] = canon_reduce((uint64_t)a * b + d, &c);
         }
         break;
     case EW_MUL:
         for (j = 0; j < n; j++) {
-            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            uint32_t a = x[j], b = y[j];
             acc |= a | b;
-            o[j] = (int64_t)canon_reduce(a * b, &c);
+            o[j] = canon_reduce((uint64_t)a * b, &c);
         }
         break;
     case EW_ADD:
         for (j = 0; j < n; j++) {
-            uint64_t a = (uint64_t)x[j], b = (uint64_t)y[j];
+            uint32_t a = x[j], b = y[j];
             acc |= a | b;
-            o[j] = (int64_t)csub_top(csub_top(a + b, q2), c.q);
+            o[j] = csub(csub(a + b, q2), c.q);
         }
         break;
     case EW_MULI:
         for (j = 0; j < n; j++) {
-            uint64_t a = (uint64_t)x[j];
+            uint32_t a = x[j];
             acc |= a;
-            o[j] = (int64_t)canon_reduce(a * imm, &c);
+            o[j] = canon_reduce((uint64_t)a * imm, &c);
         }
         break;
     default:
         for (j = 0; j < n; j++) {
-            uint64_t a = (uint64_t)x[j];
+            uint32_t a = x[j];
             acc |= a;
-            o[j] = (int64_t)csub_top(csub_top(a + imm, q2), c.q);
+            o[j] = csub(csub(a + imm, q2), c.q);
         }
         break;
     }
     return acc;
 }
 
-/* One lane exactly: numpy's int64 expression for any input. */
-static void ew_exact(int64_t *restrict o, const int64_t *x,
-                     const int64_t *y, const int64_t *z, int64_t imm,
+/* One lane exactly, for any uint32 inputs and q in [1, 2^32): the
+ * uint64 value reduced by barrett. */
+static void ew_exact(uint32_t *restrict o, const uint32_t *x,
+                     const uint32_t *y, const uint32_t *z, uint32_t imm,
                      size_t n, int mode, uint64_t q)
 {
     uint64_t m = UINT64_MAX / q;
@@ -702,23 +719,23 @@ static void ew_exact(int64_t *restrict o, const int64_t *x,
     switch (mode) {
     case EW_MAC:
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(wrap_add(wrap_mul(x[j], y[j]), z[j]), q, m);
+            o[j] = (uint32_t)barrett((uint64_t)x[j] * y[j] + z[j], q, m);
         break;
     case EW_MUL:
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(wrap_mul(x[j], y[j]), q, m);
+            o[j] = (uint32_t)barrett((uint64_t)x[j] * y[j], q, m);
         break;
     case EW_ADD:
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(wrap_add(x[j], y[j]), q, m);
+            o[j] = (uint32_t)barrett((uint64_t)x[j] + y[j], q, m);
         break;
     case EW_MULI:
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(wrap_mul(x[j], imm), q, m);
+            o[j] = (uint32_t)barrett((uint64_t)x[j] * imm, q, m);
         break;
     default:
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(wrap_add(x[j], imm), q, m);
+            o[j] = (uint32_t)barrett((uint64_t)x[j] + imm, q, m);
         break;
     }
 }
@@ -732,9 +749,10 @@ static void ew_exact(int64_t *restrict o, const int64_t *x,
  * otherwise.  A lane takes the canonical-range loop where it may (the
  * multiplying ones only when mul_fast is set) and the exact loop
  * otherwise or when its range check fails.  1 without writing unless
- * nsrc is 1, 2 or 3, every q is at least 1 and the rows pass rows_bad.
+ * nsrc is 1, 2 or 3, every q lies in [1, 2^32), every immediate of an
+ * nsrc 1 step in [0, 2^32), and the rows pass rows_bad.
  */
-static int ew_step(int64_t *arena, size_t rows, size_t n,
+static int ew_step(uint32_t *arena, size_t rows, size_t n,
                    const int64_t *lanes, size_t k, int64_t nsrc,
                    int mul_fast, unsigned char *mark)
 {
@@ -742,25 +760,28 @@ static int ew_step(int64_t *arena, size_t rows, size_t n,
     size_t i;
     if (nsrc < 1 || nsrc > 3)
         return 1;
-    for (i = 0; i < k; i++)
-        if (lanes[i * EW_WIDTH + EW_Q] < 1)
+    for (i = 0; i < k; i++) {
+        const int64_t *ln = lanes + i * EW_WIDTH;
+        if (!lane_q_ok(ln[EW_Q])
+            || (nsrc == 1 && (ln[EW_IMM] < 0 || ln[EW_IMM] >> 32)))
             return 1;
+    }
     if (rows_bad(lanes, k, EW_WIDTH, in, (size_t)nsrc, EW_OUT, rows, mark))
         return 1;
     for (i = 0; i < k; i++) {
         const int64_t *ln = lanes + i * EW_WIDTH;
-        int64_t *restrict o = arena + (size_t)ln[EW_OUT] * n;
-        const int64_t *x = arena + (size_t)ln[EW_A] * n;
-        const int64_t *y = arena + (size_t)(nsrc >= 2 ? ln[EW_B] : 0) * n;
-        const int64_t *z = arena + (size_t)(nsrc == 3 ? ln[EW_C] : 0) * n;
-        int64_t imm = nsrc == 1 ? ln[EW_IMM] : 0;
+        uint32_t *restrict o = arena + (size_t)ln[EW_OUT] * n;
+        const uint32_t *x = arena + (size_t)ln[EW_A] * n;
+        const uint32_t *y = arena + (size_t)(nsrc >= 2 ? ln[EW_B] : 0) * n;
+        const uint32_t *z = arena + (size_t)(nsrc == 3 ? ln[EW_C] : 0) * n;
+        uint32_t imm = nsrc == 1 ? (uint32_t)ln[EW_IMM] : 0;
         int mode = nsrc == 3 ? EW_MAC
                    : nsrc == 2 ? (ln[EW_C] ? EW_MUL : EW_ADD)
                    : (ln[EW_C] ? EW_MULI : EW_ADDI);
         struct canon c;
-        if (canon_of(&c, ln[EW_Q]) && (uint64_t)imm >> c.k == 0
+        if (canon_of(&c, ln[EW_Q]) && imm >> c.k == 0
             && (mul_fast || mode == EW_ADD || mode == EW_ADDI)
-            && ew_canon(o, x, y, z, (uint64_t)imm, n, mode, &c) >> c.k == 0)
+            && ew_canon(o, x, y, z, imm, n, mode, &c) >> c.k == 0)
             continue;
         ew_exact(o, x, y, z, imm, n, mode, (uint64_t)ln[EW_Q]);
     }
@@ -775,8 +796,34 @@ struct fft_tabs {
     const int64_t *perms;       /* (nperms, n) permutations */
     size_t nperms;
     unsigned char *perm_ok;     /* nperms bytes: 1 once checked */
-    uint32_t *a;                /* n-word work row */
 };
+
+/* o = x mod q for any uint32 row x: a copy with a max scan in one pass,
+ * then the division only in a row with a value at or above q. */
+static VECTOR_CLONES("avx512f", "avx2")
+void reduce_row(uint32_t *restrict o, const uint32_t *restrict x, size_t n,
+                uint32_t q)
+{
+    uint32_t top = 0;
+    size_t j;
+    for (j = 0; j < n; j++) {
+        o[j] = x[j];
+        top = top > x[j] ? top : x[j];
+    }
+    if (top >= q)
+        for (j = 0; j < n; j++)
+            o[j] = x[j] % q;
+}
+
+/* Fold [0, 4q) to [0, q) in place, as store_row does. */
+static VECTOR_CLONES("avx512f", "avx2")
+void fold_row(uint32_t *a, size_t n, uint32_t q)
+{
+    uint32_t q2 = 2 * q;
+    size_t j;
+    for (j = 0; j < n; j++)
+        a[j] = csub(csub(a[j], q2), q);
+}
 
 /*
  * One FFT step, lane i reading arena row in and writing row out:
@@ -784,17 +831,17 @@ struct fft_tabs {
  *   op == FFT_INTT: the inverse NTT without the 1/n scaling (the IR's
  *                   iNTT is raw: its 1/n is an explicit multiply);
  *   op == FFT_AUTO: out[j] = in[perm[j]] with perm = perms[aux], the
- *                   NTT-domain automorphism (any int64 values, as
- *                   numpy's take copies them; the prime is unused).
- * A transform reads prime's twiddle rows in place, loads the row
- * reduced mod q (any int64, see load_row) and stores canonical values,
- * bitwise equal to ntt_forward / ntt_inverse(scale = 0) with reduce
- * set.  1 without writing unless op is known, every prime index lies
- * in [0, nprimes) with its q in [2, 2^30) (transforms), aux lies in
- * [0, nperms) with every entry of its perm in [0, n) (AUTO), and the
- * rows pass rows_bad.
+ *                   NTT-domain automorphism (any values, as numpy's
+ *                   take copies them; the prime is unused).
+ * A transform reduces row in mod q into row out (reduce_row), runs the
+ * row kernel there in place with prime's twiddle rows and folds the
+ * result to canonical values, bitwise equal to ntt_forward /
+ * ntt_inverse(scale = 0) with reduce set.  1 without writing unless op
+ * is known, every prime index lies in [0, nprimes) with its q in
+ * [2, 2^30) (transforms), aux lies in [0, nperms) with every entry of
+ * its perm in [0, n) (AUTO), and the rows pass rows_bad.
  */
-static int fft_step(int64_t *arena, size_t rows, size_t n,
+static int fft_step(uint32_t *arena, size_t rows, size_t n,
                     const int64_t *lanes, size_t k, int64_t op, int64_t aux,
                     const struct fft_tabs *t, unsigned char *mark)
 {
@@ -825,8 +872,8 @@ static int fft_step(int64_t *arena, size_t rows, size_t n,
         return 1;
     for (i = 0; i < k; i++) {
         const int64_t *ln = lanes + i * FT_WIDTH;
-        const int64_t *x = arena + (size_t)ln[FT_IN] * n;
-        int64_t *restrict o = arena + (size_t)ln[FT_OUT] * n;
+        const uint32_t *x = arena + (size_t)ln[FT_IN] * n;
+        uint32_t *restrict o = arena + (size_t)ln[FT_OUT] * n;
         const uint32_t *tw;
         uint32_t q;
         if (perm) {
@@ -836,20 +883,20 @@ static int fft_step(int64_t *arena, size_t rows, size_t n,
         }
         q = (uint32_t)t->q[ln[FT_PRIME]];
         tw = t->tw + (size_t)ln[FT_PRIME] * TW_ROWS * n;
-        load_row(t->a, x, n, q, 1);
+        reduce_row(o, x, n, q);
         if (op == FFT_NTT)
-            forward_row(t->a, n, q, tw + TW_PSI * n, tw + TW_PSI_SH * n);
+            forward_row(o, n, q, tw + TW_PSI * n, tw + TW_PSI_SH * n);
         else
-            inverse_row(t->a, n, q, tw + TW_INV * n, tw + TW_INV_SH * n, 0,
+            inverse_row(o, n, q, tw + TW_INV * n, tw + TW_INV_SH * n, 0,
                         0, 0, 0, 0);
-        store_row(o, t->a, n, q);
+        fold_row(o, n, q);
     }
     return 0;
 }
 
 /* One copy step: arena row out = row in per lane.  1 without writing
  * unless the rows pass rows_bad. */
-static int copy_step(int64_t *arena, size_t rows, size_t n,
+static int copy_step(uint32_t *arena, size_t rows, size_t n,
                      const int64_t *lanes, size_t k, unsigned char *mark)
 {
     static const int in[1] = {CP_IN};
@@ -857,8 +904,9 @@ static int copy_step(int64_t *arena, size_t rows, size_t n,
     if (rows_bad(lanes, k, CP_WIDTH, in, 1, CP_OUT, rows, mark))
         return 1;
     for (i = 0; i < k; i++) {
-        const int64_t *x = arena + (size_t)lanes[i * CP_WIDTH + CP_IN] * n;
-        int64_t *restrict o = arena + (size_t)lanes[i * CP_WIDTH + CP_OUT] * n;
+        const uint32_t *x = arena + (size_t)lanes[i * CP_WIDTH + CP_IN] * n;
+        uint32_t *restrict o =
+            arena + (size_t)lanes[i * CP_WIDTH + CP_OUT] * n;
         for (j = 0; j < n; j++)
             o[j] = x[j];
     }
@@ -868,14 +916,14 @@ static int copy_step(int64_t *arena, size_t rows, size_t n,
 /* One DRAM row below 2^k, reduced by one conditional subtraction;
  * returns the OR of the values read (see the canonical-range lanes). */
 static VECTOR_CLONES("avx512f")
-uint64_t dram_canon(int64_t *restrict o, const int64_t *restrict s, size_t n,
-                    uint64_t q)
+uint64_t dram_canon(uint32_t *restrict o, const int64_t *restrict s,
+                    size_t n, uint64_t q)
 {
     uint64_t acc = 0;
     size_t j;
     for (j = 0; j < n; j++) {
         acc |= (uint64_t)s[j];
-        o[j] = (int64_t)csub_top((uint64_t)s[j], q);
+        o[j] = (uint32_t)csub_top((uint64_t)s[j], q);
     }
     return acc;
 }
@@ -884,36 +932,38 @@ uint64_t dram_canon(int64_t *restrict o, const int64_t *restrict s, size_t n,
  * lane order.  src[source] points at n contiguous int64 values outside
  * the arena.  A lane takes dram_canon and, when its range check fails,
  * reruns with floor_mod.  1 without writing unless every row lies in
- * [0, rows), every q is at least 1 and every source index lies in
- * [0, nsrc) with a non-zero address. */
-static int dram_step(int64_t *arena, size_t rows, size_t n,
+ * [0, rows), every q in [1, 2^32) and every source index in [0, nsrc)
+ * with a non-zero address. */
+static int dram_step(uint32_t *arena, size_t rows, size_t n,
                      const int64_t *lanes, size_t k, const uintptr_t *src,
                      size_t nsrc)
 {
     size_t i, j;
     for (i = 0; i < k; i++) {
         const int64_t *ln = lanes + i * DR_WIDTH;
-        if (!row_ok(ln[DR_OUT], rows) || ln[DR_Q] < 1 || ln[DR_SRC] < 0
-            || (uint64_t)ln[DR_SRC] >= nsrc || !src[ln[DR_SRC]])
+        if (!row_ok(ln[DR_OUT], rows) || !lane_q_ok(ln[DR_Q])
+            || ln[DR_SRC] < 0 || (uint64_t)ln[DR_SRC] >= nsrc
+            || !src[ln[DR_SRC]])
             return 1;
     }
     for (i = 0; i < k; i++) {
         const int64_t *ln = lanes + i * DR_WIDTH;
         const int64_t *s = (const int64_t *)src[ln[DR_SRC]];
-        int64_t *restrict o = arena + (size_t)ln[DR_OUT] * n;
+        uint32_t *restrict o = arena + (size_t)ln[DR_OUT] * n;
         uint64_t q = (uint64_t)ln[DR_Q], m = UINT64_MAX / q;
         struct canon c;
         if (canon_of(&c, ln[DR_Q]) && dram_canon(o, s, n, q) >> c.k == 0)
             continue;
         for (j = 0; j < n; j++)
-            o[j] = floor_mod(s[j], q, m);
+            o[j] = (uint32_t)floor_mod(s[j], q, m);
     }
     return 0;
 }
 
-/* One fill step: every column of arena row out = value, in lane order.
- * 1 without writing unless every row lies in [0, rows). */
-static int fill_step(int64_t *arena, size_t rows, size_t n,
+/* One fill step: every column of arena row out = value, in lane order,
+ * as its low 32 bits (numpy's cast).  1 without writing unless every
+ * row lies in [0, rows). */
+static int fill_step(uint32_t *arena, size_t rows, size_t n,
                      const int64_t *lanes, size_t k)
 {
     size_t i, j;
@@ -921,8 +971,8 @@ static int fill_step(int64_t *arena, size_t rows, size_t n,
         if (!row_ok(lanes[i * FL_WIDTH + FL_OUT], rows))
             return 1;
     for (i = 0; i < k; i++) {
-        int64_t *o = arena + (size_t)lanes[i * FL_WIDTH + FL_OUT] * n;
-        int64_t v = lanes[i * FL_WIDTH + FL_VAL];
+        uint32_t *o = arena + (size_t)lanes[i * FL_WIDTH + FL_OUT] * n;
+        uint32_t v = (uint32_t)lanes[i * FL_WIDTH + FL_VAL];
         for (j = 0; j < n; j++)
             o[j] = v;
     }
@@ -945,7 +995,7 @@ static size_t lane_width(int64_t kind)
 
 /*
  * Runs steps [start, stop) of a compiled plan in order over the
- * (rows, n) int64 slot arena, from the flat tables the caller builds
+ * (rows, n) uint32 slot arena, from the flat tables the caller builds
  * once per plan (see the section comment above for the layout).
  * Returns the index of the first step it did not run: stop when it ran
  * them all, else the index of a step it refused without writing any of
@@ -956,9 +1006,9 @@ static size_t lane_width(int64_t kind)
  * the CLOCK_MONOTONIC time in nanoseconds at which step s finished, for
  * every step run: the clock and unit of Python's perf_counter_ns on
  * Linux, so a traced caller times every step of one call.  Returns -1
- * if the work buffers could not be allocated.
+ * if the check buffer could not be allocated.
  */
-int replay_steps(int64_t *arena, size_t rows, size_t n,
+int replay_steps(uint32_t *arena, size_t rows, size_t n,
                  const int64_t *steps, size_t nsteps, const int64_t *lanes,
                  size_t nlanes, const uint64_t *q, const uint32_t *tw,
                  size_t nprimes, const int64_t *perms, size_t nperms,
@@ -967,18 +1017,13 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
 {
     struct fft_tabs t;
     unsigned char *mark;
-    void *block;
     int mul_fast = CANON_MUL();
     size_t s;
     if (stop > nsteps)
         stop = nsteps;
     mark = calloc(rows + nperms + 1, 1);
-    t.a = work_row(n ? n : 1, &block);
-    if (!mark || !t.a) {
-        free(mark);
-        free(block);
+    if (!mark)
         return -1;
-    }
     t.q = q;
     t.tw = tw;
     t.nprimes = nprimes;
@@ -1025,7 +1070,6 @@ int replay_steps(int64_t *arena, size_t rows, size_t n,
         }
     }
     free(mark);
-    free(block);
     return s < stop ? (int)s : (int)stop;
 }
 

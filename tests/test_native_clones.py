@@ -24,9 +24,10 @@ permutation (whole register groups and the one-column tail), ``bconv``
 (its 32-bit Shoup lanes and the one-multiply fallback), ``bconv_exact``,
 ``bfv_scale_round``,
 ``mod_down_tail``, ``batch_add_sub`` (canonical rows next to rows the
-scan sends to the exact loop) and ``replay_steps`` (its elementwise and
-DRAM twins over lanes mixing the canonical-range loops with their
-fallback among them).  Skipped without ``cc``.
+scan sends to the exact loop) and ``replay_steps`` (its elementwise,
+FFT, copy, fill and DRAM twins over the uint32 arena, lanes mixing the
+canonical-range loops with their fallback among them).  Skipped without
+``cc``.
 """
 
 from __future__ import annotations
@@ -226,15 +227,17 @@ def test_batch_add_sub(variant, monkeypatch, op):
 
 
 def test_replay_steps(variant, monkeypatch):
-    """FFT steps over any int64 row, elementwise steps (any int64, and
-    lanes mixing the canonical-range loops with their fallback), DRAM
-    rows mixing both, and the three perfbench programs' whole plans
-    against numpy and the reference."""
+    """FFT steps over any uint32 row, elementwise steps (any uint32 of
+    every kind, and lanes mixing the canonical-range loops with their
+    fallback), copies and fills, DRAM rows mixing both, and the three
+    perfbench programs' whole plans against numpy and the reference."""
     for fft, label in replay_twins.FFT_KINDS:
         replay_twins.test_fft_rows_equal_batched_ntt_on_any_int64(
             variant, monkeypatch, fft, label)
-    replay_twins.test_ew_step_equals_numpy_on_any_int64(
-        variant, monkeypatch, 3, "mac")
+    for nsrc, mode in replay_twins.EW_KINDS:
+        replay_twins.test_ew_step_equals_numpy_on_any_uint32(
+            variant, monkeypatch, nsrc, mode)
+    replay_twins.test_copy_and_fill_steps_equal_numpy(variant, monkeypatch)
     for nsrc, mode in replay_twins.EW_KINDS:
         for plant in replay_twins.PLANTS:
             replay_twins.test_ew_lanes_mixing_fast_and_fallback_equal_numpy(
@@ -244,6 +247,8 @@ def test_replay_steps(variant, monkeypatch):
             variant, monkeypatch, "masked", imm)
     replay_twins.test_dram_rows_mixing_fast_and_fallback_equal_numpy(
         variant, monkeypatch)
+    replay_twins.test_dram_rows_equal_numpy_for_any_binding(variant,
+                                                            monkeypatch)
     whole_plans = getattr(replay_twins, "test_whole_plan_replay_matches_"
                           "numpy_and_reference_on_perfbench")
     whole_plans(variant, monkeypatch)

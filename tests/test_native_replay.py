@@ -1,12 +1,13 @@
 """Whole-plan native replay against its numpy steps and the oracle.
 
 ``replay_steps`` (``nttmath/native/ntt.c``) runs a compiled plan's
-elementwise, FFT, copy, DRAM and fill steps over the slot arena from
-flat per-plan tables.  Each of its steps must equal the numpy body of
-:func:`repro.compiler.exec_plan._exec_step` bit for bit on *every*
-int64 input (wrapping products and sums, numpy's floor modulo, the
-reducing NTT entries of :class:`~repro.nttmath.batched.BatchedNTT`),
-not only on the canonical residues a plan produces.  The step tests run
+elementwise, FFT, copy, DRAM and fill steps over the uint32 slot arena
+from flat per-plan tables.  Each of its steps must equal the numpy body
+of :func:`repro.compiler.exec_plan._exec_step` bit for bit on *every*
+uint32 arena value and every int64 DRAM value (exact uint64 products
+and sums, numpy's floor modulo of DRAM rows, the reducing NTT entries
+of :class:`~repro.nttmath.batched.BatchedNTT`), not only on the
+canonical residues a plan produces.  The step tests run
 one hand-built step as a one-step plan on two copies of one arena: once
 as replay runs it, once with the library forced unavailable, which runs
 the numpy oracle.  A step that breaks the lane-table rule (a row both
@@ -18,7 +19,8 @@ the kernel's canonical-range loops with lanes that must fall back to
 the exact reduction (moduli and values at the range's edges) must
 equal numpy lane by lane.  The plan tests replay whole compiled
 programs: C, numpy step by step and :func:`execute_reference` agree,
-over sub-ranges too and around a step C leaves to numpy.
+over sub-ranges too and around a step C leaves to numpy; a program over
+a prime the arena cannot hold is refused at plan build.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.compiler.exec_backend import (
     synthesize_bindings,
 )
 from repro.compiler.exec_plan import (
+    ArenaModulusError,
     K_COPY,
     K_DRAM,
     K_EW,
@@ -49,6 +52,7 @@ from repro.compiler.exec_plan import (
     _fft_tables,
     _replay_steps,
     _replay_table,
+    build_exec_plan,
     get_exec_plan,
     plan_from_payload,
     plan_to_payload,
@@ -71,11 +75,16 @@ N = 32
 ROWS = 16
 INT64_MIN = int(np.iinfo(np.int64).min)
 INT64_MAX = int(np.iinfo(np.int64).max)
+UINT32_MAX = 2 ** 32 - 1
 Q_MAX = 2 ** 31 - 1
-#: Values that stress wrapping and the reduction's sign handling.
+#: DRAM values that stress the reduction's sign handling.
 EXTREMES = np.array([INT64_MIN, INT64_MIN + 1, INT64_MAX, -1, 0, 1,
                      Q_MAX, Q_MAX + 1, -Q_MAX, 1 << 62, -(1 << 62)],
                     dtype=np.int64)
+#: Arena values at the edges of the uint32 range and of the
+#: canonical-range loops' 2^31 bound.
+ARENA_EXTREMES = np.array([0, 1, Q_MAX, Q_MAX + 1, 1 << 30, UINT32_MAX - 1,
+                           UINT32_MAX], dtype=np.uint32)
 
 #: ``(nsrc, mode)`` of every elementwise step kind: MAC, and multiply,
 #: add or per-lane masked mix with a row or an immediate operand.
@@ -95,8 +104,9 @@ def lib():
 
 
 def _values(rng, shape) -> np.ndarray:
-    """Random int64 over the whole range, a quarter of them extremes
-    and a quarter small values of either sign (some of them >= q)."""
+    """Random int64 over the whole range (DRAM rows, fill values), a
+    quarter of them extremes and a quarter small values of either sign
+    (some of them >= q)."""
     out = rng.integers(INT64_MIN, INT64_MAX, size=shape, dtype=np.int64,
                        endpoint=True)
     pick = rng.random(shape)
@@ -104,6 +114,19 @@ def _values(rng, shape) -> np.ndarray:
     out[extreme] = rng.choice(EXTREMES, size=int(extreme.sum()))
     small = pick > 0.75
     out[small] = rng.integers(-2 * Q_MAX, 2 * Q_MAX, size=int(small.sum()))
+    return out
+
+
+def _arena(rng, shape) -> np.ndarray:
+    """A uint32 arena over the whole range, a quarter of its values
+    ARENA_EXTREMES and a quarter below 2^31 (some of them >= q)."""
+    out = rng.integers(0, UINT32_MAX, size=shape, dtype=np.uint32,
+                       endpoint=True)
+    pick = rng.random(shape)
+    extreme = pick < 0.25
+    out[extreme] = rng.choice(ARENA_EXTREMES, size=int(extreme.sum()))
+    small = pick > 0.75
+    out[small] = rng.integers(0, Q_MAX, size=int(small.sum()))
     return out
 
 
@@ -130,7 +153,7 @@ def _ew_step(rng, nsrc: int, mode: str, k: int = 5,
         st.c = rng.choice(srcs, k)
     st.q_col = _moduli(rng, k, high).reshape(k, 1)
     if nsrc == 1:
-        st.imm_col = _values(rng, (k, 1))
+        st.imm_col = _arena(rng, (k, 1)).astype(np.int64)
     if mode == "masked":
         st.mask = (np.arange(k) % 2 == 0).reshape(k, 1)
     elif nsrc < 3:
@@ -186,40 +209,86 @@ def _one_step(lib, arena, kind, arg, lanes, *, aux=0, q=None, tw=None,
 @pytest.mark.parametrize("nsrc,mode", EW_KINDS)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @HYPO
-def test_ew_step_equals_numpy_on_any_int64(lib, monkeypatch, nsrc, mode,
-                                           seed):
+def test_ew_step_equals_numpy_on_any_uint32(lib, monkeypatch, nsrc, mode,
+                                            seed):
+    """Any uint32 arena value (at and past q, 2^31 - 1, 2^31, 2^32 - 1),
+    any immediate below 2^32 and any modulus the lane table admits, up
+    to 2^32 - 1: lanes past the canonical range take the exact loop."""
     rng = np.random.default_rng(seed)
-    plan = _plan_of(_ew_step(rng, nsrc, mode))
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    plan = _plan_of(_ew_step(rng, nsrc, mode, high=UINT32_MAX))
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
     assert _native(plan), "the kernel did not run"
     np.testing.assert_array_equal(got, want)
+
+
+def _ew_program(nsrc: int, mode: str) -> Program:
+    """One elementwise instruction of the kind ``(nsrc, mode)`` (masked:
+    a multiply and an add) over modulus index 1, its sources loaded at
+    index 0 and 1."""
+    prog = Program(N, name=f"ew-{nsrc}-{mode}")
+    srcs = tuple(prog.load(prog.dram_value(f"x{i}"), modulus=i % 2)
+                 for i in range(nsrc))
+    ops = {"mac": [Opcode.MMAC], "mul": [Opcode.MMUL], "add": [Opcode.MMAD],
+           "masked": [Opcode.MMUL, Opcode.MMAD]}[mode]
+    for op in ops:
+        prog.mark_output(prog.emit(op, srcs, modulus=1,
+                                   imm=5 if nsrc == 1 else 0))
+    prog.validate()
+    return prog
 
 
 @pytest.mark.parametrize("nsrc,mode", EW_KINDS)
 def test_ew_step_equals_numpy_for_moduli_up_to_2_63(lib, monkeypatch,
                                                     nsrc, mode):
-    """The Barrett path holds for every q the lane table admits, not
-    only the 31-bit primes of real plans."""
+    """Residues of a modulus at or past 2^31 do not fit the uint32
+    arena: plan build refuses a program over one, naming the prime and
+    its chain index, before any step runs, while execute_reference runs
+    it.  A hand-built step over moduli past the lane table's 2^32 bound
+    runs numpy, and the kernel refuses its lanes without writing."""
+    prog = _ew_program(nsrc, mode)
+    packed = PackedProgram.from_program(prog)
+    for wide in (1 << 31, (1 << 32) + 15, (1 << 62) + 1, INT64_MAX):
+        bindings = ExecBindings([97, wide], [], N)
+        for plan_it in (build_exec_plan, get_exec_plan):
+            with pytest.raises(ArenaModulusError,
+                               match=f"prime {wide} .chain index 1") as err:
+                plan_it(packed, bindings)
+            assert (err.value.prime, err.value.index) == (wide, 1)
+        outputs = execute_reference(prog, bindings)
+        assert all(out.dtype == np.int64 and (out >= 0).all()
+                   for out in outputs.values())
     rng = np.random.default_rng(63)
     step = _ew_step(rng, nsrc, mode, k=6, high=INT64_MAX)
-    step.q_col[:3, 0] = [INT64_MAX, (1 << 62) + 1, 3 << 61]
+    step.q_col[:3, 0] = [INT64_MAX, (1 << 62) + 1, 1 << 32]
     plan = _plan_of(step)
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
-    assert _native(plan)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
+    assert not _native(plan)
     np.testing.assert_array_equal(got, want)
+    lanes = np.zeros((1, 6), dtype=np.int64)
+    lanes[0, :5] = [0, 1, 2, 3, 1 << 32]
+    arena = _arena(rng, (ROWS, N))
+    before = arena.copy()
+    assert _one_step(lib, arena, K_EW, nsrc, lanes) == 0
+    np.testing.assert_array_equal(arena, before)
 
 
 @pytest.mark.parametrize("column,value", [
     (0, ROWS), (1, -1), (2, ROWS + 7),       # rows outside the arena
     (0, 1),                                  # out row == a row
     (4, 0),                                  # q below 1
+    (4, 1 << 32),                            # q past the lane bound
 ])
 def test_ew_step_rejects_a_bad_lane_without_writing(lib, column, value):
-    arena = np.arange(ROWS * N, dtype=np.int64).reshape(ROWS, N)
+    arena = np.arange(ROWS * N, dtype=np.uint32).reshape(ROWS, N)
     before = arena.copy()
     lanes = np.array([[2, 3, 4, 0, 97, 0], [5, 1, 6, 1, 97, 0]],
                      dtype=np.int64)
     assert _one_step(lib, arena.copy(), K_EW, 2, lanes) == 1
+    assert _one_step(lib, arena.copy(), K_EW, 1, lanes) == 1
+    for imm in (-1, 1 << 32):                # immediates past uint32
+        bad_imm = lanes.copy()
+        bad_imm[1, 5] = imm
+        assert _one_step(lib, arena, K_EW, 1, bad_imm) == 0
     lanes[1, column] = value
     assert _one_step(lib, arena, K_EW, 2, lanes) == 0
     assert _one_step(lib, arena, K_EW, 4, lanes[:1]) == 0   # bad nsrc
@@ -234,7 +303,7 @@ def test_ew_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
     step.a = step.a.copy()
     step.a[1] = step.out[0]
     plan = _plan_of(step)
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
     assert not _native(plan)
     np.testing.assert_array_equal(got, want)
     # Handed to the kernel anyway, the step is refused.
@@ -243,7 +312,7 @@ def test_ew_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
     raw = np.zeros((len(step.out), 6), dtype=np.int64)
     raw[:, 0], raw[:, 1], raw[:, 2] = step.out, step.a, step.b
     raw[:, 3], raw[:, 4] = 1, 97
-    arena = _values(rng, (ROWS, N))
+    arena = _arena(rng, (ROWS, N))
     before = arena.copy()
     assert _one_step(lib, arena, K_EW, 2, raw) == 0
     np.testing.assert_array_equal(arena, before)
@@ -258,7 +327,7 @@ def test_ew_step_with_an_out_of_arena_row_raises_as_numpy(lib, field):
     setattr(step, field, rows)
     plan = _plan_of(step)
     with pytest.raises(IndexError):
-        _replay_steps(plan, _values(rng, (ROWS, N)), None)
+        _replay_steps(plan, _arena(rng, (ROWS, N)), None)
     assert not _native(plan)
 
 
@@ -269,7 +338,7 @@ def test_ew_step_with_a_negative_row_takes_numpy(lib, monkeypatch):
     step.out = np.array([0, 1], dtype=np.int64)
     step.a = np.array([-1, 2], dtype=np.int64)
     plan = _plan_of(step)
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
     assert not _native(plan)
     np.testing.assert_array_equal(got, want)
 
@@ -287,7 +356,9 @@ TWO_SHORT = (1 << 29) + (1 << 27) + 3
 CANON_MODULI = (2, Q_MAX, 1 << 30, 65537, TWO_SHORT,
                 find_ntt_primes(30, N, 1)[0])
 #: One value planted per case into one lane's source rows: inside the
-#: range (q - 1, 2^k - 1) or past it (2^k, 2^(k+1) - 1, negative).
+#: range (q - 1, 2^k - 1) or past it (2^k, 2^(k+1) - 1, negative).  In
+#: the uint32 arena a negative plant lands as the uint32 of the same
+#: sign bit: -1 as 2^32 - 1, the int64 minimum as 2^31 (_arena_plant).
 PLANTS = ("none", "q-1", "2^k-1", "2^k", "2^(k+1)-1", "-1", "int64-min")
 
 
@@ -300,6 +371,15 @@ def _plant(q: int, plant: str) -> int:
     return {"q-1": q - 1, "2^k-1": top - 1, "2^k": top,
             "2^(k+1)-1": 2 * top - 1, "-1": -1,
             "int64-min": INT64_MIN}[plant]
+
+
+def _arena_plant(q: int, plant: str) -> int:
+    """The plant as the uint32 arena holds it."""
+    if plant == "-1":
+        return UINT32_MAX
+    if plant == "int64-min":
+        return 1 << 31
+    return _plant(q, plant)
 
 
 def _barrett_rest(u: int, q: int) -> int:
@@ -342,10 +422,11 @@ def _canon_step(rng, nsrc: int, mode: str, plant: str,
     reading rows of its own, and the arena it runs on."""
     k = len(CANON_MODULI)
     rows = np.arange(k * (nsrc + 1), dtype=np.int64).reshape(nsrc + 1, k)
-    arena = np.zeros((rows.size, N), dtype=np.int64)
+    arena = np.zeros((rows.size, N), dtype=np.uint32)
     tops = np.array([1 << _bits(q) for q in CANON_MODULI])
     imms = {"in-range": tops - 1, "negative": -tops // 3,
-            "past-2^k": tops}[imm]
+            "past-2^k": np.where(np.arange(k) % 2 == 0, tops,
+                                 UINT32_MAX - tops // 3)}[imm]
     for lane, q in enumerate(CANON_MODULI):
         arena[rows[1:, lane]] = _canon_rows(rng, q, nsrc, int(imms[lane]))
     st = PlanStep(K_EW, mode, n_instrs=k)
@@ -363,7 +444,7 @@ def _canon_step(rng, nsrc: int, mode: str, plant: str,
     elif nsrc < 3:
         st.mul = mode == "mul"
     if plant != "none":                    # into the 30-bit prime's lane
-        arena[rows[1:, -1], 5] = _plant(CANON_MODULI[-1], plant)
+        arena[rows[1:, -1], 5] = _arena_plant(CANON_MODULI[-1], plant)
     return st, arena
 
 
@@ -392,12 +473,15 @@ def test_ew_lanes_mixing_fast_and_fallback_equal_numpy(lib, monkeypatch,
 @pytest.mark.parametrize("imm", ["in-range", "negative", "past-2^k"])
 def test_ew_immediates_past_the_range_equal_numpy(lib, monkeypatch, mode,
                                                   imm):
-    """An immediate outside [0, 2^k) sends its lane to the exact loop."""
+    """An immediate in [2^k, 2^32) (2^k itself, or near 2^32, where
+    the fast loop's products would pass 2^(2k)) sends its lane to the
+    exact loop; a negative one keeps the whole step out of the lane
+    table, so numpy runs it."""
     rng = np.random.default_rng(len(imm))
     st, arena = _canon_step(rng, 1, mode, "none", imm)
     plan = _canon_plan(st, arena)
     got, want = _run_both(plan, arena, monkeypatch)
-    assert _native(plan)
+    assert _native(plan) == (imm != "negative")
     np.testing.assert_array_equal(got, want)
 
 
@@ -418,7 +502,7 @@ def test_dram_rows_mixing_fast_and_fallback_equal_numpy(lib, monkeypatch):
     bindings = ExecBindings(list(CANON_MODULI), [], N, dram=dram)
     plan = _plan_of(_dram_step(names, qs, range(len(names))))
     plan.arena_rows = len(names)
-    got, want = _run_both(plan, _values(rng, (len(names), N)), monkeypatch,
+    got, want = _run_both(plan, _arena(rng, (len(names), N)), monkeypatch,
                           bindings)
     assert _native(plan)
     assert all(plan._table.sources(bindings, got))
@@ -437,7 +521,8 @@ def _dram_step(names, qs, rows) -> PlanStep:
 def test_dram_rows_equal_numpy_for_any_binding(lib, monkeypatch):
     """int64 rows (read in place, extremes included, read-only too) and
     a missing name (synthesized and bound) run in C; a step that also
-    binds other dtypes, strided views or lists runs numpy whole."""
+    binds other dtypes, strided views or lists, or reduces mod a q past
+    the lane table's 2^32 bound, runs numpy whole."""
     rng = np.random.default_rng(4)
     strided = _values(rng, (2 * N,))[::2]
     frozen = _values(rng, (N,))
@@ -458,10 +543,12 @@ def test_dram_rows_equal_numpy_for_any_binding(lib, monkeypatch):
                           [97, Q_MAX, 97, 1], rows[:4])
     mixed = _dram_step(["i32", "u64", "strided", "list", "missing"],
                        [97, Q_MAX, 97, Q_MAX, Q_MAX], rows[4:9])
-    plan = _plan_of(in_place, mixed)
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch,
+    wide = _dram_step(["i64"], [1 << 32], rows[9:10])
+    plan = _plan_of(in_place, mixed, wide)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch,
                           bindings)
     assert _native(plan, 0) and _native(plan, 1)   # both have tables
+    assert not _native(plan, 2)
     table = plan._table
     src = dict(zip(table.names, table.sources(bindings, got)))
     assert all(src[nm] for nm in ("i64", "frozen", "missing"))
@@ -479,22 +566,25 @@ def test_dram_rows_strict_missing_name_raises(lib, monkeypatch):
             if forced:
                 m.setattr(native, "_LIB", None)
             with pytest.raises(KeyError, match="absent"):
-                _replay_steps(plan, np.zeros((ROWS, N), np.int64),
+                _replay_steps(plan, np.zeros((ROWS, N), np.uint32),
                               bindings)
 
 
 def test_dram_binding_inside_the_arena_takes_numpy(lib, monkeypatch):
-    """A binding that views an arena row the same step writes: numpy
-    reads it in row order, which the whole step then keeps."""
+    """A binding that views arena rows the same step writes (an int64
+    row over the bytes of uint32 rows 3 and 4): numpy reads it in row
+    order, which the whole step then keeps."""
     rng = np.random.default_rng(5)
-    arena = _values(rng, (ROWS, N))
+    arena = _arena(rng, (ROWS, N))
     ext = _values(rng, (N,))
     plan = _plan_of(_dram_step(["ext", "own"], [97, 97], [3, 4]))
     results = []
     for forced in (False, True):
         work = arena.copy()
+        own = work.reshape(-1).view(np.int64)[3 * N // 2:5 * N // 2]
+        assert own.flags.c_contiguous and own.shape == (N,)
         bindings = ExecBindings([97], [], N,
-                                dram={"own": work[3], "ext": ext})
+                                dram={"own": own, "ext": ext})
         with monkeypatch.context() as m:
             if forced:
                 m.setattr(native, "_LIB", None)
@@ -515,7 +605,7 @@ def test_dram_sources_follow_rebound_arrays(lib):
     first, second = _values(rng, (N,)), _values(rng, (N,))
     bindings = ExecBindings([97], [], N, dram={"x": first})
     plan = _plan_of(_dram_step(["x"], [97], [2]))
-    arena = np.zeros((ROWS, N), dtype=np.int64)
+    arena = np.zeros((ROWS, N), dtype=np.uint32)
     for bound in (first, second, second.astype(np.int32), first):
         bindings.dram["x"] = bound
         _replay_steps(plan, arena, bindings)
@@ -526,8 +616,9 @@ def test_dram_sources_follow_rebound_arrays(lib):
 # Copy and fill steps
 # ----------------------------------------------------------------------
 def test_copy_and_fill_steps_equal_numpy(lib, monkeypatch):
-    """Copies of any int64 rows and fills of any int64 value (a row
-    filled twice keeps the last value, as numpy's scatter does)."""
+    """Copies of any uint32 rows and fills of any int64 value, which
+    land as their low 32 bits (a row filled twice keeps the last value,
+    as numpy's scatter does)."""
     rng = np.random.default_rng(10)
     rows = rng.permutation(ROWS).astype(np.int64)
     copy = PlanStep(K_COPY, "vcopy", n_instrs=4)
@@ -536,18 +627,18 @@ def test_copy_and_fill_steps_equal_numpy(lib, monkeypatch):
     fill.out = np.array([rows[8], rows[9], rows[8]], dtype=np.int64)
     fill.vals = _values(rng, (3, 1))
     plan = _plan_of(copy, fill)
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
     assert _native(plan, 0) and _native(plan, 1)
     np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", [
     "copy-in-outside", "copy-out-is-an-in", "copy-repeated-out",
-    "dram-out-outside", "dram-q-below-1", "dram-source-outside",
-    "dram-null-source", "fill-out-outside", "unknown-kind",
-    "lanes-past-the-table", "negative-offset"])
+    "dram-out-outside", "dram-q-below-1", "dram-q-past-2^32",
+    "dram-source-outside", "dram-null-source", "fill-out-outside",
+    "unknown-kind", "lanes-past-the-table", "negative-offset"])
 def test_replay_steps_rejects_a_bad_step_without_writing(lib, case):
-    arena = np.arange(ROWS * N, dtype=np.int64).reshape(ROWS, N) % 97
+    arena = np.arange(ROWS * N, dtype=np.uint32).reshape(ROWS, N) % 97
     before = arena.copy()
     row = np.arange(N, dtype=np.int64)
     src = np.array([native.address(row)], dtype=np.uintp)
@@ -566,6 +657,8 @@ def test_replay_steps_rejects_a_bad_step_without_writing(lib, case):
             lanes[1, 0] = ROWS
         elif case == "dram-q-below-1":
             lanes[1, 1] = 0
+        elif case == "dram-q-past-2^32":
+            lanes[1, 1] = 1 << 32
         elif case == "dram-source-outside":
             lanes[1, 2] = 1
         else:
@@ -596,8 +689,8 @@ FFT_KINDS = [(0, "ntt"), (1, "intt"), (2, "auto")]
 
 
 def _fft_values(rng, shape, q_max: int) -> np.ndarray:
-    """``_values`` plus canonical residues (a plan's usual input) and
-    values just past them (q, 2^32 + small)."""
+    """``_values`` plus canonical residues (the NTT entries' usual
+    input) and values just past them (q, 2^32 + small)."""
     out = _values(rng, shape)
     pick = rng.random(shape)
     canon = pick < 0.3
@@ -606,6 +699,20 @@ def _fft_values(rng, shape, q_max: int) -> np.ndarray:
     out[near] = rng.choice(np.array([q_max, q_max - 1, (1 << 32) + 5,
                                      (1 << 30), -(1 << 32)],
                                     dtype=np.int64),
+                           size=int(near.sum()))
+    return out
+
+
+def _fft_arena(rng, shape, q_max: int) -> np.ndarray:
+    """``_arena`` plus canonical residues (a plan's usual input) and
+    values just past them (q, 2^30, 2^32 - 1)."""
+    out = _arena(rng, shape)
+    pick = rng.random(shape)
+    canon = pick < 0.3
+    out[canon] = rng.integers(0, q_max, size=int(canon.sum()))
+    near = pick > 0.9
+    out[near] = rng.choice(np.array([q_max, q_max - 1, 1 << 30, UINT32_MAX],
+                                    dtype=np.uint32),
                            size=int(near.sum()))
     return out
 
@@ -630,9 +737,11 @@ def _fft_step(rng, fft: int, k: int = 5, primes=FFT_PRIMES,
 @HYPO
 def test_fft_rows_equal_batched_ntt_on_any_int64(lib, monkeypatch, fft,
                                                  label, seed):
+    """Any uint32 arena row: a transform reduces it mod q first, as the
+    engine reduces its int64 input."""
     rng = np.random.default_rng(seed)
     plan = _plan_of(_fft_step(rng, fft, k=int(rng.integers(1, 7))))
-    got, want = _run_both(plan, _fft_values(rng, (ROWS, N), 1 << 30),
+    got, want = _run_both(plan, _fft_arena(rng, (ROWS, N), 1 << 30),
                           monkeypatch)
     assert _native(plan), "the kernel did not run"
     np.testing.assert_array_equal(got, want)
@@ -643,7 +752,7 @@ def test_fft_rows_equal_batched_ntt_on_any_int64(lib, monkeypatch, fft,
 def test_fft_rows_automorphism_of_every_kind(lib, monkeypatch, elt):
     rng = np.random.default_rng(elt)
     plan = _plan_of(_fft_step(rng, 2, k=4, elt=elt))
-    got, want = _run_both(plan, _values(rng, (ROWS, N)), monkeypatch)
+    got, want = _run_both(plan, _arena(rng, (ROWS, N)), monkeypatch)
     assert _native(plan)
     np.testing.assert_array_equal(got, want)
 
@@ -680,7 +789,7 @@ def test_fft_step_over_a_31_bit_prime_takes_the_engine(lib, monkeypatch,
     other.out = np.setdiff1d(rows, np.concatenate((wide.out, wide.a)))[:1]
     other.a = wide.out[:1]
     plan = _plan_of(wide, other)
-    arena = _fft_values(rng, (ROWS, N), WIDE_PRIME)
+    arena = _fft_arena(rng, (ROWS, N), WIDE_PRIME)
     got = arena.copy()
     _replay_steps(plan, got, None)
     assert _native(plan, 0) == (fft == 2) and _native(plan, 1)
@@ -723,7 +832,7 @@ def test_fft_step_with_a_read_write_overlap_takes_numpy(lib, monkeypatch):
     step.a = step.a.copy()
     step.a[1] = step.out[0]
     plan = _plan_of(step)
-    got, want = _run_both(plan, _fft_values(rng, (ROWS, N), 1 << 30),
+    got, want = _run_both(plan, _fft_arena(rng, (ROWS, N), 1 << 30),
                           monkeypatch)
     assert not _native(plan)
     np.testing.assert_array_equal(got, want)
@@ -738,7 +847,7 @@ def test_fft_step_with_an_out_of_arena_row_raises_as_numpy(lib, field):
     setattr(step, field, rows)
     plan = _plan_of(step)
     with pytest.raises(IndexError):
-        _replay_steps(plan, _values(rng, (ROWS, N)), None)
+        _replay_steps(plan, _arena(rng, (ROWS, N)), None)
     assert not _native(plan)
 
 
@@ -749,7 +858,7 @@ def test_fft_step_with_an_out_of_arena_row_raises_as_numpy(lib, field):
 def test_fft_rows_rejects_a_bad_step_without_writing(lib, case):
     """``no-table`` is a prime index past the prime tables and
     ``no-perm`` a permutation index past the permutations."""
-    arena = np.arange(ROWS * N, dtype=np.int64).reshape(ROWS, N) % 97
+    arena = np.arange(ROWS * N, dtype=np.uint32).reshape(ROWS, N) % 97
     before = arena.copy()
     lanes = np.array([[0, 5, 0], [1, 6, 1], [2, 7, 2]], dtype=np.int64)
     _, q, tw = _fft_tables(N, FFT_PRIMES[:3])
@@ -967,6 +1076,25 @@ def test_traced_replay_around_refused_steps_tiles_its_spans(lib,
         assert ev[obs.EV_DUR] >= 0
 
 
+def test_traced_reference_runs_no_c_kernel(lib):
+    """execute_reference runs the numpy kernels whatever is loaded: a
+    traced run emits the engine's NTT spans, none of them ``impl``
+    ``"c"``, and the library is back afterwards."""
+    prog = tiny_builder(levels=4, diag=3)()
+    was = obs.TRACER.enabled
+    obs.TRACER.drain()
+    obs.TRACER.enabled = True
+    try:
+        execute_reference(prog)
+        events, _ = obs.TRACER.drain()
+    finally:
+        obs.TRACER.enabled = was
+    impls = [ev[obs.EV_ATTRS]["impl"] for ev in events
+             if ev[obs.EV_ATTRS] and "impl" in ev[obs.EV_ATTRS]]
+    assert "numpy" in impls and "c" not in impls
+    assert native.kernel() is lib
+
+
 def test_replay_span_names_the_kernels_that_ran(ntt_impl):
     compiled = _tiny_compiled()
     was = obs.TRACER.enabled
@@ -1060,14 +1188,14 @@ def test_traced_replay_is_the_same_trace_under_both_impls(lib,
 
 
 def test_bound_kernel_checks_its_arrays_once_and_holds_them(lib):
-    """``native.bind`` checks the fixed arrays as every call would,
-    refuses to leave an array argument to the call, and keeps the
-    arrays it fixed alive."""
-    arena = np.zeros((ROWS, N), dtype=np.int64)
+    """``native.bind`` checks the fixed arrays as every call would (the
+    arena a C-contiguous uint32 array), refuses to leave an array
+    argument to the call, and keeps the arrays it fixed alive."""
+    arena = np.zeros((ROWS, N), dtype=np.uint32)
     empty = (np.zeros(0, np.uint64), np.zeros((0, 4, N), np.uint32), 0,
              np.zeros((0, N), np.int64), 0, np.zeros(0, np.uintp), 0, None)
     steps = np.array([[K_FILL, 0, 1, 0, 0]], dtype=np.int64)
-    for bad in (arena.astype(np.uint64), arena[:, ::2]):
+    for bad in (arena.astype(np.int64), arena[:, ::2]):
         with pytest.raises(TypeError):
             native.bind(lib, "replay_steps", bad, ROWS, N, steps, 1,
                         np.array([3, 7]), 2, *empty)

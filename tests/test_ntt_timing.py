@@ -2,8 +2,8 @@
 
 A smoke run at n = 64: the plain build and the production (dispatched)
 build of the kernel source, one round each, and a table with the row,
-``ks_mac`` (k = 1 and 8), fast ``bconv`` and ``bconv_exact``
-measurements.  Skipped without ``cc``."""
+``ks_mac`` (k = 1 and 8), fast ``bconv``, ``bconv_exact`` and replay
+step measurements.  Skipped without ``cc``."""
 
 from __future__ import annotations
 
@@ -30,5 +30,7 @@ def test_harness_builds_and_prints_the_table(capsys):
             for line in out.splitlines() if line.startswith("| ")}
     assert rows["µs"] == "| µs | plain | dispatched |"
     for name in ("load", "store", "forward", "inverse", "ks_mac k=1",
-                 "ks_mac k=8", "bconv 2->8 k=16", "bconv_exact"):
+                 "ks_mac k=8", "bconv 2->8 k=16", "bconv_exact",
+                 "replay mac", "replay mul", "replay add", "replay ntt",
+                 "replay dram"):
         assert len(rows[name].split(" | ")) == 3

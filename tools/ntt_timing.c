@@ -1,7 +1,8 @@
 /*
  * Timing harness for the native kernels' 32x32->64-bit loops: the NTT
  * rows of src/repro/nttmath/native/ntt.c, their loads and stores, the
- * key MAC and the fast and exact base conversions.
+ * key MAC, the fast and exact base conversions, and plan replay's
+ * elementwise, FFT and DRAM-load steps over a slot arena.
  *
  * It includes the kernel source named by NTT_SOURCE, so it times that
  * source's own static functions at the target its build picks: pin one
@@ -66,9 +67,18 @@ static int cmp_double(const void *x, const void *y)
             const uint64_t *, const uint32_t *, const uint32_t *,         \
             const int64_t *))
 
+/* replay_steps takes a uint32 slot arena in sources that have one, an
+ * int64 arena in older ones (a --base build). */
+#define ARENA32 __builtin_types_compatible_p(                             \
+    __typeof__(&replay_steps),                                            \
+    int (*)(uint32_t *, size_t, size_t, const int64_t *, size_t,          \
+            const int64_t *, size_t, const uint64_t *, const uint32_t *,  \
+            size_t, const int64_t *, size_t, const uintptr_t *, size_t,   \
+            int64_t *, size_t, size_t))
+
 /* Time CALL: the median over trials of the mean of reps calls, reps
- * scaled down by the call's work in NTT rows. */
-#define TIME(name, work, CALL)                                            \
+ * scaled down by the call's work in NTT rows, divided by per. */
+#define TIME_PER(name, work, per, CALL)                                   \
     do {                                                                  \
         int k_, r_, reps_ = reps / (work) + 1;                            \
         for (k_ = 0; k_ < trials; k_++) {                                 \
@@ -77,11 +87,12 @@ static int cmp_double(const void *x, const void *y)
                 CALL;                                                     \
                 __asm__ volatile("" : : "r"(a) : "memory");               \
             }                                                             \
-            samples[k_] = (now_us() - t0_) / reps_;                       \
+            samples[k_] = (now_us() - t0_) / reps_ / (per);               \
         }                                                                 \
         qsort(samples, trials, sizeof *samples, cmp_double);              \
         printf("%s %.3f\n", name, samples[trials / 2]);                   \
     } while (0)
+#define TIME(name, work, CALL) TIME_PER(name, work, 1, CALL)
 
 /* The benchmark's key-switch shape: beta = 4 digits over ext = 10
  * limbs, and the fast conversions of a k = 16 stack of 2-limb digits
@@ -89,6 +100,51 @@ static int cmp_double(const void *x, const void *y)
  * and ModDown conversions at dnum = 4, L = 8). */
 enum { KS_BETA = 4, KS_EXT = 10, KS_K = 8, BC_K = 16, BC_FROM = 2,
        BC_TO = 8 };
+
+/* The replay steps: RP_STEPS steps of RP_K lanes, lane L of each kind
+ * on its own arena rows (L * rows per lane on), so one call streams
+ * RP_STEPS * RP_K lanes through an arena of RP_ROWS rows (16 MB as
+ * uint32 at n = 4096, past the caches as the benchmark plans' arenas
+ * are); each row is printed in microseconds per lane. */
+enum { RP_STEPS = 8, RP_K = 32, RP_LANES = RP_STEPS * RP_K,
+       RP_ROWS = 4 * RP_LANES };
+
+/* One step kind's table: lane L writes row L * per + 0 from the next
+ * per - 1 rows (EW, FFT) or from DRAM source L; EW flag is column c
+ * (1 multiplies) for nsrc 2. */
+static void replay_table(int64_t *steps, int64_t *lanes, int64_t kind,
+                         int64_t arg, int64_t flag, size_t per, size_t width,
+                         uint64_t q)
+{
+    size_t s, l, c;
+    for (s = 0; s < RP_STEPS; s++) {
+        int64_t *st = steps + 5 * s;
+        st[0] = kind;
+        st[1] = arg;
+        st[2] = RP_K;
+        st[3] = (int64_t)(s * RP_K * width);
+        st[4] = 0;
+    }
+    for (l = 0; l < RP_LANES; l++) {
+        int64_t *ln = lanes + l * width;
+        for (c = 0; c < width; c++)
+            ln[c] = 0;
+        if (kind == ST_EW) {
+            for (c = 0; c < per; c++)
+                ln[c] = (int64_t)(l * per + c);
+            if (per == 3)
+                ln[EW_C] = flag;
+            ln[EW_Q] = (int64_t)q;
+        } else if (kind == ST_FFT) {
+            ln[FT_IN] = (int64_t)(l * per + 1);
+            ln[FT_OUT] = (int64_t)(l * per);
+        } else {
+            ln[DR_OUT] = (int64_t)l;
+            ln[DR_Q] = (int64_t)q;
+            ln[DR_SRC] = (int64_t)l;
+        }
+    }
+}
 
 int main(int argc, char **argv)
 {
@@ -234,5 +290,53 @@ int main(int argc, char **argv)
         conv[j] = (int64_t)(((uint64_t)j * 2654435761u) % qs[j / n]);
     TIME("bconv_exact", l_to, bconv_exact(conv + l_from * n, conv, 1,
                                           l_from, l_to, n, tab));
+
+    /* Plan replay over an arena of the source's element type, its
+     * values canonical mod the 30-bit q, and DRAM rows of canonical
+     * int64 values: each call runs the RP_STEPS steps of one kind. */
+    {
+        size_t esize = ARENA32 ? 4 : 8;
+        unsigned char *block = malloc(RP_ROWS * n * esize + 63);
+        void *arena = block + (-(uintptr_t)block & 63);
+        int64_t *rp_steps = malloc(5 * RP_STEPS * sizeof *rp_steps);
+        int64_t *rp_lanes = malloc(RP_LANES * 6 * sizeof *rp_lanes);
+        int64_t *dram = malloc(RP_LANES * n * sizeof *dram);
+        uintptr_t *srcs = malloc(RP_LANES * sizeof *srcs);
+        uint32_t *tw = malloc(4 * n * sizeof *tw);
+        uint64_t qtab[1];
+        if (!block || !rp_steps || !rp_lanes || !dram || !srcs || !tw)
+            return 1;
+        for (j = 0; j < RP_ROWS * n; j++) {
+            uint64_t v = (j * 2654435761u) % q;
+            if (esize == 4)
+                ((uint32_t *)arena)[j] = (uint32_t)v;
+            else
+                ((int64_t *)arena)[j] = (int64_t)v;
+        }
+        for (j = 0; j < RP_LANES * n; j++)
+            dram[j] = (int64_t)((j * 40503u) % q);
+        for (j = 0; j < RP_LANES; j++)
+            srcs[j] = (uintptr_t)(dram + j * n);
+        for (j = 0; j < n; j++) {
+            tw[j] = w[j];
+            tw[n + j] = w_sh[j];
+            tw[2 * n + j] = wi[j];
+            tw[3 * n + j] = wi_sh[j];
+        }
+        qtab[0] = q;
+#define REPLAY(name, kind, arg, flag, per, width)                         \
+        replay_table(rp_steps, rp_lanes, kind, arg, flag, per, width, q); \
+        TIME_PER(name, RP_LANES, RP_LANES,                                \
+                 replay_steps(arena, RP_ROWS, n, rp_steps, RP_STEPS,      \
+                              rp_lanes, RP_LANES * (width), qtab, tw, 1,  \
+                              NULL, 0, srcs, RP_LANES, NULL, 0,           \
+                              RP_STEPS))
+        REPLAY("replay mac", ST_EW, 3, 0, 4, EW_WIDTH);
+        REPLAY("replay mul", ST_EW, 2, 1, 3, EW_WIDTH);
+        REPLAY("replay add", ST_EW, 2, 0, 3, EW_WIDTH);
+        REPLAY("replay ntt", ST_FFT, FFT_NTT, 0, 2, FT_WIDTH);
+        REPLAY("replay dram", ST_DRAM, 0, 0, 1, DR_WIDTH);
+#undef REPLAY
+    }
     return 0;
 }

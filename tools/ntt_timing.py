@@ -5,8 +5,13 @@ per vector-clone variant.
 The harness times the NTT rows with their loads and stores, the key MAC
 ``ks_mac`` at the benchmark's key-switch shape (k = 1 and 8 ciphertexts,
 beta = 4 digits over 10 ext limbs, through an automorphism
-permutation), the fast ``bconv`` 2 -> 8 limbs of a k = 16 stack and
-``bconv_exact`` 8 -> 9 limbs.
+permutation), the fast ``bconv`` 2 -> 8 limbs of a k = 16 stack,
+``bconv_exact`` 8 -> 9 limbs, and plan replay's steps through
+``replay_steps`` in microseconds per lane (one n-value row): MAC, MUL
+and ADD elementwise lanes, forward NTT lanes (input reduction, row and
+fold) and DRAM-load lanes, 256 lanes per call over a 1024-row arena of
+the source's own element type (uint32, or int64 in a ``--base`` source
+from before the uint32 arena).
 
 Builds ``tools/ntt_timing.c``, which includes the kernel source
 ``src/repro/nttmath/native/ntt.c``, once per variant:
